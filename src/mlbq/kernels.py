@@ -6,7 +6,9 @@ single global amplitude ``sigma2``.  Integration measures are products of
 one-dimensional marginals (uniform on an interval, or standard normal).
 For the supported (factor, marginal) pairs the kernel mean ``Pi[c(., x)]``
 and the initial error ``Pi[Pi[c]]`` are evaluated from closed forms; both
-factorise over dimensions because kernel and measure are products.
+factorise over dimensions because kernel and measure are products.  For a
+stationary factor under N(0, 1), X - Y ~ N(0, 2), so the initial error is
+the kernel mean at 0 with the lengthscale divided by sqrt(2).
 
 Conventions (shared with the rest of the package):
 
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf, erfcx
@@ -46,7 +47,6 @@ __all__ = [
     "kernel_mean",
     "initial_error",
     "initial_error_mc",
-    "initial_error_mc_factor",
     "as_points",
 ]
 
@@ -411,37 +411,19 @@ def _factor_mean(factor: Factor, marginal: Marginal, x):
     raise NoClosedFormError(f"no closed-form kernel mean for {_pair_name(factor, marginal)}")
 
 
-def _factor_initial_error(factor: Factor, marginal: Marginal, mc_samples, mc_seed):
+def _factor_initial_error(factor: Factor, marginal: Marginal):
     if isinstance(factor, Matern) and isinstance(marginal, Uniform):
         fn = _m12_uniform_init if factor.nu == 0.5 else _m52_uniform_init
         return fn(factor.lengthscale, marginal.a, marginal.b)
     if isinstance(factor, Matern) and isinstance(marginal, StandardNormal) and factor.nu == 2.5:
-        # No closed form exists for this pair; fall back to a seeded MC
-        # average of the (closed-form) kernel mean.
-        return _m52_gauss_init_cached(factor.lengthscale, mc_samples, mc_seed)
+        # E[c(X - Y)] with X - Y ~ N(0, 2) = sqrt(2) Z: the kernel mean at 0
+        # with lengthscale gamma / sqrt(2).
+        return float(_m52_gauss_mean(factor.lengthscale / _SQRT2, 0.0))
     if isinstance(factor, SquaredExponential) and isinstance(marginal, Uniform):
         return _se_uniform_init(factor.lengthscale, marginal.a, marginal.b)
     if isinstance(factor, SquaredExponential) and isinstance(marginal, StandardNormal):
         return _se_gauss_init(factor.lengthscale)
     raise NoClosedFormError(f"no closed-form initial error for {_pair_name(factor, marginal)}")
-
-
-def initial_error_mc_factor(factor: Matern, n_samples=1_000_000, seed=0):
-    """Seeded MC estimate of the Matern-5/2 Gaussian initial error.
-
-    Averages the closed-form kernel mean over N(0, 1) draws and returns
-    ``(value, standard_error)``.
-    """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    draws = rng.standard_normal(n_samples)
-    values = _m52_gauss_mean(factor.lengthscale, draws)
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_samples))
-
-
-@lru_cache(maxsize=64)
-def _m52_gauss_init_cached(lengthscale, n_samples, seed):
-    value, _ = initial_error_mc_factor(Matern(2.5, lengthscale), n_samples, seed)
-    return value
 
 
 def kernel_mean(kernel: Kernel, measure: ProductMeasure, points):
@@ -463,18 +445,16 @@ def kernel_mean(kernel: Kernel, measure: ProductMeasure, points):
     return float(out[0]) if single else out
 
 
-def initial_error(kernel: Kernel, measure: ProductMeasure, mc_samples=1_000_000, mc_seed=0) -> float:
+def initial_error(kernel: Kernel, measure: ProductMeasure) -> float:
     """Pi[Pi[c]]: the BQ posterior variance before any data.
 
-    The Matern(5/2)+StandardNormal factor has no closed form and is served
-    by a seeded MC average of its closed-form kernel mean (``mc_samples``
-    draws); every other supported pair is exact.
+    Exact for every pair ``kernel_mean`` supports.
     """
     if kernel.dim != measure.dim:
         raise ValueError(f"kernel dimension {kernel.dim} != measure dimension {measure.dim}")
     value = kernel.amplitude
     for f, m in zip(kernel.factors, measure.marginals):
-        value *= _factor_initial_error(f, m, mc_samples, mc_seed)
+        value *= _factor_initial_error(f, m)
     return float(value)
 
 
@@ -482,7 +462,7 @@ def initial_error_mc(kernel: Kernel, measure: ProductMeasure, n_samples=1_000_00
     """Generic seeded MC estimate of Pi[Pi[c]] with a standard error.
 
     Draws from the measure and averages the closed-form kernel mean; used
-    as a cross-check oracle and by the Matern-5/2 Gaussian fallback.
+    as a cross-check oracle.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     cols = []

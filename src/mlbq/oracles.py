@@ -2,12 +2,12 @@
 
 Each function here computes a quantity by a route independent of the
 implementation it checks: adaptive quadrature for kernel means, double
-quadrature or Monte Carlo for initial errors, dense linear algebra for
-the marginal likelihood, eigendecompositions for positive definiteness,
-slope integration for the Brownian-motion RKHS norm, and exhaustive
-lattice search for integerized allocations.  ``oracle_report`` bundles the
-standard checks into (name, oracle value, implementation value,
-tolerance) rows for the command-line provenance report.
+or single quadrature and Monte Carlo for initial errors, dense linear
+algebra for the marginal likelihood, eigendecompositions for positive
+definiteness, slope integration for the Brownian-motion RKHS norm, and
+exhaustive lattice search for integerized allocations.  ``oracle_report``
+bundles the standard checks into (name, oracle value, implementation
+value, tolerance) rows for the command-line provenance report.
 """
 
 from __future__ import annotations
@@ -84,9 +84,24 @@ def kernel_mean_quadrature(factor, marginal, x, epsabs=1e-12) -> float:
     return val
 
 
-def initial_error_quadrature(factor, marginal: Uniform, epsabs=1e-11) -> float:
-    """Double quadrature of one initial-error factor over a uniform marginal."""
+def initial_error_quadrature(factor, marginal, epsabs=1e-11) -> float:
+    """Quadrature of one initial-error factor Pi[Pi[c]].
+
+    Double quadrature over a uniform marginal.  Under N(0, 1), X - Y ~
+    N(0, 2), so a stationary factor needs one 1-d integral of its profile
+    against the N(0, 2) density, folded onto the half line at the kink.
+    """
     corr = factor_profile(factor)
+    if isinstance(marginal, StandardNormal):
+        val, _ = quad(
+            lambda z: corr(0.0, z) * math.exp(-0.25 * z * z) / math.sqrt(math.pi),
+            0.0,
+            np.inf,
+            epsabs=epsabs,
+            epsrel=1e-13,
+            limit=400,
+        )
+        return val
     width = marginal.b - marginal.a
     val, _ = dblquad(
         lambda s, t: corr(s, t) / width**2,
@@ -101,22 +116,18 @@ def initial_error_quadrature(factor, marginal: Uniform, epsabs=1e-11) -> float:
 
 def kernel_mean_gauss_mc(factor, x, n_samples=1_000_000, seed=0):
     """Seeded MC estimate (value, standard error) of a Gaussian kernel mean."""
-    corr = factor_profile(factor)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     draws = rng.standard_normal(n_samples)
-    vals = np.array([corr(x, t) for t in draws]) if n_samples <= 1000 else None
-    if vals is None:
-        # vectorised path for the supported stationary profiles
-        r = np.abs(draws - x)
-        if isinstance(factor, Matern) and factor.nu == 0.5:
-            vals = np.exp(-r / factor.lengthscale)
-        elif isinstance(factor, Matern):
-            s = math.sqrt(5.0) * r / factor.lengthscale
-            vals = (1 + s + s * s / 3.0) * np.exp(-s)
-        elif isinstance(factor, SquaredExponential):
-            vals = np.exp(-((r / factor.lengthscale) ** 2))
-        else:
-            raise ValueError(f"no vectorised profile for {factor}")
+    r = np.abs(draws - x)
+    if isinstance(factor, Matern) and factor.nu == 0.5:
+        vals = np.exp(-r / factor.lengthscale)
+    elif isinstance(factor, Matern):
+        s = math.sqrt(5.0) * r / factor.lengthscale
+        vals = (1 + s + s * s / 3.0) * np.exp(-s)
+    elif isinstance(factor, SquaredExponential):
+        vals = np.exp(-((r / factor.lengthscale) ** 2))
+    else:
+        raise ValueError(f"no vectorised profile for {factor}")
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
 
 
@@ -217,22 +228,19 @@ def oracle_report() -> list[OracleRow]:
         impl = kernel_mean(Kernel((factor,)), ProductMeasure((StandardNormal(),)), x)
         rows.append(OracleRow(name, kernel_mean_quadrature(factor, StandardNormal(), x), impl, 1e-10))
 
-    for name, factor in [
-        ("initial_error matern12-uniform", Matern(0.5, 1.0)),
-        ("initial_error matern52-uniform", Matern(2.5, 1.0)),
-        ("initial_error se-uniform", SquaredExponential(1.0)),
+    for name, factor, marginal, tol in [
+        ("initial_error matern12-uniform", Matern(0.5, 1.0), u01, 1e-8),
+        ("initial_error matern52-uniform", Matern(2.5, 1.0), u01, 1e-8),
+        ("initial_error se-uniform", SquaredExponential(1.0), u01, 1e-8),
+        ("initial_error matern52-gauss", Matern(2.5, 1.0), StandardNormal(), 1e-10),
     ]:
-        impl = initial_error(Kernel((factor,)), ProductMeasure((u01,)))
-        rows.append(OracleRow(name, initial_error_quadrature(factor, u01), impl, 1e-8))
+        impl = initial_error(Kernel((factor,)), ProductMeasure((marginal,)))
+        rows.append(OracleRow(name, initial_error_quadrature(factor, marginal), impl, tol))
 
-    # Gaussian-marginal initial errors against a generic 1e6-sample MC
-    for name, kernel in [
-        ("initial_error se-gauss (4 sigma MC)", Kernel.squared_exponential(1.5)),
-        ("initial_error matern52-gauss (4 sigma MC)", Kernel.matern(2.5, 1.0)),
-    ]:
-        measure = ProductMeasure.standard_normal()
-        mc_val, mc_se = initial_error_mc(kernel, measure, n_samples=1_000_000, seed=7)
-        rows.append(OracleRow(name, mc_val, initial_error(kernel, measure), 4.0 * mc_se))
+    # the squared-exponential Gaussian initial error against a generic 1e6-sample MC
+    kernel, measure = Kernel.squared_exponential(1.5), ProductMeasure.standard_normal()
+    mc_val, mc_se = initial_error_mc(kernel, measure, n_samples=1_000_000, seed=7)
+    rows.append(OracleRow("initial_error se-gauss (4 sigma MC)", mc_val, initial_error(kernel, measure), 4.0 * mc_se))
 
     # Brownian-motion RKHS norm against slope integration
     from .models import brownian_rkhs_increment_norm

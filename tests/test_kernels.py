@@ -14,8 +14,6 @@ from mlbq.kernels import (
     Uniform,
     gram,
     initial_error,
-    initial_error_mc,
-    initial_error_mc_factor,
     kernel_eval,
     kernel_mean,
 )
@@ -212,24 +210,23 @@ class TestInitialError:
             v = initial_error(k, U01)
             assert 0.0 < v <= k.amplitude
 
-    def test_matern52_gauss_mc_fallback_matches_generic_mc(self):
-        k = Kernel.matern(2.5, 1.0)
-        measure = ProductMeasure.standard_normal()
-        fallback = initial_error(k, measure)
-        generic, se = initial_error_mc(k, measure, n_samples=1_000_000, seed=123)
-        assert fallback == pytest.approx(generic, abs=4 * se)
-
-    def test_matern52_gauss_fallback_reports_standard_error(self):
-        value, se = initial_error_mc_factor(Matern(2.5, 1.3), n_samples=200_000, seed=5)
-        assert 0.0 < value < 1.0 and 0.0 < se < 1e-3
+    @pytest.mark.parametrize("gamma", [0.3, 0.8, 1.0, 2.5])
+    def test_matern52_gauss_matches_quadrature_against_n02(self, gamma):
+        # X - Y ~ N(0, 2): one 1-d quadrature of the profile is independent of the closed form
+        val = initial_error(Kernel.matern(2.5, gamma), ProductMeasure.standard_normal())
+        oracle = initial_error_quadrature(Matern(2.5, gamma), StandardNormal(), epsabs=0.0)
+        assert val == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_gaussian_product_measure_mixed(self):
-        k = Kernel((SquaredExponential(1.0), SquaredExponential(2.0)))
         measure = ProductMeasure((Uniform(0, 1), StandardNormal()))
-        expected = initial_error(Kernel.squared_exponential(1.0), U01) * initial_error(
-            Kernel.squared_exponential(2.0), ProductMeasure.standard_normal()
-        )
-        assert initial_error(k, measure) == pytest.approx(expected, rel=1e-12)
+        for first, second in [
+            (SquaredExponential(1.0), SquaredExponential(2.0)),
+            (Matern(2.5, 0.7), Matern(2.5, 1.3)),
+        ]:
+            expected = initial_error(Kernel((first,)), U01) * initial_error(
+                Kernel((second,)), ProductMeasure.standard_normal()
+            )
+            assert initial_error(Kernel((first, second)), measure) == pytest.approx(expected, rel=1e-12)
 
 
 class TestProductMeasure:

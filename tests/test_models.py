@@ -141,8 +141,10 @@ class TestOde:
     def test_reference_is_cached_and_reports_error(self):
         model = OdeHierarchy()
         value, err = model.reference_info()
-        assert value == pytest.approx(-3.4177, abs=0.01)
-        assert 0.0 < err < 0.01
+        # 16-node Gauss-Legendre value with banded LAPACK solves (perfbench/references.py)
+        assert abs(value - (-3.417731512833)) <= 1e-9
+        assert 0.0 < err < 1e-8
+        assert model.reference_info() is model.reference_info()
         again = OdeHierarchy()
         assert again.reference_info() == (value, err)
 
