@@ -132,7 +132,9 @@ def gp_posterior_at(fit: GPFit, x):
     if fit.mean is not None:
         mean = mean + np.asarray([fit.mean(p) for p in pts], dtype=float)
     half = solve_triangular(fit.chol, cross.T, lower=True)
-    prior = np.array([gram(fit.kernel, p[None, :]).item() for p in pts])
+    prior = np.full(pts.shape[0], fit.kernel.amplitude)
+    for j, f in enumerate(fit.kernel.factors):
+        prior *= f.corr(pts[:, j], pts[:, j])
     var = prior - np.sum(half * half, axis=0)
     amp = fit.kernel.amplitude
     var = np.where((var < 0) & (var > -1e-10 * amp), 0.0, var)

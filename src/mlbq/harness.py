@@ -3,12 +3,15 @@
 A JSON config (schema below) names a testbed model, a set of estimators
 with their design kinds, a kernel policy, budgets and per-budget sample
 sizes (explicit table or allocation formula), a replication count and a
-master seed.  ``run_experiment`` then walks (budget, replication) cells:
-every estimator that shares a design kind, sample sizes and data mode
-within a cell consumes the identical evaluations (content-hashed), and
-all randomness derives from the master seed through spawned child seeds,
-so reruns are byte-identical -- including under ``--jobs`` parallelism,
-because records are merged in replication order.
+master seed.  ``run_experiment`` builds the model, computes its reference
+integral and resolves each budget's sample sizes once per sweep, then
+walks (budget, replication) cells: every estimator that shares a design
+kind, sample sizes and data mode within a cell consumes the identical
+evaluations (content-hashed), and all randomness derives from the master
+seed through spawned child seeds, so reruns are byte-identical.  Under
+``--jobs`` parallelism the workers receive the config, model, reference
+and sample sizes as they are, and records are collected in submission
+order, so the output matches the serial run.
 
 Config schema (``schema_version: 1``)::
 
@@ -163,54 +166,6 @@ class ExperimentConfig:
     replications: int
     seed: int
     output: str | None = None
-
-    def to_dict(self) -> dict:
-        """Round-trippable plain-dict form (used to ship configs to workers)."""
-        d = {
-            "schema_version": SCHEMA_VERSION,
-            "model": {"name": self.model_name, "params": self.model_params},
-            "estimators": [
-                {"name": e.name, "design": e.design}
-                | ({"b_matrix": [list(r) for r in e.b_matrix]} if e.b_matrix is not None else {})
-                for e in self.estimators
-            ],
-            "kernel": {
-                "family": self.kernel.family,
-                "smoothness": self.kernel.smoothness,
-                "lengthscale": list(self.kernel.lengthscale)
-                if isinstance(self.kernel.lengthscale, tuple)
-                else self.kernel.lengthscale,
-                "amplitude": self.kernel.amplitude,
-                "policy": self.kernel.policy,
-                "bounds": list(self.kernel.bounds),
-                "per_dimension": self.kernel.per_dimension,
-                "mle_amplitude": self.kernel.mle_amplitude,
-            },
-            "budgets": list(self.budgets),
-            "allocation": {
-                k: v
-                for k, v in {
-                    "source": self.allocation.source,
-                    "table": [
-                        {est: list(counts) for est, counts in entry.items()} if isinstance(entry, dict) else list(entry)
-                        for entry in self.allocation.table
-                    ]
-                    if self.allocation.table is not None
-                    else None,
-                    "variances": list(self.allocation.variances) if self.allocation.variances else None,
-                    "norms": list(self.allocation.norms) if self.allocation.norms else None,
-                    "tau": self.allocation.tau,
-                    "gamma": self.allocation.gamma,
-                    "costs": list(self.allocation.costs) if self.allocation.costs else None,
-                }.items()
-                if v is not None
-            },
-            "replications": self.replications,
-            "seed": self.seed,
-        }
-        if self.output is not None:
-            d["output"] = self.output
-        return d
 
 
 def _require(condition, message):
@@ -417,11 +372,6 @@ def _counts_for(cfg: ExperimentConfig, model, budget_index: int) -> dict[str, tu
     out = {}
     if alloc.source == "table":
         entry = alloc.table[budget_index]
-        if isinstance(entry, dict):
-            known = {est.name for est in cfg.estimators}
-            stray = set(entry) - known
-            if stray:
-                raise ConfigError(f"allocation table entry {budget_index} names unknown estimators {sorted(stray)}")
         for est in cfg.estimators:
             counts = entry.get(est.name) if isinstance(entry, dict) else entry
             if counts is None:
@@ -456,18 +406,23 @@ def _cell_cost(name: str, counts, costs) -> float:
     return float(sum(n * c for n, c in zip(counts, costs)))
 
 
-def validate_budget_accounting(cfg: ExperimentConfig, model):
-    """Every cell's realized cost must stay within one step of its budget."""
+def validate_budget_accounting(cfg: ExperimentConfig, model) -> list[dict[str, tuple[int, ...]]]:
+    """Every cell's realized cost must stay within one step of its budget.
+
+    Returns the checked per-estimator sample sizes, one dict per budget.
+    """
     costs = _model_costs(cfg, model)
     if len(costs) != model.levels:
         raise ConfigError(f"cost vector has {len(costs)} entries, model has {model.levels} levels")
-    for bi, budget in enumerate(cfg.budgets):
-        for name, counts in _counts_for(cfg, model, bi).items():
+    per_budget = [_counts_for(cfg, model, bi) for bi in range(len(cfg.budgets))]
+    for budget, counts_by_est in zip(cfg.budgets, per_budget):
+        for name, counts in counts_by_est.items():
             cost = _cell_cost(name, counts, costs)
             if cost > budget + max(costs) + 1e-12:
                 raise ConfigError(
                     f"estimator {name!r} at budget {budget} costs {cost:.6g}, beyond the one-step slack"
                 )
+    return per_budget
 
 
 # ---------------------------------------------------------------------------
@@ -483,31 +438,28 @@ def _data_hash(levels) -> str:
     return digest.hexdigest()
 
 
-def _build_groups(cfg, model, costs, budget_index, replication):
-    """Evaluate each distinct (design, counts, mode) group exactly once."""
-    counts_by_est = _counts_for(cfg, model, budget_index)
-    groups = {}
-    for est in cfg.estimators:
-        if est.name not in counts_by_est:
-            continue
-        mode = "top" if est.name in SINGLE_LEVEL else "increments"
-        key = (est.design, counts_by_est[est.name], mode)
-        groups.setdefault(key, None)
+def _build_groups(cfg, model, counts_by_est, budget_index, replication):
+    """Each estimator's level data; each distinct (design, counts, mode) group is evaluated once.
+
+    Estimators in one group get the same list object.
+    """
+    costs = _model_costs(cfg, model)
+    design_of = {est.name: est.design for est in cfg.estimators}
+    keys = {
+        name: (design_of[name], counts, "top" if name in SINGLE_LEVEL else "increments")
+        for name, counts in counts_by_est.items()
+    }
     top = model.levels - 1
-    for gi, key in enumerate(sorted(groups)):
+    groups = {}
+    for gi, key in enumerate(sorted(set(keys.values()))):
         design_kind, counts, mode = key
+        # single-level estimators sample the top level itself; the others sample increments
+        evaluate, level_ids = (model.evaluate, [top]) if mode == "top" else (model.increments, range(len(counts)))
         levels = []
-        if mode == "top":
-            seed = np.random.SeedSequence(cfg.seed, spawn_key=(budget_index, replication, gi, top))
-            design = generate_design(design_kind, model.measure, counts[0], seed=seed)
-            values = model.evaluate(top, design.points)
-            levels.append(LevelData(top, design.points, values, costs[top]))
-        else:
-            for level, n in enumerate(counts):
-                seed = np.random.SeedSequence(cfg.seed, spawn_key=(budget_index, replication, gi, level))
-                design = generate_design(design_kind, model.measure, n, seed=seed)
-                values = model.increments(level, design.points)
-                levels.append(LevelData(level, design.points, values, costs[level]))
+        for level, n in zip(level_ids, counts):
+            seed = np.random.SeedSequence(cfg.seed, spawn_key=(budget_index, replication, gi, level))
+            design = generate_design(design_kind, model.measure, n, seed=seed)
+            levels.append(LevelData(level, design.points, evaluate(level, design.points), costs[level]))
         groups[key] = levels
         log.debug(
             "cell budget=%s rep=%s group=%s hash=%s",
@@ -516,7 +468,7 @@ def _build_groups(cfg, model, costs, budget_index, replication):
             key,
             _data_hash(levels),
         )
-    return counts_by_est, groups
+    return {name: groups[key] for name, key in keys.items()}
 
 
 def _run_estimator(cfg, model, est: EstimatorSpec, levels):
@@ -542,22 +494,18 @@ def _run_estimator(cfg, model, est: EstimatorSpec, levels):
     raise ConfigError(f"unknown estimator {est.name!r}")
 
 
-def _run_cells(cfg: ExperimentConfig, budget_index: int, replications) -> list[ResultRecord]:
-    model = make_model(cfg.model_name, **cfg.model_params)
+def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, counts_by_est, replications):
     costs = _model_costs(cfg, model)
-    reference = model.reference_integral()
     budget = cfg.budgets[budget_index]
     records = []
     for rep in replications:
-        counts_by_est, groups = _build_groups(cfg, model, costs, budget_index, rep)
+        levels_by_est = _build_groups(cfg, model, counts_by_est, budget_index, rep)
         for est in cfg.estimators:
-            if est.name not in counts_by_est:
+            if est.name not in levels_by_est:
                 continue
-            mode = "top" if est.name in SINGLE_LEVEL else "increments"
             counts = counts_by_est[est.name]
-            levels = groups[(est.design, counts, mode)]
             try:
-                estimate, variance = _run_estimator(cfg, model, est, levels)
+                estimate, variance = _run_estimator(cfg, model, est, levels_by_est[est.name])
             except ConfigError:
                 raise
             except CELL_ERRORS as exc:
@@ -571,38 +519,30 @@ def _run_cells(cfg: ExperimentConfig, budget_index: int, replications) -> list[R
     return records
 
 
-def _worker(cfg_dict, budget_index, replications):
-    cfg = config_from_dict(cfg_dict)
-    return _run_cells(cfg, budget_index, list(replications))
-
-
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
     """Run the configured sweep; deterministic given the config.
 
-    With ``jobs > 1`` replications are distributed over processes and the
-    results merged back in (budget, replication, estimator) order, so the
-    parallel run produces byte-identical output to the serial one.
+    The model, its reference integral and each budget's sample sizes are
+    computed once here and handed to every (budget, replications) task as
+    they are.  With ``jobs > 1`` the tasks run in worker processes and
+    their records are collected in submission order, which is (budget,
+    replication, estimator) order, so the parallel run produces
+    byte-identical output to the serial one.
     """
     model = make_model(cfg.model_name, **cfg.model_params)
-    validate_budget_accounting(cfg, model)
-    records = []
+    counts = validate_budget_accounting(cfg, model)
+    reference = model.reference_integral()
+    chunk = max(1, math.ceil(cfg.replications / max(jobs, 1)))
+    tasks = [
+        (cfg, model, reference, bi, counts[bi], range(start, min(start + chunk, cfg.replications)))
+        for bi in range(len(cfg.budgets))
+        for start in range(0, cfg.replications, chunk)
+    ]
     if jobs <= 1:
-        for bi in range(len(cfg.budgets)):
-            records.extend(_run_cells(cfg, bi, range(cfg.replications)))
-    else:
-        tasks = []
-        chunk = max(1, math.ceil(cfg.replications / jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for bi in range(len(cfg.budgets)):
-                for start in range(0, cfg.replications, chunk):
-                    reps = range(start, min(start + chunk, cfg.replications))
-                    tasks.append((bi, start, pool.submit(_worker, cfg.to_dict(), bi, tuple(reps))))
-            order = {e.name: i for i, e in enumerate(cfg.estimators)}
-            budget_order = {t: i for i, t in enumerate(cfg.budgets)}
-            for _, _, fut in tasks:
-                records.extend(fut.result())
-            records.sort(key=lambda r: (budget_order[r.budget], r.replication, order[r.estimator]))
-    return records
+        return [record for task in tasks for record in _run_cells(*task)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(_run_cells, *task) for task in tasks]
+        return [record for fut in futures for record in fut.result()]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from mlbq.gp import (
     mle_amplitude,
     profiled_log_marginal_likelihood,
 )
-from mlbq.kernels import Kernel, gram
+from mlbq.kernels import BrownianMotion, Kernel, Matern, gram
 from mlbq.oracles import lml_dense
 
 M12 = Kernel.matern(0.5, 1.0)
@@ -126,6 +126,23 @@ class TestPosterior:
         _, var = gp_posterior_at(fit, rng.random((50, 1)))
         assert np.all(var >= 0.0)
         assert np.all(var <= 1.8 + 1e-12)
+
+    def test_batch_matches_single_points_brownian(self):
+        # the Brownian factor makes the prior variance amplitude * x1 vary per point
+        rng = np.random.default_rng(8)
+        k = Kernel((BrownianMotion(), Matern(0.5, 0.7)), amplitude=1.3)
+        w = rng.random((8, 2))
+        fit = fit_gp(k, w, rng.standard_normal(8))
+        test_points = rng.random((15, 2))
+        mean, var = gp_posterior_at(fit, test_points)
+        for i, p in enumerate(test_points):
+            m_i, v_i = gp_posterior_at(fit, p)
+            assert m_i == pytest.approx(mean[i], rel=1e-12, abs=1e-14)
+            assert v_i == pytest.approx(var[i], rel=1e-12, abs=1e-14)
+        cross = gram(k, test_points, w)
+        big = gram(k, w) + fit.nugget * k.amplitude * np.eye(8)
+        dense = 1.3 * test_points[:, 0] - np.einsum("ij,ji->i", cross, np.linalg.solve(big, cross.T))
+        assert var == pytest.approx(dense, rel=1e-8, abs=1e-12)
 
     def test_monotone_conditioning(self):
         # conditioning on one more observation never increases variance

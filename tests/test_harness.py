@@ -1,10 +1,12 @@
 import copy
 import filecmp
 import json
+import pickle
 
 import numpy as np
 import pytest
 
+from mlbq import harness
 from mlbq.cli import main
 from mlbq.harness import (
     ConfigError,
@@ -19,7 +21,7 @@ from mlbq.harness import (
     validate_budget_accounting,
     write_records_csv,
 )
-from mlbq.models import make_model
+from mlbq.models import OdeHierarchy, make_model
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -40,9 +42,16 @@ def config(**overrides):
 
 
 class TestConfig:
-    def test_round_trip_through_dict(self):
-        cfg = config()
-        assert config_from_dict(cfg.to_dict()) == cfg
+    def test_pickle_round_trip(self):
+        # --jobs workers receive the frozen config as it is
+        cfg = config(
+            estimators=[{"name": "sk-mlbq", "design": "grid", "b_matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
+            kernel={"family": "matern", "policy": "fixed", "lengthscale": [0.5]},
+            allocation={"source": "table", "table": [[10, 5, 2]]},
+            output="out.csv",
+        )
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        assert pickle.loads(pickle.dumps(config())) == config()
 
     def test_rejects_wrong_schema_version(self):
         with pytest.raises(ConfigError, match="schema_version"):
@@ -127,27 +136,27 @@ class TestSharedData:
             allocation={"source": "table", "table": [[20, 8, 2]]},
         )
         model = make_model("poisson")
-        counts, groups = _build_groups(cfg, model, model.costs, 0, 0)
+        counts = _counts_for(cfg, model, 0)
         assert counts["mlbq"] == counts["mlmc"] == (20, 8, 2)
-        assert len(groups) == 1  # both estimators consume the same data
-        (levels,) = groups.values()
-        assert _data_hash(levels) == _data_hash(levels)
+        levels = _build_groups(cfg, model, counts, 0, 0)
+        assert levels["mlbq"] is levels["mlmc"]  # both estimators consume the same data
 
     def test_distinct_designs_get_distinct_groups(self):
         cfg = config()
         model = make_model("poisson")
-        _, groups = _build_groups(cfg, model, model.costs, 0, 0)
-        assert len(groups) == 2
+        levels = _build_groups(cfg, model, _counts_for(cfg, model, 0), 0, 0)
+        assert levels["mlbq"] is not levels["mlmc"]
+        assert _data_hash(levels["mlbq"]) != _data_hash(levels["mlmc"])
 
     def test_replications_differ_but_reruns_match(self):
         cfg = config()
         model = make_model("poisson")
-        _, g0 = _build_groups(cfg, model, model.costs, 0, 0)
-        _, g0_again = _build_groups(cfg, model, model.costs, 0, 0)
-        _, g1 = _build_groups(cfg, model, model.costs, 0, 1)
-        key = ("iid", (67, 11, 1), "increments")
-        assert _data_hash(g0[key]) == _data_hash(g0_again[key])
-        assert _data_hash(g0[key]) != _data_hash(g1[key])
+        counts = _counts_for(cfg, model, 0)
+        g0 = _build_groups(cfg, model, counts, 0, 0)
+        g0_again = _build_groups(cfg, model, counts, 0, 0)
+        g1 = _build_groups(cfg, model, counts, 0, 1)
+        assert _data_hash(g0["mlmc"]) == _data_hash(g0_again["mlmc"])
+        assert _data_hash(g0["mlmc"]) != _data_hash(g1["mlmc"])
 
 
 class TestRunExperiment:
@@ -164,12 +173,53 @@ class TestRunExperiment:
         assert len({r.estimate for r in records}) == 1
 
     def test_parallel_jobs_keep_byte_identical_output(self, tmp_path):
-        cfg = config(replications=4)
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        write_records_csv(run_experiment(cfg, jobs=1), serial)
-        write_records_csv(run_experiment(cfg, jobs=3), parallel)
-        assert filecmp.cmp(serial, parallel, shallow=False)
+        # a repeated budget keeps its two entries apart under --jobs too
+        repeated = config(
+            budgets=[0.376, 0.376],
+            allocation={"source": "table", "table": [{"mlmc": [67, 11, 1]}, {"mlmc": [20, 5, 1]}]},
+        )
+        for cfg in (config(replications=4), repeated):
+            serial = tmp_path / "serial.csv"
+            parallel = tmp_path / "parallel.csv"
+            write_records_csv(run_experiment(cfg, jobs=1), serial)
+            write_records_csv(run_experiment(cfg, jobs=3), parallel)
+            assert filecmp.cmp(serial, parallel, shallow=False)
+
+    def test_reference_computed_once_per_sweep(self, monkeypatch):
+        calls = []
+        original = OdeHierarchy._gauss_legendre_mean
+
+        def counted(self, h, nodes):
+            calls.append(nodes)
+            return original(self, h, nodes)
+
+        monkeypatch.setattr(OdeHierarchy, "_gauss_legendre_mean", counted)
+        cfg = config(
+            model={"name": "ode", "params": {}},
+            estimators=[{"name": "mlmc", "design": "iid"}],
+            budgets=[0.05, 0.1],
+            allocation={"source": "table", "table": [[8, 4, 2], [16, 8, 2]]},
+            replications=2,
+        )
+        assert len(run_experiment(cfg)) == 4
+        assert sorted(calls) == [16, 32]
+
+    def test_sample_sizes_resolved_once_per_budget(self, monkeypatch):
+        calls = []
+        original = harness._counts_for
+
+        def counted(cfg, model, budget_index):
+            calls.append(budget_index)
+            return original(cfg, model, budget_index)
+
+        monkeypatch.setattr(harness, "_counts_for", counted)
+        raw = {"source": "mlmc-formula", "variances": [1.305e-3, 0.088e-3, 0.002e-3]}
+        per_run = []
+        for reps in (1, 5):
+            calls.clear()
+            run_experiment(config(estimators=[{"name": "mlmc", "design": "iid"}], allocation=raw, replications=reps))
+            per_run.append(len(calls))
+        assert per_run[0] == per_run[1]
 
     def test_abs_error_recomputed_from_estimate(self):
         cfg = config(replications=2)
