@@ -1,23 +1,28 @@
 """Gaussian process conditioning, marginal likelihood and hyperparameters.
 
-Fitting is plain Cholesky-based conditioning.  Hyperparameters are chosen
-per level, independently of every other level: the amplitude in closed
-form (``sigma* = sqrt(y' C^-1 y / n)`` with C the unit-amplitude Gram
-matrix) and the lengthscale by maximising the amplitude-profiled marginal
-log-likelihood with a deterministic log-grid scan plus golden-section
-refinement.  Everything here is pure given its inputs; ``GPFit`` is
-immutable and safe to share across threads.
+Everything works from one factor L = chol(C + nu I) of the unit-amplitude
+Gram matrix C, the nugget nu being relative to the amplitude: sigma L
+factors sigma^2 (C + nu I), so one factorisation (LAPACK potrf through
+``cholesky``, with a nugget ladder) gives the amplitude MLE, the
+likelihoods and the fit at any amplitude.  Per level, the amplitude is
+chosen in closed form and the lengthscale by maximising the profiled
+marginal log-likelihood with a log-grid scan plus golden-section
+refinement, which builds the distance matrices and fixed factors once per
+axis and reproduces ``profiled_log_marginal_likelihood`` bit for bit.
+Data are checked to be finite where they enter; a non-finite Gram matrix
+or likelihood raises.  Everything here is pure; ``GPFit`` is immutable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .kernels import Kernel, as_points, gram
+from .kernels import Kernel, Matern, SquaredExponential, as_points, gram
 
 __all__ = [
     "GPFit",
@@ -43,12 +48,23 @@ class SingularGramError(np.linalg.LinAlgError):
         self.nugget = nugget
 
 
-def _center(points, y, mean):
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if mean is None:
-        return y.copy()
-    m = np.asarray([mean(p) for p in points], dtype=float).reshape(-1)
-    return y - m
+def cholesky(matrix):
+    """Lower factor by LAPACK potrf, unchecked; ``LinAlgError`` if not positive definite."""
+    chol, info = dpotrf(matrix, lower=1, clean=1)
+    if info != 0:
+        raise (np.linalg.LinAlgError if info > 0 else ValueError)(f"LAPACK potrf returned info {info}")
+    return chol
+
+
+def _data(kernel, points, y, mean):
+    """(n, dim) points and residuals y - mean(points), checked to be finite."""
+    w, yv = as_points(points, kernel.dim), np.asarray(y, dtype=float).reshape(-1)
+    if not 0 < w.shape[0] == yv.shape[0]:
+        raise ValueError(f"need matching nonempty data, got {w.shape[0]} points and {yv.shape[0]} observations")
+    resid = yv.copy() if mean is None else yv - np.asarray([mean(p) for p in w], dtype=float).reshape(-1)
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(resid))):
+        raise ValueError("GP points and observations must be finite")
+    return w, resid
 
 
 def _chol_with_ladder(matrix, scale, nugget):
@@ -58,7 +74,7 @@ def _chol_with_ladder(matrix, scale, nugget):
     while True:
         try:
             shifted = matrix if current == 0 else matrix + current * scale * np.eye(n)
-            return cholesky(shifted, lower=True), current
+            return cholesky(shifted), current
         except np.linalg.LinAlgError:
             nxt = max(current, 1e-12) * 10.0
             if current >= MAX_NUGGET or nxt > MAX_NUGGET:
@@ -66,6 +82,20 @@ def _chol_with_ladder(matrix, scale, nugget):
                     f"Gram matrix not positive definite even with nugget {current:g}", current
                 ) from None
             current = nxt
+
+
+def _profiled(unit, resid) -> float:
+    """Profiled marginal log-likelihood from the unit factor; +inf for vanishing residuals."""
+    half = dtrtrs(unit, resid, lower=1)[0]
+    n = resid.shape[0]
+    sigma2 = float(half @ half) / n
+    if sigma2 <= 0:
+        return math.inf
+    logdet = 2.0 * float(np.sum(np.log(np.diag(unit))))
+    value = -0.5 * n * math.log(sigma2) - 0.5 * logdet - 0.5 * n * (1.0 + math.log(2 * math.pi))
+    if not math.isfinite(value):
+        raise ValueError(f"profiled log-likelihood is {value}: the Gram matrix or its factor is not finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -91,6 +121,19 @@ class GPFit:
         return self.points.shape[0]
 
 
+def _scaled(unit, kernel) -> GPFit:
+    """The fit ``unit``, made at amplitude 1, at ``kernel``'s amplitude a: chol * sqrt(a), weights / a."""
+    a = kernel.amplitude
+    if a == 0.0:
+        # Degenerate prior (arises from amplitude estimation on constant
+        # data): the process equals its mean a.s., so the fit is exact
+        # with zero weights -- but only if the residuals really vanish.
+        if np.any(unit.residual != 0.0):
+            raise SingularGramError("zero-amplitude kernel cannot explain nonzero observations", unit.nugget)
+        return replace(unit, kernel=kernel, chol=np.eye(unit.n), weights=np.zeros(unit.n))
+    return replace(unit, kernel=kernel, chol=math.sqrt(a) * unit.chol, weights=unit.weights / a)
+
+
 def fit_gp(kernel: Kernel, points, y, mean=None, nugget=1e-10) -> GPFit:
     """Condition a GP prior on observations.
 
@@ -98,26 +141,14 @@ def fit_gp(kernel: Kernel, points, y, mean=None, nugget=1e-10) -> GPFit:
     Gram diagonal.  On Cholesky failure the nugget is escalated by factors
     of 10 up to 1e-4 before giving up with :class:`SingularGramError`.
     """
-    w = as_points(points, kernel.dim)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if w.shape[0] != yv.shape[0]:
-        raise ValueError(f"{w.shape[0]} points but {yv.shape[0]} observations")
-    if w.shape[0] < 1:
-        raise ValueError("need at least one observation")
     if nugget < 0:
         raise ValueError("nugget must be nonnegative")
-    resid = _center(w, yv, mean)
-    if kernel.amplitude == 0.0:
-        # Degenerate prior (arises from amplitude estimation on constant
-        # data): the process equals its mean a.s., so the fit is exact
-        # with zero weights -- but only if the residuals really vanish.
-        if np.any(resid != 0.0):
-            raise SingularGramError("zero-amplitude kernel cannot explain nonzero observations", nugget)
-        return GPFit(kernel, w, resid, np.eye(w.shape[0]), np.zeros(w.shape[0]), nugget, mean)
-    big = gram(kernel, w)
-    chol, used = _chol_with_ladder(big, kernel.amplitude, nugget)
-    weights = cho_solve((chol, True), resid)
-    return GPFit(kernel, w, resid, chol, weights, used, mean)
+    w, resid = _data(kernel, points, y, mean)
+    if kernel.amplitude == 0.0:  # nothing to factor
+        return _scaled(GPFit(kernel, w, resid, None, None, nugget, mean), kernel)
+    # cho_solve checks the factor: a non-finite Gram matrix raises ValueError
+    chol, used = _chol_with_ladder(gram(kernel.with_amplitude(1.0), w), 1.0, nugget)
+    return _scaled(GPFit(kernel, w, resid, chol, cho_solve((chol, True), resid), used, mean), kernel)
 
 
 def gp_posterior_at(fit: GPFit, x):
@@ -152,13 +183,11 @@ def log_marginal_likelihood(kernel: Kernel, points, y, mean=None, nugget=1e-10) 
     covariance including the amplitude and the nugget, and the log
     determinant comes off the Cholesky diagonal.
     """
-    w = as_points(points, kernel.dim)
-    resid = _center(w, np.asarray(y, dtype=float), mean)
-    big = gram(kernel, w)
-    chol, _ = _chol_with_ladder(big, kernel.amplitude, nugget)
-    alpha = cho_solve((chol, True), resid)
-    n = w.shape[0]
-    return float(-0.5 * resid @ alpha - np.sum(np.log(np.diag(chol))) - 0.5 * n * math.log(2 * math.pi))
+    if kernel.amplitude == 0.0:
+        raise SingularGramError("a zero-amplitude prior has no density", nugget)
+    fit = fit_gp(kernel, points, y, mean, nugget)
+    logdet = 2.0 * np.sum(np.log(np.diag(fit.chol)))
+    return float(-0.5 * fit.residual @ fit.weights - 0.5 * logdet - 0.5 * fit.n * math.log(2 * math.pi))
 
 
 def mle_amplitude(kernel: Kernel, points, y, mean=None, nugget=1e-10) -> float:
@@ -169,14 +198,7 @@ def mle_amplitude(kernel: Kernel, points, y, mean=None, nugget=1e-10) -> float:
     is sigma^2), which maximises the marginal log-likelihood over the
     amplitude with everything else held fixed.
     """
-    unit = kernel.with_amplitude(1.0)
-    w = as_points(points, unit.dim)
-    resid = _center(w, np.asarray(y, dtype=float), mean)
-    corr = gram(unit, w)
-    chol, _ = _chol_with_ladder(corr, 1.0, nugget)
-    half = solve_triangular(chol, resid, lower=True)
-    qform = float(half @ half)
-    return math.sqrt(max(qform, 0.0) / w.shape[0])
+    return math.sqrt(_profiled_fit(kernel, points, y, mean, nugget).kernel.amplitude)
 
 
 def profiled_log_marginal_likelihood(kernel: Kernel, points, y, mean=None, nugget=1e-10) -> float:
@@ -186,18 +208,8 @@ def profiled_log_marginal_likelihood(kernel: Kernel, points, y, mean=None, nugge
     objective the lengthscale search maximises.  Degenerates to +inf as the
     residual vanishes, so all-zero residuals are special-cased by callers.
     """
-    unit = kernel.with_amplitude(1.0)
-    w = as_points(points, unit.dim)
-    resid = _center(w, np.asarray(y, dtype=float), mean)
-    corr = gram(unit, w)
-    chol, _ = _chol_with_ladder(corr, 1.0, nugget)
-    half = solve_triangular(chol, resid, lower=True)
-    n = w.shape[0]
-    sigma2 = float(half @ half) / n
-    if sigma2 <= 0:
-        return math.inf
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * n * math.log(sigma2) - 0.5 * logdet - 0.5 * n * (1.0 + math.log(2 * math.pi))
+    unit = fit_gp(kernel.with_amplitude(1.0), points, y, mean, nugget)
+    return _profiled(unit.chol, unit.residual)
 
 
 def _golden_max(fn, lo, hi, rel_tol):
@@ -219,30 +231,76 @@ def _golden_max(fn, lo, hi, rel_tol):
     return (a + b) / 2.0
 
 
-def _optimise_axis(kernel, axis, points, y, mean, bounds, nugget, grid_size, rel_tol):
-    """1-d profiled-LML search over the lengthscale of one factor.
+def _axis_objective(kernel, axis, w, resid, nugget):
+    """The profiled LML as a function of one log-lengthscale (``axis=None``: all tied).
 
-    ``axis=None`` ties all lengthscales together (shared mode).
+    The searched factors' distance matrices, the product of the fixed
+    factors before them and the fixed factors after them are computed
+    once, and multiplied in the order ``gram`` uses.
     """
-
-    def with_gamma(g):
-        if axis is None:
-            return kernel.with_lengthscales(g)
-        ls = list(kernel.lengthscales)
-        ls[axis] = g
-        return kernel.with_lengthscales(ls)
+    head, rest = None, []  # rest: (searched factor, distances) or a fixed factor's matrix
+    for j, f in enumerate(kernel.factors):
+        x, x2 = w[:, j : j + 1], w[None, :, j]
+        if isinstance(f, (Matern, SquaredExponential)) and axis in (None, j):
+            rest.append((f, np.abs(x - x2)))
+        elif rest:
+            rest.append(f.corr(x, x2))
+        else:
+            head = f.corr(x, x2) if head is None else head * f.corr(x, x2)
 
     def objective(log_g):
-        return profiled_log_marginal_likelihood(with_gamma(math.exp(log_g)), points, y, mean, nugget)
+        corr = head
+        for term in rest:
+            c = term[0].corr_at(term[1], math.exp(log_g)) if isinstance(term, tuple) else term
+            corr = c if corr is None else corr * c
+        return _profiled(_chol_with_ladder(corr, 1.0, nugget)[0], resid)
 
+    return objective
+
+
+def _optimise_axis(kernel, axis, w, resid, bounds, nugget, grid_size, rel_tol):
+    """1-d profiled-LML search over the lengthscale of one factor (``axis=None``: all tied)."""
+    objective = _axis_objective(kernel, axis, w, resid, nugget)
     lo, hi = math.log(bounds[0]), math.log(bounds[1])
     grid = np.linspace(lo, hi, grid_size)
     vals = np.array([objective(g) for g in grid])
     best = int(np.argmax(vals))
     left = grid[max(best - 1, 0)]
     right = grid[min(best + 1, grid_size - 1)]
-    log_opt = _golden_max(objective, left, right, rel_tol)
-    return with_gamma(math.exp(log_opt))
+    g = math.exp(_golden_max(objective, left, right, rel_tol))
+    if axis is None:
+        return kernel.with_lengthscales(g)
+    ls = list(kernel.lengthscales)
+    ls[axis] = g
+    return kernel.with_lengthscales(ls)
+
+
+def _fit_lengthscales(
+    kernel, points, y, bounds, mean=None, per_dimension=False, nugget=1e-10, grid_size=32, rel_tol=1e-4, sweeps=3
+) -> Kernel:
+    """The lengthscale search of :func:`fit_hyperparameters`; the amplitude is left as it is."""
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not (0 < lo < hi):
+        raise ValueError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    w, resid = _data(kernel, points, y, mean)
+    if w.shape[0] < 2:
+        raise ValueError("hyperparameter fitting needs at least 2 points")
+    fitted = kernel.with_lengthscales(math.sqrt(lo * hi))
+    if np.max(np.abs(resid)) == 0.0:
+        return fitted
+    per_axis = per_dimension and kernel.dim > 1
+    for _ in range(sweeps if per_axis else 1):
+        for axis in range(kernel.dim) if per_axis else [None]:
+            fitted = _optimise_axis(fitted, axis, w, resid, (lo, hi), nugget, grid_size, rel_tol)
+    return fitted
+
+
+def _profiled_fit(kernel, points, y, mean=None, nugget=1e-10) -> GPFit:
+    """The GP at the amplitude MLE sigma*^2 = |L^-1 r|^2 / n: the fit at amplitude 1, rescaled."""
+    unit = fit_gp(kernel.with_amplitude(1.0), points, y, mean, nugget)
+    half = dtrtrs(unit.chol, unit.residual, lower=1)[0]
+    sigma = math.sqrt(max(float(half @ half), 0.0) / unit.n)
+    return _scaled(unit, kernel.with_amplitude(sigma * sigma))
 
 
 def fit_hyperparameters(
@@ -269,22 +327,5 @@ def fit_hyperparameters(
     Flat objectives (residuals identically zero, so any lengthscale is
     admissible) tie-break to the geometric midpoint of ``bounds``.
     """
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not (0 < lo < hi):
-        raise ValueError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    w = as_points(points, kernel.dim)
-    if w.shape[0] < 2:
-        raise ValueError("hyperparameter fitting needs at least 2 points")
-    resid = _center(w, np.asarray(y, dtype=float), mean)
-    if np.max(np.abs(resid)) == 0.0:
-        mid = math.sqrt(lo * hi)
-        return kernel.with_lengthscales(mid).with_amplitude(0.0)
-    fitted = kernel.with_lengthscales(math.sqrt(lo * hi))
-    if per_dimension and kernel.dim > 1:
-        for _ in range(sweeps):
-            for axis in range(kernel.dim):
-                fitted = _optimise_axis(fitted, axis, w, y, mean, (lo, hi), nugget, grid_size, rel_tol)
-    else:
-        fitted = _optimise_axis(fitted, None, w, y, mean, (lo, hi), nugget, grid_size, rel_tol)
-    sigma = mle_amplitude(fitted, w, y, mean, nugget)
-    return fitted.with_amplitude(sigma * sigma)
+    fitted = _fit_lengthscales(kernel, points, y, bounds, mean, per_dimension, nugget, grid_size, rel_tol, sweeps)
+    return _profiled_fit(fitted, points, y, mean, nugget).kernel

@@ -58,7 +58,7 @@ from scipy.special import ndtri
 
 from .allocation import AllocationInput, mlbq_allocation, mlmc_allocation
 from .designs import DESIGN_KINDS, generate_design
-from .gp import SingularGramError, fit_gp, fit_hyperparameters, mle_amplitude
+from .gp import GPFit, SingularGramError, _fit_lengthscales, _profiled_fit, fit_gp
 from .kernels import Kernel, NoClosedFormError
 from .models import MODEL_NAMES, ModelError, make_model
 from .quadrature import (
@@ -135,13 +135,21 @@ class KernelPolicy:
         raise ConfigError(f"unknown kernel family {self.family!r}")
 
     def level_kernel(self, points, values, dim: int) -> Kernel:
+        """The level's kernel with this policy's lengthscales (searched under the fitted policy)."""
         base = self.base_kernel(dim)
         if self.policy == "fitted":
-            return fit_hyperparameters(base, points, values, bounds=self.bounds, per_dimension=self.per_dimension)
-        if self.mle_amplitude:
-            sigma = mle_amplitude(base, points, values)
-            return base.with_amplitude(sigma * sigma)
+            return _fit_lengthscales(base, points, values, self.bounds, per_dimension=self.per_dimension)
         return base
+
+    def level_fit(self, points, values, dim: int) -> GPFit:
+        """The level's GP conditioned on its data, at the amplitude MLE where the policy estimates it.
+
+        The amplitude MLE and the fit share one factor of the Gram matrix.
+        """
+        kernel = self.level_kernel(points, values, dim)
+        if self.policy == "fitted" or self.mle_amplitude:
+            return _profiled_fit(kernel, points, values)
+        return fit_gp(kernel, points, values)
 
 
 @dataclass(frozen=True)
@@ -480,12 +488,11 @@ def _run_estimator(cfg, model, est: EstimatorSpec, levels):
         return mlmc_estimate(levels), None
     if est.name == "bq":
         lv = levels[0]
-        kernel = cfg.kernel.level_kernel(lv.points, lv.values, dim)
-        post = bq_posterior(fit_gp(kernel, lv.points, lv.values), model.measure)
+        post = bq_posterior(cfg.kernel.level_fit(lv.points, lv.values, dim), model.measure)
         return post.mean, post.variance
     if est.name == "mlbq":
-        kernels = [cfg.kernel.level_kernel(lv.points, lv.values, dim) for lv in levels]
-        post = mlbq_estimate(levels, kernels, model.measure)
+        fits = [cfg.kernel.level_fit(lv.points, lv.values, dim) for lv in levels]
+        post = mlbq_estimate(levels, fits, model.measure)
         return post.mean, post.variance
     if est.name == "sk-mlbq":
         b = np.eye(len(levels)) if est.b_matrix is None else np.asarray(est.b_matrix)

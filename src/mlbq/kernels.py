@@ -78,10 +78,13 @@ class Matern:
             raise ValueError(f"lengthscale must be positive and finite, got {self.lengthscale}")
 
     def corr(self, x, y):
-        r = np.abs(x - y) / self.lengthscale
+        return self.corr_at(np.abs(x - y), self.lengthscale)
+
+    def corr_at(self, dist, lengthscale):
+        """Correlation at distances ``dist`` under ``lengthscale`` (not validated)."""
         if self.nu == 0.5:
-            return np.exp(-r)
-        s = _SQRT5 * r
+            return np.exp(-(dist / lengthscale))
+        s = _SQRT5 * (dist / lengthscale)
         return (1.0 + s + s * s / 3.0) * np.exp(-s)
 
 
@@ -96,8 +99,11 @@ class SquaredExponential:
             raise ValueError(f"lengthscale must be positive and finite, got {self.lengthscale}")
 
     def corr(self, x, y):
-        d = (x - y) / self.lengthscale
-        return np.exp(-d * d)
+        return self.corr_at(np.abs(x - y), self.lengthscale)
+
+    def corr_at(self, dist, lengthscale):
+        """Correlation at distances ``dist`` under ``lengthscale`` (not validated)."""
+        return np.exp(-np.square(dist / lengthscale))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .kernels import ProductMeasure, StandardNormal, Uniform
 
@@ -128,16 +127,6 @@ def brownian_rkhs_increment_norm(g: PiecewiseLinearFunction, h: PiecewiseLinearF
 # ---------------------------------------------------------------------------
 # tridiagonal helpers
 # ---------------------------------------------------------------------------
-
-
-def _solve_tridiagonal(lower, diag, upper, rhs):
-    """Single tridiagonal solve via LAPACK's banded solver."""
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return solve_banded((1, 1), ab, rhs)
 
 
 def _thomas_batch(lower, diag, upper, rhs):
@@ -254,10 +243,10 @@ class PoissonHierarchy(MultifidelityModel):
     def _solve_level(p: int) -> PiecewiseLinearFunction:
         delta = 1.0 / (p + 1)
         nodes = np.linspace(delta, 1.0 - delta, p)
-        diag = np.full(p, 2.0 / delta)
-        off = np.full(p - 1, -1.0 / delta)
-        load = np.full(p, delta)  # integral of each hat against forcing 1
-        coeff = _solve_tridiagonal(off, diag, off, -load)
+        diag = np.full((1, p), 2.0 / delta)
+        off = np.full((1, p), -1.0 / delta)
+        load = np.full((1, p), delta)  # integral of each hat against forcing 1
+        coeff = _thomas_batch(off, diag, off, -load)[0]
         bp = np.concatenate([[0.0], nodes, [1.0]])
         vals = np.concatenate([[0.0], coeff, [0.0]])
         return PiecewiseLinearFunction(bp, vals)

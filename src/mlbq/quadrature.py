@@ -177,7 +177,9 @@ def mlbq_estimate(
     """Multilevel BQ: independent per-level BQ posteriors, summed.
 
     ``levels`` must be indexed 0..L in order; ``kernels`` supplies one
-    kernel per level (hyperparameters as given -- fit them beforehand).
+    kernel per level (hyperparameters as given -- fit them beforehand), or
+    a :class:`GPFit` already conditioned on that level's data, which is
+    used as it is (with its own prior mean and nugget).
     ``means``/``mean_integrals`` optionally give per-level prior means and
     their known integrals.  Identical to calling :func:`bq_posterior` per
     level and summing, which is also how it is computed.
@@ -195,7 +197,9 @@ def mlbq_estimate(
     for level, kernel, m, pim in zip(levels, kernels, means, mean_integrals):
         try:
             _require_support(measure, level.points, level.level)
-            fit = fit_gp(kernel, level.points, level.values, mean=m, nugget=nugget)
+            fit = kernel if isinstance(kernel, GPFit) else fit_gp(kernel, level.points, level.values, m, nugget)
+            if not np.array_equal(fit.points, level.points):
+                raise ValueError("the fit was conditioned on other points")
             post = bq_posterior(fit, measure, pim)
         except (ValueError, SingularGramError, FloatingPointError) as exc:
             raise LevelFailure(level.level, str(exc)) from exc

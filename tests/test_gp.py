@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from mlbq import gp
 from mlbq.gp import (
     SingularGramError,
+    _axis_objective,
     fit_gp,
     fit_hyperparameters,
     gp_posterior_at,
@@ -12,7 +14,7 @@ from mlbq.gp import (
     mle_amplitude,
     profiled_log_marginal_likelihood,
 )
-from mlbq.kernels import BrownianMotion, Kernel, Matern, gram
+from mlbq.kernels import BrownianMotion, Kernel, Matern, SquaredExponential, gram
 from mlbq.oracles import lml_dense
 
 M12 = Kernel.matern(0.5, 1.0)
@@ -56,12 +58,16 @@ class TestFitGp:
         assert np.max(np.abs(reproduced - y)) < 1e-6 * (1 + np.max(np.abs(y)))
 
     def test_cholesky_factor_invariant(self):
+        # the nugget is relative to the amplitude: chol chol' = K + nugget * amplitude * I
         rng = np.random.default_rng(5)
         w = rng.random((8, 1))
-        fit = fit_gp(M12, w, rng.standard_normal(8), nugget=1e-10)
-        rebuilt = fit.chol @ fit.chol.T
-        target = gram(M12, w) + fit.nugget * np.eye(8)
-        assert np.max(np.abs(rebuilt - target)) < 1e-8
+        y = rng.standard_normal(8)
+        for amplitude in (4.0, 1e-6):
+            kernel = M12.with_amplitude(amplitude)
+            fit = fit_gp(kernel, w, y, nugget=1e-10)
+            rebuilt = fit.chol @ fit.chol.T
+            target = gram(kernel, w) + fit.nugget * amplitude * np.eye(8)
+            assert np.max(np.abs(rebuilt - target)) < 1e-8 * amplitude
 
     def test_nugget_ladder_escalates_on_duplicates(self):
         # duplicated points make the Gram singular; starting from zero
@@ -275,8 +281,171 @@ class TestFitHyperparameters:
         w0 = rng.random((15, 1))
         y0 = gp_sample(M12, w0, 19)
         w1, y1 = rng.random((9, 1)), rng.standard_normal(9)
-        baseline = policy.level_kernel(w0, y0, dim=1)
+        baseline = policy.level_fit(w0, y0, dim=1).kernel
         perm = np.random.default_rng(20).permutation(9)
         for other in [(w1[perm], y1[perm]), (rng.random((30, 1)), rng.standard_normal(30))]:
-            policy.level_kernel(other[0], other[1], dim=1)  # interleaved fits of other levels
-            assert policy.level_kernel(w0, y0, dim=1) == baseline
+            policy.level_fit(other[0], other[1], dim=1)  # interleaved fits of other levels
+            assert policy.level_fit(w0, y0, dim=1).kernel == baseline
+
+
+def _with_lengthscale(kernel, axis, g):
+    if axis is None:
+        return kernel.with_lengthscales(g)
+    ls = list(kernel.lengthscales)
+    ls[axis] = g
+    return kernel.with_lengthscales(ls)
+
+
+class TestLengthscaleSearch:
+    """The search's objective is the public profiled likelihood, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kernel, axis",
+        [
+            (Kernel.matern(0.5, 0.7), None),
+            (Kernel.matern(2.5, 0.7), None),
+            (Kernel.squared_exponential(0.7), None),
+            (Kernel.matern(2.5, 0.7, dim=2), None),
+            (Kernel.squared_exponential([0.4, 1.3], dim=2), 0),
+            (Kernel.squared_exponential([0.4, 1.3], dim=2), 1),
+            (Kernel((Matern(0.5, 0.3), SquaredExponential(0.8), Matern(2.5, 1.7))), None),
+            (Kernel((Matern(0.5, 0.3), SquaredExponential(0.8), Matern(2.5, 1.7))), 0),
+            (Kernel((Matern(0.5, 0.3), SquaredExponential(0.8), Matern(2.5, 1.7))), 1),
+            (Kernel((Matern(0.5, 0.3), SquaredExponential(0.8), Matern(2.5, 1.7))), 2),
+            (Kernel((BrownianMotion(), Matern(0.5, 0.7))), None),
+        ],
+    )
+    def test_objective_equals_profiled_likelihood(self, kernel, axis):
+        rng = np.random.default_rng(22)
+        w = rng.random((17, kernel.dim))
+        y = np.cos(4 * w.sum(axis=1)) + 0.1 * rng.standard_normal(17)
+        objective = _axis_objective(kernel, axis, w, y.copy(), 1e-10)
+        for log_g in list(np.linspace(math.log(0.01), math.log(10.0), 32)) + [-0.37, 1.9]:
+            public = profiled_log_marginal_likelihood(_with_lengthscale(kernel, axis, math.exp(log_g)), w, y)
+            assert objective(log_g) == public
+
+    def test_objective_identity_through_the_nugget_ladder(self):
+        # duplicated points with zero jitter make every Gram singular, so each
+        # evaluation escalates the nugget before the factorisation succeeds
+        w = np.array([[0.1], [0.1], [0.4], [0.4], [0.8]])
+        y = np.array([1.0, 1.0, -0.5, -0.5, 0.3])
+        kernel = Kernel.matern(2.5, 1.0)
+        assert fit_gp(kernel, w, y, nugget=0.0).nugget > 0.0
+        objective = _axis_objective(kernel, None, w, y.copy(), 0.0)
+        for log_g in np.linspace(math.log(0.01), math.log(10.0), 32):
+            public = profiled_log_marginal_likelihood(kernel.with_lengthscales(math.exp(log_g)), w, y, nugget=0.0)
+            assert objective(log_g) == public
+
+    def test_fitted_lengthscales_are_fixed_by_the_seed(self):
+        # values written by the implementation that called the public
+        # likelihood once per lengthscale; the search must reproduce them exactly
+        rng = np.random.default_rng(21)
+        w = rng.random((30, 2))
+        y = np.sin(3 * w[:, 0]) + w[:, 1] ** 2 + 0.05 * rng.standard_normal(30)
+        per_axis = fit_hyperparameters(Kernel.matern(2.5, 1.0, dim=2), w, y, bounds=(0.01, 10.0), per_dimension=True)
+        assert per_axis.lengthscales == (0.3704734461296856, 0.3260672700174361)
+        assert per_axis.amplitude == 0.5014811017938994
+        shared = fit_hyperparameters(Kernel.squared_exponential(1.0, dim=2), w, y, bounds=(0.01, 10.0))
+        assert shared.lengthscales == (0.29000065924496293, 0.29000065924496293)
+        assert shared.amplitude == 0.573546400787508
+        one_d = fit_hyperparameters(M12, w[:, :1], y, bounds=(0.01, 10.0))
+        assert one_d.lengthscales == (0.05118259637332945,)
+        assert one_d.amplitude == 1.1147512804917727
+
+
+def _count_cholesky(monkeypatch):
+    calls = []
+    original = gp.cholesky
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape[0])
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(gp, "cholesky", counted)
+    return calls
+
+
+class TestOneFactorPerFit:
+    def test_fitted_level_factors_once_after_the_search(self, monkeypatch):
+        from mlbq.harness import KernelPolicy
+
+        calls = _count_cholesky(monkeypatch)
+        in_search = []
+        search = gp._optimise_axis
+
+        def counted_search(*args):
+            before = len(calls)
+            result = search(*args)
+            in_search.append(len(calls) - before)
+            return result
+
+        monkeypatch.setattr(gp, "_optimise_axis", counted_search)
+        rng = np.random.default_rng(23)
+        w = rng.random((25, 2))
+        y = gp_sample(Kernel.squared_exponential([0.3, 0.9], dim=2), w, 24)
+        policy = KernelPolicy(family="se", policy="fitted", bounds=(0.05, 5.0), per_dimension=True)
+        fit = policy.level_fit(w, y, dim=2)
+        assert len(in_search) == 6 and min(in_search) >= 32
+        assert len(calls) == sum(in_search) + 1
+        assert fit.kernel == fit_hyperparameters(
+            Kernel.squared_exponential(1.0, dim=2), w, y, bounds=(0.05, 5.0), per_dimension=True
+        )
+
+    def test_profiled_fit_shares_the_amplitude_factor(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        w = rng.random((12, 1))
+        y = rng.standard_normal(12)
+        kernel = Kernel.squared_exponential(0.6)
+        sigma = mle_amplitude(kernel, w, y)
+        reference = fit_gp(kernel.with_amplitude(sigma * sigma), w, y)
+        calls = _count_cholesky(monkeypatch)
+        fit = gp._profiled_fit(kernel, w, y)
+        assert len(calls) == 1
+        assert fit.kernel == reference.kernel
+        assert np.allclose(fit.chol, reference.chol, rtol=1e-12, atol=0)
+        assert np.allclose(fit.weights, reference.weights, rtol=1e-8, atol=0)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_observation_raises(self, bad):
+        w = np.linspace(0.1, 0.9, 5).reshape(-1, 1)
+        y = np.array([0.3, -0.2, bad, 0.5, 0.1])
+        with pytest.raises(ValueError):
+            fit_gp(M12, w, y)
+        with pytest.raises(ValueError):
+            mle_amplitude(M12, w, y)
+        with pytest.raises(ValueError):
+            fit_hyperparameters(M12, w, y, bounds=(0.05, 5.0))
+
+    def test_nonfinite_point_raises(self):
+        w = np.array([[0.1], [math.nan], [0.7]])
+        with pytest.raises(ValueError):
+            fit_hyperparameters(M12, w, [1.0, 2.0, 3.0], bounds=(0.05, 5.0))
+
+    def test_nan_gram_is_not_searched_over(self):
+        # Matern 5/2 at distance 1e200: (1 + s + s^2/3) overflows to inf and
+        # exp(-s) underflows to 0, so finite data give a NaN Gram entry
+        w = np.array([[0.0], [0.5], [1e200]])
+        y = np.array([1.0, -1.0, 0.5])
+        kernel = Kernel.matern(2.5, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(gram(kernel, w)).any()
+            with pytest.raises(ValueError):
+                fit_hyperparameters(kernel, w, y, bounds=(0.05, 5.0))
+            with pytest.raises(ValueError):
+                profiled_log_marginal_likelihood(kernel, w, y)
+            with pytest.raises(ValueError):
+                mle_amplitude(kernel, w, y)
+            with pytest.raises(ValueError):
+                fit_gp(kernel, w, y)
+
+    def test_vanishing_residual_gives_plus_infinity(self):
+        assert profiled_log_marginal_likelihood(M12, [0.2, 0.7], [0.0, 0.0]) == math.inf
+
+    def test_potrf_argument_error_raises(self, monkeypatch):
+        monkeypatch.setattr(gp, "dpotrf", lambda matrix, lower, clean: (matrix, -1))
+        with pytest.raises(ValueError, match="info -1"):
+            gp.cholesky(np.eye(3))
+        with pytest.raises(ValueError, match="info -1"):
+            fit_gp(M12, [0.2, 0.7], [1.0, 2.0])

@@ -221,6 +221,32 @@ class TestRunExperiment:
             per_run.append(len(calls))
         assert per_run[0] == per_run[1]
 
+    def test_one_factorisation_per_level_under_amplitude_mle(self, monkeypatch):
+        # the amplitude MLE and the posterior share one factor of each level's Gram matrix
+        from mlbq import gp
+
+        calls = []
+        original = gp.cholesky
+
+        def counted(matrix, *args, **kwargs):
+            calls.append(matrix.shape[0])
+            return original(matrix, *args, **kwargs)
+
+        cfg = config(
+            model={"name": "ode", "params": {}},
+            estimators=[{"name": "mlbq", "design": "halton"}],
+            kernel={"family": "se", "lengthscale": 1.0, "policy": "fixed", "mle_amplitude": True},
+            budgets=[0.1],
+            allocation={"source": "table", "table": [[20, 8, 3]]},
+            replications=1,
+        )
+        model = make_model("ode")
+        counts = validate_budget_accounting(cfg, model)[0]
+        levels = _build_groups(cfg, model, counts, 0, 0)["mlbq"]
+        monkeypatch.setattr(gp, "cholesky", counted)
+        harness._run_estimator(cfg, model, cfg.estimators[0], levels)
+        assert calls == [20, 8, 3]
+
     def test_abs_error_recomputed_from_estimate(self):
         cfg = config(replications=2)
         model = make_model("poisson")
