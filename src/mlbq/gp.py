@@ -1,4 +1,4 @@
-"""Gaussian process conditioning, marginal likelihood and hyperparameters.
+"""Zero-mean Gaussian process conditioning, marginal likelihood and hyperparameters.
 
 Everything works from one factor L = chol(C + nu I) of the unit-amplitude
 Gram matrix C, the nugget nu being relative to the amplitude: sigma L
@@ -56,15 +56,14 @@ def cholesky(matrix):
     return chol
 
 
-def _data(kernel, points, y, mean):
-    """(n, dim) points and residuals y - mean(points), checked to be finite."""
-    w, yv = as_points(points, kernel.dim), np.asarray(y, dtype=float).reshape(-1)
+def _data(kernel, points, y):
+    """(n, dim) points and a copy of the observations, checked to be finite."""
+    w, yv = as_points(points, kernel.dim), np.array(y, dtype=float).reshape(-1)
     if not 0 < w.shape[0] == yv.shape[0]:
         raise ValueError(f"need matching nonempty data, got {w.shape[0]} points and {yv.shape[0]} observations")
-    resid = yv.copy() if mean is None else yv - np.asarray([mean(p) for p in w], dtype=float).reshape(-1)
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(resid))):
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(yv))):
         raise ValueError("GP points and observations must be finite")
-    return w, resid
+    return w, yv
 
 
 def _chol_with_ladder(matrix, scale, nugget):
@@ -104,8 +103,8 @@ class GPFit:
 
     ``chol`` is the lower factor of ``gram(kernel, points) +
     nugget * amplitude * I`` and ``weights`` solves that system against the
-    centred observations, so the posterior mean at x is
-    ``mean(x) + c(x, W) @ weights``.
+    observations ``residual``, so the posterior mean at x is
+    ``c(x, W) @ weights``.
     """
 
     kernel: Kernel
@@ -114,7 +113,6 @@ class GPFit:
     chol: np.ndarray
     weights: np.ndarray
     nugget: float
-    mean: object = None
 
     @property
     def n(self) -> int:
@@ -126,15 +124,15 @@ def _scaled(unit, kernel) -> GPFit:
     a = kernel.amplitude
     if a == 0.0:
         # Degenerate prior (arises from amplitude estimation on constant
-        # data): the process equals its mean a.s., so the fit is exact
-        # with zero weights -- but only if the residuals really vanish.
+        # data): the process is zero a.s., so the fit is exact with
+        # zero weights -- but only if the observations really vanish.
         if np.any(unit.residual != 0.0):
             raise SingularGramError("zero-amplitude kernel cannot explain nonzero observations", unit.nugget)
         return replace(unit, kernel=kernel, chol=np.eye(unit.n), weights=np.zeros(unit.n))
     return replace(unit, kernel=kernel, chol=math.sqrt(a) * unit.chol, weights=unit.weights / a)
 
 
-def fit_gp(kernel: Kernel, points, y, mean=None, nugget=1e-10) -> GPFit:
+def fit_gp(kernel: Kernel, points, y, nugget=1e-10) -> GPFit:
     """Condition a GP prior on observations.
 
     ``nugget`` is relative jitter: ``nugget * amplitude`` is added to the
@@ -143,12 +141,12 @@ def fit_gp(kernel: Kernel, points, y, mean=None, nugget=1e-10) -> GPFit:
     """
     if nugget < 0:
         raise ValueError("nugget must be nonnegative")
-    w, resid = _data(kernel, points, y, mean)
+    w, resid = _data(kernel, points, y)
     if kernel.amplitude == 0.0:  # nothing to factor
-        return _scaled(GPFit(kernel, w, resid, None, None, nugget, mean), kernel)
+        return _scaled(GPFit(kernel, w, resid, None, None, nugget), kernel)
     # cho_solve checks the factor: a non-finite Gram matrix raises ValueError
     chol, used = _chol_with_ladder(gram(kernel.with_amplitude(1.0), w), 1.0, nugget)
-    return _scaled(GPFit(kernel, w, resid, chol, cho_solve((chol, True), resid), used, mean), kernel)
+    return _scaled(GPFit(kernel, w, resid, chol, cho_solve((chol, True), resid), used), kernel)
 
 
 def gp_posterior_at(fit: GPFit, x):
@@ -160,8 +158,6 @@ def gp_posterior_at(fit: GPFit, x):
     pts = as_points(x, fit.kernel.dim)
     cross = gram(fit.kernel, pts, fit.points)
     mean = cross @ fit.weights
-    if fit.mean is not None:
-        mean = mean + np.asarray([fit.mean(p) for p in pts], dtype=float)
     half = solve_triangular(fit.chol, cross.T, lower=True)
     prior = np.full(pts.shape[0], fit.kernel.amplitude)
     for j, f in enumerate(fit.kernel.factors):
@@ -176,7 +172,7 @@ def gp_posterior_at(fit: GPFit, x):
     return mean, var
 
 
-def log_marginal_likelihood(kernel: Kernel, points, y, mean=None, nugget=1e-10) -> float:
+def log_marginal_likelihood(kernel: Kernel, points, y, nugget=1e-10) -> float:
     """Standard Gaussian marginal log-likelihood.
 
     -1/2 r' K^-1 r - 1/2 log|K| - n/2 log(2 pi), where K is the full
@@ -185,12 +181,12 @@ def log_marginal_likelihood(kernel: Kernel, points, y, mean=None, nugget=1e-10) 
     """
     if kernel.amplitude == 0.0:
         raise SingularGramError("a zero-amplitude prior has no density", nugget)
-    fit = fit_gp(kernel, points, y, mean, nugget)
+    fit = fit_gp(kernel, points, y, nugget)
     logdet = 2.0 * np.sum(np.log(np.diag(fit.chol)))
     return float(-0.5 * fit.residual @ fit.weights - 0.5 * logdet - 0.5 * fit.n * math.log(2 * math.pi))
 
 
-def mle_amplitude(kernel: Kernel, points, y, mean=None, nugget=1e-10) -> float:
+def mle_amplitude(kernel: Kernel, points, y, nugget=1e-10) -> float:
     """Closed-form amplitude MLE sigma* = sqrt(r' C^-1 r / n).
 
     C is the unit-amplitude Gram matrix (plus nugget); whatever amplitude
@@ -198,17 +194,17 @@ def mle_amplitude(kernel: Kernel, points, y, mean=None, nugget=1e-10) -> float:
     is sigma^2), which maximises the marginal log-likelihood over the
     amplitude with everything else held fixed.
     """
-    return math.sqrt(_profiled_fit(kernel, points, y, mean, nugget).kernel.amplitude)
+    return math.sqrt(_profiled_fit(kernel, points, y, nugget).kernel.amplitude)
 
 
-def profiled_log_marginal_likelihood(kernel: Kernel, points, y, mean=None, nugget=1e-10) -> float:
+def profiled_log_marginal_likelihood(kernel: Kernel, points, y, nugget=1e-10) -> float:
     """Marginal log-likelihood with the amplitude profiled out in closed form.
 
     Equals ``log_marginal_likelihood`` at amplitude sigma*^2 and is the
     objective the lengthscale search maximises.  Degenerates to +inf as the
     residual vanishes, so all-zero residuals are special-cased by callers.
     """
-    unit = fit_gp(kernel.with_amplitude(1.0), points, y, mean, nugget)
+    unit = fit_gp(kernel.with_amplitude(1.0), points, y, nugget)
     return _profiled(unit.chol, unit.residual)
 
 
@@ -276,13 +272,13 @@ def _optimise_axis(kernel, axis, w, resid, bounds, nugget, grid_size, rel_tol):
 
 
 def _fit_lengthscales(
-    kernel, points, y, bounds, mean=None, per_dimension=False, nugget=1e-10, grid_size=32, rel_tol=1e-4, sweeps=3
+    kernel, points, y, bounds, per_dimension=False, nugget=1e-10, grid_size=32, rel_tol=1e-4, sweeps=3
 ) -> Kernel:
     """The lengthscale search of :func:`fit_hyperparameters`; the amplitude is left as it is."""
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi):
         raise ValueError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    w, resid = _data(kernel, points, y, mean)
+    w, resid = _data(kernel, points, y)
     if w.shape[0] < 2:
         raise ValueError("hyperparameter fitting needs at least 2 points")
     fitted = kernel.with_lengthscales(math.sqrt(lo * hi))
@@ -295,9 +291,9 @@ def _fit_lengthscales(
     return fitted
 
 
-def _profiled_fit(kernel, points, y, mean=None, nugget=1e-10) -> GPFit:
+def _profiled_fit(kernel, points, y, nugget=1e-10) -> GPFit:
     """The GP at the amplitude MLE sigma*^2 = |L^-1 r|^2 / n: the fit at amplitude 1, rescaled."""
-    unit = fit_gp(kernel.with_amplitude(1.0), points, y, mean, nugget)
+    unit = fit_gp(kernel.with_amplitude(1.0), points, y, nugget)
     half = dtrtrs(unit.chol, unit.residual, lower=1)[0]
     sigma = math.sqrt(max(float(half @ half), 0.0) / unit.n)
     return _scaled(unit, kernel.with_amplitude(sigma * sigma))
@@ -309,7 +305,6 @@ def fit_hyperparameters(
     y,
     *,
     bounds,
-    mean=None,
     per_dimension=False,
     nugget=1e-10,
     grid_size=32,
@@ -327,5 +322,5 @@ def fit_hyperparameters(
     Flat objectives (residuals identically zero, so any lengthscale is
     admissible) tie-break to the geometric midpoint of ``bounds``.
     """
-    fitted = _fit_lengthscales(kernel, points, y, bounds, mean, per_dimension, nugget, grid_size, rel_tol, sweeps)
-    return _profiled_fit(fitted, points, y, mean, nugget).kernel
+    fitted = _fit_lengthscales(kernel, points, y, bounds, per_dimension, nugget, grid_size, rel_tol, sweeps)
+    return _profiled_fit(fitted, points, y, nugget).kernel

@@ -40,7 +40,7 @@ declared cost vector.  A table entry may also be a plain list applied to
 every estimator, and an estimator omitted from a budget's dict entry is
 simply not run at that budget.  Single-level estimators (``mc``, ``bq``)
 take a one-element table entry, or ``floor(T / (gamma * C_L))`` under
-formula sources.
+formula sources.  ``kernel.family`` is ``matern``, ``se`` or ``brownian``.
 """
 
 from __future__ import annotations
@@ -126,11 +126,11 @@ class KernelPolicy:
     mle_amplitude: bool = False
 
     def base_kernel(self, dim: int) -> Kernel:
-        if self.family in ("matern",):
+        if self.family == "matern":
             return Kernel.matern(self.smoothness, self.lengthscale, dim=dim, amplitude=self.amplitude)
-        if self.family in ("se", "squared-exponential", "squared_exponential"):
+        if self.family == "se":
             return Kernel.squared_exponential(self.lengthscale, dim=dim, amplitude=self.amplitude)
-        if self.family in ("brownian", "brownian-motion"):
+        if self.family == "brownian":
             return Kernel.brownian(amplitude=self.amplitude)
         raise ConfigError(f"unknown kernel family {self.family!r}")
 
@@ -208,17 +208,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     kraw = raw.get("kernel", {})
     _require(isinstance(kraw, dict), "kernel must be an object")
-    ls = kraw.get("lengthscale", 1.0)
+    ls, bounds = kraw.get("lengthscale", 1.0), kraw.get("bounds", [0.01, 10.0])
+    numbers = isinstance(bounds, (list, tuple)) and len(bounds) == 2 and all(type(v) in (int, float) for v in bounds)
+    _require(numbers and 0 < bounds[0] < bounds[1] < math.inf, "kernel.bounds must be two numbers with 0 < lo < hi")
     kernel = KernelPolicy(
         family=kraw.get("family", "matern"),
         smoothness=float(kraw.get("smoothness", 0.5)),
         lengthscale=tuple(float(v) for v in ls) if isinstance(ls, (list, tuple)) else float(ls),
         amplitude=float(kraw.get("amplitude", 1.0)),
         policy=kraw.get("policy", "fitted"),
-        bounds=tuple(float(v) for v in kraw.get("bounds", (0.01, 10.0))),
+        bounds=tuple(float(v) for v in bounds),
         per_dimension=bool(kraw.get("per_dimension", False)),
         mle_amplitude=bool(kraw.get("mle_amplitude", False)),
     )
+    _require(kernel.family in ("matern", "se", "brownian"), "kernel.family must be 'matern', 'se' or 'brownian'")
     _require(kernel.policy in ("fixed", "fitted"), "kernel.policy must be 'fixed' or 'fitted'")
     if any(e.name == "sk-mlbq" for e in estimators):
         _require(kernel.policy == "fixed", "sk-mlbq requires kernel.policy 'fixed' (one shared base kernel)")
@@ -538,6 +541,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
     """
     model = make_model(cfg.model_name, **cfg.model_params)
     counts = validate_budget_accounting(cfg, model)
+    if any(est.name in BAYESIAN for est in cfg.estimators):
+        try:
+            cfg.kernel.base_kernel(model.dim)
+        except ValueError as exc:
+            raise ConfigError(f"kernel: {exc}") from exc
     reference = model.reference_integral()
     chunk = max(1, math.ceil(cfg.replications / max(jobs, 1)))
     tasks = [

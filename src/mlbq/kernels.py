@@ -250,14 +250,6 @@ class ProductMeasure:
     def is_bounded(self) -> bool:
         return all(isinstance(m, Uniform) for m in self.marginals)
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) arrays for uniform marginals; raises otherwise."""
-        if not self.is_bounded():
-            raise ValueError("measure has an unbounded marginal")
-        lo = np.array([m.a for m in self.marginals])
-        hi = np.array([m.b for m in self.marginals])
-        return lo, hi
-
     def contains(self, points) -> bool:
         """True if every point lies in the support (finite check per axis)."""
         pts = as_points(points, self.dim)

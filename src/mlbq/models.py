@@ -44,8 +44,6 @@ __all__ = [
     "poisson_exact_solution",
     "POISSON_EXACT_INTEGRAL",
     "make_model",
-    "eval_level",
-    "reference_integral",
     "MODEL_NAMES",
 ]
 
@@ -88,15 +86,6 @@ class PiecewiseLinearFunction:
         """Exact integral over the breakpoint span (trapezoid is exact)."""
         return float(np.trapezoid(self.values, self.breakpoints))
 
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.values) / np.diff(self.breakpoints)
-
-
-def _merge_difference(g: PiecewiseLinearFunction, h: PiecewiseLinearFunction):
-    """Breakpoints and values of g - h on the union of both knot sets."""
-    knots = np.union1d(g.breakpoints, h.breakpoints)
-    return knots, g(knots) - h(knots)
-
 
 def brownian_rkhs_increment_norm(g: PiecewiseLinearFunction, h: PiecewiseLinearFunction | None = None) -> float:
     """Norm of g - h in the RKHS of the Brownian-motion kernel min(s, t).
@@ -111,7 +100,8 @@ def brownian_rkhs_increment_norm(g: PiecewiseLinearFunction, h: PiecewiseLinearF
         h = PiecewiseLinearFunction(g.breakpoints[[0, -1]], np.zeros(2))
     if g(0.0) != 0.0 or h(0.0) != 0.0:
         raise ValueError("Brownian-motion RKHS members must vanish at 0")
-    knots, diff = _merge_difference(g, h)
+    knots = np.union1d(g.breakpoints, h.breakpoints)
+    diff = g(knots) - h(knots)
     if knots[0] != 0.0:
         knots = np.concatenate([[0.0], knots])
         diff = np.concatenate([[0.0], diff])
@@ -446,13 +436,3 @@ def make_model(name: str, **params) -> MultifidelityModel:
     except KeyError:
         raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}") from None
     return factory(**params)
-
-
-def eval_level(model: MultifidelityModel, level: int, point) -> float:
-    """Module-level convenience wrapper around ``model.eval_level``."""
-    return model.eval_level(level, point)
-
-
-def reference_integral(model: MultifidelityModel) -> float:
-    """Module-level convenience wrapper around ``model.reference_integral``."""
-    return model.reference_integral()

@@ -3,9 +3,9 @@
 Each function here computes a quantity by a route independent of the
 implementation it checks: adaptive quadrature for kernel means, double
 or single quadrature and Monte Carlo for initial errors, dense linear
-algebra for the marginal likelihood, eigendecompositions for positive
-definiteness, slope integration for the Brownian-motion RKHS norm, and
-exhaustive lattice search for integerized allocations.  ``oracle_report``
+algebra for the marginal likelihood, slope integration for the
+Brownian-motion RKHS norm, and exhaustive lattice search for integerized
+allocations.  ``oracle_report``
 bundles the standard checks into (name, oracle value, implementation
 value, tolerance) rows for the command-line provenance report.
 """
@@ -40,7 +40,6 @@ __all__ = [
     "initial_error_quadrature",
     "kernel_mean_gauss_mc",
     "lml_dense",
-    "min_eigenvalue",
     "slope_integral_norm",
     "lattice_best_allocation",
     "OracleRow",
@@ -142,10 +141,6 @@ def lml_dense(kernel: Kernel, points, y, nugget=1e-10) -> float:
     if sign <= 0:
         raise np.linalg.LinAlgError("covariance not positive definite")
     return float(-0.5 * yv @ np.linalg.inv(big) @ yv - 0.5 * logdet - 0.5 * len(yv) * math.log(2 * math.pi))
-
-
-def min_eigenvalue(matrix) -> float:
-    return float(np.linalg.eigvalsh(np.asarray(matrix)).min())
 
 
 def slope_integral_norm(g: PiecewiseLinearFunction, h: PiecewiseLinearFunction | None = None) -> float:

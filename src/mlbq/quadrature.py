@@ -147,17 +147,16 @@ def mlmc_estimate(levels) -> float:
 # ---------------------------------------------------------------------------
 
 
-def bq_posterior(fit: GPFit, measure: ProductMeasure, mean_integral: float = 0.0) -> GaussianPosterior:
-    """Gaussian posterior on Pi[f] from a conditioned GP.
+def bq_posterior(fit: GPFit, measure: ProductMeasure) -> GaussianPosterior:
+    """Gaussian posterior on Pi[f] from a conditioned zero-mean GP.
 
-    mean = Pi[m] + Pi[c(., W)] @ weights and
+    mean = Pi[c(., W)] @ weights and
     variance = Pi[Pi[c]] - Pi[c(., W)] K^-1 Pi[c(W, .)], with the same
-    (gram + nugget) system the fit used.  ``mean_integral`` is the known
-    Pi[m] of the prior mean.
+    (gram + nugget) system the fit used.
     """
     _require_support(measure, fit.points)
     embedding = np.atleast_1d(kernel_mean(fit.kernel, measure, fit.points))
-    post_mean = mean_integral + float(embedding @ fit.weights)
+    post_mean = float(embedding @ fit.weights)
     half = solve_triangular(fit.chol, embedding, lower=True)
     var = initial_error(fit.kernel, measure) - float(half @ half)
     var = _clamp_variance(var, fit.kernel.amplitude)
@@ -170,19 +169,16 @@ def mlbq_estimate(
     levels,
     kernels,
     measure: ProductMeasure,
-    means=None,
-    mean_integrals=None,
     nugget=1e-10,
 ) -> GaussianPosterior:
-    """Multilevel BQ: independent per-level BQ posteriors, summed.
+    """Multilevel BQ: independent zero-mean per-level BQ posteriors, summed.
 
     ``levels`` must be indexed 0..L in order; ``kernels`` supplies one
     kernel per level (hyperparameters as given -- fit them beforehand), or
     a :class:`GPFit` already conditioned on that level's data, which is
-    used as it is (with its own prior mean and nugget).
-    ``means``/``mean_integrals`` optionally give per-level prior means and
-    their known integrals.  Identical to calling :func:`bq_posterior` per
-    level and summing, which is also how it is computed.
+    used as it is (with its own nugget).  Identical to calling
+    :func:`bq_posterior` per level and summing, which is also how it is
+    computed.
     """
     if len(levels) == 0:
         raise ValueError("mlbq_estimate needs at least one level")
@@ -191,16 +187,14 @@ def mlbq_estimate(
     for expected, level in enumerate(levels):
         if level.level != expected:
             raise ValueError(f"levels must be indexed 0..L in order; position {expected} holds level {level.level}")
-    means = means if means is not None else [None] * len(levels)
-    mean_integrals = mean_integrals if mean_integrals is not None else [0.0] * len(levels)
     level_means, level_vars = [], []
-    for level, kernel, m, pim in zip(levels, kernels, means, mean_integrals):
+    for level, kernel in zip(levels, kernels):
         try:
             _require_support(measure, level.points, level.level)
-            fit = kernel if isinstance(kernel, GPFit) else fit_gp(kernel, level.points, level.values, m, nugget)
+            fit = kernel if isinstance(kernel, GPFit) else fit_gp(kernel, level.points, level.values, nugget)
             if not np.array_equal(fit.points, level.points):
                 raise ValueError("the fit was conditioned on other points")
-            post = bq_posterior(fit, measure, pim)
+            post = bq_posterior(fit, measure)
         except (ValueError, SingularGramError, FloatingPointError) as exc:
             raise LevelFailure(level.level, str(exc)) from exc
         level_means.append(post.mean)
@@ -215,8 +209,6 @@ def sk_mlbq_estimate(
     kernel: Kernel,
     b_matrix,
     measure: ProductMeasure,
-    means=None,
-    mean_integrals=None,
     nugget=1e-10,
 ) -> GaussianPosterior:
     """Separable-kernel multilevel BQ: joint conditioning across levels.
@@ -242,8 +234,6 @@ def sk_mlbq_estimate(
         raise ValueError("B must be symmetric")
     if np.linalg.eigvalsh(b).min() <= 0:
         raise ValueError("B must be positive definite")
-    means = means if means is not None else [None] * n_lev
-    mean_integrals = mean_integrals if mean_integrals is not None else [0.0] * n_lev
     for level in levels:
         _require_support(measure, level.points, level.level)
 
@@ -256,14 +246,7 @@ def sk_mlbq_estimate(
             joint[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = b[i, j] * gram(
                 kernel, li.points, lj.points
             )
-    resid = np.concatenate(
-        [
-            level.values
-            if m is None
-            else level.values - np.asarray([m(p) for p in level.points], dtype=float)
-            for level, m in zip(levels, means)
-        ]
-    )
+    values = np.concatenate([level.values for level in levels])
     # The integrated cross-covariance against level block l' sums B over
     # the output index: z_{l'} = (sum_l B[l, l']) * Pi[c(., W_{l'})].
     embeddings = [
@@ -272,13 +255,10 @@ def sk_mlbq_estimate(
     ]
     z = np.concatenate(embeddings)
     chol, _ = _chol_with_ladder(joint, kernel.amplitude, nugget)
-    alpha = cho_solve((chol, True), resid)
+    alpha = cho_solve((chol, True), values)
     kinv_z = cho_solve((chol, True), z)
 
-    level_means = [
-        float(mean_integrals[j]) + float(embeddings[j] @ alpha[offsets[j] : offsets[j + 1]])
-        for j in range(n_lev)
-    ]
+    level_means = [float(embeddings[j] @ alpha[offsets[j] : offsets[j + 1]]) for j in range(n_lev)]
     prior_var = float(b.sum()) * initial_error(kernel, measure)
     # Attribute the prior term by output row l, the quadratic term by block.
     prior_rows = [float(b[j, :].sum()) * initial_error(kernel, measure) for j in range(n_lev)]

@@ -21,7 +21,7 @@ from mlbq.harness import (
     validate_budget_accounting,
     write_records_csv,
 )
-from mlbq.models import OdeHierarchy, make_model
+from mlbq.models import OdeHierarchy, PoissonHierarchy, make_model
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -85,6 +85,37 @@ class TestConfig:
             config(allocation={"source": "mlmc-formula"})
         with pytest.raises(ConfigError, match="tau"):
             config(allocation={"source": "mlbq-formula", "norms": [1.0, 0.5, 0.1]})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"bounds": [10.0, 0.01]},
+            {"bounds": [0.01, 10.0, 99.0]},
+            {"bounds": [0.01, "10"]},
+            {"smoothness": 1.5},
+            {"lengthscale": -1.0, "policy": "fixed"},
+            {"family": "squared-exponential"},
+        ],
+    )
+    def test_bad_kernel_fails_before_the_sweep(self, bad, tmp_path, monkeypatch):
+        # a bad kernel setting is one configuration error, not one failed cell per (budget, replication)
+        raw = copy.deepcopy(BASE_CONFIG)
+        raw["kernel"].update(bad)
+        monkeypatch.setattr(PoissonHierarchy, "reference_integral", lambda self: pytest.fail("sweep started"))
+        with pytest.raises(ConfigError):
+            run_experiment(config_from_dict(raw))
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "records.csv"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_kernel_not_built_without_bayesian_estimator(self):
+        cfg = config(
+            estimators=[{"name": "mlmc", "design": "iid"}],
+            kernel={"smoothness": 1.5},
+            allocation={"source": "table", "table": [[67, 11, 1]]},
+        )
+        assert [r.estimator for r in run_experiment(cfg)] == ["mlmc"] * 3
 
     def test_wrong_count_length(self):
         cfg = config(allocation={"source": "table", "table": [{"mlbq": [5, 5], "mlmc": [5, 5, 5]}]})

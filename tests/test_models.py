@@ -11,10 +11,8 @@ from mlbq.models import (
     StepHierarchy,
     POISSON_EXACT_INTEGRAL,
     brownian_rkhs_increment_norm,
-    eval_level,
     make_model,
     poisson_exact_solution,
-    reference_integral,
 )
 from mlbq.oracles import slope_integral_norm
 
@@ -179,8 +177,3 @@ class TestRegistry:
         assert isinstance(make_model("step", high=4.0), StepHierarchy)
         with pytest.raises(ValueError, match="unknown model"):
             make_model("tsunami")
-
-    def test_module_level_wrappers(self):
-        model = make_model("poisson")
-        assert eval_level(model, 0, 0.5) == model.eval_level(0, 0.5)
-        assert reference_integral(model) == model.reference_integral()

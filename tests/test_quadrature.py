@@ -114,9 +114,10 @@ class TestBqPosterior:
         assert post.variance == pytest.approx(0.1164864, abs=1e-7)
 
     def test_zero_data_returns_prior(self):
-        fit = fit_gp(M12, [0.3, 0.9], [5.0, 5.0], mean=lambda p: 5.0, nugget=0.0)
-        post = bq_posterior(fit, U01, mean_integral=5.0)
-        assert post.mean == pytest.approx(5.0, abs=1e-14)
+        fit = fit_gp(M12, [0.3, 0.9], [0.0, 0.0], nugget=0.0)
+        post = bq_posterior(fit, U01)
+        assert np.all(fit.weights == 0.0)
+        assert post.mean == 0.0
         assert post.variance > 0.0
 
     def test_variance_below_initial_error(self):
