@@ -8,10 +8,13 @@ integral and resolves each budget's sample sizes once per sweep, then
 walks (budget, replication) cells: every estimator that shares a design
 kind, sample sizes and data mode within a cell consumes the identical
 evaluations (content-hashed), and all randomness derives from the master
-seed through spawned child seeds, so reruns are byte-identical.  Under
-``--jobs`` parallelism the workers receive the config, model, reference
-and sample sizes as they are, and records are collected in submission
-order, so the output matches the serial run.
+seed through spawned child seeds, so reruns are byte-identical.  Within
+one task (a budget and a run of its replications), a cell whose
+estimator and data hash repeat an earlier cell's, as a deterministic
+design's do in every replication, is computed once and its result then
+reused.  Under ``--jobs`` parallelism the workers receive the config,
+model, reference and sample sizes as they are, and records are collected
+in submission order, so the output matches the serial run.
 
 Config schema (``schema_version: 1``)::
 
@@ -450,9 +453,9 @@ def _data_hash(levels) -> str:
 
 
 def _build_groups(cfg, model, counts_by_est, budget_index, replication):
-    """Each estimator's level data; each distinct (design, counts, mode) group is evaluated once.
+    """Each estimator's (level data, data hash); each distinct (design, counts, mode) group is evaluated once.
 
-    Estimators in one group get the same list object.
+    Estimators in one group get the same pair object.
     """
     costs = _model_costs(cfg, model)
     design_of = {est.name: est.design for est in cfg.estimators}
@@ -471,14 +474,9 @@ def _build_groups(cfg, model, counts_by_est, budget_index, replication):
             seed = np.random.SeedSequence(cfg.seed, spawn_key=(budget_index, replication, gi, level))
             design = generate_design(design_kind, model.measure, n, seed=seed)
             levels.append(LevelData(level, design.points, evaluate(level, design.points), costs[level]))
-        groups[key] = levels
-        log.debug(
-            "cell budget=%s rep=%s group=%s hash=%s",
-            cfg.budgets[budget_index],
-            replication,
-            key,
-            _data_hash(levels),
-        )
+        digest = _data_hash(levels)
+        groups[key] = levels, digest
+        log.debug("cell budget=%s rep=%s group=%s hash=%s", cfg.budgets[budget_index], replication, key, digest)
     return {name: groups[key] for name, key in keys.items()}
 
 
@@ -505,22 +503,32 @@ def _run_estimator(cfg, model, est: EstimatorSpec, levels):
 
 
 def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, counts_by_est, replications):
+    """One budget's records for ``replications``, in (replication, estimator) order.
+
+    A cell repeating an earlier successful cell's estimator and data hash reuses its
+    (estimate, variance); failures are not stored, so every replication reports its own.
+    """
     costs = _model_costs(cfg, model)
     budget = cfg.budgets[budget_index]
     records = []
+    results = {}
     for rep in replications:
-        levels_by_est = _build_groups(cfg, model, counts_by_est, budget_index, rep)
+        groups = _build_groups(cfg, model, counts_by_est, budget_index, rep)
         for est in cfg.estimators:
-            if est.name not in levels_by_est:
+            if est.name not in groups:
                 continue
             counts = counts_by_est[est.name]
-            try:
-                estimate, variance = _run_estimator(cfg, model, est, levels_by_est[est.name])
-            except ConfigError:
-                raise
-            except CELL_ERRORS as exc:
-                log.warning("cell (T=%s, rep=%s, %s) failed: %s", budget, rep, est.name, exc)
-                continue
+            levels, digest = groups[est.name]
+            key = (est, digest)
+            if key not in results:
+                try:
+                    results[key] = _run_estimator(cfg, model, est, levels)
+                except ConfigError:
+                    raise
+                except CELL_ERRORS as exc:
+                    log.warning("cell (T=%s, rep=%s, %s) failed: %s", budget, rep, est.name, exc)
+                    continue
+            estimate, variance = results[key]
             records.append(
                 ResultRecord.make(
                     rep, est.name, budget, estimate, variance, reference, _cell_cost(est.name, counts, costs), counts
@@ -534,7 +542,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
 
     The model, its reference integral and each budget's sample sizes are
     computed once here and handed to every (budget, replications) task as
-    they are.  With ``jobs > 1`` the tasks run in worker processes and
+    they are.  Within a task a repeated cell (same estimator, same level
+    data) is computed once and then reused; reuse is exact, so how the
+    replications are split into tasks does not change the records.  With
+    ``jobs > 1`` the tasks run in worker processes and
     their records are collected in submission order, which is (budget,
     replication, estimator) order, so the parallel run produces
     byte-identical output to the serial one.

@@ -237,16 +237,6 @@ class ProductMeasure:
     def standard_normal(cls, dim=1) -> "ProductMeasure":
         return cls(tuple(StandardNormal() for _ in range(dim)))
 
-    def density_bound(self) -> float:
-        """Sup of the density; finite only when all marginals are uniform."""
-        bound = 1.0
-        for m in self.marginals:
-            if isinstance(m, Uniform):
-                bound /= m.b - m.a
-            else:
-                bound *= 1.0 / math.sqrt(2.0 * math.pi)
-        return bound
-
     def is_bounded(self) -> bool:
         return all(isinstance(m, Uniform) for m in self.marginals)
 

@@ -120,32 +120,32 @@ def brownian_rkhs_increment_norm(g: PiecewiseLinearFunction, h: PiecewiseLinearF
 
 
 def _thomas_batch(lower, diag, upper, rhs):
-    """Thomas algorithm vectorised over a leading batch axis.
+    """Thomas algorithm vectorised over a trailing batch axis.
 
-    All arrays have shape (batch, m) (off-diagonals padded to m with an
-    unused final/first entry ignored).  The systems here are irreducibly
-    diagonally dominant, so elimination without pivoting is stable; a zero
-    pivot still raises.
+    All arrays have shape (m, batch), row i holding equation i of every
+    system, so each elimination step works on contiguous rows
+    (off-diagonals padded to m with an unused final/first entry ignored).
+    The systems here are irreducibly diagonally dominant, so elimination
+    without pivoting is stable; a zero pivot still raises.
     """
-    batch, m = diag.shape
-    c = np.empty((batch, m))
-    d = np.empty((batch, m))
-    piv = diag[:, 0]
-    if np.any(piv == 0):
+    m = diag.shape[0]
+    c = np.empty(diag.shape)
+    d = np.empty(diag.shape)
+    piv = diag[0]
+    if not piv.all():
         raise ModelError("tridiagonal solve breakdown: zero pivot in first row")
-    c[:, 0] = upper[:, 0] / piv
-    d[:, 0] = rhs[:, 0] / piv
+    np.divide(upper[0], piv, out=c[0])
+    np.divide(rhs[0], piv, out=d[0])
     for i in range(1, m):
-        piv = diag[:, i] - lower[:, i] * c[:, i - 1]
-        if np.any(piv == 0):
+        piv = diag[i] - lower[i] * c[i - 1]
+        if not piv.all():
             raise ModelError(f"tridiagonal solve breakdown: zero pivot in row {i}")
-        c[:, i] = upper[:, i] / piv
-        d[:, i] = (rhs[:, i] - lower[:, i] * d[:, i - 1]) / piv
-    x = np.empty((batch, m))
-    x[:, -1] = d[:, -1]
+        np.divide(upper[i], piv, out=c[i])
+        np.divide(rhs[i] - lower[i] * d[i - 1], piv, out=d[i])
+    # back substitution overwrites d with the solution, last row first
     for i in range(m - 2, -1, -1):
-        x[:, i] = d[:, i] - c[:, i] * x[:, i + 1]
-    return x
+        d[i] -= c[i] * d[i + 1]
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +233,10 @@ class PoissonHierarchy(MultifidelityModel):
     def _solve_level(p: int) -> PiecewiseLinearFunction:
         delta = 1.0 / (p + 1)
         nodes = np.linspace(delta, 1.0 - delta, p)
-        diag = np.full((1, p), 2.0 / delta)
-        off = np.full((1, p), -1.0 / delta)
-        load = np.full((1, p), delta)  # integral of each hat against forcing 1
-        coeff = _thomas_batch(off, diag, off, -load)[0]
+        diag = np.full((p, 1), 2.0 / delta)
+        off = np.full((p, 1), -1.0 / delta)
+        load = np.full((p, 1), delta)  # integral of each hat against forcing 1
+        coeff = _thomas_batch(off, diag, off, -load)[:, 0]
         bp = np.concatenate([[0.0], nodes, [1.0]])
         vals = np.concatenate([[0.0], coeff, [0.0]])
         return PiecewiseLinearFunction(bp, vals)
@@ -319,16 +319,17 @@ class OdeHierarchy(MultifidelityModel):
         evaluation is ``forcing * w2^2`` times this factor.
         """
         m = round(1.0 / h) - 1
-        i = np.arange(1, m + 1, dtype=float)
-        w1 = np.asarray(w1, dtype=float).reshape(-1, 1)
+        i = np.arange(1, m + 1, dtype=float).reshape(-1, 1)
+        w1 = np.asarray(w1, dtype=float).reshape(1, -1)
         diag = (1.0 - 2.0 * i) * w1 / h - 2.0 / h**2 * np.ones_like(w1)
-        upper = np.zeros((w1.shape[0], m))
-        lower = np.zeros((w1.shape[0], m))
-        upper[:, :-1] = i[:-1] * w1 / h + 1.0 / h**2
-        lower[:, 1:] = (i[1:] - 1.0) * w1 / h + 1.0 / h**2
-        rhs = np.ones((w1.shape[0], m))
+        upper = np.zeros((m, w1.shape[1]))
+        lower = np.zeros((m, w1.shape[1]))
+        upper[:-1] = i[:-1] * w1 / h + 1.0 / h**2
+        lower[1:] = (i[1:] - 1.0) * w1 / h + 1.0 / h**2
+        rhs = np.ones((m, w1.shape[1]))
         u = _thomas_batch(lower, diag, upper, rhs)
-        return h * u.sum(axis=1)
+        # each system summed pairwise along a contiguous row; u.sum(axis=0) would move last bits
+        return h * np.ascontiguousarray(u.T).sum(axis=1)
 
     def _evaluate_spacing(self, h: float, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

@@ -8,6 +8,7 @@ import pytest
 
 from mlbq import harness
 from mlbq.cli import main
+from mlbq.gp import SingularGramError
 from mlbq.harness import (
     ConfigError,
     ResultRecord,
@@ -169,15 +170,17 @@ class TestSharedData:
         model = make_model("poisson")
         counts = _counts_for(cfg, model, 0)
         assert counts["mlbq"] == counts["mlmc"] == (20, 8, 2)
-        levels = _build_groups(cfg, model, counts, 0, 0)
-        assert levels["mlbq"] is levels["mlmc"]  # both estimators consume the same data
+        groups = _build_groups(cfg, model, counts, 0, 0)
+        assert groups["mlbq"] is groups["mlmc"]  # both estimators consume the same data and hash
 
     def test_distinct_designs_get_distinct_groups(self):
         cfg = config()
         model = make_model("poisson")
-        levels = _build_groups(cfg, model, _counts_for(cfg, model, 0), 0, 0)
-        assert levels["mlbq"] is not levels["mlmc"]
-        assert _data_hash(levels["mlbq"]) != _data_hash(levels["mlmc"])
+        groups = _build_groups(cfg, model, _counts_for(cfg, model, 0), 0, 0)
+        (levels_a, hash_a), (levels_b, hash_b) = groups["mlbq"], groups["mlmc"]
+        assert levels_a is not levels_b
+        assert hash_a != hash_b
+        assert (hash_a, hash_b) == (_data_hash(levels_a), _data_hash(levels_b))
 
     def test_replications_differ_but_reruns_match(self):
         cfg = config()
@@ -186,8 +189,8 @@ class TestSharedData:
         g0 = _build_groups(cfg, model, counts, 0, 0)
         g0_again = _build_groups(cfg, model, counts, 0, 0)
         g1 = _build_groups(cfg, model, counts, 0, 1)
-        assert _data_hash(g0["mlmc"]) == _data_hash(g0_again["mlmc"])
-        assert _data_hash(g0["mlmc"]) != _data_hash(g1["mlmc"])
+        assert _data_hash(g0["mlmc"][0]) == _data_hash(g0_again["mlmc"][0])
+        assert _data_hash(g0["mlmc"][0]) != _data_hash(g1["mlmc"][0])
 
 
 class TestRunExperiment:
@@ -203,13 +206,62 @@ class TestRunExperiment:
         records = run_experiment(cfg)
         assert len({r.estimate for r in records}) == 1
 
+    def count_estimator_calls(self, monkeypatch):
+        calls = []
+        original = harness._run_estimator
+
+        def counted(cfg, model, est, levels):
+            calls.append(est.name)
+            return original(cfg, model, est, levels)
+
+        monkeypatch.setattr(harness, "_run_estimator", counted)
+        return calls
+
+    def test_repeated_cells_computed_once_per_task(self, monkeypatch):
+        calls = self.count_estimator_calls(monkeypatch)
+        grid = config(estimators=[{"name": "mlbq", "design": "grid"}],
+                      allocation={"source": "table", "table": [{"mlbq": [38, 15, 3]}]}, replications=5)
+        assert len(run_experiment(grid)) == 5
+        assert calls == ["mlbq"]
+        calls.clear()
+        iid = config(estimators=[{"name": "mlmc", "design": "iid"}],
+                     allocation={"source": "table", "table": [{"mlmc": [67, 11, 1]}]}, replications=5)
+        assert len(run_experiment(iid)) == 5
+        assert calls == ["mlmc"] * 5
+
+    def test_reused_cells_equal_recomputed_ones(self):
+        cfg = config(replications=3)
+        model = make_model("poisson")
+        counts = _counts_for(cfg, model, 0)
+        for record in run_experiment(cfg):
+            est = next(e for e in cfg.estimators if e.name == record.estimator)
+            levels, _ = _build_groups(cfg, model, counts, 0, record.replication)[est.name]
+            estimate, variance = harness._run_estimator(cfg, model, est, levels)
+            assert (record.estimate, record.variance) == (estimate, variance)
+
+    def test_failed_cell_reported_in_every_replication(self, monkeypatch, caplog):
+        calls = self.count_estimator_calls(monkeypatch)
+
+        def singular(policy, points, values, dim):
+            raise SingularGramError("forced", nugget=1e-6)
+
+        monkeypatch.setattr(harness.KernelPolicy, "level_fit", singular)
+        with caplog.at_level("WARNING", logger="mlbq.harness"):
+            records = run_experiment(config(replications=3))
+        failed = [r.message for r in caplog.records if "failed" in r.message]
+        assert len(failed) == 3
+        assert all("mlbq" in message for message in failed)
+        assert [(r.replication, r.estimator) for r in records] == [(0, "mlmc"), (1, "mlmc"), (2, "mlmc")]
+        assert calls.count("mlbq") == 3
+
     def test_parallel_jobs_keep_byte_identical_output(self, tmp_path):
         # a repeated budget keeps its two entries apart under --jobs too
         repeated = config(
             budgets=[0.376, 0.376],
             allocation={"source": "table", "table": [{"mlmc": [67, 11, 1]}, {"mlmc": [20, 5, 1]}]},
         )
-        for cfg in (config(replications=4), repeated):
+        # grid mlbq cells are reused within each task, and serial and --jobs runs split tasks differently
+        for cfg in (config(replications=4), config(replications=5), repeated):
             serial = tmp_path / "serial.csv"
             parallel = tmp_path / "parallel.csv"
             write_records_csv(run_experiment(cfg, jobs=1), serial)
@@ -273,7 +325,7 @@ class TestRunExperiment:
         )
         model = make_model("ode")
         counts = validate_budget_accounting(cfg, model)[0]
-        levels = _build_groups(cfg, model, counts, 0, 0)["mlbq"]
+        levels, _ = _build_groups(cfg, model, counts, 0, 0)["mlbq"]
         monkeypatch.setattr(gp, "cholesky", counted)
         harness._run_estimator(cfg, model, cfg.estimators[0], levels)
         assert calls == [20, 8, 3]

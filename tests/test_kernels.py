@@ -236,9 +236,6 @@ class TestProductMeasure:
         with pytest.raises(ValueError):
             Uniform(0.0, math.inf)
 
-    def test_density_bound(self):
-        assert ProductMeasure.uniform(0, 4, dim=2).density_bound() == pytest.approx(1 / 16)
-
     def test_contains(self):
         m = ProductMeasure.uniform(0, 1, dim=2)
         assert m.contains([[0.5, 1.0], [0.0, 0.2]])

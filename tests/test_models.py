@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from mlbq.models import (
     ModelError,
@@ -10,6 +11,7 @@ from mlbq.models import (
     PoissonHierarchy,
     StepHierarchy,
     POISSON_EXACT_INTEGRAL,
+    _thomas_batch,
     brownian_rkhs_increment_norm,
     make_model,
     poisson_exact_solution,
@@ -153,6 +155,64 @@ class TestOde:
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError, match="spacing"):
             OdeHierarchy(spacings=(0.3, 0.1, 0.05), costs=(1.0, 2.0, 3.0))
+
+
+class TestThomas:
+    # two systems side by side, shape (m, batch); the second is well posed
+    def systems(self, diag_first):
+        lower = np.ones((3, 2))
+        upper = np.ones((3, 2))
+        diag = np.array([[diag_first[0], 4.0], [diag_first[1], 4.0], [diag_first[2], 4.0]])
+        return lower, diag, upper, np.ones((3, 2))
+
+    def test_zero_pivot_in_first_row(self):
+        with pytest.raises(ModelError, match="zero pivot in first row"):
+            _thomas_batch(*self.systems((0.0, 1.0, 1.0)))
+
+    def test_zero_pivot_in_a_later_row(self):
+        # pivots 2, 1.5 - 1/2 = 1, then 1 - 1/1 = 0
+        with pytest.raises(ModelError, match="zero pivot in row 2"):
+            _thomas_batch(*self.systems((2.0, 1.5, 1.0)))
+
+    def test_solves_each_column(self):
+        lower, diag, upper, rhs = self.systems((2.0, 3.0, 2.0))
+        x = _thomas_batch(lower, diag, upper, rhs)
+        for k in range(2):
+            dense = np.diag(diag[:, k]) + np.diag(upper[:-1, k], 1) + np.diag(lower[1:, k], -1)
+            np.testing.assert_allclose(dense @ x[:, k], rhs[:, k], rtol=1e-14)
+
+
+class TestOdeIntegralFactor:
+    W1 = np.array([0.0, 0.1, 0.37, 0.5, 1.0])
+    # float.hex of the (batch, m) column-at-a-time solver's values; records depend on every bit
+    PINNED = {
+        8: ["-0x1.5000000000000p-4", "-0x1.4219de87575b3p-4", "-0x1.230af8fc40160p-4",
+            "-0x1.16a6bad351ff8p-4", "-0x1.e27b68c461a4ap-5"],
+        32: ["-0x1.54ffffffffff2p-4", "-0x1.45714fb4284aap-4", "-0x1.2316f31163558p-4",
+             "-0x1.15887f892d9f8p-4", "-0x1.da2ebdfb29042p-5"],
+        128: ["-0x1.554ffffffffc7p-4", "-0x1.4560a16ff49c0p-4", "-0x1.224830d4629e8p-4",
+              "-0x1.147747625f16dp-4", "-0x1.d6b71978f49a5p-5"],
+        1024: ["-0x1.55553fffffaf4p-4", "-0x1.454a7f424b0a1p-4", "-0x1.21fc663a7256ep-4",
+               "-0x1.1418ccbdf9edcp-4", "-0x1.d59ac15b5d9eep-5"],
+    }
+
+    @pytest.mark.parametrize("steps", sorted(PINNED))
+    def test_bit_identical_to_pinned_values(self, steps):
+        factor = OdeHierarchy()._integral_factor(1.0 / steps, self.W1)
+        assert [float(v).hex() for v in factor] == self.PINNED[steps]
+
+    @pytest.mark.parametrize("steps", sorted(PINNED))
+    def test_matches_banded_lapack_solve(self, steps):
+        h = 1.0 / steps
+        i = np.arange(1.0, steps)
+        factor = OdeHierarchy()._integral_factor(h, self.W1)
+        for w1, value in zip(self.W1, factor):
+            banded = np.zeros((3, steps - 1))
+            banded[0, 1:] = i[:-1] * w1 / h + 1.0 / h**2
+            banded[1] = (1.0 - 2.0 * i) * w1 / h - 2.0 / h**2
+            banded[2, :-1] = (i[1:] - 1.0) * w1 / h + 1.0 / h**2
+            expected = h * solve_banded((1, 1), banded, np.ones(steps - 1)).sum()
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestStep:
