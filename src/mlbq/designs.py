@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import ndtri
 
 from .kernels import ProductMeasure, Uniform
@@ -167,6 +166,7 @@ def fill_distance(design: Design, measure: ProductMeasure, resolution: int = 100
         raise ValueError("fill distance needs bounded (uniform) marginals")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    from scipy.spatial import cKDTree  # imported here: no sweep needs it, and it is slow to import
     axes = [np.linspace(m.a, m.b, resolution) for m in measure.marginals]
     mesh = np.meshgrid(*axes, indexing="ij")
     candidates = np.column_stack([ax.reshape(-1) for ax in mesh])

@@ -453,9 +453,11 @@ def _data_hash(levels) -> str:
 
 
 def _build_groups(cfg, model, counts_by_est, budget_index, replication):
-    """Each estimator's (level data, data hash); each distinct (design, counts, mode) group is evaluated once.
+    """Each estimator's (level data, data hash); each distinct (design, counts, mode) group is built once.
 
-    Estimators in one group get the same pair object.
+    All designs come first, then one ``model.evaluate`` call per level on every point any group needs
+    there; an increment is ``fine - coarse``, as in ``MultifidelityModel.increments``.  Estimators in
+    one group get the same pair object.
     """
     costs = _model_costs(cfg, model)
     design_of = {est.name: est.design for est in cfg.estimators}
@@ -464,16 +466,30 @@ def _build_groups(cfg, model, counts_by_est, budget_index, replication):
         for name, counts in counts_by_est.items()
     }
     top = model.levels - 1
-    groups = {}
+    designs = {}
+    wanted = [[] for _ in range(model.levels)]  # per level, the point sets to evaluate there, in the order read below
     for gi, key in enumerate(sorted(set(keys.values()))):
         design_kind, counts, mode = key
         # single-level estimators sample the top level itself; the others sample increments
-        evaluate, level_ids = (model.evaluate, [top]) if mode == "top" else (model.increments, range(len(counts)))
-        levels = []
+        level_ids = [top] if mode == "top" else range(len(counts))
+        designs[key] = []
         for level, n in zip(level_ids, counts):
             seed = np.random.SeedSequence(cfg.seed, spawn_key=(budget_index, replication, gi, level))
-            design = generate_design(design_kind, model.measure, n, seed=seed)
-            levels.append(LevelData(level, design.points, evaluate(level, design.points), costs[level]))
+            points = generate_design(design_kind, model.measure, n, seed=seed).points
+            designs[key].append((level, points))
+            wanted[level].append(points)
+            if mode == "increments" and level > 0:
+                wanted[level - 1].append(points)
+    values = {level: iter(np.split(model.evaluate(level, np.concatenate(sets)), np.cumsum([len(p) for p in sets[:-1]])))
+              for level, sets in enumerate(wanted) if sets}
+    groups = {}
+    for key, sampled in designs.items():
+        levels = []
+        for level, points in sampled:
+            f = next(values[level])
+            if key[2] == "increments" and level > 0:
+                f = f - next(values[level - 1])
+            levels.append(LevelData(level, points, f, costs[level]))
         digest = _data_hash(levels)
         groups[key] = levels, digest
         log.debug("cell budget=%s rep=%s group=%s hash=%s", cfg.budgets[budget_index], replication, key, digest)
@@ -505,6 +521,7 @@ def _run_estimator(cfg, model, est: EstimatorSpec, levels):
 def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, counts_by_est, replications):
     """One budget's records for ``replications``, in (replication, estimator) order.
 
+    Each replication's level data come from one ``_build_groups`` call, one model evaluation per level.
     A cell repeating an earlier successful cell's estimator and data hash reuses its
     (estimate, variance); failures are not stored, so every replication reports its own.
     """

@@ -280,7 +280,8 @@ class OdeHierarchy(MultifidelityModel):
     ``spacings[l]``; the quantity of interest is the trapezoid integral of
     u over (0, 1).  The scheme matrix depends on the point only through
     w1 and the right-hand side only through ``forcing * w2^2``, so batches
-    of points share one vectorised tridiagonal sweep per level.
+    of points share one vectorised tridiagonal sweep per level; the harness
+    makes one such call per level and replication, on every point it needs.
 
     The reference integral is the mean of a solver refined by
     ``reference_refine`` relative to the top level.  Since E[w2^2] = 1 it
@@ -321,13 +322,10 @@ class OdeHierarchy(MultifidelityModel):
         m = round(1.0 / h) - 1
         i = np.arange(1, m + 1, dtype=float).reshape(-1, 1)
         w1 = np.asarray(w1, dtype=float).reshape(1, -1)
-        diag = (1.0 - 2.0 * i) * w1 / h - 2.0 / h**2 * np.ones_like(w1)
-        upper = np.zeros((m, w1.shape[1]))
-        lower = np.zeros((m, w1.shape[1]))
-        upper[:-1] = i[:-1] * w1 / h + 1.0 / h**2
-        lower[1:] = (i[1:] - 1.0) * w1 / h + 1.0 / h**2
-        rhs = np.ones((m, w1.shape[1]))
-        u = _thomas_batch(lower, diag, upper, rhs)
+        diag = (1.0 - 2.0 * i) * w1 / h - 2.0 / h**2
+        # row k is k w1 / h + 1 / h^2: row i's sub-diagonal is row i - 1's super-diagonal
+        off = np.arange(m + 1, dtype=float).reshape(-1, 1) * w1 / h + 1.0 / h**2
+        u = _thomas_batch(off[:-1], diag, off[1:], np.broadcast_to(1.0, diag.shape))
         # each system summed pairwise along a contiguous row; u.sum(axis=0) would move last bits
         return h * np.ascontiguousarray(u.T).sum(axis=1)
 
@@ -347,22 +345,20 @@ class OdeHierarchy(MultifidelityModel):
         self._check_level(level)
         return self._evaluate_spacing(self.spacings[level], points)
 
-    def _gauss_legendre_mean(self, h: float, nodes: int) -> float:
-        """E[f_h] by an n-node Gauss-Legendre rule in w1 (E[w2^2] = 1)."""
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        return self.forcing * float(0.5 * w @ self._integral_factor(h, 0.5 * (x + 1.0)))
-
     def reference_info(self) -> tuple[float, float]:
         """(reference integral, error bound); computed on first use.
 
-        The value is the 32-node rule.  The bound adds its distance from
-        the 16-node rule to m^2 eps |value| (m = 1 / h), a bound on the
-        roundoff of the tridiagonal solves, which dominates at h = 1/1024.
+        The value is the 32-node Gauss-Legendre rule in w1 (E[w2^2] = 1);
+        one solve covers its nodes and the 16-node rule's.  The bound adds
+        the two rules' distance to m^2 eps |value| (m = 1 / h), a bound on
+        the roundoff of the tridiagonal solves, which dominates at h = 1/1024.
         """
         if self._reference is None:
             h = self.spacings[-1] / self.reference_refine
-            coarse = self._gauss_legendre_mean(h, 16)
-            value = self._gauss_legendre_mean(h, 32)
+            (x16, w16), (x32, w32) = (np.polynomial.legendre.leggauss(n) for n in (16, 32))
+            factor = self._integral_factor(h, 0.5 * (np.concatenate([x16, x32]) + 1.0))
+            coarse = self.forcing * float(0.5 * w16 @ factor[:16])
+            value = self.forcing * float(0.5 * w32 @ factor[16:])
             roundoff = (1.0 / h) ** 2 * np.finfo(float).eps * abs(value)
             self._reference = (value, abs(value - coarse) + roundoff)
         return self._reference

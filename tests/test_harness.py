@@ -193,6 +193,61 @@ class TestSharedData:
         assert _data_hash(g0["mlmc"][0]) != _data_hash(g1["mlmc"][0])
 
 
+class TestBuildGroups:
+    ODE = dict(
+        model={"name": "ode", "params": {}},
+        estimators=[{"name": "mlbq", "design": "halton"}, {"name": "mlmc", "design": "iid"}],
+        kernel={"family": "se", "lengthscale": 1.0, "policy": "fixed"},
+        budgets=[0.1],
+        allocation={"source": "table", "table": [{"mlbq": [20, 8, 3], "mlmc": [12, 5, 2]}]},
+    )
+
+    def test_one_model_evaluation_per_level(self, monkeypatch):
+        calls = []
+        original = OdeHierarchy.evaluate
+
+        def counted(self, level, points):
+            calls.append(level)
+            return original(self, level, points)
+
+        monkeypatch.setattr(OdeHierarchy, "evaluate", counted)
+        cfg = config(**self.ODE)
+        model = make_model("ode")
+        counts = _counts_for(cfg, model, 0)
+        for rep in range(2):
+            calls.clear()
+            _build_groups(cfg, model, counts, 0, rep)
+            assert sorted(calls) == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(
+                ODE,
+                estimators=ODE["estimators"] + [{"name": "mc", "design": "iid"}],
+                allocation={"source": "table", "table": [{"mlbq": [20, 8, 3], "mlmc": [12, 5, 2], "mc": [4]}]},
+            ),
+            dict(
+                estimators=[{"name": "mlbq", "design": "grid"}, {"name": "mlmc", "design": "iid"},
+                            {"name": "bq", "design": "halton"}],
+                allocation={"source": "table", "table": [{"mlbq": [38, 15, 3], "mlmc": [67, 11, 1], "bq": [2]}]},
+            ),
+        ],
+        ids=["ode", "poisson"],
+    )
+    def test_values_equal_per_group_evaluation(self, overrides):
+        cfg = config(**overrides)
+        model = make_model(cfg.model_name)
+        counts = _counts_for(cfg, model, 0)
+        for name, (levels, digest) in _build_groups(cfg, model, counts, 0, 1).items():
+            single = name in harness.SINGLE_LEVEL
+            assert [lv.level for lv in levels] == ([model.levels - 1] if single else [0, 1, 2])
+            for lv in levels:
+                evaluate = model.evaluate if single else model.increments
+                assert np.array_equal(lv.values, evaluate(lv.level, lv.points))
+            assert digest == _data_hash(levels)
+
+
 class TestRunExperiment:
     def test_deterministic_records(self):
         cfg = config()
@@ -269,14 +324,15 @@ class TestRunExperiment:
             assert filecmp.cmp(serial, parallel, shallow=False)
 
     def test_reference_computed_once_per_sweep(self, monkeypatch):
+        # one solve at the reference spacing covers both Gauss-Legendre rules
         calls = []
-        original = OdeHierarchy._gauss_legendre_mean
+        original = OdeHierarchy._integral_factor
 
-        def counted(self, h, nodes):
-            calls.append(nodes)
-            return original(self, h, nodes)
+        def counted(self, h, w1):
+            calls.append(h)
+            return original(self, h, w1)
 
-        monkeypatch.setattr(OdeHierarchy, "_gauss_legendre_mean", counted)
+        monkeypatch.setattr(OdeHierarchy, "_integral_factor", counted)
         cfg = config(
             model={"name": "ode", "params": {}},
             estimators=[{"name": "mlmc", "design": "iid"}],
@@ -285,7 +341,7 @@ class TestRunExperiment:
             replications=2,
         )
         assert len(run_experiment(cfg)) == 4
-        assert sorted(calls) == [16, 32]
+        assert calls.count(1.0 / 1024) == 1
 
     def test_sample_sizes_resolved_once_per_budget(self, monkeypatch):
         calls = []

@@ -148,6 +148,11 @@ class TestOde:
         again = OdeHierarchy()
         assert again.reference_info() == (value, err)
 
+    def test_reference_bit_identical_to_pinned_values(self):
+        # both Gauss-Legendre rules share one solve; the value and bound keep every bit
+        value, err = OdeHierarchy().reference_info()
+        assert (float(value).hex(), float(err).hex()) == ("-0x1.b57839e910297p+1", "0x1.b57f59e910297p-31")
+
     def test_rejects_bad_points(self):
         with pytest.raises(ModelError, match="2-d"):
             OdeHierarchy().evaluate(0, np.array([[0.1, 0.2, 0.3]]))
@@ -213,6 +218,18 @@ class TestOdeIntegralFactor:
             banded[2, :-1] = (i[1:] - 1.0) * w1 / h + 1.0 / h**2
             expected = h * solve_banded((1, 1), banded, np.ones(steps - 1)).sum()
             assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("steps", [8, 32, 128])
+    def test_batched_columns_equal_lone_solves(self, steps):
+        # the harness evaluates a level once on every group's points, so a column
+        # must not depend on its batch neighbours
+        model, h = OdeHierarchy(), 1.0 / steps
+        w1 = np.random.default_rng(steps).uniform(size=848)
+        alone = np.array([model._integral_factor(h, w1[k : k + 1])[0] for k in range(w1.size)])
+        for width in (1, 15, 830):
+            assert np.array_equal(model._integral_factor(h, w1[:width]), alone[:width])
+        assert np.array_equal(model._integral_factor(h, w1[830:]), alone[830:])
+        assert np.array_equal(model._integral_factor(h, np.concatenate([w1[:830], w1[830:]])), alone)
 
 
 class TestStep:
