@@ -2,15 +2,16 @@
 
 Everything works from one factor L = chol(C + nu I) of the unit-amplitude
 Gram matrix C, the nugget nu being relative to the amplitude: sigma L
-factors sigma^2 (C + nu I), so one factorisation (LAPACK potrf through
-``cholesky``, with a nugget ladder) gives the amplitude MLE, the
-likelihoods and the fit at any amplitude.  Per level, the amplitude is
-chosen in closed form and the lengthscale by maximising the profiled
-marginal log-likelihood with a log-grid scan plus golden-section
-refinement, which builds the distance matrices and fixed factors once per
-axis and reproduces ``profiled_log_marginal_likelihood`` bit for bit.
-Data are checked to be finite where they enter; a non-finite Gram matrix
-or likelihood raises.  Everything here is pure; ``GPFit`` is immutable.
+factors sigma^2 (C + nu I), so one factorisation gives the amplitude MLE,
+the likelihoods and the fit at any amplitude.  Each factorisation is LAPACK
+potrf on the lower triangle, in place in a shifted copy (the nugget ladder
+never writes the caller's matrix).  Per level, the amplitude is chosen in
+closed form and the lengthscale by maximising the profiled marginal
+log-likelihood with a log-grid scan plus golden-section refinement, which
+works on the packed lower triangle, computes distances and fixed factors
+once per axis and reproduces ``profiled_log_marginal_likelihood`` bit for
+bit.  Data are checked to be finite where they enter; a non-finite Gram
+matrix or likelihood raises.  Everything here is pure; ``GPFit`` is immutable.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class SingularGramError(np.linalg.LinAlgError):
 
 
 def cholesky(matrix):
-    """Lower factor by LAPACK potrf, unchecked; ``LinAlgError`` if not positive definite."""
-    chol, info = dpotrf(matrix, lower=1, clean=1)
+    """Lower factor by LAPACK potrf, in place if ``matrix`` is Fortran-order float64; ``LinAlgError`` if not PD."""
+    chol, info = dpotrf(matrix, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise (np.linalg.LinAlgError if info > 0 else ValueError)(f"LAPACK potrf returned info {info}")
     return chol
@@ -67,12 +68,12 @@ def _data(kernel, points, y):
 
 
 def _chol_with_ladder(matrix, scale, nugget):
-    """Cholesky of matrix + nugget*scale*I, escalating the nugget 10x."""
-    n = matrix.shape[0]
+    """Cholesky of the lower triangle of matrix + nugget*scale*I, escalating the nugget 10x; ``matrix`` is not written."""
     current = nugget
     while True:
         try:
-            shifted = matrix if current == 0 else matrix + current * scale * np.eye(n)
+            shifted = np.array(matrix, order="F")
+            shifted.flat[:: shifted.shape[0] + 1] += current * scale
             return cholesky(shifted), current
         except np.linalg.LinAlgError:
             nxt = max(current, 1e-12) * 10.0
@@ -83,6 +84,11 @@ def _chol_with_ladder(matrix, scale, nugget):
             current = nxt
 
 
+def _logdet(chol) -> float:
+    """log det(chol chol') from the factor's diagonal."""
+    return 2.0 * float(np.sum(np.log(chol.diagonal())))
+
+
 def _profiled(unit, resid) -> float:
     """Profiled marginal log-likelihood from the unit factor; +inf for vanishing residuals."""
     half = dtrtrs(unit, resid, lower=1)[0]
@@ -90,8 +96,7 @@ def _profiled(unit, resid) -> float:
     sigma2 = float(half @ half) / n
     if sigma2 <= 0:
         return math.inf
-    logdet = 2.0 * float(np.sum(np.log(np.diag(unit))))
-    value = -0.5 * n * math.log(sigma2) - 0.5 * logdet - 0.5 * n * (1.0 + math.log(2 * math.pi))
+    value = -0.5 * n * math.log(sigma2) - 0.5 * _logdet(unit) - 0.5 * n * (1.0 + math.log(2 * math.pi))
     if not math.isfinite(value):
         raise ValueError(f"profiled log-likelihood is {value}: the Gram matrix or its factor is not finite")
     return value
@@ -182,8 +187,7 @@ def log_marginal_likelihood(kernel: Kernel, points, y, nugget=1e-10) -> float:
     if kernel.amplitude == 0.0:
         raise SingularGramError("a zero-amplitude prior has no density", nugget)
     fit = fit_gp(kernel, points, y, nugget)
-    logdet = 2.0 * np.sum(np.log(np.diag(fit.chol)))
-    return float(-0.5 * fit.residual @ fit.weights - 0.5 * logdet - 0.5 * fit.n * math.log(2 * math.pi))
+    return float(-0.5 * fit.residual @ fit.weights - 0.5 * _logdet(fit.chol) - 0.5 * fit.n * math.log(2 * math.pi))
 
 
 def mle_amplitude(kernel: Kernel, points, y, nugget=1e-10) -> float:
@@ -230,26 +234,32 @@ def _golden_max(fn, lo, hi, rel_tol):
 def _axis_objective(kernel, axis, w, resid, nugget):
     """The profiled LML as a function of one log-lengthscale (``axis=None``: all tied).
 
-    The searched factors' distance matrices, the product of the fixed
-    factors before them and the fixed factors after them are computed
-    once, and multiplied in the order ``gram`` uses.
+    Works on the packed lower triangle potrf reads: the searched factors'
+    distances and the fixed factors' values are computed once per axis at the
+    pairs (rows, cols), in column-major order, and multiplied in the order ``gram``
+    uses; each evaluation scatters them into one reused Fortran-order matrix.
     """
-    head, rest = None, []  # rest: (searched factor, distances) or a fixed factor's matrix
+    n = w.shape[0]
+    cols, rows = np.triu_indices(n)
+    head, rest = None, []  # rest: (searched factor, distances) or a fixed factor's values
     for j, f in enumerate(kernel.factors):
-        x, x2 = w[:, j : j + 1], w[None, :, j]
+        x, x2 = w[rows, j], w[cols, j]
         if isinstance(f, (Matern, SquaredExponential)) and axis in (None, j):
             rest.append((f, np.abs(x - x2)))
         elif rest:
             rest.append(f.corr(x, x2))
         else:
             head = f.corr(x, x2) if head is None else head * f.corr(x, x2)
+    work = np.zeros((n, n), order="F")
+    lower, at = work.ravel(order="F"), cols * n + rows  # a view of work, and the pairs' offsets in it
 
     def objective(log_g):
         corr = head
         for term in rest:
             c = term[0].corr_at(term[1], math.exp(log_g)) if isinstance(term, tuple) else term
             corr = c if corr is None else corr * c
-        return _profiled(_chol_with_ladder(corr, 1.0, nugget)[0], resid)
+        lower[at] = corr
+        return _profiled(_chol_with_ladder(work, 1.0, nugget)[0], resid)
 
     return objective
 

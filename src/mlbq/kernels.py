@@ -84,8 +84,13 @@ class Matern:
         """Correlation at distances ``dist`` under ``lengthscale`` (not validated)."""
         if self.nu == 0.5:
             return np.exp(-(dist / lengthscale))
-        s = _SQRT5 * (dist / lengthscale)
-        return (1.0 + s + s * s / 3.0) * np.exp(-s)
+        s = np.asarray(dist / lengthscale)  # (1 + s + s^2/3) exp(-s) in place, in that operation order
+        s *= _SQRT5
+        out = s * s
+        out /= 3.0
+        out += 1.0 + s
+        out *= np.exp(np.negative(s, out=s), out=s)
+        return out
 
 
 @dataclass(frozen=True)

@@ -289,6 +289,46 @@ class TestFitHyperparameters:
             assert policy.level_fit(w0, y0, dim=1).kernel == baseline
 
 
+class TestNuggetLadder:
+    """``_chol_with_ladder`` reads the lower triangle only and never writes its argument."""
+
+    @staticmethod
+    def _lower_with_garbage_above(points, scale):
+        # the ladder's callers promise only the lower triangle
+        lower = np.tril(gram(Kernel.matern(0.5, 1.0, amplitude=scale), np.reshape(points, (-1, 1))))
+        upper = np.triu(np.random.default_rng(26).standard_normal((len(points), len(points))), 1)
+        return lower + 1e6 * upper
+
+    @pytest.mark.parametrize("order", ["C", "F"])  # the search passes a Fortran-order work matrix
+    @pytest.mark.parametrize(
+        "points, scale, nugget",
+        [([0.1, 0.35, 0.6, 0.9], 1.0, 0.0), ([0.1, 0.35, 0.6, 0.9], 2.5, 1e-10), ([0.5, 0.5, 0.9], 2.5, 0.0)],
+    )
+    def test_factor_equals_potrf_of_the_shifted_lower_triangle(self, points, scale, nugget, order):
+        from scipy.linalg.lapack import dpotrf
+
+        matrix = np.array(self._lower_with_garbage_above(points, scale), order=order)
+        before = matrix.copy()
+        chol, used = gp._chol_with_ladder(matrix, scale, nugget)
+        assert (used > nugget) == (len(set(points)) < len(points))  # duplicates escalate the ladder
+        expected, info = dpotrf(matrix + used * scale * np.eye(len(points)), lower=1, clean=1)
+        assert info == 0 and np.array_equal(chol, expected)
+        assert matrix.tobytes() == before.tobytes()
+
+    def test_fit_gp_leaves_the_gram_matrix_unwritten(self, monkeypatch):
+        seen = []
+        ladder = gp._chol_with_ladder
+
+        def recorded(matrix, scale, nugget):
+            seen.append((matrix, matrix.tobytes()))
+            return ladder(matrix, scale, nugget)
+
+        monkeypatch.setattr(gp, "_chol_with_ladder", recorded)
+        fit = fit_gp(M12, [0.5, 0.5, 0.9], [1.0, 1.0, 2.0], nugget=0.0)
+        assert fit.nugget > 0.0 and len(seen) == 1
+        assert seen[0][0].tobytes() == seen[0][1]
+
+
 def _with_lengthscale(kernel, axis, g):
     if axis is None:
         return kernel.with_lengthscales(g)
@@ -336,6 +376,41 @@ class TestLengthscaleSearch:
         for log_g in np.linspace(math.log(0.01), math.log(10.0), 32):
             public = profiled_log_marginal_likelihood(kernel.with_lengthscales(math.exp(log_g)), w, y, nugget=0.0)
             assert objective(log_g) == public
+
+    def test_reused_work_matrix_keeps_every_value(self):
+        # each objective scatters into one work matrix; values must not depend on the call history
+        rng = np.random.default_rng(27)
+        w = rng.random((19, 2))
+        y = np.sin(3 * w[:, 0]) + w[:, 1] ** 2
+        kernel = Kernel.matern(2.5, [0.4, 0.9], dim=2)
+        objective = _axis_objective(kernel, 0, w, y.copy(), 1e-10)
+        first, _, again = objective(-0.8), objective(0.6), objective(-0.8)
+        assert first == again == profiled_log_marginal_likelihood(_with_lengthscale(kernel, 0, math.exp(-0.8)), w, y)
+        grid = [-2.0, -0.3, 1.1]
+        alone = [[_axis_objective(kernel, axis, w, y.copy(), 1e-10)(g) for g in grid] for axis in (0, 1)]
+        first_axis, second_axis = (_axis_objective(kernel, axis, w, y.copy(), 1e-10) for axis in (0, 1))
+        interleaved = [(first_axis(g), second_axis(g)) for g in grid]
+        assert [list(v) for v in zip(*interleaved)] == alone
+
+    def test_evaluation_peak_memory(self):
+        # one evaluation holds the packed triangle's temporaries (n^2/2 doubles
+        # each) and one n x n copy for the factor: about 1.5 n^2 doubles
+        import tracemalloc
+
+        n = 200
+        rng = np.random.default_rng(28)
+        w = rng.random((n, 2))
+        objective = _axis_objective(Kernel.matern(2.5, 0.7, dim=2), 0, w, np.cos(4 * w.sum(axis=1)), 1e-10)
+        objective(-0.5)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            objective(-0.3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 8
 
     def test_fitted_lengthscales_are_fixed_by_the_seed(self):
         # values written by the implementation that called the public
@@ -445,7 +520,7 @@ class TestNonFinite:
         assert profiled_log_marginal_likelihood(M12, [0.2, 0.7], [0.0, 0.0]) == math.inf
 
     def test_potrf_argument_error_raises(self, monkeypatch):
-        monkeypatch.setattr(gp, "dpotrf", lambda matrix, lower, clean: (matrix, -1))
+        monkeypatch.setattr(gp, "dpotrf", lambda matrix, lower, clean, overwrite_a=0: (matrix, -1))
         with pytest.raises(ValueError, match="info -1"):
             gp.cholesky(np.eye(3))
         with pytest.raises(ValueError, match="info -1"):

@@ -74,6 +74,20 @@ class TestKernelEval:
             for k in kernels:
                 assert kernel_eval(k, x, y) == kernel_eval(k, y, x)
 
+    def test_matern52_corr_at_is_the_formula_bit_for_bit(self):
+        # corr_at works in place; it must keep the formula's operation order and leave dist unwritten
+        rng = np.random.default_rng(1)
+        factor = Matern(2.5, 1.0)
+        for dist in (0.0, 0.37, 1e200, np.abs(rng.standard_normal(1001)) * 30, rng.random((9, 13))):
+            before = np.copy(dist)
+            for lengthscale in (0.05, 0.7, 10.0):
+                s = math.sqrt(5.0) * (dist / lengthscale)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = (1.0 + s + s * s / 3.0) * np.exp(-s)
+                    got = factor.corr_at(dist, lengthscale)
+                assert np.array_equal(got, expected, equal_nan=True) and np.shape(got) == np.shape(expected)
+            assert np.array_equal(dist, before)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             kernel_eval(Kernel.matern(0.5, 1.0, dim=2), [0.1, 0.2], [0.3, 0.4, 0.5])
