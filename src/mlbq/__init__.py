@@ -40,7 +40,6 @@ from .kernels import (
     gram,
     initial_error,
     initial_error_mc,
-    kernel_eval,
     kernel_mean,
 )
 from .models import (

@@ -1,16 +1,15 @@
 """Zero-mean Gaussian process conditioning, marginal likelihood and hyperparameters.
 
-Everything works from one factor L = chol(C + nu I) of the unit-amplitude
-Gram matrix C, the nugget nu being relative to the amplitude: sigma L
-factors sigma^2 (C + nu I), so one factorisation gives the amplitude MLE,
-the likelihoods and the fit at any amplitude.  Each factorisation is LAPACK
-potrf on the lower triangle, in place in a shifted copy (the nugget ladder
-never writes the caller's matrix).  Per level, the amplitude is chosen in
-closed form and the lengthscale by maximising the profiled marginal
-log-likelihood with a log-grid scan plus golden-section refinement, which
-works on the packed lower triangle, computes distances and fixed factors
-once per axis and reproduces ``profiled_log_marginal_likelihood`` bit for
-bit.  Data are checked to be finite where they enter; a non-finite Gram
+Everything works from one factor L = chol(C + nu I) of the unit-amplitude Gram
+matrix C, the nugget nu being relative to the amplitude: sigma L factors
+sigma^2 (C + nu I), so one factorisation gives the amplitude MLE, the
+likelihoods and the fit at any amplitude.  Each factorisation is LAPACK potrf
+on the lower triangle; the nugget ladder never writes the caller's matrix.  Per
+level, the amplitude is chosen in closed form and the lengthscale by maximising
+the profiled marginal log-likelihood (log grid, then golden section).  The
+search sets up once per fit, factors its own work matrix in place, reuses
+repeated axis searches exactly and matches the public profiled likelihood bit
+for bit.  Data are checked to be finite where they enter; a non-finite Gram
 matrix or likelihood raises.  Everything here is pure; ``GPFit`` is immutable.
 """
 
@@ -68,7 +67,10 @@ def _data(kernel, points, y):
 
 
 def _chol_with_ladder(matrix, scale, nugget):
-    """Cholesky of the lower triangle of matrix + nugget*scale*I, escalating the nugget 10x; ``matrix`` is not written."""
+    """Cholesky of the lower triangle of matrix + nugget*scale*I, escalating the nugget 10x.
+
+    The only nugget ladder; each rung factors a shifted copy, so ``matrix`` is never written.
+    """
     current = nugget
     while True:
         try:
@@ -86,7 +88,7 @@ def _chol_with_ladder(matrix, scale, nugget):
 
 def _logdet(chol) -> float:
     """log det(chol chol') from the factor's diagonal."""
-    return 2.0 * float(np.sum(np.log(chol.diagonal())))
+    return 2.0 * float(np.log(chol.diagonal()).sum())
 
 
 def _profiled(unit, resid) -> float:
@@ -231,27 +233,31 @@ def _golden_max(fn, lo, hi, rel_tol):
     return (a + b) / 2.0
 
 
-def _axis_objective(kernel, axis, w, resid, nugget):
-    """The profiled LML as a function of one log-lengthscale (``axis=None``: all tied).
-
-    Works on the packed lower triangle potrf reads: the searched factors'
-    distances and the fixed factors' values are computed once per axis at the
-    pairs (rows, cols), in column-major order, and multiplied in the order ``gram``
-    uses; each evaluation scatters them into one reused Fortran-order matrix.
-    """
+def _packed_pairs(w):
+    """Set-up shared by a fit's axis searches: work matrix, lower-triangle offsets, per-axis pair coordinates."""
     n = w.shape[0]
     cols, rows = np.triu_indices(n)
+    return np.zeros((n, n), order="F"), cols * n + rows, [(w[rows, j], w[cols, j]) for j in range(w.shape[1])]
+
+
+def _axis_objective(kernel, axis, packed, resid, nugget):
+    """The profiled LML as a function of one log-lengthscale (``axis=None``: all tied).
+
+    Works on the packed lower triangle potrf reads (``packed``, from ``_packed_pairs``): distances
+    and fixed factors are computed once per axis search and multiplied in the order ``gram`` uses.
+    Each evaluation scatters them into the work matrix, adds the nugget and factors it in place; on
+    failure it scatters again (potrf wrote over the triangle) and hands it to ``_chol_with_ladder``.
+    """
+    work, at, coords = packed
+    lower = work.ravel(order="F")  # a view of work
     head, rest = None, []  # rest: (searched factor, distances) or a fixed factor's values
-    for j, f in enumerate(kernel.factors):
-        x, x2 = w[rows, j], w[cols, j]
+    for j, (f, (x, x2)) in enumerate(zip(kernel.factors, coords)):
         if isinstance(f, (Matern, SquaredExponential)) and axis in (None, j):
             rest.append((f, np.abs(x - x2)))
         elif rest:
             rest.append(f.corr(x, x2))
         else:
             head = f.corr(x, x2) if head is None else head * f.corr(x, x2)
-    work = np.zeros((n, n), order="F")
-    lower, at = work.ravel(order="F"), cols * n + rows  # a view of work, and the pairs' offsets in it
 
     def objective(log_g):
         corr = head
@@ -259,14 +265,20 @@ def _axis_objective(kernel, axis, w, resid, nugget):
             c = term[0].corr_at(term[1], math.exp(log_g)) if isinstance(term, tuple) else term
             corr = c if corr is None else corr * c
         lower[at] = corr
-        return _profiled(_chol_with_ladder(work, 1.0, nugget)[0], resid)
+        lower[:: work.shape[0] + 1] += nugget  # the ladder's first rung, at scale 1
+        try:
+            chol = cholesky(work)
+        except np.linalg.LinAlgError:
+            lower[at] = corr
+            chol = _chol_with_ladder(work, 1.0, nugget)[0]
+        return _profiled(chol, resid)
 
     return objective
 
 
-def _optimise_axis(kernel, axis, w, resid, bounds, nugget, grid_size, rel_tol):
+def _optimise_axis(kernel, axis, packed, resid, bounds, nugget, grid_size, rel_tol):
     """1-d profiled-LML search over the lengthscale of one factor (``axis=None``: all tied)."""
-    objective = _axis_objective(kernel, axis, w, resid, nugget)
+    objective = _axis_objective(kernel, axis, packed, resid, nugget)
     lo, hi = math.log(bounds[0]), math.log(bounds[1])
     grid = np.linspace(lo, hi, grid_size)
     vals = np.array([objective(g) for g in grid])
@@ -284,7 +296,11 @@ def _optimise_axis(kernel, axis, w, resid, bounds, nugget, grid_size, rel_tol):
 def _fit_lengthscales(
     kernel, points, y, bounds, per_dimension=False, nugget=1e-10, grid_size=32, rel_tol=1e-4, sweeps=3
 ) -> Kernel:
-    """The lengthscale search of :func:`fit_hyperparameters`; the amplitude is left as it is."""
+    """The lengthscale search of :func:`fit_hyperparameters`; the amplitude is left as it is.
+
+    Set up once per call.  An axis search reads neither its own factor's lengthscale nor the amplitude,
+    so one whose other factors equal an earlier search's on that axis returns its kernel, not run again.
+    """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi):
         raise ValueError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
@@ -295,9 +311,13 @@ def _fit_lengthscales(
     if np.max(np.abs(resid)) == 0.0:
         return fitted
     per_axis = per_dimension and kernel.dim > 1
+    packed, searched = _packed_pairs(w), {}  # searched: (axis, the other factors) -> fitted kernel
     for _ in range(sweeps if per_axis else 1):
         for axis in range(kernel.dim) if per_axis else [None]:
-            fitted = _optimise_axis(fitted, axis, w, resid, (lo, hi), nugget, grid_size, rel_tol)
+            key = (axis, tuple(f for j, f in enumerate(fitted.factors) if j != axis))
+            if key not in searched:
+                searched[key] = _optimise_axis(fitted, axis, packed, resid, (lo, hi), nugget, grid_size, rel_tol)
+            fitted = searched[key]
     return fitted
 
 

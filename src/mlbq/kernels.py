@@ -42,7 +42,6 @@ __all__ = [
     "StandardNormal",
     "ProductMeasure",
     "NoClosedFormError",
-    "kernel_eval",
     "gram",
     "kernel_mean",
     "initial_error",
@@ -280,20 +279,6 @@ def as_points(points, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # evaluation and Gram matrices
 # ---------------------------------------------------------------------------
-
-
-def kernel_eval(kernel: Kernel, x, y) -> float:
-    """Evaluate the kernel at a single pair of points."""
-    xp = as_points(x, kernel.dim)
-    yp = as_points(y, kernel.dim)
-    if xp.shape[0] != 1 or yp.shape[0] != 1:
-        raise ValueError("kernel_eval takes single points; use gram for point sets")
-    if not (np.all(np.isfinite(xp)) and np.all(np.isfinite(yp))):
-        raise ValueError("kernel_eval requires finite coordinates")
-    value = kernel.amplitude
-    for j, f in enumerate(kernel.factors):
-        value *= f.corr(xp[0, j], yp[0, j])
-    return float(value)
 
 
 def gram(kernel: Kernel, points, points2=None) -> np.ndarray:

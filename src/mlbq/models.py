@@ -175,11 +175,6 @@ class MultifidelityModel:
     def evaluate(self, level: int, points) -> np.ndarray:
         raise NotImplementedError
 
-    def eval_level(self, level: int, point) -> float:
-        """Deterministic scalar evaluation of f_level at one point."""
-        out = self.evaluate(level, np.atleast_2d(np.asarray(point, dtype=float)))
-        return float(out[0])
-
     def increments(self, level: int, points) -> np.ndarray:
         """f_level - f_{level-1} at the given points (f_{-1} = 0)."""
         fine = self.evaluate(level, points)

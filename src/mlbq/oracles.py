@@ -27,9 +27,9 @@ from .kernels import (
     SquaredExponential,
     StandardNormal,
     Uniform,
+    gram,
     initial_error,
     initial_error_mc,
-    kernel_eval,
     kernel_mean,
 )
 from .models import PiecewiseLinearFunction
@@ -247,12 +247,12 @@ def oracle_report() -> list[OracleRow]:
         OracleRow("brownian_rkhs_norm vs slope integral", slope_integral_norm(g), brownian_rkhs_increment_norm(g), 1e-10)
     )
 
-    # symmetric 1x1 sanity of kernel_eval against the factor profile
+    # a 1x1 cross-Gram against the factor profile
     rows.append(
         OracleRow(
-            "kernel_eval brownian (0.3, 0.7)",
+            "gram brownian (0.3, 0.7)",
             factor_profile(BrownianMotion())(0.3, 0.7),
-            kernel_eval(Kernel.brownian(), 0.3, 0.7),
+            float(gram(Kernel.brownian(), [0.3], [0.7])[0, 0]),
             0.0,
         )
     )

@@ -7,6 +7,7 @@ from mlbq import gp
 from mlbq.gp import (
     SingularGramError,
     _axis_objective,
+    _packed_pairs,
     fit_gp,
     fit_hyperparameters,
     gp_posterior_at,
@@ -360,7 +361,7 @@ class TestLengthscaleSearch:
         rng = np.random.default_rng(22)
         w = rng.random((17, kernel.dim))
         y = np.cos(4 * w.sum(axis=1)) + 0.1 * rng.standard_normal(17)
-        objective = _axis_objective(kernel, axis, w, y.copy(), 1e-10)
+        objective = _axis_objective(kernel, axis, _packed_pairs(w), y.copy(), 1e-10)
         for log_g in list(np.linspace(math.log(0.01), math.log(10.0), 32)) + [-0.37, 1.9]:
             public = profiled_log_marginal_likelihood(_with_lengthscale(kernel, axis, math.exp(log_g)), w, y)
             assert objective(log_g) == public
@@ -372,7 +373,7 @@ class TestLengthscaleSearch:
         y = np.array([1.0, 1.0, -0.5, -0.5, 0.3])
         kernel = Kernel.matern(2.5, 1.0)
         assert fit_gp(kernel, w, y, nugget=0.0).nugget > 0.0
-        objective = _axis_objective(kernel, None, w, y.copy(), 0.0)
+        objective = _axis_objective(kernel, None, _packed_pairs(w), y.copy(), 0.0)
         for log_g in np.linspace(math.log(0.01), math.log(10.0), 32):
             public = profiled_log_marginal_likelihood(kernel.with_lengthscales(math.exp(log_g)), w, y, nugget=0.0)
             assert objective(log_g) == public
@@ -383,24 +384,47 @@ class TestLengthscaleSearch:
         w = rng.random((19, 2))
         y = np.sin(3 * w[:, 0]) + w[:, 1] ** 2
         kernel = Kernel.matern(2.5, [0.4, 0.9], dim=2)
-        objective = _axis_objective(kernel, 0, w, y.copy(), 1e-10)
+        objective = _axis_objective(kernel, 0, _packed_pairs(w), y.copy(), 1e-10)
         first, _, again = objective(-0.8), objective(0.6), objective(-0.8)
         assert first == again == profiled_log_marginal_likelihood(_with_lengthscale(kernel, 0, math.exp(-0.8)), w, y)
         grid = [-2.0, -0.3, 1.1]
-        alone = [[_axis_objective(kernel, axis, w, y.copy(), 1e-10)(g) for g in grid] for axis in (0, 1)]
-        first_axis, second_axis = (_axis_objective(kernel, axis, w, y.copy(), 1e-10) for axis in (0, 1))
+        alone = [[_axis_objective(kernel, axis, _packed_pairs(w), y.copy(), 1e-10)(g) for g in grid] for axis in (0, 1)]
+        first_axis, second_axis = (_axis_objective(kernel, axis, _packed_pairs(w), y.copy(), 1e-10) for axis in (0, 1))
         interleaved = [(first_axis(g), second_axis(g)) for g in grid]
         assert [list(v) for v in zip(*interleaved)] == alone
 
+    def test_failed_in_place_factor_is_scattered_again(self, monkeypatch):
+        # a near-duplicate pair: at nugget 0 the squared-exponential Gram matrix
+        # factors at short lengthscales and fails potrf at long ones, where the
+        # in-place attempt has written part of a factor over the work matrix
+        w = np.array([[0.2], [0.2 + 1e-9], [0.6], [0.9]])
+        y = np.cos(3 * w[:, 0])
+        kernel = Kernel.squared_exponential(1.0)
+        grid = np.linspace(math.log(0.01), math.log(10.0), 32)
+        short, long = grid[:12], grid[14:26]
+        assert all(fit_gp(kernel.with_lengthscales(math.exp(g)), w, y, nugget=0.0).nugget == 0.0 for g in short)
+        assert all(fit_gp(kernel.with_lengthscales(math.exp(g)), w, y, nugget=0.0).nugget > 0.0 for g in long)
+        laddered = []
+        ladder = gp._chol_with_ladder
+        monkeypatch.setattr(gp, "_chol_with_ladder", lambda *args: laddered.append(args[0].shape) or ladder(*args))
+        objective = _axis_objective(kernel, None, _packed_pairs(w), y.copy(), 0.0)
+        alternating = [g for pair in zip(short, long) for g in pair]
+        values = [objective(g) for g in alternating]
+        assert len(laddered) == len(long)
+        monkeypatch.setattr(gp, "_chol_with_ladder", ladder)
+        for g, value in zip(alternating, values):
+            assert value == profiled_log_marginal_likelihood(kernel.with_lengthscales(math.exp(g)), w, y, nugget=0.0)
+
     def test_evaluation_peak_memory(self):
         # one evaluation holds the packed triangle's temporaries (n^2/2 doubles
-        # each) and one n x n copy for the factor: about 1.5 n^2 doubles
+        # each), about 1.5 n^2 doubles; the factor is made in the work matrix
         import tracemalloc
 
         n = 200
         rng = np.random.default_rng(28)
         w = rng.random((n, 2))
-        objective = _axis_objective(Kernel.matern(2.5, 0.7, dim=2), 0, w, np.cos(4 * w.sum(axis=1)), 1e-10)
+        kernel = Kernel.matern(2.5, 0.7, dim=2)
+        objective = _axis_objective(kernel, 0, _packed_pairs(w), np.cos(4 * w.sum(axis=1)), 1e-10)
         objective(-0.5)
         tracemalloc.start()
         try:
@@ -427,6 +451,26 @@ class TestLengthscaleSearch:
         one_d = fit_hyperparameters(M12, w[:, :1], y, bounds=(0.01, 10.0))
         assert one_d.lengthscales == (0.05118259637332945,)
         assert one_d.amplitude == 1.1147512804917727
+
+
+    def test_repeated_axis_search_is_reused(self, monkeypatch):
+        # an n = 5 ODE level-2 increment on an LHS design: the second sweep's
+        # axis-0 search returns the first's lengthscale, so every later axis
+        # search has the inputs of an earlier one and is not run again
+        from mlbq.designs import generate_design
+        from mlbq.models import OdeHierarchy
+
+        model = OdeHierarchy()
+        w = generate_design("lhs", model.measure, 5, seed=np.random.SeedSequence(1)).points
+        y = model.increments(2, w)
+        axes = []
+        search = gp._optimise_axis
+        monkeypatch.setattr(gp, "_optimise_axis", lambda *args: axes.append(args[1]) or search(*args))
+        fitted = fit_hyperparameters(Kernel.matern(2.5, 1.0, dim=2), w, y, bounds=(0.05, 10.0), per_dimension=True)
+        assert axes == [0, 1, 0]
+        # written by the implementation that ran all six axis searches
+        assert fitted.lengthscales == (9.999612799751663, 1.0613261976859758)
+        assert fitted.amplitude == 0.00016100926601431744
 
 
 def _count_cholesky(monkeypatch):

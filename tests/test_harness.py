@@ -1,7 +1,11 @@
 import copy
 import filecmp
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,6 +326,38 @@ class TestRunExperiment:
             write_records_csv(run_experiment(cfg, jobs=1), serial)
             write_records_csv(run_experiment(cfg, jobs=3), parallel)
             assert filecmp.cmp(serial, parallel, shallow=False)
+
+    def test_golden_record_hashes(self, tmp_path):
+        """The records' sha256 prefixes at 4 replications, one BLAS thread, serial.
+
+        A change that moves records updates these hashes and says which bits
+        moved, and why, in CHANGES.md.  OpenBLAS reads OPENBLAS_NUM_THREADS
+        when it loads, so the sweeps run in a subprocess started with it set.
+        """
+        root = Path(__file__).resolve().parents[1]
+        golden = {
+            "configs/ode_budgets.json": "bea1ea2e30f747ac",
+            "configs/poisson_budgets.json": "e281ad53df37d8c1",
+            "configs/poisson_calibration.json": "7a4dee2d813c1a01",
+            "perfbench/ode_matern_lhs.json": "dcf3cfb44470ae09",
+        }
+        script = (
+            "import dataclasses, hashlib, sys\n"
+            "from mlbq.harness import load_config, run_experiment, write_records_csv\n"
+            "out = sys.argv[1]\n"
+            "for path in sys.argv[2:]:\n"
+            "    write_records_csv(run_experiment(dataclasses.replace(load_config(path), replications=4)), out)\n"
+            "    print(path, hashlib.sha256(open(out, 'rb').read()).hexdigest()[:16])\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        paths = [str(root / name) for name in golden]
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "records.csv"), *paths],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        hashes = dict(line.rsplit(" ", 1) for line in done.stdout.splitlines())
+        assert hashes == {path: golden[name] for path, name in zip(paths, golden)}
 
     def test_reference_computed_once_per_sweep(self, monkeypatch):
         # one solve at the reference spacing covers both Gauss-Legendre rules

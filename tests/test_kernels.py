@@ -14,7 +14,6 @@ from mlbq.kernels import (
     Uniform,
     gram,
     initial_error,
-    kernel_eval,
     kernel_mean,
 )
 from mlbq.oracles import initial_error_quadrature, kernel_mean_quadrature
@@ -46,20 +45,22 @@ class TestConstruction:
 
 
 class TestKernelEval:
+    """The kernel at single pairs of points, as 1x1 cross-Gram matrices."""
+
     def test_matern12_at_identical_points(self):
         k = Kernel.matern(0.5, 1.0)
-        assert kernel_eval(k, 0.5, 0.5) == 1.0
+        assert gram(k, [0.5], [0.5])[0, 0] == 1.0
 
     def test_matern12_unit_distance(self):
         k = Kernel.matern(0.5, 1.0)
-        assert kernel_eval(k, 0.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+        assert gram(k, [0.0], [1.0])[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_brownian_is_min(self):
-        assert kernel_eval(Kernel.brownian(), 0.3, 0.7) == 0.3
+        assert gram(Kernel.brownian(), [0.3], [0.7])[0, 0] == 0.3
 
     def test_diagonal_equals_amplitude_for_stationary_factors(self):
         for k in (Kernel.matern(2.5, 0.3, amplitude=2.2), Kernel.squared_exponential(1.7, amplitude=0.4)):
-            assert kernel_eval(k, 0.8, 0.8) == pytest.approx(k.amplitude, rel=1e-15)
+            assert gram(k, [0.8], [0.8])[0, 0] == pytest.approx(k.amplitude, rel=1e-15)
 
     def test_symmetry_1000_random_pairs(self):
         rng = np.random.default_rng(0)
@@ -72,7 +73,7 @@ class TestKernelEval:
         for _ in range(250):
             x, y = rng.random(2)
             for k in kernels:
-                assert kernel_eval(k, x, y) == kernel_eval(k, y, x)
+                assert gram(k, [x], [y])[0, 0] == gram(k, [y], [x])[0, 0]
 
     def test_matern52_corr_at_is_the_formula_bit_for_bit(self):
         # corr_at works in place; it must keep the formula's operation order and leave dist unwritten
@@ -90,11 +91,11 @@ class TestKernelEval:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            kernel_eval(Kernel.matern(0.5, 1.0, dim=2), [0.1, 0.2], [0.3, 0.4, 0.5])
+            gram(Kernel.matern(0.5, 1.0, dim=2), [[0.1, 0.2]], [[0.3, 0.4, 0.5]])
 
     def test_nonfinite_input(self):
         with pytest.raises(ValueError, match="finite"):
-            kernel_eval(Kernel.matern(0.5, 1.0), math.nan, 0.5)
+            gram(Kernel.matern(0.5, 1.0), [math.nan], [0.5])
 
 
 class TestGram:
@@ -199,7 +200,7 @@ class TestKernelMean:
         x = 0.37
         assert kernel_mean(scaled, U01, x) == 3.5 * kernel_mean(k, U01, x)
         assert initial_error(scaled, U01) == 3.5 * initial_error(k, U01)
-        assert kernel_eval(scaled, 0.1, 0.9) == 3.5 * kernel_eval(k, 0.1, 0.9)
+        assert gram(scaled, [0.1], [0.9])[0, 0] == 3.5 * gram(k, [0.1], [0.9])[0, 0]
         w = [0.2, 0.4, 0.9]
         assert np.array_equal(gram(scaled, w), 3.5 * gram(k, w))
 

@@ -100,12 +100,12 @@ class TestPoisson:
 
     def test_determinism(self):
         model = PoissonHierarchy()
-        assert model.eval_level(1, 0.37) == model.eval_level(1, 0.37)
+        assert model.evaluate(1, [0.37])[0] == model.evaluate(1, [0.37])[0]
 
     def test_level_out_of_range(self):
         model = PoissonHierarchy()
         with pytest.raises(ModelError, match="level 3"):
-            model.eval_level(3, 0.5)
+            model.evaluate(3, [0.5])
 
 
 class TestOde:
@@ -134,8 +134,8 @@ class TestOde:
         assert np.array_equal(model.evaluate(2, pts), model.evaluate(2, pts))
 
     def test_forcing_scales_linearly(self):
-        base = OdeHierarchy().eval_level(0, [0.4, 1.0])
-        doubled = OdeHierarchy(forcing=100.0).eval_level(0, [0.4, 1.0])
+        base = OdeHierarchy().evaluate(0, [[0.4, 1.0]])[0]
+        doubled = OdeHierarchy(forcing=100.0).evaluate(0, [[0.4, 1.0]])[0]
         assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
     def test_reference_is_cached_and_reports_error(self):
@@ -235,11 +235,11 @@ class TestOdeIntegralFactor:
 class TestStep:
     def test_cell_midpoint_example(self):
         model = StepHierarchy(breakpoint_counts=(3,), costs=(1.0,))
-        assert model.eval_level(0, 2.0) == 2.5
+        assert model.evaluate(0, [2.0])[0] == 2.5
 
     def test_right_endpoint_maps_to_last_cell(self):
         model = StepHierarchy(breakpoint_counts=(3,), costs=(1.0,))
-        assert model.eval_level(0, 10.0) == 7.5
+        assert model.evaluate(0, [10.0])[0] == 7.5
 
     def test_every_level_integrates_to_five(self):
         model = StepHierarchy()
