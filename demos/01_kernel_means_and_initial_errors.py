@@ -4,8 +4,8 @@ Bayesian quadrature needs two integrals of the covariance function: the
 kernel mean Pi[c(., x)] and the initial error Pi[Pi[c]].  Both factorise
 over dimensions for product kernels and product measures, and every
 supported (factor, marginal) pair has an analytic form.  This script
-prints each form next to an independent quadrature (or Monte Carlo)
-computation of the same quantity.
+prints each form next to an independent quadrature computation of the
+same quantity.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from mlbq import (
     StandardNormal,
     Uniform,
     initial_error,
-    initial_error_mc,
     kernel_mean,
 )
 from mlbq.oracles import initial_error_quadrature, kernel_mean_quadrature
@@ -55,12 +54,10 @@ for label, kernel, measure in [
     ("SE, gamma=2, N(0,1)           ", Kernel.squared_exponential(2.0), gauss),
 ]:
     value = initial_error(kernel, measure)
-    if measure is u01:
-        oracle = initial_error_quadrature(kernel.factors[0], Uniform(0, 1))
-        print(f"  {label}: {value:.10f}  (double quadrature {oracle:.10f})")
-    else:
-        mc, se = initial_error_mc(kernel, measure, n_samples=200_000, seed=1)
-        print(f"  {label}: {value:.10f}  (200k-sample MC {mc:.6f} +- {se:.1e})")
+    marginal = measure.marginals[0]
+    oracle = initial_error_quadrature(kernel.factors[0], marginal)
+    rule = "double quadrature" if measure is u01 else "quadrature against N(0,2)"
+    print(f"  {label}: {value:.10f}  ({rule} {oracle:.10f})")
 
 print()
 print("== a double integral that is a kernel mean ==")
@@ -69,8 +66,9 @@ print("== a double integral that is a kernel mean ==")
 k = Kernel.matern(2.5, 1.0)
 value = initial_error(k, gauss)
 oracle = initial_error_quadrature(k.factors[0], StandardNormal())
-mc, se = initial_error_mc(k, gauss, n_samples=1_000_000, seed=7)
-print(f"  Matern(5/2) vs N(0,1): {value:.12f}  (quadrature against N(0,2) {oracle:.12f}, MC {mc:.6f} +- {se:.1e})")
+mean_at_0 = kernel_mean(Kernel.matern(2.5, 1.0 / np.sqrt(2.0)), gauss, 0.0)
+print(f"  Matern(5/2) vs N(0,1): {value:.12f}  (quadrature against N(0,2) {oracle:.12f},"
+      f" kernel mean at 0 {mean_at_0:.12f})")
 
 print()
 print("== tensor products factorise ==")

@@ -39,7 +39,6 @@ from .kernels import (
     Uniform,
     gram,
     initial_error,
-    initial_error_mc,
     kernel_mean,
 )
 from .models import (

@@ -4,13 +4,15 @@ Everything works from one factor L = chol(C + nu I) of the unit-amplitude Gram
 matrix C, the nugget nu being relative to the amplitude: sigma L factors
 sigma^2 (C + nu I), so one factorisation gives the amplitude MLE, the
 likelihoods and the fit at any amplitude.  Each factorisation is LAPACK potrf
-on the lower triangle; the nugget ladder never writes the caller's matrix.  Per
-level, the amplitude is chosen in closed form and the lengthscale by maximising
-the profiled marginal log-likelihood (log grid, then golden section).  The
-search sets up once per fit, factors its own work matrix in place, reuses
-repeated axis searches exactly and matches the public profiled likelihood bit
-for bit.  Data are checked to be finite where they enter; a non-finite Gram
-matrix or likelihood raises.  Everything here is pure; ``GPFit`` is immutable.
+on the lower triangle.  A fit holds one n x n array: the Gram matrix, factored
+and rescaled in place; only the nugget ladder, when potrf fails, copies, and it
+never writes the caller's matrix.  Per level, the amplitude is chosen in closed
+form and the lengthscale by maximising the profiled marginal log-likelihood
+(log grid, then golden section).  The search sets up once per fit, factors its
+own work matrix in place, reuses repeated axis searches exactly and matches the
+public profiled likelihood bit for bit.  Data are checked to be finite where
+they enter; a non-finite Gram matrix or likelihood raises.  Everything here is
+pure; ``GPFit`` is immutable.
 """
 
 from __future__ import annotations
@@ -86,6 +88,19 @@ def _chol_with_ladder(matrix, scale, nugget):
             current = nxt
 
 
+def _factor(fill, nugget):
+    """Cholesky of ``fill() + nugget * I``, a fresh Fortran-order matrix: the ladder's first rung, in place.
+
+    If potrf fails it has written over the matrix, so a second ``fill()`` goes to ``_chol_with_ladder``.
+    """
+    matrix = fill()
+    matrix.ravel(order="K")[:: matrix.shape[0] + 1] += nugget  # at scale 1, as the ladder adds it
+    try:
+        return cholesky(matrix), nugget
+    except np.linalg.LinAlgError:
+        return _chol_with_ladder(fill(), 1.0, nugget)
+
+
 def _logdet(chol) -> float:
     """log det(chol chol') from the factor's diagonal."""
     return 2.0 * float(np.log(chol.diagonal()).sum())
@@ -127,7 +142,10 @@ class GPFit:
 
 
 def _scaled(unit, kernel) -> GPFit:
-    """The fit ``unit``, made at amplitude 1, at ``kernel``'s amplitude a: chol * sqrt(a), weights / a."""
+    """The fit ``unit``, made at amplitude 1, at ``kernel``'s amplitude a: chol * sqrt(a), weights / a.
+
+    ``unit`` is used up: its factor is rescaled in place (not at a == 1, where the product is exact).
+    """
     a = kernel.amplitude
     if a == 0.0:
         # Degenerate prior (arises from amplitude estimation on constant
@@ -136,7 +154,9 @@ def _scaled(unit, kernel) -> GPFit:
         if np.any(unit.residual != 0.0):
             raise SingularGramError("zero-amplitude kernel cannot explain nonzero observations", unit.nugget)
         return replace(unit, kernel=kernel, chol=np.eye(unit.n), weights=np.zeros(unit.n))
-    return replace(unit, kernel=kernel, chol=math.sqrt(a) * unit.chol, weights=unit.weights / a)
+    if a != 1.0:
+        np.multiply(unit.chol, math.sqrt(a), out=unit.chol)
+    return replace(unit, kernel=kernel, weights=unit.weights / a)
 
 
 def fit_gp(kernel: Kernel, points, y, nugget=1e-10) -> GPFit:
@@ -145,6 +165,8 @@ def fit_gp(kernel: Kernel, points, y, nugget=1e-10) -> GPFit:
     ``nugget`` is relative jitter: ``nugget * amplitude`` is added to the
     Gram diagonal.  On Cholesky failure the nugget is escalated by factors
     of 10 up to 1e-4 before giving up with :class:`SingularGramError`.
+    The fit holds one n x n array: the unit Gram matrix's transpose (equal,
+    and Fortran-order), factored and then rescaled in place.
     """
     if nugget < 0:
         raise ValueError("nugget must be nonnegative")
@@ -152,7 +174,8 @@ def fit_gp(kernel: Kernel, points, y, nugget=1e-10) -> GPFit:
     if kernel.amplitude == 0.0:  # nothing to factor
         return _scaled(GPFit(kernel, w, resid, None, None, nugget), kernel)
     # cho_solve checks the factor: a non-finite Gram matrix raises ValueError
-    chol, used = _chol_with_ladder(gram(kernel.with_amplitude(1.0), w), 1.0, nugget)
+    unit = kernel.with_amplitude(1.0)
+    chol, used = _factor(lambda: gram(unit, w).T, nugget)
     return _scaled(GPFit(kernel, w, resid, chol, cho_solve((chol, True), resid), used), kernel)
 
 
@@ -245,8 +268,8 @@ def _axis_objective(kernel, axis, packed, resid, nugget):
 
     Works on the packed lower triangle potrf reads (``packed``, from ``_packed_pairs``): distances
     and fixed factors are computed once per axis search and multiplied in the order ``gram`` uses.
-    Each evaluation scatters them into the work matrix, adds the nugget and factors it in place; on
-    failure it scatters again (potrf wrote over the triangle) and hands it to ``_chol_with_ladder``.
+    Each evaluation scatters them into the work matrix and hands it to ``_factor``, which scatters again
+    if potrf fails (it wrote over the triangle).
     """
     work, at, coords = packed
     lower = work.ravel(order="F")  # a view of work
@@ -264,14 +287,12 @@ def _axis_objective(kernel, axis, packed, resid, nugget):
         for term in rest:
             c = term[0].corr_at(term[1], math.exp(log_g)) if isinstance(term, tuple) else term
             corr = c if corr is None else corr * c
-        lower[at] = corr
-        lower[:: work.shape[0] + 1] += nugget  # the ladder's first rung, at scale 1
-        try:
-            chol = cholesky(work)
-        except np.linalg.LinAlgError:
+
+        def fill():
             lower[at] = corr
-            chol = _chol_with_ladder(work, 1.0, nugget)[0]
-        return _profiled(chol, resid)
+            return work
+
+        return _profiled(_factor(fill, nugget)[0], resid)
 
     return objective
 

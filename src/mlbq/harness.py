@@ -94,6 +94,7 @@ SCHEMA_VERSION = 1
 ESTIMATOR_NAMES = ("mc", "mlmc", "bq", "mlbq", "sk-mlbq")
 BAYESIAN = {"bq", "mlbq", "sk-mlbq"}
 SINGLE_LEVEL = {"mc", "bq"}
+SEEDLESS_DESIGNS = {"grid", "halton"}  # the same points in every replication
 CSV_COLUMNS = ("replication", "estimator", "budget", "estimate", "variance", "abs_error", "cost", "n_per_level")
 
 # Per-cell numerical failures are reported and the sweep continues; these
@@ -452,12 +453,13 @@ def _data_hash(levels) -> str:
     return digest.hexdigest()
 
 
-def _build_groups(cfg, model, counts_by_est, budget_index, replication):
+def _build_groups(cfg, model, counts_by_est, budget_index, replication, seedless):
     """Each estimator's (level data, data hash); each distinct (design, counts, mode) group is built once.
 
     All designs come first, then one ``model.evaluate`` call per level on every point any group needs
     there; an increment is ``fine - coarse``, as in ``MultifidelityModel.increments``.  Estimators in
-    one group get the same pair object.
+    one group get the same pair object.  A grid or Halton group is taken from ``seedless`` (the task's
+    store, filled here) when an earlier replication built it; its points join no evaluation again.
     """
     costs = _model_costs(cfg, model)
     design_of = {est.name: est.design for est in cfg.estimators}
@@ -470,6 +472,8 @@ def _build_groups(cfg, model, counts_by_est, budget_index, replication):
     wanted = [[] for _ in range(model.levels)]  # per level, the point sets to evaluate there, in the order read below
     for gi, key in enumerate(sorted(set(keys.values()))):
         design_kind, counts, mode = key
+        if key in seedless:
+            continue
         # single-level estimators sample the top level itself; the others sample increments
         level_ids = [top] if mode == "top" else range(len(counts))
         designs[key] = []
@@ -482,7 +486,7 @@ def _build_groups(cfg, model, counts_by_est, budget_index, replication):
                 wanted[level - 1].append(points)
     values = {level: iter(np.split(model.evaluate(level, np.concatenate(sets)), np.cumsum([len(p) for p in sets[:-1]])))
               for level, sets in enumerate(wanted) if sets}
-    groups = {}
+    groups = dict(seedless)
     for key, sampled in designs.items():
         levels = []
         for level, points in sampled:
@@ -492,6 +496,8 @@ def _build_groups(cfg, model, counts_by_est, budget_index, replication):
             levels.append(LevelData(level, points, f, costs[level]))
         digest = _data_hash(levels)
         groups[key] = levels, digest
+        if key[0] in SEEDLESS_DESIGNS:
+            seedless[key] = groups[key]
         log.debug("cell budget=%s rep=%s group=%s hash=%s", cfg.budgets[budget_index], replication, key, digest)
     return {name: groups[key] for name, key in keys.items()}
 
@@ -521,16 +527,17 @@ def _run_estimator(cfg, model, est: EstimatorSpec, levels):
 def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, counts_by_est, replications):
     """One budget's records for ``replications``, in (replication, estimator) order.
 
-    Each replication's level data come from one ``_build_groups`` call, one model evaluation per level.
+    Each replication's level data come from one ``_build_groups`` call, one model evaluation per level;
+    grid and Halton groups are built in the task's first replication only.
     A cell repeating an earlier successful cell's estimator and data hash reuses its
     (estimate, variance); failures are not stored, so every replication reports its own.
     """
     costs = _model_costs(cfg, model)
     budget = cfg.budgets[budget_index]
     records = []
-    results = {}
+    results, seedless = {}, {}
     for rep in replications:
-        groups = _build_groups(cfg, model, counts_by_est, budget_index, rep)
+        groups = _build_groups(cfg, model, counts_by_est, budget_index, rep, seedless)
         for est in cfg.estimators:
             if est.name not in groups:
                 continue

@@ -45,7 +45,6 @@ __all__ = [
     "gram",
     "kernel_mean",
     "initial_error",
-    "initial_error_mc",
     "as_points",
 ]
 
@@ -76,16 +75,17 @@ class Matern:
         if not (self.lengthscale > 0 and math.isfinite(self.lengthscale)):
             raise ValueError(f"lengthscale must be positive and finite, got {self.lengthscale}")
 
-    def corr(self, x, y):
-        return self.corr_at(np.abs(x - y), self.lengthscale)
+    def corr(self, x, y, out=None):
+        return self.corr_at(np.abs(np.subtract(x, y, out=out), out=out), self.lengthscale, out)
 
-    def corr_at(self, dist, lengthscale):
-        """Correlation at distances ``dist`` under ``lengthscale`` (not validated)."""
+    def corr_at(self, dist, lengthscale, out=None):
+        """Correlation at distances ``dist`` under ``lengthscale`` (not validated), into ``out`` (may be ``dist``)."""
         if self.nu == 0.5:
-            return np.exp(-(dist / lengthscale))
+            s = np.asarray(np.divide(dist, lengthscale, out=out))
+            return np.exp(np.negative(s, out=s), out=s)
         s = np.asarray(dist / lengthscale)  # (1 + s + s^2/3) exp(-s) in place, in that operation order
         s *= _SQRT5
-        out = s * s
+        out = np.multiply(s, s, out=out)
         out /= 3.0
         out += 1.0 + s
         out *= np.exp(np.negative(s, out=s), out=s)
@@ -102,20 +102,21 @@ class SquaredExponential:
         if not (self.lengthscale > 0 and math.isfinite(self.lengthscale)):
             raise ValueError(f"lengthscale must be positive and finite, got {self.lengthscale}")
 
-    def corr(self, x, y):
-        return self.corr_at(np.abs(x - y), self.lengthscale)
+    def corr(self, x, y, out=None):
+        return self.corr_at(np.abs(np.subtract(x, y, out=out), out=out), self.lengthscale, out)
 
-    def corr_at(self, dist, lengthscale):
-        """Correlation at distances ``dist`` under ``lengthscale`` (not validated)."""
-        return np.exp(-np.square(dist / lengthscale))
+    def corr_at(self, dist, lengthscale, out=None):
+        """Correlation at distances ``dist`` under ``lengthscale`` (not validated), into ``out`` if given."""
+        s = np.asarray(np.divide(dist, lengthscale, out=out))
+        return np.exp(np.negative(np.square(s, out=s), out=s), out=s)
 
 
 @dataclass(frozen=True)
 class BrownianMotion:
     """Brownian motion factor min(x, y); no lengthscale, not stationary."""
 
-    def corr(self, x, y):
-        return np.minimum(x, y)
+    def corr(self, x, y, out=None):
+        return np.minimum(x, y, out=out)
 
 
 Factor = Matern | SquaredExponential | BrownianMotion
@@ -281,8 +282,14 @@ def as_points(points, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_GRAM_BLOCK_ROWS = 64  # rows of one correlation block in gram; its buffer stays in cache
+
+
 def gram(kernel: Kernel, points, points2=None) -> np.ndarray:
-    """Gram (or cross-Gram) matrix c(W, W') with amplitude included.
+    """Gram (or cross-Gram) matrix c(W, W') with amplitude included, C-order.
+
+    Filled in place, the only full-size array: each factor's ``corr`` runs a block of rows at a time
+    in one reused buffer, with unchanged operations, so the square matrix is bitwise symmetric.
 
     Duplicated points are allowed; the resulting singular matrix is the
     caller's problem (GP fitting copes through its nugget ladder).
@@ -292,8 +299,11 @@ def gram(kernel: Kernel, points, points2=None) -> np.ndarray:
     if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))):
         raise ValueError("gram requires finite coordinates")
     out = np.full((w1.shape[0], w2.shape[0]), kernel.amplitude)
+    buf = np.empty((min(_GRAM_BLOCK_ROWS, w1.shape[0]), w2.shape[0]))
     for j, f in enumerate(kernel.factors):
-        out *= f.corr(w1[:, j : j + 1], w2[None, :, j])
+        for start in range(0, w1.shape[0], _GRAM_BLOCK_ROWS):
+            rows = out[start : start + _GRAM_BLOCK_ROWS]
+            rows *= f.corr(w1[start : start + rows.shape[0], j : j + 1], w2[None, :, j], buf[: rows.shape[0]])
     return out
 
 
@@ -434,21 +444,3 @@ def initial_error(kernel: Kernel, measure: ProductMeasure) -> float:
     for f, m in zip(kernel.factors, measure.marginals):
         value *= _factor_initial_error(f, m)
     return float(value)
-
-
-def initial_error_mc(kernel: Kernel, measure: ProductMeasure, n_samples=1_000_000, seed=0):
-    """Generic seeded MC estimate of Pi[Pi[c]] with a standard error.
-
-    Draws from the measure and averages the closed-form kernel mean; used
-    as a cross-check oracle.
-    """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    cols = []
-    for m in measure.marginals:
-        if isinstance(m, Uniform):
-            cols.append(m.a + (m.b - m.a) * rng.random(n_samples))
-        else:
-            cols.append(rng.standard_normal(n_samples))
-    draws = np.column_stack(cols)
-    values = kernel_mean(kernel, measure, draws)
-    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_samples))

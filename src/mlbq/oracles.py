@@ -2,7 +2,7 @@
 
 Each function here computes a quantity by a route independent of the
 implementation it checks: adaptive quadrature for kernel means, double
-or single quadrature and Monte Carlo for initial errors, dense linear
+or single quadrature for initial errors, dense linear
 algebra for the marginal likelihood, slope integration for the
 Brownian-motion RKHS norm, and exhaustive lattice search for integerized
 allocations.  ``oracle_report``
@@ -29,7 +29,6 @@ from .kernels import (
     Uniform,
     gram,
     initial_error,
-    initial_error_mc,
     kernel_mean,
 )
 from .models import PiecewiseLinearFunction
@@ -38,7 +37,6 @@ __all__ = [
     "factor_profile",
     "kernel_mean_quadrature",
     "initial_error_quadrature",
-    "kernel_mean_gauss_mc",
     "lml_dense",
     "slope_integral_norm",
     "lattice_best_allocation",
@@ -111,23 +109,6 @@ def initial_error_quadrature(factor, marginal, epsabs=1e-11) -> float:
         epsabs=epsabs,
     )
     return val
-
-
-def kernel_mean_gauss_mc(factor, x, n_samples=1_000_000, seed=0):
-    """Seeded MC estimate (value, standard error) of a Gaussian kernel mean."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    draws = rng.standard_normal(n_samples)
-    r = np.abs(draws - x)
-    if isinstance(factor, Matern) and factor.nu == 0.5:
-        vals = np.exp(-r / factor.lengthscale)
-    elif isinstance(factor, Matern):
-        s = math.sqrt(5.0) * r / factor.lengthscale
-        vals = (1 + s + s * s / 3.0) * np.exp(-s)
-    elif isinstance(factor, SquaredExponential):
-        vals = np.exp(-((r / factor.lengthscale) ** 2))
-    else:
-        raise ValueError(f"no vectorised profile for {factor}")
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
 
 
 def lml_dense(kernel: Kernel, points, y, nugget=1e-10) -> float:
@@ -228,14 +209,10 @@ def oracle_report() -> list[OracleRow]:
         ("initial_error matern52-uniform", Matern(2.5, 1.0), u01, 1e-8),
         ("initial_error se-uniform", SquaredExponential(1.0), u01, 1e-8),
         ("initial_error matern52-gauss", Matern(2.5, 1.0), StandardNormal(), 1e-10),
+        ("initial_error se-gauss", SquaredExponential(1.5), StandardNormal(), 1e-10),
     ]:
         impl = initial_error(Kernel((factor,)), ProductMeasure((marginal,)))
         rows.append(OracleRow(name, initial_error_quadrature(factor, marginal), impl, tol))
-
-    # the squared-exponential Gaussian initial error against a generic 1e6-sample MC
-    kernel, measure = Kernel.squared_exponential(1.5), ProductMeasure.standard_normal()
-    mc_val, mc_se = initial_error_mc(kernel, measure, n_samples=1_000_000, seed=7)
-    rows.append(OracleRow("initial_error se-gauss (4 sigma MC)", mc_val, initial_error(kernel, measure), 4.0 * mc_se))
 
     # Brownian-motion RKHS norm against slope integration
     from .models import brownian_rkhs_increment_norm

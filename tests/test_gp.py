@@ -526,6 +526,81 @@ class TestOneFactorPerFit:
         assert np.allclose(fit.weights, reference.weights, rtol=1e-8, atol=0)
 
 
+def _ladder_fit(kernel, w, y, nugget):
+    """The fit made the copying way: the ladder on a fresh unit Gram matrix, then an out-of-place rescale."""
+    from scipy.linalg import cho_solve
+
+    chol, used = gp._chol_with_ladder(gram(kernel.with_amplitude(1.0), w), 1.0, nugget)
+    weights = cho_solve((chol, True), np.asarray(y, dtype=float))
+    return math.sqrt(kernel.amplitude) * chol, weights / kernel.amplitude, used
+
+
+class TestInPlaceFit:
+    """A fit holds one n x n array, and its values are those of the copying ladder path, bit for bit."""
+
+    KERNELS = [
+        Kernel.squared_exponential(0.4),
+        Kernel.matern(0.5, 0.4),
+        Kernel.matern(2.5, 0.4),
+        Kernel.squared_exponential([0.3, 0.8], dim=2),
+        Kernel.matern(0.5, 0.6, dim=2),
+        Kernel.matern(2.5, [0.5, 0.2], dim=2),
+        Kernel((BrownianMotion(), Matern(2.5, 0.7))),
+    ]
+
+    @pytest.mark.parametrize("amplitude", [1.0, 4.0])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: "-".join(type(f).__name__ for f in k.factors))
+    @pytest.mark.parametrize("design, nugget", [("random", 1e-10), ("duplicates", 0.0)])
+    def test_fit_equals_the_ladder_path(self, kernel, amplitude, design, nugget):
+        rng = np.random.default_rng(31)
+        w = rng.random((90, kernel.dim))  # taller than one gram block
+        if design == "duplicates":  # singular at nugget 0: the in-place rung fails and the ladder escalates
+            w[45:] = w[:45]
+        y = np.sin(5 * w.sum(axis=1)) + 0.1 * rng.standard_normal(90)
+        w_before, y_before = w.copy(), y.copy()
+        kernel = kernel.with_amplitude(amplitude)
+        fit = fit_gp(kernel, w, y, nugget=nugget)
+        chol, weights, used = _ladder_fit(kernel, w, y, nugget)
+        assert (used > nugget) == (design == "duplicates") and fit.nugget == used
+        assert np.array_equal(fit.chol, chol) and np.array_equal(fit.weights, weights)
+        assert np.array_equal(w, w_before) and np.array_equal(y, y_before)
+
+    @pytest.mark.parametrize("kernel", KERNELS[:3], ids=["se", "m12", "m52"])
+    def test_profiled_fit_equals_the_ladder_path(self, kernel):
+        rng = np.random.default_rng(32)
+        w = rng.random((70, 1))
+        y = np.cos(3 * w[:, 0]) + 0.05 * rng.standard_normal(70)
+        fit = gp._profiled_fit(kernel, w, y)
+        from scipy.linalg.lapack import dtrtrs
+
+        half = dtrtrs(_ladder_fit(kernel.with_amplitude(1.0), w, y, 1e-10)[0], y, lower=1)[0]
+        sigma = math.sqrt(float(half @ half) / 70)
+        assert fit.kernel.amplitude == sigma * sigma
+        chol, weights, _ = _ladder_fit(fit.kernel, w, y, 1e-10)
+        assert np.array_equal(fit.chol, chol) and np.array_equal(fit.weights, weights)
+
+    @pytest.mark.parametrize("kernel", [Kernel.squared_exponential(0.5, dim=2), Kernel.matern(2.5, 0.5, dim=2)],
+                             ids=["se", "m52"])
+    def test_fit_peak_memory(self, kernel):
+        # the Gram matrix is the fit's one n x n array; the rest is a block buffer and
+        # the finiteness check's booleans (the copying path peaked at 4 and 5 n^2 doubles)
+        import tracemalloc
+
+        n = 400
+        rng = np.random.default_rng(33)
+        w = rng.random((n, 2))
+        y = np.cos(4 * w.sum(axis=1))
+        kernel = kernel.with_amplitude(4.0)
+        fit_gp(kernel, w, y)
+        tracemalloc.start()
+        try:
+            fit_gp(kernel, w, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_observation_raises(self, bad):

@@ -174,13 +174,13 @@ class TestSharedData:
         model = make_model("poisson")
         counts = _counts_for(cfg, model, 0)
         assert counts["mlbq"] == counts["mlmc"] == (20, 8, 2)
-        groups = _build_groups(cfg, model, counts, 0, 0)
+        groups = _build_groups(cfg, model, counts, 0, 0, {})
         assert groups["mlbq"] is groups["mlmc"]  # both estimators consume the same data and hash
 
     def test_distinct_designs_get_distinct_groups(self):
         cfg = config()
         model = make_model("poisson")
-        groups = _build_groups(cfg, model, _counts_for(cfg, model, 0), 0, 0)
+        groups = _build_groups(cfg, model, _counts_for(cfg, model, 0), 0, 0, {})
         (levels_a, hash_a), (levels_b, hash_b) = groups["mlbq"], groups["mlmc"]
         assert levels_a is not levels_b
         assert hash_a != hash_b
@@ -190,9 +190,9 @@ class TestSharedData:
         cfg = config()
         model = make_model("poisson")
         counts = _counts_for(cfg, model, 0)
-        g0 = _build_groups(cfg, model, counts, 0, 0)
-        g0_again = _build_groups(cfg, model, counts, 0, 0)
-        g1 = _build_groups(cfg, model, counts, 0, 1)
+        g0 = _build_groups(cfg, model, counts, 0, 0, {})
+        g0_again = _build_groups(cfg, model, counts, 0, 0, {})
+        g1 = _build_groups(cfg, model, counts, 0, 1, {})
         assert _data_hash(g0["mlmc"][0]) == _data_hash(g0_again["mlmc"][0])
         assert _data_hash(g0["mlmc"][0]) != _data_hash(g1["mlmc"][0])
 
@@ -220,7 +220,7 @@ class TestBuildGroups:
         counts = _counts_for(cfg, model, 0)
         for rep in range(2):
             calls.clear()
-            _build_groups(cfg, model, counts, 0, rep)
+            _build_groups(cfg, model, counts, 0, rep, {})
             assert sorted(calls) == [0, 1, 2]
 
     @pytest.mark.parametrize(
@@ -243,13 +243,31 @@ class TestBuildGroups:
         cfg = config(**overrides)
         model = make_model(cfg.model_name)
         counts = _counts_for(cfg, model, 0)
-        for name, (levels, digest) in _build_groups(cfg, model, counts, 0, 1).items():
+        for name, (levels, digest) in _build_groups(cfg, model, counts, 0, 1, {}).items():
             single = name in harness.SINGLE_LEVEL
             assert [lv.level for lv in levels] == ([model.levels - 1] if single else [0, 1, 2])
             for lv in levels:
                 evaluate = model.evaluate if single else model.increments
                 assert np.array_equal(lv.values, evaluate(lv.level, lv.points))
             assert digest == _data_hash(levels)
+
+    def test_seedless_group_built_once_per_task(self, monkeypatch):
+        # a Halton group's points ignore the seed: 3 designs (one per level) over 5 replications, not 15,
+        # and its points join only the first replication's level evaluations
+        cfg = config(**dict(self.ODE, replications=5))
+        model = make_model("ode")
+        counts, reference = _counts_for(cfg, model, 0), model.reference_integral()
+        one_rep_tasks = [harness._run_cells(cfg, model, reference, 0, counts, range(rep, rep + 1)) for rep in range(5)]
+        designs, evaluated = [], []
+        generate, evaluate = harness.generate_design, OdeHierarchy.evaluate
+        monkeypatch.setattr(harness, "generate_design",
+                            lambda kind, *args, **kw: designs.append(kind) or generate(kind, *args, **kw))
+        monkeypatch.setattr(OdeHierarchy, "evaluate",
+                            lambda self, level, x: evaluated.append(len(x)) or evaluate(self, level, x))
+        assert harness._run_cells(cfg, model, reference, 0, counts, range(5)) == sum(one_rep_tasks, [])
+        assert designs.count("halton") == 3 and designs.count("iid") == 15
+        halton, iid = (20 + 8) + (8 + 3) + 3, (12 + 5) + (5 + 2) + 2  # increments evaluate two levels
+        assert sum(evaluated) == halton + 5 * iid
 
 
 class TestRunExperiment:
@@ -294,7 +312,7 @@ class TestRunExperiment:
         counts = _counts_for(cfg, model, 0)
         for record in run_experiment(cfg):
             est = next(e for e in cfg.estimators if e.name == record.estimator)
-            levels, _ = _build_groups(cfg, model, counts, 0, record.replication)[est.name]
+            levels, _ = _build_groups(cfg, model, counts, 0, record.replication, {})[est.name]
             estimate, variance = harness._run_estimator(cfg, model, est, levels)
             assert (record.estimate, record.variance) == (estimate, variance)
 
@@ -417,7 +435,7 @@ class TestRunExperiment:
         )
         model = make_model("ode")
         counts = validate_budget_accounting(cfg, model)[0]
-        levels, _ = _build_groups(cfg, model, counts, 0, 0)["mlbq"]
+        levels, _ = _build_groups(cfg, model, counts, 0, 0, {})["mlbq"]
         monkeypatch.setattr(gp, "cholesky", counted)
         harness._run_estimator(cfg, model, cfg.estimators[0], levels)
         assert calls == [20, 8, 3]
