@@ -80,25 +80,28 @@ def _chol_with_ladder(matrix, scale, nugget):
             shifted.flat[:: shifted.shape[0] + 1] += current * scale
             return cholesky(shifted), current
         except np.linalg.LinAlgError:
-            nxt = max(current, 1e-12) * 10.0
-            if current >= MAX_NUGGET or nxt > MAX_NUGGET:
-                raise SingularGramError(
-                    f"Gram matrix not positive definite even with nugget {current:g}", current
-                ) from None
-            current = nxt
+            current = _next_rung(current)
+
+
+def _next_rung(failed):
+    """The nugget after ``failed`` on the ladder; ``SingularGramError`` if ``failed`` was the last rung."""
+    nxt = max(failed, 1e-12) * 10.0
+    if failed >= MAX_NUGGET or nxt > MAX_NUGGET:
+        raise SingularGramError(f"Gram matrix not positive definite even with nugget {failed:g}", failed) from None
+    return nxt
 
 
 def _factor(fill, nugget):
     """Cholesky of ``fill() + nugget * I``, a fresh Fortran-order matrix: the ladder's first rung, in place.
 
-    If potrf fails it has written over the matrix, so a second ``fill()`` goes to ``_chol_with_ladder``.
+    If potrf fails it has written over the matrix, so a second ``fill()`` goes to the ladder's next rung.
     """
     matrix = fill()
     matrix.ravel(order="K")[:: matrix.shape[0] + 1] += nugget  # at scale 1, as the ladder adds it
     try:
         return cholesky(matrix), nugget
     except np.linalg.LinAlgError:
-        return _chol_with_ladder(fill(), 1.0, nugget)
+        return _chol_with_ladder(fill(), 1.0, _next_rung(nugget))
 
 
 def _logdet(chol) -> float:

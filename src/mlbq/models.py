@@ -6,15 +6,15 @@ Three hierarchies:
   two-point boundary value problem f'' = 1 on (0, 1) with zero boundary
   values (exact solution omega (omega - 1) / 2, integral -1/12).  Level l
   uses ``interior_nodes[l]`` equispaced interior nodes; the tridiagonal
-  stiffness system is solved once per level and cached, after which
-  evaluation is pure linear interpolation.  In one dimension the Galerkin
+  stiffness system is solved once per level in flux form and cached, after
+  which evaluation is pure linear interpolation.  In one dimension the Galerkin
   solution is exact at the nodes, which doubles as a self-test.
 * ``ode`` -- a two-point problem with random coefficient and forcing:
   (1 + w1 x) u'' + w1 u' = r w2^2 on (0, 1), u(0) = u(1) = 0, with
   w1 ~ Unif(0, 1) and w2 ~ N(0, 1).  Level l solves a backward-difference
   convection / central-difference diffusion scheme with spacing
-  ``spacings[l]`` and reports the trapezoid integral of u.  Solves are
-  batched through a vectorised Thomas algorithm.
+  ``spacings[l]`` and reports the trapezoid integral of u, in closed form
+  as a weighted variance of the flux weights, vectorised over points.
 * ``step`` -- midpoint step-function approximations of the identity on
   [0, 10] under Unif(0, 10) (integral exactly 5 for any breakpoint set);
   the assumption-violation testbed.
@@ -115,37 +115,34 @@ def brownian_rkhs_increment_norm(g: PiecewiseLinearFunction, h: PiecewiseLinearF
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal helpers
+# conservative three-point schemes in flux form
 # ---------------------------------------------------------------------------
 
 
-def _thomas_batch(lower, diag, upper, rhs):
-    """Thomas algorithm vectorised over a trailing batch axis.
+def _row_total(terms):
+    """Each column's sum in row order, so a point's value never depends on its batch neighbours."""
+    if terms.shape[0] > terms.shape[1]:  # cumsum adds in the same order as the loop; faster when tall
+        return np.cumsum(terms, axis=0)[-1]
+    total = terms[0].copy()
+    for row in terms[1:]:
+        total += row
+    return total
 
-    All arrays have shape (m, batch), row i holding equation i of every
-    system, so each elimination step works on contiguous rows
-    (off-diagonals padded to m with an unused final/first entry ignored).
-    The systems here are irreducibly diagonally dominant, so elimination
-    without pivoting is stable; a zero pivot still raises.
+
+def _flux_form(off):
+    """Weights a_k = 1 / off[k] (written over ``off``, shape (m + 1, batch)) and offsets k - kbar.
+
+    Row i = 1..m of the scheme reads off[i-1] (u[i-1] - u[i]) + off[i] (u[i+1] - u[i]) = r, u[0] = u[m+1] = 0.
+    The flux F_k = off[k] (u[k+1] - u[k]) grows by r per row and the differences a_k F_k sum to zero,
+    so F_k = r (k - kbar), kbar the a-weighted mean of k: no elimination, so no pivots.
     """
-    m = diag.shape[0]
-    c = np.empty(diag.shape)
-    d = np.empty(diag.shape)
-    piv = diag[0]
-    if not piv.all():
-        raise ModelError("tridiagonal solve breakdown: zero pivot in first row")
-    np.divide(upper[0], piv, out=c[0])
-    np.divide(rhs[0], piv, out=d[0])
-    for i in range(1, m):
-        piv = diag[i] - lower[i] * c[i - 1]
-        if not piv.all():
-            raise ModelError(f"tridiagonal solve breakdown: zero pivot in row {i}")
-        np.divide(upper[i], piv, out=c[i])
-        np.divide(rhs[i] - lower[i] * d[i - 1], piv, out=d[i])
-    # back substitution overwrites d with the solution, last row first
-    for i in range(m - 2, -1, -1):
-        d[i] -= c[i] * d[i + 1]
-    return d
+    if not off.all():
+        raise ModelError("flux form breakdown: zero flux coefficient")
+    a = np.divide(1.0, off, out=off)
+    # k measured from the middle row: a symmetric a (Poisson) then gives kbar to a few ulps
+    k = np.arange(a.shape[0], dtype=float).reshape(-1, 1) - 0.5 * (a.shape[0] - 1)
+    dev = k * a
+    return a, np.subtract(k, _row_total(dev) / _row_total(a), out=dev)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +225,10 @@ class PoissonHierarchy(MultifidelityModel):
     def _solve_level(p: int) -> PiecewiseLinearFunction:
         delta = 1.0 / (p + 1)
         nodes = np.linspace(delta, 1.0 - delta, p)
-        diag = np.full((p, 1), 2.0 / delta)
-        off = np.full((p, 1), -1.0 / delta)
-        load = np.full((p, 1), delta)  # integral of each hat against forcing 1
-        coeff = _thomas_batch(off, diag, off, -load)[:, 0]
+        # stiffness rows (u[i-1] - u[i] + u[i+1] - u[i]) / delta = delta, the hat's load from forcing 1
+        a, dev = _flux_form(np.full((p + 1, 1), 1.0 / delta))
         bp = np.concatenate([[0.0], nodes, [1.0]])
-        vals = np.concatenate([[0.0], coeff, [0.0]])
+        vals = np.concatenate([[0.0], delta * np.cumsum(dev * a, axis=0)[:-1, 0], [0.0]])
         return PiecewiseLinearFunction(bp, vals)
 
     def level_function(self, level: int) -> PiecewiseLinearFunction:
@@ -273,9 +268,9 @@ class OdeHierarchy(MultifidelityModel):
     The level-l scheme discretises w1 u' with a backward difference and
     (1 + w1 x) u'' with a central difference on a grid of spacing
     ``spacings[l]``; the quantity of interest is the trapezoid integral of
-    u over (0, 1).  The scheme matrix depends on the point only through
-    w1 and the right-hand side only through ``forcing * w2^2``, so batches
-    of points share one vectorised tridiagonal sweep per level; the harness
+    u over (0, 1), in closed form (``_integral_factor``): the scheme depends
+    on the point only through w1 and the right-hand side only through
+    ``forcing * w2^2``, so a batch of points takes one vectorised pass; the harness
     makes one such call per level and replication, on every point it needs.
 
     The reference integral is the mean of a solver refined by
@@ -311,18 +306,16 @@ class OdeHierarchy(MultifidelityModel):
     def _integral_factor(self, h: float, w1: np.ndarray) -> np.ndarray:
         """h * sum_i u_i for unit forcing, per coefficient value w1.
 
-        Solutions scale linearly in the right-hand side, so the full
-        evaluation is ``forcing * w2^2`` times this factor.
+        The scheme is ``_flux_form``'s with off[k] = k w1 / h + 1 / h^2 and r = 1, so the sum is
+        -h sum_k a_k (k - kbar)^2, a weighted variance whose terms do not cancel.  Solutions are
+        linear in the right-hand side: the full evaluation is ``forcing * w2^2`` times this factor.
         """
-        m = round(1.0 / h) - 1
-        i = np.arange(1, m + 1, dtype=float).reshape(-1, 1)
-        w1 = np.asarray(w1, dtype=float).reshape(1, -1)
-        diag = (1.0 - 2.0 * i) * w1 / h - 2.0 / h**2
-        # row k is k w1 / h + 1 / h^2: row i's sub-diagonal is row i - 1's super-diagonal
-        off = np.arange(m + 1, dtype=float).reshape(-1, 1) * w1 / h + 1.0 / h**2
-        u = _thomas_batch(off[:-1], diag, off[1:], np.broadcast_to(1.0, diag.shape))
-        # each system summed pairwise along a contiguous row; u.sum(axis=0) would move last bits
-        return h * np.ascontiguousarray(u.T).sum(axis=1)
+        k = np.arange(round(1.0 / h), dtype=float).reshape(-1, 1)
+        off = k * np.asarray(w1, dtype=float).reshape(1, -1) / h + 1.0 / h**2
+        a, dev = _flux_form(off)
+        dev *= dev
+        dev *= a
+        return -h * _row_total(dev)
 
     def _evaluate_spacing(self, h: float, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -344,9 +337,9 @@ class OdeHierarchy(MultifidelityModel):
         """(reference integral, error bound); computed on first use.
 
         The value is the 32-node Gauss-Legendre rule in w1 (E[w2^2] = 1);
-        one solve covers its nodes and the 16-node rule's.  The bound adds
-        the two rules' distance to m^2 eps |value| (m = 1 / h), a bound on
-        the roundoff of the tridiagonal solves, which dominates at h = 1/1024.
+        one pass covers its nodes and the 16-node rule's.  The bound adds the
+        two rules' distance to m^2 eps |value| (m = 1 / h), sized for an
+        elimination solve's roundoff; the closed form's is a few eps, far below.
         """
         if self._reference is None:
             h = self.spacings[-1] / self.reference_refine

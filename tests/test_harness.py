@@ -354,10 +354,10 @@ class TestRunExperiment:
         """
         root = Path(__file__).resolve().parents[1]
         golden = {
-            "configs/ode_budgets.json": "bea1ea2e30f747ac",
-            "configs/poisson_budgets.json": "e281ad53df37d8c1",
-            "configs/poisson_calibration.json": "7a4dee2d813c1a01",
-            "perfbench/ode_matern_lhs.json": "dcf3cfb44470ae09",
+            "configs/ode_budgets.json": "a79b459c84557b9a",
+            "configs/poisson_budgets.json": "b50572fe1fbf35b6",
+            "configs/poisson_calibration.json": "0738e35f27938bc6",
+            "perfbench/ode_matern_lhs.json": "18acc137f16fc381",
         }
         script = (
             "import dataclasses, hashlib, sys\n"

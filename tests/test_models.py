@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from mlbq.models import (
     PoissonHierarchy,
     StepHierarchy,
     POISSON_EXACT_INTEGRAL,
-    _thomas_batch,
     brownian_rkhs_increment_norm,
     make_model,
     poisson_exact_solution,
@@ -149,9 +149,9 @@ class TestOde:
         assert again.reference_info() == (value, err)
 
     def test_reference_bit_identical_to_pinned_values(self):
-        # both Gauss-Legendre rules share one solve; the value and bound keep every bit
+        # both Gauss-Legendre rules share one pass; the value and bound keep every bit
         value, err = OdeHierarchy().reference_info()
-        assert (float(value).hex(), float(err).hex()) == ("-0x1.b57839e910297p+1", "0x1.b57f59e910297p-31")
+        assert (float(value).hex(), float(err).hex()) == ("-0x1.b57839e9103f6p+1", "0x1.b57859e9103f6p-31")
 
     def test_rejects_bad_points(self):
         with pytest.raises(ModelError, match="2-d"):
@@ -162,43 +162,18 @@ class TestOde:
             OdeHierarchy(spacings=(0.3, 0.1, 0.05), costs=(1.0, 2.0, 3.0))
 
 
-class TestThomas:
-    # two systems side by side, shape (m, batch); the second is well posed
-    def systems(self, diag_first):
-        lower = np.ones((3, 2))
-        upper = np.ones((3, 2))
-        diag = np.array([[diag_first[0], 4.0], [diag_first[1], 4.0], [diag_first[2], 4.0]])
-        return lower, diag, upper, np.ones((3, 2))
-
-    def test_zero_pivot_in_first_row(self):
-        with pytest.raises(ModelError, match="zero pivot in first row"):
-            _thomas_batch(*self.systems((0.0, 1.0, 1.0)))
-
-    def test_zero_pivot_in_a_later_row(self):
-        # pivots 2, 1.5 - 1/2 = 1, then 1 - 1/1 = 0
-        with pytest.raises(ModelError, match="zero pivot in row 2"):
-            _thomas_batch(*self.systems((2.0, 1.5, 1.0)))
-
-    def test_solves_each_column(self):
-        lower, diag, upper, rhs = self.systems((2.0, 3.0, 2.0))
-        x = _thomas_batch(lower, diag, upper, rhs)
-        for k in range(2):
-            dense = np.diag(diag[:, k]) + np.diag(upper[:-1, k], 1) + np.diag(lower[1:, k], -1)
-            np.testing.assert_allclose(dense @ x[:, k], rhs[:, k], rtol=1e-14)
-
-
 class TestOdeIntegralFactor:
     W1 = np.array([0.0, 0.1, 0.37, 0.5, 1.0])
-    # float.hex of the (batch, m) column-at-a-time solver's values; records depend on every bit
+    # float.hex of the closed form's values; records depend on every bit
     PINNED = {
-        8: ["-0x1.5000000000000p-4", "-0x1.4219de87575b3p-4", "-0x1.230af8fc40160p-4",
-            "-0x1.16a6bad351ff8p-4", "-0x1.e27b68c461a4ap-5"],
-        32: ["-0x1.54ffffffffff2p-4", "-0x1.45714fb4284aap-4", "-0x1.2316f31163558p-4",
-             "-0x1.15887f892d9f8p-4", "-0x1.da2ebdfb29042p-5"],
-        128: ["-0x1.554ffffffffc7p-4", "-0x1.4560a16ff49c0p-4", "-0x1.224830d4629e8p-4",
-              "-0x1.147747625f16dp-4", "-0x1.d6b71978f49a5p-5"],
-        1024: ["-0x1.55553fffffaf4p-4", "-0x1.454a7f424b0a1p-4", "-0x1.21fc663a7256ep-4",
-               "-0x1.1418ccbdf9edcp-4", "-0x1.d59ac15b5d9eep-5"],
+        8: ["-0x1.5000000000000p-4", "-0x1.4219de87575b1p-4", "-0x1.230af8fc40162p-4",
+            "-0x1.16a6bad351ff7p-4", "-0x1.e27b68c461a47p-5"],
+        32: ["-0x1.5500000000000p-4", "-0x1.45714fb4284abp-4", "-0x1.2316f31163568p-4",
+             "-0x1.15887f892d9f5p-4", "-0x1.da2ebdfb29039p-5"],
+        128: ["-0x1.5550000000000p-4", "-0x1.4560a16ff498ap-4", "-0x1.224830d462a22p-4",
+              "-0x1.147747625f120p-4", "-0x1.d6b71978f4989p-5"],
+        1024: ["-0x1.5555400000000p-4", "-0x1.454a7f424ab88p-4", "-0x1.21fc663a72712p-4",
+               "-0x1.1418ccbdf99c7p-4", "-0x1.d59ac15b5d5cap-5"],
     }
 
     @pytest.mark.parametrize("steps", sorted(PINNED))
@@ -219,7 +194,36 @@ class TestOdeIntegralFactor:
             expected = h * solve_banded((1, 1), banded, np.ones(steps - 1)).sum()
             assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("steps", [8, 32, 128])
+    @staticmethod
+    def _thomas_at_50_digits(h, w1):
+        # the same discrete system, eliminated in 50-digit decimal arithmetic from the float inputs
+        with localcontext() as ctx:
+            ctx.prec = 50
+            h, w1 = Decimal(h), Decimal(float(w1))
+            off = [k * w1 / h + 1 / (h * h) for k in range(round(1 / h))]
+            c, d = [Decimal(0)], [Decimal(0)]
+            for i in range(1, len(off)):
+                lower, upper = off[i - 1], off[i]
+                pivot = -(lower + upper) - lower * c[-1]
+                c.append(upper / pivot)
+                d.append((1 - lower * d[-1]) / pivot)
+            u = [d[-1]]
+            for i in range(len(off) - 2, 0, -1):
+                u.append(d[i] - c[i] * u[-1])
+            return float(h * sum(u))
+
+    @pytest.mark.parametrize("steps", sorted(PINNED))
+    def test_matches_exact_arithmetic_solve(self, steps):
+        factor = OdeHierarchy()._integral_factor(1.0 / steps, self.W1)
+        expected = [self._thomas_at_50_digits(1.0 / steps, w1) for w1 in self.W1]
+        np.testing.assert_allclose(factor, expected, rtol=1e-14, atol=0.0)
+
+    def test_zero_flux_coefficient_raises_model_error(self):
+        # w1 = -2 at h = 1/8: off[4] = 4 w1 / h + 1 / h^2 = 0
+        with pytest.raises(ModelError, match="ode spacing 0.125: flux form breakdown: zero flux coefficient"):
+            OdeHierarchy().evaluate(0, [[-2.0, 1.0], [0.5, 1.0]])
+
+    @pytest.mark.parametrize("steps", [8, 32, 128, 1024])
     def test_batched_columns_equal_lone_solves(self, steps):
         # the harness evaluates a level once on every group's points, so a column
         # must not depend on its batch neighbours
