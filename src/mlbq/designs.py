@@ -92,24 +92,18 @@ def _through_marginal(u: np.ndarray, marginal) -> np.ndarray:
     return ndtri(u)
 
 
-def generate_design(kind: str, measure: ProductMeasure, n: int, seed=None, sampling_measure=None) -> Design:
+def generate_design(kind: str, measure: ProductMeasure, n: int, seed=None) -> Design:
     """Generate an n-point design for the given product measure.
 
-    ``sampling_measure`` (iid only) draws the points from a different
-    product measure than the integration measure -- the deliberately
-    mismatched design used in the assumption-violation study.  Grid
-    designs need bounded marginals and, in d > 1, an n that is a perfect
-    d-th power.
+    Grid designs need bounded marginals and, in d > 1, an n that is a
+    perfect d-th power.
     """
     kind = kind.lower()
     if kind not in DESIGN_KINDS:
         raise ValueError(f"unknown design kind {kind!r}; choose from {DESIGN_KINDS}")
     if n < 1:
         raise ValueError(f"need n >= 1 points, got {n}")
-    if sampling_measure is not None and kind != "iid":
-        raise ValueError("a separate sampling measure only makes sense for iid designs")
     d = measure.dim
-    meta = {}
 
     if kind == "grid":
         if not measure.is_bounded():
@@ -121,29 +115,22 @@ def generate_design(kind: str, measure: ProductMeasure, n: int, seed=None, sampl
                 for m in measure.marginals]
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.column_stack([ax.reshape(-1) for ax in mesh])
-        meta["points_per_dim"] = per_dim
-        return Design("grid", points, None, meta)
+        return Design("grid", points, None, {"points_per_dim": per_dim})
 
     if kind == "halton":
         u = halton_sequence(n, d)
         cols = [_through_marginal(u[:, j], m) for j, m in enumerate(measure.marginals)]
-        return Design("halton", np.column_stack(cols), None, meta)
+        return Design("halton", np.column_stack(cols))
 
     rng = _rng(seed)
-    source = measure if sampling_measure is None else sampling_measure
-    if sampling_measure is not None:
-        if sampling_measure.dim != d:
-            raise ValueError("sampling measure dimension mismatch")
-        meta["sampling_measure"] = sampling_measure
-
     if kind == "iid":
         cols = []
-        for m in source.marginals:
+        for m in measure.marginals:
             if isinstance(m, Uniform):
                 cols.append(m.a + (m.b - m.a) * rng.random(n))
             else:
                 cols.append(rng.standard_normal(n))
-        return Design("iid", np.column_stack(cols), seed, meta)
+        return Design("iid", np.column_stack(cols), seed)
 
     # lhs: permuted strata with uniform within-stratum jitter, per dimension
     cols = []
@@ -151,7 +138,7 @@ def generate_design(kind: str, measure: ProductMeasure, n: int, seed=None, sampl
         strata = rng.permutation(n)
         u = (strata + rng.random(n)) / n
         cols.append(_through_marginal(u, m))
-    return Design("lhs", np.column_stack(cols), seed, meta)
+    return Design("lhs", np.column_stack(cols), seed)
 
 
 def fill_distance(design: Design, measure: ProductMeasure, resolution: int = 1000) -> float:

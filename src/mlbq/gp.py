@@ -40,6 +40,8 @@ __all__ = [
 # Nugget ladder: relative jitter starts at the caller value and is
 # multiplied by 10 on each Cholesky failure, up to this ceiling.
 MAX_NUGGET = 1e-4
+# Lengthscale search: log-grid points, golden-section tolerance in log-lengthscale, rounds over the axes.
+GRID_SIZE, REL_TOL, SWEEPS = 32, 1e-4, 3
 
 
 class SingularGramError(np.linalg.LinAlgError):
@@ -240,14 +242,14 @@ def profiled_log_marginal_likelihood(kernel: Kernel, points, y, nugget=1e-10) ->
     return _profiled(unit.chol, unit.residual)
 
 
-def _golden_max(fn, lo, hi, rel_tol):
+def _golden_max(fn, lo, hi):
     """Golden-section maximisation on [lo, hi] (works in log-lengthscale)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while (b - a) > rel_tol:
+    while (b - a) > REL_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -300,16 +302,16 @@ def _axis_objective(kernel, axis, packed, resid, nugget):
     return objective
 
 
-def _optimise_axis(kernel, axis, packed, resid, bounds, nugget, grid_size, rel_tol):
+def _optimise_axis(kernel, axis, packed, resid, bounds, nugget):
     """1-d profiled-LML search over the lengthscale of one factor (``axis=None``: all tied)."""
     objective = _axis_objective(kernel, axis, packed, resid, nugget)
     lo, hi = math.log(bounds[0]), math.log(bounds[1])
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, GRID_SIZE)
     vals = np.array([objective(g) for g in grid])
     best = int(np.argmax(vals))
     left = grid[max(best - 1, 0)]
-    right = grid[min(best + 1, grid_size - 1)]
-    g = math.exp(_golden_max(objective, left, right, rel_tol))
+    right = grid[min(best + 1, GRID_SIZE - 1)]
+    g = math.exp(_golden_max(objective, left, right))
     if axis is None:
         return kernel.with_lengthscales(g)
     ls = list(kernel.lengthscales)
@@ -317,9 +319,7 @@ def _optimise_axis(kernel, axis, packed, resid, bounds, nugget, grid_size, rel_t
     return kernel.with_lengthscales(ls)
 
 
-def _fit_lengthscales(
-    kernel, points, y, bounds, per_dimension=False, nugget=1e-10, grid_size=32, rel_tol=1e-4, sweeps=3
-) -> Kernel:
+def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=1e-10) -> Kernel:
     """The lengthscale search of :func:`fit_hyperparameters`; the amplitude is left as it is.
 
     Set up once per call.  An axis search reads neither its own factor's lengthscale nor the amplitude,
@@ -336,11 +336,11 @@ def _fit_lengthscales(
         return fitted
     per_axis = per_dimension and kernel.dim > 1
     packed, searched = _packed_pairs(w), {}  # searched: (axis, the other factors) -> fitted kernel
-    for _ in range(sweeps if per_axis else 1):
+    for _ in range(SWEEPS if per_axis else 1):
         for axis in range(kernel.dim) if per_axis else [None]:
             key = (axis, tuple(f for j, f in enumerate(fitted.factors) if j != axis))
             if key not in searched:
-                searched[key] = _optimise_axis(fitted, axis, packed, resid, (lo, hi), nugget, grid_size, rel_tol)
+                searched[key] = _optimise_axis(fitted, axis, packed, resid, (lo, hi), nugget)
             fitted = searched[key]
     return fitted
 
@@ -361,20 +361,17 @@ def fit_hyperparameters(
     bounds,
     per_dimension=False,
     nugget=1e-10,
-    grid_size=32,
-    rel_tol=1e-4,
-    sweeps=3,
 ) -> Kernel:
     """Fit lengthscale(s) and amplitude by profiled marginal likelihood.
 
-    The search is a 32-point log-space grid over ``bounds`` followed by
-    golden-section refinement (relative tolerance ``rel_tol``), cycled over
-    dimensions for ``sweeps`` rounds when ``per_dimension`` is set.  It is
-    derivative-free and deterministic given its inputs.  The returned
-    kernel carries the optimal lengthscales and amplitude sigma*^2.
+    The search is a ``GRID_SIZE``-point log-space grid over ``bounds``
+    followed by golden-section refinement to ``REL_TOL`` in log-lengthscale,
+    cycled over dimensions for ``SWEEPS`` rounds when ``per_dimension`` is
+    set.  It is derivative-free and deterministic given its inputs.  The
+    returned kernel carries the optimal lengthscales and amplitude sigma*^2.
 
     Flat objectives (residuals identically zero, so any lengthscale is
     admissible) tie-break to the geometric midpoint of ``bounds``.
     """
-    fitted = _fit_lengthscales(kernel, points, y, bounds, per_dimension, nugget, grid_size, rel_tol, sweeps)
+    fitted = _fit_lengthscales(kernel, points, y, bounds, per_dimension, nugget)
     return _profiled_fit(fitted, points, y, nugget).kernel

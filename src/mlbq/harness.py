@@ -454,49 +454,35 @@ def _data_hash(levels) -> str:
 
 
 def _build_groups(cfg, model, counts_by_est, budget_index, replication, seedless):
-    """Each estimator's (level data, data hash); each distinct (design, counts, mode) group is built once.
+    """Each estimator's (level data, data hash); each distinct (design, counts, single-level) group is built once.
 
-    All designs come first, then one ``model.evaluate`` call per level on every point any group needs
-    there; an increment is ``fine - coarse``, as in ``MultifidelityModel.increments``.  Estimators in
-    one group get the same pair object.  A grid or Halton group is taken from ``seedless`` (the task's
-    store, filled here) when an earlier replication built it; its points join no evaluation again.
+    A group draws each level's design and evaluates it there: ``model.increments`` for multilevel
+    estimators, the top level for single-level ones.  Estimators in one group get the same pair object.
+    A grid or Halton group is taken from ``seedless`` (the task's store, filled here) when an earlier
+    replication built it.
     """
     costs = _model_costs(cfg, model)
-    design_of = {est.name: est.design for est in cfg.estimators}
     keys = {
-        name: (design_of[name], counts, "top" if name in SINGLE_LEVEL else "increments")
-        for name, counts in counts_by_est.items()
+        est.name: (est.design, counts_by_est[est.name], est.name in SINGLE_LEVEL)
+        for est in cfg.estimators
+        if est.name in counts_by_est
     }
     top = model.levels - 1
-    designs = {}
-    wanted = [[] for _ in range(model.levels)]  # per level, the point sets to evaluate there, in the order read below
+    groups = dict(seedless)
     for gi, key in enumerate(sorted(set(keys.values()))):
-        design_kind, counts, mode = key
+        design_kind, counts, single = key
         if key in seedless:
             continue
+        levels = []
         # single-level estimators sample the top level itself; the others sample increments
-        level_ids = [top] if mode == "top" else range(len(counts))
-        designs[key] = []
-        for level, n in zip(level_ids, counts):
+        for level, n in zip([top] if single else range(len(counts)), counts):
             seed = np.random.SeedSequence(cfg.seed, spawn_key=(budget_index, replication, gi, level))
             points = generate_design(design_kind, model.measure, n, seed=seed).points
-            designs[key].append((level, points))
-            wanted[level].append(points)
-            if mode == "increments" and level > 0:
-                wanted[level - 1].append(points)
-    values = {level: iter(np.split(model.evaluate(level, np.concatenate(sets)), np.cumsum([len(p) for p in sets[:-1]])))
-              for level, sets in enumerate(wanted) if sets}
-    groups = dict(seedless)
-    for key, sampled in designs.items():
-        levels = []
-        for level, points in sampled:
-            f = next(values[level])
-            if key[2] == "increments" and level > 0:
-                f = f - next(values[level - 1])
-            levels.append(LevelData(level, points, f, costs[level]))
+            values = model.evaluate(top, points) if single else model.increments(level, points)
+            levels.append(LevelData(level, points, values, costs[level]))
         digest = _data_hash(levels)
         groups[key] = levels, digest
-        if key[0] in SEEDLESS_DESIGNS:
+        if design_kind in SEEDLESS_DESIGNS:
             seedless[key] = groups[key]
         log.debug("cell budget=%s rep=%s group=%s hash=%s", cfg.budgets[budget_index], replication, key, digest)
     return {name: groups[key] for name, key in keys.items()}
@@ -527,8 +513,8 @@ def _run_estimator(cfg, model, est: EstimatorSpec, levels):
 def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, counts_by_est, replications):
     """One budget's records for ``replications``, in (replication, estimator) order.
 
-    Each replication's level data come from one ``_build_groups`` call, one model evaluation per level;
-    grid and Halton groups are built in the task's first replication only.
+    Each replication's level data come from one ``_build_groups`` call; grid and Halton groups are
+    built in the task's first replication only.
     A cell repeating an earlier successful cell's estimator and data hash reuses its
     (estimate, variance); failures are not stored, so every replication reports its own.
     """

@@ -121,12 +121,9 @@ def brownian_rkhs_increment_norm(g: PiecewiseLinearFunction, h: PiecewiseLinearF
 
 def _row_total(terms):
     """Each column's sum in row order, so a point's value never depends on its batch neighbours."""
-    if terms.shape[0] > terms.shape[1]:  # cumsum adds in the same order as the loop; faster when tall
+    if terms.shape[0] > terms.shape[1]:  # cumsum adds in order; axis-0 reduce sums one column pairwise
         return np.cumsum(terms, axis=0)[-1]
-    total = terms[0].copy()
-    for row in terms[1:]:
-        total += row
-    return total
+    return np.add.reduce(terms, axis=0)  # adds a C-order array's rows in turn
 
 
 def _flux_form(off):
@@ -270,8 +267,7 @@ class OdeHierarchy(MultifidelityModel):
     ``spacings[l]``; the quantity of interest is the trapezoid integral of
     u over (0, 1), in closed form (``_integral_factor``): the scheme depends
     on the point only through w1 and the right-hand side only through
-    ``forcing * w2^2``, so a batch of points takes one vectorised pass; the harness
-    makes one such call per level and replication, on every point it needs.
+    ``forcing * w2^2``, so a batch of points takes one vectorised pass.
 
     The reference integral is the mean of a solver refined by
     ``reference_refine`` relative to the top level.  Since E[w2^2] = 1 it

@@ -90,16 +90,6 @@ class TestGeneration:
         pts = generate_design("iid", m, 4000, seed=3).points
         assert abs(pts.mean()) < 0.1 and abs(pts.std() - 1.0) < 0.1
 
-    def test_mismatched_sampling_measure(self):
-        # the deliberately bad design: sample from a different distribution
-        target = ProductMeasure.uniform(0.0, 10.0)
-        lower_half = ProductMeasure.uniform(0.0, 5.0)
-        d = generate_design("iid", target, 40, seed=4, sampling_measure=lower_half)
-        assert np.all(d.points <= 5.0)
-        assert d.metadata["sampling_measure"] == lower_half
-        with pytest.raises(ValueError, match="iid"):
-            generate_design("grid", target, 4, sampling_measure=lower_half)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown design kind"):
             generate_design("sobol", U01, 4)

@@ -206,23 +206,6 @@ class TestBuildGroups:
         allocation={"source": "table", "table": [{"mlbq": [20, 8, 3], "mlmc": [12, 5, 2]}]},
     )
 
-    def test_one_model_evaluation_per_level(self, monkeypatch):
-        calls = []
-        original = OdeHierarchy.evaluate
-
-        def counted(self, level, points):
-            calls.append(level)
-            return original(self, level, points)
-
-        monkeypatch.setattr(OdeHierarchy, "evaluate", counted)
-        cfg = config(**self.ODE)
-        model = make_model("ode")
-        counts = _counts_for(cfg, model, 0)
-        for rep in range(2):
-            calls.clear()
-            _build_groups(cfg, model, counts, 0, rep, {})
-            assert sorted(calls) == [0, 1, 2]
-
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -346,7 +329,7 @@ class TestRunExperiment:
             assert filecmp.cmp(serial, parallel, shallow=False)
 
     def test_golden_record_hashes(self, tmp_path):
-        """The records' sha256 prefixes at 4 replications, one BLAS thread, serial.
+        """The records' sha256 prefixes at 4 replications, one BLAS thread, serial and with two jobs.
 
         A change that moves records updates these hashes and says which bits
         moved, and why, in CHANGES.md.  OpenBLAS reads OPENBLAS_NUM_THREADS
@@ -364,8 +347,10 @@ class TestRunExperiment:
             "from mlbq.harness import load_config, run_experiment, write_records_csv\n"
             "out = sys.argv[1]\n"
             "for path in sys.argv[2:]:\n"
-            "    write_records_csv(run_experiment(dataclasses.replace(load_config(path), replications=4)), out)\n"
-            "    print(path, hashlib.sha256(open(out, 'rb').read()).hexdigest()[:16])\n"
+            "    for jobs in (1, 2):\n"
+            "        records = run_experiment(dataclasses.replace(load_config(path), replications=4), jobs=jobs)\n"
+            "        write_records_csv(records, out)\n"
+            "        print(path, jobs, hashlib.sha256(open(out, 'rb').read()).hexdigest()[:16])\n"
         )
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -375,7 +360,7 @@ class TestRunExperiment:
             env=env, capture_output=True, text=True, timeout=300, check=True,
         )
         hashes = dict(line.rsplit(" ", 1) for line in done.stdout.splitlines())
-        assert hashes == {path: golden[name] for path, name in zip(paths, golden)}
+        assert hashes == {f"{path} {jobs}": golden[name] for path, name in zip(paths, golden) for jobs in (1, 2)}
 
     def test_reference_computed_once_per_sweep(self, monkeypatch):
         # one solve at the reference spacing covers both Gauss-Legendre rules

@@ -225,12 +225,12 @@ class TestOdeIntegralFactor:
 
     @pytest.mark.parametrize("steps", [8, 32, 128, 1024])
     def test_batched_columns_equal_lone_solves(self, steps):
-        # the harness evaluates a level once on every group's points, so a column
-        # must not depend on its batch neighbours
+        # a column must not depend on its batch neighbours; the scheme has `steps` rows, and
+        # `_row_total` switches from cumsum to the axis-0 reduction once the batch is that wide
         model, h = OdeHierarchy(), 1.0 / steps
-        w1 = np.random.default_rng(steps).uniform(size=848)
+        w1 = np.random.default_rng(steps).uniform(size=max(848, steps + 1))
         alone = np.array([model._integral_factor(h, w1[k : k + 1])[0] for k in range(w1.size)])
-        for width in (1, 15, 830):
+        for width in (1, 15, 830, steps - 1, steps, steps + 1):
             assert np.array_equal(model._integral_factor(h, w1[:width]), alone[:width])
         assert np.array_equal(model._integral_factor(h, w1[830:]), alone[830:])
         assert np.array_equal(model._integral_factor(h, np.concatenate([w1[:830], w1[830:]])), alone)
