@@ -23,8 +23,6 @@ from .gp import (
     SingularGramError,
     fit_gp,
     fit_hyperparameters,
-    gp_posterior_at,
-    log_marginal_likelihood,
     mle_amplitude,
     profiled_log_marginal_likelihood,
 )

@@ -1,9 +1,9 @@
-"""Zero-mean Gaussian process conditioning, marginal likelihood and hyperparameters.
+"""Zero-mean Gaussian process conditioning, profiled likelihood and hyperparameters.
 
 Everything works from one factor L = chol(C + nu I) of the unit-amplitude Gram
 matrix C, the nugget nu being relative to the amplitude: sigma L factors
 sigma^2 (C + nu I), so one factorisation gives the amplitude MLE, the
-likelihoods and the fit at any amplitude.  Each factorisation is LAPACK potrf
+profiled likelihood and the fit at any amplitude.  Each factorisation is LAPACK potrf
 on the lower triangle.  A fit holds one n x n array: the Gram matrix, factored
 and rescaled in place; only the nugget ladder, when potrf fails, copies, and it
 never writes the caller's matrix.  Per level, the amplitude is chosen in closed
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .kernels import Kernel, Matern, SquaredExponential, as_points, gram
@@ -30,8 +30,6 @@ __all__ = [
     "GPFit",
     "SingularGramError",
     "fit_gp",
-    "gp_posterior_at",
-    "log_marginal_likelihood",
     "mle_amplitude",
     "profiled_log_marginal_likelihood",
     "fit_hyperparameters",
@@ -184,42 +182,6 @@ def fit_gp(kernel: Kernel, points, y, nugget=1e-10) -> GPFit:
     return _scaled(GPFit(kernel, w, resid, chol, cho_solve((chol, True), resid), used), kernel)
 
 
-def gp_posterior_at(fit: GPFit, x):
-    """Posterior mean and variance at one point or a batch of points.
-
-    Variances are clamped to zero when roundoff drives them into
-    ``(-1e-10 * amplitude, 0)``.
-    """
-    pts = as_points(x, fit.kernel.dim)
-    cross = gram(fit.kernel, pts, fit.points)
-    mean = cross @ fit.weights
-    half = solve_triangular(fit.chol, cross.T, lower=True)
-    prior = np.full(pts.shape[0], fit.kernel.amplitude)
-    for j, f in enumerate(fit.kernel.factors):
-        prior *= f.corr(pts[:, j], pts[:, j])
-    var = prior - np.sum(half * half, axis=0)
-    amp = fit.kernel.amplitude
-    var = np.where((var < 0) & (var > -1e-10 * amp), 0.0, var)
-    arr_in = np.asarray(x)
-    single = arr_in.ndim == 0 or (arr_in.ndim == 1 and fit.kernel.dim > 1 and arr_in.size == fit.kernel.dim)
-    if single:
-        return float(mean[0]), float(var[0])
-    return mean, var
-
-
-def log_marginal_likelihood(kernel: Kernel, points, y, nugget=1e-10) -> float:
-    """Standard Gaussian marginal log-likelihood.
-
-    -1/2 r' K^-1 r - 1/2 log|K| - n/2 log(2 pi), where K is the full
-    covariance including the amplitude and the nugget, and the log
-    determinant comes off the Cholesky diagonal.
-    """
-    if kernel.amplitude == 0.0:
-        raise SingularGramError("a zero-amplitude prior has no density", nugget)
-    fit = fit_gp(kernel, points, y, nugget)
-    return float(-0.5 * fit.residual @ fit.weights - 0.5 * _logdet(fit.chol) - 0.5 * fit.n * math.log(2 * math.pi))
-
-
 def mle_amplitude(kernel: Kernel, points, y, nugget=1e-10) -> float:
     """Closed-form amplitude MLE sigma* = sqrt(r' C^-1 r / n).
 
@@ -234,9 +196,9 @@ def mle_amplitude(kernel: Kernel, points, y, nugget=1e-10) -> float:
 def profiled_log_marginal_likelihood(kernel: Kernel, points, y, nugget=1e-10) -> float:
     """Marginal log-likelihood with the amplitude profiled out in closed form.
 
-    Equals ``log_marginal_likelihood`` at amplitude sigma*^2 and is the
-    objective the lengthscale search maximises.  Degenerates to +inf as the
-    residual vanishes, so all-zero residuals are special-cased by callers.
+    Equals the full Gaussian log-likelihood (``oracles.lml_dense``) at
+    amplitude sigma*^2 and is the objective the lengthscale search maximises.
+    Degenerates to +inf as the residual vanishes, so all-zero residuals are special-cased by callers.
     """
     unit = fit_gp(kernel.with_amplitude(1.0), points, y, nugget)
     return _profiled(unit.chol, unit.residual)

@@ -49,6 +49,7 @@ formula sources.  ``kernel.family`` is ``matern``, ``se`` or ``brownian``.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import logging
@@ -547,6 +548,25 @@ def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, count
     return records
 
 
+def _pin_blas_threads():
+    """Set each OpenBLAS build loaded here to one thread; return its (set call, old count)s, [] if none is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    pinned = []
+    for lib in map(ctypes.CDLL, paths):
+        for suffix in ("64_", ""):  # numpy's build (64-bit integers), scipy's build
+            name = f"scipy_openblas_%s_num_threads{suffix}"
+            if hasattr(lib, name % "set"):
+                set_threads, get_threads = getattr(lib, name % "set"), getattr(lib, name % "get")
+                set_threads.argtypes, get_threads.restype = [ctypes.c_int], ctypes.c_int
+                pinned.append((set_threads, get_threads()))
+                set_threads(1)
+    return pinned
+
+
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
     """Run the configured sweep; deterministic given the config.
 
@@ -555,30 +575,39 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
     they are.  Within a task a repeated cell (same estimator, same level
     data) is computed once and then reused; reuse is exact, so how the
     replications are split into tasks does not change the records.  With
-    ``jobs > 1`` the tasks run in worker processes and
-    their records are collected in submission order, which is (budget,
-    replication, estimator) order, so the parallel run produces
-    byte-identical output to the serial one.
+    ``jobs > 1`` the tasks run in worker processes and their records are
+    collected in submission order, which is (budget, replication, estimator)
+    order, so the parallel run produces byte-identical output to the serial
+    one.  The sweep and its workers run at one BLAS thread, because LAPACK's
+    blocking follows the thread count and would move the records' low bits;
+    the old counts are restored after.
     """
-    model = make_model(cfg.model_name, **cfg.model_params)
-    counts = validate_budget_accounting(cfg, model)
-    if any(est.name in BAYESIAN for est in cfg.estimators):
-        try:
-            cfg.kernel.base_kernel(model.dim)
-        except ValueError as exc:
-            raise ConfigError(f"kernel: {exc}") from exc
-    reference = model.reference_integral()
-    chunk = max(1, math.ceil(cfg.replications / max(jobs, 1)))
-    tasks = [
-        (cfg, model, reference, bi, counts[bi], range(start, min(start + chunk, cfg.replications)))
-        for bi in range(len(cfg.budgets))
-        for start in range(0, cfg.replications, chunk)
-    ]
-    if jobs <= 1:
-        return [record for task in tasks for record in _run_cells(*task)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_cells, *task) for task in tasks]
-        return [record for fut in futures for record in fut.result()]
+    pinned = _pin_blas_threads()
+    if not pinned:
+        log.warning("no OpenBLAS thread control found: the records may depend on the BLAS thread count")
+    try:
+        model = make_model(cfg.model_name, **cfg.model_params)
+        counts = validate_budget_accounting(cfg, model)
+        if any(est.name in BAYESIAN for est in cfg.estimators):
+            try:
+                cfg.kernel.base_kernel(model.dim)
+            except ValueError as exc:
+                raise ConfigError(f"kernel: {exc}") from exc
+        reference = model.reference_integral()
+        chunk = max(1, math.ceil(cfg.replications / max(jobs, 1)))
+        tasks = [
+            (cfg, model, reference, bi, counts[bi], range(start, min(start + chunk, cfg.replications)))
+            for bi in range(len(cfg.budgets))
+            for start in range(0, cfg.replications, chunk)
+        ]
+        if jobs <= 1:
+            return [record for task in tasks for record in _run_cells(*task)]
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas_threads) as pool:
+            futures = [pool.submit(_run_cells, *task) for task in tasks]
+            return [record for fut in futures for record in fut.result()]
+    finally:
+        for set_threads, count in pinned:
+            set_threads(count)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,15 @@ from mlbq.gp import (
     _packed_pairs,
     fit_gp,
     fit_hyperparameters,
-    gp_posterior_at,
-    log_marginal_likelihood,
     mle_amplitude,
     profiled_log_marginal_likelihood,
 )
-from mlbq.kernels import BrownianMotion, Kernel, Matern, SquaredExponential, gram
+from mlbq.kernels import BrownianMotion, Kernel, Matern, ProductMeasure, SquaredExponential, gram
 from mlbq.oracles import lml_dense
+from mlbq.quadrature import bq_posterior
 
 M12 = Kernel.matern(0.5, 1.0)
+U01 = ProductMeasure.uniform(0.0, 1.0)
 
 
 def gp_sample(kernel, points, seed):
@@ -34,19 +34,19 @@ class TestFitGp:
     def test_zero_centered_data_gives_zero_weights(self):
         fit = fit_gp(M12, [0.1, 0.8], [0.0, 0.0], nugget=0.0)
         assert np.all(fit.weights == 0.0)
-        mean, var = gp_posterior_at(fit, 0.4)
-        assert mean == 0.0
-        assert var > 0.0
+        post = bq_posterior(fit, U01)
+        assert post.mean == 0.0
+        assert post.variance > 0.0
 
     def test_posterior_mean_interpolates(self):
         rng = np.random.default_rng(3)
         w = rng.random((5, 1))
         y = rng.standard_normal(5)
-        fit = fit_gp(Kernel.squared_exponential(0.4), w, y, nugget=1e-12)
-        mean, _ = gp_posterior_at(fit, w)
+        kernel = Kernel.squared_exponential(0.4)
+        fit = fit_gp(kernel, w, y, nugget=1e-12)
+        mean = gram(kernel, w) @ fit.weights  # the posterior mean at the data
         # oracle: direct dense solve
-        k = gram(Kernel.squared_exponential(0.4), w) + 1e-12 * np.eye(5)
-        direct = gram(Kernel.squared_exponential(0.4), w, w) @ np.linalg.solve(k, y)
+        direct = gram(kernel, w) @ np.linalg.solve(gram(kernel, w) + 1e-12 * np.eye(5), y)
         assert np.allclose(mean, y, atol=1e-6)
         assert np.allclose(mean, direct, atol=1e-8)
 
@@ -101,77 +101,29 @@ class TestFitGp:
         # conditioned process is then its mean with zero variance
         dead = Kernel.matern(0.5, 1.0, amplitude=0.0)
         fit = fit_gp(dead, [0.2, 0.8], [0.0, 0.0])
-        mean, var = gp_posterior_at(fit, 0.5)
-        assert mean == 0.0 and var == 0.0
+        assert np.all(fit.weights == 0.0)
+        post = bq_posterior(fit, U01)
+        assert post.mean == 0.0 and post.variance == 0.0
         with pytest.raises(SingularGramError, match="zero-amplitude"):
             fit_gp(dead, [0.2, 0.8], [0.0, 1.0])
 
-
-class TestPosterior:
-    def test_single_point_posterior_mean(self):
-        fit = fit_gp(M12, [0.5], [2.0], nugget=0.0)
-        mean, var = gp_posterior_at(fit, 0.7)
-        assert mean == pytest.approx(2.0 * math.exp(-0.2), abs=1e-12)
-        assert mean == pytest.approx(1.6374615, abs=1e-7)
-        assert var == pytest.approx(1.0 - math.exp(-0.4), abs=1e-12)
-
-    def test_training_point_with_zero_nugget(self):
-        fit = fit_gp(M12, [0.2, 0.6], [1.0, -1.0], nugget=0.0)
-        mean, var = gp_posterior_at(fit, 0.6)
-        assert mean == pytest.approx(-1.0, abs=1e-8)
-        assert var == pytest.approx(0.0, abs=1e-8)
-
-    def test_prior_recovery_far_from_data(self):
-        fit = fit_gp(Kernel.matern(0.5, 1.0, amplitude=2.5), [0.0], [1.0], nugget=0.0)
-        _, var = gp_posterior_at(fit, 40.0)
-        assert var == pytest.approx(2.5, abs=1e-6)
-
-    def test_variance_bounds(self):
-        rng = np.random.default_rng(6)
-        w = rng.random((10, 1))
-        k = Kernel.squared_exponential(0.3, amplitude=1.8)
-        fit = fit_gp(k, w, rng.standard_normal(10))
-        _, var = gp_posterior_at(fit, rng.random((50, 1)))
-        assert np.all(var >= 0.0)
-        assert np.all(var <= 1.8 + 1e-12)
-
-    def test_batch_matches_single_points_brownian(self):
-        # the Brownian factor makes the prior variance amplitude * x1 vary per point
-        rng = np.random.default_rng(8)
-        k = Kernel((BrownianMotion(), Matern(0.5, 0.7)), amplitude=1.3)
-        w = rng.random((8, 2))
-        fit = fit_gp(k, w, rng.standard_normal(8))
-        test_points = rng.random((15, 2))
-        mean, var = gp_posterior_at(fit, test_points)
-        for i, p in enumerate(test_points):
-            m_i, v_i = gp_posterior_at(fit, p)
-            assert m_i == pytest.approx(mean[i], rel=1e-12, abs=1e-14)
-            assert v_i == pytest.approx(var[i], rel=1e-12, abs=1e-14)
-        cross = gram(k, test_points, w)
-        big = gram(k, w) + fit.nugget * k.amplitude * np.eye(8)
-        dense = 1.3 * test_points[:, 0] - np.einsum("ij,ji->i", cross, np.linalg.solve(big, cross.T))
-        assert var == pytest.approx(dense, rel=1e-8, abs=1e-12)
-
     def test_monotone_conditioning(self):
-        # conditioning on one more observation never increases variance
+        # conditioning on one more observation never increases the integral's variance
         rng = np.random.default_rng(7)
         w = rng.random((9, 1))
         y = rng.standard_normal(9)
         k = Kernel.matern(2.5, 0.6)
-        test_points = rng.random((25, 1))
-        _, var_small = gp_posterior_at(fit_gp(k, w[:-1], y[:-1], nugget=1e-10), test_points)
-        _, var_big = gp_posterior_at(fit_gp(k, w, y, nugget=1e-10), test_points)
-        assert np.all(var_big <= var_small + 1e-8)
+        variances = [bq_posterior(fit_gp(k, w[:n], y[:n], nugget=1e-10), U01).variance for n in range(1, 10)]
+        assert all(big <= small + 1e-12 * k.amplitude for small, big in zip(variances, variances[1:]))
+        assert variances[-1] < 0.01 * variances[0]
 
 
 class TestMarginalLikelihood:
     def test_unit_case_zero_residual(self):
-        assert log_marginal_likelihood(M12, [0.5], [0.0], nugget=0.0) == pytest.approx(
-            -0.5 * math.log(2 * math.pi), abs=1e-12
-        )
+        assert lml_dense(M12, [0.5], [0.0], nugget=0.0) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_unit_case_unit_residual(self):
-        assert log_marginal_likelihood(M12, [0.5], [1.0], nugget=0.0) == pytest.approx(
+        assert lml_dense(M12, [0.5], [1.0], nugget=0.0) == pytest.approx(
             -0.5 - 0.5 * math.log(2 * math.pi), abs=1e-12
         )
 
@@ -180,8 +132,9 @@ class TestMarginalLikelihood:
         w = np.linspace(0, 1, 4).reshape(-1, 1) + 0.01 * rng.standard_normal((4, 1))
         y = rng.standard_normal(4)
         k = Kernel.matern(0.5, 0.5, amplitude=1.4)
-        assert log_marginal_likelihood(k, w, y, nugget=1e-10) == pytest.approx(
-            lml_dense(k, w, y, nugget=1e-10), abs=1e-8
+        sigma = mle_amplitude(k, w, y)
+        assert profiled_log_marginal_likelihood(k, w, y) == pytest.approx(
+            lml_dense(k.with_amplitude(sigma**2), w, y, nugget=1e-10), abs=1e-8
         )
 
 
@@ -198,9 +151,9 @@ class TestMleAmplitude:
         y = rng.standard_normal(6)
         k = Kernel.squared_exponential(0.5)
         sigma = mle_amplitude(k, w, y)
-        best = log_marginal_likelihood(k.with_amplitude(sigma**2), w, y)
+        best = lml_dense(k.with_amplitude(sigma**2), w, y)
         for s in np.geomspace(sigma / 10, 10 * sigma, 200):
-            assert best >= log_marginal_likelihood(k.with_amplitude(s**2), w, y) - 1e-10
+            assert best >= lml_dense(k.with_amplitude(s**2), w, y) - 1e-10
 
     def test_ignores_carried_amplitude(self):
         rng = np.random.default_rng(10)

@@ -1,4 +1,5 @@
 import copy
+import ctypes
 import filecmp
 import json
 import os
@@ -483,6 +484,90 @@ class TestRunExperiment:
         assert {r.estimator for r in records} == {"mlbq", "mlmc"}
         # both estimators run at the norm-based counts for this budget
         assert all(r.n_per_level == (38, 15, 3) for r in records)
+
+
+def _blas_thread_calls():
+    """(set, get) thread-count calls of the loaded OpenBLAS builds, found as the library finds them."""
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    calls = []
+    for lib in map(ctypes.CDLL, paths):
+        for suffix in ("64_", ""):
+            if hasattr(lib, f"scipy_openblas_get_num_threads{suffix}"):
+                set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+                get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_threads.argtypes, get_threads.restype = [ctypes.c_int], ctypes.c_int
+                calls.append((set_threads, get_threads))
+    return calls
+
+
+class TestBlasThreads:
+    def test_records_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """A sweep started at two BLAS threads writes the bytes of one started at one thread.
+
+        OpenBLAS reads OPENBLAS_NUM_THREADS when it loads, so each sweep runs in a subprocess started
+        with it set.  The ``jobs=2`` workers are spawned, not forked: they start at the subprocess's
+        thread count and pin themselves.
+        """
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import dataclasses, hashlib, multiprocessing, sys\n"
+            "from mlbq.harness import load_config, run_experiment, write_records_csv\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "cfg = dataclasses.replace(load_config(sys.argv[2]), replications=4)\n"
+            "for jobs in (1, 2):\n"
+            "    write_records_csv(run_experiment(cfg, jobs=jobs), sys.argv[1])\n"
+            "    print(jobs, hashlib.sha256(open(sys.argv[1], 'rb').read()).hexdigest())\n"
+        )
+        hashes = {}
+        for threads in ("2", "1"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / "records.csv"), str(root / "configs/poisson_calibration.json")],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            hashes[threads] = done.stdout.split()
+        assert hashes["2"] == hashes["1"]
+        assert hashes["1"][1].startswith("0738e35f27938bc6") and hashes["1"][1] == hashes["1"][3]
+
+    def test_thread_counts_pinned_during_the_sweep_and_restored_after(self, monkeypatch):
+        calls = _blas_thread_calls()
+        if not calls:
+            pytest.skip("no OpenBLAS build with thread-count calls is loaded")
+        before = [get_threads() for _, get_threads in calls]
+        inside = []
+
+        def failing(*task):
+            inside.append([get_threads() for _, get_threads in calls])
+            raise RuntimeError("sweep failed")
+
+        try:
+            for set_threads, _ in calls:
+                set_threads(2)  # so that restoring is not the same as pinning
+            outside = [get_threads() for _, get_threads in calls]
+            run_experiment(config(replications=1))
+            assert [get_threads() for _, get_threads in calls] == outside
+            monkeypatch.setattr(harness, "_run_cells", failing)
+            with pytest.raises(RuntimeError, match="sweep failed"):
+                run_experiment(config(replications=1))
+            assert inside == [[1] * len(calls)]
+            assert [get_threads() for _, get_threads in calls] == outside
+        finally:
+            for (set_threads, _), count in zip(calls, before):
+                set_threads(count)
+
+    def test_unpinned_sweep_warns_once(self, monkeypatch, caplog):
+        def no_proc(path, *args):
+            raise FileNotFoundError(path)
+
+        expected = run_experiment(config(replications=2))
+        monkeypatch.setattr(harness, "open", no_proc, raising=False)
+        with caplog.at_level("WARNING", logger="mlbq.harness"):
+            assert run_experiment(config(replications=2)) == expected
+        assert [r.message for r in caplog.records] == [
+            "no OpenBLAS thread control found: the records may depend on the BLAS thread count"
+        ]
 
 
 class TestCsv:

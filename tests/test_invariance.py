@@ -1,0 +1,89 @@
+"""What the MLBQ posterior must not notice, on the four configs whose records the golden hashes check.
+
+Each cell is a budget's MLBQ level data in one of the first ``REPLICATIONS`` replications, fitted by the
+config's kernel policy (``KernelPolicy.level_fit``) and combined by ``mlbq_estimate`` at one BLAS thread,
+as a sweep does.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mlbq.harness import _build_groups, _pin_blas_threads, load_config, validate_budget_accounting
+from mlbq.models import make_model
+from mlbq.quadrature import LevelData, mlbq_estimate
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_CONFIGS = [
+    "configs/ode_budgets.json",
+    "configs/poisson_budgets.json",
+    "configs/poisson_calibration.json",
+    "perfbench/ode_matern_lhs.json",
+]
+REPLICATIONS, PERMUTATIONS = 2, 2
+
+
+@pytest.fixture(autouse=True)
+def one_blas_thread():
+    """The sweep's thread count: the roundoff that the permutation bounds measure depends on it."""
+    pinned = _pin_blas_threads()
+    yield
+    for set_threads, count in pinned:
+        set_threads(count)
+
+
+def _mlbq_cells(path):
+    """(config, model, budget index, replication, levels) of each MLBQ cell."""
+    cfg = load_config(ROOT / path)
+    model = make_model(cfg.model_name, **cfg.model_params)
+    counts = validate_budget_accounting(cfg, model)
+    for bi in range(len(cfg.budgets)):
+        for rep in range(REPLICATIONS):
+            groups = _build_groups(cfg, model, counts[bi], bi, rep, {})
+            if "mlbq" in groups:
+                yield cfg, model, bi, rep, groups["mlbq"][0]
+
+
+def _posterior(cfg, model, levels):
+    fits = [cfg.kernel.level_fit(level.points, level.values, model.dim) for level in levels]
+    return mlbq_estimate(levels, fits, model.measure)
+
+
+@pytest.mark.parametrize("path", GOLDEN_CONFIGS)
+def test_doubled_values_double_the_mean_and_quadruple_the_variance(path):
+    # a power of two scales without rounding, and the amplitude MLE absorbs it
+    cells = 0
+    for cfg, model, _, _, levels in _mlbq_cells(path):
+        base = _posterior(cfg, model, levels)
+        doubled = _posterior(cfg, model, [LevelData(lv.level, lv.points, 2.0 * lv.values, lv.cost) for lv in levels])
+        assert doubled.mean == 2.0 * base.mean and doubled.variance == 4.0 * base.variance
+        cells += 1
+    assert cells > 0
+
+
+@pytest.mark.parametrize(
+    "path, mean_bound, variance_bound",
+    [  # just above the largest relative changes this sample gives (mean / variance):
+        # 7.3e-15 / 4.9e-11, roundoff of the Cholesky solves
+        ("configs/poisson_calibration.json", 9e-15, 6e-11),
+        # 1.3e-9 / 7.9e-8, roundoff on the ill-conditioned n = 830 level 0
+        ("configs/ode_budgets.json", 1.6e-9, 1.0e-7),
+        # 1.15e-6 / 3.47e-4, set by where the per-axis lengthscale search stops
+        ("perfbench/ode_matern_lhs.json", 1.2e-6, 3.5e-4),
+    ],
+)
+def test_permuted_points_move_the_posterior_within_bounds(path, mean_bound, variance_bound):
+    changes = []
+    for cfg, model, bi, rep, levels in _mlbq_cells(path):
+        base = _posterior(cfg, model, levels)
+        for k in range(PERMUTATIONS):
+            rng = np.random.default_rng([bi, rep, k])
+            permuted = []
+            for lv in levels:
+                order = rng.permutation(lv.n)
+                permuted.append(LevelData(lv.level, lv.points[order], lv.values[order], lv.cost))
+            post = _posterior(cfg, model, permuted)
+            changes.append((abs(post.mean / base.mean - 1.0), abs(post.variance / base.variance - 1.0)))
+    mean_change, variance_change = np.max(changes, axis=0)
+    assert mean_change <= mean_bound and variance_change <= variance_bound
