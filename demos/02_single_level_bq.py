@@ -19,9 +19,9 @@ truth = POISSON_EXACT_INTEGRAL  # integral of x (x - 1) / 2 over [0, 1]
 print("== posterior from 12 grid points ==")
 design = generate_design("grid", u01, 12)
 y = poisson_exact_solution(design.points[:, 0])
-kernel = fit_hyperparameters(Kernel.matern(0.5, 1.0), design.points, y, bounds=(0.01, 10.0))
-post = bq_posterior(fit_gp(kernel, design.points, y), u01)
-print(f"  fitted lengthscale {kernel.lengthscales[0]:.4f}, amplitude {kernel.amplitude:.3e}")
+fit = fit_hyperparameters(Kernel.matern(0.5, 1.0), design.points, y, bounds=(0.01, 10.0))
+post = bq_posterior(fit, u01)  # the fit comes conditioned at the fitted kernel
+print(f"  fitted lengthscale {fit.kernel.lengthscales[0]:.4f}, amplitude {fit.kernel.amplitude:.3e}")
 print(f"  posterior mean     {post.mean:.8f}")
 print(f"  truth              {truth:.8f}")
 print(f"  posterior std      {post.std:.2e}   |error| {abs(post.mean - truth):.2e}")

@@ -12,7 +12,7 @@ import numpy as np
 
 from mlbq import Kernel, LevelData, mlbq_estimate, mlmc_estimate, sk_mlbq_estimate
 from mlbq.designs import generate_design
-from mlbq.gp import fit_hyperparameters, mle_amplitude
+from mlbq.gp import fit_gp, fit_hyperparameters, mle_amplitude
 from mlbq.models import PoissonHierarchy
 
 model = PoissonHierarchy()
@@ -25,13 +25,13 @@ print(f"sample sizes per level {counts}, total declared cost {budget:.4f}")
 
 print()
 print("== multilevel BQ on a grid design ==")
-levels, kernels = [], []
+levels, fits = [], []
 for level, n in enumerate(counts):
     w = generate_design("grid", measure, n).points
     y = model.increments(level, w[:, 0])
-    kernels.append(fit_hyperparameters(Kernel.matern(0.5, 1.0), w, y, bounds=(0.01, 10.0)))
-    levels.append(LevelData(level, w, y, model.costs[level]))
-post = mlbq_estimate(levels, kernels, measure)
+    fits.append(fit_hyperparameters(Kernel.matern(0.5, 1.0), w, y, bounds=(0.01, 10.0)))
+    levels.append(LevelData(level, w, y))
+post = mlbq_estimate(levels, fits, measure)
 print(f"  posterior mean {post.mean:.8f}  (|error| {abs(post.mean - reference):.2e})")
 print(f"  posterior std  {post.std:.2e}")
 print(f"  per-level means     {['%.2e' % m for m in post.level_means]}")
@@ -44,7 +44,7 @@ for rep in range(50):
     data = []
     for level, n in enumerate(counts):
         w = generate_design("iid", measure, n, seed=1000 * rep + level).points
-        data.append(LevelData(level, w, model.increments(level, w[:, 0]), model.costs[level]))
+        data.append(LevelData(level, w, model.increments(level, w[:, 0])))
     errors.append(abs(mlmc_estimate(data) - reference))
 print(f"  mean |error| {np.mean(errors):.2e}  (vs {abs(post.mean - reference):.2e} for the GP route)")
 
@@ -57,7 +57,7 @@ pooled_w = np.vstack([lv.points for lv in levels])
 pooled_y = np.concatenate([lv.values for lv in levels])
 base = Kernel.matern(0.5, 1.0)
 base = base.with_amplitude(mle_amplitude(base, pooled_w, pooled_y) ** 2)
-independent = mlbq_estimate(levels, [base] * 3, measure)
+independent = mlbq_estimate(levels, [fit_gp(base, lv.points, lv.values) for lv in levels], measure)
 for off_diag in (0.0, 0.01, 0.1):
     b = np.full((3, 3), off_diag)
     np.fill_diagonal(b, 1.0)

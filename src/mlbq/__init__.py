@@ -55,7 +55,6 @@ from .quadrature import (
     LevelData,
     LevelFailure,
     bq_posterior,
-    mc_estimate,
     mlbq_estimate,
     mlmc_estimate,
     sk_mlbq_estimate,

@@ -323,17 +323,19 @@ def fit_hyperparameters(
     bounds,
     per_dimension=False,
     nugget=1e-10,
-) -> Kernel:
-    """Fit lengthscale(s) and amplitude by profiled marginal likelihood.
+) -> GPFit:
+    """Fit lengthscale(s) and amplitude by profiled marginal likelihood; the GP conditioned at them.
 
     The search is a ``GRID_SIZE``-point log-space grid over ``bounds``
     followed by golden-section refinement to ``REL_TOL`` in log-lengthscale,
     cycled over dimensions for ``SWEEPS`` rounds when ``per_dimension`` is
     set.  It is derivative-free and deterministic given its inputs.  The
-    returned kernel carries the optimal lengthscales and amplitude sigma*^2.
+    returned fit's kernel carries the optimal lengthscales and amplitude
+    sigma*^2; the fit is the one :func:`fit_gp` makes with that kernel,
+    from the same one factorisation that gave the amplitude.
 
     Flat objectives (residuals identically zero, so any lengthscale is
     admissible) tie-break to the geometric midpoint of ``bounds``.
     """
     fitted = _fit_lengthscales(kernel, points, y, bounds, per_dimension, nugget)
-    return _profiled_fit(fitted, points, y, nugget).kernel
+    return _profiled_fit(fitted, points, y, nugget)

@@ -38,12 +38,14 @@ Config schema (``schema_version: 1``)::
 
 ``allocation.source`` may instead be ``mlmc-formula`` (requires
 ``variances``) or ``mlbq-formula`` (requires ``norms`` and ``tau``;
-optional ``gamma``); either accepts ``costs`` to override the model's
-declared cost vector.  A table entry may also be a plain list applied to
-every estimator, and an estimator omitted from a budget's dict entry is
-simply not run at that budget.  Single-level estimators (``mc``, ``bq``)
-take a one-element table entry, or ``floor(T / (gamma * C_L))`` under
-formula sources.  ``kernel.family`` is ``matern``, ``se`` or ``brownian``.
+optional ``gamma``).  Per-level costs are the model's own, set through
+``model.params.costs``.  A table entry may also be a plain list applied
+to every estimator, and an estimator omitted from a budget's dict entry
+is simply not run at that budget.  Single-level estimators (``mc``,
+``bq``) take a one-element table entry, or ``floor(T / (gamma * C_L))``
+under formula sources; they run as the one-level cases of ``mlmc`` and
+``mlbq`` on the top level's evaluations.  ``kernel.family`` is
+``matern``, ``se`` or ``brownian``.
 """
 
 from __future__ import annotations
@@ -65,15 +67,7 @@ from .designs import DESIGN_KINDS, generate_design
 from .gp import GPFit, SingularGramError, _fit_lengthscales, _profiled_fit, fit_gp
 from .kernels import Kernel, NoClosedFormError
 from .models import MODEL_NAMES, ModelError, make_model
-from .quadrature import (
-    LevelData,
-    LevelFailure,
-    bq_posterior,
-    mc_estimate,
-    mlbq_estimate,
-    mlmc_estimate,
-    sk_mlbq_estimate,
-)
+from .quadrature import LevelData, LevelFailure, mlbq_estimate, mlmc_estimate, sk_mlbq_estimate
 
 __all__ = [
     "ConfigError",
@@ -165,7 +159,6 @@ class AllocationSpec:
     norms: tuple[float, ...] | None = None
     tau: float | None = None
     gamma: float = 1.0
-    costs: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -238,6 +231,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     araw = raw.get("allocation")
     _require(isinstance(araw, dict) and "source" in araw, "config needs allocation.source")
+    _require("costs" not in araw, "allocation.costs is not read: set per-level costs in model.params.costs")
     source = araw["source"]
     _require(source in ("table", "mlmc-formula", "mlbq-formula"), "allocation.source must be table, mlmc-formula or mlbq-formula")
     table = None
@@ -265,7 +259,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         norms=tuple(float(v) for v in araw["norms"]) if "norms" in araw else None,
         tau=float(araw["tau"]) if "tau" in araw else None,
         gamma=float(araw.get("gamma", 1.0)),
-        costs=tuple(float(c) for c in araw["costs"]) if "costs" in araw else None,
     )
 
     reps = raw.get("replications", 1)
@@ -376,13 +369,9 @@ def read_records_csv(path) -> list[ResultRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _model_costs(cfg: ExperimentConfig, model) -> tuple[float, ...]:
-    return cfg.allocation.costs if cfg.allocation.costs is not None else model.costs
-
-
 def _counts_for(cfg: ExperimentConfig, model, budget_index: int) -> dict[str, tuple[int, ...]]:
     """Per-estimator sample sizes for one budget."""
-    costs = _model_costs(cfg, model)
+    costs = model.costs
     alloc = cfg.allocation
     budget = cfg.budgets[budget_index]
     out = {}
@@ -427,9 +416,7 @@ def validate_budget_accounting(cfg: ExperimentConfig, model) -> list[dict[str, t
 
     Returns the checked per-estimator sample sizes, one dict per budget.
     """
-    costs = _model_costs(cfg, model)
-    if len(costs) != model.levels:
-        raise ConfigError(f"cost vector has {len(costs)} entries, model has {model.levels} levels")
+    costs = model.costs
     per_budget = [_counts_for(cfg, model, bi) for bi in range(len(cfg.budgets))]
     for budget, counts_by_est in zip(cfg.budgets, per_budget):
         for name, counts in counts_by_est.items():
@@ -458,11 +445,11 @@ def _build_groups(cfg, model, counts_by_est, budget_index, replication, seedless
     """Each estimator's (level data, data hash); each distinct (design, counts, single-level) group is built once.
 
     A group draws each level's design and evaluates it there: ``model.increments`` for multilevel
-    estimators, the top level for single-level ones.  Estimators in one group get the same pair object.
+    estimators, the top level for single-level ones (as their level 0).  Estimators in one group get
+    the same pair object.
     A grid or Halton group is taken from ``seedless`` (the task's store, filled here) when an earlier
     replication built it.
     """
-    costs = _model_costs(cfg, model)
     keys = {
         est.name: (est.design, counts_by_est[est.name], est.name in SINGLE_LEVEL)
         for est in cfg.estimators
@@ -480,7 +467,7 @@ def _build_groups(cfg, model, counts_by_est, budget_index, replication, seedless
             seed = np.random.SeedSequence(cfg.seed, spawn_key=(budget_index, replication, gi, level))
             points = generate_design(design_kind, model.measure, n, seed=seed).points
             values = model.evaluate(top, points) if single else model.increments(level, points)
-            levels.append(LevelData(level, points, values, costs[level]))
+            levels.append(LevelData(len(levels), points, values))
         digest = _data_hash(levels)
         groups[key] = levels, digest
         if design_kind in SEEDLESS_DESIGNS:
@@ -490,17 +477,14 @@ def _build_groups(cfg, model, counts_by_est, budget_index, replication, seedless
 
 
 def _run_estimator(cfg, model, est: EstimatorSpec, levels):
-    """Return (estimate, variance or None) for one estimator on one cell."""
+    """Return (estimate, variance or None) for one estimator on one cell.
+
+    ``mc`` and ``bq`` are ``mlmc`` and ``mlbq`` on their one level.
+    """
     dim = model.dim
-    if est.name == "mc":
-        return mc_estimate(levels[0].values), None
-    if est.name == "mlmc":
+    if est.name in ("mc", "mlmc"):
         return mlmc_estimate(levels), None
-    if est.name == "bq":
-        lv = levels[0]
-        post = bq_posterior(cfg.kernel.level_fit(lv.points, lv.values, dim), model.measure)
-        return post.mean, post.variance
-    if est.name == "mlbq":
+    if est.name in ("bq", "mlbq"):
         fits = [cfg.kernel.level_fit(lv.points, lv.values, dim) for lv in levels]
         post = mlbq_estimate(levels, fits, model.measure)
         return post.mean, post.variance
@@ -519,7 +503,6 @@ def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, count
     A cell repeating an earlier successful cell's estimator and data hash reuses its
     (estimate, variance); failures are not stored, so every replication reports its own.
     """
-    costs = _model_costs(cfg, model)
     budget = cfg.budgets[budget_index]
     records = []
     results, seedless = {}, {}
@@ -542,7 +525,8 @@ def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, count
             estimate, variance = results[key]
             records.append(
                 ResultRecord.make(
-                    rep, est.name, budget, estimate, variance, reference, _cell_cost(est.name, counts, costs), counts
+                    rep, est.name, budget, estimate, variance, reference,
+                    _cell_cost(est.name, counts, model.costs), counts,
                 )
             )
     return records

@@ -12,6 +12,7 @@ value, tolerance) rows for the command-line provenance report.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .kernels import (
     SquaredExponential,
     StandardNormal,
     Uniform,
+    as_points,
     gram,
     initial_error,
     kernel_mean,
@@ -113,8 +115,6 @@ def initial_error_quadrature(factor, marginal, epsabs=1e-11) -> float:
 
 def lml_dense(kernel: Kernel, points, y, nugget=1e-10) -> float:
     """Marginal log-likelihood via explicit inverse and determinant."""
-    from .kernels import as_points, gram
-
     w = as_points(points, kernel.dim)
     yv = np.asarray(y, dtype=float).reshape(-1)
     big = gram(kernel, w) + nugget * kernel.amplitude * np.eye(w.shape[0])
@@ -146,8 +146,6 @@ def lattice_best_allocation(magnitudes, costs, budget, exponent, max_count=30):
     cvec = np.asarray(costs, dtype=float)
     best, best_obj = None, math.inf
     ranges = [range(1, max_count + 1)] * len(mags)
-    import itertools
-
     for counts in itertools.product(*ranges):
         cost = float(cvec @ counts)
         if cost > budget:

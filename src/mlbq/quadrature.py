@@ -1,8 +1,9 @@
-"""Integral estimators: MC, MLMC, BQ, multilevel BQ and its separable-kernel twin.
+"""Integral estimators: MLMC, BQ, multilevel BQ and its separable-kernel twin.
 
 The multilevel estimators consume :class:`LevelData` blocks, one per
 fidelity level, holding design points and increment evaluations
-``f_l(W_l) - f_{l-1}(W_l)`` (with ``f_{-1} = 0``).  The Bayesian
+``f_l(W_l) - f_{l-1}(W_l)`` (with ``f_{-1} = 0``).  Plain MC and
+single-level BQ are the one-level cases of MLMC and MLBQ.  The Bayesian
 estimators return a :class:`GaussianPosterior` on ``Pi[f]`` whose mean and
 variance are exact sums of per-level contributions; those contributions
 are kept around for diagnostics.
@@ -23,14 +24,13 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import ndtri
 
-from .gp import GPFit, SingularGramError, _chol_with_ladder, fit_gp
+from .gp import GPFit, _chol_with_ladder
 from .kernels import Kernel, ProductMeasure, gram, initial_error, kernel_mean
 
 __all__ = [
     "LevelData",
     "GaussianPosterior",
     "LevelFailure",
-    "mc_estimate",
     "mlmc_estimate",
     "bq_posterior",
     "mlbq_estimate",
@@ -51,14 +51,13 @@ class LevelData:
     """Design points and increment values for one fidelity level.
 
     ``values`` holds f_l(W_l) - f_{l-1}(W_l) (f_{-1} = 0, so level 0 holds
-    plain evaluations).  ``cost`` is the declared unit cost of one
-    increment evaluation at this level.
+    plain evaluations; single-level data, whatever the model level it
+    samples, is level 0).
     """
 
     level: int
     points: np.ndarray
     values: np.ndarray
-    cost: float = 1.0
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -69,8 +68,6 @@ class LevelData:
             raise ValueError(f"level {self.level}: {pts.shape[0]} points but {vals.shape[0]} values")
         if pts.shape[0] < 1:
             raise ValueError(f"level {self.level}: needs at least one point")
-        if not (self.cost > 0 and math.isfinite(self.cost)):
-            raise ValueError(f"level {self.level}: cost must be positive, got {self.cost}")
         if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(vals)):
             raise ValueError(f"level {self.level}: non-finite points or values")
         object.__setattr__(self, "points", pts)
@@ -127,16 +124,8 @@ def _clamp_variance(var: float, amplitude: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def mc_estimate(values) -> float:
-    """Plain Monte Carlo mean of integrand evaluations."""
-    vals = np.asarray(values, dtype=float).reshape(-1)
-    if vals.size == 0:
-        raise ValueError("mc_estimate needs at least one value")
-    return float(vals.mean())
-
-
 def mlmc_estimate(levels) -> float:
-    """Multilevel Monte Carlo: sum of per-level increment means."""
+    """Multilevel Monte Carlo: sum of per-level increment means (plain MC on one level)."""
     if len(levels) == 0:
         raise ValueError("mlmc_estimate needs at least one level")
     return float(sum(level.values.mean() for level in levels))
@@ -165,37 +154,30 @@ def bq_posterior(fit: GPFit, measure: ProductMeasure) -> GaussianPosterior:
     return GaussianPosterior(post_mean, var, (post_mean,), (var,))
 
 
-def mlbq_estimate(
-    levels,
-    kernels,
-    measure: ProductMeasure,
-    nugget=1e-10,
-) -> GaussianPosterior:
+def mlbq_estimate(levels, fits, measure: ProductMeasure) -> GaussianPosterior:
     """Multilevel BQ: independent zero-mean per-level BQ posteriors, summed.
 
-    ``levels`` must be indexed 0..L in order; ``kernels`` supplies one
-    kernel per level (hyperparameters as given -- fit them beforehand), or
-    a :class:`GPFit` already conditioned on that level's data, which is
-    used as it is (with its own nugget).  Identical to calling
-    :func:`bq_posterior` per level and summing, which is also how it is
-    computed.
+    ``levels`` must be indexed 0..L in order; ``fits`` supplies one
+    :class:`GPFit` per level, conditioned on that level's points (fit the
+    hyperparameters and condition beforehand).  The sum of
+    :func:`bq_posterior` over the levels, which is also how it is computed;
+    on one level it is single-level BQ.  A level's failure is raised as
+    :class:`LevelFailure` carrying its index.
     """
     if len(levels) == 0:
         raise ValueError("mlbq_estimate needs at least one level")
-    if len(kernels) != len(levels):
-        raise ValueError(f"{len(levels)} levels but {len(kernels)} kernels")
+    if len(fits) != len(levels):
+        raise ValueError(f"{len(levels)} levels but {len(fits)} fits")
     for expected, level in enumerate(levels):
         if level.level != expected:
             raise ValueError(f"levels must be indexed 0..L in order; position {expected} holds level {level.level}")
     level_means, level_vars = [], []
-    for level, kernel in zip(levels, kernels):
+    for level, fit in zip(levels, fits):
         try:
-            _require_support(measure, level.points, level.level)
-            fit = kernel if isinstance(kernel, GPFit) else fit_gp(kernel, level.points, level.values, nugget)
             if not np.array_equal(fit.points, level.points):
                 raise ValueError("the fit was conditioned on other points")
             post = bq_posterior(fit, measure)
-        except (ValueError, SingularGramError, FloatingPointError) as exc:
+        except (ValueError, FloatingPointError) as exc:
             raise LevelFailure(level.level, str(exc)) from exc
         level_means.append(post.mean)
         level_vars.append(post.variance)

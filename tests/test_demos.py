@@ -1,6 +1,7 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script, and the README's library quick start, runs to completion against the package sources."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,15 +12,25 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
 def test_demos_exist():
     assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
-    )
+    result = _run([str(demo)], tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Library quick start\n.*?^```python\n(.*?)^```", readme, re.S | re.M)
+    assert block, "README has no python block under 'Library quick start'"
+    result = _run(["-c", block.group(1)], tmp_path)
     assert result.returncode == 0, result.stderr

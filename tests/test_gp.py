@@ -167,7 +167,7 @@ class TestMleAmplitude:
 class TestFitHyperparameters:
     def test_flat_objective_tie_breaks_to_geometric_midpoint(self):
         w = np.linspace(0, 1, 6).reshape(-1, 1)
-        fitted = fit_hyperparameters(Kernel.squared_exponential(3.0), w, np.zeros(6), bounds=(0.1, 10.0))
+        fitted = fit_hyperparameters(Kernel.squared_exponential(3.0), w, np.zeros(6), bounds=(0.1, 10.0)).kernel
         assert fitted.lengthscales[0] == pytest.approx(1.0)
         assert fitted.amplitude == 0.0
 
@@ -178,7 +178,7 @@ class TestFitHyperparameters:
             rng = np.random.default_rng(100 + trial)
             w = rng.random((40, 1))
             y = gp_sample(truth, w, 200 + trial)
-            fitted = fit_hyperparameters(Kernel.squared_exponential(1.0), w, y, bounds=(0.05, 5.0))
+            fitted = fit_hyperparameters(Kernel.squared_exponential(1.0), w, y, bounds=(0.05, 5.0)).kernel
             if 0.25 <= fitted.lengthscales[0] <= 1.0:
                 hits += 1
         assert hits >= 45  # spec asks >= 90% of 50 trials
@@ -187,7 +187,7 @@ class TestFitHyperparameters:
         rng = np.random.default_rng(11)
         w = rng.random((30, 1))
         y = gp_sample(Kernel.matern(2.5, 0.4), w, 12)
-        fitted = fit_hyperparameters(Kernel.matern(2.5, 1.0), w, y, bounds=(0.05, 5.0))
+        fitted = fit_hyperparameters(Kernel.matern(2.5, 1.0), w, y, bounds=(0.05, 5.0)).kernel
         best = profiled_log_marginal_likelihood(fitted, w, y)
         for g in np.geomspace(0.05, 5.0, 64):
             assert best >= profiled_log_marginal_likelihood(fitted.with_lengthscales(g), w, y) - 1e-6
@@ -196,7 +196,7 @@ class TestFitHyperparameters:
         rng = np.random.default_rng(12)
         w = rng.random((20, 1))
         y = gp_sample(Kernel.squared_exponential(0.7, amplitude=4.0), w, 13)
-        fitted = fit_hyperparameters(Kernel.squared_exponential(1.0), w, y, bounds=(0.05, 5.0))
+        fitted = fit_hyperparameters(Kernel.squared_exponential(1.0), w, y, bounds=(0.05, 5.0)).kernel
         sigma = mle_amplitude(fitted, w, y)
         assert fitted.amplitude == pytest.approx(sigma**2, rel=1e-12)
 
@@ -207,7 +207,7 @@ class TestFitHyperparameters:
         y = gp_sample(truth, w, 15)
         fitted = fit_hyperparameters(
             Kernel.squared_exponential(1.0, dim=2), w, y, bounds=(0.05, 8.0), per_dimension=True
-        )
+        ).kernel
         g1, g2 = fitted.lengthscales
         assert g1 < g2  # anisotropy recovered at least ordinally
 
@@ -215,8 +215,8 @@ class TestFitHyperparameters:
         rng = np.random.default_rng(16)
         w = rng.random((25, 1))
         y = gp_sample(Kernel.matern(0.5, 0.6), w, 17)
-        a = fit_hyperparameters(M12, w, y, bounds=(0.05, 5.0))
-        b = fit_hyperparameters(M12, w, y, bounds=(0.05, 5.0))
+        a = fit_hyperparameters(M12, w, y, bounds=(0.05, 5.0)).kernel
+        b = fit_hyperparameters(M12, w, y, bounds=(0.05, 5.0)).kernel
         assert a.lengthscales == b.lengthscales and a.amplitude == b.amplitude
 
     def test_invalid_bounds(self):
@@ -411,13 +411,14 @@ class TestLengthscaleSearch:
         rng = np.random.default_rng(21)
         w = rng.random((30, 2))
         y = np.sin(3 * w[:, 0]) + w[:, 1] ** 2 + 0.05 * rng.standard_normal(30)
-        per_axis = fit_hyperparameters(Kernel.matern(2.5, 1.0, dim=2), w, y, bounds=(0.01, 10.0), per_dimension=True)
+        kernel = Kernel.matern(2.5, 1.0, dim=2)
+        per_axis = fit_hyperparameters(kernel, w, y, bounds=(0.01, 10.0), per_dimension=True).kernel
         assert per_axis.lengthscales == (0.3704734461296856, 0.3260672700174361)
         assert per_axis.amplitude == 0.5014811017938994
-        shared = fit_hyperparameters(Kernel.squared_exponential(1.0, dim=2), w, y, bounds=(0.01, 10.0))
+        shared = fit_hyperparameters(Kernel.squared_exponential(1.0, dim=2), w, y, bounds=(0.01, 10.0)).kernel
         assert shared.lengthscales == (0.29000065924496293, 0.29000065924496293)
         assert shared.amplitude == 0.573546400787508
-        one_d = fit_hyperparameters(M12, w[:, :1], y, bounds=(0.01, 10.0))
+        one_d = fit_hyperparameters(M12, w[:, :1], y, bounds=(0.01, 10.0)).kernel
         assert one_d.lengthscales == (0.05118259637332945,)
         assert one_d.amplitude == 1.1147512804917727
 
@@ -435,7 +436,8 @@ class TestLengthscaleSearch:
         axes = []
         search = gp._optimise_axis
         monkeypatch.setattr(gp, "_optimise_axis", lambda *args: axes.append(args[1]) or search(*args))
-        fitted = fit_hyperparameters(Kernel.matern(2.5, 1.0, dim=2), w, y, bounds=(0.05, 10.0), per_dimension=True)
+        kernel = Kernel.matern(2.5, 1.0, dim=2)
+        fitted = fit_hyperparameters(kernel, w, y, bounds=(0.05, 10.0), per_dimension=True).kernel
         assert axes == [0, 1, 0]
         # written by the implementation that ran all six axis searches
         assert fitted.lengthscales == (9.999612799751663, 1.0613261976859758)
@@ -478,7 +480,7 @@ class TestOneFactorPerFit:
         assert len(calls) == sum(in_search) + 1
         assert fit.kernel == fit_hyperparameters(
             Kernel.squared_exponential(1.0, dim=2), w, y, bounds=(0.05, 5.0), per_dimension=True
-        )
+        ).kernel
 
     def test_profiled_fit_shares_the_amplitude_factor(self, monkeypatch):
         rng = np.random.default_rng(25)
@@ -493,6 +495,20 @@ class TestOneFactorPerFit:
         assert fit.kernel == reference.kernel
         assert np.allclose(fit.chol, reference.chol, rtol=1e-12, atol=0)
         assert np.allclose(fit.weights, reference.weights, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize(
+        "kernel, dim, per_dimension",
+        [(M12, 1, False), (Kernel.squared_exponential(1.0, dim=2), 2, True), (Kernel.matern(2.5, 1.0), 1, False)],
+    )
+    def test_fit_hyperparameters_returns_the_fit_at_its_kernel(self, kernel, dim, per_dimension):
+        # the fit the amplitude MLE came from is the one fit_gp makes at the fitted kernel, bit for bit
+        rng = np.random.default_rng(28)
+        w = rng.random((14, dim))
+        y = np.sin(4 * w[:, 0]) + 0.1 * rng.standard_normal(14)
+        fit = fit_hyperparameters(kernel, w, y, bounds=(0.05, 5.0), per_dimension=per_dimension)
+        again = fit_gp(fit.kernel, w, y)
+        assert np.array_equal(fit.chol, again.chol) and np.array_equal(fit.weights, again.weights)
+        assert fit.nugget == again.nugget
 
 
 def _ladder_fit(kernel, w, y, nugget):

@@ -86,6 +86,12 @@ class TestConfig:
                 allocation={"source": "table", "table": [{"sk-mlbq": [10, 5, 2]}]},
             )
 
+    def test_rejects_allocation_costs(self):
+        # costs have one source, the model's declared vector
+        alloc = dict(BASE_CONFIG["allocation"], costs=[1.0, 2.0, 4.0])
+        with pytest.raises(ConfigError, match="model.params.costs"):
+            config(allocation=alloc)
+
     def test_formula_source_requires_magnitudes(self):
         with pytest.raises(ConfigError, match="variances"):
             config(allocation={"source": "mlmc-formula"})
@@ -229,10 +235,11 @@ class TestBuildGroups:
         counts = _counts_for(cfg, model, 0)
         for name, (levels, digest) in _build_groups(cfg, model, counts, 0, 1, {}).items():
             single = name in harness.SINGLE_LEVEL
-            assert [lv.level for lv in levels] == ([model.levels - 1] if single else [0, 1, 2])
+            # single-level data is the top level's evaluations, as level 0
+            assert [lv.level for lv in levels] == ([0] if single else [0, 1, 2])
             for lv in levels:
-                evaluate = model.evaluate if single else model.increments
-                assert np.array_equal(lv.values, evaluate(lv.level, lv.points))
+                expected = model.evaluate(model.levels - 1, lv.points) if single else model.increments(lv.level, lv.points)
+                assert np.array_equal(lv.values, expected)
             assert digest == _data_hash(levels)
 
     def test_seedless_group_built_once_per_task(self, monkeypatch):
@@ -468,6 +475,37 @@ class TestRunExperiment:
             # loose location sanity: 9-sample estimates of a Unif(0, 10)
             # quantity with reference exactly 5 (sampling sd ~ 1)
             assert abs(mc.estimate - 5.0) < 4.0 and abs(bq.estimate - 5.0) < 4.0
+
+    def test_single_level_estimators_are_the_one_level_multilevel_ones(self):
+        # mc is the plain mean of the top level's values; bq is the BQ posterior of the policy's fit to them
+        from mlbq.quadrature import bq_posterior
+
+        cfg = config(
+            estimators=[{"name": "mc", "design": "iid"}, {"name": "bq", "design": "lhs"}],
+            allocation={"source": "table", "table": [{"mc": [8], "bq": [7]}]},
+            replications=2,
+        )
+        model = make_model("poisson")
+        counts = validate_budget_accounting(cfg, model)[0]
+        for r in run_experiment(cfg):
+            (level,), _ = _build_groups(cfg, model, counts, 0, r.replication, {})[r.estimator]
+            if r.estimator == "mc":
+                assert r.estimate == float(np.mean(level.values)) and r.variance is None
+            else:
+                post = bq_posterior(cfg.kernel.level_fit(level.points, level.values, model.dim), model.measure)
+                assert r.estimate == post.mean and r.variance == post.variance
+
+    def test_model_costs_set_the_cost_column(self):
+        costs = [0.5, 1.5, 4.0]
+        cfg = config(
+            model={"name": "poisson", "params": {"costs": costs}},
+            estimators=[{"name": "mlmc", "design": "iid"}, {"name": "mc", "design": "iid"}],
+            budgets=[100.0],
+            allocation={"source": "table", "table": [{"mlmc": [6, 3, 2], "mc": [5]}]},
+            replications=1,
+        )
+        by_name = {r.estimator: r.cost for r in run_experiment(cfg)}
+        assert by_name == {"mlmc": 6 * 0.5 + 3 * 1.5 + 2 * 4.0, "mc": 5 * 4.0}
 
     def test_formula_allocation_end_to_end(self):
         cfg = config(

@@ -56,7 +56,7 @@ def test_doubled_values_double_the_mean_and_quadruple_the_variance(path):
     cells = 0
     for cfg, model, _, _, levels in _mlbq_cells(path):
         base = _posterior(cfg, model, levels)
-        doubled = _posterior(cfg, model, [LevelData(lv.level, lv.points, 2.0 * lv.values, lv.cost) for lv in levels])
+        doubled = _posterior(cfg, model, [LevelData(lv.level, lv.points, 2.0 * lv.values) for lv in levels])
         assert doubled.mean == 2.0 * base.mean and doubled.variance == 4.0 * base.variance
         cells += 1
     assert cells > 0
@@ -82,7 +82,7 @@ def test_permuted_points_move_the_posterior_within_bounds(path, mean_bound, vari
             permuted = []
             for lv in levels:
                 order = rng.permutation(lv.n)
-                permuted.append(LevelData(lv.level, lv.points[order], lv.values[order], lv.cost))
+                permuted.append(LevelData(lv.level, lv.points[order], lv.values[order]))
             post = _posterior(cfg, model, permuted)
             changes.append((abs(post.mean / base.mean - 1.0), abs(post.variance / base.variance - 1.0)))
     mean_change, variance_change = np.max(changes, axis=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mlbq import gp
 from mlbq.designs import generate_design
 from mlbq.gp import fit_gp, fit_hyperparameters, mle_amplitude
 from mlbq.kernels import Kernel, ProductMeasure, gram, initial_error, kernel_mean
@@ -13,7 +14,6 @@ from mlbq.quadrature import (
     LevelData,
     LevelFailure,
     bq_posterior,
-    mc_estimate,
     mlbq_estimate,
     mlmc_estimate,
     sk_mlbq_estimate,
@@ -23,14 +23,15 @@ U01 = ProductMeasure.uniform(0.0, 1.0)
 M12 = Kernel.matern(0.5, 1.0)
 
 
+def conditioned(levels, kernels, nugget=1e-10):
+    """Each level's GP conditioned on its data under the given kernel."""
+    return [fit_gp(k, lv.points, lv.values, nugget) for lv, k in zip(levels, kernels)]
+
+
 class TestLevelData:
     def test_validates_shapes(self):
         with pytest.raises(ValueError, match="points but"):
             LevelData(0, [0.1, 0.2], [1.0])
-
-    def test_validates_cost(self):
-        with pytest.raises(ValueError, match="cost"):
-            LevelData(0, [0.1], [1.0], cost=0.0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -50,11 +51,11 @@ class TestGaussianPosterior:
 
 
 class TestMonteCarlo:
-    def test_mc_mean(self):
-        assert mc_estimate([1.0, 3.0]) == 2.0
-
     def test_mlmc_single_level(self):
+        # plain MC is MLMC on one level
         assert mlmc_estimate([LevelData(0, [0.1, 0.9], [1.0, 3.0])]) == 2.0
+        values = np.random.default_rng(20).standard_normal(7)
+        assert mlmc_estimate([LevelData(0, np.linspace(0.0, 1.0, 7), values)]) == float(np.mean(values))
 
     def test_mlmc_two_levels(self):
         levels = [LevelData(0, [0.1, 0.9], [1.0, 3.0]), LevelData(1, [0.5], [0.5])]
@@ -70,13 +71,13 @@ class TestMonteCarlo:
         model = PoissonHierarchy()
         ref = model.reference_integral()
         counts = (67, 11, 2)
-        levels, kernels = [], []
+        levels, fits = [], []
         for level, n in enumerate(counts):
             w = generate_design("grid", U01, n).points
             y = model.increments(level, w[:, 0])
-            kernels.append(fit_hyperparameters(M12, w, y, bounds=(0.01, 10.0)))
+            fits.append(fit_hyperparameters(M12, w, y, bounds=(0.01, 10.0)))
             levels.append(LevelData(level, w, y))
-        grid_error = abs(mlbq_estimate(levels, kernels, U01).mean - ref)
+        grid_error = abs(mlbq_estimate(levels, fits, U01).mean - ref)
         mc_errors = []
         for rep in range(100):
             data = []
@@ -147,8 +148,7 @@ class TestBqPosterior:
             rng = np.random.default_rng(500 + trial)
             coeffs = rng.standard_normal(6) / (1 + np.arange(6)) ** 2
             y = sum(c * np.cos((j + 1) * np.pi * w[:, 0]) for j, c in enumerate(coeffs))
-            fitted = fit_hyperparameters(Kernel.squared_exponential(0.5), w, y, bounds=(0.05, 5.0))
-            post = bq_posterior(fit_gp(fitted, w, y), U01)
+            post = bq_posterior(fit_hyperparameters(Kernel.squared_exponential(0.5), w, y, bounds=(0.05, 5.0)), U01)
             truth = sum(c * quad(lambda x, jj=j: np.cos((jj + 1) * np.pi * x), 0, 1)[0] for j, c in enumerate(coeffs))
             if abs(post.mean - truth) <= 3.0 * post.std + 1e-14:
                 hits += 1
@@ -164,7 +164,7 @@ class TestMlbq:
     def test_single_level_reduces_to_bq_bit_for_bit(self):
         level = LevelData(0, [0.5], [1.0])
         direct = bq_posterior(fit_gp(M12, [0.5], [1.0], nugget=0.0), U01)
-        multi = mlbq_estimate([level], [M12], U01, nugget=0.0)
+        multi = mlbq_estimate([level], conditioned([level], [M12], nugget=0.0), U01)
         assert multi.mean == direct.mean and multi.variance == direct.variance
 
     def test_exactly_zero_level_with_fitted_kernel_contributes_nothing(self):
@@ -175,16 +175,16 @@ class TestMlbq:
         w = generate_design("grid", U01, 2).points
         y = model.increments(2, w[:, 0])
         assert np.all(y == 0.0)
-        kernel = fit_hyperparameters(M12, w, y, bounds=(0.01, 10.0))
-        assert kernel.amplitude == 0.0
-        post = mlbq_estimate([LevelData(0, w, y)], [kernel], U01)
+        fit = fit_hyperparameters(M12, w, y, bounds=(0.01, 10.0))
+        assert fit.kernel.amplitude == 0.0
+        post = mlbq_estimate([LevelData(0, w, y)], [fit], U01)
         assert post.mean == 0.0 and post.variance == 0.0
 
     def test_zero_second_level_contributes_only_variance(self):
         l0 = LevelData(0, [0.5], [1.0])
         l1 = LevelData(1, [0.25, 0.75], [0.0, 0.0])
-        single = mlbq_estimate([l0], [M12], U01, nugget=0.0)
-        double = mlbq_estimate([l0, l1], [M12, M12], U01, nugget=0.0)
+        single = mlbq_estimate([l0], conditioned([l0], [M12], nugget=0.0), U01)
+        double = mlbq_estimate([l0, l1], conditioned([l0, l1], [M12, M12], nugget=0.0), U01)
         assert double.mean == single.mean
         assert double.level_means[1] == 0.0
         assert double.level_variances[1] > 0.0
@@ -202,7 +202,7 @@ class TestMlbq:
             post = bq_posterior(fit_gp(k, w, y, nugget=1e-10), U01)
             mean_sum += post.mean
             var_sum += post.variance
-        multi = mlbq_estimate(levels, kernels, U01)
+        multi = mlbq_estimate(levels, conditioned(levels, kernels), U01)
         assert multi.mean == pytest.approx(mean_sum, rel=1e-12)
         assert multi.variance == pytest.approx(var_sum, rel=1e-12)
         assert sum(multi.level_means) == multi.mean
@@ -213,13 +213,13 @@ class TestMlbq:
         # was validated against the exact piecewise-linear integral oracle
         model = PoissonHierarchy()
         ref = model.reference_integral()
-        levels, kernels = [], []
+        levels, fits = [], []
         for level, n in enumerate((153, 60, 10)):
             w = generate_design("grid", U01, n).points
             y = model.increments(level, w[:, 0])
-            kernels.append(fit_hyperparameters(M12, w, y, bounds=(0.01, 10.0)))
-            levels.append(LevelData(level, w, y, model.costs[level]))
-        post = mlbq_estimate(levels, kernels, U01)
+            fits.append(fit_hyperparameters(M12, w, y, bounds=(0.01, 10.0)))
+            levels.append(LevelData(level, w, y))
+        post = mlbq_estimate(levels, fits, U01)
         assert abs(post.mean - ref) < 1e-3
 
     def test_adding_points_never_increases_total_variance(self):
@@ -231,22 +231,39 @@ class TestMlbq:
                 y = model.increments(level, w[:, 0])
                 levels.append(LevelData(level, w, y))
                 kernels.append(Kernel.matern(0.5, 1.0, amplitude=0.5))
-            return mlbq_estimate(levels, kernels, U01)
+            return mlbq_estimate(levels, conditioned(levels, kernels), U01)
         assert posterior(9).variance <= posterior(5).variance + 1e-8 * 0.5
 
     def test_level_indexing_enforced(self):
         levels = [LevelData(1, [0.5], [1.0])]
         with pytest.raises(ValueError, match="indexed 0..L"):
-            mlbq_estimate(levels, [M12], U01)
+            mlbq_estimate(levels, conditioned(levels, [M12]), U01)
 
     def test_level_failure_tagged(self):
         levels = [LevelData(0, [0.5], [1.0]), LevelData(1, [2.5], [1.0])]
         with pytest.raises(LevelFailure, match="level 1"):
-            mlbq_estimate(levels, [M12, M12], U01)
+            mlbq_estimate(levels, conditioned(levels, [M12, M12]), U01)
 
-    def test_kernel_count_mismatch(self):
-        with pytest.raises(ValueError, match="kernels"):
-            mlbq_estimate([LevelData(0, [0.5], [1.0])], [M12, M12], U01)
+    def test_fit_count_mismatch(self):
+        level = LevelData(0, [0.5], [1.0])
+        with pytest.raises(ValueError, match="fits"):
+            mlbq_estimate([level], conditioned([level, level], [M12, M12]), U01)
+
+    def test_fit_on_other_points_rejected(self):
+        levels = [LevelData(0, [0.5], [1.0])]
+        with pytest.raises(LevelFailure, match="other points"):
+            mlbq_estimate(levels, [fit_gp(M12, [0.4], [1.0])], U01)
+
+    def test_factors_nothing(self, monkeypatch):
+        # the fits arrive conditioned: combining them makes no Cholesky factorisation
+        rng = np.random.default_rng(27)
+        levels = [LevelData(i, rng.random((5 - i, 1)), rng.standard_normal(5 - i)) for i in range(3)]
+        fits = conditioned(levels, [M12] * 3)
+        calls = []
+        original = gp.cholesky
+        monkeypatch.setattr(gp, "cholesky", lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+        mlbq_estimate(levels, fits, U01)
+        assert calls == []
 
 
 class TestSkMlbq:
@@ -258,7 +275,7 @@ class TestSkMlbq:
     def test_identity_coupling_equals_mlbq(self):
         levels = self._levels()
         k = Kernel.matern(0.5, 0.9, amplitude=0.8)
-        independent = mlbq_estimate(levels, [k] * 3, U01)
+        independent = mlbq_estimate(levels, conditioned(levels, [k] * 3), U01)
         joint = sk_mlbq_estimate(levels, k, np.eye(3), U01)
         assert joint.mean == pytest.approx(independent.mean, abs=1e-10)
         assert joint.variance == pytest.approx(independent.variance, abs=1e-10)
@@ -297,7 +314,7 @@ class TestSkMlbq:
                 sigma = mle_amplitude(k12, pooled_w, pooled_y)
                 kernel = k12.with_amplitude(max(sigma**2, 1e-12))
                 if off_diagonal is None:
-                    post = mlbq_estimate(levels, [kernel] * 3, U01)
+                    post = mlbq_estimate(levels, conditioned(levels, [kernel] * 3), U01)
                 else:
                     b = np.full((3, 3), off_diagonal)
                     np.fill_diagonal(b, 1.0)
