@@ -51,11 +51,13 @@ class TestGaussianPosterior:
 
 
 class TestMonteCarlo:
-    def test_mlmc_single_level(self):
+    def test_mc_mean(self):
         # plain MC is MLMC on one level
-        assert mlmc_estimate([LevelData(0, [0.1, 0.9], [1.0, 3.0])]) == 2.0
         values = np.random.default_rng(20).standard_normal(7)
         assert mlmc_estimate([LevelData(0, np.linspace(0.0, 1.0, 7), values)]) == float(np.mean(values))
+
+    def test_mlmc_single_level(self):
+        assert mlmc_estimate([LevelData(0, [0.1, 0.9], [1.0, 3.0])]) == 2.0
 
     def test_mlmc_two_levels(self):
         levels = [LevelData(0, [0.1, 0.9], [1.0, 3.0]), LevelData(1, [0.5], [0.5])]
