@@ -18,7 +18,7 @@ spawned child seeds and remain reproducible and independent.  The same
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -32,20 +32,9 @@ DESIGN_KINDS = ("iid", "grid", "halton", "lhs")
 
 @dataclass(frozen=True)
 class Design:
-    """A generated point set with its provenance."""
+    """A generated point set: ``points`` is the (n, dim) array."""
 
-    kind: str
     points: np.ndarray
-    seed: object = None
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 def _rng(seed) -> np.random.Generator:
@@ -115,12 +104,12 @@ def generate_design(kind: str, measure: ProductMeasure, n: int, seed=None) -> De
                 for m in measure.marginals]
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.column_stack([ax.reshape(-1) for ax in mesh])
-        return Design("grid", points, None, {"points_per_dim": per_dim})
+        return Design(points)
 
     if kind == "halton":
         u = halton_sequence(n, d)
         cols = [_through_marginal(u[:, j], m) for j, m in enumerate(measure.marginals)]
-        return Design("halton", np.column_stack(cols))
+        return Design(np.column_stack(cols))
 
     rng = _rng(seed)
     if kind == "iid":
@@ -130,7 +119,7 @@ def generate_design(kind: str, measure: ProductMeasure, n: int, seed=None) -> De
                 cols.append(m.a + (m.b - m.a) * rng.random(n))
             else:
                 cols.append(rng.standard_normal(n))
-        return Design("iid", np.column_stack(cols), seed)
+        return Design(np.column_stack(cols))
 
     # lhs: permuted strata with uniform within-stratum jitter, per dimension
     cols = []
@@ -138,7 +127,7 @@ def generate_design(kind: str, measure: ProductMeasure, n: int, seed=None) -> De
         strata = rng.permutation(n)
         u = (strata + rng.random(n)) / n
         cols.append(_through_marginal(u, m))
-    return Design("lhs", np.column_stack(cols), seed)
+    return Design(np.column_stack(cols))
 
 
 def fill_distance(design: Design, measure: ProductMeasure, resolution: int = 1000) -> float:

@@ -4,9 +4,9 @@ Everything works from one factor L = chol(C + nu I) of the unit-amplitude Gram
 matrix C, the nugget nu being relative to the amplitude: sigma L factors
 sigma^2 (C + nu I), so one factorisation gives the amplitude MLE, the
 profiled likelihood and the fit at any amplitude.  Each factorisation is LAPACK potrf
-on the lower triangle.  A fit holds one n x n array: the Gram matrix, factored
-and rescaled in place; only the nugget ladder, when potrf fails, copies, and it
-never writes the caller's matrix.  Per level, the amplitude is chosen in closed
+on the lower triangle, made in place by the one nugget ladder ``_factor``, which
+refills its matrix when potrf fails.  A fit holds one n x n array: the Gram matrix,
+factored and rescaled in place.  Per level, the amplitude is chosen in closed
 form and the lengthscale by maximising the profiled marginal log-likelihood
 (log grid, then golden section).  The search sets up once per fit, factors its
 own work matrix in place, reuses repeated axis searches exactly and matches the
@@ -51,7 +51,7 @@ class SingularGramError(np.linalg.LinAlgError):
 
 
 def cholesky(matrix):
-    """Lower factor by LAPACK potrf, in place if ``matrix`` is Fortran-order float64; ``LinAlgError`` if not PD."""
+    """Lower factor by potrf (the package's one call), in place if Fortran-order float64; ``LinAlgError`` if not PD."""
     chol, info = dpotrf(matrix, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise (np.linalg.LinAlgError if info > 0 else ValueError)(f"LAPACK potrf returned info {info}")
@@ -68,40 +68,25 @@ def _data(kernel, points, y):
     return w, yv
 
 
-def _chol_with_ladder(matrix, scale, nugget):
-    """Cholesky of the lower triangle of matrix + nugget*scale*I, escalating the nugget 10x.
+def _factor(fill, nugget, scale=1.0):
+    """Cholesky of the lower triangle of ``fill() + current * scale * I``, and the ``current`` it used.
 
-    The only nugget ladder; each rung factors a shifted copy, so ``matrix`` is never written.
+    The package's one nugget ladder.  ``fill`` returns a fresh Fortran-order matrix, which is factored in
+    place.  ``current`` starts at ``nugget``; each potrf failure has written over the matrix, so it is
+    dropped, the next rung (10 times the failed one, at least 1e-11) refills, and past ``MAX_NUGGET``
+    the ladder raises :class:`SingularGramError`.
     """
     current = nugget
     while True:
+        matrix = fill()
+        matrix.ravel(order="K")[:: matrix.shape[0] + 1] += current * scale
         try:
-            shifted = np.array(matrix, order="F")
-            shifted.flat[:: shifted.shape[0] + 1] += current * scale
-            return cholesky(shifted), current
+            return cholesky(matrix), current
         except np.linalg.LinAlgError:
-            current = _next_rung(current)
-
-
-def _next_rung(failed):
-    """The nugget after ``failed`` on the ladder; ``SingularGramError`` if ``failed`` was the last rung."""
-    nxt = max(failed, 1e-12) * 10.0
-    if failed >= MAX_NUGGET or nxt > MAX_NUGGET:
-        raise SingularGramError(f"Gram matrix not positive definite even with nugget {failed:g}", failed) from None
-    return nxt
-
-
-def _factor(fill, nugget):
-    """Cholesky of ``fill() + nugget * I``, a fresh Fortran-order matrix: the ladder's first rung, in place.
-
-    If potrf fails it has written over the matrix, so a second ``fill()`` goes to the ladder's next rung.
-    """
-    matrix = fill()
-    matrix.ravel(order="K")[:: matrix.shape[0] + 1] += nugget  # at scale 1, as the ladder adds it
-    try:
-        return cholesky(matrix), nugget
-    except np.linalg.LinAlgError:
-        return _chol_with_ladder(fill(), 1.0, _next_rung(nugget))
+            del matrix  # before the next fill, so one matrix is held at a time
+            failed, current = current, max(current, 1e-12) * 10.0
+            if failed >= MAX_NUGGET or current > MAX_NUGGET:
+                raise SingularGramError(f"Gram matrix not positive definite even with nugget {failed:g}", failed) from None
 
 
 def _logdet(chol) -> float:
@@ -169,7 +154,8 @@ def fit_gp(kernel: Kernel, points, y, nugget=1e-10) -> GPFit:
     Gram diagonal.  On Cholesky failure the nugget is escalated by factors
     of 10 up to 1e-4 before giving up with :class:`SingularGramError`.
     The fit holds one n x n array: the unit Gram matrix's transpose (equal,
-    and Fortran-order), factored and then rescaled in place.
+    and Fortran-order), factored and then rescaled in place; a failed rung
+    drops it and builds it again.
     """
     if nugget < 0:
         raise ValueError("nugget must be nonnegative")
@@ -235,8 +221,8 @@ def _axis_objective(kernel, axis, packed, resid, nugget):
 
     Works on the packed lower triangle potrf reads (``packed``, from ``_packed_pairs``): distances
     and fixed factors are computed once per axis search and multiplied in the order ``gram`` uses.
-    Each evaluation scatters them into the work matrix and hands it to ``_factor``, which scatters again
-    if potrf fails (it wrote over the triangle).
+    Each evaluation's fill scatters them into the work matrix; ``_factor`` calls it again at each rung
+    after potrf fails (the failed factor wrote over the triangle).
     """
     work, at, coords = packed
     lower = work.ravel(order="F")  # a view of work

@@ -45,7 +45,9 @@ is simply not run at that budget.  Single-level estimators (``mc``,
 ``bq``) take a one-element table entry, or ``floor(T / (gamma * C_L))``
 under formula sources; they run as the one-level cases of ``mlmc`` and
 ``mlbq`` on the top level's evaluations.  ``kernel.family`` is
-``matern``, ``se`` or ``brownian``.
+``matern``, ``se`` or ``brownian``.  Nothing is coerced: the two kernel
+flags must be JSON booleans, and table counts, ``replications`` and
+``seed`` JSON integers.
 """
 
 from __future__ import annotations
@@ -207,6 +209,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     kraw = raw.get("kernel", {})
     _require(isinstance(kraw, dict), "kernel must be an object")
     ls, bounds = kraw.get("lengthscale", 1.0), kraw.get("bounds", [0.01, 10.0])
+    flags = {key: kraw.get(key, False) for key in ("per_dimension", "mle_amplitude")}
+    _require(all(type(v) is bool for v in flags.values()), "kernel.per_dimension and mle_amplitude must be booleans")
     numbers = isinstance(bounds, (list, tuple)) and len(bounds) == 2 and all(type(v) in (int, float) for v in bounds)
     _require(numbers and 0 < bounds[0] < bounds[1] < math.inf, "kernel.bounds must be two numbers with 0 < lo < hi")
     kernel = KernelPolicy(
@@ -216,8 +220,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         amplitude=float(kraw.get("amplitude", 1.0)),
         policy=kraw.get("policy", "fitted"),
         bounds=tuple(float(v) for v in bounds),
-        per_dimension=bool(kraw.get("per_dimension", False)),
-        mle_amplitude=bool(kraw.get("mle_amplitude", False)),
+        **flags,
     )
     _require(kernel.family in ("matern", "se", "brownian"), "kernel.family must be 'matern', 'se' or 'brownian'")
     _require(kernel.policy in ("fixed", "fitted"), "kernel.policy must be 'fixed' or 'fitted'")
@@ -226,8 +229,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     budgets = raw.get("budgets")
     _require(isinstance(budgets, list) and budgets, "config needs a nonempty budgets list")
+    _require(all(type(t) in (int, float) and t > 0 for t in budgets), "budgets must be positive numbers")
     budgets = tuple(float(t) for t in budgets)
-    _require(all(t > 0 for t in budgets), "budgets must be positive")
 
     araw = raw.get("allocation")
     _require(isinstance(araw, dict) and "source" in araw, "config needs allocation.source")
@@ -243,9 +246,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             if isinstance(entry, dict):
                 stray = set(entry) - set(names)
                 _require(not stray, f"allocation table entry {i} names unknown estimators {sorted(stray)}")
-                norm_table.append({k: tuple(int(n) for n in v) for k, v in entry.items()})
-            else:
-                norm_table.append(tuple(int(n) for n in entry))
+            rows = entry.values() if isinstance(entry, dict) else [entry]
+            counts = all(isinstance(row, list) and all(type(n) is int for n in row) for row in rows)
+            _require(counts, f"allocation table entry {i} must hold lists of integer counts")
+            norm_table.append({k: tuple(v) for k, v in entry.items()} if isinstance(entry, dict) else tuple(entry))
         table = tuple(norm_table)
     else:
         key = "variances" if source == "mlmc-formula" else "norms"
@@ -262,9 +266,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
     reps = raw.get("replications", 1)
-    _require(isinstance(reps, int) and reps >= 1, "replications must be an integer >= 1")
+    _require(type(reps) is int and reps >= 1, "replications must be an integer >= 1")
     seed = raw.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0, "seed must be a nonnegative integer")
+    _require(type(seed) is int and seed >= 0, "seed must be a nonnegative integer")
 
     return ExperimentConfig(
         model_name=model["name"],

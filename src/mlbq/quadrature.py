@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import ndtri
 
-from .gp import GPFit, _chol_with_ladder
+from .gp import GPFit, _factor
 from .kernels import Kernel, ProductMeasure, gram, initial_error, kernel_mean
 
 __all__ = [
@@ -236,7 +236,7 @@ def sk_mlbq_estimate(
         for j, lj in enumerate(levels)
     ]
     z = np.concatenate(embeddings)
-    chol, _ = _chol_with_ladder(joint, kernel.amplitude, nugget)
+    chol, _ = _factor(lambda: np.array(joint, order="F"), nugget, kernel.amplitude)
     alpha = cho_solve((chol, True), values)
     kinv_z = cho_solve((chol, True), z)
 

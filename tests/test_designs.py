@@ -106,7 +106,7 @@ class TestFillDistance:
         assert fill_distance(d, U01, 1001) == pytest.approx(0.25, abs=spacing)
 
     def test_single_point(self):
-        d = Design("grid", np.array([[0.5]]))
+        d = Design(np.array([[0.5]]))
         assert fill_distance(d, U01, 1001) == pytest.approx(0.5, abs=1e-3)
 
     def test_equispaced_grid_formula(self):

@@ -84,9 +84,7 @@ class TestFitGp:
         with pytest.raises(ValueError):
             fit_gp(M12, [0.1, 0.2], [1.0], nugget=0.0)
         try:
-            from mlbq.gp import _chol_with_ladder
-
-            _chol_with_ladder(np.array([[1.0, 1.0], [1.0, 1.0]]), 0.0, 0.0)
+            gp._factor(lambda: np.ones((2, 2), order="F"), 0.0, 0.0)
         except SingularGramError as exc:
             assert exc.nugget == pytest.approx(1e-4)
         else:
@@ -243,8 +241,21 @@ class TestFitHyperparameters:
             assert policy.level_fit(w0, y0, dim=1).kernel == baseline
 
 
+def _potrf_ladder(matrix, nugget, scale=1.0):
+    """The ladder the test's way: potrf of ``matrix + rung * scale * I`` at each rung; (factor, rung, rungs tried)."""
+    from scipy.linalg.lapack import dpotrf
+
+    current, rungs = nugget, 1
+    while True:
+        chol, info = dpotrf(matrix + current * scale * np.eye(len(matrix)), lower=1, clean=1)
+        if info == 0:
+            return chol, current, rungs
+        current, rungs = max(current, 1e-12) * 10.0, rungs + 1
+        assert current <= gp.MAX_NUGGET
+
+
 class TestNuggetLadder:
-    """``_chol_with_ladder`` reads the lower triangle only and never writes its argument."""
+    """``_factor``, the one ladder, reads the lower triangle only and refills its matrix at each rung."""
 
     @staticmethod
     def _lower_with_garbage_above(points, scale):
@@ -263,32 +274,19 @@ class TestNuggetLadder:
 
         matrix = np.array(self._lower_with_garbage_above(points, scale), order=order)
         before = matrix.copy()
-        chol, used = gp._chol_with_ladder(matrix, scale, nugget)
+        chol, used = gp._factor(lambda: np.array(matrix, order=order), nugget, scale)
         assert (used > nugget) == (len(set(points)) < len(points))  # duplicates escalate the ladder
         expected, info = dpotrf(matrix + used * scale * np.eye(len(points)), lower=1, clean=1)
         assert info == 0 and np.array_equal(chol, expected)
         assert matrix.tobytes() == before.tobytes()
 
-    def test_fit_gp_leaves_the_gram_matrix_unwritten(self, monkeypatch):
-        seen = []
-        ladder = gp._chol_with_ladder
-
-        def recorded(matrix, scale, nugget):
-            seen.append((matrix, matrix.tobytes()))
-            return ladder(matrix, scale, nugget)
-
-        monkeypatch.setattr(gp, "_chol_with_ladder", recorded)
-        fit = fit_gp(M12, [0.5, 0.5, 0.9], [1.0, 1.0, 2.0], nugget=0.0)
-        assert fit.nugget > 0.0 and len(seen) == 1
-        assert seen[0][0].tobytes() == seen[0][1]
-
     def test_failed_first_rung_is_not_retried(self, monkeypatch):
         # a duplicate point fails potrf at nugget 0 in place; the ladder goes on at the next rung
         w, y = [0.5, 0.5, 0.9], [1.0, 1.0, 2.0]
-        full = gp._chol_with_ladder(gram(M12, np.reshape(w, (-1, 1))), 1.0, 0.0)  # every rung from 0
+        full = _potrf_ladder(gram(M12, np.reshape(w, (-1, 1))), 0.0)  # every rung from 0
         calls = _count_cholesky(monkeypatch)
         fit = fit_gp(M12, w, y, nugget=0.0)
-        assert calls == [3, 3] and fit.nugget == full[1] == 1e-11
+        assert calls == [3, 3] and fit.nugget == full[1] == 1e-11 and full[2] == 2
         assert np.array_equal(fit.chol, full[0])
 
     @pytest.mark.parametrize("nugget", [gp.MAX_NUGGET, 5e-5, 1e-3])
@@ -373,14 +371,19 @@ class TestLengthscaleSearch:
         short, long = grid[:12], grid[14:26]
         assert all(fit_gp(kernel.with_lengthscales(math.exp(g)), w, y, nugget=0.0).nugget == 0.0 for g in short)
         assert all(fit_gp(kernel.with_lengthscales(math.exp(g)), w, y, nugget=0.0).nugget > 0.0 for g in long)
-        laddered = []
-        ladder = gp._chol_with_ladder
-        monkeypatch.setattr(gp, "_chol_with_ladder", lambda *args: laddered.append(args[0].shape) or ladder(*args))
+        fills = []
+        factor = gp._factor
+        monkeypatch.setattr(gp, "_factor", lambda fill, *args: factor(lambda: fills.append(1) or fill(), *args))
         objective = _axis_objective(kernel, None, _packed_pairs(w), y.copy(), 0.0)
         alternating = [g for pair in zip(short, long) for g in pair]
-        values = [objective(g) for g in alternating]
-        assert len(laddered) == len(long)
-        monkeypatch.setattr(gp, "_chol_with_ladder", ladder)
+        values, per_evaluation = [], []
+        for g in alternating:
+            fills.clear()
+            values.append(objective(g))
+            per_evaluation.append(len(fills))
+        rungs = [_potrf_ladder(gram(kernel.with_lengthscales(math.exp(g)), w), 0.0)[2] for g in alternating]
+        assert per_evaluation == rungs and rungs[::2] == [1] * len(short) and min(rungs[1::2]) >= 2
+        monkeypatch.setattr(gp, "_factor", factor)
         for g, value in zip(alternating, values):
             assert value == profiled_log_marginal_likelihood(kernel.with_lengthscales(math.exp(g)), w, y, nugget=0.0)
 
@@ -512,16 +515,16 @@ class TestOneFactorPerFit:
 
 
 def _ladder_fit(kernel, w, y, nugget):
-    """The fit made the copying way: the ladder on a fresh unit Gram matrix, then an out-of-place rescale."""
+    """The fit made the test's way: potrf on a fresh unit Gram matrix at each rung, then an out-of-place rescale."""
     from scipy.linalg import cho_solve
 
-    chol, used = gp._chol_with_ladder(gram(kernel.with_amplitude(1.0), w), 1.0, nugget)
+    chol, used, _ = _potrf_ladder(gram(kernel.with_amplitude(1.0), w), nugget)
     weights = cho_solve((chol, True), np.asarray(y, dtype=float))
     return math.sqrt(kernel.amplitude) * chol, weights / kernel.amplitude, used
 
 
 class TestInPlaceFit:
-    """A fit holds one n x n array, and its values are those of the copying ladder path, bit for bit."""
+    """A fit holds one n x n array, and its values are those of the test's potrf ladder, bit for bit."""
 
     KERNELS = [
         Kernel.squared_exponential(0.4),
@@ -564,26 +567,41 @@ class TestInPlaceFit:
         chol, weights, _ = _ladder_fit(fit.kernel, w, y, 1e-10)
         assert np.array_equal(fit.chol, chol) and np.array_equal(fit.weights, weights)
 
-    @pytest.mark.parametrize("kernel", [Kernel.squared_exponential(0.5, dim=2), Kernel.matern(2.5, 0.5, dim=2)],
-                             ids=["se", "m52"])
+    PEAK_KERNELS = [Kernel.squared_exponential(0.5, dim=2, amplitude=4.0), Kernel.matern(2.5, 0.5, dim=2, amplitude=4.0)]
+
+    @staticmethod
+    def _second_fit_peak(kernel, w, y, nugget):
+        """Bytes a repeated ``fit_gp`` call peaks at, under tracemalloc."""
+        import tracemalloc
+
+        fit = fit_gp(kernel, w, y, nugget)
+        tracemalloc.start()
+        try:
+            fit_gp(kernel, w, y, nugget)
+            return fit, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kernel", PEAK_KERNELS, ids=["se", "m52"])
     def test_fit_peak_memory(self, kernel):
         # the Gram matrix is the fit's one n x n array; the rest is a block buffer and
         # the finiteness check's booleans (the copying path peaked at 4 and 5 n^2 doubles)
-        import tracemalloc
-
         n = 400
         rng = np.random.default_rng(33)
         w = rng.random((n, 2))
-        y = np.cos(4 * w.sum(axis=1))
-        kernel = kernel.with_amplitude(4.0)
-        fit_gp(kernel, w, y)
-        tracemalloc.start()
-        try:
-            fit_gp(kernel, w, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = self._second_fit_peak(kernel, w, np.cos(4 * w.sum(axis=1)), 1e-10)
         assert peak < 2 * n * n * 8
+
+    @pytest.mark.parametrize("kernel", PEAK_KERNELS, ids=["se", "m52"])
+    def test_laddered_fit_peak_memory(self, kernel):
+        # duplicated points at nugget 0 fail the first rung; the failed matrix is dropped
+        # before the refill, so the ladder too holds one n x n array at a time
+        n = 400
+        rng = np.random.default_rng(34)
+        w = rng.random((n, 2))
+        w[n // 2 :] = w[: n // 2]
+        fit, peak = self._second_fit_peak(kernel, w, np.cos(4 * w.sum(axis=1)), 0.0)
+        assert fit.nugget > 0.0 and peak < 2 * n * n * 8
 
 
 class TestNonFinite:

@@ -47,6 +47,17 @@ def config(**overrides):
     return config_from_dict(raw)
 
 
+def _fails_before_the_sweep(raw, tmp_path, monkeypatch):
+    """``raw`` is a configuration error before any sweep work, and the command line exits 1 writing no file."""
+    monkeypatch.setattr(PoissonHierarchy, "reference_integral", lambda self: pytest.fail("sweep started"))
+    with pytest.raises(ConfigError):
+        run_experiment(config_from_dict(raw))
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "records.csv"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 class TestConfig:
     def test_pickle_round_trip(self):
         # --jobs workers receive the frozen config as it is
@@ -107,19 +118,36 @@ class TestConfig:
             {"smoothness": 1.5},
             {"lengthscale": -1.0, "policy": "fixed"},
             {"family": "squared-exponential"},
+            {"per_dimension": "no"},  # a flag is a JSON boolean: bool("no") would read as true
+            {"mle_amplitude": "false"},
         ],
     )
     def test_bad_kernel_fails_before_the_sweep(self, bad, tmp_path, monkeypatch):
         # a bad kernel setting is one configuration error, not one failed cell per (budget, replication)
         raw = copy.deepcopy(BASE_CONFIG)
         raw["kernel"].update(bad)
-        monkeypatch.setattr(PoissonHierarchy, "reference_integral", lambda self: pytest.fail("sweep started"))
-        with pytest.raises(ConfigError):
-            run_experiment(config_from_dict(raw))
-        cfg_path, out = tmp_path / "cfg.json", tmp_path / "records.csv"
-        cfg_path.write_text(json.dumps(raw))
-        assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert not out.exists()
+        _fails_before_the_sweep(raw, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("replications",), True),
+            (("seed",), True),
+            (("allocation", "table", 0, "mlbq", 0), 38.5),
+            (("allocation", "table", 0, "mlmc", 2), True),
+            (("budgets", 0), True),
+        ],
+        ids=["bool-replications", "bool-seed", "float-count", "bool-count", "bool-budget"],
+    )
+    def test_numbers_are_type_checked_not_coerced(self, path, value, tmp_path, monkeypatch):
+        # counts and seeds are JSON integers and budgets numbers: true would run as 1, 38.5 as 38
+        raw = copy.deepcopy(BASE_CONFIG)
+        *parents, last = path
+        target = raw
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        _fails_before_the_sweep(raw, tmp_path, monkeypatch)
 
     def test_kernel_not_built_without_bayesian_estimator(self):
         cfg = config(

@@ -1,4 +1,5 @@
-"""What the MLBQ posterior must not notice, on the four configs whose records the golden hashes check.
+"""What the MLBQ posterior must not notice, on the four configs whose records the golden hashes check:
+doubled values, permuted points, and each uniform marginal shifted together with its coordinates.
 
 Each cell is a budget's MLBQ level data in one of the first ``REPLICATIONS`` replications, fitted by the
 config's kernel policy (``KernelPolicy.level_fit``) and combined by ``mlbq_estimate`` at one BLAS thread,
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from mlbq.harness import _build_groups, _pin_blas_threads, load_config, validate_budget_accounting
+from mlbq.kernels import ProductMeasure, Uniform
 from mlbq.models import make_model
 from mlbq.quadrature import LevelData, mlbq_estimate
 
@@ -45,9 +47,9 @@ def _mlbq_cells(path):
                 yield cfg, model, bi, rep, groups["mlbq"][0]
 
 
-def _posterior(cfg, model, levels):
+def _posterior(cfg, model, levels, measure=None):
     fits = [cfg.kernel.level_fit(level.points, level.values, model.dim) for level in levels]
-    return mlbq_estimate(levels, fits, model.measure)
+    return mlbq_estimate(levels, fits, measure or model.measure)
 
 
 @pytest.mark.parametrize("path", GOLDEN_CONFIGS)
@@ -86,4 +88,40 @@ def test_permuted_points_move_the_posterior_within_bounds(path, mean_bound, vari
             post = _posterior(cfg, model, permuted)
             changes.append((abs(post.mean / base.mean - 1.0), abs(post.variance / base.variance - 1.0)))
     mean_change, variance_change = np.max(changes, axis=0)
+    assert mean_change <= mean_bound and variance_change <= variance_bound
+
+
+def _shift_changes(path):
+    """Largest relative changes in mean and variance when each uniform marginal and its coordinates move by c."""
+    changes = []
+    for cfg, model, _, _, levels in _mlbq_cells(path):
+        base = _posterior(cfg, model, levels)
+        uniform = np.array([isinstance(m, Uniform) for m in model.measure.marginals])
+        for c in (0.25, 3.0, -0.5):
+            measure = ProductMeasure(
+                tuple(Uniform(m.a + c, m.b + c) if isinstance(m, Uniform) else m for m in model.measure.marginals)
+            )
+            shifted = [LevelData(lv.level, lv.points + c * uniform, lv.values) for lv in levels]
+            post = _posterior(cfg, model, shifted, measure)
+            changes.append((abs(post.mean / base.mean - 1.0), abs(post.variance / base.variance - 1.0)))
+    return np.max(changes, axis=0)
+
+
+def test_shifted_measure_leaves_the_dyadic_halton_posterior_unchanged():
+    # the ODE uniform coordinates are base-2 Halton points: dyadic, so every shift is exact
+    assert list(_shift_changes("configs/ode_budgets.json")) == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "path, mean_bound, variance_bound",
+    [  # just above the largest relative changes this sample gives (mean / variance):
+        # 1.5e-14 / 2.7e-10 and 1.5e-14 / 2.4e-11, roundoff of the shifted distances and kernel means
+        ("configs/poisson_budgets.json", 1.8e-14, 3.0e-10),
+        ("configs/poisson_calibration.json", 1.8e-14, 3.0e-11),
+        # 8.1e-7 / 2.7e-4, set by where the per-axis lengthscale search stops
+        ("perfbench/ode_matern_lhs.json", 9.0e-7, 3.0e-4),
+    ],
+)
+def test_shifted_measure_moves_the_posterior_within_bounds(path, mean_bound, variance_bound):
+    mean_change, variance_change = _shift_changes(path)
     assert mean_change <= mean_bound and variance_change <= variance_bound

@@ -297,6 +297,25 @@ class TestSkMlbq:
         assert post.mean == pytest.approx(float(z @ inv @ y), abs=1e-10)
         assert post.variance == pytest.approx(float(b.sum() * initial_error(k, U01) - z @ inv @ z), abs=1e-10)
 
+    def test_duplicated_point_escalates_the_nugget(self, monkeypatch):
+        # a repeated level-0 point makes the joint Gram matrix singular: at nugget 0 the first rung
+        # fails, the second (1e-11) factors, and the posterior is the dense solve at that rung
+        k = Kernel.matern(0.5, 0.9, amplitude=0.8)
+        levels = [LevelData(0, [0.2, 0.2, 0.6], [1.0, 1.0, 0.3]), LevelData(1, [0.45, 0.9], [0.1, -0.2])]
+        b = np.array([[1.0, 0.2], [0.2, 1.0]])
+        calls = []
+        original = gp.cholesky
+        monkeypatch.setattr(gp, "cholesky", lambda m, *a, **kw: calls.append(m.shape[0]) or original(m, *a, **kw))
+        post = sk_mlbq_estimate(levels, k, b, U01, nugget=0.0)
+        assert calls == [5, 5]
+        points, block = np.array([[0.2], [0.2], [0.6], [0.45], [0.9]]), [0, 0, 0, 1, 1]
+        cov = gram(k, points) * b[np.ix_(block, block)] + 1e-11 * k.amplitude * np.eye(5)
+        z = b[:, block].sum(axis=0) * kernel_mean(k, U01, points)
+        y = np.array([1.0, 1.0, 0.3, 0.1, -0.2])
+        prior = b.sum() * initial_error(k, U01)
+        assert post.mean == pytest.approx(float(z @ np.linalg.solve(cov, y)), rel=1e-9)
+        assert post.variance == pytest.approx(float(prior - z @ np.linalg.solve(cov, z)), rel=1e-9)
+
     def test_cross_level_coupling_degrades_gracefully(self):
         # weak coupling stays comparable to the independent estimator,
         # strong coupling is clearly worse (seeded stochastic check)
