@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .kernels import Kernel, Matern, SquaredExponential, as_points, gram
+from .kernels import Kernel, as_points, gram
 
 __all__ = [
     "GPFit",
@@ -228,7 +228,7 @@ def _axis_objective(kernel, axis, packed, resid, nugget):
     lower = work.ravel(order="F")  # a view of work
     head, rest = None, []  # rest: (searched factor, distances) or a fixed factor's values
     for j, (f, (x, x2)) in enumerate(zip(kernel.factors, coords)):
-        if isinstance(f, (Matern, SquaredExponential)) and axis in (None, j):
+        if hasattr(f, "lengthscale") and axis in (None, j):
             rest.append((f, np.abs(x - x2)))
         elif rest:
             rest.append(f.corr(x, x2))

@@ -45,9 +45,10 @@ is simply not run at that budget.  Single-level estimators (``mc``,
 ``bq``) take a one-element table entry, or ``floor(T / (gamma * C_L))``
 under formula sources; they run as the one-level cases of ``mlmc`` and
 ``mlbq`` on the top level's evaluations.  ``kernel.family`` is
-``matern``, ``se`` or ``brownian``.  Nothing is coerced: the two kernel
-flags must be JSON booleans, and table counts, ``replications`` and
-``seed`` JSON integers.
+``matern``, ``se`` or ``brownian``.  Nothing is coerced: kernel flags are
+JSON booleans, counts, ``replications`` and ``seed`` JSON integers, other
+numbers JSON numbers, ``output`` a string.  Before the sweep, a kernel with no
+closed form on the measure, a bad ``b_matrix`` or ``model.params`` is a ConfigError.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ from scipy.special import ndtri
 from .allocation import AllocationInput, mlbq_allocation, mlmc_allocation
 from .designs import DESIGN_KINDS, generate_design
 from .gp import GPFit, SingularGramError, _fit_lengthscales, _profiled_fit, fit_gp
-from .kernels import Kernel, NoClosedFormError
+from .kernels import Kernel, initial_error
 from .models import MODEL_NAMES, ModelError, make_model
-from .quadrature import LevelData, LevelFailure, mlbq_estimate, mlmc_estimate, sk_mlbq_estimate
+from .quadrature import LevelData, LevelFailure, _coupling_matrix, mlbq_estimate, mlmc_estimate, sk_mlbq_estimate
 
 __all__ = [
     "ConfigError",
@@ -96,7 +97,7 @@ CSV_COLUMNS = ("replication", "estimator", "budget", "estimate", "variance", "ab
 
 # Per-cell numerical failures are reported and the sweep continues; these
 # are the exception types treated that way.
-CELL_ERRORS = (LevelFailure, SingularGramError, ModelError, NoClosedFormError, FloatingPointError, ValueError)
+CELL_ERRORS = (LevelFailure, SingularGramError, ModelError, FloatingPointError, ValueError)
 
 
 class ConfigError(ValueError):
@@ -181,6 +182,16 @@ def _require(condition, message):
         raise ConfigError(message)
 
 
+def _number(value, what) -> float:
+    _require(type(value) in (int, float), f"{what} must be a number")
+    return float(value)
+
+
+def _numbers(value, what) -> tuple[float, ...]:
+    _require(isinstance(value, (list, tuple)), f"{what} must be a list of numbers")
+    return tuple(_number(v, what) for v in value)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a raw config dict into an :class:`ExperimentConfig`."""
     _require(isinstance(raw, dict), "config must be a JSON object")
@@ -200,26 +211,28 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         _require(e["name"] in ESTIMATOR_NAMES, f"estimator name must be one of {ESTIMATOR_NAMES}")
         _require(e["design"] in DESIGN_KINDS, f"design must be one of {DESIGN_KINDS}")
         b = e.get("b_matrix")
-        if e["name"] == "sk-mlbq" and b is not None:
-            b = tuple(tuple(float(x) for x in row) for row in b)
+        if b is not None:
+            _require(e["name"] == "sk-mlbq" and isinstance(b, list), "b_matrix is a list of rows, for sk-mlbq only")
+            b = tuple(_numbers(row, "b_matrix rows") for row in b)
         estimators.append(EstimatorSpec(e["name"], e["design"], b))
     names = [e.name for e in estimators]
     _require(len(names) == len(set(names)), "estimator names must be unique")
 
     kraw = raw.get("kernel", {})
     _require(isinstance(kraw, dict), "kernel must be an object")
-    ls, bounds = kraw.get("lengthscale", 1.0), kraw.get("bounds", [0.01, 10.0])
+    ls = kraw.get("lengthscale", 1.0)
+    ls = (_numbers if isinstance(ls, (list, tuple)) else _number)(ls, "kernel.lengthscale")
+    bounds = _numbers(kraw.get("bounds", [0.01, 10.0]), "kernel.bounds")
+    _require(len(bounds) == 2 and 0 < bounds[0] < bounds[1] < math.inf, "kernel.bounds must be [lo, hi], 0 < lo < hi")
     flags = {key: kraw.get(key, False) for key in ("per_dimension", "mle_amplitude")}
     _require(all(type(v) is bool for v in flags.values()), "kernel.per_dimension and mle_amplitude must be booleans")
-    numbers = isinstance(bounds, (list, tuple)) and len(bounds) == 2 and all(type(v) in (int, float) for v in bounds)
-    _require(numbers and 0 < bounds[0] < bounds[1] < math.inf, "kernel.bounds must be two numbers with 0 < lo < hi")
     kernel = KernelPolicy(
         family=kraw.get("family", "matern"),
-        smoothness=float(kraw.get("smoothness", 0.5)),
-        lengthscale=tuple(float(v) for v in ls) if isinstance(ls, (list, tuple)) else float(ls),
-        amplitude=float(kraw.get("amplitude", 1.0)),
+        smoothness=_number(kraw.get("smoothness", 0.5), "kernel.smoothness"),
+        lengthscale=ls,
+        amplitude=_number(kraw.get("amplitude", 1.0), "kernel.amplitude"),
         policy=kraw.get("policy", "fitted"),
-        bounds=tuple(float(v) for v in bounds),
+        bounds=bounds,
         **flags,
     )
     _require(kernel.family in ("matern", "se", "brownian"), "kernel.family must be 'matern', 'se' or 'brownian'")
@@ -227,10 +240,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if any(e.name == "sk-mlbq" for e in estimators):
         _require(kernel.policy == "fixed", "sk-mlbq requires kernel.policy 'fixed' (one shared base kernel)")
 
-    budgets = raw.get("budgets")
-    _require(isinstance(budgets, list) and budgets, "config needs a nonempty budgets list")
-    _require(all(type(t) in (int, float) and t > 0 for t in budgets), "budgets must be positive numbers")
-    budgets = tuple(float(t) for t in budgets)
+    budgets = _numbers(raw.get("budgets"), "budgets")
+    _require(budgets and all(t > 0 for t in budgets), "config needs a nonempty list of positive budgets")
 
     araw = raw.get("allocation")
     _require(isinstance(araw, dict) and "source" in araw, "config needs allocation.source")
@@ -254,21 +265,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     else:
         key = "variances" if source == "mlmc-formula" else "norms"
         _require(key in araw, f"allocation.source {source} requires {key}")
-        if source == "mlbq-formula":
-            _require("tau" in araw, "mlbq-formula requires tau")
+        _require(source == "mlmc-formula" or "tau" in araw, "mlbq-formula requires tau")
     allocation = AllocationSpec(
         source=source,
         table=table,
-        variances=tuple(float(v) for v in araw["variances"]) if "variances" in araw else None,
-        norms=tuple(float(v) for v in araw["norms"]) if "norms" in araw else None,
-        tau=float(araw["tau"]) if "tau" in araw else None,
-        gamma=float(araw.get("gamma", 1.0)),
+        variances=_numbers(araw["variances"], "allocation.variances") if "variances" in araw else None,
+        norms=_numbers(araw["norms"], "allocation.norms") if "norms" in araw else None,
+        tau=_number(araw["tau"], "allocation.tau") if "tau" in araw else None,
+        gamma=_number(araw.get("gamma", 1.0), "allocation.gamma"),
     )
 
     reps = raw.get("replications", 1)
     _require(type(reps) is int and reps >= 1, "replications must be an integer >= 1")
     seed = raw.get("seed", 0)
     _require(type(seed) is int and seed >= 0, "seed must be a nonnegative integer")
+    _require(isinstance(raw.get("output", ""), str), "output must be a string")
 
     return ExperimentConfig(
         model_name=model["name"],
@@ -574,11 +585,16 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
     if not pinned:
         log.warning("no OpenBLAS thread control found: the records may depend on the BLAS thread count")
     try:
-        model = make_model(cfg.model_name, **cfg.model_params)
+        try:
+            model = make_model(cfg.model_name, **cfg.model_params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"model.params: {exc}") from exc
         counts = validate_budget_accounting(cfg, model)
         if any(est.name in BAYESIAN for est in cfg.estimators):
-            try:
-                cfg.kernel.base_kernel(model.dim)
+            try:  # the closed forms every level kernel needs: each has the base kernel's factors and this measure
+                initial_error(cfg.kernel.base_kernel(model.dim), model.measure)
+                for b in (est.b_matrix for est in cfg.estimators if est.b_matrix is not None):
+                    _coupling_matrix(b, model.levels)
             except ValueError as exc:
                 raise ConfigError(f"kernel: {exc}") from exc
         reference = model.reference_integral()

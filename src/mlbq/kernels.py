@@ -4,11 +4,12 @@ Kernels are tensor products of one-dimensional factors (Matern with
 smoothness 1/2 or 5/2, squared exponential, Brownian motion) scaled by a
 single global amplitude ``sigma2``.  Integration measures are products of
 one-dimensional marginals (uniform on an interval, or standard normal).
-For the supported (factor, marginal) pairs the kernel mean ``Pi[c(., x)]``
-and the initial error ``Pi[Pi[c]]`` are evaluated from closed forms; both
-factorise over dimensions because kernel and measure are products.  For a
-stationary factor under N(0, 1), X - Y ~ N(0, 2), so the initial error is
-the kernel mean at 0 with the lengthscale divided by sqrt(2).
+The kernel mean ``Pi[c(., x)]`` and the initial error ``Pi[Pi[c]]`` come from
+``_CLOSED_FORMS``, the one table of (factor kind, marginal kind) pairs with closed
+forms (any other pair raises :class:`NoClosedFormError`); both factorise over
+dimensions because kernel and measure are products.  For a stationary factor under
+N(0, 1), X - Y ~ N(0, 2), so its initial error is its kernel mean at 0 with the
+lengthscale divided by sqrt(2).
 
 Conventions (shared with the rest of the package):
 
@@ -28,7 +29,7 @@ scaled complement ``erfcx`` so it cannot overflow for any finite input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erf, erfcx
@@ -75,6 +76,10 @@ class Matern:
         if not (self.lengthscale > 0 and math.isfinite(self.lengthscale)):
             raise ValueError(f"lengthscale must be positive and finite, got {self.lengthscale}")
 
+    @property
+    def kind(self) -> str:
+        return f"Matern(nu={self.nu})"
+
     def corr(self, x, y, out=None):
         return self.corr_at(np.abs(np.subtract(x, y, out=out), out=out), self.lengthscale, out)
 
@@ -96,6 +101,7 @@ class Matern:
 class SquaredExponential:
     """One-dimensional squared exponential factor, exp(-(x-y)^2/gamma^2)."""
 
+    kind = "SquaredExponential"
     lengthscale: float
 
     def __post_init__(self):
@@ -114,6 +120,8 @@ class SquaredExponential:
 @dataclass(frozen=True)
 class BrownianMotion:
     """Brownian motion factor min(x, y); no lengthscale, not stationary."""
+
+    kind = "BrownianMotion"
 
     def corr(self, x, y, out=None):
         return np.minimum(x, y, out=out)
@@ -174,14 +182,7 @@ class Kernel:
 
     def with_lengthscales(self, lengthscales) -> "Kernel":
         ls = _per_dim(lengthscales, self.dim)
-        new = []
-        for f, g in zip(self.factors, ls):
-            if isinstance(f, Matern):
-                new.append(Matern(f.nu, g))
-            elif isinstance(f, SquaredExponential):
-                new.append(SquaredExponential(g))
-            else:
-                new.append(f)
+        new = (replace(f, lengthscale=g) if hasattr(f, "lengthscale") else f for f, g in zip(self.factors, ls))
         return Kernel(tuple(new), self.amplitude)
 
 
@@ -246,15 +247,10 @@ class ProductMeasure:
         return all(isinstance(m, Uniform) for m in self.marginals)
 
     def contains(self, points) -> bool:
-        """True if every point lies in the support (finite check per axis)."""
+        """True if every point lies in the support: finite, and inside [a, b] on each uniform axis."""
         pts = as_points(points, self.dim)
-        if not np.all(np.isfinite(pts)):
-            return False
-        for j, m in enumerate(self.marginals):
-            if isinstance(m, Uniform):
-                if np.any(pts[:, j] < m.a) or np.any(pts[:, j] > m.b):
-                    return False
-        return True
+        uniform = [(m, pts[:, j]) for j, m in enumerate(self.marginals) if isinstance(m, Uniform)]
+        return bool(np.all(np.isfinite(pts))) and all(np.all((m.a <= x) & (x <= m.b)) for m, x in uniform)
 
 
 # ---------------------------------------------------------------------------
@@ -308,44 +304,33 @@ def gram(kernel: Kernel, points, points2=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# closed-form kernel means
+# closed-form kernel means and initial errors
 # ---------------------------------------------------------------------------
 
 
-def _pair_name(factor: Factor, marginal: Marginal) -> str:
-    if isinstance(factor, Matern):
-        f = f"Matern(nu={factor.nu})"
-    elif isinstance(factor, SquaredExponential):
-        f = "SquaredExponential"
-    else:
-        f = "BrownianMotion"
-    g = f"Uniform({marginal.a}, {marginal.b})" if isinstance(marginal, Uniform) else "StandardNormal"
-    return f"({f}, {g})"
+def _m12_uniform_mean(g, m, x):
+    return (2.0 * g - g * np.exp((m.a - x) / g) - g * np.exp((x - m.b) / g)) / (m.b - m.a)
 
 
-def _m12_uniform_mean(g, a, b, x):
-    return (2.0 * g - g * np.exp((a - x) / g) - g * np.exp((x - b) / g)) / (b - a)
+def _m12_uniform_init(g, m):
+    return 2.0 * g * (m.b - m.a - g + g * math.exp((m.a - m.b) / g)) / (m.b - m.a) ** 2
 
 
-def _m12_uniform_init(g, a, b):
-    return 2.0 * g * (b - a - g + g * math.exp((a - b) / g)) / (b - a) ** 2
+def _m52_uniform_mean(g, m, x):
+    left = np.exp(_SQRT5 * (m.a - x) / g) * (_SQRT5 * (8 * g**2 + 5 * (m.a - x) ** 2) / g + 25 * (x - m.a))
+    right = np.exp(_SQRT5 * (x - m.b) / g) * (-_SQRT5 * (8 * g**2 + 5 * (m.b - x) ** 2) / g + 25 * (x - m.b))
+    return (16 * _SQRT5 * g - left + right) / (15 * (m.b - m.a))
 
 
-def _m52_uniform_mean(g, a, b, x):
-    left = np.exp(_SQRT5 * (a - x) / g) * (_SQRT5 * (8 * g**2 + 5 * (a - x) ** 2) / g + 25 * (x - a))
-    right = np.exp(_SQRT5 * (x - b) / g) * (-_SQRT5 * (8 * g**2 + 5 * (b - x) ** 2) / g + 25 * (x - b))
-    return (16 * _SQRT5 * g - left + right) / (15 * (b - a))
-
-
-def _m52_uniform_init(g, a, b):
-    w = b - a
+def _m52_uniform_init(g, m):
+    w = m.b - m.a
     decay = math.exp(-_SQRT5 * w / g)
     return 2.0 * (8 * _SQRT5 * w * g - 15 * g**2 + decay * (5 * w**2 + 7 * _SQRT5 * w * g + 15 * g**2)) / (
         15 * w**2
     )
 
 
-def _m52_gauss_mean(g, x):
+def _m52_gauss_mean(g, m, x):
     # Each exp(...) * erfc(...) product collapses to erfcx at the same
     # argument, which is what keeps this finite for |x| >> gamma.
     x = np.asarray(x, dtype=float)
@@ -368,57 +353,51 @@ def _m52_gauss_mean(g, x):
     return out
 
 
-def _se_uniform_mean(g, a, b, x):
-    return _SQRTPI * g * (erf((x - a) / g) + erf((b - x) / g)) / (2 * (b - a))
+def _m52_gauss_init(g, m):
+    # E[c(X - Y)] with X - Y ~ N(0, 2) = sqrt(2) Z: the kernel mean at 0
+    # with lengthscale gamma / sqrt(2).
+    return float(_m52_gauss_mean(g / _SQRT2, m, 0.0))
 
 
-def _se_uniform_init(g, a, b):
-    w = b - a
+def _se_uniform_mean(g, m, x):
+    return _SQRTPI * g * (erf((x - m.a) / g) + erf((m.b - x) / g)) / (2 * (m.b - m.a))
+
+
+def _se_uniform_init(g, m):
+    w = m.b - m.a
     return g * ((math.exp(-(w / g) ** 2) - 1.0) * g + w * _SQRTPI * erf(w / g)) / w**2
 
 
-def _se_gauss_mean(g, x):
+def _se_gauss_mean(g, m, x):
     return g * np.exp(-x * x / (g * g + 2.0)) / math.sqrt(g * g + 2.0)
 
 
-def _se_gauss_init(g):
+def _se_gauss_init(g, m):
     return g / math.sqrt(g * g + 4.0)
 
 
-def _factor_mean(factor: Factor, marginal: Marginal, x):
-    if isinstance(factor, Matern) and isinstance(marginal, Uniform):
-        fn = _m12_uniform_mean if factor.nu == 0.5 else _m52_uniform_mean
-        return fn(factor.lengthscale, marginal.a, marginal.b, x)
-    if isinstance(factor, Matern) and isinstance(marginal, StandardNormal):
-        if factor.nu == 2.5:
-            return _m52_gauss_mean(factor.lengthscale, x)
-    if isinstance(factor, SquaredExponential) and isinstance(marginal, Uniform):
-        return _se_uniform_mean(factor.lengthscale, marginal.a, marginal.b, x)
-    if isinstance(factor, SquaredExponential) and isinstance(marginal, StandardNormal):
-        return _se_gauss_mean(factor.lengthscale, x)
-    raise NoClosedFormError(f"no closed-form kernel mean for {_pair_name(factor, marginal)}")
+# (factor kind, marginal kind) -> (kernel mean (g, m, x), initial error (g, m)), for lengthscale g and marginal m
+_CLOSED_FORMS = {
+    ("Matern(nu=0.5)", "Uniform"): (_m12_uniform_mean, _m12_uniform_init),
+    ("Matern(nu=2.5)", "Uniform"): (_m52_uniform_mean, _m52_uniform_init),
+    ("Matern(nu=2.5)", "StandardNormal"): (_m52_gauss_mean, _m52_gauss_init),
+    ("SquaredExponential", "Uniform"): (_se_uniform_mean, _se_uniform_init),
+    ("SquaredExponential", "StandardNormal"): (_se_gauss_mean, _se_gauss_init),
+}
 
 
-def _factor_initial_error(factor: Factor, marginal: Marginal):
-    if isinstance(factor, Matern) and isinstance(marginal, Uniform):
-        fn = _m12_uniform_init if factor.nu == 0.5 else _m52_uniform_init
-        return fn(factor.lengthscale, marginal.a, marginal.b)
-    if isinstance(factor, Matern) and isinstance(marginal, StandardNormal) and factor.nu == 2.5:
-        # E[c(X - Y)] with X - Y ~ N(0, 2) = sqrt(2) Z: the kernel mean at 0
-        # with lengthscale gamma / sqrt(2).
-        return float(_m52_gauss_mean(factor.lengthscale / _SQRT2, 0.0))
-    if isinstance(factor, SquaredExponential) and isinstance(marginal, Uniform):
-        return _se_uniform_init(factor.lengthscale, marginal.a, marginal.b)
-    if isinstance(factor, SquaredExponential) and isinstance(marginal, StandardNormal):
-        return _se_gauss_init(factor.lengthscale)
-    raise NoClosedFormError(f"no closed-form initial error for {_pair_name(factor, marginal)}")
+def _closed_form(factor: Factor, marginal: Marginal):
+    """The table's (kernel mean, initial error) functions for this pair; :class:`NoClosedFormError` if it has none."""
+    try:
+        return _CLOSED_FORMS[factor.kind, type(marginal).__name__]
+    except KeyError:
+        raise NoClosedFormError(f"no closed form for ({factor.kind}, {marginal})") from None
 
 
 def kernel_mean(kernel: Kernel, measure: ProductMeasure, points):
     """Pi[c(., x)] for each point; returns a scalar for a single point.
 
-    Supported pairs: Matern(1/2)+Uniform, Matern(5/2)+Uniform,
-    Matern(5/2)+StandardNormal, SE+Uniform, SE+StandardNormal.
+    Each factor's closed form is its pair's row of ``_CLOSED_FORMS``.
     """
     if kernel.dim != measure.dim:
         raise ValueError(f"kernel dimension {kernel.dim} != measure dimension {measure.dim}")
@@ -426,8 +405,8 @@ def kernel_mean(kernel: Kernel, measure: ProductMeasure, points):
     if not np.all(np.isfinite(pts)):
         raise ValueError("kernel_mean requires finite coordinates")
     out = np.full(pts.shape[0], kernel.amplitude)
-    for j, (f, m) in enumerate(zip(kernel.factors, measure.marginals)):
-        out = out * _factor_mean(f, m, pts[:, j])
+    for j, (f, g, m) in enumerate(zip(kernel.factors, kernel.lengthscales, measure.marginals)):
+        out = out * _closed_form(f, m)[0](g, m, pts[:, j])
     arr_in = np.asarray(points)
     single = arr_in.ndim == 0 or (arr_in.ndim == 1 and kernel.dim > 1 and arr_in.size == kernel.dim)
     return float(out[0]) if single else out
@@ -436,11 +415,11 @@ def kernel_mean(kernel: Kernel, measure: ProductMeasure, points):
 def initial_error(kernel: Kernel, measure: ProductMeasure) -> float:
     """Pi[Pi[c]]: the BQ posterior variance before any data.
 
-    Exact for every pair ``kernel_mean`` supports.
+    Exact for every pair in ``_CLOSED_FORMS``, the pairs ``kernel_mean`` supports.
     """
     if kernel.dim != measure.dim:
         raise ValueError(f"kernel dimension {kernel.dim} != measure dimension {measure.dim}")
     value = kernel.amplitude
-    for f, m in zip(kernel.factors, measure.marginals):
-        value *= _factor_initial_error(f, m)
+    for f, g, m in zip(kernel.factors, kernel.lengthscales, measure.marginals):
+        value *= _closed_form(f, m)[1](g, m)
     return float(value)

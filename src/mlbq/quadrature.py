@@ -186,6 +186,18 @@ def mlbq_estimate(levels, fits, measure: ProductMeasure) -> GaussianPosterior:
     )
 
 
+def _coupling_matrix(b_matrix, n_levels) -> np.ndarray:
+    """``b_matrix`` as a float array, checked to be a symmetric positive definite ``n_levels`` x ``n_levels`` B."""
+    b = np.asarray(b_matrix, dtype=float)
+    if b.shape != (n_levels, n_levels):
+        raise ValueError(f"B must be {n_levels}x{n_levels}, got {b.shape}")
+    if not np.array_equal(b, b.T):
+        raise ValueError("B must be symmetric")
+    if not np.linalg.eigvalsh(b).min() > 0:
+        raise ValueError("B must be positive definite")
+    return b
+
+
 def sk_mlbq_estimate(
     levels,
     kernel: Kernel,
@@ -208,14 +220,8 @@ def sk_mlbq_estimate(
     """
     if len(levels) == 0:
         raise ValueError("sk_mlbq_estimate needs at least one level")
-    b = np.asarray(b_matrix, dtype=float)
     n_lev = len(levels)
-    if b.shape != (n_lev, n_lev):
-        raise ValueError(f"B must be {n_lev}x{n_lev}, got {b.shape}")
-    if not np.allclose(b, b.T, rtol=0, atol=0):
-        raise ValueError("B must be symmetric")
-    if np.linalg.eigvalsh(b).min() <= 0:
-        raise ValueError("B must be positive definite")
+    b = _coupling_matrix(b_matrix, n_lev)
     for level in levels:
         _require_support(measure, level.points, level.level)
 

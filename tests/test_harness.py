@@ -1,6 +1,8 @@
+import contextlib
 import copy
 import ctypes
 import filecmp
+import io
 import json
 import os
 import pickle
@@ -28,6 +30,7 @@ from mlbq.harness import (
     write_records_csv,
 )
 from mlbq.models import OdeHierarchy, PoissonHierarchy, make_model
+from mlbq.quadrature import sk_mlbq_estimate
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -41,6 +44,16 @@ BASE_CONFIG = {
 }
 
 
+# mlbq and sk-mlbq on one grid design under one fixed kernel
+SK_CONFIG = dict(
+    BASE_CONFIG,
+    estimators=[{"name": "mlbq", "design": "grid"}, {"name": "sk-mlbq", "design": "grid"}],
+    kernel={"family": "matern", "smoothness": 2.5, "lengthscale": 0.3, "amplitude": 2.0, "policy": "fixed"},
+    allocation={"source": "table", "table": [[20, 9, 4]]},
+    replications=2,
+)
+
+
 def config(**overrides):
     raw = copy.deepcopy(BASE_CONFIG)
     raw.update(overrides)
@@ -49,12 +62,15 @@ def config(**overrides):
 
 def _fails_before_the_sweep(raw, tmp_path, monkeypatch):
     """``raw`` is a configuration error before any sweep work, and the command line exits 1 writing no file."""
-    monkeypatch.setattr(PoissonHierarchy, "reference_integral", lambda self: pytest.fail("sweep started"))
+    model = {"poisson": PoissonHierarchy, "ode": OdeHierarchy}[raw["model"]["name"]]
+    monkeypatch.setattr(model, "reference_integral", lambda self: pytest.fail("sweep started"))
     with pytest.raises(ConfigError):
         run_experiment(config_from_dict(raw))
-    cfg_path, out = tmp_path / "cfg.json", tmp_path / "records.csv"
+    cfg_path, out, err = tmp_path / "cfg.json", tmp_path / "records.csv", io.StringIO()
     cfg_path.write_text(json.dumps(raw))
-    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+    with contextlib.redirect_stderr(err):
+        assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "config error:" in err.getvalue()
     assert not out.exists()
 
 
@@ -120,12 +136,39 @@ class TestConfig:
             {"family": "squared-exponential"},
             {"per_dimension": "no"},  # a flag is a JSON boolean: bool("no") would read as true
             {"mle_amplitude": "false"},
+            {"family": "brownian"},  # no closed-form kernel mean on U(0, 1) yet
+            {"model": "ode", "smoothness": 0.5},  # Matern-1/2 has none on the ODE model's N(0, 1) axis
         ],
     )
     def test_bad_kernel_fails_before_the_sweep(self, bad, tmp_path, monkeypatch):
         # a bad kernel setting is one configuration error, not one failed cell per (budget, replication)
+        raw, kernel = copy.deepcopy(BASE_CONFIG), dict(bad)
+        raw["model"]["name"] = kernel.pop("model", "poisson")
+        raw["kernel"].update(kernel)
+        _fails_before_the_sweep(raw, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "estimators",
+        [
+            [{"name": "sk-mlbq", "design": "grid", "b_matrix": [[1, 0], [0, 1]]}],
+            [{"name": "sk-mlbq", "design": "grid", "b_matrix": [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]}],
+            [{"name": "sk-mlbq", "design": "grid", "b_matrix": [[1, 2, 0], [2, 1, 0], [0, 0, 1]]}],
+            [{"name": "sk-mlbq", "design": "grid", "b_matrix": [[1, 0, 0], [0, 1], [0, 0, 1]]}],
+            [{"name": "sk-mlbq", "design": "grid", "b_matrix": [[1, 0, 0], [0, "1", 0], [0, 0, 1]]}],
+            [{"name": "mlbq", "design": "grid", "b_matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
+        ],
+        ids=["2x2", "asymmetric", "indefinite", "ragged", "str-entry", "not-sk-mlbq"],
+    )
+    def test_bad_b_matrix_fails_before_the_sweep(self, estimators, tmp_path, monkeypatch):
+        # the 3-level Poisson model needs a 3x3 SPD B; a bad one used to drop every sk-mlbq cell
+        raw = copy.deepcopy(SK_CONFIG)
+        raw["estimators"] = [{"name": "mlmc", "design": "iid"}] + estimators
+        _fails_before_the_sweep(raw, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("params", [{"foo": 1}, {"costs": "abc"}], ids=["unknown-key", "str-costs"])
+    def test_bad_model_params_fail_before_the_sweep(self, params, tmp_path, monkeypatch):
         raw = copy.deepcopy(BASE_CONFIG)
-        raw["kernel"].update(bad)
+        raw["model"]["params"] = params
         _fails_before_the_sweep(raw, tmp_path, monkeypatch)
 
     @pytest.mark.parametrize(
@@ -136,11 +179,22 @@ class TestConfig:
             (("allocation", "table", 0, "mlbq", 0), 38.5),
             (("allocation", "table", 0, "mlmc", 2), True),
             (("budgets", 0), True),
+            (("kernel", "smoothness"), "0.5"),
+            (("kernel", "lengthscale"), "1.0"),
+            (("kernel", "amplitude"), True),
+            (("allocation",), {"source": "mlmc-formula", "variances": [1.305e-3, "0.088e-3", 0.002e-3]}),
+            (("allocation",), {"source": "mlbq-formula", "norms": "123", "tau": 1.0}),
+            (("allocation",), {"source": "mlbq-formula", "norms": [62.5e-3, 22.5e-3, 3.125e-3], "tau": "1"}),
+            (("allocation",), {"source": "mlbq-formula", "norms": [62.5e-3, 22.5e-3, 3.125e-3], "tau": 1.0,
+                               "gamma": True}),
+            (("output",), 5),
         ],
-        ids=["bool-replications", "bool-seed", "float-count", "bool-count", "bool-budget"],
+        ids=["bool-replications", "bool-seed", "float-count", "bool-count", "bool-budget", "str-smoothness",
+             "str-lengthscale", "bool-amplitude", "str-variance", "str-norms", "str-tau", "bool-gamma", "int-output"],
     )
     def test_numbers_are_type_checked_not_coerced(self, path, value, tmp_path, monkeypatch):
-        # counts and seeds are JSON integers and budgets numbers: true would run as 1, 38.5 as 38
+        # counts and seeds are JSON integers, other numbers JSON numbers and output a string:
+        # true would run as 1, 38.5 as 38, "123" as norms (1, 2, 3)
         raw = copy.deepcopy(BASE_CONFIG)
         *parents, last = path
         target = raw
@@ -534,6 +588,27 @@ class TestRunExperiment:
         )
         by_name = {r.estimator: r.cost for r in run_experiment(cfg)}
         assert by_name == {"mlmc": 6 * 0.5 + 3 * 1.5 + 2 * 4.0, "mc": 5 * 4.0}
+
+    @pytest.mark.parametrize("b_matrix", [None, [[1.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]]])
+    def test_sk_mlbq_records_are_the_estimator_on_the_cell_data(self, b_matrix):
+        raw = copy.deepcopy(SK_CONFIG)
+        if b_matrix is not None:
+            raw["estimators"][1]["b_matrix"] = b_matrix
+        cfg = config_from_dict(raw)
+        model = make_model("poisson")
+        counts = validate_budget_accounting(cfg, model)[0]
+        b = np.eye(3) if b_matrix is None else np.array(b_matrix)
+        records = run_experiment(cfg)
+        assert sorted(r.estimator for r in records) == ["mlbq", "mlbq", "sk-mlbq", "sk-mlbq"]
+        by_key = {(r.estimator, r.replication): r for r in records}
+        for rep in range(2):
+            levels, _ = _build_groups(cfg, model, counts, 0, rep, {})["sk-mlbq"]
+            post = sk_mlbq_estimate(levels, cfg.kernel.base_kernel(1), b, model.measure)
+            sk, mlbq = by_key["sk-mlbq", rep], by_key["mlbq", rep]
+            assert sk.estimate == post.mean and sk.variance == post.variance
+            if b_matrix is None:  # identity coupling: the levels are independent, as mlbq's are
+                assert sk.estimate == pytest.approx(mlbq.estimate, rel=1e-10, abs=0.0)
+                assert sk.variance == pytest.approx(mlbq.variance, rel=1e-10, abs=0.0)
 
     def test_formula_allocation_end_to_end(self):
         cfg = config(

@@ -16,9 +16,20 @@ from mlbq.kernels import (
     initial_error,
     kernel_mean,
 )
+from mlbq.kernels import _CLOSED_FORMS
 from mlbq.oracles import initial_error_quadrature, kernel_mean_quadrature
 
 U01 = ProductMeasure.uniform(0.0, 1.0)
+
+# Each closed-form table row's factor (by lengthscale), a marginal and the points to check its kernel mean at
+UNIFORM, NORMAL = (Uniform(-0.3, 1.4), (-0.2, 0.35, 1.3)), (StandardNormal(), (-2.5, 0.0, 1.1))
+ORACLE_CASES = {
+    ("Matern(nu=0.5)", "Uniform"): (lambda g: Matern(0.5, g), *UNIFORM),
+    ("Matern(nu=2.5)", "Uniform"): (lambda g: Matern(2.5, g), *UNIFORM),
+    ("Matern(nu=2.5)", "StandardNormal"): (lambda g: Matern(2.5, g), *NORMAL),
+    ("SquaredExponential", "Uniform"): (SquaredExponential, *UNIFORM),
+    ("SquaredExponential", "StandardNormal"): (SquaredExponential, *NORMAL),
+}
 
 
 class TestConstruction:
@@ -196,6 +207,18 @@ class TestKernelMean:
         measure = ProductMeasure.standard_normal()
         vals = kernel_mean(k, measure, np.array([50.0, 200.0, 1000.0]))
         assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+
+    @pytest.mark.parametrize("gamma", [0.4, 2.0])
+    @pytest.mark.parametrize("pair", sorted(_CLOSED_FORMS), ids="-".join)
+    def test_every_table_row_matches_its_oracle(self, pair, gamma):
+        factor_of, marginal, points = ORACLE_CASES[pair]  # a table row without an oracle case fails here
+        factor, measure = factor_of(gamma), ProductMeasure((marginal,))
+        assert (factor.kind, type(marginal).__name__) == pair
+        for x in points:
+            impl = kernel_mean(Kernel((factor,)), measure, x)
+            assert impl == pytest.approx(kernel_mean_quadrature(factor, marginal, x), abs=1e-9)
+        impl = initial_error(Kernel((factor,)), measure)
+        assert impl == pytest.approx(initial_error_quadrature(factor, marginal), abs=1e-8)
 
     def test_matern12_gauss_has_no_closed_form(self):
         with pytest.raises(NoClosedFormError, match=r"Matern\(nu=0.5\).*StandardNormal"):
