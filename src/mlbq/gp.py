@@ -10,13 +10,15 @@ factored and rescaled in place.  Per level, the amplitude is chosen in closed
 form and the lengthscale by maximising the profiled marginal log-likelihood
 (log grid, then golden section).  The search sets up once per fit, factors its
 own work matrix in place, reuses repeated axis searches exactly and matches the
-public profiled likelihood bit for bit.  Data are checked to be finite where
-they enter; a non-finite Gram matrix or likelihood raises.  Everything here is
-pure; ``GPFit`` is immutable.
+public profiled likelihood bit for bit.  Per-axis searches after the first
+sweep climb the grid from that axis's last peak instead of scanning it all.
+Data are checked to be finite where they enter; a non-finite Gram matrix or
+likelihood raises.  Everything here is pure; ``GPFit`` is immutable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -250,28 +252,39 @@ def _axis_objective(kernel, axis, packed, resid, nugget):
     return objective
 
 
-def _optimise_axis(kernel, axis, packed, resid, bounds, nugget):
-    """1-d profiled-LML search over the lengthscale of one factor (``axis=None``: all tied)."""
+def _optimise_axis(kernel, axis, packed, resid, bounds, nugget, start=None):
+    """1-d profiled-LML search over one lengthscale (``axis=None``: all tied); the kernel and its grid peak.
+
+    From ``start``, an inner grid index, the search climbs the grid to the first point that neither
+    neighbour beats, stepping left when the left neighbour beats it and else right, and evaluates each
+    point at most once.  With no ``start``, or one on the grid's edge (a profile flat toward a bound), it
+    scans the whole grid.  Golden section then refines between the peak's neighbours.
+    """
     objective = _axis_objective(kernel, axis, packed, resid, nugget)
-    lo, hi = math.log(bounds[0]), math.log(bounds[1])
-    grid = np.linspace(lo, hi, GRID_SIZE)
-    vals = np.array([objective(g) for g in grid])
-    best = int(np.argmax(vals))
+    grid = np.linspace(math.log(bounds[0]), math.log(bounds[1]), GRID_SIZE)
+    if start in (None, 0, GRID_SIZE - 1):
+        best = int(np.argmax([objective(g) for g in grid]))
+    else:
+        value = functools.cache(lambda i: objective(grid[i]) if 0 <= i < GRID_SIZE else -math.inf)
+        best = start
+        while (step := next((j for j in (best - 1, best + 1) if value(j) > value(best)), best)) != best:
+            best = step
     left = grid[max(best - 1, 0)]
     right = grid[min(best + 1, GRID_SIZE - 1)]
     g = math.exp(_golden_max(objective, left, right))
     if axis is None:
-        return kernel.with_lengthscales(g)
+        return kernel.with_lengthscales(g), best
     ls = list(kernel.lengthscales)
     ls[axis] = g
-    return kernel.with_lengthscales(ls)
+    return kernel.with_lengthscales(ls), best
 
 
 def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=1e-10) -> Kernel:
     """The lengthscale search of :func:`fit_hyperparameters`; the amplitude is left as it is.
 
-    Set up once per call.  An axis search reads neither its own factor's lengthscale nor the amplitude,
-    so one whose other factors equal an earlier search's on that axis returns its kernel, not run again.
+    Set up once per call.  The first sweep scans each axis's grid; later sweeps climb it from that axis's
+    last peak.  An axis search reads neither its own factor's lengthscale nor the amplitude, so one whose
+    other factors equal an earlier search's on that axis returns its kernel and peak, not run again.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi):
@@ -283,13 +296,14 @@ def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=1e-
     if np.max(np.abs(resid)) == 0.0:
         return fitted
     per_axis = per_dimension and kernel.dim > 1
-    packed, searched = _packed_pairs(w), {}  # searched: (axis, the other factors) -> fitted kernel
+    # searched: (axis, the other factors) -> (fitted kernel, grid peak); peaks: axis -> its last grid peak
+    packed, searched, peaks = _packed_pairs(w), {}, {}
     for _ in range(SWEEPS if per_axis else 1):
         for axis in range(kernel.dim) if per_axis else [None]:
             key = (axis, tuple(f for j, f in enumerate(fitted.factors) if j != axis))
             if key not in searched:
-                searched[key] = _optimise_axis(fitted, axis, packed, resid, (lo, hi), nugget)
-            fitted = searched[key]
+                searched[key] = _optimise_axis(fitted, axis, packed, resid, (lo, hi), nugget, peaks.get(axis))
+            fitted, peaks[axis] = searched[key]
     return fitted
 
 
@@ -313,9 +327,13 @@ def fit_hyperparameters(
     """Fit lengthscale(s) and amplitude by profiled marginal likelihood; the GP conditioned at them.
 
     The search is a ``GRID_SIZE``-point log-space grid over ``bounds``
-    followed by golden-section refinement to ``REL_TOL`` in log-lengthscale,
-    cycled over dimensions for ``SWEEPS`` rounds when ``per_dimension`` is
-    set.  It is derivative-free and deterministic given its inputs.  The
+    followed by golden-section refinement to ``REL_TOL`` in log-lengthscale
+    between the grid peak's neighbours.  With ``per_dimension`` it runs
+    ``SWEEPS`` sweeps over the axes, one factor's lengthscale at a time: the
+    first sweep scans each axis's grid, later ones climb it from that axis's
+    previous peak (a peak on the grid's edge is scanned again), so a later
+    search can stop at a lower local peak than a full scan would find.  It is
+    derivative-free and deterministic given its inputs.  The
     returned fit's kernel carries the optimal lengthscales and amplitude
     sigma*^2; the fit is the one :func:`fit_gp` makes with that kernel,
     from the same one factorisation that gave the amplitude.

@@ -21,7 +21,9 @@ Three hierarchies:
 
 Costs are declared per-level constants (defaults are the published cost
 vectors of the accompanying experiments) so budget arithmetic is
-deterministic and machine independent.
+deterministic and machine independent.  Constructor parameters are checked,
+not converted: counts and ``reference_refine`` must be ints, costs, spacings,
+``forcing`` and ``high`` ints or floats; anything else is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -146,6 +148,17 @@ def _flux_form(off):
 # model base
 # ---------------------------------------------------------------------------
 
+_INTEGER, _NUMBER = (int,), (int, float)
+
+
+def _typed(values, types, what) -> tuple:
+    """``values`` as a tuple, each checked, not converted, to be exactly one of ``types`` (bools, strings
+    and numpy scalars fail)."""
+    values = tuple(values)
+    if not all(type(v) in types for v in values):
+        raise ValueError(f"{what} must be {' or '.join(t.__name__ for t in types)}, got {values!r}")
+    return values
+
 
 class MultifidelityModel:
     """Shared interface: levels 0..L of increasing accuracy and cost."""
@@ -207,13 +220,14 @@ class PoissonHierarchy(MultifidelityModel):
     name = "poisson"
 
     def __init__(self, interior_nodes=(4, 16, 64), costs=(3.6e-3, 8.5e-3, 42.4e-3)):
+        interior_nodes, costs = _typed(interior_nodes, _INTEGER, "interior_nodes"), _typed(costs, _NUMBER, "costs")
         if len(interior_nodes) != len(costs):
             raise ValueError("need one cost per level")
         if any(p < 1 for p in interior_nodes):
             raise ValueError("each level needs at least one interior node")
         if any(c <= 0 for c in costs):
             raise ValueError("costs must be positive")
-        self.interior_nodes = tuple(int(p) for p in interior_nodes)
+        self.interior_nodes = interior_nodes
         self.costs = tuple(float(c) for c in costs)
         self.measure = ProductMeasure.uniform(0.0, 1.0)
         self._levels = [self._solve_level(p) for p in self.interior_nodes]
@@ -285,6 +299,9 @@ class OdeHierarchy(MultifidelityModel):
         costs=(1.0e-3, 2.6e-3, 21.8e-3),
         reference_refine=8,
     ):
+        spacings, costs = _typed(spacings, _NUMBER, "spacings"), _typed(costs, _NUMBER, "costs")
+        _typed([forcing], _NUMBER, "forcing")
+        _typed([reference_refine], _INTEGER, "reference_refine")
         if len(spacings) != len(costs):
             raise ValueError("need one cost per level")
         for h in spacings:
@@ -296,7 +313,7 @@ class OdeHierarchy(MultifidelityModel):
         self.forcing = float(forcing)
         self.costs = tuple(float(c) for c in costs)
         self.measure = ProductMeasure((Uniform(0.0, 1.0), StandardNormal()))
-        self.reference_refine = int(reference_refine)
+        self.reference_refine = reference_refine
         self._reference = None
 
     def _integral_factor(self, h: float, w1: np.ndarray) -> np.ndarray:
@@ -368,13 +385,16 @@ class StepHierarchy(MultifidelityModel):
     name = "step"
 
     def __init__(self, breakpoint_counts=(3, 5, 9), high=10.0, costs=(0.5e-3, 1.0e-3, 2.0e-3)):
+        breakpoint_counts = _typed(breakpoint_counts, _INTEGER, "breakpoint_counts")
+        costs = _typed(costs, _NUMBER, "costs")
+        _typed([high], _NUMBER, "high")
         if len(breakpoint_counts) != len(costs):
             raise ValueError("need one cost per level")
         if any(p < 2 for p in breakpoint_counts):
             raise ValueError("each level needs at least two breakpoints")
         if any(c <= 0 for c in costs):
             raise ValueError("costs must be positive")
-        self.breakpoint_counts = tuple(int(p) for p in breakpoint_counts)
+        self.breakpoint_counts = breakpoint_counts
         self.high = float(high)
         self.costs = tuple(float(c) for c in costs)
         self.measure = ProductMeasure.uniform(0.0, self.high)

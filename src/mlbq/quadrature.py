@@ -228,12 +228,15 @@ def sk_mlbq_estimate(
     sizes = [level.n for level in levels]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     total = int(offsets[-1])
-    joint = np.empty((total, total))
-    for i, li in enumerate(levels):
-        for j, lj in enumerate(levels):
-            joint[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = b[i, j] * gram(
-                kernel, li.points, lj.points
-            )
+
+    def fill():  # the joint Gram matrix, built in the Fortran order potrf factors in place
+        joint = np.empty((total, total), order="F")
+        for i, li in enumerate(levels):
+            for j, lj in enumerate(levels):
+                block = joint[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]]
+                np.multiply(gram(kernel, li.points, lj.points), b[i, j], out=block)
+        return joint
+
     values = np.concatenate([level.values for level in levels])
     # The integrated cross-covariance against level block l' sums B over
     # the output index: z_{l'} = (sum_l B[l, l']) * Pi[c(., W_{l'})].
@@ -242,7 +245,7 @@ def sk_mlbq_estimate(
         for j, lj in enumerate(levels)
     ]
     z = np.concatenate(embeddings)
-    chol, _ = _factor(lambda: np.array(joint, order="F"), nugget, kernel.amplitude)
+    chol, _ = _factor(fill, nugget, kernel.amplitude)
     alpha = cho_solve((chol, True), values)
     kinv_z = cho_solve((chol, True), z)
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,6 +449,114 @@ class TestLengthscaleSearch:
         assert fitted.amplitude == 0.00016100926601522904
 
 
+ODE_MATERN_LHS = Path(__file__).resolve().parents[1] / "perfbench" / "ode_matern_lhs.json"
+
+
+def _rescan_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=1e-10):
+    """The search that scans the whole grid on every axis search, in every sweep."""
+    lo, hi = float(bounds[0]), float(bounds[1])
+    w, resid = gp._data(kernel, points, y)
+    fitted = kernel.with_lengthscales(math.sqrt(lo * hi))
+    if np.max(np.abs(resid)) == 0.0:
+        return fitted
+    per_axis = per_dimension and kernel.dim > 1
+    packed = _packed_pairs(w)
+    grid = np.linspace(math.log(lo), math.log(hi), gp.GRID_SIZE)
+    for _ in range(gp.SWEEPS if per_axis else 1):
+        for axis in range(kernel.dim) if per_axis else [None]:
+            objective = _axis_objective(fitted, axis, packed, resid, nugget)
+            best = int(np.argmax([objective(g) for g in grid]))
+            left, right = grid[max(best - 1, 0)], grid[min(best + 1, gp.GRID_SIZE - 1)]
+            fitted = _with_lengthscale(fitted, axis, math.exp(gp._golden_max(objective, left, right)))
+    return fitted
+
+
+def _grid_profile(monkeypatch, values):
+    """Make every axis objective the piecewise-linear profile through ``values``; the grid and the calls it sees."""
+    grid = np.linspace(math.log(0.05), math.log(10.0), gp.GRID_SIZE)
+    calls = []
+
+    def objective(log_g):
+        calls.append(log_g)
+        return float(np.interp(log_g, grid, values))
+
+    monkeypatch.setattr(gp, "_axis_objective", lambda *args: objective)
+    return grid.tolist(), calls
+
+
+def _climb(start):
+    """The grid peak of one axis search started at ``start``, on the profile :func:`_grid_profile` set."""
+    kernel = Kernel.matern(2.5, 1.0, dim=2)
+    return gp._optimise_axis(kernel, 0, None, None, (0.05, 10.0), 1e-10, start)[1]
+
+
+class TestGridClimb:
+    """Later sweeps climb the grid from each axis's last peak; the fits stay those of a full rescan."""
+
+    def test_level_fits_equal_the_full_rescan(self, monkeypatch):
+        # every level fit of 4 replications of the benchmark's fitted Matern-5/2 LHS config
+        from mlbq import harness
+
+        fits = []
+        search = harness._fit_lengthscales
+
+        def recorded(kernel, points, y, bounds, per_dimension=False):
+            fitted = search(kernel, points, y, bounds, per_dimension=per_dimension)
+            fits.append((fitted, _rescan_lengthscales(kernel, points, y, bounds, per_dimension)))
+            return fitted
+
+        monkeypatch.setattr(harness, "_fit_lengthscales", recorded)
+        harness.run_experiment(dataclasses.replace(harness.load_config(ODE_MATERN_LHS), replications=4))
+        assert len(fits) == 16
+        assert all(climbed == rescanned for climbed, rescanned in fits)
+
+    def test_tie_between_the_neighbours_goes_left(self, monkeypatch):
+        # peaks of equal height at 12 and 18, and both neighbours of 15 beat it by the same amount
+        _grid_profile(monkeypatch, [-abs(abs(i - 15) - 3.0) for i in range(gp.GRID_SIZE)])
+        assert _climb(15) == 12
+
+    def test_neighbour_that_only_equals_the_point_does_not_move_it(self, monkeypatch):
+        _grid_profile(monkeypatch, [0.0] * gp.GRID_SIZE)
+        assert _climb(9) == 9
+
+    @pytest.mark.parametrize("start", [0, gp.GRID_SIZE - 1])
+    def test_edge_peak_scans_the_whole_grid(self, monkeypatch, start):
+        # both edges are local peaks, so a climb from either would stop at once; the scan finds 20
+        values = [-abs(i - 20.0) for i in range(gp.GRID_SIZE)]
+        values[0] = values[-1] = -5.0
+        grid, calls = _grid_profile(monkeypatch, values)
+        assert _climb(start) == 20
+        assert set(grid) <= set(calls)
+
+    @pytest.mark.parametrize(
+        "start, peak, evaluated",
+        [
+            (5, 20, range(4, 22)),
+            (25, 20, range(19, 26)),
+            (20, 20, range(19, 22)),
+            (2, 0, range(0, 3)),
+            (29, 31, range(28, 32)),
+        ],
+    )
+    def test_no_grid_point_is_evaluated_twice(self, monkeypatch, start, peak, evaluated):
+        # the left neighbour is tried first, so a climb to the left never evaluates the start's right neighbour
+        grid, calls = _grid_profile(monkeypatch, [-abs(i - peak) for i in range(gp.GRID_SIZE)])
+        assert _climb(start) == peak
+        on_grid = [grid.index(g) for g in calls if g in grid]
+        assert len(on_grid) == len(set(on_grid))
+        assert set(on_grid) == set(evaluated)
+
+    def test_factorisations_of_one_benchmark_replication(self, monkeypatch):
+        # a cost guard: one replication of the fitted Matern-5/2 LHS config at the benchmark's seed offset 3.
+        # Rescanning the grid in every sweep made 1,073 factorisations here.
+        from mlbq.harness import load_config, run_experiment
+
+        calls = _count_cholesky(monkeypatch)
+        cfg = load_config(ODE_MATERN_LHS)
+        run_experiment(dataclasses.replace(cfg, replications=1, seed=cfg.seed + 3))
+        assert len(calls) == 729
+
+
 def _count_cholesky(monkeypatch):
     calls = []
     original = gp.cholesky
@@ -479,7 +589,9 @@ class TestOneFactorPerFit:
         y = gp_sample(Kernel.squared_exponential([0.3, 0.9], dim=2), w, 24)
         policy = KernelPolicy(family="se", policy="fitted", bounds=(0.05, 5.0), per_dimension=True)
         fit = policy.level_fit(w, y, dim=2)
-        assert len(in_search) == 6 and min(in_search) >= 32
+        # the first sweep scans the grid on each axis; later sweeps climb it from the last peak
+        assert len(in_search) == 6
+        assert min(in_search[:2]) >= gp.GRID_SIZE and max(in_search[2:]) < gp.GRID_SIZE
         assert len(calls) == sum(in_search) + 1
         assert fit.kernel == fit_hyperparameters(
             Kernel.squared_exponential(1.0, dim=2), w, y, bounds=(0.05, 5.0), per_dimension=True

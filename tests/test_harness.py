@@ -165,10 +165,23 @@ class TestConfig:
         raw["estimators"] = [{"name": "mlmc", "design": "iid"}] + estimators
         _fails_before_the_sweep(raw, tmp_path, monkeypatch)
 
-    @pytest.mark.parametrize("params", [{"foo": 1}, {"costs": "abc"}], ids=["unknown-key", "str-costs"])
-    def test_bad_model_params_fail_before_the_sweep(self, params, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "model, params",
+        [
+            ("poisson", {"foo": 1}),
+            ("poisson", {"costs": "abc"}),
+            ("poisson", {"interior_nodes": [4.7, 16, 64]}),
+            ("poisson", {"interior_nodes": [True, 16, 64]}),
+            ("ode", {"forcing": "50"}),
+            ("ode", {"reference_refine": 8.9}),
+        ],
+        ids=["unknown-key", "str-costs", "float-nodes", "bool-nodes", "str-forcing", "float-refine"],
+    )
+    def test_bad_model_params_fail_before_the_sweep(self, model, params, tmp_path, monkeypatch):
+        # model.params are checked, not converted: 4.7 nodes used to run as 4, forcing "50" as 50.0
         raw = copy.deepcopy(BASE_CONFIG)
-        raw["model"]["params"] = params
+        raw["model"] = {"name": model, "params": params}
+        raw["kernel"]["smoothness"] = 2.5  # Matern-5/2 has a closed form on both models' measures
         _fails_before_the_sweep(raw, tmp_path, monkeypatch)
 
     @pytest.mark.parametrize(

@@ -258,3 +258,28 @@ class TestRegistry:
         assert isinstance(make_model("step", high=4.0), StepHierarchy)
         with pytest.raises(ValueError, match="unknown model"):
             make_model("tsunami")
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("poisson", {"interior_nodes": (4.7, 16, 64)}),
+            ("poisson", {"interior_nodes": (4, np.int64(16), 64)}),
+            ("poisson", {"costs": (True, 8.5e-3, 42.4e-3)}),
+            ("ode", {"forcing": "50"}),
+            ("ode", {"reference_refine": 8.9}),
+            ("ode", {"spacings": ("0.125", 1 / 32, 1 / 128)}),
+            ("ode", {"costs": (1e-3, False, 21.8e-3)}),
+            ("step", {"breakpoint_counts": (3.0, 5, 9)}),
+            ("step", {"high": True}),
+            ("step", {"costs": ("5e-4", 1e-3, 2e-3)}),
+        ],
+    )
+    def test_params_are_type_checked_not_coerced(self, name, params):
+        with pytest.raises(ValueError, match="must be int"):
+            make_model(name, **params)
+
+    def test_integer_numbers_are_accepted(self):
+        assert make_model("poisson", costs=(1, 2, 4)).costs == (1.0, 2.0, 4.0)
+        ode = make_model("ode", forcing=50, costs=(1, 3, 22))
+        assert (ode.forcing, ode.costs) == (50.0, (1.0, 3.0, 22.0))
+        assert make_model("step", high=4).high == 4.0

@@ -316,6 +316,41 @@ class TestSkMlbq:
         assert post.mean == pytest.approx(float(z @ np.linalg.solve(cov, y)), rel=1e-9)
         assert post.variance == pytest.approx(float(prior - z @ np.linalg.solve(cov, z)), rel=1e-9)
 
+    def test_factor_is_the_assembled_joint_gram_matrix(self, monkeypatch):
+        # the joint matrix is built in place in Fortran order: potrf receives the blocks
+        # B[l, l'] c(W_l, W_l') plus the nugget on the diagonal, bit for bit, so the posterior is unchanged
+        levels = self._levels(sizes=(40, 15, 6))
+        k = Kernel.matern(0.5, 0.9, amplitude=0.8)
+        b = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        seen = []
+        original = gp.cholesky
+        monkeypatch.setattr(
+            gp, "cholesky", lambda m, *a, **kw: seen.append((m.flags.f_contiguous, m.copy())) or original(m, *a, **kw)
+        )
+        sk_mlbq_estimate(levels, k, b, U01)
+        joint = np.block([[b[i, j] * gram(k, li.points, lj.points) for j, lj in enumerate(levels)]
+                          for i, li in enumerate(levels)])
+        joint[np.diag_indices(61)] += 1e-10 * k.amplitude
+        assert len(seen) == 1 and seen[0][0] and np.array_equal(seen[0][1], joint)
+
+    def test_peak_memory(self):
+        # one n x n array: the joint Gram matrix, factored in place (assembling it in C order
+        # and copying it to Fortran order peaked at 2.14 n^2 doubles)
+        import tracemalloc
+
+        rng = np.random.default_rng(35)
+        levels = [LevelData(i, rng.random((m, 1)), rng.standard_normal(m)) for i, m in enumerate((300, 100))]
+        k = Kernel.matern(0.5, 0.3)
+        b = np.array([[1.0, 0.2], [0.2, 1.0]])
+        sk_mlbq_estimate(levels, k, b, U01)
+        tracemalloc.start()
+        try:
+            sk_mlbq_estimate(levels, k, b, U01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 400 * 400 * 8
+
     def test_cross_level_coupling_degrades_gracefully(self):
         # weak coupling stays comparable to the independent estimator,
         # strong coupling is clearly worse (seeded stochastic check)
