@@ -19,36 +19,38 @@ in submission order, so the output matches the serial run.
 Config schema (``schema_version: 1``)::
 
     {
+      "comment": "free text, not read",
       "schema_version": 1,
       "model": {"name": "poisson", "params": {...}},
       "estimators": [{"name": "mlbq", "design": "grid"},
-                     {"name": "mlmc", "design": "iid"},
-                     {"name": "sk-mlbq", "design": "grid", "b_matrix": [[...]]}],
+                     {"name": "mlmc", "design": "iid"}],
       "kernel": {"family": "matern", "smoothness": 0.5, "lengthscale": 1.0,
                  "amplitude": 1.0, "policy": "fitted", "bounds": [0.01, 10.0],
                  "per_dimension": false, "mle_amplitude": false},
       "budgets": [0.376, 0.751],
       "allocation": {"source": "table",
                      "table": [{"mlbq": [38, 15, 3], "mlmc": [67, 11, 1]},
-                               {"mlbq": [77, 30, 5], "mlmc": [133, 23, 2]}]},
+                               {"mlbq": [77, 30, 5], "mlmc": [133, 23, 2]}],
+                     "variances": [...], "norms": [...], "tau": 1.0, "gamma": 1.0},
       "replications": 100,
       "seed": 1234,
       "output": "results.csv"
     }
 
-``allocation.source`` may instead be ``mlmc-formula`` (requires
-``variances``) or ``mlbq-formula`` (requires ``norms`` and ``tau``;
-optional ``gamma``).  Per-level costs are the model's own, set through
-``model.params.costs``.  A table entry may also be a plain list applied
-to every estimator, and an estimator omitted from a budget's dict entry
-is simply not run at that budget.  Single-level estimators (``mc``,
-``bq``) take a one-element table entry, or ``floor(T / (gamma * C_L))``
-under formula sources; they run as the one-level cases of ``mlmc`` and
-``mlbq`` on the top level's evaluations.  ``kernel.family`` is
-``matern``, ``se`` or ``brownian``.  Nothing is coerced: kernel flags are
-JSON booleans, counts, ``replications`` and ``seed`` JSON integers, other
-numbers JSON numbers, ``output`` a string.  Before the sweep, a kernel with no
-closed form on the measure, a bad ``b_matrix`` or ``model.params`` is a ConfigError.
+An unknown key is a ConfigError; a top-level ``comment`` is allowed and not
+read.  ``allocation.source`` ``table`` reads ``table``; ``mlmc-formula``
+reads ``variances`` and ``mlbq-formula`` ``norms`` and ``tau``; both formula
+sources read ``gamma`` (a number >= 1).  Per-level costs are the model's own,
+set through ``model.params.costs``.  A table entry may also be a plain list
+applied to every estimator, and an estimator omitted from a budget's dict
+entry is simply not run at that budget.  Single-level estimators (``mc``,
+``bq``) take a one-element table entry, or ``floor(T / (gamma * C_L))`` under
+formula sources; they run as the one-level cases of ``mlmc`` and ``mlbq`` on
+the top level's evaluations.  ``kernel.family`` is ``matern``, ``se`` or
+``brownian``.  Nothing is coerced: kernel flags are JSON booleans; counts
+(each >= 1), ``replications`` and ``seed`` JSON integers; other numbers JSON
+numbers; ``output`` a string.  Before the sweep, a kernel with no closed form
+on the measure or bad ``model.params`` is a ConfigError.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -70,7 +72,7 @@ from .designs import DESIGN_KINDS, generate_design
 from .gp import GPFit, SingularGramError, _fit_lengthscales, _profiled_fit, fit_gp
 from .kernels import Kernel, initial_error
 from .models import MODEL_NAMES, ModelError, make_model
-from .quadrature import LevelData, LevelFailure, _coupling_matrix, mlbq_estimate, mlmc_estimate, sk_mlbq_estimate
+from .quadrature import LevelData, LevelFailure, mlbq_estimate, mlmc_estimate
 
 __all__ = [
     "ConfigError",
@@ -89,8 +91,8 @@ __all__ = [
 log = logging.getLogger("mlbq.harness")
 
 SCHEMA_VERSION = 1
-ESTIMATOR_NAMES = ("mc", "mlmc", "bq", "mlbq", "sk-mlbq")
-BAYESIAN = {"bq", "mlbq", "sk-mlbq"}
+ESTIMATOR_NAMES = ("mc", "mlmc", "bq", "mlbq")
+BAYESIAN = {"bq", "mlbq"}
 SINGLE_LEVEL = {"mc", "bq"}
 SEEDLESS_DESIGNS = {"grid", "halton"}  # the same points in every replication
 CSV_COLUMNS = ("replication", "estimator", "budget", "estimate", "variance", "abs_error", "cost", "n_per_level")
@@ -113,7 +115,6 @@ class ConfigError(ValueError):
 class EstimatorSpec:
     name: str
     design: str
-    b_matrix: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -167,13 +168,13 @@ class AllocationSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     model_name: str
-    model_params: dict
     estimators: tuple[EstimatorSpec, ...]
-    kernel: KernelPolicy
     budgets: tuple[float, ...]
     allocation: AllocationSpec
-    replications: int
-    seed: int
+    model_params: dict = field(default_factory=dict)
+    kernel: KernelPolicy = KernelPolicy()
+    replications: int = 1
+    seed: int = 0
     output: str | None = None
 
 
@@ -182,116 +183,123 @@ def _require(condition, message):
         raise ConfigError(message)
 
 
-def _number(value, what) -> float:
-    _require(type(value) in (int, float), f"{what} must be a number")
-    return float(value)
+def _section(raw, table, where, required=()) -> dict:
+    """``raw``'s values, each through its key's checker in ``table``; an unknown or missing key is a ConfigError."""
+    _require(isinstance(raw, dict), f"{where} must be an object")
+    unknown = [key for key in raw if key not in table]
+    _require(not unknown, f"{where} has unknown keys {unknown}")
+    missing = [key for key in required if key not in raw]
+    _require(not missing, f"{where} needs {missing}")
+    return {key: table[key](value, f"{where} {key}") for key, value in raw.items()}
 
 
-def _numbers(value, what) -> tuple[float, ...]:
-    _require(isinstance(value, (list, tuple)), f"{what} must be a list of numbers")
-    return tuple(_number(v, what) for v in value)
+def _rule(test, rule, convert=None):
+    """A checker: a value failing ``test`` is a ConfigError saying what it must be; else ``convert(value)``."""
+    def check(value, what):
+        _require(test(value), f"{what} must be {rule}, got {value!r}")
+        return value if convert is None else convert(value)
+    return check
+
+
+def _is_numbers(value):
+    return isinstance(value, (list, tuple)) and all(type(v) in (int, float) for v in value)
+
+
+def _floats(value):
+    return tuple(map(float, value)) if isinstance(value, (list, tuple)) else float(value)
+
+
+def _one_of(*options):
+    return _rule(lambda value: value in options, f"one of {options}")
+
+
+_number = _rule(lambda value: type(value) in (int, float), "a number", float)
+_numbers = _rule(_is_numbers, "a list of numbers", _floats)
+_flag = _rule(lambda value: type(value) is bool, "a boolean")
+_string = _rule(lambda value: type(value) is str, "a string")
+_counts = _rule(lambda row: isinstance(row, list) and all(type(n) is int and n >= 1 for n in row),
+                "a list of integer counts >= 1", tuple)
+
+
+def _table(value, what):
+    """Each budget's entry: one list of counts for every estimator, or a dict of them by estimator name."""
+    _require(isinstance(value, list), f"{what} must be a list of entries")
+    return tuple(
+        {name: _counts(row, f"{what}[{i}] {name!r}") for name, row in entry.items()}
+        if isinstance(entry, dict) else _counts(entry, f"{what}[{i}]")
+        for i, entry in enumerate(value)
+    )
+
+
+def _allocation(value, what):
+    _require(not (isinstance(value, dict) and "costs" in value),
+             "allocation.costs is not read: set per-level costs in model.params.costs")
+    return AllocationSpec(**_section(value, _ALLOCATION, "allocation", ("source",)))
+
+
+# One checker per key, one table per section; an absent key takes its dataclass field's default.
+_MODEL = {"name": _one_of(*MODEL_NAMES), "params": _rule(lambda value: type(value) is dict, "an object")}
+_ESTIMATOR = {"name": _one_of(*ESTIMATOR_NAMES), "design": _one_of(*DESIGN_KINDS)}
+_KERNEL = {
+    "family": _one_of("matern", "se", "brownian"),
+    "smoothness": _number,
+    "lengthscale": _rule(lambda value: type(value) in (int, float) or _is_numbers(value),
+                         "a number or a list of numbers", _floats),
+    "amplitude": _number,
+    "policy": _one_of("fixed", "fitted"),
+    "bounds": _rule(lambda b: _is_numbers(b) and len(b) == 2 and 0 < b[0] < b[1] < math.inf,
+                    "[lo, hi] with 0 < lo < hi", _floats),
+    "per_dimension": _flag,
+    "mle_amplitude": _flag,
+}
+_ALLOCATION = {
+    "source": _one_of("table", "mlmc-formula", "mlbq-formula"),
+    "table": _table,
+    "variances": _numbers,
+    "norms": _numbers,
+    "tau": _number,
+    "gamma": _rule(lambda value: type(value) in (int, float) and value >= 1, "a number >= 1", float),
+}
+_TOP = {
+    "comment": _string,
+    "schema_version": _rule(lambda value: type(value) is int and value == SCHEMA_VERSION, str(SCHEMA_VERSION)),
+    "model": lambda value, what: _section(value, _MODEL, "model", ("name",)),
+    "estimators": _rule(lambda value: isinstance(value, list) and value, "a nonempty list", lambda value: tuple(
+        EstimatorSpec(**_section(e, _ESTIMATOR, "estimator", ("name", "design"))) for e in value)),
+    "kernel": lambda value, what: KernelPolicy(**_section(value, _KERNEL, "kernel")),
+    "budgets": _rule(lambda value: _is_numbers(value) and value and all(t > 0 for t in value),
+                     "a nonempty list of positive numbers", _floats),
+    "allocation": _allocation,
+    "replications": _rule(lambda value: type(value) is int and value >= 1, "an integer >= 1"),
+    "seed": _rule(lambda value: type(value) is int and value >= 0, "an integer >= 0"),
+    "output": _string,
+}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Validate a raw config dict into an :class:`ExperimentConfig`."""
-    _require(isinstance(raw, dict), "config must be a JSON object")
-    _require(raw.get("schema_version") == SCHEMA_VERSION, f"config schema_version must be {SCHEMA_VERSION}")
+    """Validate a raw config dict into an :class:`ExperimentConfig`.
 
-    model = raw.get("model")
-    _require(isinstance(model, dict) and "name" in model, "config needs model.name")
-    _require(model["name"] in MODEL_NAMES, f"model.name must be one of {MODEL_NAMES}")
-    params = model.get("params", {})
-    _require(isinstance(params, dict), "model.params must be an object")
+    Each section's keys pass their checkers in its table (``_TOP``, ``_MODEL``, ``_ESTIMATOR``, ``_KERNEL``,
+    ``_ALLOCATION``) before the rules across keys run.
+    """
+    fields = _section(raw, _TOP, "config", ("schema_version", "model", "estimators", "budgets", "allocation"))
+    model = {f"model_{key}": value for key, value in fields.pop("model").items()}
+    cfg = ExperimentConfig(**model, **{key: v for key, v in fields.items() if key not in ("comment", "schema_version")})
 
-    raw_ests = raw.get("estimators")
-    _require(isinstance(raw_ests, list) and raw_ests, "config needs a nonempty estimators list")
-    estimators = []
-    for e in raw_ests:
-        _require(isinstance(e, dict) and "name" in e and "design" in e, "each estimator needs name and design")
-        _require(e["name"] in ESTIMATOR_NAMES, f"estimator name must be one of {ESTIMATOR_NAMES}")
-        _require(e["design"] in DESIGN_KINDS, f"design must be one of {DESIGN_KINDS}")
-        b = e.get("b_matrix")
-        if b is not None:
-            _require(e["name"] == "sk-mlbq" and isinstance(b, list), "b_matrix is a list of rows, for sk-mlbq only")
-            b = tuple(_numbers(row, "b_matrix rows") for row in b)
-        estimators.append(EstimatorSpec(e["name"], e["design"], b))
-    names = [e.name for e in estimators]
+    names = [e.name for e in cfg.estimators]
     _require(len(names) == len(set(names)), "estimator names must be unique")
-
-    kraw = raw.get("kernel", {})
-    _require(isinstance(kraw, dict), "kernel must be an object")
-    ls = kraw.get("lengthscale", 1.0)
-    ls = (_numbers if isinstance(ls, (list, tuple)) else _number)(ls, "kernel.lengthscale")
-    bounds = _numbers(kraw.get("bounds", [0.01, 10.0]), "kernel.bounds")
-    _require(len(bounds) == 2 and 0 < bounds[0] < bounds[1] < math.inf, "kernel.bounds must be [lo, hi], 0 < lo < hi")
-    flags = {key: kraw.get(key, False) for key in ("per_dimension", "mle_amplitude")}
-    _require(all(type(v) is bool for v in flags.values()), "kernel.per_dimension and mle_amplitude must be booleans")
-    kernel = KernelPolicy(
-        family=kraw.get("family", "matern"),
-        smoothness=_number(kraw.get("smoothness", 0.5), "kernel.smoothness"),
-        lengthscale=ls,
-        amplitude=_number(kraw.get("amplitude", 1.0), "kernel.amplitude"),
-        policy=kraw.get("policy", "fitted"),
-        bounds=bounds,
-        **flags,
-    )
-    _require(kernel.family in ("matern", "se", "brownian"), "kernel.family must be 'matern', 'se' or 'brownian'")
-    _require(kernel.policy in ("fixed", "fitted"), "kernel.policy must be 'fixed' or 'fitted'")
-    if any(e.name == "sk-mlbq" for e in estimators):
-        _require(kernel.policy == "fixed", "sk-mlbq requires kernel.policy 'fixed' (one shared base kernel)")
-
-    budgets = _numbers(raw.get("budgets"), "budgets")
-    _require(budgets and all(t > 0 for t in budgets), "config needs a nonempty list of positive budgets")
-
-    araw = raw.get("allocation")
-    _require(isinstance(araw, dict) and "source" in araw, "config needs allocation.source")
-    _require("costs" not in araw, "allocation.costs is not read: set per-level costs in model.params.costs")
-    source = araw["source"]
-    _require(source in ("table", "mlmc-formula", "mlbq-formula"), "allocation.source must be table, mlmc-formula or mlbq-formula")
-    table = None
-    if source == "table":
-        table = araw.get("table")
-        _require(isinstance(table, list) and len(table) == len(budgets), "allocation.table needs one entry per budget")
-        norm_table = []
-        for i, entry in enumerate(table):
-            if isinstance(entry, dict):
-                stray = set(entry) - set(names)
-                _require(not stray, f"allocation table entry {i} names unknown estimators {sorted(stray)}")
-            rows = entry.values() if isinstance(entry, dict) else [entry]
-            counts = all(isinstance(row, list) and all(type(n) is int for n in row) for row in rows)
-            _require(counts, f"allocation table entry {i} must hold lists of integer counts")
-            norm_table.append({k: tuple(v) for k, v in entry.items()} if isinstance(entry, dict) else tuple(entry))
-        table = tuple(norm_table)
+    alloc = cfg.allocation
+    if alloc.source == "table":
+        _require(alloc.table is not None and len(alloc.table) == len(cfg.budgets),
+                 "allocation.table needs one entry per budget")
+        for i, entry in enumerate(alloc.table):
+            stray = set(entry) - set(names) if isinstance(entry, dict) else set()
+            _require(not stray, f"allocation table entry {i} names unknown estimators {sorted(stray)}")
     else:
-        key = "variances" if source == "mlmc-formula" else "norms"
-        _require(key in araw, f"allocation.source {source} requires {key}")
-        _require(source == "mlmc-formula" or "tau" in araw, "mlbq-formula requires tau")
-    allocation = AllocationSpec(
-        source=source,
-        table=table,
-        variances=_numbers(araw["variances"], "allocation.variances") if "variances" in araw else None,
-        norms=_numbers(araw["norms"], "allocation.norms") if "norms" in araw else None,
-        tau=_number(araw["tau"], "allocation.tau") if "tau" in araw else None,
-        gamma=_number(araw.get("gamma", 1.0), "allocation.gamma"),
-    )
-
-    reps = raw.get("replications", 1)
-    _require(type(reps) is int and reps >= 1, "replications must be an integer >= 1")
-    seed = raw.get("seed", 0)
-    _require(type(seed) is int and seed >= 0, "seed must be a nonnegative integer")
-    _require(isinstance(raw.get("output", ""), str), "output must be a string")
-
-    return ExperimentConfig(
-        model_name=model["name"],
-        model_params=params,
-        estimators=tuple(estimators),
-        kernel=kernel,
-        budgets=budgets,
-        allocation=allocation,
-        replications=reps,
-        seed=seed,
-        output=raw.get("output"),
-    )
+        key = "variances" if alloc.source == "mlmc-formula" else "norms"
+        _require(getattr(alloc, key) is not None, f"allocation.source {alloc.source} requires {key}")
+        _require(alloc.source == "mlmc-formula" or alloc.tau is not None, "mlbq-formula requires tau")
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -503,10 +511,6 @@ def _run_estimator(cfg, model, est: EstimatorSpec, levels):
         fits = [cfg.kernel.level_fit(lv.points, lv.values, dim) for lv in levels]
         post = mlbq_estimate(levels, fits, model.measure)
         return post.mean, post.variance
-    if est.name == "sk-mlbq":
-        b = np.eye(len(levels)) if est.b_matrix is None else np.asarray(est.b_matrix)
-        post = sk_mlbq_estimate(levels, cfg.kernel.base_kernel(dim), b, model.measure)
-        return post.mean, post.variance
     raise ConfigError(f"unknown estimator {est.name!r}")
 
 
@@ -593,8 +597,6 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
         if any(est.name in BAYESIAN for est in cfg.estimators):
             try:  # the closed forms every level kernel needs: each has the base kernel's factors and this measure
                 initial_error(cfg.kernel.base_kernel(model.dim), model.measure)
-                for b in (est.b_matrix for est in cfg.estimators if est.b_matrix is not None):
-                    _coupling_matrix(b, model.levels)
             except ValueError as exc:
                 raise ConfigError(f"kernel: {exc}") from exc
         reference = model.reference_integral()

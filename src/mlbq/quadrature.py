@@ -186,18 +186,6 @@ def mlbq_estimate(levels, fits, measure: ProductMeasure) -> GaussianPosterior:
     )
 
 
-def _coupling_matrix(b_matrix, n_levels) -> np.ndarray:
-    """``b_matrix`` as a float array, checked to be a symmetric positive definite ``n_levels`` x ``n_levels`` B."""
-    b = np.asarray(b_matrix, dtype=float)
-    if b.shape != (n_levels, n_levels):
-        raise ValueError(f"B must be {n_levels}x{n_levels}, got {b.shape}")
-    if not np.array_equal(b, b.T):
-        raise ValueError("B must be symmetric")
-    if not np.linalg.eigvalsh(b).min() > 0:
-        raise ValueError("B must be positive definite")
-    return b
-
-
 def sk_mlbq_estimate(
     levels,
     kernel: Kernel,
@@ -221,7 +209,13 @@ def sk_mlbq_estimate(
     if len(levels) == 0:
         raise ValueError("sk_mlbq_estimate needs at least one level")
     n_lev = len(levels)
-    b = _coupling_matrix(b_matrix, n_lev)
+    b = np.asarray(b_matrix, dtype=float)
+    if b.shape != (n_lev, n_lev):
+        raise ValueError(f"B must be {n_lev}x{n_lev}, got {b.shape}")
+    if not np.array_equal(b, b.T):
+        raise ValueError("B must be symmetric")
+    if not np.linalg.eigvalsh(b).min() > 0:
+        raise ValueError("B must be positive definite")
     for level in levels:
         _require_support(measure, level.points, level.level)
 
@@ -229,10 +223,10 @@ def sk_mlbq_estimate(
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     total = int(offsets[-1])
 
-    def fill():  # the joint Gram matrix, built in the Fortran order potrf factors in place
+    def fill():  # the joint Gram matrix in the Fortran order potrf factors in place; it reads blocks l >= l' only
         joint = np.empty((total, total), order="F")
         for i, li in enumerate(levels):
-            for j, lj in enumerate(levels):
+            for j, lj in enumerate(levels[: i + 1]):
                 block = joint[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]]
                 np.multiply(gram(kernel, li.points, lj.points), b[i, j], out=block)
         return joint

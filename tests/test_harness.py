@@ -30,7 +30,6 @@ from mlbq.harness import (
     write_records_csv,
 )
 from mlbq.models import OdeHierarchy, PoissonHierarchy, make_model
-from mlbq.quadrature import sk_mlbq_estimate
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -44,27 +43,17 @@ BASE_CONFIG = {
 }
 
 
-# mlbq and sk-mlbq on one grid design under one fixed kernel
-SK_CONFIG = dict(
-    BASE_CONFIG,
-    estimators=[{"name": "mlbq", "design": "grid"}, {"name": "sk-mlbq", "design": "grid"}],
-    kernel={"family": "matern", "smoothness": 2.5, "lengthscale": 0.3, "amplitude": 2.0, "policy": "fixed"},
-    allocation={"source": "table", "table": [[20, 9, 4]]},
-    replications=2,
-)
-
-
 def config(**overrides):
     raw = copy.deepcopy(BASE_CONFIG)
     raw.update(overrides)
     return config_from_dict(raw)
 
 
-def _fails_before_the_sweep(raw, tmp_path, monkeypatch):
+def _fails_before_the_sweep(raw, tmp_path, monkeypatch, match=None):
     """``raw`` is a configuration error before any sweep work, and the command line exits 1 writing no file."""
     model = {"poisson": PoissonHierarchy, "ode": OdeHierarchy}[raw["model"]["name"]]
     monkeypatch.setattr(model, "reference_integral", lambda self: pytest.fail("sweep started"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=match):
         run_experiment(config_from_dict(raw))
     cfg_path, out, err = tmp_path / "cfg.json", tmp_path / "records.csv", io.StringIO()
     cfg_path.write_text(json.dumps(raw))
@@ -77,12 +66,7 @@ def _fails_before_the_sweep(raw, tmp_path, monkeypatch):
 class TestConfig:
     def test_pickle_round_trip(self):
         # --jobs workers receive the frozen config as it is
-        cfg = config(
-            estimators=[{"name": "sk-mlbq", "design": "grid", "b_matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
-            kernel={"family": "matern", "policy": "fixed", "lengthscale": [0.5]},
-            allocation={"source": "table", "table": [[10, 5, 2]]},
-            output="out.csv",
-        )
+        cfg = config(kernel={"family": "matern", "policy": "fixed", "lengthscale": [0.5]}, output="out.csv")
         assert pickle.loads(pickle.dumps(cfg)) == cfg
         assert pickle.loads(pickle.dumps(config())) == config()
 
@@ -105,13 +89,6 @@ class TestConfig:
     def test_rejects_stray_table_estimator(self):
         with pytest.raises(ConfigError, match="unknown estimators"):
             config(allocation={"source": "table", "table": [{"mlbq": [38, 15, 3], "bogus": [1, 1, 1]}]})
-
-    def test_sk_mlbq_needs_fixed_policy(self):
-        with pytest.raises(ConfigError, match="fixed"):
-            config(
-                estimators=[{"name": "sk-mlbq", "design": "grid"}],
-                allocation={"source": "table", "table": [{"sk-mlbq": [10, 5, 2]}]},
-            )
 
     def test_rejects_allocation_costs(self):
         # costs have one source, the model's declared vector
@@ -148,22 +125,54 @@ class TestConfig:
         _fails_before_the_sweep(raw, tmp_path, monkeypatch)
 
     @pytest.mark.parametrize(
-        "estimators",
+        "overrides, match",
         [
-            [{"name": "sk-mlbq", "design": "grid", "b_matrix": [[1, 0], [0, 1]]}],
-            [{"name": "sk-mlbq", "design": "grid", "b_matrix": [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]}],
-            [{"name": "sk-mlbq", "design": "grid", "b_matrix": [[1, 2, 0], [2, 1, 0], [0, 0, 1]]}],
-            [{"name": "sk-mlbq", "design": "grid", "b_matrix": [[1, 0, 0], [0, 1], [0, 0, 1]]}],
-            [{"name": "sk-mlbq", "design": "grid", "b_matrix": [[1, 0, 0], [0, "1", 0], [0, 0, 1]]}],
-            [{"name": "mlbq", "design": "grid", "b_matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
+            ({"replicatons": 5}, r"config has unknown keys \['replicatons'\]"),
+            ({"model": {"name": "poisson", "parms": {"costs": [1.0, 2.0, 4.0]}}},
+             r"model has unknown keys \['parms'\]"),
+            ({"estimators": [{"name": "mlbq", "design": "grid"}, {"name": "mlmc", "design": "iid", "desing": "grid"}]},
+             r"estimator has unknown keys \['desing'\]"),
+            ({"kernel": dict(BASE_CONFIG["kernel"], smoothnes=2.5)}, r"kernel has unknown keys \['smoothnes'\]"),
+            ({"allocation": dict(BASE_CONFIG["allocation"], gama=3)}, r"allocation has unknown keys \['gama'\]"),
+            ({"estimators": [{"name": "mlbq", "design": "grid"}, {"name": "sk-mlbq", "design": "grid"}],
+              "kernel": {"family": "matern", "smoothness": 2.5, "policy": "fixed"},
+              "allocation": {"source": "table", "table": [[20, 9, 4]]}},
+             "estimator name .*'sk-mlbq'"),
         ],
-        ids=["2x2", "asymmetric", "indefinite", "ragged", "str-entry", "not-sk-mlbq"],
+        ids=["replicatons", "model.parms", "estimator.desing", "kernel.smoothnes", "allocation.gama", "sk-mlbq"],
     )
-    def test_bad_b_matrix_fails_before_the_sweep(self, estimators, tmp_path, monkeypatch):
-        # the 3-level Poisson model needs a 3x3 SPD B; a bad one used to drop every sk-mlbq cell
-        raw = copy.deepcopy(SK_CONFIG)
-        raw["estimators"] = [{"name": "mlmc", "design": "iid"}] + estimators
-        _fails_before_the_sweep(raw, tmp_path, monkeypatch)
+    def test_unknown_keys_fail_before_the_sweep(self, overrides, match, tmp_path, monkeypatch):
+        # a misspelt key used to be ignored, so the sweep ran on the default it meant to replace
+        _fails_before_the_sweep(dict(copy.deepcopy(BASE_CONFIG), **overrides), tmp_path, monkeypatch, match)
+
+    @pytest.mark.parametrize(
+        "allocation, match",
+        [
+            ({"source": "table", "table": [{"mlbq": [38, 0, 3], "mlmc": [67, 11, 1]}]}, r"table\[0\] 'mlbq'"),
+            ({"source": "table", "table": [{"mlbq": [38, 15, 3], "mlmc": [67, 11, -5]}]}, r"table\[0\] 'mlmc'"),
+            ({"source": "mlmc-formula", "variances": [1.305e-3, 0.088e-3, 0.002e-3], "gamma": 0}, "gamma"),
+            ({"source": "mlmc-formula", "variances": [1.305e-3, 0.088e-3, 0.002e-3], "gamma": -3}, "gamma"),
+        ],
+        ids=["zero-count", "negative-count", "zero-gamma", "negative-gamma"],
+    )
+    def test_out_of_range_allocation_fails_before_the_sweep(self, allocation, match, tmp_path, monkeypatch):
+        # a zero count failed mid-sweep naming no key; gamma 0 divided by zero, and gamma -3 ran mc on one sample
+        raw = dict(copy.deepcopy(BASE_CONFIG), allocation=allocation)
+        if allocation["source"] != "table":
+            raw["estimators"] = [{"name": "mc", "design": "iid"}]
+        _fails_before_the_sweep(raw, tmp_path, monkeypatch, match)
+
+    def test_schema_block_names_every_key(self):
+        # the README points to the module docstring for the schema: its example names each section's keys, all of them
+        doc = harness.__doc__
+        block = doc[doc.index("::\n") + 3 : doc.index("\n    }\n") + 6].replace("...", "")
+        example = json.loads(block)
+        assert set(example) == set(harness._TOP)
+        assert set(example["model"]) == set(harness._MODEL)
+        assert {key for e in example["estimators"] for key in e} == set(harness._ESTIMATOR)
+        assert set(example["kernel"]) == set(harness._KERNEL)
+        assert set(example["allocation"]) == set(harness._ALLOCATION)
+        config_from_dict(example)
 
     @pytest.mark.parametrize(
         "model, params",
@@ -201,9 +210,11 @@ class TestConfig:
             (("allocation",), {"source": "mlbq-formula", "norms": [62.5e-3, 22.5e-3, 3.125e-3], "tau": 1.0,
                                "gamma": True}),
             (("output",), 5),
+            (("schema_version",), True),
         ],
         ids=["bool-replications", "bool-seed", "float-count", "bool-count", "bool-budget", "str-smoothness",
-             "str-lengthscale", "bool-amplitude", "str-variance", "str-norms", "str-tau", "bool-gamma", "int-output"],
+             "str-lengthscale", "bool-amplitude", "str-variance", "str-norms", "str-tau", "bool-gamma", "int-output",
+             "bool-schema-version"],
     )
     def test_numbers_are_type_checked_not_coerced(self, path, value, tmp_path, monkeypatch):
         # counts and seeds are JSON integers, other numbers JSON numbers and output a string:
@@ -601,27 +612,6 @@ class TestRunExperiment:
         )
         by_name = {r.estimator: r.cost for r in run_experiment(cfg)}
         assert by_name == {"mlmc": 6 * 0.5 + 3 * 1.5 + 2 * 4.0, "mc": 5 * 4.0}
-
-    @pytest.mark.parametrize("b_matrix", [None, [[1.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]]])
-    def test_sk_mlbq_records_are_the_estimator_on_the_cell_data(self, b_matrix):
-        raw = copy.deepcopy(SK_CONFIG)
-        if b_matrix is not None:
-            raw["estimators"][1]["b_matrix"] = b_matrix
-        cfg = config_from_dict(raw)
-        model = make_model("poisson")
-        counts = validate_budget_accounting(cfg, model)[0]
-        b = np.eye(3) if b_matrix is None else np.array(b_matrix)
-        records = run_experiment(cfg)
-        assert sorted(r.estimator for r in records) == ["mlbq", "mlbq", "sk-mlbq", "sk-mlbq"]
-        by_key = {(r.estimator, r.replication): r for r in records}
-        for rep in range(2):
-            levels, _ = _build_groups(cfg, model, counts, 0, rep, {})["sk-mlbq"]
-            post = sk_mlbq_estimate(levels, cfg.kernel.base_kernel(1), b, model.measure)
-            sk, mlbq = by_key["sk-mlbq", rep], by_key["mlbq", rep]
-            assert sk.estimate == post.mean and sk.variance == post.variance
-            if b_matrix is None:  # identity coupling: the levels are independent, as mlbq's are
-                assert sk.estimate == pytest.approx(mlbq.estimate, rel=1e-10, abs=0.0)
-                assert sk.variance == pytest.approx(mlbq.variance, rel=1e-10, abs=0.0)
 
     def test_formula_allocation_end_to_end(self):
         cfg = config(
