@@ -1,11 +1,13 @@
 """Optimal per-level sample sizes under a cost budget.
 
-Two closed forms split a budget T across levels: the variance-based rule
+Two rules split a budget T across levels: the variance-based rule
 (n_l proportional to sqrt(V_l / C_l)) minimises the multilevel-MC MSE,
 and the norm-based rule (n_l proportional to (r_l / C_l)^(d/(tau+d)))
 minimises the GP-route error bound, where r_l measures the increment in
-the kernel's function space.  Real solutions are integerized by flooring
-and greedily granting the best objective-decrease-per-cost increment.
+the kernel's function space.  Both come from one closed form and differ
+only in the exponent of the minimised bound.  Real solutions are
+integerized by flooring and greedily granting the best
+objective-decrease-per-cost increment.
 """
 
 from mlbq import AllocationInput, Kernel, kernel_sobolev_order, mlbq_allocation, mlmc_allocation

@@ -17,7 +17,7 @@ from .allocation import (
     mlbq_allocation,
     mlmc_allocation,
 )
-from .designs import Design, fill_distance, generate_design, halton_sequence
+from .designs import Design, generate_design, halton_sequence
 from .gp import (
     GPFit,
     SingularGramError,

@@ -1,16 +1,15 @@
 """Budget-constrained sample sizes per level, and their integerization.
 
-Two closed forms, both from Lagrange stationarity of the respective error
-bounds under a linear cost constraint:
+One closed form from Lagrange stationarity: minimise sum m_l n_l^(-e)
+subject to gamma sum C_l n_l = T, solved by
 
-* variance-based (multilevel MC): minimise sum V_l / n_l subject to
-  sum C_l n_l = T, solved by n_l = T sqrt(V_l / C_l) / sum sqrt(V C),
-* norm-based (multilevel BQ): minimise sum r_l n_l^(-tau/d) subject to
-  gamma sum C_l n_l = T, solved by
-  n_l = D (r_l / C_l)^(d/(tau+d)) with
-  D = T / (gamma sum C^(tau/(tau+d)) r^(d/(tau+d))),
+  n_l = T (m_l / C_l)^p / (gamma sum C^(1-p) m^p),  p = 1 / (1 + e).
 
-where r_l are per-level increment magnitudes in the RKHS/Sobolev norm.
+The variance-based rule (multilevel MC) takes m_l = V_l and e = 1, so
+n_l is proportional to sqrt(V_l / C_l); the norm-based rule (multilevel
+BQ) takes m_l = r_l, the per-level increment magnitudes in the
+RKHS/Sobolev norm, and e = tau/d, so p = d/(tau+d).  The overhead gamma
+applies to both.
 
 Real-valued solutions are integerized by flooring (never below one sample
 per level) and then greedily granting the increment with the best
@@ -49,9 +48,9 @@ class AllocationInput:
     """Per-level magnitudes and costs plus the budget and smoothness data.
 
     ``magnitudes`` are variances V_l for the MC-style allocation and
-    increment norms for the BQ-style one.  ``tau``/``dim``/``overhead``
-    are only consulted by :func:`mlbq_allocation` (the MC closed form does
-    not involve them).
+    increment norms for the BQ-style one.  ``tau`` and ``dim`` are read by
+    :func:`mlbq_allocation` only; the cost overhead ``overhead`` (gamma)
+    applies to both rules.
     """
 
     magnitudes: tuple[float, ...]
@@ -78,10 +77,6 @@ class AllocationInput:
             raise AllocationError(f"dimension must be >= 1, got {self.dim}")
         if self.overhead < 1.0:
             raise AllocationError(f"overhead factor must be >= 1, got {self.overhead}")
-
-    @property
-    def levels(self) -> int:
-        return len(self.magnitudes)
 
 
 @dataclass(frozen=True)
@@ -160,24 +155,25 @@ def integerize_allocation(real_counts, costs, budget, *, magnitudes, exponent, o
     return tuple(int(n) for n in counts)
 
 
-def mlmc_allocation(inp: AllocationInput) -> AllocationPlan:
-    """Variance-based optimal counts n_l = T sqrt(V_l/C_l) / sum sqrt(V C).
-
-    ``tau``, ``dim`` and ``overhead`` on the input are ignored; the
-    minimised objective is sum V_l / n_l.
-    """
-    v = np.asarray(inp.magnitudes)
-    c = np.asarray(inp.costs)
-    denom = float(np.sum(np.sqrt(v * c)))
-    real = inp.budget * np.sqrt(v / c) / denom
-    counts = integerize_allocation(real, c, inp.budget, magnitudes=v, exponent=1.0)
+def _solve(magnitudes, costs, budget, exponent, overhead) -> AllocationPlan:
+    """The optimum of sum m_l n_l^(-e) at overhead-scaled cost T, integerized."""
+    m = np.asarray(magnitudes)
+    c = np.asarray(costs)
+    p = 1.0 / (1.0 + exponent)
+    real = budget * (m / c) ** p / (overhead * float(np.sum(c ** (1.0 - p) * m**p)))
+    counts = integerize_allocation(real, c, budget, magnitudes=m, exponent=exponent, overhead=overhead)
     return AllocationPlan(
-        tuple(float(r) for r in real),
+        tuple(float(x) for x in real),
         counts,
         float(c @ np.asarray(counts)),
-        _objective(v, counts, 1.0),
-        _objective(v, real, 1.0),
+        _objective(m, counts, exponent),
+        _objective(m, real, exponent),
     )
+
+
+def mlmc_allocation(inp: AllocationInput) -> AllocationPlan:
+    """Variance-based counts n_l = T sqrt(V_l/C_l) / (gamma sum sqrt(V C)), the minimiser of sum V_l / n_l."""
+    return _solve(inp.magnitudes, inp.costs, inp.budget, 1.0, inp.overhead)
 
 
 def mlbq_allocation(inp: AllocationInput) -> AllocationPlan:
@@ -191,18 +187,4 @@ def mlbq_allocation(inp: AllocationInput) -> AllocationPlan:
         raise AllocationError("norm-based allocation needs tau (see kernel_sobolev_order)")
     if not inp.tau > inp.dim / 2.0:
         raise AllocationError(f"tau must exceed d/2 = {inp.dim / 2}, got {inp.tau}")
-    r = np.asarray(inp.magnitudes)
-    c = np.asarray(inp.costs)
-    e = inp.dim / (inp.tau + inp.dim)
-    denom = inp.overhead * float(np.sum(c ** (1.0 - e) * r**e))
-    real = inp.budget * (r / c) ** e / denom
-    counts = integerize_allocation(
-        real, c, inp.budget, magnitudes=r, exponent=inp.tau / inp.dim, overhead=inp.overhead
-    )
-    return AllocationPlan(
-        tuple(float(x) for x in real),
-        counts,
-        float(c @ np.asarray(counts)),
-        _objective(r, counts, inp.tau / inp.dim),
-        _objective(r, real, inp.tau / inp.dim),
-    )
+    return _solve(inp.magnitudes, inp.costs, inp.budget, inp.tau / inp.dim, inp.overhead)

@@ -55,9 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--norms", type=_floats, help="per-level increment norms (norm-based allocation)")
     p_alloc.add_argument("--costs", type=_floats, required=True, help="per-level costs, same units as budget")
     p_alloc.add_argument("--budget", type=_floats, required=True, help="budget(s) T, comma separated")
-    p_alloc.add_argument("--tau", type=float, help="smoothness tau (required with --norms)")
-    p_alloc.add_argument("--dim", type=int, default=1, help="input dimension d (default 1)")
-    p_alloc.add_argument("--gamma", type=float, default=1.0, help="cost overhead factor >= 1 (default 1)")
+    p_alloc.add_argument("--tau", type=float, help="smoothness tau (with --norms only, and required there)")
+    p_alloc.add_argument("--dim", type=int, help="input dimension d (with --norms only; default 1)")
+    p_alloc.add_argument("--gamma", type=float, default=1.0,
+                         help="cost overhead factor >= 1, applied by both rules (default 1)")
 
     for name, help_text in [
         ("estimate", "run every configured estimator once per budget and print the results"),
@@ -80,18 +81,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_allocate(args) -> int:
-    budgets = args.budget
-    for budget in budgets:
-        if args.variances is not None:
-            plan = mlmc_allocation(AllocationInput(args.variances, args.costs, budget))
-            label = "variance-based"
-        else:
-            if args.tau is None:
-                raise ConfigError("--norms requires --tau")
-            plan = mlbq_allocation(
-                AllocationInput(args.norms, args.costs, budget, tau=args.tau, dim=args.dim, overhead=args.gamma)
-            )
-            label = "norm-based"
+    if args.variances is None:
+        rule, label, magnitudes = mlbq_allocation, "norm-based", args.norms
+    elif args.tau is not None or args.dim is not None:
+        raise ConfigError("--tau and --dim apply to --norms only")
+    else:
+        rule, label, magnitudes = mlmc_allocation, "variance-based", args.variances
+    dim = 1 if args.dim is None else args.dim
+    for budget in args.budget:
+        plan = rule(AllocationInput(magnitudes, args.costs, budget, tau=args.tau, dim=dim, overhead=args.gamma))
         real = ", ".join(f"{v:.3f}" for v in plan.real_counts)
         print(f"T={budget:g} ({label})")
         print(f"  real counts:    [{real}]")

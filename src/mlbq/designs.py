@@ -1,4 +1,4 @@
-"""Point-set generation on product measures, plus fill-distance diagnostics.
+"""Point-set generation on product measures.
 
 Four design kinds:
 
@@ -25,7 +25,7 @@ from scipy.special import ndtri
 
 from .kernels import ProductMeasure, Uniform
 
-__all__ = ["Design", "generate_design", "fill_distance", "halton_sequence", "DESIGN_KINDS"]
+__all__ = ["Design", "generate_design", "halton_sequence", "DESIGN_KINDS"]
 
 DESIGN_KINDS = ("iid", "grid", "halton", "lhs")
 
@@ -129,23 +129,3 @@ def generate_design(kind: str, measure: ProductMeasure, n: int, seed=None) -> De
         cols.append(_through_marginal(u, m))
     return Design(np.column_stack(cols))
 
-
-def fill_distance(design: Design, measure: ProductMeasure, resolution: int = 1000) -> float:
-    """Largest candidate-lattice distance to the nearest design point.
-
-    The candidate lattice has ``resolution`` points per dimension spanning
-    the (bounded) support, so the returned value underestimates the true
-    fill distance by at most the lattice spacing, i.e. roughly
-    (b - a) / (resolution - 1) per axis.
-    """
-    if not measure.is_bounded():
-        raise ValueError("fill distance needs bounded (uniform) marginals")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    from scipy.spatial import cKDTree  # imported here: no sweep needs it, and it is slow to import
-    axes = [np.linspace(m.a, m.b, resolution) for m in measure.marginals]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    candidates = np.column_stack([ax.reshape(-1) for ax in mesh])
-    tree = cKDTree(design.points)
-    dist, _ = tree.query(candidates, k=1)
-    return float(dist.max())

@@ -25,32 +25,37 @@ Config schema (``schema_version: 1``)::
       "estimators": [{"name": "mlbq", "design": "grid"},
                      {"name": "mlmc", "design": "iid"}],
       "kernel": {"family": "matern", "smoothness": 0.5, "lengthscale": 1.0,
-                 "amplitude": 1.0, "policy": "fitted", "bounds": [0.01, 10.0],
-                 "per_dimension": false, "mle_amplitude": false},
+                 "policy": "fitted", "bounds": [0.01, 10.0], "per_dimension": false},
       "budgets": [0.376, 0.751],
       "allocation": {"source": "table",
                      "table": [{"mlbq": [38, 15, 3], "mlmc": [67, 11, 1]},
-                               {"mlbq": [77, 30, 5], "mlmc": [133, 23, 2]}],
-                     "variances": [...], "norms": [...], "tau": 1.0, "gamma": 1.0},
+                               {"mlbq": [77, 30, 5], "mlmc": [133, 23, 2]}]},
       "replications": 100,
       "seed": 1234,
       "output": "results.csv"
     }
 
-An unknown key is a ConfigError; a top-level ``comment`` is allowed and not
-read.  ``allocation.source`` ``table`` reads ``table``; ``mlmc-formula``
-reads ``variances`` and ``mlbq-formula`` ``norms`` and ``tau``; both formula
-sources read ``gamma`` (a number >= 1).  Per-level costs are the model's own,
-set through ``model.params.costs``.  A table entry may also be a plain list
-applied to every estimator, and an estimator omitted from a budget's dict
-entry is simply not run at that budget.  Single-level estimators (``mc``,
-``bq``) take a one-element table entry, or ``floor(T / (gamma * C_L))`` under
-formula sources; they run as the one-level cases of ``mlmc`` and ``mlbq`` on
-the top level's evaluations.  ``kernel.family`` is ``matern``, ``se`` or
-``brownian``.  Nothing is coerced: kernel flags are JSON booleans; counts
-(each >= 1), ``replications`` and ``seed`` JSON integers; other numbers JSON
-numbers; ``output`` a string.  Before the sweep, a kernel with no closed form
-on the measure or bad ``model.params`` is a ConfigError.
+The other kernel policy and the formula allocation sources, with every key each reads::
+
+    "kernel": {"family": "se", "lengthscale": 1.0, "policy": "fixed", "amplitude": 1.0, "mle_amplitude": false}
+    "allocation": {"source": "mlmc-formula", "variances": [...], "gamma": 1.0}
+    "allocation": {"source": "mlbq-formula", "norms": [...], "tau": 1.0, "gamma": 1.0}
+
+A key its section, kernel family, kernel policy or allocation source does
+not read is a ConfigError; a top-level ``comment`` is allowed.  Only
+``matern`` reads ``smoothness``; ``lengthscale`` is taken under both
+policies, though the ``fitted`` search overwrites it.  ``gamma`` (a number
+>= 1, default 1) scales every level's cost in the budget constraint of both
+formulas.  Per-level costs are the model's own (``model.params.costs``).
+A table entry may also be a plain list applied to every estimator, and an
+estimator omitted from a budget's dict entry is not run at that budget.
+Single-level estimators (``mc``, ``bq``) take a one-element table entry,
+or ``floor(T / (gamma * C_L))`` under formula sources; they run as the
+one-level cases of ``mlmc`` and ``mlbq`` on the top level's evaluations.
+Nothing is coerced: kernel flags are JSON booleans; counts (each >= 1),
+``replications`` and ``seed`` JSON integers; other numbers JSON numbers;
+``output`` a string.  Before the sweep, a kernel with no closed form on
+the measure or bad ``model.params`` is a ConfigError.
 """
 
 from __future__ import annotations
@@ -187,7 +192,7 @@ def _section(raw, table, where, required=()) -> dict:
     """``raw``'s values, each through its key's checker in ``table``; an unknown or missing key is a ConfigError."""
     _require(isinstance(raw, dict), f"{where} must be an object")
     unknown = [key for key in raw if key not in table]
-    _require(not unknown, f"{where} has unknown keys {unknown}")
+    _require(not unknown, f"{where} has unknown keys {unknown}; it reads {sorted(table)}")
     missing = [key for key in required if key not in raw]
     _require(not missing, f"{where} needs {missing}")
     return {key: table[key](value, f"{where} {key}") for key, value in raw.items()}
@@ -232,33 +237,44 @@ def _table(value, what):
 
 
 def _allocation(value, what):
-    _require(not (isinstance(value, dict) and "costs" in value),
-             "allocation.costs is not read: set per-level costs in model.params.costs")
-    return AllocationSpec(**_section(value, _ALLOCATION, "allocation", ("source",)))
+    """The allocation section through its source's key table; every key but ``gamma`` is required."""
+    _require(isinstance(value, dict), "allocation must be an object")
+    _require("costs" not in value, "allocation.costs is not read: set per-level costs in model.params.costs")
+    keys = _ALLOCATION[_SOURCE(value.get("source"), "allocation source")]
+    required = [key for key in keys if key != "gamma"]
+    return AllocationSpec(**_section(value, dict(keys, source=_SOURCE), "allocation", required))
 
 
-# One checker per key, one table per section; an absent key takes its dataclass field's default.
+def _kernel(value, what):
+    """The kernel section through the shared keys plus those its family and its policy read."""
+    _require(isinstance(value, dict), "kernel must be an object")
+    family = _KERNEL["family"](value.get("family", KernelPolicy.family), "kernel family")
+    policy = _KERNEL["policy"](value.get("policy", KernelPolicy.policy), "kernel policy")
+    return KernelPolicy(**_section(value, {**_KERNEL, **_FAMILY_KEYS[family], **_POLICY_KEYS[policy]}, "kernel"))
+
+
+# One checker per key; one table per section, kernel family, kernel policy and allocation source; an absent
+# key takes its dataclass field's default.
 _MODEL = {"name": _one_of(*MODEL_NAMES), "params": _rule(lambda value: type(value) is dict, "an object")}
 _ESTIMATOR = {"name": _one_of(*ESTIMATOR_NAMES), "design": _one_of(*DESIGN_KINDS)}
 _KERNEL = {
     "family": _one_of("matern", "se", "brownian"),
-    "smoothness": _number,
     "lengthscale": _rule(lambda value: type(value) in (int, float) or _is_numbers(value),
                          "a number or a list of numbers", _floats),
-    "amplitude": _number,
     "policy": _one_of("fixed", "fitted"),
-    "bounds": _rule(lambda b: _is_numbers(b) and len(b) == 2 and 0 < b[0] < b[1] < math.inf,
-                    "[lo, hi] with 0 < lo < hi", _floats),
-    "per_dimension": _flag,
-    "mle_amplitude": _flag,
 }
+_FAMILY_KEYS = {"matern": {"smoothness": _number}, "se": {}, "brownian": {}}
+_POLICY_KEYS = {
+    "fixed": {"amplitude": _number, "mle_amplitude": _flag},
+    "fitted": {"per_dimension": _flag, "bounds": _rule(
+        lambda b: _is_numbers(b) and len(b) == 2 and 0 < b[0] < b[1] < math.inf, "[lo, hi] with 0 < lo < hi", _floats)},
+}
+_SOURCE = _one_of("table", "mlmc-formula", "mlbq-formula")
+_GAMMA = _rule(lambda value: type(value) in (int, float) and value >= 1, "a number >= 1", float)
 _ALLOCATION = {
-    "source": _one_of("table", "mlmc-formula", "mlbq-formula"),
-    "table": _table,
-    "variances": _numbers,
-    "norms": _numbers,
-    "tau": _number,
-    "gamma": _rule(lambda value: type(value) in (int, float) and value >= 1, "a number >= 1", float),
+    "table": {"table": _table},
+    "mlmc-formula": {"variances": _numbers, "gamma": _GAMMA},
+    "mlbq-formula": {"norms": _numbers, "tau": _number, "gamma": _GAMMA},
 }
 _TOP = {
     "comment": _string,
@@ -266,7 +282,7 @@ _TOP = {
     "model": lambda value, what: _section(value, _MODEL, "model", ("name",)),
     "estimators": _rule(lambda value: isinstance(value, list) and value, "a nonempty list", lambda value: tuple(
         EstimatorSpec(**_section(e, _ESTIMATOR, "estimator", ("name", "design"))) for e in value)),
-    "kernel": lambda value, what: KernelPolicy(**_section(value, _KERNEL, "kernel")),
+    "kernel": _kernel,
     "budgets": _rule(lambda value: _is_numbers(value) and value and all(t > 0 for t in value),
                      "a nonempty list of positive numbers", _floats),
     "allocation": _allocation,
@@ -279,8 +295,8 @@ _TOP = {
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a raw config dict into an :class:`ExperimentConfig`.
 
-    Each section's keys pass their checkers in its table (``_TOP``, ``_MODEL``, ``_ESTIMATOR``, ``_KERNEL``,
-    ``_ALLOCATION``) before the rules across keys run.
+    Each section's keys pass their checkers in its table (``_TOP``, ``_MODEL``, ``_ESTIMATOR``, ``_KERNEL`` with
+    the family's and policy's keys, the source's ``_ALLOCATION`` keys) before the rules across sections run.
     """
     fields = _section(raw, _TOP, "config", ("schema_version", "model", "estimators", "budgets", "allocation"))
     model = {f"model_{key}": value for key, value in fields.pop("model").items()}
@@ -288,17 +304,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     names = [e.name for e in cfg.estimators]
     _require(len(names) == len(set(names)), "estimator names must be unique")
-    alloc = cfg.allocation
-    if alloc.source == "table":
-        _require(alloc.table is not None and len(alloc.table) == len(cfg.budgets),
-                 "allocation.table needs one entry per budget")
-        for i, entry in enumerate(alloc.table):
+    table = cfg.allocation.table
+    if table is not None:
+        _require(len(table) == len(cfg.budgets), "allocation.table needs one entry per budget")
+        for i, entry in enumerate(table):
             stray = set(entry) - set(names) if isinstance(entry, dict) else set()
             _require(not stray, f"allocation table entry {i} names unknown estimators {sorted(stray)}")
-    else:
-        key = "variances" if alloc.source == "mlmc-formula" else "norms"
-        _require(getattr(alloc, key) is not None, f"allocation.source {alloc.source} requires {key}")
-        _require(alloc.source == "mlmc-formula" or alloc.tau is not None, "mlbq-formula requires tau")
     return cfg
 
 
@@ -415,11 +426,10 @@ def _counts_for(cfg: ExperimentConfig, model, budget_index: int) -> dict[str, tu
             raise ConfigError(f"allocation table entry {budget_index} allocates no estimator")
         return out
     if alloc.source == "mlmc-formula":
-        plan = mlmc_allocation(AllocationInput(alloc.variances, costs, budget))
+        rule, magnitudes = mlmc_allocation, alloc.variances
     else:
-        plan = mlbq_allocation(
-            AllocationInput(alloc.norms, costs, budget, tau=alloc.tau, dim=model.dim, overhead=alloc.gamma)
-        )
+        rule, magnitudes = mlbq_allocation, alloc.norms
+    plan = rule(AllocationInput(magnitudes, costs, budget, tau=alloc.tau, dim=model.dim, overhead=alloc.gamma))
     for est in cfg.estimators:
         if est.name in SINGLE_LEVEL:
             out[est.name] = (max(int(budget / (alloc.gamma * costs[-1])), 1),)

@@ -121,6 +121,21 @@ class TestMlbqAllocation:
             mlbq_allocation(AllocationInput((1.0,), (1.0,), 1.0, tau=0.4, dim=1))
 
 
+class TestOverhead:
+    @pytest.mark.parametrize("budget", [0.376, 0.751, 1.503])
+    @pytest.mark.parametrize(
+        "rule, inputs",
+        [(mlmc_allocation, {"magnitudes": POISSON_V}), (mlbq_allocation, {"magnitudes": POISSON_NORMS, "tau": 1.0})],
+        ids=["mlmc", "mlbq"],
+    )
+    def test_overhead_two_is_half_the_budget(self, rule, inputs, budget):
+        # gamma scales every level's cost in the constraint; 2 is a power of two, so the scaling is exact
+        scaled = rule(AllocationInput(costs=POISSON_C, budget=budget, overhead=2.0, **inputs))
+        halved = rule(AllocationInput(costs=POISSON_C, budget=budget / 2, **inputs))
+        assert scaled.counts == halved.counts
+        assert scaled.real_counts == halved.real_counts
+
+
 class TestIntegerize:
     def test_minimum_one_rule(self):
         assert integerize_allocation([0.4, 0.4], [1.0, 1.0], 2.0, magnitudes=[1.0, 1.0], exponent=1.0) == (1, 1)

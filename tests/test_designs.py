@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlbq.designs import Design, fill_distance, generate_design, halton_sequence
+from mlbq.designs import generate_design, halton_sequence
 from mlbq.kernels import ProductMeasure, StandardNormal, Uniform
 
 U01 = ProductMeasure.uniform(0.0, 1.0)
@@ -97,42 +97,3 @@ class TestGeneration:
     def test_needs_positive_count(self):
         with pytest.raises(ValueError):
             generate_design("iid", U01, 0, seed=0)
-
-
-class TestFillDistance:
-    def test_three_point_grid(self):
-        d = generate_design("grid", U01, 3)
-        spacing = 1.0 / 1000
-        assert fill_distance(d, U01, 1001) == pytest.approx(0.25, abs=spacing)
-
-    def test_single_point(self):
-        d = Design(np.array([[0.5]]))
-        assert fill_distance(d, U01, 1001) == pytest.approx(0.5, abs=1e-3)
-
-    def test_equispaced_grid_formula(self):
-        for n in (5, 17, 65):
-            d = generate_design("grid", U01, n)
-            assert fill_distance(d, U01, 4001) == pytest.approx(1.0 / (2 * (n - 1)), abs=1e-3)
-
-    def test_grid_quasi_uniformity(self):
-        # fill distance times n^(1/d) stays below 1 on the unit cube
-        for n in (2, 5, 9, 33, 129):
-            h = fill_distance(generate_design("grid", U01, n), U01, 4001)
-            assert h * n <= 1.0 + 1e-9
-        for n in (16, 64, 256):
-            h = fill_distance(generate_design("grid", U2, n), U2, 201)
-            assert h * np.sqrt(n) <= 1.0 + 1e-9
-
-    def test_halton_beats_iid_fill_distance(self):
-        halton_fd = fill_distance(generate_design("halton", U2, 256), U2, 101)
-        wins = 0
-        for seed in range(50):
-            iid_fd = fill_distance(generate_design("iid", U2, 256, seed=seed), U2, 101)
-            wins += halton_fd < iid_fd
-        assert wins >= 45
-
-    def test_refuses_unbounded(self):
-        m = ProductMeasure.standard_normal()
-        d = generate_design("iid", m, 10, seed=0)
-        with pytest.raises(ValueError, match="bounded"):
-            fill_distance(d, m)

@@ -41,6 +41,8 @@ BASE_CONFIG = {
     "replications": 3,
     "seed": 99,
 }
+POISSON_V = [1.305e-3, 0.088e-3, 0.002e-3]  # the published per-level variances and norms
+POISSON_NORMS = [62.5e-3, 22.5e-3, 3.125e-3]
 
 
 def config(**overrides):
@@ -109,19 +111,20 @@ class TestConfig:
             {"bounds": [0.01, 10.0, 99.0]},
             {"bounds": [0.01, "10"]},
             {"smoothness": 1.5},
-            {"lengthscale": -1.0, "policy": "fixed"},
+            {"lengthscale": -1.0, "policy": "fixed", "bounds": None},
             {"family": "squared-exponential"},
             {"per_dimension": "no"},  # a flag is a JSON boolean: bool("no") would read as true
-            {"mle_amplitude": "false"},
-            {"family": "brownian"},  # no closed-form kernel mean on U(0, 1) yet
+            {"mle_amplitude": "false", "policy": "fixed", "bounds": None},
+            {"family": "brownian", "smoothness": None},  # no closed-form kernel mean on U(0, 1) yet
             {"model": "ode", "smoothness": 0.5},  # Matern-1/2 has none on the ODE model's N(0, 1) axis
         ],
     )
     def test_bad_kernel_fails_before_the_sweep(self, bad, tmp_path, monkeypatch):
-        # a bad kernel setting is one configuration error, not one failed cell per (budget, replication)
+        # a bad kernel setting is one configuration error, not one failed cell per (budget, replication);
+        # a None drops the base kernel's key, which the row's family or policy does not read
         raw, kernel = copy.deepcopy(BASE_CONFIG), dict(bad)
         raw["model"]["name"] = kernel.pop("model", "poisson")
-        raw["kernel"].update(kernel)
+        raw["kernel"] = {key: v for key, v in dict(raw["kernel"], **kernel).items() if v is not None}
         _fails_before_the_sweep(raw, tmp_path, monkeypatch)
 
     @pytest.mark.parametrize(
@@ -138,11 +141,35 @@ class TestConfig:
               "kernel": {"family": "matern", "smoothness": 2.5, "policy": "fixed"},
               "allocation": {"source": "table", "table": [[20, 9, 4]]}},
              "estimator name .*'sk-mlbq'"),
+            ({"kernel": dict(BASE_CONFIG["kernel"], amplitude=2.0)}, r"kernel has unknown keys \['amplitude'\]"),
+            ({"kernel": dict(BASE_CONFIG["kernel"], mle_amplitude=True)},
+             r"kernel has unknown keys \['mle_amplitude'\]"),
+            ({"kernel": {"family": "matern", "smoothness": 0.5, "policy": "fixed", "bounds": [0.5, 2.0]}},
+             r"kernel has unknown keys \['bounds'\]"),
+            ({"kernel": {"family": "matern", "smoothness": 0.5, "policy": "fixed", "per_dimension": True}},
+             r"kernel has unknown keys \['per_dimension'\]"),
+            ({"kernel": {"family": "se", "smoothness": 0.5, "policy": "fitted"}},
+             r"kernel has unknown keys \['smoothness'\]"),
+            ({"allocation": dict(BASE_CONFIG["allocation"], gamma=2)}, r"allocation has unknown keys \['gamma'\]"),
+            ({"allocation": {"source": "mlmc-formula", "variances": POISSON_V, "norms": [1, 2, 3]}},
+             r"allocation has unknown keys \['norms'\]"),
+            ({"allocation": {"source": "mlmc-formula", "variances": POISSON_V, "tau": 2.0}},
+             r"allocation has unknown keys \['tau'\]"),
+            ({"allocation": {"source": "mlmc-formula", "variances": POISSON_V, "table": [[67, 11, 1]]}},
+             r"allocation has unknown keys \['table'\]"),
+            ({"allocation": {"source": "mlbq-formula", "norms": POISSON_NORMS, "tau": 1.0, "variances": POISSON_V}},
+             r"allocation has unknown keys \['variances'\]"),
+            ({"allocation": {"source": "mlbq-formula", "norms": POISSON_NORMS, "tau": 1.0, "table": [[38, 15, 3]]}},
+             r"allocation has unknown keys \['table'\]"),
         ],
-        ids=["replicatons", "model.parms", "estimator.desing", "kernel.smoothnes", "allocation.gama", "sk-mlbq"],
+        ids=["replicatons", "model.parms", "estimator.desing", "kernel.smoothnes", "allocation.gama", "sk-mlbq",
+             "fitted-amplitude", "fitted-mle_amplitude", "fixed-bounds", "fixed-per_dimension", "se-smoothness",
+             "table-gamma", "mlmc-formula-norms", "mlmc-formula-tau", "mlmc-formula-table", "mlbq-formula-variances",
+             "mlbq-formula-table"],
     )
     def test_unknown_keys_fail_before_the_sweep(self, overrides, match, tmp_path, monkeypatch):
-        # a misspelt key used to be ignored, so the sweep ran on the default it meant to replace
+        # a misspelt key used to be ignored, so the sweep ran on the default it meant to replace; so was a key
+        # that the chosen kernel family or policy or allocation source does not read
         _fails_before_the_sweep(dict(copy.deepcopy(BASE_CONFIG), **overrides), tmp_path, monkeypatch, match)
 
     @pytest.mark.parametrize(
@@ -163,16 +190,26 @@ class TestConfig:
         _fails_before_the_sweep(raw, tmp_path, monkeypatch, match)
 
     def test_schema_block_names_every_key(self):
-        # the README points to the module docstring for the schema: its example names each section's keys, all of them
-        doc = harness.__doc__
-        block = doc[doc.index("::\n") + 3 : doc.index("\n    }\n") + 6].replace("...", "")
-        example = json.loads(block)
+        # the README points to the module docstring for the schema: its example and the variants after it name
+        # each section's keys, every kernel family's and policy's and every allocation source's, all of them
+        doc = harness.__doc__.replace("...", "")
+        example_block, variant_block = (part[: part.index("\n\n")] for part in doc.split("::\n\n")[1:3])
+        example = json.loads(example_block)
+        variants = [json.loads("{%s}" % line) for line in variant_block.splitlines()]
         assert set(example) == set(harness._TOP)
         assert set(example["model"]) == set(harness._MODEL)
         assert {key for e in example["estimators"] for key in e} == set(harness._ESTIMATOR)
-        assert set(example["kernel"]) == set(harness._KERNEL)
-        assert set(example["allocation"]) == set(harness._ALLOCATION)
-        config_from_dict(example)
+        kernels = [example["kernel"]] + [v["kernel"] for v in variants if "kernel" in v]
+        for k in kernels:
+            assert set(k) == {*harness._KERNEL, *harness._FAMILY_KEYS[k["family"]], *harness._POLICY_KEYS[k["policy"]]}
+        assert {k["policy"] for k in kernels} == set(harness._POLICY_KEYS)
+        assert {k["family"] for k in kernels} >= {family for family, keys in harness._FAMILY_KEYS.items() if keys}
+        allocations = [example["allocation"]] + [v["allocation"] for v in variants if "allocation" in v]
+        assert {a["source"]: set(a) - {"source"} for a in allocations} == {
+            source: set(keys) for source, keys in harness._ALLOCATION.items()
+        }
+        for variant in [{}, *variants]:
+            config_from_dict(dict(example, **variant))
 
     @pytest.mark.parametrize(
         "model, params",
@@ -203,7 +240,7 @@ class TestConfig:
             (("budgets", 0), True),
             (("kernel", "smoothness"), "0.5"),
             (("kernel", "lengthscale"), "1.0"),
-            (("kernel", "amplitude"), True),
+            (("kernel",), {"family": "matern", "smoothness": 0.5, "policy": "fixed", "amplitude": True}),
             (("allocation",), {"source": "mlmc-formula", "variances": [1.305e-3, "0.088e-3", 0.002e-3]}),
             (("allocation",), {"source": "mlbq-formula", "norms": "123", "tau": 1.0}),
             (("allocation",), {"source": "mlbq-formula", "norms": [62.5e-3, 22.5e-3, 3.125e-3], "tau": "1"}),
@@ -255,6 +292,16 @@ class TestAllocationResolution:
         assert counts["mlmc"] == (68, 11, 1)
         # single-level estimators exhaust the budget at the top level
         assert counts["mc"] == (int(0.376 / 42.4e-3),)
+
+    def test_formula_overhead_halves_the_budget(self):
+        # gamma 2 doubles every level's cost, so both mlmc and mc run at the counts for half the budget
+        estimators = [{"name": "mlmc", "design": "iid"}, {"name": "mc", "design": "iid"}]
+        allocation = {"source": "mlmc-formula", "variances": POISSON_V}
+        records = run_experiment(config(estimators=estimators, allocation=dict(allocation, gamma=2), replications=1))
+        halved = _counts_for(config(estimators=estimators, allocation=allocation, budgets=[0.188]),
+                             make_model("poisson"), 0)
+        assert {r.estimator: r.n_per_level for r in records} == halved
+        assert halved["mc"] == (4,) and halved["mlmc"] != (68, 11, 1)
 
     def test_estimator_skipped_when_absent_from_entry(self):
         cfg = config(
@@ -770,6 +817,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "integer counts" in out
         assert main(["allocate", "--norms", "1,0.1", "--costs", "1,4", "--budget", "10"]) == 1
+
+    def test_allocate_variances_refuse_tau_and_dim(self, capsys):
+        # the variance-based rule reads neither; --gamma it does read
+        variances = ["allocate", "--variances", "1,0.1", "--costs", "1,4", "--budget", "10"]
+        for flag in (["--tau", "1"], ["--dim", "2"]):
+            assert main([*variances, *flag]) == 1
+            assert "--tau and --dim apply to --norms only" in capsys.readouterr().err
+
+    def test_allocate_gamma_applies_to_both_rules(self, capsys):
+        for rule in (["--variances", "1,0.1"], ["--norms", "1,0.1", "--tau", "1"]):
+            assert main(["allocate", *rule, "--costs", "1,4", "--budget", "20", "--gamma", "2"]) == 0
+            scaled = capsys.readouterr().out.splitlines()
+            assert main(["allocate", *rule, "--costs", "1,4", "--budget", "10"]) == 0
+            halved = capsys.readouterr().out.splitlines()
+            assert scaled[0].startswith("T=20 ") and scaled[1:] == halved[1:]
 
     def test_allocate_rejects_nonpositive(self, capsys):
         assert main(["allocate", "--variances", "1,-0.1", "--costs", "1,4", "--budget", "10"]) == 1
