@@ -42,18 +42,20 @@ The other kernel policy and the formula allocation sources, with every key each 
     "allocation": {"source": "mlbq-formula", "norms": [...], "tau": 1.0, "gamma": 1.0}
 
 A key its section, kernel family, kernel policy or allocation source does
-not read is a ConfigError; a top-level ``comment`` is allowed.  Only
-``matern`` reads ``smoothness``; ``lengthscale`` is taken under both
-policies, though the ``fitted`` search overwrites it.  ``gamma`` (a number
->= 1, default 1) scales every level's cost in the budget constraint of both
-formulas.  Per-level costs are the model's own (``model.params.costs``).
+not read is a ConfigError; a top-level ``comment`` is allowed.  The kernel
+families are ``matern`` and ``se``; only ``matern`` reads ``smoothness``.
+``lengthscale`` is taken under both policies, though the ``fitted`` search
+overwrites it.  ``gamma`` (a number >= 1, default 1) scales every level's
+cost in the budget constraint of both formulas.  Per-level costs are the
+model's own (``model.params.costs``).
 A table entry may also be a plain list applied to every estimator, and an
 estimator omitted from a budget's dict entry is not run at that budget.
 Single-level estimators (``mc``, ``bq``) take a one-element table entry,
 or ``floor(T / (gamma * C_L))`` under formula sources; they run as the
 one-level cases of ``mlmc`` and ``mlbq`` on the top level's evaluations.
 Nothing is coerced: kernel flags are JSON booleans; counts (each >= 1),
-``replications`` and ``seed`` JSON integers; other numbers JSON numbers;
+``replications`` and ``seed`` JSON integers; other numbers finite JSON
+numbers (``NaN`` and ``Infinity``, which Python's ``json`` reads, fail);
 ``output`` a string.  Before the sweep, a kernel with no closed form on
 the measure or bad ``model.params`` is a ConfigError.
 """
@@ -76,7 +78,7 @@ from .allocation import AllocationInput, mlbq_allocation, mlmc_allocation
 from .designs import DESIGN_KINDS, generate_design
 from .gp import GPFit, SingularGramError, _fit_lengthscales, _profiled_fit, fit_gp
 from .kernels import Kernel, initial_error
-from .models import MODEL_NAMES, ModelError, make_model
+from .models import MODEL_NAMES, ModelError, _finite, make_model
 from .quadrature import LevelData, LevelFailure, mlbq_estimate, mlmc_estimate
 
 __all__ = [
@@ -138,8 +140,6 @@ class KernelPolicy:
             return Kernel.matern(self.smoothness, self.lengthscale, dim=dim, amplitude=self.amplitude)
         if self.family == "se":
             return Kernel.squared_exponential(self.lengthscale, dim=dim, amplitude=self.amplitude)
-        if self.family == "brownian":
-            return Kernel.brownian(amplitude=self.amplitude)
         raise ConfigError(f"unknown kernel family {self.family!r}")
 
     def level_kernel(self, points, values, dim: int) -> Kernel:
@@ -206,8 +206,13 @@ def _rule(test, rule, convert=None):
     return check
 
 
+def _is_number(value):
+    """A JSON number that is not a boolean, NaN or an infinity (nor an int too large for a float)."""
+    return type(value) in (int, float) and _finite(value)
+
+
 def _is_numbers(value):
-    return isinstance(value, (list, tuple)) and all(type(v) in (int, float) for v in value)
+    return isinstance(value, (list, tuple)) and all(map(_is_number, value))
 
 
 def _floats(value):
@@ -218,8 +223,8 @@ def _one_of(*options):
     return _rule(lambda value: value in options, f"one of {options}")
 
 
-_number = _rule(lambda value: type(value) in (int, float), "a number", float)
-_numbers = _rule(_is_numbers, "a list of numbers", _floats)
+_number = _rule(_is_number, "a finite number", float)
+_numbers = _rule(_is_numbers, "a list of finite numbers", _floats)
 _flag = _rule(lambda value: type(value) is bool, "a boolean")
 _string = _rule(lambda value: type(value) is str, "a string")
 _counts = _rule(lambda row: isinstance(row, list) and all(type(n) is int and n >= 1 for n in row),
@@ -258,19 +263,19 @@ def _kernel(value, what):
 _MODEL = {"name": _one_of(*MODEL_NAMES), "params": _rule(lambda value: type(value) is dict, "an object")}
 _ESTIMATOR = {"name": _one_of(*ESTIMATOR_NAMES), "design": _one_of(*DESIGN_KINDS)}
 _KERNEL = {
-    "family": _one_of("matern", "se", "brownian"),
-    "lengthscale": _rule(lambda value: type(value) in (int, float) or _is_numbers(value),
-                         "a number or a list of numbers", _floats),
+    "family": _one_of("matern", "se"),
+    "lengthscale": _rule(lambda value: _is_number(value) or _is_numbers(value),
+                         "a finite number or a list of finite numbers", _floats),
     "policy": _one_of("fixed", "fitted"),
 }
-_FAMILY_KEYS = {"matern": {"smoothness": _number}, "se": {}, "brownian": {}}
+_FAMILY_KEYS = {"matern": {"smoothness": _number}, "se": {}}
 _POLICY_KEYS = {
     "fixed": {"amplitude": _number, "mle_amplitude": _flag},
     "fitted": {"per_dimension": _flag, "bounds": _rule(
-        lambda b: _is_numbers(b) and len(b) == 2 and 0 < b[0] < b[1] < math.inf, "[lo, hi] with 0 < lo < hi", _floats)},
+        lambda b: _is_numbers(b) and len(b) == 2 and 0 < b[0] < b[1], "[lo, hi] with 0 < lo < hi", _floats)},
 }
 _SOURCE = _one_of("table", "mlmc-formula", "mlbq-formula")
-_GAMMA = _rule(lambda value: type(value) in (int, float) and value >= 1, "a number >= 1", float)
+_GAMMA = _rule(lambda value: _is_number(value) and value >= 1, "a finite number >= 1", float)
 _ALLOCATION = {
     "table": {"table": _table},
     "mlmc-formula": {"variances": _numbers, "gamma": _GAMMA},
@@ -284,7 +289,7 @@ _TOP = {
         EstimatorSpec(**_section(e, _ESTIMATOR, "estimator", ("name", "design"))) for e in value)),
     "kernel": _kernel,
     "budgets": _rule(lambda value: _is_numbers(value) and value and all(t > 0 for t in value),
-                     "a nonempty list of positive numbers", _floats),
+                     "a nonempty list of finite numbers > 0", _floats),
     "allocation": _allocation,
     "replications": _rule(lambda value: type(value) is int and value >= 1, "an integer >= 1"),
     "seed": _rule(lambda value: type(value) is int and value >= 0, "an integer >= 0"),

@@ -22,18 +22,23 @@ Three hierarchies:
 Costs are declared per-level constants (defaults are the published cost
 vectors of the accompanying experiments) so budget arithmetic is
 deterministic and machine independent.  Constructor parameters are checked,
-not converted: counts and ``reference_refine`` must be ints, costs, spacings,
-``forcing`` and ``high`` ints or floats; anything else is a ``ValueError``.
+not converted, for type and range by one rule each; anything else is a
+``ValueError``.  Costs are finite ints or floats > 0, one per level, with at
+least one level; ``interior_nodes`` ints >= 1; ``breakpoint_counts`` ints >= 2;
+``spacings`` 1/m for an integer m >= 3; ``reference_refine`` an int >= 1;
+``forcing`` finite; ``high`` finite and > 0.  ``evaluate`` reads its points as
+``kernels.as_points`` does, so points of the wrong dimension are a ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ProductMeasure, StandardNormal, Uniform
+from .kernels import ProductMeasure, StandardNormal, Uniform, as_points
 
 __all__ = [
     "PiecewiseLinearFunction",
@@ -151,21 +156,34 @@ def _flux_form(off):
 _INTEGER, _NUMBER = (int,), (int, float)
 
 
-def _typed(values, types, what) -> tuple:
+def _finite(value) -> bool:
+    """Not NaN or infinite, and (an int) not too large for a float."""
+    return abs(value) <= sys.float_info.max
+
+
+def _typed(values, types, what, rule, ok) -> tuple:
     """``values`` as a tuple, each checked, not converted, to be exactly one of ``types`` (bools, strings
-    and numpy scalars fail)."""
+    and numpy scalars fail) and to pass ``ok``, which ``rule`` states."""
     values = tuple(values)
-    if not all(type(v) in types for v in values):
-        raise ValueError(f"{what} must be {' or '.join(t.__name__ for t in types)}, got {values!r}")
+    if not all(type(v) in types and ok(v) for v in values):
+        raise ValueError(f"{what} must be {' or '.join(t.__name__ for t in types)} {rule}, got {values!r}")
     return values
 
 
 class MultifidelityModel:
-    """Shared interface: levels 0..L of increasing accuracy and cost."""
+    """Shared interface: levels 0..L of increasing accuracy and cost; the constructor owns the level table."""
 
     name: str
     costs: tuple[float, ...]
     measure: ProductMeasure
+
+    def __init__(self, costs, per_level):
+        costs = _typed(costs, _NUMBER, "costs", "> 0 and finite", lambda c: 0 < c and _finite(c))
+        if not per_level:
+            raise ValueError(f"{self.name}: needs at least one level")
+        if len(per_level) != len(costs):
+            raise ValueError(f"{self.name}: needs one cost per level, got {len(costs)} for {len(per_level)}")
+        self.costs = tuple(float(c) for c in costs)
 
     @property
     def levels(self) -> int:
@@ -220,15 +238,8 @@ class PoissonHierarchy(MultifidelityModel):
     name = "poisson"
 
     def __init__(self, interior_nodes=(4, 16, 64), costs=(3.6e-3, 8.5e-3, 42.4e-3)):
-        interior_nodes, costs = _typed(interior_nodes, _INTEGER, "interior_nodes"), _typed(costs, _NUMBER, "costs")
-        if len(interior_nodes) != len(costs):
-            raise ValueError("need one cost per level")
-        if any(p < 1 for p in interior_nodes):
-            raise ValueError("each level needs at least one interior node")
-        if any(c <= 0 for c in costs):
-            raise ValueError("costs must be positive")
-        self.interior_nodes = interior_nodes
-        self.costs = tuple(float(c) for c in costs)
+        self.interior_nodes = _typed(interior_nodes, _INTEGER, "interior_nodes", ">= 1", lambda p: p >= 1)
+        super().__init__(costs, self.interior_nodes)
         self.measure = ProductMeasure.uniform(0.0, 1.0)
         self._levels = [self._solve_level(p) for p in self.interior_nodes]
 
@@ -248,8 +259,7 @@ class PoissonHierarchy(MultifidelityModel):
 
     def evaluate(self, level: int, points) -> np.ndarray:
         self._check_level(level)
-        pts = np.asarray(points, dtype=float).reshape(-1)
-        return self._levels[level](pts)
+        return self._levels[level](as_points(points, self.dim)[:, 0])
 
     def level_integral(self, level: int) -> float:
         """Exact integral of the level-l interpolant."""
@@ -299,19 +309,13 @@ class OdeHierarchy(MultifidelityModel):
         costs=(1.0e-3, 2.6e-3, 21.8e-3),
         reference_refine=8,
     ):
-        spacings, costs = _typed(spacings, _NUMBER, "spacings"), _typed(costs, _NUMBER, "costs")
-        _typed([forcing], _NUMBER, "forcing")
-        _typed([reference_refine], _INTEGER, "reference_refine")
-        if len(spacings) != len(costs):
-            raise ValueError("need one cost per level")
-        for h in spacings:
-            if not 0 < h < 0.5 or abs(round(1.0 / h) - 1.0 / h) > 1e-9:
-                raise ValueError(f"spacing {h} must be 1/m for an integer m >= 3")
-        if any(c <= 0 for c in costs):
-            raise ValueError("costs must be positive")
+        spacings = _typed(spacings, _NUMBER, "spacings", "1/m for an integer m >= 3",
+                          lambda h: 0 < h < 0.5 and abs(round(1.0 / h) - 1.0 / h) <= 1e-9)
+        _typed([forcing], _NUMBER, "forcing", "and finite", _finite)
+        _typed([reference_refine], _INTEGER, "reference_refine", ">= 1", lambda r: r >= 1)
+        super().__init__(costs, spacings)
         self.spacings = tuple(float(h) for h in spacings)
         self.forcing = float(forcing)
-        self.costs = tuple(float(c) for c in costs)
         self.measure = ProductMeasure((Uniform(0.0, 1.0), StandardNormal()))
         self.reference_refine = reference_refine
         self._reference = None
@@ -330,21 +334,14 @@ class OdeHierarchy(MultifidelityModel):
         dev *= a
         return -h * _row_total(dev)
 
-    def _evaluate_spacing(self, h: float, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1)
-        if pts.shape[1] != 2:
-            raise ModelError(f"ode points must be 2-d (w1, w2), got shape {pts.shape}")
+    def evaluate(self, level: int, points) -> np.ndarray:
+        self._check_level(level)
+        pts, h = as_points(points, self.dim), self.spacings[level]
         try:
             factor = self._integral_factor(h, pts[:, 0])
         except ModelError as exc:
             raise ModelError(f"ode spacing {h}: {exc} (w1 range [{pts[:, 0].min()}, {pts[:, 0].max()}])") from exc
         return self.forcing * pts[:, 1] ** 2 * factor
-
-    def evaluate(self, level: int, points) -> np.ndarray:
-        self._check_level(level)
-        return self._evaluate_spacing(self.spacings[level], points)
 
     def reference_info(self) -> tuple[float, float]:
         """(reference integral, error bound); computed on first use.
@@ -385,24 +382,16 @@ class StepHierarchy(MultifidelityModel):
     name = "step"
 
     def __init__(self, breakpoint_counts=(3, 5, 9), high=10.0, costs=(0.5e-3, 1.0e-3, 2.0e-3)):
-        breakpoint_counts = _typed(breakpoint_counts, _INTEGER, "breakpoint_counts")
-        costs = _typed(costs, _NUMBER, "costs")
-        _typed([high], _NUMBER, "high")
-        if len(breakpoint_counts) != len(costs):
-            raise ValueError("need one cost per level")
-        if any(p < 2 for p in breakpoint_counts):
-            raise ValueError("each level needs at least two breakpoints")
-        if any(c <= 0 for c in costs):
-            raise ValueError("costs must be positive")
-        self.breakpoint_counts = breakpoint_counts
+        self.breakpoint_counts = _typed(breakpoint_counts, _INTEGER, "breakpoint_counts", ">= 2", lambda p: p >= 2)
+        _typed([high], _NUMBER, "high", "> 0 and finite", lambda b: 0 < b and _finite(b))
+        super().__init__(costs, self.breakpoint_counts)
         self.high = float(high)
-        self.costs = tuple(float(c) for c in costs)
         self.measure = ProductMeasure.uniform(0.0, self.high)
         self._breaks = [np.linspace(0.0, self.high, p) for p in self.breakpoint_counts]
 
     def evaluate(self, level: int, points) -> np.ndarray:
         self._check_level(level)
-        pts = np.asarray(points, dtype=float).reshape(-1)
+        pts = as_points(points, self.dim)[:, 0]
         breaks = self._breaks[level]
         cell = np.clip(np.searchsorted(breaks, pts, side="right") - 1, 0, breaks.size - 2)
         return 0.5 * (breaks[cell] + breaks[cell + 1])
@@ -421,13 +410,8 @@ class StepHierarchy(MultifidelityModel):
 # registry
 # ---------------------------------------------------------------------------
 
-MODEL_NAMES = ("poisson", "ode", "step")
-
-_FACTORIES = {
-    "poisson": PoissonHierarchy,
-    "ode": OdeHierarchy,
-    "step": StepHierarchy,
-}
+_FACTORIES = {cls.name: cls for cls in (PoissonHierarchy, OdeHierarchy, StepHierarchy)}
+MODEL_NAMES = tuple(_FACTORIES)
 
 
 def make_model(name: str, **params) -> MultifidelityModel:

@@ -60,10 +60,12 @@ class LevelData:
     values: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[0] == 1 and np.asarray(self.points).ndim == 1 and pts.shape[1] > 1:
-            pts = pts.T
         vals = np.asarray(self.values, dtype=float).reshape(-1)
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim > 2:
+            raise ValueError(f"level {self.level}: points must be at most 2-d, got shape {pts.shape}")
+        if pts.ndim < 2:  # as ``as_points`` reads them: with one value one point, else n points on a line
+            pts = pts.reshape(1, -1) if vals.size == 1 else pts.reshape(-1, 1)
         if pts.shape[0] != vals.shape[0]:
             raise ValueError(f"level {self.level}: {pts.shape[0]} points but {vals.shape[0]} values")
         if pts.shape[0] < 1:

@@ -4,6 +4,7 @@ import ctypes
 import filecmp
 import io
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -115,7 +116,7 @@ class TestConfig:
             {"family": "squared-exponential"},
             {"per_dimension": "no"},  # a flag is a JSON boolean: bool("no") would read as true
             {"mle_amplitude": "false", "policy": "fixed", "bounds": None},
-            {"family": "brownian", "smoothness": None},  # no closed-form kernel mean on U(0, 1) yet
+            {"family": "brownian", "smoothness": None},  # not a config family until it has closed forms
             {"model": "ode", "smoothness": 0.5},  # Matern-1/2 has none on the ODE model's N(0, 1) axis
         ],
     )
@@ -220,11 +221,19 @@ class TestConfig:
             ("poisson", {"interior_nodes": [True, 16, 64]}),
             ("ode", {"forcing": "50"}),
             ("ode", {"reference_refine": 8.9}),
+            ("ode", {"reference_refine": 0}),
+            ("ode", {"reference_refine": -1}),
+            ("poisson", {"costs": [math.nan, 8.5e-3, 42.4e-3]}),
+            ("poisson", {"costs": [1e-3, 8.5e-3, math.inf]}),
+            ("ode", {"forcing": math.inf}),
         ],
-        ids=["unknown-key", "str-costs", "float-nodes", "bool-nodes", "str-forcing", "float-refine"],
+        ids=["unknown-key", "str-costs", "float-nodes", "bool-nodes", "str-forcing", "float-refine", "zero-refine",
+             "negative-refine", "nan-costs", "inf-costs", "inf-forcing"],
     )
     def test_bad_model_params_fail_before_the_sweep(self, model, params, tmp_path, monkeypatch):
-        # model.params are checked, not converted: 4.7 nodes used to run as 4, forcing "50" as 50.0
+        # model.params are checked, not converted: 4.7 nodes used to run as 4, forcing "50" as 50.0; and range
+        # checked: reference_refine -1 measured every error against a reference of 0.0, NaN costs wrote cost=nan
+        # records, infinite forcing failed at the first cell
         raw = copy.deepcopy(BASE_CONFIG)
         raw["model"] = {"name": model, "params": params}
         raw["kernel"]["smoothness"] = 2.5  # Matern-5/2 has a closed form on both models' measures
@@ -248,14 +257,21 @@ class TestConfig:
                                "gamma": True}),
             (("output",), 5),
             (("schema_version",), True),
+            (("budgets", 0), math.inf),
+            (("allocation",), {"source": "mlmc-formula", "variances": [math.nan, 0.088e-3, 0.002e-3]}),
+            (("allocation",), {"source": "mlmc-formula", "variances": [math.inf, 0.088e-3, 0.002e-3]}),
+            (("allocation",), {"source": "mlbq-formula", "norms": POISSON_NORMS, "tau": math.nan}),
+            (("allocation",), {"source": "mlbq-formula", "norms": POISSON_NORMS, "tau": math.inf}),
+            (("allocation",), {"source": "mlmc-formula", "variances": POISSON_V, "gamma": math.inf}),
         ],
         ids=["bool-replications", "bool-seed", "float-count", "bool-count", "bool-budget", "str-smoothness",
              "str-lengthscale", "bool-amplitude", "str-variance", "str-norms", "str-tau", "bool-gamma", "int-output",
-             "bool-schema-version"],
+             "bool-schema-version", "inf-budget", "nan-variance", "inf-variance", "nan-tau", "inf-tau", "inf-gamma"],
     )
     def test_numbers_are_type_checked_not_coerced(self, path, value, tmp_path, monkeypatch):
-        # counts and seeds are JSON integers, other numbers JSON numbers and output a string:
-        # true would run as 1, 38.5 as 38, "123" as norms (1, 2, 3)
+        # counts and seeds are JSON integers, other numbers finite JSON numbers and output a string:
+        # true would run as 1, 38.5 as 38, "123" as norms (1, 2, 3); Python's json reads NaN and Infinity, and
+        # gamma Infinity ran every estimator on one sample per level
         raw = copy.deepcopy(BASE_CONFIG)
         *parents, last = path
         target = raw

@@ -107,22 +107,25 @@ class TestPoisson:
         with pytest.raises(ModelError, match="level 3"):
             model.evaluate(3, [0.5])
 
+    def test_rejects_two_dimensional_points(self):
+        # an (n, 2) array used to be flattened into 2n values on the line
+        with pytest.raises(ValueError, match="dimension 2"):
+            PoissonHierarchy().evaluate(0, np.full((3, 2), 0.5))
+
 
 class TestOde:
     def test_zero_coefficient_analytic_solution(self):
         # w1 = 0 makes the scheme exact at the nodes; the remaining error
         # is the trapezoid term r w2^2 h^2 / 12
-        model = OdeHierarchy()
         for h in (1.0 / 8, 1.0 / 16, 1.0 / 32):
-            val = model._evaluate_spacing(h, np.array([[0.0, 1.3]]))[0]
+            val = OdeHierarchy(spacings=(h,), costs=(1.0,)).evaluate(0, np.array([[0.0, 1.3]]))[0]
             exact = -50.0 / 12.0 * 1.3**2
             assert abs(val - exact) == pytest.approx(50.0 * 1.3**2 * h * h / 12.0, rel=1e-9)
 
     def test_halving_h_shrinks_error_by_at_least_1_8(self):
-        model = OdeHierarchy()
         exact = -50.0 / 12.0 * 0.9**2
         errors = [
-            abs(model._evaluate_spacing(h, np.array([[0.0, 0.9]]))[0] - exact)
+            abs(OdeHierarchy(spacings=(h,), costs=(1.0,)).evaluate(0, np.array([[0.0, 0.9]]))[0] - exact)
             for h in (1.0 / 8, 1.0 / 16, 1.0 / 32)
         ]
         assert errors[0] / errors[1] >= 1.8
@@ -154,7 +157,8 @@ class TestOde:
         assert (float(value).hex(), float(err).hex()) == ("-0x1.b57839e9103f6p+1", "0x1.b57859e9103f6p-31")
 
     def test_rejects_bad_points(self):
-        with pytest.raises(ModelError, match="2-d"):
+        # points are read as ``kernels.as_points`` reads them, so a wrong dimension is the caller's ValueError
+        with pytest.raises(ValueError, match="dimension 3"):
             OdeHierarchy().evaluate(0, np.array([[0.1, 0.2, 0.3]]))
 
     def test_rejects_bad_spacing(self):
@@ -245,6 +249,11 @@ class TestStep:
         model = StepHierarchy(breakpoint_counts=(3,), costs=(1.0,))
         assert model.evaluate(0, [10.0])[0] == 7.5
 
+    def test_rejects_two_dimensional_points(self):
+        # an (n, 2) array used to be flattened into 2n values on the line
+        with pytest.raises(ValueError, match="dimension 2"):
+            StepHierarchy().evaluate(0, np.full((3, 2), 5.0))
+
     def test_every_level_integrates_to_five(self):
         model = StepHierarchy()
         for level in range(model.levels):
@@ -277,6 +286,38 @@ class TestRegistry:
     def test_params_are_type_checked_not_coerced(self, name, params):
         with pytest.raises(ValueError, match="must be int"):
             make_model(name, **params)
+
+    @pytest.mark.parametrize(
+        "name, params, match",
+        [
+            ("poisson", {"interior_nodes": (0, 16, 64)}, "interior_nodes must be int >= 1"),
+            ("step", {"breakpoint_counts": (1, 5, 9)}, "breakpoint_counts must be int >= 2"),
+            ("ode", {"reference_refine": 0}, "reference_refine must be int >= 1"),
+            ("ode", {"reference_refine": -1}, "reference_refine must be int >= 1"),
+            ("poisson", {"costs": (math.nan, 8.5e-3, 42.4e-3)}, "costs must be int or float > 0 and finite"),
+            ("ode", {"costs": (1e-3, math.inf, 21.8e-3)}, "costs must be int or float > 0 and finite"),
+            ("step", {"costs": (5e-4, 1e-3, 0)}, "costs must be int or float > 0 and finite"),
+            ("ode", {"forcing": math.inf}, "forcing must be int or float and finite"),
+            ("ode", {"forcing": math.nan}, "forcing must be int or float and finite"),
+            ("ode", {"forcing": 10**400}, "forcing must be int or float and finite"),
+            ("step", {"high": 0.0}, "high must be int or float > 0 and finite"),
+            ("step", {"high": math.inf}, "high must be int or float > 0 and finite"),
+        ],
+        ids=["zero-nodes", "one-breakpoint", "zero-refine", "negative-refine", "nan-costs", "inf-costs", "zero-costs",
+             "inf-forcing", "nan-forcing", "huge-int-forcing", "zero-high", "inf-high"],
+    )
+    def test_params_are_range_checked(self, name, params, match):
+        # reference_refine -1 gave a reference of 0.0 and 0 divided by zero; NaN costs gave cost=nan records
+        # and passed the budget check; infinite forcing failed only at the first cell's evaluation
+        with pytest.raises(ValueError, match=match):
+            make_model(name, **params)
+
+    @pytest.mark.parametrize("name, key", [("poisson", "interior_nodes"), ("ode", "spacings"),
+                                           ("step", "breakpoint_counts")])
+    def test_needs_at_least_one_level(self, name, key):
+        # each model used to construct with zero levels and fail later, each with a different error
+        with pytest.raises(ValueError, match=f"{name}: needs at least one level"):
+            make_model(name, **{key: (), "costs": ()})
 
     def test_integer_numbers_are_accepted(self):
         assert make_model("poisson", costs=(1, 2, 4)).costs == (1.0, 2.0, 4.0)

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from mlbq import gp
 from mlbq.designs import generate_design
 from mlbq.gp import fit_gp, fit_hyperparameters, mle_amplitude
-from mlbq.kernels import Kernel, ProductMeasure, gram, initial_error, kernel_mean
+from mlbq.kernels import Kernel, ProductMeasure, as_points, gram, initial_error, kernel_mean
 from mlbq.models import PoissonHierarchy, StepHierarchy
 from mlbq.quadrature import (
     GaussianPosterior,
@@ -31,7 +31,21 @@ def conditioned(levels, kernels, nugget=1e-10):
 class TestLevelData:
     def test_validates_shapes(self):
         with pytest.raises(ValueError, match="points but"):
-            LevelData(0, [0.1, 0.2], [1.0])
+            LevelData(0, [0.1, 0.2, 0.3], [1.0, 2.0])
+        with pytest.raises(ValueError, match="points but"):
+            LevelData(0, [[0.1, 0.2], [0.3, 0.4]], [1.0])
+        with pytest.raises(ValueError, match="at most 2-d"):
+            LevelData(0, np.zeros((1, 1, 1)), [1.0])
+
+    @pytest.mark.parametrize(
+        "points, values, dim",
+        [([0.1, 0.2], [1.0], 2), ([0.1, 0.2], [1.0, 2.0], 1), (0.3, [1.0], 1), ([0.3], [1.0], 1),
+         ([[0.1, 0.2]], [1.0], 2)],
+    )
+    def test_reads_points_as_as_points_does(self, points, values, dim):
+        # a 1-d array is one point when there is one value (it used to be read as two points on a line), else
+        # n points on a line
+        assert np.array_equal(LevelData(0, points, values).points, as_points(points, dim))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):
