@@ -30,8 +30,8 @@ for level, n in enumerate(counts):
     w = generate_design("grid", measure, n).points
     y = model.increments(level, w[:, 0])
     fits.append(fit_hyperparameters(Kernel.matern(0.5, 1.0), w, y, bounds=(0.01, 10.0)))
-    levels.append(LevelData(level, w, y))
-post = mlbq_estimate(levels, fits, measure)
+    levels.append(LevelData(w, y))  # kept for the separable-kernel section below
+post = mlbq_estimate(fits, measure)
 print(f"  posterior mean {post.mean:.8f}  (|error| {abs(post.mean - reference):.2e})")
 print(f"  posterior std  {post.std:.2e}")
 print(f"  per-level means     {['%.2e' % m for m in post.level_means]}")
@@ -44,7 +44,7 @@ for rep in range(50):
     data = []
     for level, n in enumerate(counts):
         w = generate_design("iid", measure, n, seed=1000 * rep + level).points
-        data.append(LevelData(level, w, model.increments(level, w[:, 0])))
+        data.append(LevelData(w, model.increments(level, w[:, 0])))
     errors.append(abs(mlmc_estimate(data) - reference))
 print(f"  mean |error| {np.mean(errors):.2e}  (vs {abs(post.mean - reference):.2e} for the GP route)")
 
@@ -57,7 +57,7 @@ pooled_w = np.vstack([lv.points for lv in levels])
 pooled_y = np.concatenate([lv.values for lv in levels])
 base = Kernel.matern(0.5, 1.0)
 base = base.with_amplitude(mle_amplitude(base, pooled_w, pooled_y) ** 2)
-independent = mlbq_estimate(levels, [fit_gp(base, lv.points, lv.values) for lv in levels], measure)
+independent = mlbq_estimate([fit_gp(base, lv.points, lv.values) for lv in levels], measure)
 for off_diag in (0.0, 0.01, 0.1):
     b = np.full((3, 3), off_diag)
     np.fill_diagonal(b, 1.0)

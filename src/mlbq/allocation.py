@@ -49,8 +49,9 @@ class AllocationInput:
 
     ``magnitudes`` are variances V_l for the MC-style allocation and
     increment norms for the BQ-style one.  ``tau`` and ``dim`` are read by
-    :func:`mlbq_allocation` only; the cost overhead ``overhead`` (gamma)
-    applies to both rules.
+    :func:`mlbq_allocation` only; the cost overhead ``overhead`` (gamma, a
+    finite number >= 1) applies to both rules.  Every number given must be
+    finite.
     """
 
     magnitudes: tuple[float, ...]
@@ -75,8 +76,10 @@ class AllocationInput:
             raise AllocationError(f"budget must be positive, got {self.budget}")
         if self.dim < 1:
             raise AllocationError(f"dimension must be >= 1, got {self.dim}")
-        if self.overhead < 1.0:
-            raise AllocationError(f"overhead factor must be >= 1, got {self.overhead}")
+        if not (self.overhead >= 1.0 and math.isfinite(self.overhead)):
+            raise AllocationError(f"overhead factor must be finite and >= 1, got {self.overhead}")
+        if self.tau is not None and not math.isfinite(self.tau):
+            raise AllocationError(f"tau must be finite, got {self.tau}")
 
 
 @dataclass(frozen=True)

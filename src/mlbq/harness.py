@@ -37,7 +37,7 @@ Config schema (``schema_version: 1``)::
 
 The other kernel policy and the formula allocation sources, with every key each reads::
 
-    "kernel": {"family": "se", "lengthscale": 1.0, "policy": "fixed", "amplitude": 1.0, "mle_amplitude": false}
+    "kernel": {"family": "se", "lengthscale": 1.0, "policy": "fixed"}
     "allocation": {"source": "mlmc-formula", "variances": [...], "gamma": 1.0}
     "allocation": {"source": "mlbq-formula", "norms": [...], "tau": 1.0, "gamma": 1.0}
 
@@ -45,9 +45,11 @@ A key its section, kernel family, kernel policy or allocation source does
 not read is a ConfigError; a top-level ``comment`` is allowed.  The kernel
 families are ``matern`` and ``se``; only ``matern`` reads ``smoothness``.
 ``lengthscale`` is taken under both policies, though the ``fitted`` search
-overwrites it.  ``gamma`` (a number >= 1, default 1) scales every level's
-cost in the budget constraint of both formulas.  Per-level costs are the
-model's own (``model.params.costs``).
+overwrites it; ``fixed`` reads no key of its own.  Under either policy
+every level is conditioned at its amplitude MLE.  ``gamma`` (a number
+>= 1, default 1) scales every level's cost in the budget constraint of
+both formulas.  Per-level costs are the model's own
+(``model.params.costs``).
 A table entry may also be a plain list applied to every estimator, and an
 estimator omitted from a budget's dict entry is not run at that budget.
 Single-level estimators (``mc``, ``bq``) take a one-element table entry,
@@ -76,7 +78,7 @@ from scipy.special import ndtri
 
 from .allocation import AllocationInput, mlbq_allocation, mlmc_allocation
 from .designs import DESIGN_KINDS, generate_design
-from .gp import GPFit, SingularGramError, _fit_lengthscales, _profiled_fit, fit_gp
+from .gp import GPFit, SingularGramError, _fit_lengthscales, _profiled_fit
 from .kernels import Kernel, initial_error
 from .models import MODEL_NAMES, ModelError, _finite, make_model
 from .quadrature import LevelData, LevelFailure, mlbq_estimate, mlmc_estimate
@@ -129,17 +131,15 @@ class KernelPolicy:
     family: str = "matern"
     smoothness: float = 0.5
     lengthscale: tuple[float, ...] | float = 1.0
-    amplitude: float = 1.0
     policy: str = "fitted"
     bounds: tuple[float, float] = (0.01, 10.0)
     per_dimension: bool = False
-    mle_amplitude: bool = False
 
     def base_kernel(self, dim: int) -> Kernel:
         if self.family == "matern":
-            return Kernel.matern(self.smoothness, self.lengthscale, dim=dim, amplitude=self.amplitude)
+            return Kernel.matern(self.smoothness, self.lengthscale, dim=dim)
         if self.family == "se":
-            return Kernel.squared_exponential(self.lengthscale, dim=dim, amplitude=self.amplitude)
+            return Kernel.squared_exponential(self.lengthscale, dim=dim)
         raise ConfigError(f"unknown kernel family {self.family!r}")
 
     def level_kernel(self, points, values, dim: int) -> Kernel:
@@ -150,14 +150,11 @@ class KernelPolicy:
         return base
 
     def level_fit(self, points, values, dim: int) -> GPFit:
-        """The level's GP conditioned on its data, at the amplitude MLE where the policy estimates it.
+        """The level's GP conditioned on its data at the amplitude MLE.
 
         The amplitude MLE and the fit share one factor of the Gram matrix.
         """
-        kernel = self.level_kernel(points, values, dim)
-        if self.policy == "fitted" or self.mle_amplitude:
-            return _profiled_fit(kernel, points, values)
-        return fit_gp(kernel, points, values)
+        return _profiled_fit(self.level_kernel(points, values, dim), points, values)
 
 
 @dataclass(frozen=True)
@@ -270,7 +267,7 @@ _KERNEL = {
 }
 _FAMILY_KEYS = {"matern": {"smoothness": _number}, "se": {}}
 _POLICY_KEYS = {
-    "fixed": {"amplitude": _number, "mle_amplitude": _flag},
+    "fixed": {},
     "fitted": {"per_dimension": _flag, "bounds": _rule(
         lambda b: _is_numbers(b) and len(b) == 2 and 0 < b[0] < b[1], "[lo, hi] with 0 < lo < hi", _floats)},
 }
@@ -483,7 +480,7 @@ def _build_groups(cfg, model, counts_by_est, budget_index, replication, seedless
     """Each estimator's (level data, data hash); each distinct (design, counts, single-level) group is built once.
 
     A group draws each level's design and evaluates it there: ``model.increments`` for multilevel
-    estimators, the top level for single-level ones (as their level 0).  Estimators in one group get
+    estimators, the top level for single-level ones (as their one level).  Estimators in one group get
     the same pair object.
     A grid or Halton group is taken from ``seedless`` (the task's store, filled here) when an earlier
     replication built it.
@@ -505,7 +502,7 @@ def _build_groups(cfg, model, counts_by_est, budget_index, replication, seedless
             seed = np.random.SeedSequence(cfg.seed, spawn_key=(budget_index, replication, gi, level))
             points = generate_design(design_kind, model.measure, n, seed=seed).points
             values = model.evaluate(top, points) if single else model.increments(level, points)
-            levels.append(LevelData(len(levels), points, values))
+            levels.append(LevelData(points, values))
         digest = _data_hash(levels)
         groups[key] = levels, digest
         if design_kind in SEEDLESS_DESIGNS:
@@ -523,8 +520,7 @@ def _run_estimator(cfg, model, est: EstimatorSpec, levels):
     if est.name in ("mc", "mlmc"):
         return mlmc_estimate(levels), None
     if est.name in ("bq", "mlbq"):
-        fits = [cfg.kernel.level_fit(lv.points, lv.values, dim) for lv in levels]
-        post = mlbq_estimate(levels, fits, model.measure)
+        post = mlbq_estimate([cfg.kernel.level_fit(lv.points, lv.values, dim) for lv in levels], model.measure)
         return post.mean, post.variance
     raise ConfigError(f"unknown estimator {est.name!r}")
 
@@ -596,9 +592,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
     ``jobs > 1`` the tasks run in worker processes and their records are
     collected in submission order, which is (budget, replication, estimator)
     order, so the parallel run produces byte-identical output to the serial
-    one.  The sweep and its workers run at one BLAS thread, because LAPACK's
-    blocking follows the thread count and would move the records' low bits;
-    the old counts are restored after.
+    one; the pool starts at most one worker per task.  The sweep and its
+    workers run at one BLAS thread, because LAPACK's blocking follows the
+    thread count and would move the records' low bits; the old counts are
+    restored after.
     """
     pinned = _pin_blas_threads()
     if not pinned:
@@ -623,7 +620,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
         ]
         if jobs <= 1:
             return [record for task in tasks for record in _run_cells(*task)]
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas_threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_pin_blas_threads) as pool:
             futures = [pool.submit(_run_cells, *task) for task in tasks]
             return [record for fut in futures for record in fut.result()]
     finally:

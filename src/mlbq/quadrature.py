@@ -1,8 +1,10 @@
 """Integral estimators: MLMC, BQ, multilevel BQ and its separable-kernel twin.
 
-The multilevel estimators consume :class:`LevelData` blocks, one per
-fidelity level, holding design points and increment evaluations
-``f_l(W_l) - f_{l-1}(W_l)`` (with ``f_{-1} = 0``).  Plain MC and
+MLMC and the separable-kernel estimator consume a list of :class:`LevelData`
+blocks, one per fidelity level and indexed by list position, holding design
+points and increment evaluations ``f_l(W_l) - f_{l-1}(W_l)`` (with
+``f_{-1} = 0``).  MLBQ consumes one conditioned :class:`~mlbq.gp.GPFit` per
+level instead, which holds the level's points and values.  Plain MC and
 single-level BQ are the one-level cases of MLMC and MLBQ.  The Bayesian
 estimators return a :class:`GaussianPosterior` on ``Pi[f]`` whose mean and
 variance are exact sums of per-level contributions; those contributions
@@ -39,7 +41,7 @@ __all__ = [
 
 
 class LevelFailure(RuntimeError):
-    """A per-level computation failed; carries the offending level index."""
+    """A per-level computation failed; carries the level's list position."""
 
     def __init__(self, level, message):
         super().__init__(f"level {level}: {message}")
@@ -51,11 +53,9 @@ class LevelData:
     """Design points and increment values for one fidelity level.
 
     ``values`` holds f_l(W_l) - f_{l-1}(W_l) (f_{-1} = 0, so level 0 holds
-    plain evaluations; single-level data, whatever the model level it
-    samples, is level 0).
+    plain evaluations).  The level is the block's position in its list.
     """
 
-    level: int
     points: np.ndarray
     values: np.ndarray
 
@@ -63,15 +63,15 @@ class LevelData:
         vals = np.asarray(self.values, dtype=float).reshape(-1)
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim > 2:
-            raise ValueError(f"level {self.level}: points must be at most 2-d, got shape {pts.shape}")
+            raise ValueError(f"points must be at most 2-d, got shape {pts.shape}")
         if pts.ndim < 2:  # as ``as_points`` reads them: with one value one point, else n points on a line
             pts = pts.reshape(1, -1) if vals.size == 1 else pts.reshape(-1, 1)
         if pts.shape[0] != vals.shape[0]:
-            raise ValueError(f"level {self.level}: {pts.shape[0]} points but {vals.shape[0]} values")
+            raise ValueError(f"{pts.shape[0]} points but {vals.shape[0]} values")
         if pts.shape[0] < 1:
-            raise ValueError(f"level {self.level}: needs at least one point")
+            raise ValueError("needs at least one point")
         if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(vals)):
-            raise ValueError(f"level {self.level}: non-finite points or values")
+            raise ValueError("non-finite points or values")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
 
@@ -156,31 +156,23 @@ def bq_posterior(fit: GPFit, measure: ProductMeasure) -> GaussianPosterior:
     return GaussianPosterior(post_mean, var, (post_mean,), (var,))
 
 
-def mlbq_estimate(levels, fits, measure: ProductMeasure) -> GaussianPosterior:
+def mlbq_estimate(fits, measure: ProductMeasure) -> GaussianPosterior:
     """Multilevel BQ: independent zero-mean per-level BQ posteriors, summed.
 
-    ``levels`` must be indexed 0..L in order; ``fits`` supplies one
-    :class:`GPFit` per level, conditioned on that level's points (fit the
-    hyperparameters and condition beforehand).  The sum of
-    :func:`bq_posterior` over the levels, which is also how it is computed;
-    on one level it is single-level BQ.  A level's failure is raised as
-    :class:`LevelFailure` carrying its index.
+    ``fits`` holds one :class:`GPFit` per level, in level order 0..L, each
+    conditioned on that level's increments (fit the hyperparameters and
+    condition beforehand).  The sum of :func:`bq_posterior` over the fits,
+    which is also how it is computed; on one fit it is single-level BQ.  A
+    level's failure is raised as :class:`LevelFailure` carrying its position.
     """
-    if len(levels) == 0:
+    if len(fits) == 0:
         raise ValueError("mlbq_estimate needs at least one level")
-    if len(fits) != len(levels):
-        raise ValueError(f"{len(levels)} levels but {len(fits)} fits")
-    for expected, level in enumerate(levels):
-        if level.level != expected:
-            raise ValueError(f"levels must be indexed 0..L in order; position {expected} holds level {level.level}")
     level_means, level_vars = [], []
-    for level, fit in zip(levels, fits):
+    for position, fit in enumerate(fits):
         try:
-            if not np.array_equal(fit.points, level.points):
-                raise ValueError("the fit was conditioned on other points")
             post = bq_posterior(fit, measure)
         except (ValueError, FloatingPointError) as exc:
-            raise LevelFailure(level.level, str(exc)) from exc
+            raise LevelFailure(position, str(exc)) from exc
         level_means.append(post.mean)
         level_vars.append(post.variance)
     return GaussianPosterior(
@@ -218,8 +210,8 @@ def sk_mlbq_estimate(
         raise ValueError("B must be symmetric")
     if not np.linalg.eigvalsh(b).min() > 0:
         raise ValueError("B must be positive definite")
-    for level in levels:
-        _require_support(measure, level.points, level.level)
+    for position, level in enumerate(levels):
+        _require_support(measure, level.points, position)
 
     sizes = [level.n for level in levels]
     offsets = np.concatenate([[0], np.cumsum(sizes)])

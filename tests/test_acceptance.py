@@ -164,8 +164,8 @@ def test_criterion_5a_kernel_integral_oracles():
 def test_criterion_5b_mlbq_decomposes_into_per_level_bq():
     rng = np.random.default_rng(40)
     kernels = [Kernel.matern(0.5, 0.9, amplitude=1.2), Kernel.squared_exponential(0.5), Kernel.matern(2.5, 1.4, amplitude=0.4)]
-    levels = [LevelData(i, rng.random((5 + 2 * i, 1)), rng.standard_normal(5 + 2 * i)) for i in range(3)]
-    multi = mlbq_estimate(levels, [fit_gp(k, lv.points, lv.values) for lv, k in zip(levels, kernels)], U01)
+    levels = [LevelData(rng.random((5 + 2 * i, 1)), rng.standard_normal(5 + 2 * i)) for i in range(3)]
+    multi = mlbq_estimate([fit_gp(k, lv.points, lv.values) for lv, k in zip(levels, kernels)], U01)
     mean_sum = var_sum = 0.0
     for level, kernel in zip(levels, kernels):
         post = bq_posterior(fit_gp(kernel, level.points, level.values, nugget=1e-10), U01)
@@ -178,8 +178,8 @@ def test_criterion_5b_mlbq_decomposes_into_per_level_bq():
 def test_criterion_5c_separable_kernel_identity_coupling():
     rng = np.random.default_rng(41)
     kernel = Kernel.matern(0.5, 0.8, amplitude=0.7)
-    levels = [LevelData(i, rng.random((4 + i, 1)), rng.standard_normal(4 + i)) for i in range(3)]
-    independent = mlbq_estimate(levels, [fit_gp(kernel, lv.points, lv.values) for lv in levels], U01)
+    levels = [LevelData(rng.random((4 + i, 1)), rng.standard_normal(4 + i)) for i in range(3)]
+    independent = mlbq_estimate([fit_gp(kernel, lv.points, lv.values) for lv in levels], U01)
     joint = sk_mlbq_estimate(levels, kernel, np.eye(3), U01)
     assert joint.mean == pytest.approx(independent.mean, abs=1e-10)
     assert joint.variance == pytest.approx(independent.variance, abs=1e-10)

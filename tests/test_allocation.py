@@ -35,6 +35,16 @@ class TestInputValidation:
         with pytest.raises(AllocationError):
             AllocationInput((1.0,), (1.0,), 1.0, overhead=0.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("overhead", float("nan")), ("overhead", float("inf")), ("tau", float("nan")), ("tau", float("inf")),
+         ("tau", float("-inf"))],
+        ids=["nan-overhead", "inf-overhead", "nan-tau", "inf-tau", "minus-inf-tau"],
+    )
+    def test_rejects_non_finite_overhead_and_tau(self, field, value):
+        with pytest.raises(AllocationError, match=f"{field}.* must be finite"):
+            AllocationInput((1.0, 0.1), (1.0, 2.0), 10.0, **{field: value})
+
 
 class TestMlmcAllocation:
     def test_published_small_budget_row(self):

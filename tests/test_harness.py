@@ -25,6 +25,7 @@ from mlbq.harness import (
     _data_hash,
     calibration_table,
     config_from_dict,
+    load_config,
     read_records_csv,
     run_experiment,
     validate_budget_accounting,
@@ -115,7 +116,6 @@ class TestConfig:
             {"lengthscale": -1.0, "policy": "fixed", "bounds": None},
             {"family": "squared-exponential"},
             {"per_dimension": "no"},  # a flag is a JSON boolean: bool("no") would read as true
-            {"mle_amplitude": "false", "policy": "fixed", "bounds": None},
             {"family": "brownian", "smoothness": None},  # not a config family until it has closed forms
             {"model": "ode", "smoothness": 0.5},  # Matern-1/2 has none on the ODE model's N(0, 1) axis
         ],
@@ -145,6 +145,14 @@ class TestConfig:
             ({"kernel": dict(BASE_CONFIG["kernel"], amplitude=2.0)}, r"kernel has unknown keys \['amplitude'\]"),
             ({"kernel": dict(BASE_CONFIG["kernel"], mle_amplitude=True)},
              r"kernel has unknown keys \['mle_amplitude'\]"),
+            ({"kernel": {"family": "matern", "smoothness": 0.5, "policy": "fixed", "amplitude": 1.0}},
+             r"kernel has unknown keys \['amplitude'\]"),
+            ({"kernel": {"family": "se", "lengthscale": 1.0, "policy": "fixed", "mle_amplitude": True}},
+             r"kernel has unknown keys \['mle_amplitude'\]"),
+            ({"kernel": {"family": "matern", "smoothness": 0.5, "policy": "fixed", "amplitude": True}},
+             r"kernel has unknown keys \['amplitude'\]"),
+            ({"kernel": {"family": "matern", "smoothness": 0.5, "policy": "fixed", "mle_amplitude": "false"}},
+             r"kernel has unknown keys \['mle_amplitude'\]"),
             ({"kernel": {"family": "matern", "smoothness": 0.5, "policy": "fixed", "bounds": [0.5, 2.0]}},
              r"kernel has unknown keys \['bounds'\]"),
             ({"kernel": {"family": "matern", "smoothness": 0.5, "policy": "fixed", "per_dimension": True}},
@@ -164,7 +172,8 @@ class TestConfig:
              r"allocation has unknown keys \['table'\]"),
         ],
         ids=["replicatons", "model.parms", "estimator.desing", "kernel.smoothnes", "allocation.gama", "sk-mlbq",
-             "fitted-amplitude", "fitted-mle_amplitude", "fixed-bounds", "fixed-per_dimension", "se-smoothness",
+             "fitted-amplitude", "fitted-mle_amplitude", "fixed-amplitude", "fixed-mle_amplitude",
+             "fixed-bool-amplitude", "fixed-string-mle_amplitude", "fixed-bounds", "fixed-per_dimension", "se-smoothness",
              "table-gamma", "mlmc-formula-norms", "mlmc-formula-tau", "mlmc-formula-table", "mlbq-formula-variances",
              "mlbq-formula-table"],
     )
@@ -249,7 +258,6 @@ class TestConfig:
             (("budgets", 0), True),
             (("kernel", "smoothness"), "0.5"),
             (("kernel", "lengthscale"), "1.0"),
-            (("kernel",), {"family": "matern", "smoothness": 0.5, "policy": "fixed", "amplitude": True}),
             (("allocation",), {"source": "mlmc-formula", "variances": [1.305e-3, "0.088e-3", 0.002e-3]}),
             (("allocation",), {"source": "mlbq-formula", "norms": "123", "tau": 1.0}),
             (("allocation",), {"source": "mlbq-formula", "norms": [62.5e-3, 22.5e-3, 3.125e-3], "tau": "1"}),
@@ -265,7 +273,7 @@ class TestConfig:
             (("allocation",), {"source": "mlmc-formula", "variances": POISSON_V, "gamma": math.inf}),
         ],
         ids=["bool-replications", "bool-seed", "float-count", "bool-count", "bool-budget", "str-smoothness",
-             "str-lengthscale", "bool-amplitude", "str-variance", "str-norms", "str-tau", "bool-gamma", "int-output",
+             "str-lengthscale", "str-variance", "str-norms", "str-tau", "bool-gamma", "int-output",
              "bool-schema-version", "inf-budget", "nan-variance", "inf-variance", "nan-tau", "inf-tau", "inf-gamma"],
     )
     def test_numbers_are_type_checked_not_coerced(self, path, value, tmp_path, monkeypatch):
@@ -404,10 +412,10 @@ class TestBuildGroups:
         counts = _counts_for(cfg, model, 0)
         for name, (levels, digest) in _build_groups(cfg, model, counts, 0, 1, {}).items():
             single = name in harness.SINGLE_LEVEL
-            # single-level data is the top level's evaluations, as level 0
-            assert [lv.level for lv in levels] == ([0] if single else [0, 1, 2])
-            for lv in levels:
-                expected = model.evaluate(model.levels - 1, lv.points) if single else model.increments(lv.level, lv.points)
+            # single-level data is the top level's evaluations, as its one level
+            assert len(levels) == (1 if single else 3)
+            for level, lv in enumerate(levels):
+                expected = model.evaluate(model.levels - 1, lv.points) if single else model.increments(level, lv.points)
                 assert np.array_equal(lv.values, expected)
             assert digest == _data_hash(levels)
 
@@ -505,6 +513,37 @@ class TestRunExperiment:
             write_records_csv(run_experiment(cfg, jobs=3), parallel)
             assert filecmp.cmp(serial, parallel, shallow=False)
 
+    def test_jobs_start_at_most_one_worker_per_task(self, monkeypatch):
+        # the fork pool starts every worker at its first submit: at one replication the ODE config is 2 tasks,
+        # and --jobs 16 used to ask for 16 workers
+        from concurrent.futures import Future
+        from dataclasses import replace
+
+        sizes = []
+
+        class InlineExecutor:
+            """Records the worker count asked for; runs each task here, at submit."""
+
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        cfg = replace(load_config(Path(__file__).resolve().parents[1] / "configs/ode_budgets.json"), replications=1)
+        serial = run_experiment(cfg)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+        assert run_experiment(cfg, jobs=16) == serial
+        assert sizes == [2]
+
     def test_golden_record_hashes(self, tmp_path):
         """The records' sha256 prefixes at 4 replications, one BLAS thread, serial and with two jobs.
 
@@ -590,7 +629,7 @@ class TestRunExperiment:
         cfg = config(
             model={"name": "ode", "params": {}},
             estimators=[{"name": "mlbq", "design": "halton"}],
-            kernel={"family": "se", "lengthscale": 1.0, "policy": "fixed", "mle_amplitude": True},
+            kernel={"family": "se", "lengthscale": 1.0, "policy": "fixed"},
             budgets=[0.1],
             allocation={"source": "table", "table": [[20, 8, 3]]},
             replications=1,
@@ -663,6 +702,27 @@ class TestRunExperiment:
             else:
                 post = bq_posterior(cfg.kernel.level_fit(level.points, level.values, model.dim), model.measure)
                 assert r.estimate == post.mean and r.variance == post.variance
+
+    def test_fixed_policy_conditions_at_the_amplitude_mle(self):
+        # the base kernel's lengthscale, each level at its own amplitude MLE (it used to be amplitude 1)
+        from mlbq.gp import _profiled_fit
+        from mlbq.quadrature import bq_posterior
+
+        cfg = config(
+            estimators=[{"name": "mlbq", "design": "lhs"}],
+            kernel={"family": "matern", "smoothness": 0.5, "lengthscale": 0.7, "policy": "fixed"},
+            allocation={"source": "table", "table": [[38, 15, 3]]},
+            replications=2,
+        )
+        model = make_model("poisson")
+        counts = validate_budget_accounting(cfg, model)[0]
+        records = run_experiment(cfg)
+        assert len(records) == 2
+        for r in records:
+            levels, _ = _build_groups(cfg, model, counts, 0, r.replication, {})["mlbq"]
+            base = cfg.kernel.base_kernel(model.dim)
+            posts = [bq_posterior(_profiled_fit(base, lv.points, lv.values), model.measure) for lv in levels]
+            assert (r.estimate, r.variance) == (sum(p.mean for p in posts), sum(p.variance for p in posts))
 
     def test_model_costs_set_the_cost_column(self):
         costs = [0.5, 1.5, 4.0]
@@ -851,6 +911,15 @@ class TestCli:
 
     def test_allocate_rejects_nonpositive(self, capsys):
         assert main(["allocate", "--variances", "1,-0.1", "--costs", "1,4", "--budget", "10"]) == 1
+
+    def test_allocate_rejects_non_finite_gamma_and_tau(self, capsys):
+        # both used to exit 0, printing NaN real counts or real counts of 0
+        assert main(["allocate", "--variances", "1,0.1,0.01", "--costs", "1,2,4", "--budget", "100",
+                     "--gamma", "nan"]) == 1
+        assert "overhead factor must be finite" in capsys.readouterr().err
+        assert main(["allocate", "--norms", "1,0.1,0.01", "--costs", "1,2,4", "--budget", "100",
+                     "--gamma", "inf", "--tau", "inf"]) == 1
+        assert "must be finite" in capsys.readouterr().err
 
     def test_experiment_and_calibrate(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -49,7 +49,7 @@ def _mlbq_cells(path):
 
 def _posterior(cfg, model, levels, measure=None):
     fits = [cfg.kernel.level_fit(level.points, level.values, model.dim) for level in levels]
-    return mlbq_estimate(levels, fits, measure or model.measure)
+    return mlbq_estimate(fits, measure or model.measure)
 
 
 @pytest.mark.parametrize("path", GOLDEN_CONFIGS)
@@ -58,7 +58,7 @@ def test_doubled_values_double_the_mean_and_quadruple_the_variance(path):
     cells = 0
     for cfg, model, _, _, levels in _mlbq_cells(path):
         base = _posterior(cfg, model, levels)
-        doubled = _posterior(cfg, model, [LevelData(lv.level, lv.points, 2.0 * lv.values) for lv in levels])
+        doubled = _posterior(cfg, model, [LevelData(lv.points, 2.0 * lv.values) for lv in levels])
         assert doubled.mean == 2.0 * base.mean and doubled.variance == 4.0 * base.variance
         cells += 1
     assert cells > 0
@@ -84,7 +84,7 @@ def test_permuted_points_move_the_posterior_within_bounds(path, mean_bound, vari
             permuted = []
             for lv in levels:
                 order = rng.permutation(lv.n)
-                permuted.append(LevelData(lv.level, lv.points[order], lv.values[order]))
+                permuted.append(LevelData(lv.points[order], lv.values[order]))
             post = _posterior(cfg, model, permuted)
             changes.append((abs(post.mean / base.mean - 1.0), abs(post.variance / base.variance - 1.0)))
     mean_change, variance_change = np.max(changes, axis=0)
@@ -101,7 +101,7 @@ def _shift_changes(path):
             measure = ProductMeasure(
                 tuple(Uniform(m.a + c, m.b + c) if isinstance(m, Uniform) else m for m in model.measure.marginals)
             )
-            shifted = [LevelData(lv.level, lv.points + c * uniform, lv.values) for lv in levels]
+            shifted = [LevelData(lv.points + c * uniform, lv.values) for lv in levels]
             post = _posterior(cfg, model, shifted, measure)
             changes.append((abs(post.mean / base.mean - 1.0), abs(post.variance / base.variance - 1.0)))
     return np.max(changes, axis=0)

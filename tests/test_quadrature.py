@@ -31,11 +31,11 @@ def conditioned(levels, kernels, nugget=1e-10):
 class TestLevelData:
     def test_validates_shapes(self):
         with pytest.raises(ValueError, match="points but"):
-            LevelData(0, [0.1, 0.2, 0.3], [1.0, 2.0])
+            LevelData([0.1, 0.2, 0.3], [1.0, 2.0])
         with pytest.raises(ValueError, match="points but"):
-            LevelData(0, [[0.1, 0.2], [0.3, 0.4]], [1.0])
+            LevelData([[0.1, 0.2], [0.3, 0.4]], [1.0])
         with pytest.raises(ValueError, match="at most 2-d"):
-            LevelData(0, np.zeros((1, 1, 1)), [1.0])
+            LevelData(np.zeros((1, 1, 1)), [1.0])
 
     @pytest.mark.parametrize(
         "points, values, dim",
@@ -45,11 +45,11 @@ class TestLevelData:
     def test_reads_points_as_as_points_does(self, points, values, dim):
         # a 1-d array is one point when there is one value (it used to be read as two points on a line), else
         # n points on a line
-        assert np.array_equal(LevelData(0, points, values).points, as_points(points, dim))
+        assert np.array_equal(LevelData(points, values).points, as_points(points, dim))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            LevelData(0, [0.1], [math.inf])
+            LevelData([0.1], [math.inf])
 
 
 class TestGaussianPosterior:
@@ -68,13 +68,13 @@ class TestMonteCarlo:
     def test_mc_mean(self):
         # plain MC is MLMC on one level
         values = np.random.default_rng(20).standard_normal(7)
-        assert mlmc_estimate([LevelData(0, np.linspace(0.0, 1.0, 7), values)]) == float(np.mean(values))
+        assert mlmc_estimate([LevelData(np.linspace(0.0, 1.0, 7), values)]) == float(np.mean(values))
 
     def test_mlmc_single_level(self):
-        assert mlmc_estimate([LevelData(0, [0.1, 0.9], [1.0, 3.0])]) == 2.0
+        assert mlmc_estimate([LevelData([0.1, 0.9], [1.0, 3.0])]) == 2.0
 
     def test_mlmc_two_levels(self):
-        levels = [LevelData(0, [0.1, 0.9], [1.0, 3.0]), LevelData(1, [0.5], [0.5])]
+        levels = [LevelData([0.1, 0.9], [1.0, 3.0]), LevelData([0.5], [0.5])]
         assert mlmc_estimate(levels) == 2.5
 
     def test_mlmc_empty(self):
@@ -87,19 +87,17 @@ class TestMonteCarlo:
         model = PoissonHierarchy()
         ref = model.reference_integral()
         counts = (67, 11, 2)
-        levels, fits = [], []
+        fits = []
         for level, n in enumerate(counts):
             w = generate_design("grid", U01, n).points
-            y = model.increments(level, w[:, 0])
-            fits.append(fit_hyperparameters(M12, w, y, bounds=(0.01, 10.0)))
-            levels.append(LevelData(level, w, y))
-        grid_error = abs(mlbq_estimate(levels, fits, U01).mean - ref)
+            fits.append(fit_hyperparameters(M12, w, model.increments(level, w[:, 0]), bounds=(0.01, 10.0)))
+        grid_error = abs(mlbq_estimate(fits, U01).mean - ref)
         mc_errors = []
         for rep in range(100):
             data = []
             for level, n in enumerate(counts):
                 w = generate_design("iid", U01, n, seed=3571 * rep + level).points
-                data.append(LevelData(level, w, model.increments(level, w[:, 0])))
+                data.append(LevelData(w, model.increments(level, w[:, 0])))
             mc_errors.append(abs(mlmc_estimate(data) - ref))
         assert float(np.mean(mc_errors)) > grid_error
 
@@ -178,10 +176,8 @@ class TestBqPosterior:
 
 class TestMlbq:
     def test_single_level_reduces_to_bq_bit_for_bit(self):
-        level = LevelData(0, [0.5], [1.0])
-        direct = bq_posterior(fit_gp(M12, [0.5], [1.0], nugget=0.0), U01)
-        multi = mlbq_estimate([level], conditioned([level], [M12], nugget=0.0), U01)
-        assert multi.mean == direct.mean and multi.variance == direct.variance
+        fit = fit_gp(M12, [0.2, 0.5, 0.9], [1.0, -0.3, 0.4])
+        assert mlbq_estimate([fit], U01) == bq_posterior(fit, U01)
 
     def test_exactly_zero_level_with_fitted_kernel_contributes_nothing(self):
         # increments of the finite-element family vanish at both interval
@@ -193,14 +189,14 @@ class TestMlbq:
         assert np.all(y == 0.0)
         fit = fit_hyperparameters(M12, w, y, bounds=(0.01, 10.0))
         assert fit.kernel.amplitude == 0.0
-        post = mlbq_estimate([LevelData(0, w, y)], [fit], U01)
+        post = mlbq_estimate([fit], U01)
         assert post.mean == 0.0 and post.variance == 0.0
 
     def test_zero_second_level_contributes_only_variance(self):
-        l0 = LevelData(0, [0.5], [1.0])
-        l1 = LevelData(1, [0.25, 0.75], [0.0, 0.0])
-        single = mlbq_estimate([l0], conditioned([l0], [M12], nugget=0.0), U01)
-        double = mlbq_estimate([l0, l1], conditioned([l0, l1], [M12, M12], nugget=0.0), U01)
+        l0 = LevelData([0.5], [1.0])
+        l1 = LevelData([0.25, 0.75], [0.0, 0.0])
+        single = mlbq_estimate(conditioned([l0], [M12], nugget=0.0), U01)
+        double = mlbq_estimate(conditioned([l0, l1], [M12, M12], nugget=0.0), U01)
         assert double.mean == single.mean
         assert double.level_means[1] == 0.0
         assert double.level_variances[1] > 0.0
@@ -213,12 +209,12 @@ class TestMlbq:
         ):
             w = rng.random((6 + i, 1))
             y = rng.standard_normal(6 + i)
-            levels.append(LevelData(i, w, y))
+            levels.append(LevelData(w, y))
             kernels.append(k)
             post = bq_posterior(fit_gp(k, w, y, nugget=1e-10), U01)
             mean_sum += post.mean
             var_sum += post.variance
-        multi = mlbq_estimate(levels, conditioned(levels, kernels), U01)
+        multi = mlbq_estimate(conditioned(levels, kernels), U01)
         assert multi.mean == pytest.approx(mean_sum, rel=1e-12)
         assert multi.variance == pytest.approx(var_sum, rel=1e-12)
         assert sum(multi.level_means) == multi.mean
@@ -229,13 +225,11 @@ class TestMlbq:
         # was validated against the exact piecewise-linear integral oracle
         model = PoissonHierarchy()
         ref = model.reference_integral()
-        levels, fits = [], []
+        fits = []
         for level, n in enumerate((153, 60, 10)):
             w = generate_design("grid", U01, n).points
-            y = model.increments(level, w[:, 0])
-            fits.append(fit_hyperparameters(M12, w, y, bounds=(0.01, 10.0)))
-            levels.append(LevelData(level, w, y))
-        post = mlbq_estimate(levels, fits, U01)
+            fits.append(fit_hyperparameters(M12, w, model.increments(level, w[:, 0]), bounds=(0.01, 10.0)))
+        post = mlbq_estimate(fits, U01)
         assert abs(post.mean - ref) < 1e-3
 
     def test_adding_points_never_increases_total_variance(self):
@@ -245,40 +239,26 @@ class TestMlbq:
             for level, n in enumerate((20, 10, n_top)):
                 w = generate_design("grid", U01, n).points
                 y = model.increments(level, w[:, 0])
-                levels.append(LevelData(level, w, y))
+                levels.append(LevelData(w, y))
                 kernels.append(Kernel.matern(0.5, 1.0, amplitude=0.5))
-            return mlbq_estimate(levels, conditioned(levels, kernels), U01)
+            return mlbq_estimate(conditioned(levels, kernels), U01)
         assert posterior(9).variance <= posterior(5).variance + 1e-8 * 0.5
 
-    def test_level_indexing_enforced(self):
-        levels = [LevelData(1, [0.5], [1.0])]
-        with pytest.raises(ValueError, match="indexed 0..L"):
-            mlbq_estimate(levels, conditioned(levels, [M12]), U01)
-
     def test_level_failure_tagged(self):
-        levels = [LevelData(0, [0.5], [1.0]), LevelData(1, [2.5], [1.0])]
-        with pytest.raises(LevelFailure, match="level 1"):
-            mlbq_estimate(levels, conditioned(levels, [M12, M12]), U01)
-
-    def test_fit_count_mismatch(self):
-        level = LevelData(0, [0.5], [1.0])
-        with pytest.raises(ValueError, match="fits"):
-            mlbq_estimate([level], conditioned([level, level], [M12, M12]), U01)
-
-    def test_fit_on_other_points_rejected(self):
-        levels = [LevelData(0, [0.5], [1.0])]
-        with pytest.raises(LevelFailure, match="other points"):
-            mlbq_estimate(levels, [fit_gp(M12, [0.4], [1.0])], U01)
+        # the failing fit's list position is its level
+        fits = [fit_gp(M12, [0.5], [1.0]), fit_gp(M12, [2.5], [1.0])]
+        with pytest.raises(LevelFailure, match="level 1: points fall outside") as failure:
+            mlbq_estimate(fits, U01)
+        assert failure.value.level == 1
 
     def test_factors_nothing(self, monkeypatch):
         # the fits arrive conditioned: combining them makes no Cholesky factorisation
         rng = np.random.default_rng(27)
-        levels = [LevelData(i, rng.random((5 - i, 1)), rng.standard_normal(5 - i)) for i in range(3)]
-        fits = conditioned(levels, [M12] * 3)
+        fits = [fit_gp(M12, rng.random((5 - i, 1)), rng.standard_normal(5 - i)) for i in range(3)]
         calls = []
         original = gp.cholesky
         monkeypatch.setattr(gp, "cholesky", lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
-        mlbq_estimate(levels, fits, U01)
+        mlbq_estimate(fits, U01)
         assert calls == []
 
 
@@ -286,12 +266,12 @@ class TestSkMlbq:
     @staticmethod
     def _levels(seed=25, sizes=(4, 3, 2)):
         rng = np.random.default_rng(seed)
-        return [LevelData(i, rng.random((n, 1)), rng.standard_normal(n)) for i, n in enumerate(sizes)]
+        return [LevelData(rng.random((n, 1)), rng.standard_normal(n)) for n in sizes]
 
     def test_identity_coupling_equals_mlbq(self):
         levels = self._levels()
         k = Kernel.matern(0.5, 0.9, amplitude=0.8)
-        independent = mlbq_estimate(levels, conditioned(levels, [k] * 3), U01)
+        independent = mlbq_estimate(conditioned(levels, [k] * 3), U01)
         joint = sk_mlbq_estimate(levels, k, np.eye(3), U01)
         assert joint.mean == pytest.approx(independent.mean, abs=1e-10)
         assert joint.variance == pytest.approx(independent.variance, abs=1e-10)
@@ -299,7 +279,7 @@ class TestSkMlbq:
     def test_two_level_joint_conditioning_oracle(self):
         # hand-assembled 2x2 joint-Gaussian conditioning
         k = Kernel.matern(0.5, 0.9, amplitude=0.8)
-        levels = [LevelData(0, [0.3], [1.0]), LevelData(1, [0.7], [0.4])]
+        levels = [LevelData([0.3], [1.0]), LevelData([0.7], [0.4])]
         b = np.array([[1.0, 0.2], [0.2, 1.0]])
         post = sk_mlbq_estimate(levels, k, b, U01, nugget=0.0)
         cov = gram(k, [[0.3], [0.7]]) * b
@@ -315,7 +295,7 @@ class TestSkMlbq:
         # a repeated level-0 point makes the joint Gram matrix singular: at nugget 0 the first rung
         # fails, the second (1e-11) factors, and the posterior is the dense solve at that rung
         k = Kernel.matern(0.5, 0.9, amplitude=0.8)
-        levels = [LevelData(0, [0.2, 0.2, 0.6], [1.0, 1.0, 0.3]), LevelData(1, [0.45, 0.9], [0.1, -0.2])]
+        levels = [LevelData([0.2, 0.2, 0.6], [1.0, 1.0, 0.3]), LevelData([0.45, 0.9], [0.1, -0.2])]
         b = np.array([[1.0, 0.2], [0.2, 1.0]])
         calls = []
         original = gp.cholesky
@@ -354,7 +334,7 @@ class TestSkMlbq:
         import tracemalloc
 
         rng = np.random.default_rng(35)
-        levels = [LevelData(i, rng.random((m, 1)), rng.standard_normal(m)) for i, m in enumerate((300, 100))]
+        levels = [LevelData(rng.random((m, 1)), rng.standard_normal(m)) for m in (300, 100)]
         k = Kernel.matern(0.5, 0.3)
         b = np.array([[1.0, 0.2], [0.2, 1.0]])
         sk_mlbq_estimate(levels, k, b, U01)
@@ -379,13 +359,13 @@ class TestSkMlbq:
                 levels = []
                 for level, n in enumerate((67, 11, 2)):
                     w = generate_design("iid", U01, n, seed=1009 * rep + level).points
-                    levels.append(LevelData(level, w, model.increments(level, w[:, 0])))
+                    levels.append(LevelData(w, model.increments(level, w[:, 0])))
                 pooled_w = np.vstack([lv.points for lv in levels])
                 pooled_y = np.concatenate([lv.values for lv in levels])
                 sigma = mle_amplitude(k12, pooled_w, pooled_y)
                 kernel = k12.with_amplitude(max(sigma**2, 1e-12))
                 if off_diagonal is None:
-                    post = mlbq_estimate(levels, conditioned(levels, [kernel] * 3), U01)
+                    post = mlbq_estimate(conditioned(levels, [kernel] * 3), U01)
                 else:
                     b = np.full((3, 3), off_diagonal)
                     np.fill_diagonal(b, 1.0)
@@ -407,6 +387,11 @@ class TestSkMlbq:
             sk_mlbq_estimate(levels, M12, np.array([[1.0, 1.2], [1.2, 1.0]]), U01)
         with pytest.raises(ValueError, match="must be 2x2"):
             sk_mlbq_estimate(levels, M12, np.eye(3), U01)
+
+    def test_support_error_names_the_position(self):
+        levels = [LevelData([0.5], [1.0]), LevelData([2.5], [1.0])]
+        with pytest.raises(ValueError, match="level 1 points fall outside"):
+            sk_mlbq_estimate(levels, M12, np.eye(2), U01)
 
     def test_per_level_attribution_sums_exactly(self):
         levels = self._levels(seed=26)

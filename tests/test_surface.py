@@ -1,5 +1,6 @@
-"""The names other code reaches into the package by: the benchmark's tracer and each ``__all__``."""
+"""The names other code reaches into the package by: the benchmark's tracer and runner, and each ``__all__``."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -8,17 +9,21 @@ from pathlib import Path
 import pytest
 
 import mlbq
-from mlbq import gp, harness
+from mlbq import cli, gp, harness
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    return tracer_module.Tracer()
 
 
 def test_tracer_installs_and_uninstalls():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_module)
     fit_gp, level_kernel = gp.fit_gp, harness.KernelPolicy.level_kernel
-    tracer = tracer_module.Tracer()
+    tracer = _tracer()
     # install looks these up by name and raises AttributeError or KeyError if one is gone
     tracer.install()
     try:
@@ -28,6 +33,36 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert gp.fit_gp is fit_gp
     assert harness.KernelPolicy.level_kernel is level_kernel
+
+
+def test_tracer_counts_a_real_sweep(capsys):
+    # the benchmark's estimate mode: one replication of a shipped config through the command line, traced;
+    # the tracer reads _run_estimator's positional arguments and each level's points and values
+    tracer = _tracer()
+    tracer.install()
+    originals = {}
+    for owner, name, original in tracer._restore:
+        originals.setdefault((owner, name), original)
+    try:
+        config = PERFBENCH.parent / "configs" / "poisson_budgets.json"
+        assert cli.main(["estimate", "--config", str(config)]) == 0
+    finally:
+        tracer.uninstall()
+    assert "mlbq" in capsys.readouterr().out
+    assert tracer.report()["counts"]["harness.cells"] > 0
+    assert [(owner, name) for (owner, name), original in originals.items() if vars(owner)[name] is not original] == []
+
+
+def test_benchmark_runner_imports_resolve():
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    imports = [(node.module, alias.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if (node.module or "").split(".")[0] == "mlbq"]
+    imports += [(alias.name, None) for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.split(".")[0] == "mlbq"]
+    assert imports
+    modules = {module: importlib.import_module(module) for module, _ in imports}  # a missing module raises here
+    missing = [(module, name) for module, name in imports if name is not None and not hasattr(modules[module], name)]
+    assert missing == []
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(mlbq.__path__)))
