@@ -10,7 +10,7 @@ integerized by flooring and greedily granting the best
 objective-decrease-per-cost increment.
 """
 
-from mlbq import AllocationInput, Kernel, kernel_sobolev_order, mlbq_allocation, mlmc_allocation
+from mlbq import Kernel, kernel_sobolev_order, mlbq_allocation, mlmc_allocation
 from mlbq.models import PoissonHierarchy
 
 # Published constants of the finite-element experiments: per-level
@@ -25,13 +25,13 @@ print(f"smoothness order tau = {tau} (Matern 1/2 in one dimension)")
 print()
 print(f"{'T':>7} | {'variance-based n_l':>22} | {'norm-based n_l':>18}")
 for budget in (0.376, 0.751, 1.503):
-    mc_plan = mlmc_allocation(AllocationInput(variances, costs, budget))
-    bq_plan = mlbq_allocation(AllocationInput(norms, costs, budget, tau=tau, dim=1))
+    mc_plan = mlmc_allocation(variances, costs, budget)
+    bq_plan = mlbq_allocation(norms, costs, budget, tau=tau, dim=1)
     print(f"{budget:>7} | {str(mc_plan.counts):>22} | {str(bq_plan.counts):>18}")
 
 print()
 print("== anatomy of one plan ==")
-plan = mlbq_allocation(AllocationInput(norms, costs, 0.376, tau=tau, dim=1))
+plan = mlbq_allocation(norms, costs, 0.376, tau=tau, dim=1)
 print(f"  real solution      {tuple(round(r, 2) for r in plan.real_counts)}")
 print(f"  integerized        {plan.counts}   (floor gives (38, 15, 2); the greedy grant buys level 2)")
 print(f"  realized cost      {plan.realized_cost:.4f}  vs budget 0.376 (one-step slack allowed)")

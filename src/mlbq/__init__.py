@@ -9,11 +9,9 @@ experiment harness.
 
 from .allocation import (
     AllocationError,
-    AllocationInput,
     AllocationPlan,
     integerize_allocation,
     kernel_sobolev_order,
-    matern_sobolev_order,
     mlbq_allocation,
     mlmc_allocation,
 )

@@ -9,7 +9,7 @@ The variance-based rule (multilevel MC) takes m_l = V_l and e = 1, so
 n_l is proportional to sqrt(V_l / C_l); the norm-based rule (multilevel
 BQ) takes m_l = r_l, the per-level increment magnitudes in the
 RKHS/Sobolev norm, and e = tau/d, so p = d/(tau+d).  The overhead gamma
-applies to both.
+applies to both; only the norm-based rule takes tau and d.
 
 Real-valued solutions are integerized by flooring (never below one sample
 per level) and then greedily granting the increment with the best
@@ -28,58 +28,17 @@ import numpy as np
 from .kernels import Kernel, Matern, SquaredExponential, BrownianMotion
 
 __all__ = [
-    "AllocationInput",
     "AllocationPlan",
     "AllocationError",
     "mlmc_allocation",
     "mlbq_allocation",
     "integerize_allocation",
-    "matern_sobolev_order",
     "kernel_sobolev_order",
 ]
 
 
 class AllocationError(ValueError):
     """Invalid allocation inputs or an unaffordable budget."""
-
-
-@dataclass(frozen=True)
-class AllocationInput:
-    """Per-level magnitudes and costs plus the budget and smoothness data.
-
-    ``magnitudes`` are variances V_l for the MC-style allocation and
-    increment norms for the BQ-style one.  ``tau`` and ``dim`` are read by
-    :func:`mlbq_allocation` only; the cost overhead ``overhead`` (gamma, a
-    finite number >= 1) applies to both rules.  Every number given must be
-    finite.
-    """
-
-    magnitudes: tuple[float, ...]
-    costs: tuple[float, ...]
-    budget: float
-    tau: float | None = None
-    dim: int = 1
-    overhead: float = 1.0
-
-    def __post_init__(self):
-        mags = tuple(float(v) for v in self.magnitudes)
-        costs = tuple(float(c) for c in self.costs)
-        object.__setattr__(self, "magnitudes", mags)
-        object.__setattr__(self, "costs", costs)
-        if len(mags) == 0 or len(mags) != len(costs):
-            raise AllocationError(
-                f"magnitudes and costs must be equal-length and nonempty, got {len(mags)} and {len(costs)}"
-            )
-        if any(not (v > 0 and math.isfinite(v)) for v in mags + costs):
-            raise AllocationError("magnitudes and costs must be strictly positive and finite")
-        if not (self.budget > 0 and math.isfinite(self.budget)):
-            raise AllocationError(f"budget must be positive, got {self.budget}")
-        if self.dim < 1:
-            raise AllocationError(f"dimension must be >= 1, got {self.dim}")
-        if not (self.overhead >= 1.0 and math.isfinite(self.overhead)):
-            raise AllocationError(f"overhead factor must be finite and >= 1, got {self.overhead}")
-        if self.tau is not None and not math.isfinite(self.tau):
-            raise AllocationError(f"tau must be finite, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -100,32 +59,24 @@ class AllocationPlan:
     objective_real: float
 
 
-def matern_sobolev_order(nu: float, dim: int) -> float:
-    """Sobolev smoothness of the Matern RKHS: nu + dim / 2."""
-    return nu + dim / 2.0
-
-
-def kernel_sobolev_order(kernel: Kernel, dim: int | None = None) -> float:
+def kernel_sobolev_order(kernel: Kernel) -> float:
     """Smoothness tau for the norm-based allocation, derived per kernel family.
 
-    Matern factors give nu + d/2; the Brownian kernel's space is the
-    order-1 Sobolev space on the line.  Squared-exponential kernels have
-    no Sobolev-equivalent RKHS, so the allocation theory does not apply
-    and tau must be supplied explicitly by the caller.
+    Matern factors give nu + d/2, with d the kernel's dimension; the
+    Brownian kernel's space is the order-1 Sobolev space on the line.
+    Squared-exponential kernels have no Sobolev-equivalent RKHS, so the
+    allocation theory does not apply and tau must be supplied explicitly.
     """
-    d = dim if dim is not None else kernel.dim
     fams = {type(f) for f in kernel.factors}
     if fams == {Matern}:
         nus = {f.nu for f in kernel.factors}
         if len(nus) > 1:
             raise AllocationError("mixed Matern smoothness across dimensions has no single tau")
-        return matern_sobolev_order(next(iter(nus)), d)
+        return nus.pop() + kernel.dim / 2.0
     if fams == {BrownianMotion}:
         return 1.0
     if SquaredExponential in fams:
-        raise AllocationError(
-            "squared-exponential kernels have no Sobolev order; supply tau explicitly"
-        )
+        raise AllocationError("squared-exponential kernels have no Sobolev order; supply tau explicitly")
     raise AllocationError(f"no Sobolev order known for kernel factors {fams}")
 
 
@@ -159,9 +110,16 @@ def integerize_allocation(real_counts, costs, budget, *, magnitudes, exponent, o
 
 
 def _solve(magnitudes, costs, budget, exponent, overhead) -> AllocationPlan:
-    """The optimum of sum m_l n_l^(-e) at overhead-scaled cost T, integerized."""
-    m = np.asarray(magnitudes)
-    c = np.asarray(costs)
+    """The optimum of sum m_l n_l^(-e) at overhead-scaled cost T, integerized, after both rules' checks."""
+    m, c = np.asarray(magnitudes, dtype=float), np.asarray(costs, dtype=float)
+    if len(m) == 0 or len(m) != len(c):
+        raise AllocationError(f"magnitudes and costs must be equal-length and nonempty, got {len(m)} and {len(c)}")
+    if not all(v > 0 and math.isfinite(v) for v in (*m, *c)):
+        raise AllocationError("magnitudes and costs must be strictly positive and finite")
+    if not (budget > 0 and math.isfinite(budget)):
+        raise AllocationError(f"budget must be positive, got {budget}")
+    if not (overhead >= 1.0 and math.isfinite(overhead)):
+        raise AllocationError(f"overhead factor must be finite and >= 1, got {overhead}")
     p = 1.0 / (1.0 + exponent)
     real = budget * (m / c) ** p / (overhead * float(np.sum(c ** (1.0 - p) * m**p)))
     counts = integerize_allocation(real, c, budget, magnitudes=m, exponent=exponent, overhead=overhead)
@@ -174,20 +132,23 @@ def _solve(magnitudes, costs, budget, exponent, overhead) -> AllocationPlan:
     )
 
 
-def mlmc_allocation(inp: AllocationInput) -> AllocationPlan:
+def mlmc_allocation(variances, costs, budget, overhead=1.0) -> AllocationPlan:
     """Variance-based counts n_l = T sqrt(V_l/C_l) / (gamma sum sqrt(V C)), the minimiser of sum V_l / n_l."""
-    return _solve(inp.magnitudes, inp.costs, inp.budget, 1.0, inp.overhead)
+    return _solve(variances, costs, budget, 1.0, overhead)
 
 
-def mlbq_allocation(inp: AllocationInput) -> AllocationPlan:
+def mlbq_allocation(norms, costs, budget, tau, dim=1, overhead=1.0) -> AllocationPlan:
     """Norm-based optimal counts under the smoothness-tau error bound.
 
-    Requires ``tau > dim / 2``.  At the real solution the overhead-scaled
-    cost equals the budget exactly and the stationarity ratio
-    ``(tau/d) r_l n_l^(-tau/d-1) / (gamma C_l)`` is level-independent.
+    Requires a finite ``tau > dim / 2`` and ``dim >= 1``.  At the real
+    solution the overhead-scaled cost equals the budget exactly and the
+    stationarity ratio ``(tau/d) r_l n_l^(-tau/d-1) / (gamma C_l)`` is
+    level-independent.
     """
-    if inp.tau is None:
-        raise AllocationError("norm-based allocation needs tau (see kernel_sobolev_order)")
-    if not inp.tau > inp.dim / 2.0:
-        raise AllocationError(f"tau must exceed d/2 = {inp.dim / 2}, got {inp.tau}")
-    return _solve(inp.magnitudes, inp.costs, inp.budget, inp.tau / inp.dim, inp.overhead)
+    if not math.isfinite(tau):
+        raise AllocationError(f"tau must be finite, got {tau}")
+    if dim < 1:
+        raise AllocationError(f"dimension must be >= 1, got {dim}")
+    if not tau > dim / 2.0:
+        raise AllocationError(f"tau must exceed d/2 = {dim / 2}, got {tau}")
+    return _solve(norms, costs, budget, tau / dim, overhead)

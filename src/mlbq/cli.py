@@ -16,8 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 
-from .allocation import AllocationError, AllocationInput, mlbq_allocation, mlmc_allocation
+from .allocation import AllocationError, mlbq_allocation, mlmc_allocation
 from .gp import SingularGramError
 from .harness import (
     ConfigError,
@@ -82,14 +83,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_allocate(args) -> int:
     if args.variances is None:
-        rule, label, magnitudes = mlbq_allocation, "norm-based", args.norms
+        if args.tau is None:
+            raise ConfigError("--norms needs --tau, the smoothness order (see kernel_sobolev_order)")
+        label, dim = "norm-based", 1 if args.dim is None else args.dim
+        rule = partial(mlbq_allocation, args.norms, args.costs, tau=args.tau, dim=dim, overhead=args.gamma)
     elif args.tau is not None or args.dim is not None:
         raise ConfigError("--tau and --dim apply to --norms only")
     else:
-        rule, label, magnitudes = mlmc_allocation, "variance-based", args.variances
-    dim = 1 if args.dim is None else args.dim
+        label, rule = "variance-based", partial(mlmc_allocation, args.variances, args.costs, overhead=args.gamma)
     for budget in args.budget:
-        plan = rule(AllocationInput(magnitudes, args.costs, budget, tau=args.tau, dim=dim, overhead=args.gamma))
+        plan = rule(budget)
         real = ", ".join(f"{v:.3f}" for v in plan.real_counts)
         print(f"T={budget:g} ({label})")
         print(f"  real counts:    [{real}]")

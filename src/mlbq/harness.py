@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .allocation import AllocationInput, mlbq_allocation, mlmc_allocation
+from .allocation import mlbq_allocation, mlmc_allocation
 from .designs import DESIGN_KINDS, generate_design
 from .gp import GPFit, SingularGramError, _fit_lengthscales, _profiled_fit
 from .kernels import Kernel, initial_error
@@ -428,10 +428,9 @@ def _counts_for(cfg: ExperimentConfig, model, budget_index: int) -> dict[str, tu
             raise ConfigError(f"allocation table entry {budget_index} allocates no estimator")
         return out
     if alloc.source == "mlmc-formula":
-        rule, magnitudes = mlmc_allocation, alloc.variances
+        plan = mlmc_allocation(alloc.variances, costs, budget, alloc.gamma)
     else:
-        rule, magnitudes = mlbq_allocation, alloc.norms
-    plan = rule(AllocationInput(magnitudes, costs, budget, tau=alloc.tau, dim=model.dim, overhead=alloc.gamma))
+        plan = mlbq_allocation(alloc.norms, costs, budget, alloc.tau, model.dim, alloc.gamma)
     for est in cfg.estimators:
         if est.name in SINGLE_LEVEL:
             out[est.name] = (max(int(budget / (alloc.gamma * costs[-1])), 1),)
@@ -481,7 +480,8 @@ def _build_groups(cfg, model, counts_by_est, budget_index, replication, seedless
 
     A group draws each level's design and evaluates it there: ``model.increments`` for multilevel
     estimators, the top level for single-level ones (as their one level).  Estimators in one group get
-    the same pair object.
+    the same pair object.  A group whose data cannot be built gets a ``LevelFailure`` at the failing
+    level's list position instead, and only its estimators lose the cell.
     A grid or Halton group is taken from ``seedless`` (the task's store, filled here) when an earlier
     replication built it.
     """
@@ -497,12 +497,16 @@ def _build_groups(cfg, model, counts_by_est, budget_index, replication, seedless
         if key in seedless:
             continue
         levels = []
-        # single-level estimators sample the top level itself; the others sample increments
-        for level, n in zip([top] if single else range(len(counts)), counts):
-            seed = np.random.SeedSequence(cfg.seed, spawn_key=(budget_index, replication, gi, level))
-            points = generate_design(design_kind, model.measure, n, seed=seed).points
-            values = model.evaluate(top, points) if single else model.increments(level, points)
-            levels.append(LevelData(points, values))
+        try:
+            # single-level estimators sample the top level itself; the others sample increments
+            for level, n in zip([top] if single else range(len(counts)), counts):
+                seed = np.random.SeedSequence(cfg.seed, spawn_key=(budget_index, replication, gi, level))
+                points = generate_design(design_kind, model.measure, n, seed=seed).points
+                values = model.evaluate(top, points) if single else model.increments(level, points)
+                levels.append(LevelData(points, values))
+        except CELL_ERRORS as exc:
+            groups[key] = LevelFailure(len(levels), str(exc))
+            continue
         digest = _data_hash(levels)
         groups[key] = levels, digest
         if design_kind in SEEDLESS_DESIGNS:
@@ -542,16 +546,18 @@ def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, count
             if est.name not in groups:
                 continue
             counts = counts_by_est[est.name]
-            levels, digest = groups[est.name]
-            key = (est, digest)
-            if key not in results:
-                try:
+            try:
+                if isinstance(groups[est.name], LevelFailure):
+                    raise groups[est.name]
+                levels, digest = groups[est.name]
+                key = (est, digest)
+                if key not in results:
                     results[key] = _run_estimator(cfg, model, est, levels)
-                except ConfigError:
-                    raise
-                except CELL_ERRORS as exc:
-                    log.warning("cell (T=%s, rep=%s, %s) failed: %s", budget, rep, est.name, exc)
-                    continue
+            except ConfigError:
+                raise
+            except CELL_ERRORS as exc:
+                log.warning("cell (T=%s, rep=%s, %s) failed: %s", budget, rep, est.name, exc)
+                continue
             estimate, variance = results[key]
             records.append(
                 ResultRecord.make(
@@ -592,7 +598,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
     ``jobs > 1`` the tasks run in worker processes and their records are
     collected in submission order, which is (budget, replication, estimator)
     order, so the parallel run produces byte-identical output to the serial
-    one; the pool starts at most one worker per task.  The sweep and its
+    one; the pool starts at most one worker per task, and a sweep of one
+    task runs in this process whatever ``jobs`` is.  The sweep and its
     workers run at one BLAS thread, because LAPACK's blocking follows the
     thread count and would move the records' low bits; the old counts are
     restored after.
@@ -618,9 +625,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
             for bi in range(len(cfg.budgets))
             for start in range(0, cfg.replications, chunk)
         ]
-        if jobs <= 1:
+        workers = min(jobs, len(tasks))
+        if workers <= 1:
             return [record for task in tasks for record in _run_cells(*task)]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_pin_blas_threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
             futures = [pool.submit(_run_cells, *task) for task in tasks]
             return [record for fut in futures for record in fut.result()]
     finally:

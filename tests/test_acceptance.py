@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlbq.allocation import AllocationInput, mlbq_allocation, mlmc_allocation
+from mlbq.allocation import mlbq_allocation, mlmc_allocation
 from mlbq.designs import generate_design
 from mlbq.gp import fit_gp
 from mlbq.harness import ResultRecord, calibration_table, load_config, run_experiment
@@ -91,9 +91,9 @@ ALLOCATION_ROWS = [
 def test_criterion_1_allocation_reproduction(method, budget, expected, tolerance):
     start = time.monotonic()
     if method == "mlmc":
-        plan = mlmc_allocation(AllocationInput(POISSON_V, POISSON_C, budget))
+        plan = mlmc_allocation(POISSON_V, POISSON_C, budget)
     else:
-        plan = mlbq_allocation(AllocationInput(POISSON_NORMS, POISSON_C, budget, tau=1.0, dim=1, overhead=1.0))
+        plan = mlbq_allocation(POISSON_NORMS, POISSON_C, budget, tau=1.0, dim=1, overhead=1.0)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     deviation = tuple(abs(g - e) for g, e in zip(plan.counts, expected))
@@ -202,7 +202,7 @@ def test_criterion_5e_greedy_integerization_near_exhaustive_optimum():
         costs = tuple(rng.uniform(0.4, 1.5, 3))
         budget = float(rng.uniform(4.0, 12.0))
         tau = float(rng.choice([1.0, 2.0]))
-        plan = mlbq_allocation(AllocationInput(mags, costs, budget, tau=tau, dim=1))
+        plan = mlbq_allocation(mags, costs, budget, tau=tau, dim=1)
         _, best = lattice_best_allocation(mags, costs, budget, tau, max_count=22)
         assert plan.objective <= 1.02 * best
 
@@ -216,12 +216,12 @@ def test_criterion_5f_fem_nodal_exactness():
 
 
 def test_criterion_5g_kkt_stationarity_of_allocations():
-    inp = AllocationInput(POISSON_NORMS, POISSON_C, 1.503, tau=1.0, dim=1, overhead=1.0)
-    plan = mlbq_allocation(inp)
+    tau, dim, overhead = 1.0, 1, 1.0
+    plan = mlbq_allocation(POISSON_NORMS, POISSON_C, 1.503, tau=tau, dim=dim, overhead=overhead)
     ratios = np.array(
         [
-            (inp.tau / inp.dim) * r * n ** (-inp.tau / inp.dim - 1.0) / (inp.overhead * c)
-            for r, n, c in zip(inp.magnitudes, plan.real_counts, inp.costs)
+            (tau / dim) * r * n ** (-tau / dim - 1.0) / (overhead * c)
+            for r, n, c in zip(POISSON_NORMS, plan.real_counts, POISSON_C)
         ]
     )
     assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-8

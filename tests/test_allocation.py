@@ -1,12 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from mlbq.allocation import (
     AllocationError,
-    AllocationInput,
     integerize_allocation,
     kernel_sobolev_order,
-    matern_sobolev_order,
     mlbq_allocation,
     mlmc_allocation,
 )
@@ -19,21 +19,37 @@ POISSON_C = (3.6e-3, 8.5e-3, 42.4e-3)
 
 
 class TestInputValidation:
+    # the checks on magnitudes, costs, budget and overhead are made for both rules; tau and dim are mlbq's own
+    RULES = [mlmc_allocation, partial(mlbq_allocation, tau=1.0)]
+
     def test_rejects_nonpositive_entries(self):
-        with pytest.raises(AllocationError):
-            AllocationInput((1.0, 0.0), (1.0, 1.0), 1.0)
-        with pytest.raises(AllocationError):
-            AllocationInput((1.0,), (-1.0,), 1.0)
-        with pytest.raises(AllocationError):
-            AllocationInput((1.0,), (1.0,), 0.0)
+        for rule in self.RULES:
+            with pytest.raises(AllocationError, match="strictly positive"):
+                rule((1.0, 0.0), (1.0, 1.0), 1.0)
+            with pytest.raises(AllocationError, match="strictly positive"):
+                rule((1.0,), (-1.0,), 1.0)
+            with pytest.raises(AllocationError, match="budget must be positive"):
+                rule((1.0,), (1.0,), 0.0)
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(AllocationError):
-            AllocationInput((1.0, 2.0), (1.0,), 1.0)
+        for rule in self.RULES:
+            with pytest.raises(AllocationError, match="equal-length"):
+                rule((1.0, 2.0), (1.0,), 1.0)
 
     def test_rejects_small_overhead(self):
-        with pytest.raises(AllocationError):
-            AllocationInput((1.0,), (1.0,), 1.0, overhead=0.5)
+        for rule in self.RULES:
+            with pytest.raises(AllocationError, match="overhead factor"):
+                rule((1.0,), (1.0,), 1.0, overhead=0.5)
+
+    def test_rejects_dimension_below_one(self):
+        with pytest.raises(AllocationError, match="dimension must be >= 1"):
+            mlbq_allocation((1.0, 0.1), (1.0, 2.0), 10.0, tau=1.0, dim=0)
+
+    def test_mlmc_takes_no_tau_or_dim(self):
+        # the variance-based rule reads neither, so it takes neither
+        for keywords in ({"tau": 3.0}, {"dim": 2}):
+            with pytest.raises(TypeError):
+                mlmc_allocation(POISSON_V, POISSON_C, 0.376, **keywords)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -43,36 +59,35 @@ class TestInputValidation:
     )
     def test_rejects_non_finite_overhead_and_tau(self, field, value):
         with pytest.raises(AllocationError, match=f"{field}.* must be finite"):
-            AllocationInput((1.0, 0.1), (1.0, 2.0), 10.0, **{field: value})
+            mlbq_allocation((1.0, 0.1), (1.0, 2.0), 10.0, **{"tau": 1.0, field: value})
+        if field == "overhead":
+            with pytest.raises(AllocationError, match=f"{field}.* must be finite"):
+                mlmc_allocation((1.0, 0.1), (1.0, 2.0), 10.0, overhead=value)
 
 
 class TestMlmcAllocation:
     def test_published_small_budget_row(self):
         # published sample sizes (67, 11, 1): reproduced within +-2 per level
-        plan = mlmc_allocation(AllocationInput(POISSON_V, POISSON_C, 0.376))
+        plan = mlmc_allocation(POISSON_V, POISSON_C, 0.376)
         for got, want in zip(plan.counts, (67, 11, 1)):
             assert abs(got - want) <= 2
 
     def test_symmetric_instance(self):
-        plan = mlmc_allocation(AllocationInput((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 3.0))
+        plan = mlmc_allocation((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 3.0)
         assert plan.counts == (1, 1, 1)
 
     def test_closed_form_real_counts(self):
         v, c, t = (2.0, 0.5), (1.0, 4.0), 10.0
-        plan = mlmc_allocation(AllocationInput(v, c, t))
+        plan = mlmc_allocation(v, c, t)
         denom = sum(np.sqrt(np.array(v) * np.array(c)))
         for real, vl, cl in zip(plan.real_counts, v, c):
             assert real == pytest.approx(t * np.sqrt(vl / cl) / denom, rel=1e-12)
 
     def test_scale_invariance(self):
-        base = mlmc_allocation(AllocationInput(POISSON_V, POISSON_C, 0.376)).real_counts
-        scaled_v = mlmc_allocation(
-            AllocationInput(tuple(7.0 * v for v in POISSON_V), POISSON_C, 0.376)
-        ).real_counts
+        base = mlmc_allocation(POISSON_V, POISSON_C, 0.376).real_counts
+        scaled_v = mlmc_allocation(tuple(7.0 * v for v in POISSON_V), POISSON_C, 0.376).real_counts
         assert np.allclose(scaled_v, base, rtol=1e-10)
-        scaled_c = mlmc_allocation(
-            AllocationInput(POISSON_V, tuple(3.0 * c for c in POISSON_C), 0.376)
-        ).real_counts
+        scaled_c = mlmc_allocation(POISSON_V, tuple(3.0 * c for c in POISSON_C), 0.376).real_counts
         assert np.allclose(scaled_c, np.array(base) / 3.0, rtol=1e-10)
 
     def test_objective_beats_lattice_within_5_percent(self):
@@ -81,7 +96,7 @@ class TestMlmcAllocation:
             v = tuple(rng.uniform(0.1, 2.0, 3))
             c = tuple(rng.uniform(0.5, 2.0, 3))
             t = float(rng.uniform(8.0, 20.0))
-            plan = mlmc_allocation(AllocationInput(v, c, t))
+            plan = mlmc_allocation(v, c, t)
             _, best = lattice_best_allocation(v, c, t, exponent=1.0, max_count=24)
             assert plan.objective <= 1.05 * best
 
@@ -89,59 +104,58 @@ class TestMlmcAllocation:
 class TestMlbqAllocation:
     def test_published_small_budget_row(self):
         # real solution ~(38.8, 15.2, 2.5); integer plan matches (38, 15, 3)
-        plan = mlbq_allocation(AllocationInput(POISSON_NORMS, POISSON_C, 0.376, tau=1.0, dim=1))
+        plan = mlbq_allocation(POISSON_NORMS, POISSON_C, 0.376, tau=1.0, dim=1)
         assert np.allclose(plan.real_counts, (38.8, 15.2, 2.5), atol=0.1)
         assert plan.counts == (38, 15, 3)
 
     def test_single_level_exhausts_budget(self):
-        plan = mlbq_allocation(AllocationInput((5.0,), (2.0,), 10.0, tau=1.0, dim=1))
+        plan = mlbq_allocation((5.0,), (2.0,), 10.0, tau=1.0, dim=1)
         assert plan.real_counts[0] == pytest.approx(5.0)
-        plan_gamma = mlbq_allocation(AllocationInput((5.0,), (2.0,), 10.0, tau=1.0, dim=1, overhead=1.25))
+        plan_gamma = mlbq_allocation((5.0,), (2.0,), 10.0, tau=1.0, dim=1, overhead=1.25)
         assert plan_gamma.real_counts[0] == pytest.approx(4.0)
 
     def test_budget_identity(self):
-        plan = mlbq_allocation(AllocationInput(POISSON_NORMS, POISSON_C, 0.376, tau=1.0, dim=1, overhead=1.1))
+        plan = mlbq_allocation(POISSON_NORMS, POISSON_C, 0.376, tau=1.0, dim=1, overhead=1.1)
         cost = 1.1 * sum(c * n for c, n in zip(POISSON_C, plan.real_counts))
         assert cost == pytest.approx(0.376, rel=1e-10)
 
     def test_kkt_stationarity(self):
-        inp = AllocationInput(POISSON_NORMS, POISSON_C, 0.751, tau=1.0, dim=1)
-        plan = mlbq_allocation(inp)
+        tau, dim = 1.0, 1
+        plan = mlbq_allocation(POISSON_NORMS, POISSON_C, 0.751, tau=tau, dim=dim)
         ratios = [
-            (inp.tau / inp.dim) * r * n ** (-inp.tau / inp.dim - 1.0) / (inp.overhead * c)
-            for r, n, c in zip(inp.magnitudes, plan.real_counts, inp.costs)
+            (tau / dim) * r * n ** (-tau / dim - 1.0) / c for r, n, c in zip(POISSON_NORMS, plan.real_counts, POISSON_C)
         ]
         assert np.allclose(ratios, ratios[0], rtol=1e-8)
 
     def test_real_solution_beats_random_feasible_allocations(self):
         rng = np.random.default_rng(28)
-        inp = AllocationInput((2.0, 0.7, 0.1), (0.2, 0.9, 3.0), 25.0, tau=1.5, dim=1)
-        plan = mlbq_allocation(inp)
-        costs = np.array(inp.costs)
+        norms, costs, budget = np.array([2.0, 0.7, 0.1]), np.array([0.2, 0.9, 3.0]), 25.0
+        plan = mlbq_allocation(norms, costs, budget, tau=1.5, dim=1)
         for _ in range(10_000):
             raw = rng.uniform(0.05, 1.0, 3)
-            n = raw * inp.budget / float(costs @ raw)  # scaled to exhaust budget
-            obj = float(np.sum(np.array(inp.magnitudes) * n ** (-1.5)))
+            n = raw * budget / float(costs @ raw)  # scaled to exhaust budget
+            obj = float(np.sum(norms * n ** (-1.5)))
             assert plan.objective_real <= obj + 1e-12
 
     def test_requires_tau(self):
-        with pytest.raises(AllocationError, match="tau"):
-            mlbq_allocation(AllocationInput((1.0,), (1.0,), 1.0))
+        # tau is a required argument; the command line's --norms without --tau is checked in test_harness
+        with pytest.raises(TypeError, match="tau"):
+            mlbq_allocation((1.0,), (1.0,), 1.0)
         with pytest.raises(AllocationError, match="exceed"):
-            mlbq_allocation(AllocationInput((1.0,), (1.0,), 1.0, tau=0.4, dim=1))
+            mlbq_allocation((1.0,), (1.0,), 1.0, tau=0.4, dim=1)
 
 
 class TestOverhead:
     @pytest.mark.parametrize("budget", [0.376, 0.751, 1.503])
     @pytest.mark.parametrize(
         "rule, inputs",
-        [(mlmc_allocation, {"magnitudes": POISSON_V}), (mlbq_allocation, {"magnitudes": POISSON_NORMS, "tau": 1.0})],
+        [(mlmc_allocation, {"variances": POISSON_V}), (mlbq_allocation, {"norms": POISSON_NORMS, "tau": 1.0})],
         ids=["mlmc", "mlbq"],
     )
     def test_overhead_two_is_half_the_budget(self, rule, inputs, budget):
         # gamma scales every level's cost in the constraint; 2 is a power of two, so the scaling is exact
-        scaled = rule(AllocationInput(costs=POISSON_C, budget=budget, overhead=2.0, **inputs))
-        halved = rule(AllocationInput(costs=POISSON_C, budget=budget / 2, **inputs))
+        scaled = rule(costs=POISSON_C, budget=budget, overhead=2.0, **inputs)
+        halved = rule(costs=POISSON_C, budget=budget / 2, **inputs)
         assert scaled.counts == halved.counts
         assert scaled.real_counts == halved.real_counts
 
@@ -175,15 +189,13 @@ class TestIntegerize:
             costs = tuple(rng.uniform(0.4, 1.5, 3))
             budget = float(rng.uniform(5.0, 12.0))
             tau = float(rng.choice([1.0, 2.0]))
-            plan = mlbq_allocation(AllocationInput(mags, costs, budget, tau=tau, dim=1))
+            plan = mlbq_allocation(mags, costs, budget, tau=tau, dim=1)
             _, best = lattice_best_allocation(mags, costs, budget, tau, max_count=24)
             assert plan.objective <= 1.02 * best
 
 
 class TestSobolevOrder:
     def test_matern_order(self):
-        assert matern_sobolev_order(0.5, 1) == 1.0
-        assert matern_sobolev_order(2.5, 2) == 3.5
         assert kernel_sobolev_order(Kernel.matern(0.5, 1.0)) == 1.0
         assert kernel_sobolev_order(Kernel.matern(2.5, 0.3, dim=2)) == 3.5
 

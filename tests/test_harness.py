@@ -499,6 +499,28 @@ class TestRunExperiment:
         assert [(r.replication, r.estimator) for r in records] == [(0, "mlmc"), (1, "mlmc"), (2, "mlmc")]
         assert calls.count("mlbq") == 3
 
+    def test_level_data_failure_fails_its_cell_only(self, monkeypatch, caplog, capsys):
+        # one NaN in the 10-point level-2 evaluation, which only the grid mlbq cell at T = 1.503 makes; the
+        # failure used to escape the sweep, and the command exited 1 with no record
+        config_path = str(Path(__file__).resolve().parents[1] / "configs/poisson_budgets.json")
+        assert main(["estimate", "--config", config_path]) == 0
+        clean = capsys.readouterr().out.splitlines()
+        evaluate = PoissonHierarchy.evaluate
+
+        def one_nan(self, level, points):
+            values = evaluate(self, level, points)
+            if level == 2 and len(values) == 10:
+                values[0] = np.nan
+            return values
+
+        monkeypatch.setattr(PoissonHierarchy, "evaluate", one_nan)
+        with caplog.at_level("WARNING", logger="mlbq.harness"):
+            assert main(["estimate", "--config", config_path]) == 0
+        assert len(clean) == 6
+        assert capsys.readouterr().out.splitlines() == [line for line in clean if not line.startswith("T=1.503 mlbq:")]
+        failed = [r.message for r in caplog.records if "failed" in r.message]
+        assert failed == ["cell (T=1.503, rep=0, mlbq) failed: level 2: non-finite points or values"]
+
     def test_parallel_jobs_keep_byte_identical_output(self, tmp_path):
         # a repeated budget keeps its two entries apart under --jobs too
         repeated = config(
@@ -513,9 +535,15 @@ class TestRunExperiment:
             write_records_csv(run_experiment(cfg, jobs=3), parallel)
             assert filecmp.cmp(serial, parallel, shallow=False)
 
-    def test_jobs_start_at_most_one_worker_per_task(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, jobs, workers",
+        [("ode_budgets", 16, [2]), ("poisson_calibration", 2, [])],
+        ids=["ode_budgets", "poisson_calibration"],
+    )
+    def test_jobs_start_at_most_one_worker_per_task(self, monkeypatch, name, jobs, workers):
         # the fork pool starts every worker at its first submit: at one replication the ODE config is 2 tasks,
-        # and --jobs 16 used to ask for 16 workers
+        # and --jobs 16 used to ask for 16 workers; the one-budget calibration config is one task, which runs
+        # in this process (it used to start a one-worker pool)
         from concurrent.futures import Future
         from dataclasses import replace
 
@@ -538,11 +566,11 @@ class TestRunExperiment:
                 future.set_result(fn(*args))
                 return future
 
-        cfg = replace(load_config(Path(__file__).resolve().parents[1] / "configs/ode_budgets.json"), replications=1)
+        cfg = replace(load_config(Path(__file__).resolve().parents[1] / f"configs/{name}.json"), replications=1)
         serial = run_experiment(cfg)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
-        assert run_experiment(cfg, jobs=16) == serial
-        assert sizes == [2]
+        assert run_experiment(cfg, jobs=jobs) == serial
+        assert sizes == workers
 
     def test_golden_record_hashes(self, tmp_path):
         """The records' sha256 prefixes at 4 replications, one BLAS thread, serial and with two jobs.
@@ -893,6 +921,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "integer counts" in out
         assert main(["allocate", "--norms", "1,0.1", "--costs", "1,4", "--budget", "10"]) == 1
+        assert "tau" in capsys.readouterr().err
 
     def test_allocate_variances_refuse_tau_and_dim(self, capsys):
         # the variance-based rule reads neither; --gamma it does read
@@ -908,6 +937,10 @@ class TestCli:
             assert main(["allocate", *rule, "--costs", "1,4", "--budget", "10"]) == 0
             halved = capsys.readouterr().out.splitlines()
             assert scaled[0].startswith("T=20 ") and scaled[1:] == halved[1:]
+
+    def test_allocate_rejects_dimension_below_one(self, capsys):
+        assert main(["allocate", "--norms", "1,0.1", "--costs", "1,2", "--budget", "10", "--tau", "1", "--dim", "0"]) == 1
+        assert "dimension must be >= 1" in capsys.readouterr().err
 
     def test_allocate_rejects_nonpositive(self, capsys):
         assert main(["allocate", "--variances", "1,-0.1", "--costs", "1,4", "--budget", "10"]) == 1

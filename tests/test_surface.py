@@ -35,21 +35,28 @@ def test_tracer_installs_and_uninstalls():
     assert harness.KernelPolicy.level_kernel is level_kernel
 
 
-def test_tracer_counts_a_real_sweep(capsys):
-    # the benchmark's estimate mode: one replication of a shipped config through the command line, traced;
-    # the tracer reads _run_estimator's positional arguments and each level's points and values
+@pytest.mark.parametrize(
+    "config", [PERFBENCH.parent / "configs" / "poisson_budgets.json", PERFBENCH / "ode_matern_lhs.json"],
+    ids=["poisson_budgets", "ode_matern_lhs"],
+)
+def test_tracer_counts_a_real_sweep(capsys, config):
+    # the benchmark's estimate mode: one replication of a config through the command line, traced; the tracer
+    # reads _run_estimator's positional arguments and each level's points and values.  The benchmark's own
+    # config takes the mlbq-formula allocation, the per-dimension fit and single-level bq
     tracer = _tracer()
     tracer.install()
     originals = {}
     for owner, name, original in tracer._restore:
         originals.setdefault((owner, name), original)
     try:
-        config = PERFBENCH.parent / "configs" / "poisson_budgets.json"
         assert cli.main(["estimate", "--config", str(config)]) == 0
     finally:
         tracer.uninstall()
     assert "mlbq" in capsys.readouterr().out
-    assert tracer.report()["counts"]["harness.cells"] > 0
+    report = tracer.report()
+    assert report["counts"]["harness.cells"] > 0
+    if config.parent == PERFBENCH:
+        assert "allocation.plan" in report["self_s"]
     assert [(owner, name) for (owner, name), original in originals.items() if vars(owner)[name] is not original] == []
 
 
