@@ -10,9 +10,9 @@ posterior and cuts the error dramatically at equal cost.
 
 import numpy as np
 
-from mlbq import Kernel, LevelData, mlbq_estimate, mlmc_estimate, sk_mlbq_estimate
+from mlbq import Kernel, LevelData, mlbq_estimate, mlmc_estimate
 from mlbq.designs import generate_design
-from mlbq.gp import fit_gp, fit_hyperparameters, mle_amplitude
+from mlbq.gp import fit_hyperparameters
 from mlbq.models import PoissonHierarchy
 
 model = PoissonHierarchy()
@@ -25,12 +25,11 @@ print(f"sample sizes per level {counts}, total declared cost {budget:.4f}")
 
 print()
 print("== multilevel BQ on a grid design ==")
-levels, fits = [], []
+fits = []
 for level, n in enumerate(counts):
     w = generate_design("grid", measure, n).points
     y = model.increments(level, w[:, 0])
     fits.append(fit_hyperparameters(Kernel.matern(0.5, 1.0), w, y, bounds=(0.01, 10.0)))
-    levels.append(LevelData(w, y))  # kept for the separable-kernel section below
 post = mlbq_estimate(fits, measure)
 print(f"  posterior mean {post.mean:.8f}  (|error| {abs(post.mean - reference):.2e})")
 print(f"  posterior std  {post.std:.2e}")
@@ -48,20 +47,3 @@ for rep in range(50):
     errors.append(abs(mlmc_estimate(data) - reference))
 print(f"  mean |error| {np.mean(errors):.2e}  (vs {abs(post.mean - reference):.2e} for the GP route)")
 
-print()
-print("== coupling levels through a separable kernel ==")
-# one shared base kernel; B couples the increments across levels.  The
-# identity matrix recovers the independent estimator exactly; stronger
-# coupling assumptions cost accuracy on this testbed.
-pooled_w = np.vstack([lv.points for lv in levels])
-pooled_y = np.concatenate([lv.values for lv in levels])
-base = Kernel.matern(0.5, 1.0)
-base = base.with_amplitude(mle_amplitude(base, pooled_w, pooled_y) ** 2)
-independent = mlbq_estimate([fit_gp(base, lv.points, lv.values) for lv in levels], measure)
-for off_diag in (0.0, 0.01, 0.1):
-    b = np.full((3, 3), off_diag)
-    np.fill_diagonal(b, 1.0)
-    joint = sk_mlbq_estimate(levels, base, b, measure)
-    tag = " (= independent MLBQ)" if off_diag == 0.0 else ""
-    print(f"  off-diagonal {off_diag:<5}: mean {joint.mean:.8f}  |error| {abs(joint.mean - reference):.2e}{tag}")
-print(f"  independent check   : mean {independent.mean:.8f}")

@@ -55,7 +55,6 @@ from .quadrature import (
     bq_posterior,
     mlbq_estimate,
     mlmc_estimate,
-    sk_mlbq_estimate,
 )
 
 __version__ = "0.1.0"

@@ -37,9 +37,9 @@ __all__ = [
     "fit_hyperparameters",
 ]
 
-# Nugget ladder: relative jitter starts at the caller value and is
-# multiplied by 10 on each Cholesky failure, up to this ceiling.
-MAX_NUGGET = 1e-4
+# Nugget ladder: relative jitter starts at the caller value (by default NUGGET) and is
+# multiplied by 10 on each Cholesky failure, up to MAX_NUGGET.
+NUGGET, MAX_NUGGET = 1e-10, 1e-4
 # Lengthscale search: log-grid points, golden-section tolerance in log-lengthscale, rounds over the axes.
 GRID_SIZE, REL_TOL, SWEEPS = 32, 1e-4, 3
 
@@ -70,8 +70,8 @@ def _data(kernel, points, y):
     return w, yv
 
 
-def _factor(fill, nugget, scale=1.0):
-    """Cholesky of the lower triangle of ``fill() + current * scale * I``, and the ``current`` it used.
+def _factor(fill, nugget):
+    """Cholesky of the lower triangle of ``fill() + current * I``, and the ``current`` it used.
 
     The package's one nugget ladder.  ``fill`` returns a fresh Fortran-order matrix, which is factored in
     place.  ``current`` starts at ``nugget``; each potrf failure has written over the matrix, so it is
@@ -81,7 +81,7 @@ def _factor(fill, nugget, scale=1.0):
     current = nugget
     while True:
         matrix = fill()
-        matrix.ravel(order="K")[:: matrix.shape[0] + 1] += current * scale
+        matrix.ravel(order="K")[:: matrix.shape[0] + 1] += current
         try:
             return cholesky(matrix), current
         except np.linalg.LinAlgError:
@@ -149,7 +149,7 @@ def _scaled(unit, kernel) -> GPFit:
     return replace(unit, kernel=kernel, weights=unit.weights / a)
 
 
-def fit_gp(kernel: Kernel, points, y, nugget=1e-10) -> GPFit:
+def fit_gp(kernel: Kernel, points, y, nugget=NUGGET) -> GPFit:
     """Condition a GP prior on observations.
 
     ``nugget`` is relative jitter: ``nugget * amplitude`` is added to the
@@ -170,7 +170,7 @@ def fit_gp(kernel: Kernel, points, y, nugget=1e-10) -> GPFit:
     return _scaled(GPFit(kernel, w, resid, chol, cho_solve((chol, True), resid), used), kernel)
 
 
-def mle_amplitude(kernel: Kernel, points, y, nugget=1e-10) -> float:
+def mle_amplitude(kernel: Kernel, points, y, nugget=NUGGET) -> float:
     """Closed-form amplitude MLE sigma* = sqrt(r' C^-1 r / n).
 
     C is the unit-amplitude Gram matrix (plus nugget); whatever amplitude
@@ -181,7 +181,7 @@ def mle_amplitude(kernel: Kernel, points, y, nugget=1e-10) -> float:
     return math.sqrt(_profiled_fit(kernel, points, y, nugget).kernel.amplitude)
 
 
-def profiled_log_marginal_likelihood(kernel: Kernel, points, y, nugget=1e-10) -> float:
+def profiled_log_marginal_likelihood(kernel: Kernel, points, y, nugget=NUGGET) -> float:
     """Marginal log-likelihood with the amplitude profiled out in closed form.
 
     Equals the full Gaussian log-likelihood (``oracles.lml_dense``) at
@@ -279,7 +279,7 @@ def _optimise_axis(kernel, axis, packed, resid, bounds, nugget, start=None):
     return kernel.with_lengthscales(ls), best
 
 
-def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=1e-10) -> Kernel:
+def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=NUGGET) -> Kernel:
     """The lengthscale search of :func:`fit_hyperparameters`; the amplitude is left as it is.
 
     Set up once per call.  The first sweep scans each axis's grid; later sweeps climb it from that axis's
@@ -307,7 +307,7 @@ def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=1e-
     return fitted
 
 
-def _profiled_fit(kernel, points, y, nugget=1e-10) -> GPFit:
+def _profiled_fit(kernel, points, y, nugget=NUGGET) -> GPFit:
     """The GP at the amplitude MLE sigma*^2 = |L^-1 r|^2 / n: the fit at amplitude 1, rescaled."""
     unit = fit_gp(kernel.with_amplitude(1.0), points, y, nugget)
     half = dtrtrs(unit.chol, unit.residual, lower=1)[0]
@@ -322,7 +322,7 @@ def fit_hyperparameters(
     *,
     bounds,
     per_dimension=False,
-    nugget=1e-10,
+    nugget=NUGGET,
 ) -> GPFit:
     """Fit lengthscale(s) and amplitude by profiled marginal likelihood; the GP conditioned at them.
 

@@ -64,6 +64,7 @@ the measure or bad ``model.params`` is a ConfigError.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import hashlib
@@ -357,10 +358,19 @@ class ResultRecord:
         )
 
 
+@contextlib.contextmanager
+def _csv_writer(path):
+    """A csv writer on ``path``, opened for writing; a path that cannot be written is a ConfigError naming it."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield csv.writer(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_records_csv(records, path):
     """Write records with the fixed column order; floats use repr round-trip."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    with _csv_writer(path) as writer:
         writer.writerow(CSV_COLUMNS)
         for r in records:
             writer.writerow(
@@ -377,27 +387,35 @@ def write_records_csv(records, path):
             )
 
 
+def _record(row) -> ResultRecord:
+    if len(row) != len(CSV_COLUMNS):
+        raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+    return ResultRecord(
+        replication=int(row[0]),
+        estimator=row[1],
+        budget=float(row[2]),
+        estimate=float(row[3]),
+        variance=None if row[4] == "" else float(row[4]),
+        abs_error=float(row[5]),
+        cost=float(row[6]),
+        n_per_level=tuple(int(n) for n in row[7].split(";")) if row[7] else (),
+    )
+
+
 def read_records_csv(path) -> list[ResultRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise ConfigError(f"unexpected CSV header {header}")
-        out = []
-        for row in reader:
-            out.append(
-                ResultRecord(
-                    replication=int(row[0]),
-                    estimator=row[1],
-                    budget=float(row[2]),
-                    estimate=float(row[3]),
-                    variance=None if row[4] == "" else float(row[4]),
-                    abs_error=float(row[5]),
-                    cost=float(row[6]),
-                    n_per_level=tuple(int(n) for n in row[7].split(";")) if row[7] else (),
-                )
-            )
-        return out
+    """The records of a ``write_records_csv`` file; an unreadable file or a malformed line is a ConfigError."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader, None)
+                if header is None or tuple(header) != CSV_COLUMNS:
+                    raise ValueError("no CSV header" if header is None else f"unexpected CSV header {header}")
+                return [_record(row) for row in reader]
+            except (ValueError, csv.Error) as exc:
+                raise ConfigError(f"records {path}, line {max(reader.line_num, 1)}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read records {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +617,13 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
     collected in submission order, which is (budget, replication, estimator)
     order, so the parallel run produces byte-identical output to the serial
     one; the pool starts at most one worker per task, and a sweep of one
-    task runs in this process whatever ``jobs`` is.  The sweep and its
-    workers run at one BLAS thread, because LAPACK's blocking follows the
-    thread count and would move the records' low bits; the old counts are
-    restored after.
+    task runs in this process whatever ``jobs`` is; ``jobs < 1`` is a
+    ConfigError.  The sweep and its workers run at one BLAS thread, because
+    LAPACK's blocking follows the thread count and would move the records'
+    low bits; the old counts are restored after.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     pinned = _pin_blas_threads()
     if not pinned:
         log.warning("no OpenBLAS thread control found: the records may depend on the BLAS thread count")
@@ -619,7 +639,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
             except ValueError as exc:
                 raise ConfigError(f"kernel: {exc}") from exc
         reference = model.reference_integral()
-        chunk = max(1, math.ceil(cfg.replications / max(jobs, 1)))
+        chunk = max(1, math.ceil(cfg.replications / jobs))
         tasks = [
             (cfg, model, reference, bi, counts[bi], range(start, min(start + chunk, cfg.replications)))
             for bi in range(len(cfg.budgets))
@@ -673,8 +693,7 @@ def calibration_table(records, levels=(0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)) -
 
 
 def write_coverage_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    with _csv_writer(path) as writer:
         writer.writerow(["nominal_level", "coverage", "binomial_se", "count"])
         for row in rows:
             writer.writerow([repr(row.nominal_level), repr(row.coverage), repr(row.binomial_se), row.count])

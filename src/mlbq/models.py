@@ -25,7 +25,8 @@ deterministic and machine independent.  Constructor parameters are checked,
 not converted, for type and range by one rule each; anything else is a
 ``ValueError``.  Costs are finite ints or floats > 0, one per level, with at
 least one level; ``interior_nodes`` ints >= 1; ``breakpoint_counts`` ints >= 2;
-``spacings`` 1/m for an integer m >= 3; ``reference_refine`` an int >= 1;
+``spacings`` 1/m for an integer m >= 3; ``reference_refine`` an int >= 1 with
+m * reference_refine <= ``MAX_REFERENCE_ROWS`` at the top level's m;
 ``forcing`` finite; ``high`` finite and > 0.  ``evaluate`` reads its points as
 ``kernels.as_points`` does, so points of the wrong dimension are a ValueError.
 """
@@ -154,6 +155,8 @@ def _flux_form(off):
 # ---------------------------------------------------------------------------
 
 _INTEGER, _NUMBER = (int,), (int, float)
+# Cap on the ODE reference grid, round(1 / spacings[-1]) * reference_refine rows of 48 Gauss nodes each.
+MAX_REFERENCE_ROWS = 2**16
 
 
 def _finite(value) -> bool:
@@ -314,6 +317,10 @@ class OdeHierarchy(MultifidelityModel):
         _typed([forcing], _NUMBER, "forcing", "and finite", _finite)
         _typed([reference_refine], _INTEGER, "reference_refine", ">= 1", lambda r: r >= 1)
         super().__init__(costs, spacings)
+        top = round(1.0 / spacings[-1])
+        _typed([reference_refine], _INTEGER, "reference_refine",
+               f"<= {MAX_REFERENCE_ROWS // top} at top spacing 1/{top} ({MAX_REFERENCE_ROWS} reference grid rows)",
+               lambda r: top * r <= MAX_REFERENCE_ROWS)
         self.spacings = tuple(float(h) for h in spacings)
         self.forcing = float(forcing)
         self.measure = ProductMeasure((Uniform(0.0, 1.0), StandardNormal()))

@@ -1,20 +1,16 @@
-"""Integral estimators: MLMC, BQ, multilevel BQ and its separable-kernel twin.
+"""Integral estimators: MLMC, BQ and multilevel BQ.
 
-MLMC and the separable-kernel estimator consume a list of :class:`LevelData`
-blocks, one per fidelity level and indexed by list position, holding design
-points and increment evaluations ``f_l(W_l) - f_{l-1}(W_l)`` (with
-``f_{-1} = 0``).  MLBQ consumes one conditioned :class:`~mlbq.gp.GPFit` per
-level instead, which holds the level's points and values.  Plain MC and
-single-level BQ are the one-level cases of MLMC and MLBQ.  The Bayesian
-estimators return a :class:`GaussianPosterior` on ``Pi[f]`` whose mean and
-variance are exact sums of per-level contributions; those contributions
-are kept around for diagnostics.
+MLMC consumes a list of :class:`LevelData` blocks, one per fidelity level and
+indexed by list position, holding design points and increment evaluations
+``f_l(W_l) - f_{l-1}(W_l)`` (with ``f_{-1} = 0``).  MLBQ consumes one
+conditioned :class:`~mlbq.gp.GPFit` per level instead, which holds the
+level's points and values.  Plain MC and single-level BQ are the one-level
+cases of MLMC and MLBQ.  The Bayesian estimators return a
+:class:`GaussianPosterior` on ``Pi[f]``.
 
-Per-level computations are independent (independent GP priors per level),
-so the multilevel posterior is literally the sum of single-level BQ
-posteriors.  The separable-kernel variant couples levels through a
-cross-level matrix B and conditions on the full joint system; with B = I
-it reduces to the independent case.  All functions are pure.
+Each level has its own independent GP prior, so the multilevel posterior is
+the sum of the single-level BQ posteriors, and its per-level means and
+variances are those posteriors exactly.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -23,11 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
-from .gp import GPFit, _factor
-from .kernels import Kernel, ProductMeasure, gram, initial_error, kernel_mean
+from .gp import GPFit
+from .kernels import ProductMeasure, initial_error, kernel_mean
 
 __all__ = [
     "LevelData",
@@ -36,7 +32,6 @@ __all__ = [
     "mlmc_estimate",
     "bq_posterior",
     "mlbq_estimate",
-    "sk_mlbq_estimate",
 ]
 
 
@@ -85,9 +80,7 @@ class GaussianPosterior:
     """Gaussian posterior on Pi[f] with per-level diagnostics.
 
     The mean (variance) is the exact sum of ``level_means``
-    (``level_variances``); for the separable-kernel estimator individual
-    contributions are attribution bookkeeping and only their sums carry
-    meaning.
+    (``level_variances``), each level's BQ posterior mean (variance).
     """
 
     mean: float
@@ -107,18 +100,6 @@ class GaussianPosterior:
         """Central two-sided interval at the given credible level."""
         z = ndtri(0.5 * (1.0 + level))
         return self.mean - z * self.std, self.mean + z * self.std
-
-
-def _require_support(measure: ProductMeasure, points, level=None):
-    if not measure.contains(points):
-        where = "points" if level is None else f"level {level} points"
-        raise ValueError(f"{where} fall outside the measure's support")
-
-
-def _clamp_variance(var: float, amplitude: float) -> float:
-    if var < 0 and var > -1e-10 * max(amplitude, 1.0):
-        return 0.0
-    return var
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +124,17 @@ def bq_posterior(fit: GPFit, measure: ProductMeasure) -> GaussianPosterior:
 
     mean = Pi[c(., W)] @ weights and
     variance = Pi[Pi[c]] - Pi[c(., W)] K^-1 Pi[c(W, .)], with the same
-    (gram + nugget) system the fit used.
+    (gram + nugget) system the fit used.  A variance below zero by less
+    than 1e-10 times max(amplitude, 1) is roundoff and reads 0.
     """
-    _require_support(measure, fit.points)
+    if not measure.contains(fit.points):
+        raise ValueError("points fall outside the measure's support")
     embedding = np.atleast_1d(kernel_mean(fit.kernel, measure, fit.points))
     post_mean = float(embedding @ fit.weights)
     half = solve_triangular(fit.chol, embedding, lower=True)
     var = initial_error(fit.kernel, measure) - float(half @ half)
-    var = _clamp_variance(var, fit.kernel.amplitude)
+    if -1e-10 * max(fit.kernel.amplitude, 1.0) < var < 0:
+        var = 0.0
     if var < 0:
         raise FloatingPointError(f"BQ variance {var} below the clamp window")
     return GaussianPosterior(post_mean, var, (post_mean,), (var,))
@@ -178,75 +162,3 @@ def mlbq_estimate(fits, measure: ProductMeasure) -> GaussianPosterior:
     return GaussianPosterior(
         float(sum(level_means)), float(sum(level_vars)), tuple(level_means), tuple(level_vars)
     )
-
-
-def sk_mlbq_estimate(
-    levels,
-    kernel: Kernel,
-    b_matrix,
-    measure: ProductMeasure,
-    nugget=1e-10,
-) -> GaussianPosterior:
-    """Separable-kernel multilevel BQ: joint conditioning across levels.
-
-    The joint prior couples increments through the symmetric positive
-    definite (L+1)x(L+1) matrix B: block (l, l') of the joint Gram matrix
-    is ``B[l, l'] * c(W_l, W_l')`` for a single base kernel c.  The full
-    system is assembled and solved directly, at cubic cost in the total
-    point count.  With B = I this reduces block-diagonally to
-    :func:`mlbq_estimate` with c_l = c for every level.
-
-    Per-level entries of the returned posterior are attributions of the
-    joint solve (they sum exactly to the totals but can individually be
-    negative).
-    """
-    if len(levels) == 0:
-        raise ValueError("sk_mlbq_estimate needs at least one level")
-    n_lev = len(levels)
-    b = np.asarray(b_matrix, dtype=float)
-    if b.shape != (n_lev, n_lev):
-        raise ValueError(f"B must be {n_lev}x{n_lev}, got {b.shape}")
-    if not np.array_equal(b, b.T):
-        raise ValueError("B must be symmetric")
-    if not np.linalg.eigvalsh(b).min() > 0:
-        raise ValueError("B must be positive definite")
-    for position, level in enumerate(levels):
-        _require_support(measure, level.points, position)
-
-    sizes = [level.n for level in levels]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-
-    def fill():  # the joint Gram matrix in the Fortran order potrf factors in place; it reads blocks l >= l' only
-        joint = np.empty((total, total), order="F")
-        for i, li in enumerate(levels):
-            for j, lj in enumerate(levels[: i + 1]):
-                block = joint[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]]
-                np.multiply(gram(kernel, li.points, lj.points), b[i, j], out=block)
-        return joint
-
-    values = np.concatenate([level.values for level in levels])
-    # The integrated cross-covariance against level block l' sums B over
-    # the output index: z_{l'} = (sum_l B[l, l']) * Pi[c(., W_{l'})].
-    embeddings = [
-        float(b[:, j].sum()) * np.atleast_1d(kernel_mean(kernel, measure, lj.points))
-        for j, lj in enumerate(levels)
-    ]
-    z = np.concatenate(embeddings)
-    chol, _ = _factor(fill, nugget, kernel.amplitude)
-    alpha = cho_solve((chol, True), values)
-    kinv_z = cho_solve((chol, True), z)
-
-    level_means = [float(embeddings[j] @ alpha[offsets[j] : offsets[j + 1]]) for j in range(n_lev)]
-    prior_var = float(b.sum()) * initial_error(kernel, measure)
-    # Attribute the prior term by output row l, the quadratic term by block.
-    prior_rows = [float(b[j, :].sum()) * initial_error(kernel, measure) for j in range(n_lev)]
-    quad_rows = [float(embeddings[j] @ kinv_z[offsets[j] : offsets[j + 1]]) for j in range(n_lev)]
-    level_vars = [p - q for p, q in zip(prior_rows, quad_rows)]
-    var = _clamp_variance(prior_var - float(z @ kinv_z), kernel.amplitude)
-    if var < 0:
-        raise FloatingPointError(f"SK-MLBQ variance {var} below the clamp window")
-    # Keep the exact-sum invariant after clamping.
-    if var == 0.0 and sum(level_vars) != 0.0:
-        level_vars = [0.0] * n_lev
-    return GaussianPosterior(float(sum(level_means)), var, tuple(level_means), tuple(level_vars))

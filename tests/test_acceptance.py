@@ -33,7 +33,7 @@ from mlbq.models import (
     POISSON_EXACT_INTEGRAL,
 )
 from mlbq.oracles import lattice_best_allocation, oracle_report, slope_integral_norm
-from mlbq.quadrature import LevelData, bq_posterior, mlbq_estimate, sk_mlbq_estimate
+from mlbq.quadrature import LevelData, bq_posterior, mlbq_estimate
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -173,16 +173,6 @@ def test_criterion_5b_mlbq_decomposes_into_per_level_bq():
         var_sum += post.variance
     assert multi.mean == pytest.approx(mean_sum, rel=1e-12)
     assert multi.variance == pytest.approx(var_sum, rel=1e-12)
-
-
-def test_criterion_5c_separable_kernel_identity_coupling():
-    rng = np.random.default_rng(41)
-    kernel = Kernel.matern(0.5, 0.8, amplitude=0.7)
-    levels = [LevelData(rng.random((4 + i, 1)), rng.standard_normal(4 + i)) for i in range(3)]
-    independent = mlbq_estimate([fit_gp(kernel, lv.points, lv.values) for lv in levels], U01)
-    joint = sk_mlbq_estimate(levels, kernel, np.eye(3), U01)
-    assert joint.mean == pytest.approx(independent.mean, abs=1e-10)
-    assert joint.variance == pytest.approx(independent.variance, abs=1e-10)
 
 
 def test_criterion_5d_brownian_norm_against_slope_integration():

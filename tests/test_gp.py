@@ -82,11 +82,11 @@ class TestFitGp:
     def test_singular_error_reports_final_nugget(self):
         # identical points with contradictory values stay singular in
         # effect, but the ladder still succeeds numerically; force failure
-        # with an actually repeated point and a zero-amplitude-like scale.
+        # at every rung with an indefinite fill (eigenvalues 3 and -1).
         with pytest.raises(ValueError):
             fit_gp(M12, [0.1, 0.2], [1.0], nugget=0.0)
         try:
-            gp._factor(lambda: np.ones((2, 2), order="F"), 0.0, 0.0)
+            gp._factor(lambda: np.array([[1.0, 2.0], [2.0, 1.0]], order="F"), 0.0)
         except SingularGramError as exc:
             assert exc.nugget == pytest.approx(1e-4)
         else:
@@ -243,13 +243,13 @@ class TestFitHyperparameters:
             assert policy.level_fit(w0, y0, dim=1).kernel == baseline
 
 
-def _potrf_ladder(matrix, nugget, scale=1.0):
-    """The ladder the test's way: potrf of ``matrix + rung * scale * I`` at each rung; (factor, rung, rungs tried)."""
+def _potrf_ladder(matrix, nugget):
+    """The ladder the test's way: potrf of ``matrix + rung * I`` at each rung; (factor, rung, rungs tried)."""
     from scipy.linalg.lapack import dpotrf
 
     current, rungs = nugget, 1
     while True:
-        chol, info = dpotrf(matrix + current * scale * np.eye(len(matrix)), lower=1, clean=1)
+        chol, info = dpotrf(matrix + current * np.eye(len(matrix)), lower=1, clean=1)
         if info == 0:
             return chol, current, rungs
         current, rungs = max(current, 1e-12) * 10.0, rungs + 1
@@ -260,25 +260,25 @@ class TestNuggetLadder:
     """``_factor``, the one ladder, reads the lower triangle only and refills its matrix at each rung."""
 
     @staticmethod
-    def _lower_with_garbage_above(points, scale):
+    def _lower_with_garbage_above(points, amplitude):
         # the ladder's callers promise only the lower triangle
-        lower = np.tril(gram(Kernel.matern(0.5, 1.0, amplitude=scale), np.reshape(points, (-1, 1))))
+        lower = np.tril(gram(Kernel.matern(0.5, 1.0, amplitude=amplitude), np.reshape(points, (-1, 1))))
         upper = np.triu(np.random.default_rng(26).standard_normal((len(points), len(points))), 1)
         return lower + 1e6 * upper
 
     @pytest.mark.parametrize("order", ["C", "F"])  # the search passes a Fortran-order work matrix
     @pytest.mark.parametrize(
-        "points, scale, nugget",
+        "points, amplitude, nugget",
         [([0.1, 0.35, 0.6, 0.9], 1.0, 0.0), ([0.1, 0.35, 0.6, 0.9], 2.5, 1e-10), ([0.5, 0.5, 0.9], 2.5, 0.0)],
     )
-    def test_factor_equals_potrf_of_the_shifted_lower_triangle(self, points, scale, nugget, order):
+    def test_factor_equals_potrf_of_the_shifted_lower_triangle(self, points, amplitude, nugget, order):
         from scipy.linalg.lapack import dpotrf
 
-        matrix = np.array(self._lower_with_garbage_above(points, scale), order=order)
+        matrix = np.array(self._lower_with_garbage_above(points, amplitude), order=order)
         before = matrix.copy()
-        chol, used = gp._factor(lambda: np.array(matrix, order=order), nugget, scale)
+        chol, used = gp._factor(lambda: np.array(matrix, order=order), nugget)
         assert (used > nugget) == (len(set(points)) < len(points))  # duplicates escalate the ladder
-        expected, info = dpotrf(matrix + used * scale * np.eye(len(points)), lower=1, clean=1)
+        expected, info = dpotrf(matrix + used * np.eye(len(points)), lower=1, clean=1)
         assert info == 0 and np.array_equal(chol, expected)
         assert matrix.tobytes() == before.tobytes()
 

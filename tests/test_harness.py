@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -235,14 +236,16 @@ class TestConfig:
             ("poisson", {"costs": [math.nan, 8.5e-3, 42.4e-3]}),
             ("poisson", {"costs": [1e-3, 8.5e-3, math.inf]}),
             ("ode", {"forcing": math.inf}),
+            ("ode", {"reference_refine": 513}),
         ],
         ids=["unknown-key", "str-costs", "float-nodes", "bool-nodes", "str-forcing", "float-refine", "zero-refine",
-             "negative-refine", "nan-costs", "inf-costs", "inf-forcing"],
+             "negative-refine", "nan-costs", "inf-costs", "inf-forcing", "oversized-refine"],
     )
     def test_bad_model_params_fail_before_the_sweep(self, model, params, tmp_path, monkeypatch):
         # model.params are checked, not converted: 4.7 nodes used to run as 4, forcing "50" as 50.0; and range
         # checked: reference_refine -1 measured every error against a reference of 0.0, NaN costs wrote cost=nan
-        # records, infinite forcing failed at the first cell
+        # records, infinite forcing failed at the first cell, and reference_refine past the grid cap asked for
+        # the whole reference grid at once
         raw = copy.deepcopy(BASE_CONFIG)
         raw["model"] = {"name": model, "params": params}
         raw["kernel"]["smoothness"] = 2.5  # Matern-5/2 has a closed form on both models' measures
@@ -992,6 +995,49 @@ class TestCli:
 
     def test_bad_usage_is_config_error(self):
         assert main(["allocate", "--costs", "1,2", "--budget", "1"]) == 1
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            (None, r"cannot read records .*records\.csv: .*No such file"),
+            ("", r"records .*records\.csv, line 1: no CSV header"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,1.0\n", r"records .*, line 2: expected 8 fields, got 3"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,0.2,0.3,38;15;3\n0,mlbq,x,1.5,0.1,0.2,0.3,3\n",
+             r"records .*, line 3: could not convert string to float: 'x'"),
+        ],
+        ids=["missing", "empty", "short-row", "bad-number"],
+    )
+    def test_calibrate_bad_records_is_config_error(self, tmp_path, capsys, text, match):
+        # a missing file, an empty one and a short row used to end in a traceback (FileNotFoundError,
+        # StopIteration, IndexError); a bad number exited 1 without naming the file or line
+        path = tmp_path / "records.csv"
+        if text is not None:
+            path.write_text(text)
+        assert main(["calibrate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert re.search(match, err), err
+
+    @pytest.mark.parametrize("command", ["estimate", "experiment", "calibrate"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, command):
+        # --out in a missing directory used to raise FileNotFoundError once the sweep had run
+        cfg_path, records = tmp_path / "cfg.json", tmp_path / "records.csv"
+        cfg_path.write_text(json.dumps(dict(BASE_CONFIG, replications=1)))
+        write_records_csv([ResultRecord(0, "mlbq", 1.0, 5.0, 1.0, 0.1, 1.0, (3,))], records)
+        out = tmp_path / "no" / "such" / "out.csv"
+        args = [str(records)] if command == "calibrate" else ["--config", str(cfg_path)]
+        assert main([command, *args, "--out", str(out)]) == 1
+        assert re.search(r"^config error: cannot write .*out\.csv: .*No such file", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
+        # --jobs -3 used to exit 0 and run serially
+        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+            run_experiment(config(), jobs=jobs)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(BASE_CONFIG))
+        assert main(["estimate", "--config", str(cfg_path), "--jobs", str(jobs)]) == 1
+        assert capsys.readouterr().err == f"config error: jobs must be >= 1, got {jobs}\n"
 
     def test_calibrate_without_bayesian_records(self, tmp_path):
         records = [ResultRecord(0, "mlmc", 1.0, 5.0, None, 0.1, 1.0, (3,))]

@@ -302,13 +302,18 @@ class TestRegistry:
             ("ode", {"forcing": 10**400}, "forcing must be int or float and finite"),
             ("step", {"high": 0.0}, "high must be int or float > 0 and finite"),
             ("step", {"high": math.inf}, "high must be int or float > 0 and finite"),
+            ("ode", {"reference_refine": 513}, r"reference_refine must be int <= 512 at top spacing 1/128 "),
+            ("ode", {"spacings": (1 / 8, 1 / 32, 1 / 4096), "reference_refine": 17},
+             r"reference_refine must be int <= 16 at top spacing 1/4096 \(65536 reference grid rows\)"),
         ],
         ids=["zero-nodes", "one-breakpoint", "zero-refine", "negative-refine", "nan-costs", "inf-costs", "zero-costs",
-             "inf-forcing", "nan-forcing", "huge-int-forcing", "zero-high", "inf-high"],
+             "inf-forcing", "nan-forcing", "huge-int-forcing", "zero-high", "inf-high", "oversized-refine",
+             "oversized-refine-fine-top"],
     )
     def test_params_are_range_checked(self, name, params, match):
         # reference_refine -1 gave a reference of 0.0 and 0 divided by zero; NaN costs gave cost=nan records
-        # and passed the budget check; infinite forcing failed only at the first cell's evaluation
+        # and passed the budget check; infinite forcing failed only at the first cell's evaluation;
+        # reference_refine 100000 asked for a 4.58 GiB reference grid and failed with a MemoryError
         with pytest.raises(ValueError, match=match):
             make_model(name, **params)
 

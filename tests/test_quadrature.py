@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from mlbq import gp
 from mlbq.designs import generate_design
-from mlbq.gp import fit_gp, fit_hyperparameters, mle_amplitude
+from mlbq.gp import fit_gp, fit_hyperparameters
 from mlbq.kernels import Kernel, ProductMeasure, as_points, gram, initial_error, kernel_mean
 from mlbq.models import PoissonHierarchy, StepHierarchy
 from mlbq.quadrature import (
@@ -16,7 +16,6 @@ from mlbq.quadrature import (
     bq_posterior,
     mlbq_estimate,
     mlmc_estimate,
-    sk_mlbq_estimate,
 )
 
 U01 = ProductMeasure.uniform(0.0, 1.0)
@@ -260,143 +259,3 @@ class TestMlbq:
         monkeypatch.setattr(gp, "cholesky", lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
         mlbq_estimate(fits, U01)
         assert calls == []
-
-
-class TestSkMlbq:
-    @staticmethod
-    def _levels(seed=25, sizes=(4, 3, 2)):
-        rng = np.random.default_rng(seed)
-        return [LevelData(rng.random((n, 1)), rng.standard_normal(n)) for n in sizes]
-
-    def test_identity_coupling_equals_mlbq(self):
-        levels = self._levels()
-        k = Kernel.matern(0.5, 0.9, amplitude=0.8)
-        independent = mlbq_estimate(conditioned(levels, [k] * 3), U01)
-        joint = sk_mlbq_estimate(levels, k, np.eye(3), U01)
-        assert joint.mean == pytest.approx(independent.mean, abs=1e-10)
-        assert joint.variance == pytest.approx(independent.variance, abs=1e-10)
-
-    def test_two_level_joint_conditioning_oracle(self):
-        # hand-assembled 2x2 joint-Gaussian conditioning
-        k = Kernel.matern(0.5, 0.9, amplitude=0.8)
-        levels = [LevelData([0.3], [1.0]), LevelData([0.7], [0.4])]
-        b = np.array([[1.0, 0.2], [0.2, 1.0]])
-        post = sk_mlbq_estimate(levels, k, b, U01, nugget=0.0)
-        cov = gram(k, [[0.3], [0.7]]) * b
-        z = np.array(
-            [b[:, 0].sum() * kernel_mean(k, U01, 0.3), b[:, 1].sum() * kernel_mean(k, U01, 0.7)]
-        )
-        y = np.array([1.0, 0.4])
-        inv = np.linalg.inv(cov)
-        assert post.mean == pytest.approx(float(z @ inv @ y), abs=1e-10)
-        assert post.variance == pytest.approx(float(b.sum() * initial_error(k, U01) - z @ inv @ z), abs=1e-10)
-
-    def test_duplicated_point_escalates_the_nugget(self, monkeypatch):
-        # a repeated level-0 point makes the joint Gram matrix singular: at nugget 0 the first rung
-        # fails, the second (1e-11) factors, and the posterior is the dense solve at that rung
-        k = Kernel.matern(0.5, 0.9, amplitude=0.8)
-        levels = [LevelData([0.2, 0.2, 0.6], [1.0, 1.0, 0.3]), LevelData([0.45, 0.9], [0.1, -0.2])]
-        b = np.array([[1.0, 0.2], [0.2, 1.0]])
-        calls = []
-        original = gp.cholesky
-        monkeypatch.setattr(gp, "cholesky", lambda m, *a, **kw: calls.append(m.shape[0]) or original(m, *a, **kw))
-        post = sk_mlbq_estimate(levels, k, b, U01, nugget=0.0)
-        assert calls == [5, 5]
-        points, block = np.array([[0.2], [0.2], [0.6], [0.45], [0.9]]), [0, 0, 0, 1, 1]
-        cov = gram(k, points) * b[np.ix_(block, block)] + 1e-11 * k.amplitude * np.eye(5)
-        z = b[:, block].sum(axis=0) * kernel_mean(k, U01, points)
-        y = np.array([1.0, 1.0, 0.3, 0.1, -0.2])
-        prior = b.sum() * initial_error(k, U01)
-        assert post.mean == pytest.approx(float(z @ np.linalg.solve(cov, y)), rel=1e-9)
-        assert post.variance == pytest.approx(float(prior - z @ np.linalg.solve(cov, z)), rel=1e-9)
-
-    def test_factor_is_the_assembled_joint_gram_matrix(self, monkeypatch):
-        # the joint matrix is built in place in Fortran order: potrf receives the blocks
-        # B[l, l'] c(W_l, W_l') plus the nugget on the diagonal, bit for bit, so the posterior is unchanged;
-        # potrf reads the lower triangle only, and the blocks above the diagonal are never filled
-        levels = self._levels(sizes=(40, 15, 6))
-        k = Kernel.matern(0.5, 0.9, amplitude=0.8)
-        b = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
-        seen = []
-        original = gp.cholesky
-        monkeypatch.setattr(
-            gp, "cholesky", lambda m, *a, **kw: seen.append((m.flags.f_contiguous, m.copy())) or original(m, *a, **kw)
-        )
-        sk_mlbq_estimate(levels, k, b, U01)
-        joint = np.block([[b[i, j] * gram(k, li.points, lj.points) for j, lj in enumerate(levels)]
-                          for i, li in enumerate(levels)])
-        joint[np.diag_indices(61)] += 1e-10 * k.amplitude
-        assert len(seen) == 1 and seen[0][0] and np.array_equal(np.tril(seen[0][1]), np.tril(joint))
-
-    def test_peak_memory(self):
-        # one n x n array: the joint Gram matrix, factored in place (assembling it in C order
-        # and copying it to Fortran order peaked at 2.14 n^2 doubles)
-        import tracemalloc
-
-        rng = np.random.default_rng(35)
-        levels = [LevelData(rng.random((m, 1)), rng.standard_normal(m)) for m in (300, 100)]
-        k = Kernel.matern(0.5, 0.3)
-        b = np.array([[1.0, 0.2], [0.2, 1.0]])
-        sk_mlbq_estimate(levels, k, b, U01)
-        tracemalloc.start()
-        try:
-            sk_mlbq_estimate(levels, k, b, U01)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 400 * 400 * 8
-
-    def test_cross_level_coupling_degrades_gracefully(self):
-        # weak coupling stays comparable to the independent estimator,
-        # strong coupling is clearly worse (seeded stochastic check)
-        model = PoissonHierarchy()
-        ref = model.reference_integral()
-        k12 = Kernel.matern(0.5, 1.0)
-
-        def mean_error(off_diagonal=None, reps=40):
-            errors = []
-            for rep in range(reps):
-                levels = []
-                for level, n in enumerate((67, 11, 2)):
-                    w = generate_design("iid", U01, n, seed=1009 * rep + level).points
-                    levels.append(LevelData(w, model.increments(level, w[:, 0])))
-                pooled_w = np.vstack([lv.points for lv in levels])
-                pooled_y = np.concatenate([lv.values for lv in levels])
-                sigma = mle_amplitude(k12, pooled_w, pooled_y)
-                kernel = k12.with_amplitude(max(sigma**2, 1e-12))
-                if off_diagonal is None:
-                    post = mlbq_estimate(conditioned(levels, [kernel] * 3), U01)
-                else:
-                    b = np.full((3, 3), off_diagonal)
-                    np.fill_diagonal(b, 1.0)
-                    post = sk_mlbq_estimate(levels, kernel, b, U01)
-                errors.append(abs(post.mean - ref))
-            return float(np.mean(errors))
-
-        base = mean_error()
-        weak = mean_error(0.01)
-        strong = mean_error(0.1)
-        assert weak <= 1.5 * base
-        assert strong > 1.5 * base
-
-    def test_rejects_bad_coupling_matrices(self):
-        levels = self._levels(sizes=(2, 2))
-        with pytest.raises(ValueError, match="symmetric"):
-            sk_mlbq_estimate(levels, M12, np.array([[1.0, 0.3], [0.2, 1.0]]), U01)
-        with pytest.raises(ValueError, match="positive definite"):
-            sk_mlbq_estimate(levels, M12, np.array([[1.0, 1.2], [1.2, 1.0]]), U01)
-        with pytest.raises(ValueError, match="must be 2x2"):
-            sk_mlbq_estimate(levels, M12, np.eye(3), U01)
-
-    def test_support_error_names_the_position(self):
-        levels = [LevelData([0.5], [1.0]), LevelData([2.5], [1.0])]
-        with pytest.raises(ValueError, match="level 1 points fall outside"):
-            sk_mlbq_estimate(levels, M12, np.eye(2), U01)
-
-    def test_per_level_attribution_sums_exactly(self):
-        levels = self._levels(seed=26)
-        k = Kernel.squared_exponential(0.6, amplitude=1.1)
-        b = np.array([[1.0, 0.05, 0.02], [0.05, 1.0, 0.05], [0.02, 0.05, 1.0]])
-        post = sk_mlbq_estimate(levels, k, b, U01)
-        assert sum(post.level_means) == pytest.approx(post.mean, rel=1e-12)
-        assert sum(post.level_variances) == pytest.approx(post.variance, rel=1e-9)
