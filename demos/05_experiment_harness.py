@@ -2,9 +2,13 @@
 
 A JSON-able config names the model, the estimators with their designs,
 the kernel policy, budgets and per-budget sample sizes, a replication
-count and a master seed.  The harness evaluates each (budget,
-replication) cell once per distinct data group, feeds identical data to
-estimators that share a group, and emits append-only records.  Reruns are
+count and a master seed.  Before any cell runs, every estimator's design
+is checked against the model's measure (a grid needs bounded marginals).
+In each (budget, replication) cell, estimators that share a design kind
+and sample sizes (a data group) consume identical evaluations.  One reuse
+rule saves work: a grid or Halton cell ignores the seed, so it is
+computed once and reused in every replication; IID and Latin hypercube
+cells, like the ones here, are computed in each.  Reruns are
 byte-identical, also under worker-process parallelism.
 
 The same sweep is available from the shell:

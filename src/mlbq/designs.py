@@ -25,7 +25,7 @@ from scipy.special import ndtri
 
 from .kernels import ProductMeasure, Uniform
 
-__all__ = ["Design", "generate_design", "halton_sequence", "DESIGN_KINDS"]
+__all__ = ["Design", "check_design", "generate_design", "halton_sequence", "DESIGN_KINDS"]
 
 DESIGN_KINDS = ("iid", "grid", "halton", "lhs")
 
@@ -81,25 +81,27 @@ def _through_marginal(u: np.ndarray, marginal) -> np.ndarray:
     return ndtri(u)
 
 
-def generate_design(kind: str, measure: ProductMeasure, n: int, seed=None) -> Design:
-    """Generate an n-point design for the given product measure.
-
-    Grid designs need bounded marginals and, in d > 1, an n that is a
-    perfect d-th power.
-    """
-    kind = kind.lower()
+def check_design(kind: str, measure: ProductMeasure, n: int):
+    """Raise ValueError unless an n-point ``kind`` design exists on ``measure``: a grid needs bounded
+    marginals and, in d > 1, an n that is a perfect d-th power."""
     if kind not in DESIGN_KINDS:
         raise ValueError(f"unknown design kind {kind!r}; choose from {DESIGN_KINDS}")
     if n < 1:
         raise ValueError(f"need n >= 1 points, got {n}")
+    if kind == "grid" and not measure.is_bounded():
+        raise ValueError("grid designs need bounded (uniform) marginals")
+    if kind == "grid" and round(n ** (1.0 / measure.dim)) ** measure.dim != n:
+        raise ValueError(f"grid in d={measure.dim} needs n to be a d-th power, got {n}")
+
+
+def generate_design(kind: str, measure: ProductMeasure, n: int, seed=None) -> Design:
+    """Generate an n-point design for the given product measure (``check_design`` says which exist)."""
+    kind = kind.lower()
+    check_design(kind, measure, n)
     d = measure.dim
 
     if kind == "grid":
-        if not measure.is_bounded():
-            raise ValueError("grid designs need bounded (uniform) marginals")
         per_dim = round(n ** (1.0 / d))
-        if per_dim**d != n:
-            raise ValueError(f"grid in d={d} needs n to be a d-th power, got {n}")
         axes = [np.linspace(m.a, m.b, per_dim) if per_dim > 1 else np.array([(m.a + m.b) / 2.0])
                 for m in measure.marginals]
         mesh = np.meshgrid(*axes, indexing="ij")

@@ -184,7 +184,7 @@ def mle_amplitude(kernel: Kernel, points, y, nugget=NUGGET) -> float:
 def profiled_log_marginal_likelihood(kernel: Kernel, points, y, nugget=NUGGET) -> float:
     """Marginal log-likelihood with the amplitude profiled out in closed form.
 
-    Equals the full Gaussian log-likelihood (``oracles.lml_dense``) at
+    Equals the full Gaussian log-likelihood (the tests' dense oracle) at
     amplitude sigma*^2 and is the objective the lengthscale search maximises.
     Degenerates to +inf as the residual vanishes, so all-zero residuals are special-cased by callers.
     """

@@ -6,15 +6,15 @@ sizes (explicit table or allocation formula), a replication count and a
 master seed.  ``run_experiment`` builds the model, computes its reference
 integral and resolves each budget's sample sizes once per sweep, then
 walks (budget, replication) cells: every estimator that shares a design
-kind, sample sizes and data mode within a cell consumes the identical
-evaluations (content-hashed), and all randomness derives from the master
-seed through spawned child seeds, so reruns are byte-identical.  Within
-one task (a budget and a run of its replications), a cell whose
-estimator and data hash repeat an earlier cell's, as a deterministic
-design's do in every replication, is computed once and its result then
-reused.  Under ``--jobs`` parallelism the workers receive the config,
-model, reference and sample sizes as they are, and records are collected
-in submission order, so the output matches the serial run.
+kind, sample sizes and data mode (a group) within a cell consumes the
+identical evaluations, and all randomness derives from the master seed
+through spawned child seeds, so reruns are byte-identical.  One reuse
+rule holds within a task (a budget and a run of its replications): a
+grid or Halton cell ignores the seed, so each estimator computes it once
+per task; every other cell is computed in its own replication.  Under
+``--jobs`` parallelism the workers receive the config, model, reference
+and sample sizes as they are, and records are collected in submission
+order, so the output matches the serial run.
 
 Config schema (``schema_version: 1``)::
 
@@ -59,7 +59,8 @@ Nothing is coerced: kernel flags are JSON booleans; counts (each >= 1),
 ``replications`` and ``seed`` JSON integers; other numbers finite JSON
 numbers (``NaN`` and ``Infinity``, which Python's ``json`` reads, fail);
 ``output`` a string.  Before the sweep, a kernel with no closed form on
-the measure or bad ``model.params`` is a ConfigError.
+the measure, bad ``model.params`` or a design the measure cannot take
+(``designs.check_design``, as a grid on N(0, 1)) is a ConfigError.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .allocation import mlbq_allocation, mlmc_allocation
-from .designs import DESIGN_KINDS, generate_design
+from .designs import DESIGN_KINDS, check_design, generate_design
 from .gp import GPFit, SingularGramError, _fit_lengthscales, _profiled_fit
 from .kernels import Kernel, initial_error
 from .models import MODEL_NAMES, ModelError, _finite, make_model
@@ -390,7 +391,7 @@ def write_records_csv(records, path):
 def _record(row) -> ResultRecord:
     if len(row) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-    return ResultRecord(
+    record = ResultRecord(
         replication=int(row[0]),
         estimator=row[1],
         budget=float(row[2]),
@@ -400,10 +401,15 @@ def _record(row) -> ResultRecord:
         cost=float(row[6]),
         n_per_level=tuple(int(n) for n in row[7].split(";")) if row[7] else (),
     )
+    for name, value in (("variance", record.variance), ("abs_error", record.abs_error)):
+        if value is not None and not (_finite(value) and value >= 0):
+            raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return record
 
 
 def read_records_csv(path) -> list[ResultRecord]:
-    """The records of a ``write_records_csv`` file; an unreadable file or a malformed line is a ConfigError."""
+    """The records of a ``write_records_csv`` file; an unreadable file, a malformed line or a negative or
+    non-finite ``variance`` or ``abs_error`` is a ConfigError naming the path and the line."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -464,11 +470,12 @@ def _cell_cost(name: str, counts, costs) -> float:
 
 
 def validate_budget_accounting(cfg: ExperimentConfig, model) -> list[dict[str, tuple[int, ...]]]:
-    """Every cell's realized cost must stay within one step of its budget.
+    """Every cell's realized cost must stay within one step of its budget, and each of its levels' designs
+    must exist on the model's measure (``designs.check_design``).
 
     Returns the checked per-estimator sample sizes, one dict per budget.
     """
-    costs = model.costs
+    costs, designs = model.costs, {est.name: est.design for est in cfg.estimators}
     per_budget = [_counts_for(cfg, model, bi) for bi in range(len(cfg.budgets))]
     for budget, counts_by_est in zip(cfg.budgets, per_budget):
         for name, counts in counts_by_est.items():
@@ -477,6 +484,11 @@ def validate_budget_accounting(cfg: ExperimentConfig, model) -> list[dict[str, t
                 raise ConfigError(
                     f"estimator {name!r} at budget {budget} costs {cost:.6g}, beyond the one-step slack"
                 )
+            try:
+                for n in counts:
+                    check_design(designs[name], model.measure, n)
+            except ValueError as exc:
+                raise ConfigError(f"estimator {name!r} ({designs[name]} design) at budget {budget}: {exc}") from exc
     return per_budget
 
 
@@ -486,51 +498,40 @@ def validate_budget_accounting(cfg: ExperimentConfig, model) -> list[dict[str, t
 
 
 def _data_hash(levels) -> str:
-    digest = hashlib.sha256()
-    for lv in levels:
-        digest.update(lv.points.tobytes())
-        digest.update(lv.values.tobytes())
-    return digest.hexdigest()
+    """The content hash of level data: sha256 of each level's points then values."""
+    return hashlib.sha256(b"".join(lv.points.tobytes() + lv.values.tobytes() for lv in levels)).hexdigest()
 
 
-def _build_groups(cfg, model, counts_by_est, budget_index, replication, seedless):
-    """Each estimator's (level data, data hash); each distinct (design, counts, single-level) group is built once.
+def _groups(cfg, counts_by_est):
+    """(estimator, group key, group number) of each allocated estimator, in config order: the key is
+    (design, counts, single-level), the number its position among the sorted distinct keys."""
+    keys = {est: (est.design, counts_by_est[est.name], est.name in SINGLE_LEVEL)
+            for est in cfg.estimators if est.name in counts_by_est}
+    numbers = {key: gi for gi, key in enumerate(sorted(set(keys.values())))}
+    return [(est, key, numbers[key]) for est, key in keys.items()]
 
-    A group draws each level's design and evaluates it there: ``model.increments`` for multilevel
-    estimators, the top level for single-level ones (as their one level).  Estimators in one group get
-    the same pair object.  A group whose data cannot be built gets a ``LevelFailure`` at the failing
-    level's list position instead, and only its estimators lose the cell.
-    A grid or Halton group is taken from ``seedless`` (the task's store, filled here) when an earlier
-    replication built it.
+
+def _group_data(cfg, model, budget_index, replication, key, number):
+    """One group's level data: each level's design, evaluated there.
+
+    Multilevel estimators take ``model.increments``; single-level ones the top level, as their one
+    level.  A level that cannot be built is a ``LevelFailure`` at its list position.
     """
-    keys = {
-        est.name: (est.design, counts_by_est[est.name], est.name in SINGLE_LEVEL)
-        for est in cfg.estimators
-        if est.name in counts_by_est
-    }
+    design_kind, counts, single = key
     top = model.levels - 1
-    groups = dict(seedless)
-    for gi, key in enumerate(sorted(set(keys.values()))):
-        design_kind, counts, single = key
-        if key in seedless:
-            continue
-        levels = []
-        try:
-            # single-level estimators sample the top level itself; the others sample increments
-            for level, n in zip([top] if single else range(len(counts)), counts):
-                seed = np.random.SeedSequence(cfg.seed, spawn_key=(budget_index, replication, gi, level))
-                points = generate_design(design_kind, model.measure, n, seed=seed).points
-                values = model.evaluate(top, points) if single else model.increments(level, points)
-                levels.append(LevelData(points, values))
-        except CELL_ERRORS as exc:
-            groups[key] = LevelFailure(len(levels), str(exc))
-            continue
-        digest = _data_hash(levels)
-        groups[key] = levels, digest
-        if design_kind in SEEDLESS_DESIGNS:
-            seedless[key] = groups[key]
-        log.debug("cell budget=%s rep=%s group=%s hash=%s", cfg.budgets[budget_index], replication, key, digest)
-    return {name: groups[key] for name, key in keys.items()}
+    levels = []
+    try:
+        # single-level estimators sample the top level itself; the others sample increments
+        for level, n in zip([top] if single else range(len(counts)), counts):
+            seed = np.random.SeedSequence(cfg.seed, spawn_key=(budget_index, replication, number, level))
+            points = generate_design(design_kind, model.measure, n, seed=seed).points
+            values = model.evaluate(top, points) if single else model.increments(level, points)
+            levels.append(LevelData(points, values))
+    except CELL_ERRORS as exc:
+        raise LevelFailure(len(levels), str(exc)) from exc
+    if log.isEnabledFor(logging.DEBUG):  # hashing every group's data costs about a tenth of an ODE sweep
+        log.debug("cell T=%s rep=%s group=%s hash=%s", cfg.budgets[budget_index], replication, key, _data_hash(levels))
+    return levels
 
 
 def _run_estimator(cfg, model, est: EstimatorSpec, levels):
@@ -550,39 +551,30 @@ def _run_estimator(cfg, model, est: EstimatorSpec, levels):
 def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, counts_by_est, replications):
     """One budget's records for ``replications``, in (replication, estimator) order.
 
-    Each replication's level data come from one ``_build_groups`` call; grid and Halton groups are
-    built in the task's first replication only.
-    A cell repeating an earlier successful cell's estimator and data hash reuses its
-    (estimate, variance); failures are not stored, so every replication reports its own.
+    A cell is keyed (estimator, group key) when its design ignores the seed (grid, Halton) and
+    (estimator, group key, replication) otherwise; a key already computed in this task reuses its
+    (estimate, variance), and a group's level data are built once per replication, when a cell first
+    needs them.  Failures are not kept, so every replication reports its own.
     """
     budget = cfg.budgets[budget_index]
-    records = []
-    results, seedless = {}, {}
+    groups = _groups(cfg, counts_by_est)
+    records, results = [], {}
     for rep in replications:
-        groups = _build_groups(cfg, model, counts_by_est, budget_index, rep, seedless)
-        for est in cfg.estimators:
-            if est.name not in groups:
-                continue
-            counts = counts_by_est[est.name]
+        data = {}
+        for est, key, number in groups:
+            cell = (est, key) if key[0] in SEEDLESS_DESIGNS else (est, key, rep)
             try:
-                if isinstance(groups[est.name], LevelFailure):
-                    raise groups[est.name]
-                levels, digest = groups[est.name]
-                key = (est, digest)
-                if key not in results:
-                    results[key] = _run_estimator(cfg, model, est, levels)
+                if cell not in results:
+                    if key not in data:
+                        data[key] = _group_data(cfg, model, budget_index, rep, key, number)
+                    results[cell] = _run_estimator(cfg, model, est, data[key])
             except ConfigError:
                 raise
             except CELL_ERRORS as exc:
                 log.warning("cell (T=%s, rep=%s, %s) failed: %s", budget, rep, est.name, exc)
                 continue
-            estimate, variance = results[key]
-            records.append(
-                ResultRecord.make(
-                    rep, est.name, budget, estimate, variance, reference,
-                    _cell_cost(est.name, counts, model.costs), counts,
-                )
-            )
+            records.append(ResultRecord.make(rep, est.name, budget, *results[cell], reference,
+                                             _cell_cost(est.name, key[1], model.costs), key[1]))
     return records
 
 
@@ -609,10 +601,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
     """Run the configured sweep; deterministic given the config.
 
     The model, its reference integral and each budget's sample sizes are
-    computed once here and handed to every (budget, replications) task as
-    they are.  Within a task a repeated cell (same estimator, same level
-    data) is computed once and then reused; reuse is exact, so how the
-    replications are split into tasks does not change the records.  With
+    computed once here, each (estimator, count)'s design checked against the
+    measure before any cell runs, and handed to every (budget, replications)
+    task as they are.  Within a task a grid or Halton cell is computed once
+    per estimator and reused; reuse is exact, so how the replications are
+    split into tasks does not change the records.  With
     ``jobs > 1`` the tasks run in worker processes and their records are
     collected in submission order, which is (budget, replication, estimator)
     order, so the parallel run produces byte-identical output to the serial

@@ -25,10 +25,11 @@ deterministic and machine independent.  Constructor parameters are checked,
 not converted, for type and range by one rule each; anything else is a
 ``ValueError``.  Costs are finite ints or floats > 0, one per level, with at
 least one level; ``interior_nodes`` ints >= 1; ``breakpoint_counts`` ints >= 2;
-``spacings`` 1/m for an integer m >= 3; ``reference_refine`` an int >= 1 with
-m * reference_refine <= ``MAX_REFERENCE_ROWS`` at the top level's m;
-``forcing`` finite; ``high`` finite and > 0.  ``evaluate`` reads its points as
-``kernels.as_points`` does, so points of the wrong dimension are a ValueError.
+``spacings`` 1/m for an integer m >= 3; each of these sizes (m for a spacing)
+at most ``MAX_REFERENCE_ROWS``, as is m * ``reference_refine`` (an int >= 1)
+at the top level's m; ``forcing`` finite; ``high`` finite and > 0.
+``evaluate`` reads its points as ``kernels.as_points`` does, so points of
+the wrong dimension are a ValueError.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def _flux_form(off):
 # ---------------------------------------------------------------------------
 
 _INTEGER, _NUMBER = (int,), (int, float)
-# Cap on the ODE reference grid, round(1 / spacings[-1]) * reference_refine rows of 48 Gauss nodes each.
+# Cap on each level's size (nodes, breakpoints, 1 / spacing) and on the ODE reference grid's rows of 48 Gauss nodes.
 MAX_REFERENCE_ROWS = 2**16
 
 
@@ -241,7 +242,8 @@ class PoissonHierarchy(MultifidelityModel):
     name = "poisson"
 
     def __init__(self, interior_nodes=(4, 16, 64), costs=(3.6e-3, 8.5e-3, 42.4e-3)):
-        self.interior_nodes = _typed(interior_nodes, _INTEGER, "interior_nodes", ">= 1", lambda p: p >= 1)
+        self.interior_nodes = _typed(interior_nodes, _INTEGER, "interior_nodes", f">= 1 and <= {MAX_REFERENCE_ROWS}",
+                                     lambda p: 1 <= p <= MAX_REFERENCE_ROWS)
         super().__init__(costs, self.interior_nodes)
         self.measure = ProductMeasure.uniform(0.0, 1.0)
         self._levels = [self._solve_level(p) for p in self.interior_nodes]
@@ -312,8 +314,9 @@ class OdeHierarchy(MultifidelityModel):
         costs=(1.0e-3, 2.6e-3, 21.8e-3),
         reference_refine=8,
     ):
-        spacings = _typed(spacings, _NUMBER, "spacings", "1/m for an integer m >= 3",
-                          lambda h: 0 < h < 0.5 and abs(round(1.0 / h) - 1.0 / h) <= 1e-9)
+        spacings = _typed(spacings, _NUMBER, "spacings", f"1/m for an integer 3 <= m <= {MAX_REFERENCE_ROWS}",
+                          lambda h: 0 < h < 0.5 and abs(round(1.0 / h) - 1.0 / h) <= 1e-9
+                          and round(1.0 / h) <= MAX_REFERENCE_ROWS)
         _typed([forcing], _NUMBER, "forcing", "and finite", _finite)
         _typed([reference_refine], _INTEGER, "reference_refine", ">= 1", lambda r: r >= 1)
         super().__init__(costs, spacings)
@@ -389,7 +392,8 @@ class StepHierarchy(MultifidelityModel):
     name = "step"
 
     def __init__(self, breakpoint_counts=(3, 5, 9), high=10.0, costs=(0.5e-3, 1.0e-3, 2.0e-3)):
-        self.breakpoint_counts = _typed(breakpoint_counts, _INTEGER, "breakpoint_counts", ">= 2", lambda p: p >= 2)
+        self.breakpoint_counts = _typed(breakpoint_counts, _INTEGER, "breakpoint_counts",
+                                        f">= 2 and <= {MAX_REFERENCE_ROWS}", lambda p: 2 <= p <= MAX_REFERENCE_ROWS)
         _typed([high], _NUMBER, "high", "> 0 and finite", lambda b: 0 < b and _finite(b))
         super().__init__(costs, self.breakpoint_counts)
         self.high = float(high)

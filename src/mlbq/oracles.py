@@ -2,24 +2,20 @@
 
 Each function here computes a quantity by a route independent of the
 implementation it checks: adaptive quadrature for kernel means, nested
-or single quadrature for initial errors, dense linear
-algebra for the marginal likelihood, slope integration for the
-Brownian-motion RKHS norm, and exhaustive lattice search for integerized
-allocations.  ``oracle_report``
-bundles the standard checks into (name, oracle value, implementation
-value, tolerance) rows for the command-line provenance report.
+or single quadrature for initial errors, and slope integration for the
+Brownian-motion RKHS norm.  ``oracle_report`` bundles the standard checks
+into (name, oracle value, implementation value, tolerance) rows for the
+command-line provenance report.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .allocation import AllocationError
 from .kernels import (
     BrownianMotion,
     Kernel,
@@ -28,7 +24,6 @@ from .kernels import (
     SquaredExponential,
     StandardNormal,
     Uniform,
-    as_points,
     gram,
     initial_error,
     kernel_mean,
@@ -39,9 +34,7 @@ __all__ = [
     "factor_profile",
     "kernel_mean_quadrature",
     "initial_error_quadrature",
-    "lml_dense",
     "slope_integral_norm",
-    "lattice_best_allocation",
     "OracleRow",
     "oracle_report",
 ]
@@ -111,17 +104,6 @@ def initial_error_quadrature(factor, marginal, epsabs=1e-11) -> float:
     return quad(inner, a, b, epsabs=epsabs, limit=400)[0] / (b - a) ** 2
 
 
-def lml_dense(kernel: Kernel, points, y, nugget=1e-10) -> float:
-    """Marginal log-likelihood via explicit inverse and determinant."""
-    w = as_points(points, kernel.dim)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    big = gram(kernel, w) + nugget * kernel.amplitude * np.eye(w.shape[0])
-    sign, logdet = np.linalg.slogdet(big)
-    if sign <= 0:
-        raise np.linalg.LinAlgError("covariance not positive definite")
-    return float(-0.5 * yv @ np.linalg.inv(big) @ yv - 0.5 * logdet - 0.5 * len(yv) * math.log(2 * math.pi))
-
-
 def slope_integral_norm(g: PiecewiseLinearFunction, h: PiecewiseLinearFunction | None = None) -> float:
     """sqrt of the integral of the squared slope of g - h (BM-RKHS oracle)."""
     if h is None:
@@ -130,30 +112,6 @@ def slope_integral_norm(g: PiecewiseLinearFunction, h: PiecewiseLinearFunction |
     diff = g(knots) - h(knots)
     slopes = np.diff(diff) / np.diff(knots)
     return float(math.sqrt(np.sum(slopes**2 * np.diff(knots))))
-
-
-def lattice_best_allocation(magnitudes, costs, budget, exponent, max_count=30):
-    """Exhaustive integer search over the within-budget lattice.
-
-    Feasible plans have at least one sample per level and cost at most the
-    budget.  The greedy integerizer spends at least the whole budget (its
-    last grant may overshoot by one step), so its objective should match
-    or beat this optimum.  Returns (best counts, best objective).
-    """
-    mags = np.asarray(magnitudes, dtype=float)
-    cvec = np.asarray(costs, dtype=float)
-    best, best_obj = None, math.inf
-    ranges = [range(1, max_count + 1)] * len(mags)
-    for counts in itertools.product(*ranges):
-        cost = float(cvec @ counts)
-        if cost > budget:
-            continue
-        obj = float(np.sum(mags * np.asarray(counts, dtype=float) ** (-exponent)))
-        if obj < best_obj:
-            best, best_obj = counts, obj
-    if best is None:
-        raise AllocationError("no feasible lattice point")
-    return best, best_obj
 
 
 # ---------------------------------------------------------------------------

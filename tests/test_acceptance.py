@@ -32,8 +32,10 @@ from mlbq.models import (
     poisson_exact_solution,
     POISSON_EXACT_INTEGRAL,
 )
-from mlbq.oracles import lattice_best_allocation, oracle_report, slope_integral_norm
+from mlbq.oracles import oracle_report, slope_integral_norm
 from mlbq.quadrature import LevelData, bq_posterior, mlbq_estimate
+
+from reference_oracles import lattice_best_allocation
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -11,7 +11,8 @@ from mlbq.allocation import (
     mlmc_allocation,
 )
 from mlbq.kernels import Kernel
-from mlbq.oracles import lattice_best_allocation
+
+from reference_oracles import lattice_best_allocation
 
 POISSON_V = (1.305e-3, 0.088e-3, 0.002e-3)
 POISSON_NORMS = (62.5e-3, 22.5e-3, 3.125e-3)

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from mlbq.designs import generate_design, halton_sequence
+from mlbq.designs import check_design, generate_design, halton_sequence
 from mlbq.kernels import ProductMeasure, StandardNormal, Uniform
 
 U01 = ProductMeasure.uniform(0.0, 1.0)
@@ -97,3 +99,20 @@ class TestGeneration:
     def test_needs_positive_count(self):
         with pytest.raises(ValueError):
             generate_design("iid", U01, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "kind, measure, n",
+        [("grid", U2, 10), ("grid", ProductMeasure((Uniform(0.0, 1.0), StandardNormal())), 4), ("sobol", U01, 4),
+         ("iid", U01, 0), ("grid", U2, 9), ("halton", ProductMeasure.standard_normal(), 5), ("lhs", U2, 7)],
+        ids=["grid-not-a-power", "grid-unbounded", "unknown-kind", "no-points", "grid", "halton-gaussian", "lhs"],
+    )
+    def test_check_design_is_the_rule_generate_design_applies(self, kind, measure, n):
+        # the sweep checks every (estimator, count) with check_design at load, so it must refuse exactly
+        # the designs generate_design cannot build, with the same message
+        try:
+            generate_design(kind, measure, n, seed=0)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                check_design(kind, measure, n)
+        else:
+            check_design(kind, measure, n)

@@ -16,8 +16,9 @@ from mlbq.gp import (
     profiled_log_marginal_likelihood,
 )
 from mlbq.kernels import BrownianMotion, Kernel, Matern, ProductMeasure, SquaredExponential, gram
-from mlbq.oracles import lml_dense
 from mlbq.quadrature import bq_posterior
+
+from reference_oracles import lml_dense
 
 M12 = Kernel.matern(0.5, 1.0)
 U01 = ProductMeasure.uniform(0.0, 1.0)

@@ -21,9 +21,10 @@ from mlbq.gp import SingularGramError
 from mlbq.harness import (
     ConfigError,
     ResultRecord,
-    _build_groups,
     _counts_for,
     _data_hash,
+    _group_data,
+    _groups,
     calibration_table,
     config_from_dict,
     load_config,
@@ -52,6 +53,12 @@ def config(**overrides):
     raw = copy.deepcopy(BASE_CONFIG)
     raw.update(overrides)
     return config_from_dict(raw)
+
+
+def group_data(cfg, model, counts, replication, budget_index=0):
+    """Each allocated estimator's level data in ``replication``, from the sweep's group-data helper."""
+    return {est.name: _group_data(cfg, model, budget_index, replication, key, number)
+            for est, key, number in _groups(cfg, counts)}
 
 
 def _fails_before_the_sweep(raw, tmp_path, monkeypatch, match=None):
@@ -252,6 +259,22 @@ class TestConfig:
         _fails_before_the_sweep(raw, tmp_path, monkeypatch)
 
     @pytest.mark.parametrize(
+        "estimators, table",
+        [([{"name": "mlbq", "design": "grid"}, {"name": "mlmc", "design": "iid"}],
+          {"mlbq": [20, 8, 3], "mlmc": [12, 5, 2]}),
+         ([{"name": "bq", "design": "grid"}], {"bq": [4]})],
+        ids=["ode-grid-mlbq", "ode-grid-bq"],
+    )
+    def test_design_the_measure_cannot_take_fails_before_the_sweep(self, estimators, table, tmp_path, monkeypatch):
+        # the ODE model's second marginal is N(0, 1), which no grid covers: every replication used to log a failed
+        # cell, and the command exited 0 without the grid estimator's rows
+        raw = dict(copy.deepcopy(BASE_CONFIG), model={"name": "ode", "params": {}}, estimators=estimators,
+                   kernel={"family": "se", "lengthscale": 1.0, "policy": "fixed"}, budgets=[0.1],
+                   allocation={"source": "table", "table": [table]})
+        match = rf"estimator '{estimators[0]['name']}' \(grid design\) at budget 0.1: grid designs need bounded"
+        _fails_before_the_sweep(raw, tmp_path, monkeypatch, match)
+
+    @pytest.mark.parametrize(
         "path, value",
         [
             (("replications",), True),
@@ -353,7 +376,7 @@ class TestAllocationResolution:
 
 
 class TestSharedData:
-    def test_same_group_shares_identical_level_data(self):
+    def test_same_group_shares_identical_level_data(self, monkeypatch):
         cfg = config(
             estimators=[{"name": "mlbq", "design": "iid"}, {"name": "mlmc", "design": "iid"}],
             allocation={"source": "table", "table": [[20, 8, 2]]},
@@ -361,27 +384,51 @@ class TestSharedData:
         model = make_model("poisson")
         counts = _counts_for(cfg, model, 0)
         assert counts["mlbq"] == counts["mlmc"] == (20, 8, 2)
-        groups = _build_groups(cfg, model, counts, 0, 0, {})
-        assert groups["mlbq"] is groups["mlmc"]  # both estimators consume the same data and hash
+        (_, key_a, number_a), (_, key_b, number_b) = _groups(cfg, counts)
+        assert (key_a, number_a) == (key_b, number_b)
+        seen, original = {}, harness._run_estimator
+
+        def captured(cfg, model, est, levels):
+            seen[est.name] = levels
+            return original(cfg, model, est, levels)
+
+        monkeypatch.setattr(harness, "_run_estimator", captured)
+        harness._run_cells(cfg, model, model.reference_integral(), 0, counts, range(1))
+        assert seen["mlbq"] is seen["mlmc"]  # both estimators consume the same level data
 
     def test_distinct_designs_get_distinct_groups(self):
         cfg = config()
         model = make_model("poisson")
-        groups = _build_groups(cfg, model, _counts_for(cfg, model, 0), 0, 0, {})
-        (levels_a, hash_a), (levels_b, hash_b) = groups["mlbq"], groups["mlmc"]
+        counts = _counts_for(cfg, model, 0)
+        (_, key_a, number_a), (_, key_b, number_b) = _groups(cfg, counts)
+        assert key_a != key_b and number_a != number_b
+        groups = group_data(cfg, model, counts, 0)
+        levels_a, levels_b = groups["mlbq"], groups["mlmc"]
         assert levels_a is not levels_b
-        assert hash_a != hash_b
-        assert (hash_a, hash_b) == (_data_hash(levels_a), _data_hash(levels_b))
+        assert _data_hash(levels_a) != _data_hash(levels_b)
+
+    def test_content_hash_logged_only_at_debug(self, monkeypatch, caplog):
+        # the hash is for the debug log alone; computing it for every group cost about a tenth of an ODE sweep
+        cfg = config(replications=1)
+        model = make_model("poisson")
+        counts, hashed = _counts_for(cfg, model, 0), []
+        monkeypatch.setattr(harness, "_data_hash", lambda levels: hashed.append(levels) or _data_hash(levels))
+        harness._run_cells(cfg, model, 0.0, 0, counts, range(1))
+        assert hashed == []
+        with caplog.at_level("DEBUG", logger="mlbq.harness"):
+            harness._run_cells(cfg, model, 0.0, 0, counts, range(1))
+        expected = {_data_hash(levels) for levels in group_data(cfg, model, counts, 0).values()}
+        assert {r.message.rsplit("hash=", 1)[1] for r in caplog.records if "hash=" in r.message} == expected
 
     def test_replications_differ_but_reruns_match(self):
         cfg = config()
         model = make_model("poisson")
         counts = _counts_for(cfg, model, 0)
-        g0 = _build_groups(cfg, model, counts, 0, 0, {})
-        g0_again = _build_groups(cfg, model, counts, 0, 0, {})
-        g1 = _build_groups(cfg, model, counts, 0, 1, {})
-        assert _data_hash(g0["mlmc"][0]) == _data_hash(g0_again["mlmc"][0])
-        assert _data_hash(g0["mlmc"][0]) != _data_hash(g1["mlmc"][0])
+        g0 = group_data(cfg, model, counts, 0)
+        g0_again = group_data(cfg, model, counts, 0)
+        g1 = group_data(cfg, model, counts, 1)
+        assert _data_hash(g0["mlmc"]) == _data_hash(g0_again["mlmc"])
+        assert _data_hash(g0["mlmc"]) != _data_hash(g1["mlmc"])
 
 
 class TestBuildGroups:
@@ -413,14 +460,13 @@ class TestBuildGroups:
         cfg = config(**overrides)
         model = make_model(cfg.model_name)
         counts = _counts_for(cfg, model, 0)
-        for name, (levels, digest) in _build_groups(cfg, model, counts, 0, 1, {}).items():
+        for name, levels in group_data(cfg, model, counts, 1).items():
             single = name in harness.SINGLE_LEVEL
             # single-level data is the top level's evaluations, as its one level
             assert len(levels) == (1 if single else 3)
             for level, lv in enumerate(levels):
                 expected = model.evaluate(model.levels - 1, lv.points) if single else model.increments(level, lv.points)
                 assert np.array_equal(lv.values, expected)
-            assert digest == _data_hash(levels)
 
     def test_seedless_group_built_once_per_task(self, monkeypatch):
         # a Halton group's points ignore the seed: 3 designs (one per level) over 5 replications, not 15,
@@ -483,7 +529,7 @@ class TestRunExperiment:
         counts = _counts_for(cfg, model, 0)
         for record in run_experiment(cfg):
             est = next(e for e in cfg.estimators if e.name == record.estimator)
-            levels, _ = _build_groups(cfg, model, counts, 0, record.replication, {})[est.name]
+            levels = group_data(cfg, model, counts, record.replication)[est.name]
             estimate, variance = harness._run_estimator(cfg, model, est, levels)
             assert (record.estimate, record.variance) == (estimate, variance)
 
@@ -501,6 +547,25 @@ class TestRunExperiment:
         assert all("mlbq" in message for message in failed)
         assert [(r.replication, r.estimator) for r in records] == [(0, "mlmc"), (1, "mlmc"), (2, "mlmc")]
         assert calls.count("mlbq") == 3
+
+    def test_level_data_failure_reported_in_every_replication(self, monkeypatch, caplog):
+        # a grid group's data are reused across replications only once built: a failed build is not kept, so each
+        # replication draws the grid again and reports its own failure
+        evaluate, generate, grids = PoissonHierarchy.evaluate, harness.generate_design, []
+
+        def nan_on_grid_top(self, level, points):
+            values = evaluate(self, level, points)
+            return values * np.nan if level == 2 and len(values) == 3 else values
+
+        monkeypatch.setattr(PoissonHierarchy, "evaluate", nan_on_grid_top)
+        monkeypatch.setattr(harness, "generate_design",
+                            lambda kind, *args, **kw: grids.append(kind) or generate(kind, *args, **kw))
+        with caplog.at_level("WARNING", logger="mlbq.harness"):
+            records = run_experiment(config(replications=3))
+        assert [(r.replication, r.estimator) for r in records] == [(0, "mlmc"), (1, "mlmc"), (2, "mlmc")]
+        assert [r.message for r in caplog.records if "failed" in r.message] == [
+            f"cell (T=0.376, rep={rep}, mlbq) failed: level 2: non-finite points or values" for rep in range(3)]
+        assert grids.count("grid") == 3 * 3
 
     def test_level_data_failure_fails_its_cell_only(self, monkeypatch, caplog, capsys):
         # one NaN in the 10-point level-2 evaluation, which only the grid mlbq cell at T = 1.503 makes; the
@@ -667,7 +732,7 @@ class TestRunExperiment:
         )
         model = make_model("ode")
         counts = validate_budget_accounting(cfg, model)[0]
-        levels, _ = _build_groups(cfg, model, counts, 0, 0, {})["mlbq"]
+        levels = group_data(cfg, model, counts, 0)["mlbq"]
         monkeypatch.setattr(gp, "cholesky", counted)
         harness._run_estimator(cfg, model, cfg.estimators[0], levels)
         assert calls == [20, 8, 3]
@@ -727,7 +792,7 @@ class TestRunExperiment:
         model = make_model("poisson")
         counts = validate_budget_accounting(cfg, model)[0]
         for r in run_experiment(cfg):
-            (level,), _ = _build_groups(cfg, model, counts, 0, r.replication, {})[r.estimator]
+            (level,) = group_data(cfg, model, counts, r.replication)[r.estimator]
             if r.estimator == "mc":
                 assert r.estimate == float(np.mean(level.values)) and r.variance is None
             else:
@@ -750,7 +815,7 @@ class TestRunExperiment:
         records = run_experiment(cfg)
         assert len(records) == 2
         for r in records:
-            levels, _ = _build_groups(cfg, model, counts, 0, r.replication, {})["mlbq"]
+            levels = group_data(cfg, model, counts, r.replication)["mlbq"]
             base = cfg.kernel.base_kernel(model.dim)
             posts = [bq_posterior(_profiled_fit(base, lv.points, lv.values), model.measure) for lv in levels]
             assert (r.estimate, r.variance) == (sum(p.mean for p in posts), sum(p.variance for p in posts))
@@ -1004,12 +1069,22 @@ class TestCli:
             (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,1.0\n", r"records .*, line 2: expected 8 fields, got 3"),
             (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,0.2,0.3,38;15;3\n0,mlbq,x,1.5,0.1,0.2,0.3,3\n",
              r"records .*, line 3: could not convert string to float: 'x'"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,-1.0,0.2,0.3,38;15;3\n",
+             r"records .*records\.csv, line 2: variance must be a finite number >= 0, got -1\.0"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,0.2,0.3,38;15;3\n0,mlbq,0.3,1.5,nan,0.2,0.3,38;15;3\n",
+             r"records .*records\.csv, line 3: variance must be a finite number >= 0, got nan"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,-0.1,0.3,38;15;3\n",
+             r"records .*records\.csv, line 2: abs_error must be a finite number >= 0, got -0\.1"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,inf,0.3,38;15;3\n",
+             r"records .*records\.csv, line 2: abs_error must be a finite number >= 0, got inf"),
         ],
-        ids=["missing", "empty", "short-row", "bad-number"],
+        ids=["missing", "empty", "short-row", "bad-number", "negative-variance", "nan-variance", "negative-abs-error",
+             "inf-abs-error"],
     )
     def test_calibrate_bad_records_is_config_error(self, tmp_path, capsys, text, match):
         # a missing file, an empty one and a short row used to end in a traceback (FileNotFoundError,
-        # StopIteration, IndexError); a bad number exited 1 without naming the file or line
+        # StopIteration, IndexError); a bad number exited 1 without naming the file or line; a negative variance
+        # exited 1 with only "math domain error", and a NaN variance or negative error printed a coverage table
         path = tmp_path / "records.csv"
         if text is not None:
             path.write_text(text)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlbq.harness import _build_groups, _pin_blas_threads, load_config, validate_budget_accounting
+from mlbq.harness import _group_data, _groups, _pin_blas_threads, load_config, validate_budget_accounting
 from mlbq.kernels import ProductMeasure, Uniform
 from mlbq.models import make_model
 from mlbq.quadrature import LevelData, mlbq_estimate
@@ -42,9 +42,9 @@ def _mlbq_cells(path):
     counts = validate_budget_accounting(cfg, model)
     for bi in range(len(cfg.budgets)):
         for rep in range(REPLICATIONS):
-            groups = _build_groups(cfg, model, counts[bi], bi, rep, {})
-            if "mlbq" in groups:
-                yield cfg, model, bi, rep, groups["mlbq"][0]
+            for est, key, number in _groups(cfg, counts[bi]):
+                if est.name == "mlbq":
+                    yield cfg, model, bi, rep, _group_data(cfg, model, bi, rep, key, number)
 
 
 def _posterior(cfg, model, levels, measure=None):

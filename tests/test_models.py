@@ -305,15 +305,20 @@ class TestRegistry:
             ("ode", {"reference_refine": 513}, r"reference_refine must be int <= 512 at top spacing 1/128 "),
             ("ode", {"spacings": (1 / 8, 1 / 32, 1 / 4096), "reference_refine": 17},
              r"reference_refine must be int <= 16 at top spacing 1/4096 \(65536 reference grid rows\)"),
+            ("ode", {"spacings": (1 / (2**16 + 1), 1 / 32, 1 / 128)},
+             r"spacings must be int or float 1/m for an integer 3 <= m <= 65536"),
+            ("poisson", {"interior_nodes": (4, 16, 2**16 + 1)}, "interior_nodes must be int >= 1 and <= 65536"),
+            ("step", {"breakpoint_counts": (3, 2**16 + 1, 9)}, "breakpoint_counts must be int >= 2 and <= 65536"),
         ],
         ids=["zero-nodes", "one-breakpoint", "zero-refine", "negative-refine", "nan-costs", "inf-costs", "zero-costs",
              "inf-forcing", "nan-forcing", "huge-int-forcing", "zero-high", "inf-high", "oversized-refine",
-             "oversized-refine-fine-top"],
+             "oversized-refine-fine-top", "oversized-coarse-spacing", "oversized-nodes", "oversized-breakpoints"],
     )
     def test_params_are_range_checked(self, name, params, match):
         # reference_refine -1 gave a reference of 0.0 and 0 divided by zero; NaN costs gave cost=nan records
         # and passed the budget check; infinite forcing failed only at the first cell's evaluation;
-        # reference_refine 100000 asked for a 4.58 GiB reference grid and failed with a MemoryError
+        # reference_refine 100000 asked for a 4.58 GiB reference grid and failed with a MemoryError; only the top
+        # spacing was capped, so spacings (1e-6, 1/32, 1/128) and interior_nodes (4, 16, 10**8) loaded
         with pytest.raises(ValueError, match=match):
             make_model(name, **params)
 
