@@ -96,7 +96,6 @@ def check_design(kind: str, measure: ProductMeasure, n: int):
 
 def generate_design(kind: str, measure: ProductMeasure, n: int, seed=None) -> Design:
     """Generate an n-point design for the given product measure (``check_design`` says which exist)."""
-    kind = kind.lower()
     check_design(kind, measure, n)
     d = measure.dim
 

@@ -8,10 +8,11 @@ on the lower triangle, made in place by the one nugget ladder ``_factor``, which
 refills its matrix when potrf fails.  A fit holds one n x n array: the Gram matrix,
 factored and rescaled in place.  Per level, the amplitude is chosen in closed
 form and the lengthscale by maximising the profiled marginal log-likelihood
-(log grid, then golden section).  The search sets up once per fit, factors its
-own work matrix in place, reuses repeated axis searches exactly and matches the
-public profiled likelihood bit for bit.  Per-axis searches after the first
-sweep climb the grid from that axis's last peak instead of scanning it all.
+(log grid, then golden section), one lengthscale shared by the searched axes:
+all axes tied, or one axis at a time.  The search sets up once per fit, factors
+its own work matrix in place, reuses repeated searches exactly and matches the
+public profiled likelihood bit for bit.  Searches after the first sweep climb
+the grid from their axes' last peak instead of scanning it all.
 Data are checked to be finite where they enter; a non-finite Gram matrix or
 likelihood raises.  Everything here is pure; ``GPFit`` is immutable.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -218,30 +220,23 @@ def _packed_pairs(w):
     return np.zeros((n, n), order="F"), cols * n + rows, [(w[rows, j], w[cols, j]) for j in range(w.shape[1])]
 
 
-def _axis_objective(kernel, axis, packed, resid, nugget):
-    """The profiled LML as a function of one log-lengthscale (``axis=None``: all tied).
+def _axis_objective(kernel, axes, packed, resid, nugget):
+    """The profiled LML as a function of one log-lengthscale shared by the searched ``axes`` (a tuple).
 
-    Works on the packed lower triangle potrf reads (``packed``, from ``_packed_pairs``): distances
-    and fixed factors are computed once per axis search and multiplied in the order ``gram`` uses.
-    Each evaluation's fill scatters them into the work matrix; ``_factor`` calls it again at each rung
-    after potrf fails (the failed factor wrote over the triangle).
+    Works on the packed lower triangle potrf reads (``packed``, from ``_packed_pairs``): each factor's
+    term, ``(factor, distances)`` if searched and ``(None, values)`` if not, is computed once per axis
+    search, and an evaluation multiplies the factors' values left to right, the order ``gram`` uses.
+    Each evaluation's fill scatters the product into the work matrix; ``_factor`` calls it again at each
+    rung after potrf fails (the failed factor wrote over the triangle).
     """
     work, at, coords = packed
     lower = work.ravel(order="F")  # a view of work
-    head, rest = None, []  # rest: (searched factor, distances) or a fixed factor's values
-    for j, (f, (x, x2)) in enumerate(zip(kernel.factors, coords)):
-        if hasattr(f, "lengthscale") and axis in (None, j):
-            rest.append((f, np.abs(x - x2)))
-        elif rest:
-            rest.append(f.corr(x, x2))
-        else:
-            head = f.corr(x, x2) if head is None else head * f.corr(x, x2)
+    terms = [(f, np.abs(x - x2)) if j in axes and hasattr(f, "lengthscale") else (None, f.corr(x, x2))
+             for j, (f, (x, x2)) in enumerate(zip(kernel.factors, coords))]
 
     def objective(log_g):
-        corr = head
-        for term in rest:
-            c = term[0].corr_at(term[1], math.exp(log_g)) if isinstance(term, tuple) else term
-            corr = c if corr is None else corr * c
+        g = math.exp(log_g)
+        corr = functools.reduce(operator.mul, [term if f is None else f.corr_at(term, g) for f, term in terms])
 
         def fill():
             lower[at] = corr
@@ -252,15 +247,15 @@ def _axis_objective(kernel, axis, packed, resid, nugget):
     return objective
 
 
-def _optimise_axis(kernel, axis, packed, resid, bounds, nugget, start=None):
-    """1-d profiled-LML search over one lengthscale (``axis=None``: all tied); the kernel and its grid peak.
+def _optimise_axis(kernel, axes, packed, resid, bounds, nugget, start=None):
+    """1-d profiled-LML search over the lengthscale of the searched ``axes``; the kernel and its grid peak.
 
     From ``start``, an inner grid index, the search climbs the grid to the first point that neither
     neighbour beats, stepping left when the left neighbour beats it and else right, and evaluates each
     point at most once.  With no ``start``, or one on the grid's edge (a profile flat toward a bound), it
     scans the whole grid.  Golden section then refines between the peak's neighbours.
     """
-    objective = _axis_objective(kernel, axis, packed, resid, nugget)
+    objective = _axis_objective(kernel, axes, packed, resid, nugget)
     grid = np.linspace(math.log(bounds[0]), math.log(bounds[1]), GRID_SIZE)
     if start in (None, 0, GRID_SIZE - 1):
         best = int(np.argmax([objective(g) for g in grid]))
@@ -272,19 +267,17 @@ def _optimise_axis(kernel, axis, packed, resid, bounds, nugget, start=None):
     left = grid[max(best - 1, 0)]
     right = grid[min(best + 1, GRID_SIZE - 1)]
     g = math.exp(_golden_max(objective, left, right))
-    if axis is None:
-        return kernel.with_lengthscales(g), best
-    ls = list(kernel.lengthscales)
-    ls[axis] = g
-    return kernel.with_lengthscales(ls), best
+    return kernel.with_lengthscales([g if j in axes else l for j, l in enumerate(kernel.lengthscales)]), best
 
 
 def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=NUGGET) -> Kernel:
     """The lengthscale search of :func:`fit_hyperparameters`; the amplitude is left as it is.
 
-    Set up once per call.  The first sweep scans each axis's grid; later sweeps climb it from that axis's
-    last peak.  An axis search reads neither its own factor's lengthscale nor the amplitude, so one whose
-    other factors equal an earlier search's on that axis returns its kernel and peak, not run again.
+    Set up once per call.  The searched axes are ``(j,)`` for each axis j in turn, over ``SWEEPS`` sweeps,
+    with ``per_dimension``, and else all axes, tied, once.  The first sweep scans each search's grid;
+    later sweeps climb it from that search's last peak.  A search reads neither its own factors'
+    lengthscales nor the amplitude, so one whose other factors equal an earlier search's on the same
+    axes returns its kernel and peak, not run again (in one dimension, every sweep after the first).
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi):
@@ -295,15 +288,13 @@ def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=NUG
     fitted = kernel.with_lengthscales(math.sqrt(lo * hi))
     if np.max(np.abs(resid)) == 0.0:
         return fitted
-    per_axis = per_dimension and kernel.dim > 1
-    # searched: (axis, the other factors) -> (fitted kernel, grid peak); peaks: axis -> its last grid peak
+    # searched: (axes, the other factors) -> (fitted kernel, grid peak); peaks: axes -> their last grid peak
     packed, searched, peaks = _packed_pairs(w), {}, {}
-    for _ in range(SWEEPS if per_axis else 1):
-        for axis in range(kernel.dim) if per_axis else [None]:
-            key = (axis, tuple(f for j, f in enumerate(fitted.factors) if j != axis))
-            if key not in searched:
-                searched[key] = _optimise_axis(fitted, axis, packed, resid, (lo, hi), nugget, peaks.get(axis))
-            fitted, peaks[axis] = searched[key]
+    for axes in [(j,) for j in range(kernel.dim)] * SWEEPS if per_dimension else [tuple(range(kernel.dim))]:
+        key = (axes, tuple(f for j, f in enumerate(fitted.factors) if j not in axes))
+        if key not in searched:
+            searched[key] = _optimise_axis(fitted, axes, packed, resid, (lo, hi), nugget, peaks.get(axes))
+        fitted, peaks[axes] = searched[key]
     return fitted
 
 
@@ -328,11 +319,12 @@ def fit_hyperparameters(
 
     The search is a ``GRID_SIZE``-point log-space grid over ``bounds``
     followed by golden-section refinement to ``REL_TOL`` in log-lengthscale
-    between the grid peak's neighbours.  With ``per_dimension`` it runs
-    ``SWEEPS`` sweeps over the axes, one factor's lengthscale at a time: the
-    first sweep scans each axis's grid, later ones climb it from that axis's
-    previous peak (a peak on the grid's edge is scanned again), so a later
-    search can stop at a lower local peak than a full scan would find.  It is
+    between the grid peak's neighbours.  Without ``per_dimension`` the
+    searched axes are all axes, tied to one lengthscale; with it they are one
+    axis at a time, over ``SWEEPS`` sweeps: the first sweep scans each axis's
+    grid, later ones climb it from that axis's previous peak (a peak on the
+    grid's edge is scanned again), so a later search can stop at a lower
+    local peak than a full scan would find.  It is
     derivative-free and deterministic given its inputs.  The
     returned fit's kernel carries the optimal lengthscales and amplitude
     sigma*^2; the fit is the one :func:`fit_gp` makes with that kernel,

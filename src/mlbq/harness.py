@@ -463,10 +463,9 @@ def _counts_for(cfg: ExperimentConfig, model, budget_index: int) -> dict[str, tu
     return out
 
 
-def _cell_cost(name: str, counts, costs) -> float:
-    if name in SINGLE_LEVEL:
-        return counts[0] * costs[-1]
-    return float(sum(n * c for n, c in zip(counts, costs)))
+def _cell_cost(counts, costs) -> float:
+    """A cell's declared cost: its counts paired with the last ``len(counts)`` level costs (one count: the top)."""
+    return float(sum(n * c for n, c in zip(counts, costs[-len(counts):])))
 
 
 def validate_budget_accounting(cfg: ExperimentConfig, model) -> list[dict[str, tuple[int, ...]]]:
@@ -479,7 +478,7 @@ def validate_budget_accounting(cfg: ExperimentConfig, model) -> list[dict[str, t
     per_budget = [_counts_for(cfg, model, bi) for bi in range(len(cfg.budgets))]
     for budget, counts_by_est in zip(cfg.budgets, per_budget):
         for name, counts in counts_by_est.items():
-            cost = _cell_cost(name, counts, costs)
+            cost = _cell_cost(counts, costs)
             if cost > budget + max(costs) + 1e-12:
                 raise ConfigError(
                     f"estimator {name!r} at budget {budget} costs {cost:.6g}, beyond the one-step slack"
@@ -554,7 +553,8 @@ def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, count
     A cell is keyed (estimator, group key) when its design ignores the seed (grid, Halton) and
     (estimator, group key, replication) otherwise; a key already computed in this task reuses its
     (estimate, variance), and a group's level data are built once per replication, when a cell first
-    needs them.  Failures are not kept, so every replication reports its own.
+    needs them.  A group that cannot be built keeps its ``LevelFailure`` for that replication, which
+    fails each estimator sharing it; failures are not kept across replications, so each reports its own.
     """
     budget = cfg.budgets[budget_index]
     groups = _groups(cfg, counts_by_est)
@@ -566,7 +566,12 @@ def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, count
             try:
                 if cell not in results:
                     if key not in data:
-                        data[key] = _group_data(cfg, model, budget_index, rep, key, number)
+                        try:
+                            data[key] = _group_data(cfg, model, budget_index, rep, key, number)
+                        except LevelFailure as exc:
+                            data[key] = exc
+                    if isinstance(data[key], LevelFailure):
+                        raise data[key]
                     results[cell] = _run_estimator(cfg, model, est, data[key])
             except ConfigError:
                 raise
@@ -574,7 +579,7 @@ def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, count
                 log.warning("cell (T=%s, rep=%s, %s) failed: %s", budget, rep, est.name, exc)
                 continue
             records.append(ResultRecord.make(rep, est.name, budget, *results[cell], reference,
-                                             _cell_cost(est.name, key[1], model.costs), key[1]))
+                                             _cell_cost(key[1], model.costs), key[1]))
     return records
 
 

@@ -103,8 +103,10 @@ class TestGeneration:
     @pytest.mark.parametrize(
         "kind, measure, n",
         [("grid", U2, 10), ("grid", ProductMeasure((Uniform(0.0, 1.0), StandardNormal())), 4), ("sobol", U01, 4),
-         ("iid", U01, 0), ("grid", U2, 9), ("halton", ProductMeasure.standard_normal(), 5), ("lhs", U2, 7)],
-        ids=["grid-not-a-power", "grid-unbounded", "unknown-kind", "no-points", "grid", "halton-gaussian", "lhs"],
+         ("iid", U01, 0), ("grid", U2, 9), ("halton", ProductMeasure.standard_normal(), 5), ("lhs", U2, 7),
+         ("Grid", U2, 9)],
+        ids=["grid-not-a-power", "grid-unbounded", "unknown-kind", "no-points", "grid", "halton-gaussian", "lhs",
+             "upper-case-kind"],
     )
     def test_check_design_is_the_rule_generate_design_applies(self, kind, measure, n):
         # the sweep checks every (estimator, count) with check_design at load, so it must refuse exactly

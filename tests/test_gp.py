@@ -300,40 +300,41 @@ class TestNuggetLadder:
         assert calls == [2] and info.value.nugget == nugget
 
 
-def _with_lengthscale(kernel, axis, g):
-    if axis is None:
-        return kernel.with_lengthscales(g)
-    ls = list(kernel.lengthscales)
-    ls[axis] = g
-    return kernel.with_lengthscales(ls)
+def _with_lengthscale(kernel, axes, g):
+    return kernel.with_lengthscales([g if j in axes else l for j, l in enumerate(kernel.lengthscales)])
+
+
+THREE = Kernel((Matern(0.5, 0.3), SquaredExponential(0.8), Matern(2.5, 1.7)))
+OBJECTIVE_CASES = [
+    (Kernel.matern(0.5, 0.7), (0,)),
+    (Kernel.matern(2.5, 0.7), (0,)),
+    (Kernel.squared_exponential(0.7), (0,)),
+    (Kernel.matern(2.5, 0.7, dim=2), (0, 1)),
+    (Kernel.squared_exponential([0.4, 1.3], dim=2), (0,)),
+    (Kernel.squared_exponential([0.4, 1.3], dim=2), (1,)),
+    (THREE, (0, 1, 2)),
+    (THREE, (0,)),
+    (THREE, (1,)),
+    (THREE, (2,)),
+    (Kernel((BrownianMotion(), Matern(0.5, 0.7))), (0, 1)),
+]
 
 
 class TestLengthscaleSearch:
     """The search's objective is the public profiled likelihood, bit for bit."""
 
     @pytest.mark.parametrize(
-        "kernel, axis",
-        [
-            (Kernel.matern(0.5, 0.7), None),
-            (Kernel.matern(2.5, 0.7), None),
-            (Kernel.squared_exponential(0.7), None),
-            (Kernel.matern(2.5, 0.7, dim=2), None),
-            (Kernel.squared_exponential([0.4, 1.3], dim=2), 0),
-            (Kernel.squared_exponential([0.4, 1.3], dim=2), 1),
-            (Kernel((Matern(0.5, 0.3), SquaredExponential(0.8), Matern(2.5, 1.7))), None),
-            (Kernel((Matern(0.5, 0.3), SquaredExponential(0.8), Matern(2.5, 1.7))), 0),
-            (Kernel((Matern(0.5, 0.3), SquaredExponential(0.8), Matern(2.5, 1.7))), 1),
-            (Kernel((Matern(0.5, 0.3), SquaredExponential(0.8), Matern(2.5, 1.7))), 2),
-            (Kernel((BrownianMotion(), Matern(0.5, 0.7))), None),
-        ],
+        "kernel, axes", OBJECTIVE_CASES,
+        # tied searches (every axis) keep the id "None" they had when None meant tied
+        ids=[f"kernel{i}-{None if len(axes) == k.dim else axes[0]}" for i, (k, axes) in enumerate(OBJECTIVE_CASES)],
     )
-    def test_objective_equals_profiled_likelihood(self, kernel, axis):
+    def test_objective_equals_profiled_likelihood(self, kernel, axes):
         rng = np.random.default_rng(22)
         w = rng.random((17, kernel.dim))
         y = np.cos(4 * w.sum(axis=1)) + 0.1 * rng.standard_normal(17)
-        objective = _axis_objective(kernel, axis, _packed_pairs(w), y.copy(), 1e-10)
+        objective = _axis_objective(kernel, axes, _packed_pairs(w), y.copy(), 1e-10)
         for log_g in list(np.linspace(math.log(0.01), math.log(10.0), 32)) + [-0.37, 1.9]:
-            public = profiled_log_marginal_likelihood(_with_lengthscale(kernel, axis, math.exp(log_g)), w, y)
+            public = profiled_log_marginal_likelihood(_with_lengthscale(kernel, axes, math.exp(log_g)), w, y)
             assert objective(log_g) == public
 
     def test_objective_identity_through_the_nugget_ladder(self):
@@ -343,7 +344,7 @@ class TestLengthscaleSearch:
         y = np.array([1.0, 1.0, -0.5, -0.5, 0.3])
         kernel = Kernel.matern(2.5, 1.0)
         assert fit_gp(kernel, w, y, nugget=0.0).nugget > 0.0
-        objective = _axis_objective(kernel, None, _packed_pairs(w), y.copy(), 0.0)
+        objective = _axis_objective(kernel, (0,), _packed_pairs(w), y.copy(), 0.0)
         for log_g in np.linspace(math.log(0.01), math.log(10.0), 32):
             public = profiled_log_marginal_likelihood(kernel.with_lengthscales(math.exp(log_g)), w, y, nugget=0.0)
             assert objective(log_g) == public
@@ -354,12 +355,15 @@ class TestLengthscaleSearch:
         w = rng.random((19, 2))
         y = np.sin(3 * w[:, 0]) + w[:, 1] ** 2
         kernel = Kernel.matern(2.5, [0.4, 0.9], dim=2)
-        objective = _axis_objective(kernel, 0, _packed_pairs(w), y.copy(), 1e-10)
+        objective = _axis_objective(kernel, (0,), _packed_pairs(w), y.copy(), 1e-10)
         first, _, again = objective(-0.8), objective(0.6), objective(-0.8)
-        assert first == again == profiled_log_marginal_likelihood(_with_lengthscale(kernel, 0, math.exp(-0.8)), w, y)
+        assert first == again == profiled_log_marginal_likelihood(_with_lengthscale(kernel, (0,), math.exp(-0.8)), w, y)
         grid = [-2.0, -0.3, 1.1]
-        alone = [[_axis_objective(kernel, axis, _packed_pairs(w), y.copy(), 1e-10)(g) for g in grid] for axis in (0, 1)]
-        first_axis, second_axis = (_axis_objective(kernel, axis, _packed_pairs(w), y.copy(), 1e-10) for axis in (0, 1))
+        searches = [(0,), (1,)]
+        alone = [[_axis_objective(kernel, axes, _packed_pairs(w), y.copy(), 1e-10)(g) for g in grid]
+                 for axes in searches]
+        first_axis, second_axis = (_axis_objective(kernel, axes, _packed_pairs(w), y.copy(), 1e-10)
+                                   for axes in searches)
         interleaved = [(first_axis(g), second_axis(g)) for g in grid]
         assert [list(v) for v in zip(*interleaved)] == alone
 
@@ -377,7 +381,7 @@ class TestLengthscaleSearch:
         fills = []
         factor = gp._factor
         monkeypatch.setattr(gp, "_factor", lambda fill, *args: factor(lambda: fills.append(1) or fill(), *args))
-        objective = _axis_objective(kernel, None, _packed_pairs(w), y.copy(), 0.0)
+        objective = _axis_objective(kernel, (0,), _packed_pairs(w), y.copy(), 0.0)
         alternating = [g for pair in zip(short, long) for g in pair]
         values, per_evaluation = [], []
         for g in alternating:
@@ -399,7 +403,7 @@ class TestLengthscaleSearch:
         rng = np.random.default_rng(28)
         w = rng.random((n, 2))
         kernel = Kernel.matern(2.5, 0.7, dim=2)
-        objective = _axis_objective(kernel, 0, _packed_pairs(w), np.cos(4 * w.sum(axis=1)), 1e-10)
+        objective = _axis_objective(kernel, (0,), _packed_pairs(w), np.cos(4 * w.sum(axis=1)), 1e-10)
         objective(-0.5)
         tracemalloc.start()
         try:
@@ -444,7 +448,7 @@ class TestLengthscaleSearch:
         monkeypatch.setattr(gp, "_optimise_axis", lambda *args: axes.append(args[1]) or search(*args))
         kernel = Kernel.matern(2.5, 1.0, dim=2)
         fitted = fit_hyperparameters(kernel, w, y, bounds=(0.05, 10.0), per_dimension=True).kernel
-        assert axes == [0, 1, 0]
+        assert axes == [(0,), (1,), (0,)]
         # written by the implementation that ran all six axis searches
         assert fitted.lengthscales == (9.999612799751663, 1.0613261976859758)
         assert fitted.amplitude == 0.00016100926601522904
@@ -464,11 +468,11 @@ def _rescan_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=
     packed = _packed_pairs(w)
     grid = np.linspace(math.log(lo), math.log(hi), gp.GRID_SIZE)
     for _ in range(gp.SWEEPS if per_axis else 1):
-        for axis in range(kernel.dim) if per_axis else [None]:
-            objective = _axis_objective(fitted, axis, packed, resid, nugget)
+        for axes in [(j,) for j in range(kernel.dim)] if per_axis else [tuple(range(kernel.dim))]:
+            objective = _axis_objective(fitted, axes, packed, resid, nugget)
             best = int(np.argmax([objective(g) for g in grid]))
             left, right = grid[max(best - 1, 0)], grid[min(best + 1, gp.GRID_SIZE - 1)]
-            fitted = _with_lengthscale(fitted, axis, math.exp(gp._golden_max(objective, left, right)))
+            fitted = _with_lengthscale(fitted, axes, math.exp(gp._golden_max(objective, left, right)))
     return fitted
 
 
@@ -488,7 +492,7 @@ def _grid_profile(monkeypatch, values):
 def _climb(start):
     """The grid peak of one axis search started at ``start``, on the profile :func:`_grid_profile` set."""
     kernel = Kernel.matern(2.5, 1.0, dim=2)
-    return gp._optimise_axis(kernel, 0, None, None, (0.05, 10.0), 1e-10, start)[1]
+    return gp._optimise_axis(kernel, (0,), None, None, (0.05, 10.0), 1e-10, start)[1]
 
 
 class TestGridClimb:

@@ -567,6 +567,24 @@ class TestRunExperiment:
             f"cell (T=0.376, rep={rep}, mlbq) failed: level 2: non-finite points or values" for rep in range(3)]
         assert grids.count("grid") == 3 * 3
 
+    def test_failed_group_is_built_once_per_replication(self, monkeypatch, caplog):
+        # mlbq and mlmc share one iid (20, 8, 2) group, which a NaN at level 2 fails: the failure is kept for its
+        # replication, so each replication draws the group's three designs once, and each estimator reports it
+        evaluate, generate, drawn = PoissonHierarchy.evaluate, harness.generate_design, []
+        monkeypatch.setattr(PoissonHierarchy, "evaluate",
+                            lambda self, level, points: evaluate(self, level, points) * (np.nan if level == 2 else 1.0))
+        monkeypatch.setattr(harness, "generate_design",
+                            lambda kind, *args, **kw: drawn.append(kind) or generate(kind, *args, **kw))
+        cfg = config(estimators=[{"name": "mlbq", "design": "iid"}, {"name": "mlmc", "design": "iid"}],
+                     allocation={"source": "table", "table": [{"mlbq": [20, 8, 2], "mlmc": [20, 8, 2]}]},
+                     replications=2)
+        with caplog.at_level("WARNING", logger="mlbq.harness"):
+            assert run_experiment(cfg) == []
+        assert drawn == ["iid"] * 6
+        assert [r.message for r in caplog.records if "failed" in r.message] == [
+            f"cell (T=0.376, rep={rep}, {name}) failed: level 2: non-finite points or values"
+            for rep in range(2) for name in ("mlbq", "mlmc")]
+
     def test_level_data_failure_fails_its_cell_only(self, monkeypatch, caplog, capsys):
         # one NaN in the 10-point level-2 evaluation, which only the grid mlbq cell at T = 1.503 makes; the
         # failure used to escape the sweep, and the command exited 1 with no record
@@ -984,6 +1002,16 @@ class TestCalibration:
 
 
 class TestCli:
+    def test_import_loads_no_slow_scipy_subpackage(self):
+        # scipy.optimize, scipy.integrate and scipy.stats would each add 0.2-0.6 s to every process's start-up
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        slow = ("scipy.optimize", "scipy.integrate", "scipy.stats")
+        script = f"import sys, mlbq.cli; print(sorted(m for m in sys.modules if m.startswith({slow})))"
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert done.stdout.strip() == "[]"
+
     def test_allocate_exit_codes(self, capsys):
         assert main(["allocate", "--variances", "1,0.1", "--costs", "1,4", "--budget", "10"]) == 0
         out = capsys.readouterr().out
