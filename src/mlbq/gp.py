@@ -7,12 +7,12 @@ profiled likelihood and the fit at any amplitude.  Each factorisation is LAPACK 
 on the lower triangle, made in place by the one nugget ladder ``_factor``, which
 refills its matrix when potrf fails.  A fit holds one n x n array: the Gram matrix,
 factored and rescaled in place.  Per level, the amplitude is chosen in closed
-form and the lengthscale by maximising the profiled marginal log-likelihood
-(log grid, then golden section), one lengthscale shared by the searched axes:
-all axes tied, or one axis at a time.  The search sets up once per fit, factors
-its own work matrix in place, reuses repeated searches exactly and matches the
-public profiled likelihood bit for bit.  Searches after the first sweep climb
-the grid from their axes' last peak instead of scanning it all.
+form and the lengthscales by maximising the profiled marginal log-likelihood:
+all axes tied to one lengthscale (log grid, then golden section), or, per
+dimension, the best point of a joint log-grid refined by a compass search that
+only compares likelihood values.  The search sets up once per fit, factors its
+own work matrix in place, factors no point twice and matches the public
+profiled likelihood bit for bit.
 Data are checked to be finite where they enter; a non-finite Gram matrix or
 likelihood raises.  Everything here is pure; ``GPFit`` is immutable.
 """
@@ -20,6 +20,7 @@ likelihood raises.  Everything here is pure; ``GPFit`` is immutable.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -42,8 +43,8 @@ __all__ = [
 # Nugget ladder: relative jitter starts at the caller value (by default NUGGET) and is
 # multiplied by 10 on each Cholesky failure, up to MAX_NUGGET.
 NUGGET, MAX_NUGGET = 1e-10, 1e-4
-# Lengthscale search: log-grid points, golden-section tolerance in log-lengthscale, rounds over the axes.
-GRID_SIZE, REL_TOL, SWEEPS = 32, 1e-4, 3
+# Lengthscale search: tied log-grid points, joint log-grid points per axis, final step in log-lengthscale.
+GRID_SIZE, JOINT_GRID, REL_TOL = 32, 8, 1e-4
 
 
 class SingularGramError(np.linalg.LinAlgError):
@@ -213,30 +214,31 @@ def _golden_max(fn, lo, hi):
     return (a + b) / 2.0
 
 
-def _packed_pairs(w):
-    """Set-up shared by a fit's axis searches: work matrix, lower-triangle offsets, per-axis pair coordinates."""
+def _objective(kernel, w, resid, nugget):
+    """The profiled LML as a memoised function of a tuple of per-axis log-lengthscales.
+
+    Works on the packed lower triangle potrf reads.  Each factor with a lengthscale keeps its
+    correlations at the last value its axis was evaluated at, so a point that moves one axis runs one
+    correlation pass; a factor without one (Brownian) keeps its values and ignores its entry.  An
+    evaluation multiplies the factors' correlations left to right, the order ``gram`` uses, and its fill
+    scatters the product into the work matrix; ``_factor`` calls it again at each rung after potrf fails
+    (the failed factor wrote over the triangle).
+    """
     n = w.shape[0]
     cols, rows = np.triu_indices(n)
-    return np.zeros((n, n), order="F"), cols * n + rows, [(w[rows, j], w[cols, j]) for j in range(w.shape[1])]
-
-
-def _axis_objective(kernel, axes, packed, resid, nugget):
-    """The profiled LML as a function of one log-lengthscale shared by the searched ``axes`` (a tuple).
-
-    Works on the packed lower triangle potrf reads (``packed``, from ``_packed_pairs``): each factor's
-    term, ``(factor, distances)`` if searched and ``(None, values)`` if not, is computed once per axis
-    search, and an evaluation multiplies the factors' values left to right, the order ``gram`` uses.
-    Each evaluation's fill scatters the product into the work matrix; ``_factor`` calls it again at each
-    rung after potrf fails (the failed factor wrote over the triangle).
-    """
-    work, at, coords = packed
+    work, at = np.zeros((n, n), order="F"), cols * n + rows
     lower = work.ravel(order="F")  # a view of work
-    terms = [(f, np.abs(x - x2)) if j in axes and hasattr(f, "lengthscale") else (None, f.corr(x, x2))
-             for j, (f, (x, x2)) in enumerate(zip(kernel.factors, coords))]
+    # per axis: [distances (None for a fixed factor), log-lengthscale of the correlations, correlations]
+    axes = [[np.abs(w[rows, j] - w[cols, j]), None, None] if hasattr(f, "lengthscale")
+            else [None, None, f.corr(w[rows, j], w[cols, j])] for j, f in enumerate(kernel.factors)]
 
-    def objective(log_g):
-        g = math.exp(log_g)
-        corr = functools.reduce(operator.mul, [term if f is None else f.corr_at(term, g) for f, term in terms])
+    @functools.cache
+    def objective(log_gs):
+        for f, axis, log_g in zip(kernel.factors, axes, log_gs):
+            if axis[0] is not None and axis[1] != log_g:
+                axis[2] = None  # dropped before the pass: one correlation array per axis
+                axis[1:] = log_g, f.corr_at(axis[0], math.exp(log_g))
+        corr = functools.reduce(operator.mul, [axis[2] for axis in axes])
 
         def fill():
             lower[at] = corr
@@ -247,37 +249,26 @@ def _axis_objective(kernel, axes, packed, resid, nugget):
     return objective
 
 
-def _optimise_axis(kernel, axes, packed, resid, bounds, nugget, start=None):
-    """1-d profiled-LML search over the lengthscale of the searched ``axes``; the kernel and its grid peak.
+def _compass_max(value, x, step, top, tol):
+    """Comparison-only compass search of ``value`` from the tuple ``x`` in [0, top]^d.
 
-    From ``start``, an inner grid index, the search climbs the grid to the first point that neither
-    neighbour beats, stepping left when the left neighbour beats it and else right, and evaluates each
-    point at most once.  With no ``start``, or one on the grid's edge (a profile flat toward a bound), it
-    scans the whole grid.  Golden section then refines between the peak's neighbours.
+    It polls +step and -step on each axis in turn, clipped to [0, top], and moves to the first poll that
+    beats ``x``; when none does, it halves ``step``, and it stops once ``step`` is below ``tol``.  With
+    ``x``, ``step`` and ``top`` dyadic, every poll is exact, so a point met again is the same point.
     """
-    objective = _axis_objective(kernel, axes, packed, resid, nugget)
-    grid = np.linspace(math.log(bounds[0]), math.log(bounds[1]), GRID_SIZE)
-    if start in (None, 0, GRID_SIZE - 1):
-        best = int(np.argmax([objective(g) for g in grid]))
-    else:
-        value = functools.cache(lambda i: objective(grid[i]) if 0 <= i < GRID_SIZE else -math.inf)
-        best = start
-        while (step := next((j for j in (best - 1, best + 1) if value(j) > value(best)), best)) != best:
-            best = step
-    left = grid[max(best - 1, 0)]
-    right = grid[min(best + 1, GRID_SIZE - 1)]
-    g = math.exp(_golden_max(objective, left, right))
-    return kernel.with_lengthscales([g if j in axes else l for j, l in enumerate(kernel.lengthscales)]), best
+    while step >= tol:
+        polls = (x[:j] + (min(max(x[j] + s, 0), top),) + x[j + 1 :] for j in range(len(x)) for s in (step, -step))
+        x, step = next(((p, step) for p in polls if value(p) > value(x)), (x, step / 2.0))
+    return x
 
 
 def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=NUGGET) -> Kernel:
     """The lengthscale search of :func:`fit_hyperparameters`; the amplitude is left as it is.
 
-    Set up once per call.  The searched axes are ``(j,)`` for each axis j in turn, over ``SWEEPS`` sweeps,
-    with ``per_dimension``, and else all axes, tied, once.  The first sweep scans each search's grid;
-    later sweeps climb it from that search's last peak.  A search reads neither its own factors'
-    lengthscales nor the amplitude, so one whose other factors equal an earlier search's on the same
-    axes returns its kernel and peak, not run again (in one dimension, every sweep after the first).
+    One objective per call.  With ``per_dimension`` in two or more dimensions, the search starts at the
+    best point of a ``JOINT_GRID``-point-per-axis joint log-grid and refines it by :func:`_compass_max`
+    from half the grid spacing (the grid answers the polls at its own spacing).  Otherwise all axes are
+    tied: a ``GRID_SIZE``-point log-grid, then golden section between the peak's neighbours.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi):
@@ -285,17 +276,24 @@ def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=NUG
     w, resid = _data(kernel, points, y)
     if w.shape[0] < 2:
         raise ValueError("hyperparameter fitting needs at least 2 points")
-    fitted = kernel.with_lengthscales(math.sqrt(lo * hi))
     if np.max(np.abs(resid)) == 0.0:
-        return fitted
-    # searched: (axes, the other factors) -> (fitted kernel, grid peak); peaks: axes -> their last grid peak
-    packed, searched, peaks = _packed_pairs(w), {}, {}
-    for axes in [(j,) for j in range(kernel.dim)] * SWEEPS if per_dimension else [tuple(range(kernel.dim))]:
-        key = (axes, tuple(f for j, f in enumerate(fitted.factors) if j not in axes))
-        if key not in searched:
-            searched[key] = _optimise_axis(fitted, axes, packed, resid, (lo, hi), nugget, peaks.get(axes))
-        fitted, peaks[axes] = searched[key]
-    return fitted
+        return kernel.with_lengthscales(math.sqrt(lo * hi))
+    objective, d, log_lo, log_hi = _objective(kernel, w, resid, nugget), kernel.dim, math.log(lo), math.log(hi)
+    if per_dimension and d > 1:
+        top = JOINT_GRID - 1
+        h = (log_hi - log_lo) / top
+
+        def to_log(t):  # the log-lengthscales at grid units t, as np.linspace places the grid t = 0, ..., top
+            return tuple(log_hi if u == top else log_lo + h * u for u in t)
+
+        start = max(itertools.product(range(JOINT_GRID), repeat=d), key=lambda t: objective(to_log(t)))
+        best = to_log(_compass_max(lambda t: objective(to_log(t)), start, 0.5, top, REL_TOL / h))
+    else:
+        grid = np.linspace(log_lo, log_hi, GRID_SIZE)
+        peak = int(np.argmax([objective((g,) * d) for g in grid]))
+        left, right = grid[max(peak - 1, 0)], grid[min(peak + 1, GRID_SIZE - 1)]
+        best = (_golden_max(lambda g: objective((g,) * d), left, right),) * d
+    return kernel.with_lengthscales([math.exp(g) for g in best])
 
 
 def _profiled_fit(kernel, points, y, nugget=NUGGET) -> GPFit:
@@ -317,14 +315,15 @@ def fit_hyperparameters(
 ) -> GPFit:
     """Fit lengthscale(s) and amplitude by profiled marginal likelihood; the GP conditioned at them.
 
-    The search is a ``GRID_SIZE``-point log-space grid over ``bounds``
-    followed by golden-section refinement to ``REL_TOL`` in log-lengthscale
-    between the grid peak's neighbours.  Without ``per_dimension`` the
-    searched axes are all axes, tied to one lengthscale; with it they are one
-    axis at a time, over ``SWEEPS`` sweeps: the first sweep scans each axis's
-    grid, later ones climb it from that axis's previous peak (a peak on the
-    grid's edge is scanned again), so a later search can stop at a lower
-    local peak than a full scan would find.  It is
+    Without ``per_dimension`` (or in one dimension) all axes are tied to one
+    lengthscale: a ``GRID_SIZE``-point log-space grid over ``bounds``, then
+    golden-section refinement to ``REL_TOL`` in log-lengthscale between the
+    grid peak's neighbours.  With it, the search starts at the best point of a
+    joint log-grid of ``JOINT_GRID`` points per axis (endpoints included) and
+    refines it by a compass search: it polls one step up and down each axis,
+    clipped to ``bounds``, moves to the first poll that beats the current
+    point, and halves the step (from half the grid spacing) when none does,
+    down to ``REL_TOL``.  Both only compare likelihood values, so the search is
     derivative-free and deterministic given its inputs.  The
     returned fit's kernel carries the optimal lengthscales and amplitude
     sigma*^2; the fit is the one :func:`fit_gp` makes with that kernel,

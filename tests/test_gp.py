@@ -1,5 +1,9 @@
 import dataclasses
+import itertools
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +12,7 @@ import pytest
 from mlbq import gp
 from mlbq.gp import (
     SingularGramError,
-    _axis_objective,
-    _packed_pairs,
+    _objective,
     fit_gp,
     fit_hyperparameters,
     mle_amplitude,
@@ -300,8 +303,14 @@ class TestNuggetLadder:
         assert calls == [2] and info.value.nugget == nugget
 
 
-def _with_lengthscale(kernel, axes, g):
-    return kernel.with_lengthscales([g if j in axes else l for j, l in enumerate(kernel.lengthscales)])
+def _point(kernel, axes, log_g):
+    """The objective's argument: ``log_g`` on the searched ``axes``, the kernel's own log-lengthscales elsewhere."""
+    return tuple(log_g if j in axes else math.log(g) for j, g in enumerate(kernel.lengthscales))
+
+
+def _public(kernel, w, y, point, nugget=1e-10):
+    """The public profiled likelihood at the log-lengthscales ``point``."""
+    return profiled_log_marginal_likelihood(kernel.with_lengthscales([math.exp(v) for v in point]), w, y, nugget)
 
 
 THREE = Kernel((Matern(0.5, 0.3), SquaredExponential(0.8), Matern(2.5, 1.7)))
@@ -325,17 +334,17 @@ class TestLengthscaleSearch:
 
     @pytest.mark.parametrize(
         "kernel, axes", OBJECTIVE_CASES,
-        # tied searches (every axis) keep the id "None" they had when None meant tied
+        # points that move every axis keep the id "None" they had when None meant tied
         ids=[f"kernel{i}-{None if len(axes) == k.dim else axes[0]}" for i, (k, axes) in enumerate(OBJECTIVE_CASES)],
     )
     def test_objective_equals_profiled_likelihood(self, kernel, axes):
         rng = np.random.default_rng(22)
         w = rng.random((17, kernel.dim))
         y = np.cos(4 * w.sum(axis=1)) + 0.1 * rng.standard_normal(17)
-        objective = _axis_objective(kernel, axes, _packed_pairs(w), y.copy(), 1e-10)
+        objective = _objective(kernel, w, y.copy(), 1e-10)
         for log_g in list(np.linspace(math.log(0.01), math.log(10.0), 32)) + [-0.37, 1.9]:
-            public = profiled_log_marginal_likelihood(_with_lengthscale(kernel, axes, math.exp(log_g)), w, y)
-            assert objective(log_g) == public
+            point = _point(kernel, axes, log_g)
+            assert objective(point) == _public(kernel, w, y, point)
 
     def test_objective_identity_through_the_nugget_ladder(self):
         # duplicated points with zero jitter make every Gram singular, so each
@@ -344,28 +353,28 @@ class TestLengthscaleSearch:
         y = np.array([1.0, 1.0, -0.5, -0.5, 0.3])
         kernel = Kernel.matern(2.5, 1.0)
         assert fit_gp(kernel, w, y, nugget=0.0).nugget > 0.0
-        objective = _axis_objective(kernel, (0,), _packed_pairs(w), y.copy(), 0.0)
+        objective = _objective(kernel, w, y.copy(), 0.0)
         for log_g in np.linspace(math.log(0.01), math.log(10.0), 32):
-            public = profiled_log_marginal_likelihood(kernel.with_lengthscales(math.exp(log_g)), w, y, nugget=0.0)
-            assert objective(log_g) == public
+            assert objective((log_g,)) == _public(kernel, w, y, (log_g,), nugget=0.0)
 
     def test_reused_work_matrix_keeps_every_value(self):
-        # each objective scatters into one work matrix; values must not depend on the call history
+        # an objective scatters into one work matrix and keeps each axis's last correlations;
+        # values must not depend on the call history, whether a point moves one axis or both
         rng = np.random.default_rng(27)
         w = rng.random((19, 2))
         y = np.sin(3 * w[:, 0]) + w[:, 1] ** 2
         kernel = Kernel.matern(2.5, [0.4, 0.9], dim=2)
-        objective = _axis_objective(kernel, (0,), _packed_pairs(w), y.copy(), 1e-10)
-        first, _, again = objective(-0.8), objective(0.6), objective(-0.8)
-        assert first == again == profiled_log_marginal_likelihood(_with_lengthscale(kernel, (0,), math.exp(-0.8)), w, y)
-        grid = [-2.0, -0.3, 1.1]
-        searches = [(0,), (1,)]
-        alone = [[_axis_objective(kernel, axes, _packed_pairs(w), y.copy(), 1e-10)(g) for g in grid]
-                 for axes in searches]
-        first_axis, second_axis = (_axis_objective(kernel, axes, _packed_pairs(w), y.copy(), 1e-10)
-                                   for axes in searches)
-        interleaved = [(first_axis(g), second_axis(g)) for g in grid]
-        assert [list(v) for v in zip(*interleaved)] == alone
+        points = [(-0.8, -0.1), (0.6, -0.1), (0.6, 1.2), (-2.0, 1.2), (-0.8, -2.0), (-0.8, 1.2)]
+        public = [_public(kernel, w, y, p) for p in points]
+        forward, backward = (_objective(kernel, w, y.copy(), 1e-10) for _ in range(2))
+        assert [forward(p) for p in points] == public
+        assert [backward(p) for p in reversed(points)] == public[::-1]
+        # two objectives interleaved, each with its own work matrix
+        other = Kernel.squared_exponential([0.4, 0.9], dim=2)
+        first, second = _objective(kernel, w, y.copy(), 1e-10), _objective(other, w, y.copy(), 1e-10)
+        interleaved = [(first(p), second(p)) for p in points]
+        assert [a for a, _ in interleaved] == public
+        assert [b for _, b in interleaved] == [_public(other, w, y, p) for p in points]
 
     def test_failed_in_place_factor_is_scattered_again(self, monkeypatch):
         # a near-duplicate pair: at nugget 0 the squared-exponential Gram matrix
@@ -381,12 +390,12 @@ class TestLengthscaleSearch:
         fills = []
         factor = gp._factor
         monkeypatch.setattr(gp, "_factor", lambda fill, *args: factor(lambda: fills.append(1) or fill(), *args))
-        objective = _axis_objective(kernel, (0,), _packed_pairs(w), y.copy(), 0.0)
+        objective = _objective(kernel, w, y.copy(), 0.0)
         alternating = [g for pair in zip(short, long) for g in pair]
         values, per_evaluation = [], []
         for g in alternating:
             fills.clear()
-            values.append(objective(g))
+            values.append(objective((g,)))
             per_evaluation.append(len(fills))
         rungs = [_potrf_ladder(gram(kernel.with_lengthscales(math.exp(g)), w), 0.0)[2] for g in alternating]
         assert per_evaluation == rungs and rungs[::2] == [1] * len(short) and min(rungs[1::2]) >= 2
@@ -395,36 +404,60 @@ class TestLengthscaleSearch:
             assert value == profiled_log_marginal_likelihood(kernel.with_lengthscales(math.exp(g)), w, y, nugget=0.0)
 
     def test_evaluation_peak_memory(self):
-        # one evaluation holds the packed triangle's temporaries (n^2/2 doubles
-        # each), about 1.5 n^2 doubles; the factor is made in the work matrix
+        # an evaluation that moves one axis holds that axis's correlation pass and the product
+        # (n^2/2 doubles each), about 1.5 n^2 doubles; the factor is made in the work matrix
         import tracemalloc
 
         n = 200
         rng = np.random.default_rng(28)
         w = rng.random((n, 2))
-        kernel = Kernel.matern(2.5, 0.7, dim=2)
-        objective = _axis_objective(kernel, (0,), _packed_pairs(w), np.cos(4 * w.sum(axis=1)), 1e-10)
-        objective(-0.5)
+        objective = _objective(Kernel.matern(2.5, 0.7, dim=2), w, np.cos(4 * w.sum(axis=1)), 1e-10)
+        objective((-0.5, math.log(0.7)))
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            objective(-0.3)
+            objective((-0.3, math.log(0.7)))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak < 3 * n * n * 8
 
+    def test_visited_points_keep_no_correlations(self):
+        # each axis holds one correlation array, at its last value, however many points were visited;
+        # an evaluation that moves both axes also peaks below 3 n^2 doubles
+        import tracemalloc
+
+        n = 200
+        rng = np.random.default_rng(28)
+        w = rng.random((n, 2))
+        objective = _objective(Kernel.matern(2.5, 0.7, dim=2), w, np.cos(4 * w.sum(axis=1)), 1e-10)
+        points = list(itertools.product(np.linspace(-1.0, 0.5, 6).tolist(), repeat=2))
+        tracemalloc.start()
+        try:
+            objective(points[0])  # both axes' correlations, now traced
+            base = tracemalloc.get_traced_memory()[0]
+            for point in points[1:]:  # each axis visits six values
+                objective(point)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            objective((0.9, 0.7))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert held < n * n * 8 / 4 and peak < 3 * n * n * 8
+
     def test_fitted_lengthscales_are_fixed_by_the_seed(self):
-        # values written by the implementation that called the public
-        # likelihood once per lengthscale; the search must reproduce them exactly
+        # the tied and 1-d values were written by the implementation that called the public likelihood
+        # once per lengthscale; the per-axis values by the first joint-grid and compass search
         rng = np.random.default_rng(21)
         w = rng.random((30, 2))
         y = np.sin(3 * w[:, 0]) + w[:, 1] ** 2 + 0.05 * rng.standard_normal(30)
         kernel = Kernel.matern(2.5, 1.0, dim=2)
         per_axis = fit_hyperparameters(kernel, w, y, bounds=(0.01, 10.0), per_dimension=True).kernel
-        assert per_axis.lengthscales == (0.3704734461296856, 0.3260672700174361)
-        assert per_axis.amplitude == 0.5014811017938994
+        assert per_axis.lengthscales == (0.37001545652115175, 0.32624946238436586)
+        assert per_axis.amplitude == 0.5010014924940331
         shared = fit_hyperparameters(Kernel.squared_exponential(1.0, dim=2), w, y, bounds=(0.01, 10.0)).kernel
         assert shared.lengthscales == (0.29000065924496293, 0.29000065924496293)
         assert shared.amplitude == 0.573546400787508
@@ -433,133 +466,126 @@ class TestLengthscaleSearch:
         assert one_d.amplitude == 1.1147512804917727
 
 
-    def test_repeated_axis_search_is_reused(self, monkeypatch):
-        # an n = 5 ODE level-2 increment on an LHS design: the second sweep's
-        # axis-0 search returns the first's lengthscale, so every later axis
-        # search has the inputs of an earlier one and is not run again
-        from mlbq.designs import generate_design
-        from mlbq.models import OdeHierarchy
-
-        model = OdeHierarchy()
-        w = generate_design("lhs", model.measure, 5, seed=np.random.SeedSequence(1)).points
-        y = model.increments(2, w)
-        axes = []
-        search = gp._optimise_axis
-        monkeypatch.setattr(gp, "_optimise_axis", lambda *args: axes.append(args[1]) or search(*args))
-        kernel = Kernel.matern(2.5, 1.0, dim=2)
-        fitted = fit_hyperparameters(kernel, w, y, bounds=(0.05, 10.0), per_dimension=True).kernel
-        assert axes == [(0,), (1,), (0,)]
-        # written by the implementation that ran all six axis searches
-        assert fitted.lengthscales == (9.999612799751663, 1.0613261976859758)
-        assert fitted.amplitude == 0.00016100926601522904
-
-
 ODE_MATERN_LHS = Path(__file__).resolve().parents[1] / "perfbench" / "ode_matern_lhs.json"
 
 
-def _rescan_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=1e-10):
-    """The search that scans the whole grid on every axis search, in every sweep."""
-    lo, hi = float(bounds[0]), float(bounds[1])
-    w, resid = gp._data(kernel, points, y)
-    fitted = kernel.with_lengthscales(math.sqrt(lo * hi))
-    if np.max(np.abs(resid)) == 0.0:
+def _benchmark_fits(monkeypatch, replications, seed_offset=0):
+    """(kernel, points, values, bounds, fitted kernel) of every level fit in a sweep of the benchmark's config."""
+    from mlbq import harness
+
+    fits = []
+    search = harness._fit_lengthscales
+
+    def recorded(kernel, points, y, bounds, per_dimension=False):
+        fitted = search(kernel, points, y, bounds, per_dimension=per_dimension)
+        fits.append((kernel, np.array(points, dtype=float), np.array(y, dtype=float), bounds, fitted))
         return fitted
-    per_axis = per_dimension and kernel.dim > 1
-    packed = _packed_pairs(w)
-    grid = np.linspace(math.log(lo), math.log(hi), gp.GRID_SIZE)
-    for _ in range(gp.SWEEPS if per_axis else 1):
-        for axes in [(j,) for j in range(kernel.dim)] if per_axis else [tuple(range(kernel.dim))]:
-            objective = _axis_objective(fitted, axes, packed, resid, nugget)
-            best = int(np.argmax([objective(g) for g in grid]))
-            left, right = grid[max(best - 1, 0)], grid[min(best + 1, gp.GRID_SIZE - 1)]
-            fitted = _with_lengthscale(fitted, axes, math.exp(gp._golden_max(objective, left, right)))
-    return fitted
+
+    monkeypatch.setattr(harness, "_fit_lengthscales", recorded)
+    cfg = harness.load_config(ODE_MATERN_LHS)
+    harness.run_experiment(dataclasses.replace(cfg, replications=replications, seed=cfg.seed + seed_offset))
+    monkeypatch.setattr(harness, "_fit_lengthscales", search)
+    return fits
 
 
-def _grid_profile(monkeypatch, values):
-    """Make every axis objective the piecewise-linear profile through ``values``; the grid and the calls it sees."""
-    grid = np.linspace(math.log(0.05), math.log(10.0), gp.GRID_SIZE)
-    calls = []
+def _record_points(monkeypatch):
+    """Record every point the search's objectives are called at, memo hits included."""
+    points, made = [], gp._objective
 
-    def objective(log_g):
-        calls.append(log_g)
-        return float(np.interp(log_g, grid, values))
+    def recorded(*args):
+        objective = made(*args)
+        return lambda x: points.append(x) or objective(x)
 
-    monkeypatch.setattr(gp, "_axis_objective", lambda *args: objective)
-    return grid.tolist(), calls
-
-
-def _climb(start):
-    """The grid peak of one axis search started at ``start``, on the profile :func:`_grid_profile` set."""
-    kernel = Kernel.matern(2.5, 1.0, dim=2)
-    return gp._optimise_axis(kernel, (0,), None, None, (0.05, 10.0), 1e-10, start)[1]
+    monkeypatch.setattr(gp, "_objective", recorded)
+    return points
 
 
-class TestGridClimb:
-    """Later sweeps climb the grid from each axis's last peak; the fits stay those of a full rescan."""
+class TestCompassSearch:
+    """Per-axis fits: the best point of the joint log-grid, refined by a comparison-only compass search."""
 
-    def test_level_fits_equal_the_full_rescan(self, monkeypatch):
-        # every level fit of 4 replications of the benchmark's fitted Matern-5/2 LHS config
-        from mlbq import harness
+    def test_every_benchmark_fit_reaches_the_optimum(self, monkeypatch):
+        # every level fit of 20 replications of the benchmark config, against a reference the test finds
+        # itself: the best cell of a 24 x 24 joint log-grid, refined by Nelder-Mead from its 3 best cells
+        # and from the fit.  The reference evaluates the search's objective, which equals the public
+        # likelihood bit for bit (test_objective_equals_profiled_likelihood), because it is about 4x faster.
+        from scipy.optimize import minimize
 
-        fits = []
-        search = harness._fit_lengthscales
+        fits = _benchmark_fits(monkeypatch, 20)
+        assert len(fits) == 80 and all(kernel.dim == 2 for kernel, *_ in fits)
+        gaps = []
+        for kernel, w, y, bounds, fitted in fits:
+            objective = _objective(kernel, w, y.copy(), gp.NUGGET)
+            lo, hi = math.log(bounds[0]), math.log(bounds[1])
+            grid = np.linspace(lo, hi, 24).tolist()
+            cells = sorted(((objective(c), c) for c in itertools.product(grid, repeat=2)), reverse=True)
+            reference = cells[0][0]
+            for start in [c for _, c in cells[:3]] + [tuple(math.log(g) for g in fitted.lengthscales)]:
+                result = minimize(lambda x: -objective(tuple(x.tolist())), start, method="Nelder-Mead",
+                                  bounds=[(lo, hi)] * 2, options={"xatol": 1e-3, "fatol": 1e-5})
+                reference = max(reference, -result.fun)
+            gaps.append(reference - profiled_log_marginal_likelihood(fitted, w, y))
+        assert max(gaps) < 1e-3
 
-        def recorded(kernel, points, y, bounds, per_dimension=False):
-            fitted = search(kernel, points, y, bounds, per_dimension=per_dimension)
-            fits.append((fitted, _rescan_lengthscales(kernel, points, y, bounds, per_dimension)))
-            return fitted
+    def test_no_poll_at_the_final_mesh_beats_the_result(self, monkeypatch):
+        # every per-axis fit of 4 replications of the benchmark config
+        searches, compass = [], gp._compass_max
 
-        monkeypatch.setattr(harness, "_fit_lengthscales", recorded)
-        harness.run_experiment(dataclasses.replace(harness.load_config(ODE_MATERN_LHS), replications=4))
-        assert len(fits) == 16
-        assert all(climbed == rescanned for climbed, rescanned in fits)
+        def recorded(value, x, step, top, tol):
+            best = compass(value, x, step, top, tol)
+            searches.append((value, best, top, tol))
+            return best
 
-    def test_tie_between_the_neighbours_goes_left(self, monkeypatch):
-        # peaks of equal height at 12 and 18, and both neighbours of 15 beat it by the same amount
-        _grid_profile(monkeypatch, [-abs(abs(i - 15) - 3.0) for i in range(gp.GRID_SIZE)])
-        assert _climb(15) == 12
+        monkeypatch.setattr(gp, "_compass_max", recorded)
+        _benchmark_fits(monkeypatch, 4)
+        assert len(searches) == 16
+        for value, best, top, tol in searches:
+            step = 0.5
+            while step / 2.0 >= tol:
+                step /= 2.0
+            for j, s in itertools.product(range(len(best)), (step, -step)):
+                poll = best[:j] + (min(max(best[j] + s, 0), top),) + best[j + 1 :]
+                assert value(poll) <= value(best)
 
-    def test_neighbour_that_only_equals_the_point_does_not_move_it(self, monkeypatch):
-        _grid_profile(monkeypatch, [0.0] * gp.GRID_SIZE)
-        assert _climb(9) == 9
-
-    @pytest.mark.parametrize("start", [0, gp.GRID_SIZE - 1])
-    def test_edge_peak_scans_the_whole_grid(self, monkeypatch, start):
-        # both edges are local peaks, so a climb from either would stop at once; the scan finds 20
-        values = [-abs(i - 20.0) for i in range(gp.GRID_SIZE)]
-        values[0] = values[-1] = -5.0
-        grid, calls = _grid_profile(monkeypatch, values)
-        assert _climb(start) == 20
-        assert set(grid) <= set(calls)
-
-    @pytest.mark.parametrize(
-        "start, peak, evaluated",
-        [
-            (5, 20, range(4, 22)),
-            (25, 20, range(19, 26)),
-            (20, 20, range(19, 22)),
-            (2, 0, range(0, 3)),
-            (29, 31, range(28, 32)),
-        ],
-    )
-    def test_no_grid_point_is_evaluated_twice(self, monkeypatch, start, peak, evaluated):
-        # the left neighbour is tried first, so a climb to the left never evaluates the start's right neighbour
-        grid, calls = _grid_profile(monkeypatch, [-abs(i - peak) for i in range(gp.GRID_SIZE)])
-        assert _climb(start) == peak
-        on_grid = [grid.index(g) for g in calls if g in grid]
-        assert len(on_grid) == len(set(on_grid))
-        assert set(on_grid) == set(evaluated)
+    def test_no_point_is_factored_twice(self, monkeypatch):
+        # each fit of 4 replications of the benchmark config, searched again: one factorisation per distinct
+        # point, and distinct points at least the last step apart (a poll back to a point lands on it exactly)
+        fits = _benchmark_fits(monkeypatch, 4)
+        points = _record_points(monkeypatch)
+        calls = _count_cholesky(monkeypatch)
+        for kernel, w, y, bounds, fitted in fits:
+            points.clear()
+            calls.clear()
+            assert gp._fit_lengthscales(kernel, w, y, bounds, per_dimension=True) == fitted
+            distinct = np.array(sorted(set(points)))
+            assert len(calls) == len(distinct) < len(points)
+            apart = np.max(np.abs(distinct[:, None] - distinct[None, :]), axis=2) + np.eye(len(distinct))
+            assert apart.min() >= gp.REL_TOL
 
     def test_factorisations_of_one_benchmark_replication(self, monkeypatch):
         # a cost guard: one replication of the fitted Matern-5/2 LHS config at the benchmark's seed offset 3.
-        # Rescanning the grid in every sweep made 1,073 factorisations here.
+        # Three sweeps of one-axis searches made 729 factorisations here, or 1,073 rescanning every grid.
         from mlbq.harness import load_config, run_experiment
 
         calls = _count_cholesky(monkeypatch)
         cfg = load_config(ODE_MATERN_LHS)
         run_experiment(dataclasses.replace(cfg, replications=1, seed=cfg.seed + 3))
-        assert len(calls) == 729
+        assert len(calls) == 480
+
+    def test_per_axis_fit_loads_no_scipy_optimize(self):
+        # importing scipy.optimize would cost each process 0.17-0.23 s, more than the search saves
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import sys\nimport numpy as np\n"
+            "from mlbq.gp import fit_hyperparameters\nfrom mlbq.kernels import Kernel\n"
+            "w = np.random.default_rng(1).random((20, 2))\n"
+            "fit = fit_hyperparameters(Kernel.matern(2.5, 1.0, dim=2), w, np.sin(3 * w[:, 0]) + w[:, 1],\n"
+            "                          bounds=(0.05, 10.0), per_dimension=True)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert done.stdout.strip() == "[]"
 
 
 def _count_cholesky(monkeypatch):
@@ -579,25 +605,16 @@ class TestOneFactorPerFit:
         from mlbq.harness import KernelPolicy
 
         calls = _count_cholesky(monkeypatch)
-        in_search = []
-        search = gp._optimise_axis
-
-        def counted_search(*args):
-            before = len(calls)
-            result = search(*args)
-            in_search.append(len(calls) - before)
-            return result
-
-        monkeypatch.setattr(gp, "_optimise_axis", counted_search)
+        points = _record_points(monkeypatch)
         rng = np.random.default_rng(23)
         w = rng.random((25, 2))
         y = gp_sample(Kernel.squared_exponential([0.3, 0.9], dim=2), w, 24)
         policy = KernelPolicy(family="se", policy="fitted", bounds=(0.05, 5.0), per_dimension=True)
         fit = policy.level_fit(w, y, dim=2)
-        # the first sweep scans the grid on each axis; later sweeps climb it from the last peak
-        assert len(in_search) == 6
-        assert min(in_search[:2]) >= gp.GRID_SIZE and max(in_search[2:]) < gp.GRID_SIZE
-        assert len(calls) == sum(in_search) + 1
+        # one factorisation per distinct point the search evaluates (the joint grid among them), one for the fit
+        grid = np.linspace(math.log(0.05), math.log(5.0), gp.JOINT_GRID)
+        assert set(itertools.product(grid, repeat=2)) <= set(points)
+        assert len(calls) == len(set(points)) + 1
         assert fit.kernel == fit_hyperparameters(
             Kernel.squared_exponential(1.0, dim=2), w, y, bounds=(0.05, 5.0), per_dimension=True
         ).kernel

@@ -670,7 +670,7 @@ class TestRunExperiment:
             "configs/ode_budgets.json": "a79b459c84557b9a",
             "configs/poisson_budgets.json": "b50572fe1fbf35b6",
             "configs/poisson_calibration.json": "0738e35f27938bc6",
-            "perfbench/ode_matern_lhs.json": "18acc137f16fc381",
+            "perfbench/ode_matern_lhs.json": "058234ae27ca02b0",
         }
         script = (
             "import dataclasses, hashlib, sys\n"

@@ -71,8 +71,9 @@ def test_doubled_values_double_the_mean_and_quadruple_the_variance(path):
         ("configs/poisson_calibration.json", 9e-15, 6e-11),
         # 1.3e-9 / 7.9e-8, roundoff on the ill-conditioned n = 830 level 0
         ("configs/ode_budgets.json", 1.6e-9, 1.0e-7),
-        # 1.15e-6 / 3.47e-4, set by where the per-axis lengthscale search stops
-        ("perfbench/ode_matern_lhs.json", 1.2e-6, 3.5e-4),
+        # 5.3e-7 / 2.84e-4: roundoff flips a comparison of the per-axis search, which then stops a final
+        # step or two (1.8e-4 in log-lengthscale) away on a flat optimum (5.5e-6 lower in log-likelihood)
+        ("perfbench/ode_matern_lhs.json", 6e-7, 3.0e-4),
     ],
 )
 def test_permuted_points_move_the_posterior_within_bounds(path, mean_bound, variance_bound):
@@ -118,8 +119,8 @@ def test_shifted_measure_leaves_the_dyadic_halton_posterior_unchanged():
         # 1.5e-14 / 2.7e-10 and 1.5e-14 / 2.4e-11, roundoff of the shifted distances and kernel means
         ("configs/poisson_budgets.json", 1.8e-14, 3.0e-10),
         ("configs/poisson_calibration.json", 1.8e-14, 3.0e-11),
-        # 8.1e-7 / 2.7e-4, set by where the per-axis lengthscale search stops
-        ("perfbench/ode_matern_lhs.json", 9.0e-7, 3.0e-4),
+        # 5.3e-7 / 2.04e-4, roundoff flipping a comparison of the per-axis search, as for permutations
+        ("perfbench/ode_matern_lhs.json", 6e-7, 2.2e-4),
     ],
 )
 def test_shifted_measure_moves_the_posterior_within_bounds(path, mean_bound, variance_bound):
