@@ -176,12 +176,12 @@ def main(argv=None) -> int:
         if args.command == "calibrate":
             return _cmd_calibrate(args)
         return _cmd_oracle()
+    except NUMERICAL_ERRORS as exc:  # first: SingularGramError is a ValueError too
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, AllocationError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -7,12 +7,11 @@ profiled likelihood and the fit at any amplitude.  Each factorisation is LAPACK 
 on the lower triangle, made in place by the one nugget ladder ``_factor``, which
 refills its matrix when potrf fails.  A fit holds one n x n array: the Gram matrix,
 factored and rescaled in place.  Per level, the amplitude is chosen in closed
-form and the lengthscales by maximising the profiled marginal log-likelihood:
-all axes tied to one lengthscale (log grid, then golden section), or, per
-dimension, the best point of a joint log-grid refined by a compass search that
-only compares likelihood values.  The search sets up once per fit, factors its
-own work matrix in place, factors no point twice and matches the public
-profiled likelihood bit for bit.
+form and the lengthscales by maximising the profiled marginal log-likelihood,
+tied or per dimension: the best point of a log-grid, refined by a compass
+search that only compares likelihood values.  The search sets up once per fit,
+factors its own work matrix in place, factors no point twice and matches the
+public profiled likelihood bit for bit.
 Data are checked to be finite where they enter; a non-finite Gram matrix or
 likelihood raises.  Everything here is pure; ``GPFit`` is immutable.
 """
@@ -43,7 +42,7 @@ __all__ = [
 # Nugget ladder: relative jitter starts at the caller value (by default NUGGET) and is
 # multiplied by 10 on each Cholesky failure, up to MAX_NUGGET.
 NUGGET, MAX_NUGGET = 1e-10, 1e-4
-# Lengthscale search: tied log-grid points, joint log-grid points per axis, final step in log-lengthscale.
+# Lengthscale search: log-grid points for one searched coordinate, per axis for more, final step in log-lengthscale.
 GRID_SIZE, JOINT_GRID, REL_TOL = 32, 8, 1e-4
 
 
@@ -195,25 +194,6 @@ def profiled_log_marginal_likelihood(kernel: Kernel, points, y, nugget=NUGGET) -
     return _profiled(unit.chol, unit.residual)
 
 
-def _golden_max(fn, lo, hi):
-    """Golden-section maximisation on [lo, hi] (works in log-lengthscale)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > REL_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0
-
-
 def _objective(kernel, w, resid, nugget):
     """The profiled LML as a memoised function of a tuple of per-axis log-lengthscales.
 
@@ -265,10 +245,11 @@ def _compass_max(value, x, step, top, tol):
 def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=NUGGET) -> Kernel:
     """The lengthscale search of :func:`fit_hyperparameters`; the amplitude is left as it is.
 
-    One objective per call.  With ``per_dimension`` in two or more dimensions, the search starts at the
-    best point of a ``JOINT_GRID``-point-per-axis joint log-grid and refines it by :func:`_compass_max`
-    from half the grid spacing (the grid answers the polls at its own spacing).  Otherwise all axes are
-    tied: a ``GRID_SIZE``-point log-grid, then golden section between the peak's neighbours.
+    One objective and one search per call, over k coordinates: each axis with a lengthscale has its own under
+    ``per_dimension``, else all share one; an axis without a lengthscale (Brownian) keeps a constant entry.
+    The search starts at the best point of a log-grid, ``GRID_SIZE`` points when k is 1 and ``JOINT_GRID``
+    per axis otherwise, and refines it by :func:`_compass_max` from half the grid spacing (the grid answers
+    the polls at its own spacing).
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi):
@@ -278,21 +259,19 @@ def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=NUG
         raise ValueError("hyperparameter fitting needs at least 2 points")
     if np.max(np.abs(resid)) == 0.0:
         return kernel.with_lengthscales(math.sqrt(lo * hi))
-    objective, d, log_lo, log_hi = _objective(kernel, w, resid, nugget), kernel.dim, math.log(lo), math.log(hi)
-    if per_dimension and d > 1:
-        top = JOINT_GRID - 1
-        h = (log_hi - log_lo) / top
+    objective, log_lo, log_hi = _objective(kernel, w, resid, nugget), math.log(lo), math.log(hi)
+    searched = [j for j, f in enumerate(kernel.factors) if hasattr(f, "lengthscale")]
+    coordinate = {j: i if per_dimension else 0 for i, j in enumerate(searched)}
+    k = len(set(coordinate.values()))
+    top = (GRID_SIZE if k == 1 else JOINT_GRID) - 1
+    h = (log_hi - log_lo) / top
 
-        def to_log(t):  # the log-lengthscales at grid units t, as np.linspace places the grid t = 0, ..., top
-            return tuple(log_hi if u == top else log_lo + h * u for u in t)
+    def to_log(t):  # the log-lengthscales at grid units t, as np.linspace places the grid t = 0, ..., top
+        logs = [log_hi if u == top else log_lo + h * u for u in t]
+        return tuple(logs[coordinate[j]] if j in coordinate else 0.0 for j in range(kernel.dim))
 
-        start = max(itertools.product(range(JOINT_GRID), repeat=d), key=lambda t: objective(to_log(t)))
-        best = to_log(_compass_max(lambda t: objective(to_log(t)), start, 0.5, top, REL_TOL / h))
-    else:
-        grid = np.linspace(log_lo, log_hi, GRID_SIZE)
-        peak = int(np.argmax([objective((g,) * d) for g in grid]))
-        left, right = grid[max(peak - 1, 0)], grid[min(peak + 1, GRID_SIZE - 1)]
-        best = (_golden_max(lambda g: objective((g,) * d), left, right),) * d
+    start = max(itertools.product(range(top + 1), repeat=k), key=lambda t: objective(to_log(t)))
+    best = to_log(_compass_max(lambda t: objective(to_log(t)), start, 0.5, top, REL_TOL / h))
     return kernel.with_lengthscales([math.exp(g) for g in best])
 
 
@@ -315,19 +294,19 @@ def fit_hyperparameters(
 ) -> GPFit:
     """Fit lengthscale(s) and amplitude by profiled marginal likelihood; the GP conditioned at them.
 
-    Without ``per_dimension`` (or in one dimension) all axes are tied to one
-    lengthscale: a ``GRID_SIZE``-point log-space grid over ``bounds``, then
-    golden-section refinement to ``REL_TOL`` in log-lengthscale between the
-    grid peak's neighbours.  With it, the search starts at the best point of a
-    joint log-grid of ``JOINT_GRID`` points per axis (endpoints included) and
-    refines it by a compass search: it polls one step up and down each axis,
-    clipped to ``bounds``, moves to the first poll that beats the current
-    point, and halves the step (from half the grid spacing) when none does,
-    down to ``REL_TOL``.  Both only compare likelihood values, so the search is
-    derivative-free and deterministic given its inputs.  The
-    returned fit's kernel carries the optimal lengthscales and amplitude
-    sigma*^2; the fit is the one :func:`fit_gp` makes with that kernel,
-    from the same one factorisation that gave the amplitude.
+    Without ``per_dimension`` all axes are tied to one lengthscale; with it,
+    each axis that has a lengthscale gets its own.  The search starts at the
+    best point of a log-grid over ``bounds`` (endpoints included), of
+    ``GRID_SIZE`` points for one searched coordinate and ``JOINT_GRID`` points
+    per axis for more, and refines it by a compass search: it polls one step up
+    and down each coordinate, clipped to ``bounds``, moves to the first poll
+    that beats the current point, and halves the step (from half the grid
+    spacing) when none does, down to ``REL_TOL`` in log-lengthscale.  It only
+    compares likelihood values, so it is derivative-free and deterministic
+    given its inputs.  The returned fit's kernel carries the optimal
+    lengthscales and amplitude sigma*^2; the fit is the one :func:`fit_gp`
+    makes with that kernel, from the same one factorisation that gave the
+    amplitude.
 
     Flat objectives (residuals identically zero, so any lengthscale is
     admissible) tie-break to the geometric midpoint of ``bounds``.

@@ -32,6 +32,13 @@ def gp_sample(kernel, points, seed):
     return chol @ np.random.default_rng(seed).standard_normal(len(points))
 
 
+def _seeded_data():
+    """30 points in 2-d and noisy observations of a smooth function, from seed 21."""
+    rng = np.random.default_rng(21)
+    w = rng.random((30, 2))
+    return w, np.sin(3 * w[:, 0]) + w[:, 1] ** 2 + 0.05 * rng.standard_normal(30)
+
+
 class TestFitGp:
     def test_single_point_weights(self):
         fit = fit_gp(M12, [0.5], [2.0], nugget=0.0)
@@ -449,28 +456,28 @@ class TestLengthscaleSearch:
         assert held < n * n * 8 / 4 and peak < 3 * n * n * 8
 
     def test_fitted_lengthscales_are_fixed_by_the_seed(self):
-        # the tied and 1-d values were written by the implementation that called the public likelihood
-        # once per lengthscale; the per-axis values by the first joint-grid and compass search
-        rng = np.random.default_rng(21)
-        w = rng.random((30, 2))
-        y = np.sin(3 * w[:, 0]) + w[:, 1] ** 2 + 0.05 * rng.standard_normal(30)
+        # written by the joint-grid and compass search; the per-axis values are those of its first version.
+        # Profiled LML, with golden section's in brackets: tied 5.57283767793 (5.57283772226),
+        # 1-d -28.7684041668 (-28.7684041671)
+        w, y = _seeded_data()
         kernel = Kernel.matern(2.5, 1.0, dim=2)
         per_axis = fit_hyperparameters(kernel, w, y, bounds=(0.01, 10.0), per_dimension=True).kernel
         assert per_axis.lengthscales == (0.37001545652115175, 0.32624946238436586)
         assert per_axis.amplitude == 0.5010014924940331
         shared = fit_hyperparameters(Kernel.squared_exponential(1.0, dim=2), w, y, bounds=(0.01, 10.0)).kernel
-        assert shared.lengthscales == (0.29000065924496293, 0.29000065924496293)
-        assert shared.amplitude == 0.573546400787508
+        assert shared.lengthscales == (0.28999238431008345, 0.28999238431008345)
+        assert shared.amplitude == 0.5734806731477616
         one_d = fit_hyperparameters(M12, w[:, :1], y, bounds=(0.01, 10.0)).kernel
-        assert one_d.lengthscales == (0.05118259637332945,)
-        assert one_d.amplitude == 1.1147512804917727
+        assert one_d.lengthscales == (0.05118304671480608,)
+        assert one_d.amplitude == 1.1147572266753187
 
 
-ODE_MATERN_LHS = Path(__file__).resolve().parents[1] / "perfbench" / "ode_matern_lhs.json"
+ROOT = Path(__file__).resolve().parents[1]
+ODE_MATERN_LHS = ROOT / "perfbench" / "ode_matern_lhs.json"
 
 
-def _benchmark_fits(monkeypatch, replications, seed_offset=0):
-    """(kernel, points, values, bounds, fitted kernel) of every level fit in a sweep of the benchmark's config."""
+def _sweep_fits(monkeypatch, path, replications):
+    """(kernel, points, values, bounds, per_dimension, fitted kernel) of every level fit in a sweep of a config."""
     from mlbq import harness
 
     fits = []
@@ -478,14 +485,22 @@ def _benchmark_fits(monkeypatch, replications, seed_offset=0):
 
     def recorded(kernel, points, y, bounds, per_dimension=False):
         fitted = search(kernel, points, y, bounds, per_dimension=per_dimension)
-        fits.append((kernel, np.array(points, dtype=float), np.array(y, dtype=float), bounds, fitted))
+        fits.append((kernel, np.array(points, dtype=float), np.array(y, dtype=float), bounds, per_dimension, fitted))
         return fitted
 
     monkeypatch.setattr(harness, "_fit_lengthscales", recorded)
-    cfg = harness.load_config(ODE_MATERN_LHS)
-    harness.run_experiment(dataclasses.replace(cfg, replications=replications, seed=cfg.seed + seed_offset))
+    harness.run_experiment(dataclasses.replace(harness.load_config(path), replications=replications))
     monkeypatch.setattr(harness, "_fit_lengthscales", search)
     return fits
+
+
+def _tied_fits(monkeypatch, replications):
+    """Every level fit of the Poisson calibration config (1-d), and the tied 2-d squared-exponential fit of
+    test_fitted_lengthscales_are_fixed_by_the_seed."""
+    w, y = _seeded_data()
+    kernel, bounds = Kernel.squared_exponential(1.0, dim=2), (0.01, 10.0)
+    shared = (kernel, w, y, bounds, False, gp._fit_lengthscales(kernel, w, y, bounds))
+    return _sweep_fits(monkeypatch, ROOT / "configs" / "poisson_calibration.json", replications) + [shared]
 
 
 def _record_points(monkeypatch):
@@ -501,33 +516,49 @@ def _record_points(monkeypatch):
 
 
 class TestCompassSearch:
-    """Per-axis fits: the best point of the joint log-grid, refined by a comparison-only compass search."""
+    """Every fit: the best point of a log-grid, refined by a comparison-only compass search.
+
+    The inputs are the per-axis fits of the benchmark config and the tied and 1-d fits of ``_tied_fits``.
+    """
 
     def test_every_benchmark_fit_reaches_the_optimum(self, monkeypatch):
-        # every level fit of 20 replications of the benchmark config, against a reference the test finds
-        # itself: the best cell of a 24 x 24 joint log-grid, refined by Nelder-Mead from its 3 best cells
-        # and from the fit.  The reference evaluates the search's objective, which equals the public
-        # likelihood bit for bit (test_objective_equals_profiled_likelihood), because it is about 4x faster.
-        from scipy.optimize import minimize
+        # every level fit of 20 replications of the benchmark config and of the Poisson calibration config,
+        # and the tied 2-d fit, against a reference the test finds itself.  Per axis: the best cell of a
+        # 24 x 24 joint log-grid, refined by Nelder-Mead from its 3 best cells and from the fit.  Tied: the
+        # best point of a 256-point log-grid, refined by bounded scalar search between its neighbours.  The
+        # reference evaluates the search's objective, which equals the public likelihood bit for bit
+        # (test_objective_equals_profiled_likelihood), because it is about 4x faster.
+        from scipy.optimize import minimize, minimize_scalar
 
-        fits = _benchmark_fits(monkeypatch, 20)
-        assert len(fits) == 80 and all(kernel.dim == 2 for kernel, *_ in fits)
-        gaps = []
-        for kernel, w, y, bounds, fitted in fits:
+        per_axis, tied = _sweep_fits(monkeypatch, ODE_MATERN_LHS, 20), _tied_fits(monkeypatch, 20)
+        assert len(per_axis) == 80 and all(kernel.dim == 2 and per_dim for kernel, *_, per_dim, _ in per_axis)
+        assert len(tied) == 61 and not any(per_dim for *_, per_dim, _ in tied)
+        gaps = {True: [], False: []}
+        for kernel, w, y, bounds, per_dimension, fitted in per_axis + tied:
             objective = _objective(kernel, w, y.copy(), gp.NUGGET)
             lo, hi = math.log(bounds[0]), math.log(bounds[1])
-            grid = np.linspace(lo, hi, 24).tolist()
-            cells = sorted(((objective(c), c) for c in itertools.product(grid, repeat=2)), reverse=True)
-            reference = cells[0][0]
-            for start in [c for _, c in cells[:3]] + [tuple(math.log(g) for g in fitted.lengthscales)]:
-                result = minimize(lambda x: -objective(tuple(x.tolist())), start, method="Nelder-Mead",
-                                  bounds=[(lo, hi)] * 2, options={"xatol": 1e-3, "fatol": 1e-5})
-                reference = max(reference, -result.fun)
-            gaps.append(reference - profiled_log_marginal_likelihood(fitted, w, y))
-        assert max(gaps) < 1e-3
+            if per_dimension:
+                grid = np.linspace(lo, hi, 24).tolist()
+                cells = sorted(((objective(c), c) for c in itertools.product(grid, repeat=2)), reverse=True)
+                reference = cells[0][0]
+                for start in [c for _, c in cells[:3]] + [tuple(math.log(g) for g in fitted.lengthscales)]:
+                    result = minimize(lambda x: -objective(tuple(x.tolist())), start, method="Nelder-Mead",
+                                      bounds=[(lo, hi)] * 2, options={"xatol": 1e-3, "fatol": 1e-5})
+                    reference = max(reference, -result.fun)
+            else:
+                grid = np.linspace(lo, hi, 256)
+                values = [objective((g,) * kernel.dim) for g in grid]
+                peak = int(np.argmax(values))
+                result = minimize_scalar(lambda g: -objective((g,) * kernel.dim), method="bounded",
+                                         bounds=(grid[max(peak - 1, 0)], grid[min(peak + 1, 255)]),
+                                         options={"xatol": 1e-8})
+                reference = max(values[peak], -result.fun)
+            gaps[per_dimension].append(reference - profiled_log_marginal_likelihood(fitted, w, y))
+        # a 1-d reference is tight, and a tied fit stops within a final step of about REL_TOL of it (5.5e-8 here)
+        assert max(gaps[True]) < 1e-3 and max(gaps[False]) < 1e-6
 
     def test_no_poll_at_the_final_mesh_beats_the_result(self, monkeypatch):
-        # every per-axis fit of 4 replications of the benchmark config
+        # every per-axis fit of 4 replications of the benchmark config, and every tied fit of _tied_fits
         searches, compass = [], gp._compass_max
 
         def recorded(value, x, step, top, tol):
@@ -536,8 +567,9 @@ class TestCompassSearch:
             return best
 
         monkeypatch.setattr(gp, "_compass_max", recorded)
-        _benchmark_fits(monkeypatch, 4)
-        assert len(searches) == 16
+        _sweep_fits(monkeypatch, ODE_MATERN_LHS, 4)
+        _tied_fits(monkeypatch, 4)
+        assert len(searches) == 16 + 13
         for value, best, top, tol in searches:
             step = 0.5
             while step / 2.0 >= tol:
@@ -547,19 +579,34 @@ class TestCompassSearch:
                 assert value(poll) <= value(best)
 
     def test_no_point_is_factored_twice(self, monkeypatch):
-        # each fit of 4 replications of the benchmark config, searched again: one factorisation per distinct
-        # point, and distinct points at least the last step apart (a poll back to a point lands on it exactly)
-        fits = _benchmark_fits(monkeypatch, 4)
+        # each fit of 4 replications of the benchmark config, and each tied fit of _tied_fits, searched again:
+        # one factorisation per distinct point, and distinct points at least the last step apart (a poll back
+        # to a point lands on it exactly)
+        fits = _sweep_fits(monkeypatch, ODE_MATERN_LHS, 4) + _tied_fits(monkeypatch, 4)
         points = _record_points(monkeypatch)
         calls = _count_cholesky(monkeypatch)
-        for kernel, w, y, bounds, fitted in fits:
+        for kernel, w, y, bounds, per_dimension, fitted in fits:
             points.clear()
             calls.clear()
-            assert gp._fit_lengthscales(kernel, w, y, bounds, per_dimension=True) == fitted
+            assert gp._fit_lengthscales(kernel, w, y, bounds, per_dimension=per_dimension) == fitted
             distinct = np.array(sorted(set(points)))
             assert len(calls) == len(distinct) < len(points)
             apart = np.max(np.abs(distinct[:, None] - distinct[None, :]), axis=2) + np.eye(len(distinct))
             assert apart.min() >= gp.REL_TOL
+
+    def test_an_axis_without_a_lengthscale_is_not_searched(self, monkeypatch):
+        # a Brownian axis keeps a constant entry, so the per-axis search of a Brownian x Matern-1/2 kernel is
+        # the tied one.  Polling the Brownian axis too made 105 factorisations here, against the tied 52.
+        rng = np.random.default_rng(30)
+        w = rng.random((20, 2))
+        y = np.sin(3 * w[:, 0]) + np.cos(2 * w[:, 1]) + 0.05 * rng.standard_normal(20)
+        kernel = Kernel((BrownianMotion(), Matern(0.5, 1.0)))
+        calls = _count_cholesky(monkeypatch)
+        searches = []
+        for per_dimension in (True, False):
+            calls.clear()
+            searches.append((gp._fit_lengthscales(kernel, w, y, (0.01, 10.0), per_dimension), len(calls)))
+        assert searches[0] == searches[1]
 
     def test_factorisations_of_one_benchmark_replication(self, monkeypatch):
         # a cost guard: one replication of the fitted Matern-5/2 LHS config at the benchmark's seed offset 3.

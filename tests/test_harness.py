@@ -33,7 +33,7 @@ from mlbq.harness import (
     validate_budget_accounting,
     write_records_csv,
 )
-from mlbq.models import OdeHierarchy, PoissonHierarchy, make_model
+from mlbq.models import ModelError, OdeHierarchy, PoissonHierarchy, make_model
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -668,8 +668,8 @@ class TestRunExperiment:
         root = Path(__file__).resolve().parents[1]
         golden = {
             "configs/ode_budgets.json": "a79b459c84557b9a",
-            "configs/poisson_budgets.json": "b50572fe1fbf35b6",
-            "configs/poisson_calibration.json": "0738e35f27938bc6",
+            "configs/poisson_budgets.json": "2433ebd7cbe1b186",
+            "configs/poisson_calibration.json": "5375805bc69e481e",
             "perfbench/ode_matern_lhs.json": "058234ae27ca02b0",
         }
         script = (
@@ -910,7 +910,7 @@ class TestBlasThreads:
             )
             hashes[threads] = done.stdout.split()
         assert hashes["2"] == hashes["1"]
-        assert hashes["1"][1].startswith("0738e35f27938bc6") and hashes["1"][1] == hashes["1"][3]
+        assert hashes["1"][1].startswith("5375805bc69e481e") and hashes["1"][1] == hashes["1"][3]
 
     def test_thread_counts_pinned_during_the_sweep_and_restored_after(self, monkeypatch):
         calls = _blas_thread_calls()
@@ -1070,6 +1070,29 @@ class TestCli:
         assert main(["estimate", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert "mlbq" in out and "mlmc" in out
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (SingularGramError("Gram matrix not positive definite", 1e-4), 2),
+            (ModelError("solver failed"), 2),
+            (FloatingPointError("overflow"), 2),
+            (ConfigError("bad key"), 1),
+        ],
+        ids=["singular-gram", "model", "floating-point", "config"],
+    )
+    def test_estimate_exit_codes(self, error, code, tmp_path, monkeypatch, capsys):
+        # SingularGramError is a ValueError (through LinAlgError), yet a numerical failure: exit 2, not 1
+        from mlbq import cli
+
+        def failing(*args, **kwargs):
+            raise error
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(BASE_CONFIG))
+        monkeypatch.setattr(cli, "run_experiment", failing)
+        assert main(["estimate", "--config", str(cfg_path)]) == code
+        assert capsys.readouterr().err.startswith("numerical failure" if code == 2 else "config error")
 
     def test_seed_override_changes_random_cells(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

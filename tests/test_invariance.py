@@ -23,7 +23,7 @@ GOLDEN_CONFIGS = [
     "configs/poisson_calibration.json",
     "perfbench/ode_matern_lhs.json",
 ]
-REPLICATIONS, PERMUTATIONS = 2, 2
+REPLICATIONS, PERMUTATIONS, SHIFTS = 2, 2, (0.25, 3.0, -0.5)
 
 
 @pytest.fixture(autouse=True)
@@ -47,9 +47,43 @@ def _mlbq_cells(path):
                     yield cfg, model, bi, rep, _group_data(cfg, model, bi, rep, key, number)
 
 
+def _lengthscales(cfg, model, levels):
+    return [cfg.kernel.level_kernel(level.points, level.values, model.dim).lengthscales for level in levels]
+
+
 def _posterior(cfg, model, levels, measure=None):
     fits = [cfg.kernel.level_fit(level.points, level.values, model.dim) for level in levels]
     return mlbq_estimate(fits, measure or model.measure)
+
+
+def _permuted(levels, seed):
+    """Each level's points and values in one random order, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    orders = [rng.permutation(lv.n) for lv in levels]
+    return [LevelData(lv.points[order], lv.values[order]) for lv, order in zip(levels, orders)]
+
+
+def _shifted(model, levels, c):
+    """The levels and the measure with each uniform marginal and its coordinates moved by ``c``."""
+    uniform = np.array([isinstance(m, Uniform) for m in model.measure.marginals])
+    measure = ProductMeasure(
+        tuple(Uniform(m.a + c, m.b + c) if isinstance(m, Uniform) else m for m in model.measure.marginals)
+    )
+    return [LevelData(lv.points + c * uniform, lv.values) for lv in levels], measure
+
+
+@pytest.mark.parametrize("path", ["configs/poisson_budgets.json", "configs/poisson_calibration.json"])
+def test_permuted_points_and_shifted_measure_leave_every_fitted_lengthscale_unchanged(path):
+    # the tied searches land on the same point, so the Poisson bounds below measure roundoff of the final solves
+    cells = 0
+    for cfg, model, bi, rep, levels in _mlbq_cells(path):
+        fitted = _lengthscales(cfg, model, levels)
+        for k in range(PERMUTATIONS):
+            assert _lengthscales(cfg, model, _permuted(levels, [bi, rep, k])) == fitted
+        for c in SHIFTS:
+            assert _lengthscales(cfg, model, _shifted(model, levels, c)[0]) == fitted
+        cells += 1
+    assert cells > 0
 
 
 @pytest.mark.parametrize("path", GOLDEN_CONFIGS)
@@ -67,8 +101,8 @@ def test_doubled_values_double_the_mean_and_quadruple_the_variance(path):
 @pytest.mark.parametrize(
     "path, mean_bound, variance_bound",
     [  # just above the largest relative changes this sample gives (mean / variance):
-        # 7.3e-15 / 4.9e-11, roundoff of the Cholesky solves
-        ("configs/poisson_calibration.json", 9e-15, 6e-11),
+        # 1.07e-14 / 2.5e-11, roundoff of the Cholesky solves (every fitted lengthscale is unchanged)
+        ("configs/poisson_calibration.json", 1.2e-14, 6e-11),
         # 1.3e-9 / 7.9e-8, roundoff on the ill-conditioned n = 830 level 0
         ("configs/ode_budgets.json", 1.6e-9, 1.0e-7),
         # 5.3e-7 / 2.84e-4: roundoff flips a comparison of the per-axis search, which then stops a final
@@ -81,12 +115,7 @@ def test_permuted_points_move_the_posterior_within_bounds(path, mean_bound, vari
     for cfg, model, bi, rep, levels in _mlbq_cells(path):
         base = _posterior(cfg, model, levels)
         for k in range(PERMUTATIONS):
-            rng = np.random.default_rng([bi, rep, k])
-            permuted = []
-            for lv in levels:
-                order = rng.permutation(lv.n)
-                permuted.append(LevelData(lv.points[order], lv.values[order]))
-            post = _posterior(cfg, model, permuted)
+            post = _posterior(cfg, model, _permuted(levels, [bi, rep, k]))
             changes.append((abs(post.mean / base.mean - 1.0), abs(post.variance / base.variance - 1.0)))
     mean_change, variance_change = np.max(changes, axis=0)
     assert mean_change <= mean_bound and variance_change <= variance_bound
@@ -97,13 +126,8 @@ def _shift_changes(path):
     changes = []
     for cfg, model, _, _, levels in _mlbq_cells(path):
         base = _posterior(cfg, model, levels)
-        uniform = np.array([isinstance(m, Uniform) for m in model.measure.marginals])
-        for c in (0.25, 3.0, -0.5):
-            measure = ProductMeasure(
-                tuple(Uniform(m.a + c, m.b + c) if isinstance(m, Uniform) else m for m in model.measure.marginals)
-            )
-            shifted = [LevelData(lv.points + c * uniform, lv.values) for lv in levels]
-            post = _posterior(cfg, model, shifted, measure)
+        for c in SHIFTS:
+            post = _posterior(cfg, model, *_shifted(model, levels, c))
             changes.append((abs(post.mean / base.mean - 1.0), abs(post.variance / base.variance - 1.0)))
     return np.max(changes, axis=0)
 
@@ -116,9 +140,10 @@ def test_shifted_measure_leaves_the_dyadic_halton_posterior_unchanged():
 @pytest.mark.parametrize(
     "path, mean_bound, variance_bound",
     [  # just above the largest relative changes this sample gives (mean / variance):
-        # 1.5e-14 / 2.7e-10 and 1.5e-14 / 2.4e-11, roundoff of the shifted distances and kernel means
+        # 1.3e-14 / 6.8e-11 and 9.5e-15 / 3.2e-11, roundoff of the shifted distances and kernel means
+        # (every fitted lengthscale is unchanged)
         ("configs/poisson_budgets.json", 1.8e-14, 3.0e-10),
-        ("configs/poisson_calibration.json", 1.8e-14, 3.0e-11),
+        ("configs/poisson_calibration.json", 1.8e-14, 3.5e-11),
         # 5.3e-7 / 2.04e-4, roundoff flipping a comparison of the per-axis search, as for permutations
         ("perfbench/ode_matern_lhs.json", 6e-7, 2.2e-4),
     ],
