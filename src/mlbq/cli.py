@@ -3,7 +3,8 @@
 Subcommands::
 
     mlbq allocate    closed-form budget allocation from magnitudes/costs
-    mlbq estimate    one-shot estimator run from a config (replication 0)
+    mlbq estimate    the sweep at one replication (replication 0): print each record, and
+                     write the records CSV only with --out
     mlbq experiment  full sweep from a config -> records CSV
     mlbq calibrate   records CSV -> credible-interval coverage CSV
     mlbq oracle      run the derived-value oracles, print a provenance report
@@ -62,12 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="cost overhead factor >= 1, applied by both rules (default 1)")
 
     for name, help_text in [
-        ("estimate", "run every configured estimator once per budget and print the results"),
+        ("estimate", "run the sweep at one replication and print its records"),
         ("experiment", "run the full replicated sweep and write the records CSV"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
-        p.add_argument("--seed", type=int, help="override the config's master seed")
+        p.add_argument("--seed", type=int, help="override the config's master seed, an integer >= 0")
         p.add_argument("--jobs", type=int, default=1, help="worker processes for replications")
         p.add_argument("--out", help="output CSV path (overrides config output)")
 
@@ -102,34 +103,27 @@ def _cmd_allocate(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_sweep(args) -> int:
+    """``experiment`` writes the sweep's records; ``estimate`` is the sweep at one replication, printing each
+    record and writing them only with ``--out``."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    cfg = replace(cfg, replications=1)
-    records = run_experiment(cfg, jobs=args.jobs)
-    for r in records:
-        var = "" if r.variance is None else f" variance={r.variance:.6g}"
-        print(
-            f"T={r.budget:g} {r.estimator}: estimate={r.estimate:.10g}{var} "
-            f"abs_error={r.abs_error:.6g} cost={r.cost:.6g} n={';'.join(str(n) for n in r.n_per_level)}"
-        )
-    if args.out:
-        write_records_csv(records, args.out)
-        print(f"wrote {len(records)} records to {args.out}")
-    return 0
-
-
-def _cmd_experiment(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    out = args.out or cfg.output
-    if out is None:
+    estimate = args.command == "estimate"
+    out = args.out if estimate else args.out or cfg.output
+    if out is None and not estimate:
         raise ConfigError("no output path: pass --out or set `output` in the config")
-    records = run_experiment(cfg, jobs=args.jobs)
-    write_records_csv(records, out)
-    print(f"wrote {len(records)} records to {out}")
+    records = run_experiment(replace(cfg, replications=1) if estimate else cfg, jobs=args.jobs)
+    if estimate:
+        for r in records:
+            var = "" if r.variance is None else f" variance={r.variance:.6g}"
+            print(
+                f"T={r.budget:g} {r.estimator}: estimate={r.estimate:.10g}{var} "
+                f"abs_error={r.abs_error:.6g} cost={r.cost:.6g} n={';'.join(str(n) for n in r.n_per_level)}"
+            )
+    if out:
+        write_records_csv(records, out)
+        print(f"wrote {len(records)} records to {out}")
     return 0
 
 
@@ -169,10 +163,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "allocate":
             return _cmd_allocate(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
+        if args.command in ("estimate", "experiment"):
+            return _cmd_sweep(args)
         if args.command == "calibrate":
             return _cmd_calibrate(args)
         return _cmd_oracle()

@@ -60,7 +60,14 @@ Nothing is coerced: kernel flags are JSON booleans; counts (each >= 1),
 numbers (``NaN`` and ``Infinity``, which Python's ``json`` reads, fail);
 ``output`` a string.  Before the sweep, a kernel with no closed form on
 the measure, bad ``model.params`` or a design the measure cannot take
-(``designs.check_design``, as a grid on N(0, 1)) is a ConfigError.
+(``designs.check_design``, as a grid on N(0, 1)) is a ConfigError, and so
+is a ``seed`` that breaks its key's rule however it was set (``--seed``,
+``dataclasses.replace``).
+
+The records CSV has one column per ``_RECORD_COLUMNS`` row, which says how
+its value is written and read back; reading back checks every field, and a
+negative or non-finite ``budget``, ``variance``, ``abs_error`` or ``cost``
+is a ConfigError naming the path and the line.
 """
 
 from __future__ import annotations
@@ -106,7 +113,6 @@ ESTIMATOR_NAMES = ("mc", "mlmc", "bq", "mlbq")
 BAYESIAN = {"bq", "mlbq"}
 SINGLE_LEVEL = {"mc", "bq"}
 SEEDLESS_DESIGNS = {"grid", "halton"}  # the same points in every replication
-CSV_COLUMNS = ("replication", "estimator", "budget", "estimate", "variance", "abs_error", "cost", "n_per_level")
 
 # Per-cell numerical failures are reported and the sweep continues; these
 # are the exception types treated that way.
@@ -359,6 +365,22 @@ class ResultRecord:
         )
 
 
+# The records CSV in column order: (column, how a record's value is written, how a field is read back).  The
+# read-back checks each column in _NONNEGATIVE for a finite value >= 0.
+_RECORD_COLUMNS = (
+    ("replication", str, int),
+    ("estimator", str, str),
+    ("budget", repr, float),
+    ("estimate", repr, float),
+    ("variance", lambda v: "" if v is None else repr(v), lambda text: float(text) if text else None),
+    ("abs_error", repr, float),
+    ("cost", repr, float),
+    ("n_per_level", lambda ns: ";".join(map(str, ns)), lambda text: tuple(map(int, text.split(";"))) if text else ()),
+)
+CSV_COLUMNS = tuple(name for name, _, _ in _RECORD_COLUMNS)
+_NONNEGATIVE = ("budget", "variance", "abs_error", "cost")
+
+
 @contextlib.contextmanager
 def _csv_writer(path):
     """A csv writer on ``path``, opened for writing; a path that cannot be written is a ConfigError naming it."""
@@ -373,43 +395,23 @@ def write_records_csv(records, path):
     """Write records with the fixed column order; floats use repr round-trip."""
     with _csv_writer(path) as writer:
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.replication,
-                    r.estimator,
-                    repr(r.budget),
-                    repr(r.estimate),
-                    "" if r.variance is None else repr(r.variance),
-                    repr(r.abs_error),
-                    repr(r.cost),
-                    ";".join(str(n) for n in r.n_per_level),
-                ]
-            )
+        writer.writerows([write(getattr(r, name)) for name, write, _ in _RECORD_COLUMNS] for r in records)
 
 
 def _record(row) -> ResultRecord:
     if len(row) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-    record = ResultRecord(
-        replication=int(row[0]),
-        estimator=row[1],
-        budget=float(row[2]),
-        estimate=float(row[3]),
-        variance=None if row[4] == "" else float(row[4]),
-        abs_error=float(row[5]),
-        cost=float(row[6]),
-        n_per_level=tuple(int(n) for n in row[7].split(";")) if row[7] else (),
-    )
-    for name, value in (("variance", record.variance), ("abs_error", record.abs_error)):
+    fields = {name: read(text) for (name, _, read), text in zip(_RECORD_COLUMNS, row)}
+    for name in _NONNEGATIVE:
+        value = fields[name]
         if value is not None and not (_finite(value) and value >= 0):
             raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-    return record
+    return ResultRecord(**fields)
 
 
 def read_records_csv(path) -> list[ResultRecord]:
     """The records of a ``write_records_csv`` file; an unreadable file, a malformed line or a negative or
-    non-finite ``variance`` or ``abs_error`` is a ConfigError naming the path and the line."""
+    non-finite ``budget``, ``variance``, ``abs_error`` or ``cost`` is a ConfigError naming the path and the line."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -615,13 +617,15 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
     collected in submission order, which is (budget, replication, estimator)
     order, so the parallel run produces byte-identical output to the serial
     one; the pool starts at most one worker per task, and a sweep of one
-    task runs in this process whatever ``jobs`` is; ``jobs < 1`` is a
-    ConfigError.  The sweep and its workers run at one BLAS thread, because
-    LAPACK's blocking follows the thread count and would move the records'
-    low bits; the old counts are restored after.
+    task runs in this process whatever ``jobs`` is; ``jobs < 1``, and a seed
+    that breaks the config key's rule (an integer >= 0), are ConfigErrors.
+    The sweep and its workers run at one BLAS thread, because LAPACK's
+    blocking follows the thread count and would move the records' low bits;
+    the old counts are restored after.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    _TOP["seed"](cfg.seed, "config seed")  # as a loaded config's, so an override cannot skip the rule
     pinned = _pin_blas_threads()
     if not pinned:
         log.warning("no OpenBLAS thread control found: the records may depend on the BLAS thread count")

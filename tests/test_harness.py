@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import ctypes
+import dataclasses
 import filecmp
 import io
 import json
@@ -1071,6 +1072,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mlbq" in out and "mlmc" in out
 
+    def test_estimate_out_is_replication_zero_of_the_sweep(self, tmp_path, capsys):
+        cfg_path, one, full = tmp_path / "cfg.json", tmp_path / "one.csv", tmp_path / "full.csv"
+        cfg_path.write_text(json.dumps(BASE_CONFIG))
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(one)]) == 0
+        assert main(["experiment", "--config", str(cfg_path), "--out", str(full)]) == 0
+        header, *rows = full.read_text().splitlines()
+        assert one.read_text().splitlines() == [header, *(row for row in rows if row.startswith("0,"))]
+
     @pytest.mark.parametrize(
         "error, code",
         [
@@ -1081,18 +1090,32 @@ class TestCli:
         ],
         ids=["singular-gram", "model", "floating-point", "config"],
     )
-    def test_estimate_exit_codes(self, error, code, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", ["estimate", "experiment"])
+    def test_sweep_exit_codes(self, command, error, code, tmp_path, monkeypatch, capsys):
         # SingularGramError is a ValueError (through LinAlgError), yet a numerical failure: exit 2, not 1
         from mlbq import cli
 
         def failing(*args, **kwargs):
             raise error
 
-        cfg_path = tmp_path / "cfg.json"
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "records.csv"
         cfg_path.write_text(json.dumps(BASE_CONFIG))
         monkeypatch.setattr(cli, "run_experiment", failing)
-        assert main(["estimate", "--config", str(cfg_path)]) == code
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == code
         assert capsys.readouterr().err.startswith("numerical failure" if code == 2 else "config error")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "experiment"])
+    def test_negative_seed_is_config_error(self, command, tmp_path, capsys):
+        # --seed -1 used to exit 0: experiment wrote a header-only CSV after a warning for every cell, and
+        # estimate printed no rows
+        with pytest.raises(ConfigError, match=r"seed must be an integer >= 0, got -1"):
+            run_experiment(dataclasses.replace(config(), seed=-1))
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "records.csv"
+        cfg_path.write_text(json.dumps(BASE_CONFIG))
+        assert main([command, "--config", str(cfg_path), "--seed", "-1", "--out", str(out)]) == 1
+        assert re.fullmatch(r"config error: .*must be an integer >= 0, got -1\n", capsys.readouterr().err)
+        assert not out.exists()
 
     def test_seed_override_changes_random_cells(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -1128,14 +1151,21 @@ class TestCli:
              r"records .*records\.csv, line 2: abs_error must be a finite number >= 0, got -0\.1"),
             (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,inf,0.3,38;15;3\n",
              r"records .*records\.csv, line 2: abs_error must be a finite number >= 0, got inf"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,-1.0,1.5,0.1,0.2,0.3,38;15;3\n",
+             r"records .*records\.csv, line 2: budget must be a finite number >= 0, got -1\.0"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,0.2,0.3,38;15;3\n0,mlbq,0.3,1.5,0.1,0.2,nan,38;15;3\n",
+             r"records .*records\.csv, line 3: cost must be a finite number >= 0, got nan"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,0.2,-0.3,38;15;3\n",
+             r"records .*records\.csv, line 2: cost must be a finite number >= 0, got -0\.3"),
         ],
         ids=["missing", "empty", "short-row", "bad-number", "negative-variance", "nan-variance", "negative-abs-error",
-             "inf-abs-error"],
+             "inf-abs-error", "negative-budget", "nan-cost", "negative-cost"],
     )
     def test_calibrate_bad_records_is_config_error(self, tmp_path, capsys, text, match):
         # a missing file, an empty one and a short row used to end in a traceback (FileNotFoundError,
         # StopIteration, IndexError); a bad number exited 1 without naming the file or line; a negative variance
-        # exited 1 with only "math domain error", and a NaN variance or negative error printed a coverage table
+        # exited 1 with only "math domain error", and a NaN variance or negative error printed a coverage table,
+        # as a negative budget or a NaN or negative cost did
         path = tmp_path / "records.csv"
         if text is not None:
             path.write_text(text)

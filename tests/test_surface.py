@@ -72,6 +72,15 @@ def test_benchmark_runner_imports_resolve():
     assert missing == []
 
 
+def test_benchmark_runner_reads_the_records_columns():
+    # perfbench/run.py checks the records CSV against its own header list in parse_records
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    parse = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "parse_records")
+    header = next(node.value for node in ast.walk(parse) if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["header"])
+    assert harness.CSV_COLUMNS == tuple(ast.literal_eval(header))
+
+
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(mlbq.__path__)))
 def test_all_names_resolve(name):
     module = importlib.import_module(f"mlbq.{name}")
