@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    mlbq allocate    closed-form budget allocation from magnitudes/costs
+    mlbq allocate    closed-form budget allocation: its flags read as a config's allocation section
     mlbq estimate    the sweep at one replication (replication 0): print each record, and
                      write the records CSV only with --out
     mlbq experiment  full sweep from a config -> records CSV
@@ -17,12 +17,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from functools import partial
 
-from .allocation import AllocationError, mlbq_allocation, mlmc_allocation
 from .gp import SingularGramError
 from .harness import (
     ConfigError,
+    _allocation,
     calibration_table,
     load_config,
     read_records_csv,
@@ -44,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _floats(text):
-    return tuple(float(v) for v in text.split(","))
+    return [float(v) for v in text.split(",")]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,17 +82,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_allocate(args) -> int:
-    if args.variances is None:
-        if args.tau is None:
-            raise ConfigError("--norms needs --tau, the smoothness order (see kernel_sobolev_order)")
-        label, dim = "norm-based", 1 if args.dim is None else args.dim
-        rule = partial(mlbq_allocation, args.norms, args.costs, tau=args.tau, dim=dim, overhead=args.gamma)
-    elif args.tau is not None or args.dim is not None:
-        raise ConfigError("--tau and --dim apply to --norms only")
-    else:
-        label, rule = "variance-based", partial(mlmc_allocation, args.variances, args.costs, overhead=args.gamma)
+    source, label = ("mlmc-formula", "variance-based") if args.norms is None else ("mlbq-formula", "norm-based")
+    flags = {"source": source, "variances": args.variances, "norms": args.norms, "tau": args.tau, "gamma": args.gamma}
+    alloc = _allocation({key: value for key, value in flags.items() if value is not None}, "allocation")
+    if args.dim is not None and args.norms is None:  # the one flag with no config key (a sweep takes the model's)
+        raise ConfigError("--dim applies to --norms only")
     for budget in args.budget:
-        plan = rule(budget)
+        plan = alloc.plan(args.costs, budget, 1 if args.dim is None else args.dim)
         real = ", ".join(f"{v:.3f}" for v in plan.real_counts)
         print(f"T={budget:g} ({label})")
         print(f"  real counts:    [{real}]")
@@ -171,7 +166,7 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as exc:  # first: SingularGramError is a ValueError too
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, AllocationError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and AllocationError among them
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,13 +61,12 @@ numbers (``NaN`` and ``Infinity``, which Python's ``json`` reads, fail);
 ``output`` a string.  Before the sweep, a kernel with no closed form on
 the measure, bad ``model.params`` or a design the measure cannot take
 (``designs.check_design``, as a grid on N(0, 1)) is a ConfigError, and so
-is a ``seed`` that breaks its key's rule however it was set (``--seed``,
-``dataclasses.replace``).
+is a ``seed`` or ``replications`` (and ``jobs``) breaking its key's rule.
 
 The records CSV has one column per ``_RECORD_COLUMNS`` row, which says how
-its value is written and read back; reading back checks every field, and a
-negative or non-finite ``budget``, ``variance``, ``abs_error`` or ``cost``
-is a ConfigError naming the path and the line.
+its value is written, parsed and checked (by the config's checker for that
+value), and a record has a ``variance`` exactly when its estimator is
+Bayesian; a record breaking a rule is a ConfigError naming path and line.
 """
 
 from __future__ import annotations
@@ -83,14 +82,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .allocation import mlbq_allocation, mlmc_allocation
 from .designs import DESIGN_KINDS, check_design, generate_design
 from .gp import GPFit, SingularGramError, _fit_lengthscales, _profiled_fit
 from .kernels import Kernel, initial_error
 from .models import MODEL_NAMES, ModelError, _finite, make_model
-from .quadrature import LevelData, LevelFailure, mlbq_estimate, mlmc_estimate
+from .quadrature import LevelData, LevelFailure, credible_z, mlbq_estimate, mlmc_estimate
 
 __all__ = [
     "ConfigError",
@@ -174,6 +172,12 @@ class AllocationSpec:
     tau: float | None = None
     gamma: float = 1.0
 
+    def plan(self, costs, budget: float, dim: int):
+        """A formula source's plan at ``budget``: ``mlmc_allocation`` or ``mlbq_allocation``, by source."""
+        if self.source == "mlmc-formula":
+            return mlmc_allocation(self.variances, costs, budget, self.gamma)
+        return mlbq_allocation(self.norms, costs, budget, self.tau, dim, self.gamma)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -230,6 +234,10 @@ def _one_of(*options):
 
 _number = _rule(_is_number, "a finite number", float)
 _numbers = _rule(_is_numbers, "a list of finite numbers", _floats)
+_positive = _rule(lambda value: _is_number(value) and value > 0, "a finite number > 0", float)
+_nonnegative = _rule(lambda value: _is_number(value) and value >= 0, "a finite number >= 0", float)
+_index = _rule(lambda value: type(value) is int and value >= 0, "an integer >= 0")
+_count = _rule(lambda value: type(value) is int and value >= 1, "an integer >= 1")
 _flag = _rule(lambda value: type(value) is bool, "a boolean")
 _string = _rule(lambda value: type(value) is str, "a string")
 _counts = _rule(lambda row: isinstance(row, list) and all(type(n) is int and n >= 1 for n in row),
@@ -293,11 +301,11 @@ _TOP = {
     "estimators": _rule(lambda value: isinstance(value, list) and value, "a nonempty list", lambda value: tuple(
         EstimatorSpec(**_section(e, _ESTIMATOR, "estimator", ("name", "design"))) for e in value)),
     "kernel": _kernel,
-    "budgets": _rule(lambda value: _is_numbers(value) and value and all(t > 0 for t in value),
-                     "a nonempty list of finite numbers > 0", _floats),
+    "budgets": _rule(lambda value: isinstance(value, list) and value, "a nonempty list",
+                     lambda value: tuple(_positive(t, "budget") for t in value)),
     "allocation": _allocation,
-    "replications": _rule(lambda value: type(value) is int and value >= 1, "an integer >= 1"),
-    "seed": _rule(lambda value: type(value) is int and value >= 0, "an integer >= 0"),
+    "replications": _count,
+    "seed": _index,
     "output": _string,
 }
 
@@ -365,20 +373,19 @@ class ResultRecord:
         )
 
 
-# The records CSV in column order: (column, how a record's value is written, how a field is read back).  The
-# read-back checks each column in _NONNEGATIVE for a finite value >= 0.
+# The records CSV in column order: (column, how a record's value is written, how its text is parsed, the checker
+# of the parsed value, the config's own for that value).  An empty variance reads as None.
 _RECORD_COLUMNS = (
-    ("replication", str, int),
-    ("estimator", str, str),
-    ("budget", repr, float),
-    ("estimate", repr, float),
-    ("variance", lambda v: "" if v is None else repr(v), lambda text: float(text) if text else None),
-    ("abs_error", repr, float),
-    ("cost", repr, float),
-    ("n_per_level", lambda ns: ";".join(map(str, ns)), lambda text: tuple(map(int, text.split(";"))) if text else ()),
+    ("replication", str, int, _index),
+    ("estimator", str, str, _ESTIMATOR["name"]),
+    ("budget", repr, float, _positive),
+    ("estimate", repr, float, _number),
+    ("variance", lambda v: "" if v is None else repr(v), float, _nonnegative),
+    ("abs_error", repr, float, _nonnegative),
+    ("cost", repr, float, _nonnegative),
+    ("n_per_level", lambda ns: ";".join(map(str, ns)), lambda text: [int(n) for n in text.split(";")], _counts),
 )
-CSV_COLUMNS = tuple(name for name, _, _ in _RECORD_COLUMNS)
-_NONNEGATIVE = ("budget", "variance", "abs_error", "cost")
+CSV_COLUMNS = tuple(name for name, *_ in _RECORD_COLUMNS)
 
 
 @contextlib.contextmanager
@@ -395,23 +402,23 @@ def write_records_csv(records, path):
     """Write records with the fixed column order; floats use repr round-trip."""
     with _csv_writer(path) as writer:
         writer.writerow(CSV_COLUMNS)
-        writer.writerows([write(getattr(r, name)) for name, write, _ in _RECORD_COLUMNS] for r in records)
+        writer.writerows([write(getattr(r, name)) for name, write, *_ in _RECORD_COLUMNS] for r in records)
 
 
 def _record(row) -> ResultRecord:
     if len(row) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-    fields = {name: read(text) for (name, _, read), text in zip(_RECORD_COLUMNS, row)}
-    for name in _NONNEGATIVE:
-        value = fields[name]
-        if value is not None and not (_finite(value) and value >= 0):
-            raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    fields = {name: None if name == "variance" and not text else check(parse(text), name)
+              for (name, _, parse, check), text in zip(_RECORD_COLUMNS, row)}
+    bayesian = fields["estimator"] in BAYESIAN
+    _require((fields["variance"] is None) != bayesian,
+             f"variance must be {'a number' if bayesian else 'empty'} for estimator {fields['estimator']!r}")
     return ResultRecord(**fields)
 
 
 def read_records_csv(path) -> list[ResultRecord]:
-    """The records of a ``write_records_csv`` file; an unreadable file, a malformed line or a negative or
-    non-finite ``budget``, ``variance``, ``abs_error`` or ``cost`` is a ConfigError naming the path and the line."""
+    """The records of a ``write_records_csv`` file; an unreadable file, or a line that is malformed or breaks a
+    column's rule, is a ConfigError naming the path and the line."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -433,7 +440,6 @@ def read_records_csv(path) -> list[ResultRecord]:
 
 def _counts_for(cfg: ExperimentConfig, model, budget_index: int) -> dict[str, tuple[int, ...]]:
     """Per-estimator sample sizes for one budget."""
-    costs = model.costs
     alloc = cfg.allocation
     budget = cfg.budgets[budget_index]
     out = {}
@@ -453,16 +459,9 @@ def _counts_for(cfg: ExperimentConfig, model, budget_index: int) -> dict[str, tu
         if not out:
             raise ConfigError(f"allocation table entry {budget_index} allocates no estimator")
         return out
-    if alloc.source == "mlmc-formula":
-        plan = mlmc_allocation(alloc.variances, costs, budget, alloc.gamma)
-    else:
-        plan = mlbq_allocation(alloc.norms, costs, budget, alloc.tau, model.dim, alloc.gamma)
-    for est in cfg.estimators:
-        if est.name in SINGLE_LEVEL:
-            out[est.name] = (max(int(budget / (alloc.gamma * costs[-1])), 1),)
-        else:
-            out[est.name] = plan.counts
-    return out
+    counts = alloc.plan(model.costs, budget, model.dim).counts
+    top = (max(int(budget / (alloc.gamma * model.costs[-1])), 1),)
+    return {est.name: top if est.name in SINGLE_LEVEL else counts for est in cfg.estimators}
 
 
 def _cell_cost(counts, costs) -> float:
@@ -617,15 +616,15 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
     collected in submission order, which is (budget, replication, estimator)
     order, so the parallel run produces byte-identical output to the serial
     one; the pool starts at most one worker per task, and a sweep of one
-    task runs in this process whatever ``jobs`` is; ``jobs < 1``, and a seed
-    that breaks the config key's rule (an integer >= 0), are ConfigErrors.
+    task runs in this process whatever ``jobs`` is.  ``seed``, ``replications``
+    and ``jobs`` (by the ``replications`` rule) pass their keys' checkers.
     The sweep and its workers run at one BLAS thread, because LAPACK's
     blocking follows the thread count and would move the records' low bits;
     the old counts are restored after.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    _TOP["seed"](cfg.seed, "config seed")  # as a loaded config's, so an override cannot skip the rule
+    _count(jobs, "jobs")
+    _count(cfg.replications, "config replications")
+    _index(cfg.seed, "config seed")
     pinned = _pin_blas_threads()
     if not pinned:
         log.warning("no OpenBLAS thread control found: the records may depend on the BLAS thread count")
@@ -685,9 +684,7 @@ def calibration_table(records, levels=(0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)) -
         raise ValueError("no records with posterior variance; nothing to calibrate")
     rows = []
     for q in levels:
-        if not 0 < q < 1:
-            raise ValueError(f"credible level must lie in (0, 1), got {q}")
-        z = ndtri(0.5 * (1.0 + q))
+        z = credible_z(q)
         hits = sum(1 for r in bayes if r.abs_error <= z * math.sqrt(r.variance))
         n = len(bayes)
         rows.append(CoverageRow(q, hits / n, math.sqrt(q * (1 - q) / n), n))

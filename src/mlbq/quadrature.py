@@ -28,6 +28,7 @@ from .kernels import ProductMeasure, initial_error, kernel_mean
 __all__ = [
     "LevelData",
     "GaussianPosterior",
+    "credible_z",
     "LevelFailure",
     "mlmc_estimate",
     "bq_posterior",
@@ -97,9 +98,16 @@ class GaussianPosterior:
         return math.sqrt(self.variance)
 
     def credible_interval(self, level: float) -> tuple[float, float]:
-        """Central two-sided interval at the given credible level."""
-        z = ndtri(0.5 * (1.0 + level))
+        """Central two-sided interval at the given credible level, in (0, 1)."""
+        z = credible_z(level)
         return self.mean - z * self.std, self.mean + z * self.std
+
+
+def credible_z(level: float) -> float:
+    """The central standard-normal quantile z, with P(|Z| <= z) = level; a level outside (0, 1) is a ValueError."""
+    if not 0 < level < 1:
+        raise ValueError(f"credible level must lie in (0, 1), got {level}")
+    return ndtri(0.5 * (1.0 + level))
 
 
 # ---------------------------------------------------------------------------

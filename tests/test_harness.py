@@ -953,8 +953,14 @@ class TestBlasThreads:
 
 
 class TestCsv:
-    def test_round_trip_exact(self, tmp_path):
-        records = run_experiment(config(replications=2))
+    @pytest.mark.parametrize(
+        "name", ["configs/ode_budgets.json", "configs/poisson_budgets.json", "configs/poisson_calibration.json",
+                 "perfbench/ode_matern_lhs.json"],
+    )
+    def test_round_trip_exact(self, tmp_path, name):
+        # every record kind the sweep writes reads back: single-level bq, mlmc on shared LHS data, grid and Halton
+        records = run_experiment(dataclasses.replace(load_config(Path(__file__).resolve().parents[1] / name),
+                                                     replications=2))
         path = tmp_path / "records.csv"
         write_records_csv(records, path)
         assert read_records_csv(path) == records
@@ -1023,9 +1029,38 @@ class TestCli:
     def test_allocate_variances_refuse_tau_and_dim(self, capsys):
         # the variance-based rule reads neither; --gamma it does read
         variances = ["allocate", "--variances", "1,0.1", "--costs", "1,4", "--budget", "10"]
-        for flag in (["--tau", "1"], ["--dim", "2"]):
+        for flag, message in ((["--tau", "1"], "allocation has unknown keys ['tau']"),
+                              (["--dim", "2"], "--dim applies to --norms only")):
             assert main([*variances, *flag]) == 1
-            assert "--tau and --dim apply to --norms only" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, section",
+        [
+            (["--variances", "1,0.1", "--gamma", "0.5"], {"source": "mlmc-formula", "variances": [1.0, 0.1], "gamma": 0.5}),
+            (["--norms", "1,0.1"], {"source": "mlbq-formula", "norms": [1.0, 0.1]}),
+            (["--variances", "1,0.1", "--tau", "1"], {"source": "mlmc-formula", "variances": [1.0, 0.1], "tau": 1.0}),
+            (["--norms", "1,0.1", "--tau", "inf"], {"source": "mlbq-formula", "norms": [1.0, 0.1], "tau": math.inf}),
+        ],
+        ids=["gamma-below-one", "norms-without-tau", "variances-with-tau", "inf-tau"],
+    )
+    def test_allocate_reports_the_configs_message(self, flags, section, capsys):
+        # the flags are read as the config's allocation section: each case used to have a wording of its own
+        with pytest.raises(ConfigError) as raised:
+            config(allocation=section)
+        assert main(["allocate", *flags, "--costs", "1,4", "--budget", "10"]) == 1
+        assert capsys.readouterr().err == f"config error: {raised.value}\n"
+
+    def test_allocate_counts_are_the_sweeps(self, capsys):
+        budgets = [0.376, 0.751, 1.503]
+        cfg = config(estimators=[{"name": "mlbq", "design": "iid"}], budgets=budgets,
+                     allocation={"source": "mlbq-formula", "norms": POISSON_NORMS, "tau": 1.0})
+        model = make_model("poisson")
+        assert main(["allocate", "--norms", ",".join(map(str, POISSON_NORMS)), "--tau", "1", "--budget",
+                     ",".join(map(str, budgets)), "--costs", ",".join(map(str, model.costs))]) == 0
+        printed = [line.split(":", 1)[1].strip() for line in capsys.readouterr().out.splitlines()
+                   if "integer counts" in line]
+        assert printed == [str(list(_counts_for(cfg, model, bi)["mlbq"])) for bi in range(len(budgets))]
 
     def test_allocate_gamma_applies_to_both_rules(self, capsys):
         for rule in (["--variances", "1,0.1"], ["--norms", "1,0.1", "--tau", "1"]):
@@ -1046,10 +1081,10 @@ class TestCli:
         # both used to exit 0, printing NaN real counts or real counts of 0
         assert main(["allocate", "--variances", "1,0.1,0.01", "--costs", "1,2,4", "--budget", "100",
                      "--gamma", "nan"]) == 1
-        assert "overhead factor must be finite" in capsys.readouterr().err
+        assert "allocation gamma must be a finite number >= 1, got nan" in capsys.readouterr().err
         assert main(["allocate", "--norms", "1,0.1,0.01", "--costs", "1,2,4", "--budget", "100",
                      "--gamma", "inf", "--tau", "inf"]) == 1
-        assert "must be finite" in capsys.readouterr().err
+        assert "allocation tau must be a finite number, got inf" in capsys.readouterr().err
 
     def test_experiment_and_calibrate(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -1152,20 +1187,40 @@ class TestCli:
             (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,inf,0.3,38;15;3\n",
              r"records .*records\.csv, line 2: abs_error must be a finite number >= 0, got inf"),
             (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,-1.0,1.5,0.1,0.2,0.3,38;15;3\n",
-             r"records .*records\.csv, line 2: budget must be a finite number >= 0, got -1\.0"),
+             r"records .*records\.csv, line 2: budget must be a finite number > 0, got -1\.0"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.0,1.5,0.1,0.2,0.3,38;15;3\n",
+             r"records .*records\.csv, line 2: budget must be a finite number > 0, got 0\.0"),
             (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,0.2,0.3,38;15;3\n0,mlbq,0.3,1.5,0.1,0.2,nan,38;15;3\n",
              r"records .*records\.csv, line 3: cost must be a finite number >= 0, got nan"),
             (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,0.2,-0.3,38;15;3\n",
              r"records .*records\.csv, line 2: cost must be a finite number >= 0, got -0\.3"),
+            (",".join(harness.CSV_COLUMNS) + "\n-5,nosuch,0.3,nan,0.1,0.2,0.3,0;-3\n",
+             r"records .*records\.csv, line 2: replication must be an integer >= 0, got -5"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,0.2,0.3,38;15;3\n0,nosuch,0.3,1.5,0.1,0.2,0.3,3\n",
+             r"records .*records\.csv, line 3: estimator must be one of \(.*\), got 'nosuch'"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,nan,0.1,0.2,0.3,38;15;3\n",
+             r"records .*records\.csv, line 2: estimate must be a finite number, got nan"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,0.2,0.3,38;0;3\n",
+             r"records .*records\.csv, line 2: n_per_level must be a list of integer counts >= 1, got \[38, 0, 3\]"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,0.2,0.3,38;-3;3\n",
+             r"records .*records\.csv, line 2: n_per_level must be a list of integer counts >= 1, got \[38, -3, 3\]"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,0.1,0.2,0.3,38;15;3\n0,mlmc,0.3,1.5,0.1,0.2,0.3,67;11;1\n",
+             r"records .*records\.csv, line 3: variance must be empty for estimator 'mlmc'"),
+            (",".join(harness.CSV_COLUMNS) + "\n0,mlbq,0.3,1.5,,0.2,0.3,38;15;3\n",
+             r"records .*records\.csv, line 2: variance must be a number for estimator 'mlbq'"),
         ],
         ids=["missing", "empty", "short-row", "bad-number", "negative-variance", "nan-variance", "negative-abs-error",
-             "inf-abs-error", "negative-budget", "nan-cost", "negative-cost"],
+             "inf-abs-error", "negative-budget", "zero-budget", "nan-cost", "negative-cost", "negative-replication",
+             "unknown-estimator", "nan-estimate", "zero-count", "negative-count", "mlmc-with-variance",
+             "mlbq-without-variance"],
     )
     def test_calibrate_bad_records_is_config_error(self, tmp_path, capsys, text, match):
         # a missing file, an empty one and a short row used to end in a traceback (FileNotFoundError,
         # StopIteration, IndexError); a bad number exited 1 without naming the file or line; a negative variance
         # exited 1 with only "math domain error", and a NaN variance or negative error printed a coverage table,
-        # as a negative budget or a NaN or negative cost did
+        # as a negative budget or a NaN or negative cost did, and a row no sweep writes (a negative replication, an
+        # unknown estimator, a NaN estimate, a count below one, a zero budget, a variance on an mlmc record or none
+        # on an mlbq one) still does
         path = tmp_path / "records.csv"
         if text is not None:
             path.write_text(text)
@@ -1185,15 +1240,22 @@ class TestCli:
         assert main([command, *args, "--out", str(out)]) == 1
         assert re.search(r"^config error: cannot write .*out\.csv: .*No such file", capsys.readouterr().err)
 
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
-        # --jobs -3 used to exit 0 and run serially
-        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5, True])
+    def test_jobs_breaking_the_replications_rule_is_config_error(self, tmp_path, capsys, jobs):
+        # --jobs -3 used to exit 0 and run serially; jobs=1.5 ended in a TypeError
+        message = f"jobs must be an integer >= 1, got {jobs!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             run_experiment(config(), jobs=jobs)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(BASE_CONFIG))
-        assert main(["estimate", "--config", str(cfg_path), "--jobs", str(jobs)]) == 1
-        assert capsys.readouterr().err == f"config error: jobs must be >= 1, got {jobs}\n"
+        if type(jobs) is int:  # the command line parses --jobs as an integer
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(BASE_CONFIG))
+            assert main(["estimate", "--config", str(cfg_path), "--jobs", str(jobs)]) == 1
+            assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_replications_override_below_one_is_config_error(self):
+        # used to return no records and raise no error
+        with pytest.raises(ConfigError, match="config replications must be an integer >= 1, got 0"):
+            run_experiment(dataclasses.replace(config(), replications=0))
 
     def test_calibrate_without_bayesian_records(self, tmp_path):
         records = [ResultRecord(0, "mlmc", 1.0, 5.0, None, 0.1, 1.0, (3,))]

@@ -62,6 +62,13 @@ class TestGaussianPosterior:
         assert lo == pytest.approx(2.0 - 1.959963984540054 * 2.0, abs=1e-12)
         assert hi == pytest.approx(2.0 + 1.959963984540054 * 2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("level", [-0.2, 0.0, 1.0, 1.5])
+    def test_credible_interval_rejects_levels_outside_zero_one(self, level):
+        # -0.2 gave (1.127, 0.873), a lower bound above the upper one, and 1.5 gave NaN bounds
+        post = GaussianPosterior(1.0, 0.25, (1.0,), (0.25,))
+        with pytest.raises(ValueError, match=r"credible level must lie in \(0, 1\)"):
+            post.credible_interval(level)
+
 
 class TestMonteCarlo:
     def test_mc_mean(self):

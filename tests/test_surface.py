@@ -86,3 +86,17 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"mlbq.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_cli_has_no_allocation_path_of_its_own():
+    # `mlbq allocate` reads its flags with the config's reader and plans through AllocationSpec.plan, as the sweep
+    # does; importing the allocation module's formulas here would bring back a second set of rules and messages
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "allocation" for alias in node.names}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names if alias.name.split(".")[-1] == "allocation"}
+    assert imported <= {"AllocationError"}
+    named = {getattr(node, attr) for node in ast.walk(tree) for attr in ("id", "attr", "name")
+             if isinstance(getattr(node, attr, None), str)}
+    assert not named & {"mlmc_allocation", "mlbq_allocation", "integerize_allocation"}
