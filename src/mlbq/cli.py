@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    mlbq allocate    closed-form budget allocation: its flags read as a config's allocation section
+    mlbq allocate    closed-form budget allocation, its flags read by the config's rules
     mlbq estimate    the sweep at one replication (replication 0): print each record, and
                      write the records CSV only with --out
     mlbq experiment  full sweep from a config -> records CSV
@@ -22,6 +22,7 @@ from .gp import SingularGramError
 from .harness import (
     ConfigError,
     _allocation,
+    _positive,
     calibration_table,
     load_config,
     read_records_csv,
@@ -29,7 +30,7 @@ from .harness import (
     write_coverage_csv,
     write_records_csv,
 )
-from .models import ModelError
+from .models import ModelError, _costs
 from .quadrature import LevelFailure
 
 NUMERICAL_ERRORS = (SingularGramError, LevelFailure, ModelError, FloatingPointError, ArithmeticError)
@@ -87,8 +88,9 @@ def _cmd_allocate(args) -> int:
     alloc = _allocation({key: value for key, value in flags.items() if value is not None}, "allocation")
     if args.dim is not None and args.norms is None:  # the one flag with no config key (a sweep takes the model's)
         raise ConfigError("--dim applies to --norms only")
-    for budget in args.budget:
-        plan = alloc.plan(args.costs, budget, 1 if args.dim is None else args.dim)
+    costs, budgets = _costs(args.costs), [_positive(budget, "budget") for budget in args.budget]
+    for budget in budgets:
+        plan = alloc.plan(costs, budget, 1 if args.dim is None else args.dim)
         real = ", ".join(f"{v:.3f}" for v in plan.real_counts)
         print(f"T={budget:g} ({label})")
         print(f"  real counts:    [{real}]")

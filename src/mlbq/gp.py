@@ -12,8 +12,8 @@ tied or per dimension: the best point of a log-grid, refined by a compass
 search that only compares likelihood values.  The search sets up once per fit,
 factors its own work matrix in place, factors no point twice and matches the
 public profiled likelihood bit for bit.
-Data are checked to be finite where they enter; a non-finite Gram matrix or
-likelihood raises.  Everything here is pure; ``GPFit`` is immutable.
+Data are read by ``kernels.as_data``, which checks them to be finite; a non-finite
+Gram matrix or likelihood raises.  Everything here is pure; ``GPFit`` is immutable.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .kernels import Kernel, as_points, gram
+from .kernels import Kernel, as_data, gram
 
 __all__ = [
     "GPFit",
@@ -60,16 +60,6 @@ def cholesky(matrix):
     if info != 0:
         raise (np.linalg.LinAlgError if info > 0 else ValueError)(f"LAPACK potrf returned info {info}")
     return chol
-
-
-def _data(kernel, points, y):
-    """(n, dim) points and a copy of the observations, checked to be finite."""
-    w, yv = as_points(points, kernel.dim), np.array(y, dtype=float).reshape(-1)
-    if not 0 < w.shape[0] == yv.shape[0]:
-        raise ValueError(f"need matching nonempty data, got {w.shape[0]} points and {yv.shape[0]} observations")
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(yv))):
-        raise ValueError("GP points and observations must be finite")
-    return w, yv
 
 
 def _factor(fill, nugget):
@@ -163,7 +153,7 @@ def fit_gp(kernel: Kernel, points, y, nugget=NUGGET) -> GPFit:
     """
     if nugget < 0:
         raise ValueError("nugget must be nonnegative")
-    w, resid = _data(kernel, points, y)
+    w, resid = as_data(points, y, kernel.dim)
     if kernel.amplitude == 0.0:  # nothing to factor
         return _scaled(GPFit(kernel, w, resid, None, None, nugget), kernel)
     # cho_solve checks the factor: a non-finite Gram matrix raises ValueError
@@ -254,7 +244,7 @@ def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=NUG
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi):
         raise ValueError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    w, resid = _data(kernel, points, y)
+    w, resid = as_data(points, y, kernel.dim)
     if w.shape[0] < 2:
         raise ValueError("hyperparameter fitting needs at least 2 points")
     if np.max(np.abs(resid)) == 0.0:

@@ -88,7 +88,7 @@ from .designs import DESIGN_KINDS, check_design, generate_design
 from .gp import GPFit, SingularGramError, _fit_lengthscales, _profiled_fit
 from .kernels import Kernel, initial_error
 from .models import MODEL_NAMES, ModelError, _finite, make_model
-from .quadrature import LevelData, LevelFailure, credible_z, mlbq_estimate, mlmc_estimate
+from .quadrature import LevelData, LevelFailure, _each_level, credible_z, mlbq_estimate, mlmc_estimate
 
 __all__ = [
     "ConfigError",
@@ -174,9 +174,13 @@ class AllocationSpec:
 
     def plan(self, costs, budget: float, dim: int):
         """A formula source's plan at ``budget``: ``mlmc_allocation`` or ``mlbq_allocation``, by source."""
-        if self.source == "mlmc-formula":
-            return mlmc_allocation(self.variances, costs, budget, self.gamma)
-        return mlbq_allocation(self.norms, costs, budget, self.tau, dim, self.gamma)
+        key = "variances" if self.source == "mlmc-formula" else "norms"
+        values = getattr(self, key)
+        _require(len(values) == len(costs),  # one per level, as ``costs`` has
+                 f"allocation {key} needs one entry per level, got {len(values)} for {len(costs)}")
+        if key == "variances":
+            return mlmc_allocation(values, costs, budget, self.gamma)
+        return mlbq_allocation(values, costs, budget, self.tau, dim, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -233,8 +237,8 @@ def _one_of(*options):
 
 
 _number = _rule(_is_number, "a finite number", float)
-_numbers = _rule(_is_numbers, "a list of finite numbers", _floats)
 _positive = _rule(lambda value: _is_number(value) and value > 0, "a finite number > 0", float)
+_positives = _rule(lambda v: _is_numbers(v) and all(x > 0 for x in v), "a list of finite numbers > 0", _floats)
 _nonnegative = _rule(lambda value: _is_number(value) and value >= 0, "a finite number >= 0", float)
 _index = _rule(lambda value: type(value) is int and value >= 0, "an integer >= 0")
 _count = _rule(lambda value: type(value) is int and value >= 1, "an integer >= 1")
@@ -291,8 +295,8 @@ _SOURCE = _one_of("table", "mlmc-formula", "mlbq-formula")
 _GAMMA = _rule(lambda value: _is_number(value) and value >= 1, "a finite number >= 1", float)
 _ALLOCATION = {
     "table": {"table": _table},
-    "mlmc-formula": {"variances": _numbers, "gamma": _GAMMA},
-    "mlbq-formula": {"norms": _numbers, "tau": _number, "gamma": _GAMMA},
+    "mlmc-formula": {"variances": _positives, "gamma": _GAMMA},
+    "mlbq-formula": {"norms": _positives, "tau": _number, "gamma": _GAMMA},
 }
 _TOP = {
     "comment": _string,
@@ -542,8 +546,9 @@ def _run_estimator(cfg, model, est: EstimatorSpec, levels):
     dim = model.dim
     if est.name in ("mc", "mlmc"):
         return mlmc_estimate(levels), None
-    if est.name in ("bq", "mlbq"):
-        post = mlbq_estimate([cfg.kernel.level_fit(lv.points, lv.values, dim) for lv in levels], model.measure)
+    if est.name in ("bq", "mlbq"):  # a level's fit failure is a LevelFailure at its position, as its posterior's is
+        fits = _each_level(lambda lv: cfg.kernel.level_fit(lv.points, lv.values, dim), levels)
+        post = mlbq_estimate(fits, model.measure)
         return post.mean, post.variance
     raise ConfigError(f"unknown estimator {est.name!r}")
 

@@ -47,6 +47,7 @@ __all__ = [
     "kernel_mean",
     "initial_error",
     "as_points",
+    "as_data",
 ]
 
 _SQRT5 = math.sqrt(5.0)
@@ -247,10 +248,9 @@ class ProductMeasure:
         return all(isinstance(m, Uniform) for m in self.marginals)
 
     def contains(self, points) -> bool:
-        """True if every point lies in the support: finite, and inside [a, b] on each uniform axis."""
+        """True if every point lies inside [a, b] on each uniform axis; the points are read by :func:`as_points`."""
         pts = as_points(points, self.dim)
-        uniform = [(m, pts[:, j]) for j, m in enumerate(self.marginals) if isinstance(m, Uniform)]
-        return bool(np.all(np.isfinite(pts))) and all(np.all((m.a <= x) & (x <= m.b)) for m, x in uniform)
+        return all(np.all((m.a <= x) & (x <= m.b)) for m, x in zip(self.marginals, pts.T) if isinstance(m, Uniform))
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +259,28 @@ class ProductMeasure:
 
 
 def as_points(points, dim: int) -> np.ndarray:
-    """Normalise scalars / 1-d arrays / (n, d) arrays to an (n, dim) array."""
+    """The one reader of a point set, as an (n, dim) array of finite coordinates; anything else is a ValueError.
+    A scalar is one point, and a 1-d array one point of ``dim`` > 1 coordinates or else n points on a line."""
     arr = np.asarray(points, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        # a single d-dimensional point, or n points in one dimension
+    if arr.ndim < 2:
         arr = arr.reshape(1, -1) if dim > 1 and arr.size == dim else arr.reshape(-1, 1)
     elif arr.ndim != 2:
         raise ValueError(f"points must be at most 2-d, got shape {arr.shape}")
     if arr.shape[1] != dim:
         raise ValueError(f"points have dimension {arr.shape[1]}, kernel/measure has {dim}")
+    if not np.isfinite(arr).all():
+        raise ValueError("points must be finite")
     return arr
+
+
+def as_data(points, values, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one reader of a data set: (n, dim) points by :func:`as_points` and a copy of n >= 1 finite values."""
+    w, y = as_points(points, dim), np.array(values, dtype=float).reshape(-1)
+    if not 0 < w.shape[0] == y.shape[0]:
+        raise ValueError(f"need n >= 1 points and one value each, got {w.shape[0]} points but {y.shape[0]} values")
+    if not np.isfinite(y).all():
+        raise ValueError("values must be finite")
+    return w, y
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +302,6 @@ def gram(kernel: Kernel, points, points2=None) -> np.ndarray:
     """
     w1 = as_points(points, kernel.dim)
     w2 = w1 if points2 is None else as_points(points2, kernel.dim)
-    if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))):
-        raise ValueError("gram requires finite coordinates")
     out = np.full((w1.shape[0], w2.shape[0]), kernel.amplitude)
     buf = np.empty((min(_GRAM_BLOCK_ROWS, w1.shape[0]), w2.shape[0]))
     for j, f in enumerate(kernel.factors):
@@ -402,8 +410,6 @@ def kernel_mean(kernel: Kernel, measure: ProductMeasure, points):
     if kernel.dim != measure.dim:
         raise ValueError(f"kernel dimension {kernel.dim} != measure dimension {measure.dim}")
     pts = as_points(points, kernel.dim)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("kernel_mean requires finite coordinates")
     out = np.full(pts.shape[0], kernel.amplitude)
     for j, (f, g, m) in enumerate(zip(kernel.factors, kernel.lengthscales, measure.marginals)):
         out = out * _closed_form(f, m)[0](g, m, pts[:, j])

@@ -28,8 +28,8 @@ least one level; ``interior_nodes`` ints >= 1; ``breakpoint_counts`` ints >= 2;
 ``spacings`` 1/m for an integer m >= 3; each of these sizes (m for a spacing)
 at most ``MAX_REFERENCE_ROWS``, as is m * ``reference_refine`` (an int >= 1)
 at the top level's m; ``forcing`` finite; ``high`` finite and > 0.
-``evaluate`` reads its points as ``kernels.as_points`` does, so points of
-the wrong dimension are a ValueError.
+``evaluate`` reads its points by ``kernels.as_points``, so points of the
+wrong dimension or with a non-finite coordinate are a ValueError.
 """
 
 from __future__ import annotations
@@ -174,6 +174,11 @@ def _typed(values, types, what, rule, ok) -> tuple:
     return values
 
 
+def _costs(costs) -> tuple:
+    """The per-level costs rule: each an int or float > 0 and finite."""
+    return _typed(costs, _NUMBER, "costs", "> 0 and finite", lambda c: 0 < c and _finite(c))
+
+
 class MultifidelityModel:
     """Shared interface: levels 0..L of increasing accuracy and cost; the constructor owns the level table."""
 
@@ -182,7 +187,7 @@ class MultifidelityModel:
     measure: ProductMeasure
 
     def __init__(self, costs, per_level):
-        costs = _typed(costs, _NUMBER, "costs", "> 0 and finite", lambda c: 0 < c and _finite(c))
+        costs = _costs(costs)
         if not per_level:
             raise ValueError(f"{self.name}: needs at least one level")
         if len(per_level) != len(costs):
@@ -257,10 +262,6 @@ class PoissonHierarchy(MultifidelityModel):
         bp = np.concatenate([[0.0], nodes, [1.0]])
         vals = np.concatenate([[0.0], delta * np.cumsum(dev * a, axis=0)[:-1, 0], [0.0]])
         return PiecewiseLinearFunction(bp, vals)
-
-    def level_function(self, level: int) -> PiecewiseLinearFunction:
-        self._check_level(level)
-        return self._levels[level]
 
     def evaluate(self, level: int, points) -> np.ndarray:
         self._check_level(level)

@@ -23,7 +23,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 from .gp import GPFit
-from .kernels import ProductMeasure, initial_error, kernel_mean
+from .kernels import ProductMeasure, as_data, initial_error, kernel_mean
 
 __all__ = [
     "LevelData",
@@ -44,32 +44,35 @@ class LevelFailure(RuntimeError):
         self.level = level
 
 
+def _each_level(fn, items) -> list:
+    """``fn`` of each item in level order; a ValueError or FloatingPointError is a LevelFailure at its position."""
+    out = []
+    for position, item in enumerate(items):
+        try:
+            out.append(fn(item))
+        except (ValueError, FloatingPointError) as exc:
+            raise LevelFailure(position, str(exc)) from exc
+    return out
+
+
 @dataclass(frozen=True)
 class LevelData:
-    """Design points and increment values for one fidelity level.
+    """Design points and increment values for one fidelity level, read by ``kernels.as_data``.
 
     ``values`` holds f_l(W_l) - f_{l-1}(W_l) (f_{-1} = 0, so level 0 holds
-    plain evaluations).  The level is the block's position in its list.
+    plain evaluations).  The level is the block's position in its list.  A 1-d
+    ``points`` array is one point when there is one value, else n points on a line.
     """
 
     points: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim > 2:
-            raise ValueError(f"points must be at most 2-d, got shape {pts.shape}")
-        if pts.ndim < 2:  # as ``as_points`` reads them: with one value one point, else n points on a line
-            pts = pts.reshape(1, -1) if vals.size == 1 else pts.reshape(-1, 1)
-        if pts.shape[0] != vals.shape[0]:
-            raise ValueError(f"{pts.shape[0]} points but {vals.shape[0]} values")
-        if pts.shape[0] < 1:
-            raise ValueError("needs at least one point")
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite points or values")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
+        pts = np.asarray(self.points)
+        dim = pts.shape[1] if pts.ndim == 2 else max(pts.size, 1) if np.size(self.values) == 1 else 1
+        points, values = as_data(pts, self.values, dim)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -159,14 +162,6 @@ def mlbq_estimate(fits, measure: ProductMeasure) -> GaussianPosterior:
     """
     if len(fits) == 0:
         raise ValueError("mlbq_estimate needs at least one level")
-    level_means, level_vars = [], []
-    for position, fit in enumerate(fits):
-        try:
-            post = bq_posterior(fit, measure)
-        except (ValueError, FloatingPointError) as exc:
-            raise LevelFailure(position, str(exc)) from exc
-        level_means.append(post.mean)
-        level_vars.append(post.variance)
-    return GaussianPosterior(
-        float(sum(level_means)), float(sum(level_vars)), tuple(level_means), tuple(level_vars)
-    )
+    posts = _each_level(lambda fit: bq_posterior(fit, measure), fits)
+    level_means, level_vars = tuple(p.mean for p in posts), tuple(p.variance for p in posts)
+    return GaussianPosterior(float(sum(level_means)), float(sum(level_vars)), level_means, level_vars)

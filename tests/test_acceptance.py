@@ -201,10 +201,9 @@ def test_criterion_5e_greedy_integerization_near_exhaustive_optimum():
 
 def test_criterion_5f_fem_nodal_exactness():
     model = PoissonHierarchy()
-    for level in range(model.levels):
-        f = model.level_function(level)
-        nodes = f.breakpoints[1:-1]
-        assert np.max(np.abs(f.values[1:-1] - poisson_exact_solution(nodes))) < 1e-10
+    for level, p in enumerate(model.interior_nodes):
+        nodes = np.linspace(0.0, 1.0, p + 2)[1:-1]
+        assert np.max(np.abs(model.evaluate(level, nodes) - poisson_exact_solution(nodes))) < 1e-10
 
 
 def test_criterion_5g_kkt_stationarity_of_allocations():

@@ -198,11 +198,22 @@ class TestConfig:
             ({"source": "table", "table": [{"mlbq": [38, 15, 3], "mlmc": [67, 11, -5]}]}, r"table\[0\] 'mlmc'"),
             ({"source": "mlmc-formula", "variances": [1.305e-3, 0.088e-3, 0.002e-3], "gamma": 0}, "gamma"),
             ({"source": "mlmc-formula", "variances": [1.305e-3, 0.088e-3, 0.002e-3], "gamma": -3}, "gamma"),
+            ({"source": "mlmc-formula", "variances": [1, -0.1, 0.01]},
+             r"allocation variances must be a list of finite numbers > 0, got \[1, -0.1, 0.01\]"),
+            ({"source": "mlbq-formula", "norms": [62.5e-3, 0, 3.125e-3], "tau": 1.0},
+             r"allocation norms must be a list of finite numbers > 0, got \[0.0625, 0, 0.003125\]"),
+            ({"source": "mlmc-formula", "variances": [1.305e-3, 0.088e-3]},
+             "allocation variances needs one entry per level, got 2 for 3"),
+            ({"source": "mlbq-formula", "norms": [62.5e-3, 22.5e-3, 3.125e-3, 1e-3], "tau": 1.0},
+             "allocation norms needs one entry per level, got 4 for 3"),
         ],
-        ids=["zero-count", "negative-count", "zero-gamma", "negative-gamma"],
+        ids=["zero-count", "negative-count", "zero-gamma", "negative-gamma", "negative-variance", "zero-norm",
+             "two-variances", "four-norms"],
     )
     def test_out_of_range_allocation_fails_before_the_sweep(self, allocation, match, tmp_path, monkeypatch):
-        # a zero count failed mid-sweep naming no key; gamma 0 divided by zero, and gamma -3 ran mc on one sample
+        # a zero count failed mid-sweep naming no key; gamma 0 divided by zero, and gamma -3 ran mc on one sample;
+        # a magnitude <= 0 or a list unlike the model's levels failed in the allocation library's words, naming
+        # neither the key nor the value
         raw = dict(copy.deepcopy(BASE_CONFIG), allocation=allocation)
         if allocation["source"] != "table":
             raw["estimators"] = [{"name": "mc", "design": "iid"}]
@@ -549,6 +560,23 @@ class TestRunExperiment:
         assert [(r.replication, r.estimator) for r in records] == [(0, "mlmc"), (1, "mlmc"), (2, "mlmc")]
         assert calls.count("mlbq") == 3
 
+    def test_fit_failure_names_its_level(self, monkeypatch, caplog):
+        # the calibration config's one cell fits levels of 153, 60 and 10 points; a fit failure used to be
+        # reported without its level, where a data or posterior failure reads `level 2: ...`
+        level_fit = harness.KernelPolicy.level_fit
+
+        def singular_at_ten(policy, points, values, dim):
+            if len(points) == 10:
+                raise SingularGramError("Gram matrix not positive definite even with nugget 0.0001", 1e-4)
+            return level_fit(policy, points, values, dim)
+
+        monkeypatch.setattr(harness.KernelPolicy, "level_fit", singular_at_ten)
+        config_path = str(Path(__file__).resolve().parents[1] / "configs/poisson_calibration.json")
+        with caplog.at_level("WARNING", logger="mlbq.harness"):
+            assert main(["estimate", "--config", config_path]) == 0
+        assert [r.message for r in caplog.records if "failed" in r.message] == [
+            "cell (T=1.503, rep=0, mlbq) failed: level 2: Gram matrix not positive definite even with nugget 0.0001"]
+
     def test_level_data_failure_reported_in_every_replication(self, monkeypatch, caplog):
         # a grid group's data are reused across replications only once built: a failed build is not kept, so each
         # replication draws the grid again and reports its own failure
@@ -565,7 +593,7 @@ class TestRunExperiment:
             records = run_experiment(config(replications=3))
         assert [(r.replication, r.estimator) for r in records] == [(0, "mlmc"), (1, "mlmc"), (2, "mlmc")]
         assert [r.message for r in caplog.records if "failed" in r.message] == [
-            f"cell (T=0.376, rep={rep}, mlbq) failed: level 2: non-finite points or values" for rep in range(3)]
+            f"cell (T=0.376, rep={rep}, mlbq) failed: level 2: values must be finite" for rep in range(3)]
         assert grids.count("grid") == 3 * 3
 
     def test_failed_group_is_built_once_per_replication(self, monkeypatch, caplog):
@@ -583,7 +611,7 @@ class TestRunExperiment:
             assert run_experiment(cfg) == []
         assert drawn == ["iid"] * 6
         assert [r.message for r in caplog.records if "failed" in r.message] == [
-            f"cell (T=0.376, rep={rep}, {name}) failed: level 2: non-finite points or values"
+            f"cell (T=0.376, rep={rep}, {name}) failed: level 2: values must be finite"
             for rep in range(2) for name in ("mlbq", "mlmc")]
 
     def test_level_data_failure_fails_its_cell_only(self, monkeypatch, caplog, capsys):
@@ -606,7 +634,7 @@ class TestRunExperiment:
         assert len(clean) == 6
         assert capsys.readouterr().out.splitlines() == [line for line in clean if not line.startswith("T=1.503 mlbq:")]
         failed = [r.message for r in caplog.records if "failed" in r.message]
-        assert failed == ["cell (T=1.503, rep=0, mlbq) failed: level 2: non-finite points or values"]
+        assert failed == ["cell (T=1.503, rep=0, mlbq) failed: level 2: values must be finite"]
 
     def test_parallel_jobs_keep_byte_identical_output(self, tmp_path):
         # a repeated budget keeps its two entries apart under --jobs too
@@ -1049,6 +1077,25 @@ class TestCli:
         with pytest.raises(ConfigError) as raised:
             config(allocation=section)
         assert main(["allocate", *flags, "--costs", "1,4", "--budget", "10"]) == 1
+        assert capsys.readouterr().err == f"config error: {raised.value}\n"
+
+    @pytest.mark.parametrize(
+        "flags, check",
+        [
+            (["--budget", "-1.5"], lambda: config(budgets=[-1.5])),
+            (["--budget", "inf"], lambda: config(budgets=[math.inf])),
+            (["--costs", "1.5,-4.5"], lambda: make_model("poisson", costs=[1.5, -4.5])),
+            (["--costs", "1,nan"], lambda: make_model("poisson", costs=[1.0, math.nan])),
+        ],
+        ids=["negative-budget", "inf-budget", "negative-cost", "nan-cost"],
+    )
+    def test_allocate_reads_budget_and_costs_by_the_configs_rules(self, flags, check, capsys):
+        # --budget is read as a config budget, --costs by the model's costs rule: both used to fail in the
+        # allocation library's words (`budget must be positive`, `magnitudes and costs must be strictly positive`)
+        with pytest.raises(ValueError) as raised:
+            check()
+        given = {"--variances": "1,0.1", "--costs": "1,4", "--budget": "10", flags[0]: flags[1]}
+        assert main(["allocate", *[text for pair in given.items() for text in pair]]) == 1
         assert capsys.readouterr().err == f"config error: {raised.value}\n"
 
     def test_allocate_counts_are_the_sweeps(self, capsys):

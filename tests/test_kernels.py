@@ -301,5 +301,6 @@ class TestProductMeasure:
         m = ProductMeasure.uniform(0, 1, dim=2)
         assert m.contains([[0.5, 1.0], [0.0, 0.2]])
         assert not m.contains([[0.5, 1.2]])
-        assert not m.contains([[math.nan, 0.5]])
+        with pytest.raises(ValueError, match="points must be finite"):
+            m.contains([[math.nan, 0.5]])
         assert ProductMeasure.standard_normal().contains([[-40.0]])

@@ -60,15 +60,14 @@ class TestBrownianNorm:
 class TestPoisson:
     def test_nodal_values_example(self):
         model = PoissonHierarchy(interior_nodes=(3,), costs=(1.0,))
-        f = model.level_function(0)
-        assert np.allclose(f.values, [0.0, -0.09375, -0.125, -0.09375, 0.0], atol=1e-14)
+        values = model.evaluate(0, np.linspace(0.0, 1.0, 5))
+        assert np.allclose(values, [0.0, -0.09375, -0.125, -0.09375, 0.0], atol=1e-14)
 
     def test_fem_nodal_exactness(self):
         model = PoissonHierarchy()
         for level, p in enumerate(model.interior_nodes):
-            f = model.level_function(level)
-            nodes = f.breakpoints[1:-1]
-            assert np.max(np.abs(f.values[1:-1] - poisson_exact_solution(nodes))) < 1e-10
+            nodes = np.linspace(0.0, 1.0, p + 2)[1:-1]
+            assert np.max(np.abs(model.evaluate(level, nodes) - poisson_exact_solution(nodes))) < 1e-10
 
     def test_exact_solution_integral(self):
         assert POISSON_EXACT_INTEGRAL == pytest.approx(-1.0 / 12.0)

@@ -8,7 +8,7 @@ from mlbq import gp
 from mlbq.designs import generate_design
 from mlbq.gp import fit_gp, fit_hyperparameters
 from mlbq.kernels import Kernel, ProductMeasure, as_points, gram, initial_error, kernel_mean
-from mlbq.models import PoissonHierarchy, StepHierarchy
+from mlbq.models import OdeHierarchy, PoissonHierarchy, StepHierarchy
 from mlbq.quadrature import (
     GaussianPosterior,
     LevelData,
@@ -47,8 +47,31 @@ class TestLevelData:
         assert np.array_equal(LevelData(points, values).points, as_points(points, dim))
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="values must be finite"):
             LevelData([0.1], [math.inf])
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda w: gram(M12, w),
+        lambda w: kernel_mean(M12, U01, w),
+        lambda w: U01.contains(w),
+        lambda w: fit_gp(M12, w, [1.0, 2.0, 3.0]),
+        lambda w: fit_hyperparameters(M12, w, [1.0, 2.0, 3.0], bounds=(0.05, 5.0)),
+        lambda w: LevelData(w, [1.0, 2.0, 3.0]),
+        lambda w: PoissonHierarchy().evaluate(0, w),
+        lambda w: OdeHierarchy().evaluate(0, np.column_stack([w, w])),
+        lambda w: StepHierarchy().evaluate(0, w),
+    ],
+    ids=["gram", "kernel_mean", "contains", "fit_gp", "fit_hyperparameters", "LevelData", "poisson-evaluate",
+         "ode-evaluate", "step-evaluate"],
+)
+def test_a_non_finite_point_is_refused_wherever_it_enters(read):
+    # as_points is the one reader of a point set: the messages used to differ, contains returned False and
+    # Poisson evaluate returned NaN
+    with pytest.raises(ValueError, match="points must be finite"):
+        read(np.array([0.1, math.nan, 0.7]))
 
 
 class TestGaussianPosterior:
