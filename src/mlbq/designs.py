@@ -25,9 +25,10 @@ from scipy.special import ndtri
 
 from .kernels import ProductMeasure, Uniform
 
-__all__ = ["Design", "check_design", "generate_design", "halton_sequence", "DESIGN_KINDS"]
+__all__ = ["Design", "check_design", "generate_design", "halton_sequence", "DESIGN_KINDS", "SEEDLESS_DESIGNS"]
 
 DESIGN_KINDS = ("iid", "grid", "halton", "lhs")
+SEEDLESS_DESIGNS = {"grid", "halton"}  # the kinds that ignore the seed: the same points for every seed
 
 
 @dataclass(frozen=True)

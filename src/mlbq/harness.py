@@ -6,9 +6,9 @@ sizes (explicit table or allocation formula), a replication count and a
 master seed.  ``run_experiment`` builds the model, computes its reference
 integral and resolves each budget's sample sizes once per sweep, then
 walks (budget, replication) cells: every estimator that shares a design
-kind, sample sizes and data mode (a group) within a cell consumes the
-identical evaluations, and all randomness derives from the master seed
-through spawned child seeds, so reruns are byte-identical.  One reuse
+kind and sample sizes (a group) within a cell consumes the identical
+evaluations, and all randomness derives from the master seed through
+spawned child seeds, so reruns are byte-identical.  One reuse
 rule holds within a task (a budget and a run of its replications): a
 grid or Halton cell ignores the seed, so each estimator computes it once
 per task; every other cell is computed in its own replication.  Under
@@ -84,10 +84,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import mlbq_allocation, mlmc_allocation
-from .designs import DESIGN_KINDS, check_design, generate_design
-from .gp import GPFit, SingularGramError, _fit_lengthscales, _profiled_fit
+from .designs import DESIGN_KINDS, SEEDLESS_DESIGNS, check_design, generate_design
+from .gp import GPFit, _fit_lengthscales, _profiled_fit
 from .kernels import Kernel, initial_error
-from .models import MODEL_NAMES, ModelError, _finite, make_model
+from .models import MODEL_NAMES, _finite, make_model
 from .quadrature import LevelData, LevelFailure, _each_level, credible_z, mlbq_estimate, mlmc_estimate
 
 __all__ = [
@@ -110,11 +110,6 @@ SCHEMA_VERSION = 1
 ESTIMATOR_NAMES = ("mc", "mlmc", "bq", "mlbq")
 BAYESIAN = {"bq", "mlbq"}
 SINGLE_LEVEL = {"mc", "bq"}
-SEEDLESS_DESIGNS = {"grid", "halton"}  # the same points in every replication
-
-# Per-cell numerical failures are reported and the sweep continues; these
-# are the exception types treated that way.
-CELL_ERRORS = (LevelFailure, SingularGramError, ModelError, FloatingPointError, ValueError)
 
 
 class ConfigError(ValueError):
@@ -173,13 +168,15 @@ class AllocationSpec:
     gamma: float = 1.0
 
     def plan(self, costs, budget: float, dim: int):
-        """A formula source's plan at ``budget``: ``mlmc_allocation`` or ``mlbq_allocation``, by source."""
+        """A formula source's plan at ``budget``: ``mlmc_allocation`` or ``mlbq_allocation``, by source; a ``tau``
+        at or below ``dim / 2`` is a ConfigError."""
         key = "variances" if self.source == "mlmc-formula" else "norms"
         values = getattr(self, key)
         _require(len(values) == len(costs),  # one per level, as ``costs`` has
                  f"allocation {key} needs one entry per level, got {len(values)} for {len(costs)}")
         if key == "variances":
             return mlmc_allocation(values, costs, budget, self.gamma)
+        _require(self.tau > dim / 2, f"allocation tau must exceed d/2 = {dim / 2}, got {self.tau}")
         return mlbq_allocation(values, costs, budget, self.tau, dim, self.gamma)
 
 
@@ -508,31 +505,29 @@ def _data_hash(levels) -> str:
 
 def _groups(cfg, counts_by_est):
     """(estimator, group key, group number) of each allocated estimator, in config order: the key is
-    (design, counts, single-level), the number its position among the sorted distinct keys."""
-    keys = {est: (est.design, counts_by_est[est.name], est.name in SINGLE_LEVEL)
-            for est in cfg.estimators if est.name in counts_by_est}
+    (design, counts), the number its position among the sorted distinct keys."""
+    keys = {est: (est.design, counts_by_est[est.name]) for est in cfg.estimators if est.name in counts_by_est}
     numbers = {key: gi for gi, key in enumerate(sorted(set(keys.values())))}
     return [(est, key, numbers[key]) for est, key in keys.items()]
 
 
 def _group_data(cfg, model, budget_index, replication, key, number):
-    """One group's level data: each level's design, evaluated there.
+    """One group's level data: the model's last ``len(counts)`` levels, each level's design evaluated there.
 
-    Multilevel estimators take ``model.increments``; single-level ones the top level, as their one
-    level.  A level that cannot be built is a ``LevelFailure`` at its list position.
+    The first of those levels is evaluated and each later one gives its increment, so a multilevel
+    group starts at level 0 and a one-count group is the top level.  A level that cannot be built is
+    a ``LevelFailure`` at its position (``quadrature._each_level``).
     """
-    design_kind, counts, single = key
-    top = model.levels - 1
-    levels = []
-    try:
-        # single-level estimators sample the top level itself; the others sample increments
-        for level, n in zip([top] if single else range(len(counts)), counts):
-            seed = np.random.SeedSequence(cfg.seed, spawn_key=(budget_index, replication, number, level))
-            points = generate_design(design_kind, model.measure, n, seed=seed).points
-            values = model.evaluate(top, points) if single else model.increments(level, points)
-            levels.append(LevelData(points, values))
-    except CELL_ERRORS as exc:
-        raise LevelFailure(len(levels), str(exc)) from exc
+    design_kind, counts = key
+    first = model.levels - len(counts)
+
+    def build(item):
+        level, n = item
+        seed = np.random.SeedSequence(cfg.seed, spawn_key=(budget_index, replication, number, level))
+        points = generate_design(design_kind, model.measure, n, seed=seed).points
+        return LevelData(points, model.increments(level, points) if level > first else model.evaluate(level, points))
+
+    levels = _each_level(build, enumerate(counts, first))
     if log.isEnabledFor(logging.DEBUG):  # hashing every group's data costs about a tenth of an ODE sweep
         log.debug("cell T=%s rep=%s group=%s hash=%s", cfg.budgets[budget_index], replication, key, _data_hash(levels))
     return levels
@@ -541,26 +536,25 @@ def _group_data(cfg, model, budget_index, replication, key, number):
 def _run_estimator(cfg, model, est: EstimatorSpec, levels):
     """Return (estimate, variance or None) for one estimator on one cell.
 
-    ``mc`` and ``bq`` are ``mlmc`` and ``mlbq`` on their one level.
+    A Bayesian estimator is ``mlbq`` on its levels, the other ``mlmc`` (``bq`` and ``mc`` on one level); a
+    level's fit failure is a ``LevelFailure`` at its position, as its posterior's is.
     """
-    dim = model.dim
-    if est.name in ("mc", "mlmc"):
-        return mlmc_estimate(levels), None
-    if est.name in ("bq", "mlbq"):  # a level's fit failure is a LevelFailure at its position, as its posterior's is
-        fits = _each_level(lambda lv: cfg.kernel.level_fit(lv.points, lv.values, dim), levels)
+    if est.name in BAYESIAN:
+        fits = _each_level(lambda lv: cfg.kernel.level_fit(lv.points, lv.values, model.dim), levels)
         post = mlbq_estimate(fits, model.measure)
         return post.mean, post.variance
-    raise ConfigError(f"unknown estimator {est.name!r}")
+    return mlmc_estimate(levels), None
 
 
 def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, counts_by_est, replications):
     """One budget's records for ``replications``, in (replication, estimator) order.
 
-    A cell is keyed (estimator, group key) when its design ignores the seed (grid, Halton) and
+    A cell is keyed (estimator, group key) when its design ignores the seed (``SEEDLESS_DESIGNS``) and
     (estimator, group key, replication) otherwise; a key already computed in this task reuses its
     (estimate, variance), and a group's level data are built once per replication, when a cell first
-    needs them.  A group that cannot be built keeps its ``LevelFailure`` for that replication, which
-    fails each estimator sharing it; failures are not kept across replications, so each reports its own.
+    needs them.  A cell fails, is logged and is left out only by a ``LevelFailure``: a group that cannot
+    be built keeps its failure for that replication, which fails each estimator sharing it; failures are
+    not kept across replications, so each reports its own.
     """
     budget = cfg.budgets[budget_index]
     groups = _groups(cfg, counts_by_est)
@@ -572,16 +566,12 @@ def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, count
             try:
                 if cell not in results:
                     if key not in data:
-                        try:
-                            data[key] = _group_data(cfg, model, budget_index, rep, key, number)
-                        except LevelFailure as exc:
-                            data[key] = exc
+                        data[key] = _group_data(cfg, model, budget_index, rep, key, number)
                     if isinstance(data[key], LevelFailure):
                         raise data[key]
                     results[cell] = _run_estimator(cfg, model, est, data[key])
-            except ConfigError:
-                raise
-            except CELL_ERRORS as exc:
+            except LevelFailure as exc:
+                data.setdefault(key, exc)  # a group that failed to build fails each estimator sharing it
                 log.warning("cell (T=%s, rep=%s, %s) failed: %s", budget, rep, est.name, exc)
                 continue
             records.append(ResultRecord.make(rep, est.name, budget, *results[cell], reference,

@@ -45,7 +45,9 @@ class LevelFailure(RuntimeError):
 
 
 def _each_level(fn, items) -> list:
-    """``fn`` of each item in level order; a ValueError or FloatingPointError is a LevelFailure at its position."""
+    """``fn`` of each item in level order; a ValueError or FloatingPointError is a LevelFailure at its position.
+
+    It names the failing level of a sweep group's data build, of a level's fit and of a level's posterior."""
     out = []
     for position, item in enumerate(items):
         try:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from mlbq.designs import check_design, generate_design, halton_sequence
+from mlbq.designs import DESIGN_KINDS, SEEDLESS_DESIGNS, check_design, generate_design, halton_sequence
 from mlbq.kernels import ProductMeasure, StandardNormal, Uniform
 
 U01 = ProductMeasure.uniform(0.0, 1.0)
@@ -71,6 +71,12 @@ class TestGeneration:
             assert np.array_equal(a.points, b.points)
             c = generate_design(kind, U2, 20, seed=12)
             assert not np.array_equal(a.points, c.points)
+
+    def test_seedless_kinds_are_those_the_seed_does_not_move(self):
+        # the sweep reuses a cell across replications exactly when its design kind is in SEEDLESS_DESIGNS
+        moved = {kind: not np.array_equal(generate_design(kind, U2, 16, seed=1).points,
+                                          generate_design(kind, U2, 16, seed=2).points) for kind in DESIGN_KINDS}
+        assert {kind for kind, changed in moved.items() if not changed} == SEEDLESS_DESIGNS
 
     def test_deterministic_kinds_ignore_seed(self):
         assert np.array_equal(

@@ -206,9 +206,11 @@ class TestConfig:
              "allocation variances needs one entry per level, got 2 for 3"),
             ({"source": "mlbq-formula", "norms": [62.5e-3, 22.5e-3, 3.125e-3, 1e-3], "tau": 1.0},
              "allocation norms needs one entry per level, got 4 for 3"),
+            ({"source": "mlbq-formula", "norms": [62.5e-3, 22.5e-3, 3.125e-3], "tau": 0.4},
+             r"allocation tau must exceed d/2 = 0.5, got 0.4"),
         ],
         ids=["zero-count", "negative-count", "zero-gamma", "negative-gamma", "negative-variance", "zero-norm",
-             "two-variances", "four-norms"],
+             "two-variances", "four-norms", "tau-below-half-d"],
     )
     def test_out_of_range_allocation_fails_before_the_sweep(self, allocation, match, tmp_path, monkeypatch):
         # a zero count failed mid-sweep naming no key; gamma 0 divided by zero, and gamma -3 ran mc on one sample;
@@ -846,6 +848,22 @@ class TestRunExperiment:
                 post = bq_posterior(cfg.kernel.level_fit(level.points, level.values, model.dim), model.measure)
                 assert r.estimate == post.mean and r.variance == post.variance
 
+    def test_one_level_model_pairs_single_and_multilevel_estimators(self):
+        # on a one-level model mc is mlmc and bq is mlbq on the same samples; they used to draw apart groups, so at
+        # seed 5, replication 0, mc read -0.0903883 and mlmc -0.0913836
+        cfg = config(
+            model={"name": "poisson", "params": {"interior_nodes": [16], "costs": [0.01]}},
+            estimators=[{"name": name, "design": "iid"} for name in ("mc", "mlmc", "bq", "mlbq")],
+            allocation={"source": "table", "table": [[20]]},
+            replications=2,
+            seed=5,
+        )
+        records = run_experiment(cfg)
+        by_name = {name: [r for r in records if r.estimator == name] for name in ("mc", "mlmc", "bq", "mlbq")}
+        assert len(by_name["mc"]) == len(by_name["bq"]) == 2
+        assert [dataclasses.replace(r, estimator="mlmc") for r in by_name["mc"]] == by_name["mlmc"]
+        assert [dataclasses.replace(r, estimator="mlbq") for r in by_name["bq"]] == by_name["mlbq"]
+
     def test_fixed_policy_conditions_at_the_amplitude_mle(self):
         # the base kernel's lengthscale, each level at its own amplitude MLE (it used to be amplitude 1)
         from mlbq.gp import _profiled_fit
@@ -1116,6 +1134,13 @@ class TestCli:
             assert main(["allocate", *rule, "--costs", "1,4", "--budget", "10"]) == 0
             halved = capsys.readouterr().out.splitlines()
             assert scaled[0].startswith("T=20 ") and scaled[1:] == halved[1:]
+
+    @pytest.mark.parametrize("dim, tau", [(1, 0.4), (2, 0.8)])
+    def test_allocate_checks_tau_against_half_the_dimension(self, dim, tau, capsys):
+        # the sweep's message for the config's tau; both used to read the allocation library's, naming no key
+        assert main(["allocate", "--norms", "1,0.1", "--costs", "1,4", "--budget", "10", "--tau", str(tau),
+                     "--dim", str(dim)]) == 1
+        assert capsys.readouterr().err == f"config error: allocation tau must exceed d/2 = {dim / 2}, got {tau}\n"
 
     def test_allocate_rejects_dimension_below_one(self, capsys):
         assert main(["allocate", "--norms", "1,0.1", "--costs", "1,2", "--budget", "10", "--tau", "1", "--dim", "0"]) == 1
