@@ -33,7 +33,7 @@ from .harness import (
 from .models import ModelError, _costs
 from .quadrature import LevelFailure
 
-NUMERICAL_ERRORS = (SingularGramError, LevelFailure, ModelError, FloatingPointError, ArithmeticError)
+NUMERICAL_ERRORS = (SingularGramError, LevelFailure, ModelError, ArithmeticError)
 
 
 class _Parser(argparse.ArgumentParser):

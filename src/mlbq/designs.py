@@ -39,8 +39,6 @@ class Design:
 
 
 def _rng(seed) -> np.random.Generator:
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -115,12 +113,8 @@ def generate_design(kind: str, measure: ProductMeasure, n: int, seed=None) -> De
 
     rng = _rng(seed)
     if kind == "iid":
-        cols = []
-        for m in measure.marginals:
-            if isinstance(m, Uniform):
-                cols.append(m.a + (m.b - m.a) * rng.random(n))
-            else:
-                cols.append(rng.standard_normal(n))
+        cols = [_through_marginal(rng.random(n), m) if isinstance(m, Uniform) else rng.standard_normal(n)
+                for m in measure.marginals]
         return Design(np.column_stack(cols))
 
     # lhs: permuted strata with uniform within-stratum jitter, per dimension

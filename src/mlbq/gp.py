@@ -83,19 +83,14 @@ def _factor(fill, nugget):
                 raise SingularGramError(f"Gram matrix not positive definite even with nugget {failed:g}", failed) from None
 
 
-def _logdet(chol) -> float:
-    """log det(chol chol') from the factor's diagonal."""
-    return 2.0 * float(np.log(chol.diagonal()).sum())
-
-
 def _profiled(unit, resid) -> float:
-    """Profiled marginal log-likelihood from the unit factor; +inf for vanishing residuals."""
+    """Profiled marginal log-likelihood from the unit factor (its log diagonal sums to half the log-determinant)."""
     half = dtrtrs(unit, resid, lower=1)[0]
     n = resid.shape[0]
     sigma2 = float(half @ half) / n
     if sigma2 <= 0:
         return math.inf
-    value = -0.5 * n * math.log(sigma2) - 0.5 * _logdet(unit) - 0.5 * n * (1.0 + math.log(2 * math.pi))
+    value = -0.5 * n * math.log(sigma2) - float(np.log(unit.diagonal()).sum()) - 0.5 * n * (1.0 + math.log(2 * math.pi))
     if not math.isfinite(value):
         raise ValueError(f"profiled log-likelihood is {value}: the Gram matrix or its factor is not finite")
     return value
@@ -244,6 +239,8 @@ def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=NUG
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi):
         raise ValueError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    if nugget < 0:
+        raise ValueError("nugget must be nonnegative")
     w, resid = as_data(points, y, kernel.dim)
     if w.shape[0] < 2:
         raise ValueError("hyperparameter fitting needs at least 2 points")

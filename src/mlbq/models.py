@@ -26,10 +26,10 @@ not converted, for type and range by one rule each; anything else is a
 ``ValueError``.  Costs are finite ints or floats > 0, one per level, with at
 least one level; ``interior_nodes`` ints >= 1; ``breakpoint_counts`` ints >= 2;
 ``spacings`` 1/m for an integer m >= 3; each of these sizes (m for a spacing)
-at most ``MAX_REFERENCE_ROWS``, as is m * ``reference_refine`` (an int >= 1)
-at the top level's m; ``forcing`` finite; ``high`` finite and > 0.
-``evaluate`` reads its points by ``kernels.as_points``, so points of the
-wrong dimension or with a non-finite coordinate are a ValueError.
+at most ``MAX_REFERENCE_ROWS``, as is ``REFERENCE_REFINE`` (8) times the
+top level's m; ``forcing`` finite; ``high`` finite and > 0.  ``evaluate``
+reads its points by ``kernels.as_points``, so points of the wrong dimension or
+with a non-finite coordinate are a ValueError; an ODE overflow raises.
 """
 
 from __future__ import annotations
@@ -156,8 +156,9 @@ def _flux_form(off):
 # ---------------------------------------------------------------------------
 
 _INTEGER, _NUMBER = (int,), (int, float)
-# Cap on each level's size (nodes, breakpoints, 1 / spacing) and on the ODE reference grid's rows of 48 Gauss nodes.
-MAX_REFERENCE_ROWS = 2**16
+# Cap on each level's size (nodes, breakpoints, 1 / spacing) and on the ODE reference grid's rows of 48 Gauss nodes;
+# that grid's spacing is the top level's divided by REFERENCE_REFINE.
+MAX_REFERENCE_ROWS, REFERENCE_REFINE = 2**16, 8
 
 
 def _finite(value) -> bool:
@@ -300,7 +301,7 @@ class OdeHierarchy(MultifidelityModel):
     ``forcing * w2^2``, so a batch of points takes one vectorised pass.
 
     The reference integral is the mean of a solver refined by
-    ``reference_refine`` relative to the top level.  Since E[w2^2] = 1 it
+    ``REFERENCE_REFINE`` relative to the top level.  Since E[w2^2] = 1 it
     equals ``forcing`` times the integral of the unit-forcing factor over
     w1 in (0, 1), a smooth function integrated by Gauss-Legendre rules;
     ``reference_info()`` reports it with an error bound.
@@ -313,22 +314,18 @@ class OdeHierarchy(MultifidelityModel):
         spacings=(1.0 / 8, 1.0 / 32, 1.0 / 128),
         forcing=50.0,
         costs=(1.0e-3, 2.6e-3, 21.8e-3),
-        reference_refine=8,
     ):
         spacings = _typed(spacings, _NUMBER, "spacings", f"1/m for an integer 3 <= m <= {MAX_REFERENCE_ROWS}",
                           lambda h: 0 < h < 0.5 and abs(round(1.0 / h) - 1.0 / h) <= 1e-9
                           and round(1.0 / h) <= MAX_REFERENCE_ROWS)
         _typed([forcing], _NUMBER, "forcing", "and finite", _finite)
-        _typed([reference_refine], _INTEGER, "reference_refine", ">= 1", lambda r: r >= 1)
         super().__init__(costs, spacings)
-        top = round(1.0 / spacings[-1])
-        _typed([reference_refine], _INTEGER, "reference_refine",
-               f"<= {MAX_REFERENCE_ROWS // top} at top spacing 1/{top} ({MAX_REFERENCE_ROWS} reference grid rows)",
-               lambda r: top * r <= MAX_REFERENCE_ROWS)
+        if round(1.0 / spacings[-1]) * REFERENCE_REFINE > MAX_REFERENCE_ROWS:
+            raise ValueError(f"spacings must end at 1/m with m <= {MAX_REFERENCE_ROWS // REFERENCE_REFINE} "
+                             f"({MAX_REFERENCE_ROWS} reference grid rows), got {spacings!r}")
         self.spacings = tuple(float(h) for h in spacings)
         self.forcing = float(forcing)
         self.measure = ProductMeasure((Uniform(0.0, 1.0), StandardNormal()))
-        self.reference_refine = reference_refine
         self._reference = None
 
     def _integral_factor(self, h: float, w1: np.ndarray) -> np.ndarray:
@@ -352,7 +349,8 @@ class OdeHierarchy(MultifidelityModel):
             factor = self._integral_factor(h, pts[:, 0])
         except ModelError as exc:
             raise ModelError(f"ode spacing {h}: {exc} (w1 range [{pts[:, 0].min()}, {pts[:, 0].max()}])") from exc
-        return self.forcing * pts[:, 1] ** 2 * factor
+        with np.errstate(over="raise"):  # an overflow fails the level under any warnings filter
+            return self.forcing * pts[:, 1] ** 2 * factor
 
     def reference_info(self) -> tuple[float, float]:
         """(reference integral, error bound); computed on first use.
@@ -363,7 +361,7 @@ class OdeHierarchy(MultifidelityModel):
         elimination solve's roundoff; the closed form's is a few eps, far below.
         """
         if self._reference is None:
-            h = self.spacings[-1] / self.reference_refine
+            h = self.spacings[-1] / REFERENCE_REFINE
             (x16, w16), (x32, w32) = (np.polynomial.legendre.leggauss(n) for n in (16, 32))
             factor = self._integral_factor(h, 0.5 * (np.concatenate([x16, x32]) + 1.0))
             coarse = self.forcing * float(0.5 * w16 @ factor[:16])

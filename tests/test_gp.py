@@ -236,6 +236,16 @@ class TestFitHyperparameters:
         with pytest.raises(ValueError):
             fit_hyperparameters(M12, [[0.1]], [1.0], bounds=(0.1, 1.0))
 
+    def test_negative_nugget_rejected_before_the_search(self, monkeypatch):
+        # the search used to run on nugget -1 (its ladder stepped up to 1e-11 at every point), 192 factorisations
+        # on this fit, before fit_gp refused it
+        calls = _count_cholesky(monkeypatch)
+        w = np.random.default_rng(1).random((20, 2))
+        with pytest.raises(ValueError, match="nugget must be nonnegative"):
+            fit_hyperparameters(Kernel.matern(2.5, 1.0, dim=2), w, np.sin(3 * w[:, 0]) + w[:, 1], bounds=(0.05, 10.0),
+                                per_dimension=True, nugget=-1.0)
+        assert calls == []
+
     def test_level_independence_bit_identical(self):
         # a level's fitted hyperparameters are a pure function of that
         # level's data: replacing or permuting every other level's data

@@ -11,6 +11,7 @@ import pickle
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -264,9 +265,9 @@ class TestConfig:
     )
     def test_bad_model_params_fail_before_the_sweep(self, model, params, tmp_path, monkeypatch):
         # model.params are checked, not converted: 4.7 nodes used to run as 4, forcing "50" as 50.0; and range
-        # checked: reference_refine -1 measured every error against a reference of 0.0, NaN costs wrote cost=nan
-        # records, infinite forcing failed at the first cell, and reference_refine past the grid cap asked for
-        # the whole reference grid at once
+        # checked: NaN costs wrote cost=nan records and infinite forcing failed at the first cell; reference_refine
+        # (-1 measured every error against a reference of 0.0) is no longer a parameter, so each of its rows is
+        # refused as an unknown one
         raw = copy.deepcopy(BASE_CONFIG)
         raw["model"] = {"name": model, "params": params}
         raw["kernel"]["smoothness"] = 2.5  # Matern-5/2 has a closed form on both models' measures
@@ -637,6 +638,20 @@ class TestRunExperiment:
         assert capsys.readouterr().out.splitlines() == [line for line in clean if not line.startswith("T=1.503 mlbq:")]
         failed = [r.message for r in caplog.records if "failed" in r.message]
         assert failed == ["cell (T=1.503, rep=0, mlbq) failed: level 2: values must be finite"]
+
+    @pytest.mark.parametrize("action", ["default", "ignore", "error"])
+    def test_ode_overflow_fails_each_cell_under_any_warnings_filter(self, action, caplog):
+        # forcing * w2^2 overflows at forcing 1e308: a bare RuntimeWarning used to print and the cell then failed
+        # as "values must be finite", and under an error filter the RuntimeWarning escaped the sweep
+        raw = json.loads((Path(__file__).resolve().parents[1] / "configs/ode_budgets.json").read_text())
+        raw["model"]["params"] = {"forcing": 1e308}
+        cfg = dataclasses.replace(config_from_dict(raw), replications=1)
+        with warnings.catch_warnings(), caplog.at_level("WARNING", logger="mlbq.harness"):
+            warnings.simplefilter(action, RuntimeWarning)
+            assert run_experiment(cfg) == []
+        assert [r.message for r in caplog.records if "failed" in r.message] == [
+            f"cell (T={budget}, rep=0, {name}) failed: level 0: overflow encountered in multiply"
+            for budget, name in [(1.517, "mlbq"), (1.517, "mlmc"), (30.347, "mlmc")]]
 
     def test_parallel_jobs_keep_byte_identical_output(self, tmp_path):
         # a repeated budget keeps its two entries apart under --jobs too

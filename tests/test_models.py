@@ -282,7 +282,6 @@ class TestRegistry:
             ("poisson", {"interior_nodes": (4, np.int64(16), 64)}),
             ("poisson", {"costs": (True, 8.5e-3, 42.4e-3)}),
             ("ode", {"forcing": "50"}),
-            ("ode", {"reference_refine": 8.9}),
             ("ode", {"spacings": ("0.125", 1 / 32, 1 / 128)}),
             ("ode", {"costs": (1e-3, False, 21.8e-3)}),
             ("step", {"breakpoint_counts": (3.0, 5, 9)}),
@@ -299,8 +298,6 @@ class TestRegistry:
         [
             ("poisson", {"interior_nodes": (0, 16, 64)}, "interior_nodes must be int >= 1"),
             ("step", {"breakpoint_counts": (1, 5, 9)}, "breakpoint_counts must be int >= 2"),
-            ("ode", {"reference_refine": 0}, "reference_refine must be int >= 1"),
-            ("ode", {"reference_refine": -1}, "reference_refine must be int >= 1"),
             ("poisson", {"costs": (math.nan, 8.5e-3, 42.4e-3)}, "costs must be int or float > 0 and finite"),
             ("ode", {"costs": (1e-3, math.inf, 21.8e-3)}, "costs must be int or float > 0 and finite"),
             ("step", {"costs": (5e-4, 1e-3, 0)}, "costs must be int or float > 0 and finite"),
@@ -309,23 +306,22 @@ class TestRegistry:
             ("ode", {"forcing": 10**400}, "forcing must be int or float and finite"),
             ("step", {"high": 0.0}, "high must be int or float > 0 and finite"),
             ("step", {"high": math.inf}, "high must be int or float > 0 and finite"),
-            ("ode", {"reference_refine": 513}, r"reference_refine must be int <= 512 at top spacing 1/128 "),
-            ("ode", {"spacings": (1 / 8, 1 / 32, 1 / 4096), "reference_refine": 17},
-             r"reference_refine must be int <= 16 at top spacing 1/4096 \(65536 reference grid rows\)"),
+            ("ode", {"spacings": (1 / 8, 1 / 32, 1 / 16384)},
+             r"spacings must end at 1/m with m <= 8192 \(65536 reference grid rows\), got \(0.125, 0.03125, "),
             ("ode", {"spacings": (1 / (2**16 + 1), 1 / 32, 1 / 128)},
              r"spacings must be int or float 1/m for an integer 3 <= m <= 65536"),
             ("poisson", {"interior_nodes": (4, 16, 2**16 + 1)}, "interior_nodes must be int >= 1 and <= 65536"),
             ("step", {"breakpoint_counts": (3, 2**16 + 1, 9)}, "breakpoint_counts must be int >= 2 and <= 65536"),
         ],
-        ids=["zero-nodes", "one-breakpoint", "zero-refine", "negative-refine", "nan-costs", "inf-costs", "zero-costs",
-             "inf-forcing", "nan-forcing", "huge-int-forcing", "zero-high", "inf-high", "oversized-refine",
-             "oversized-refine-fine-top", "oversized-coarse-spacing", "oversized-nodes", "oversized-breakpoints"],
+        ids=["zero-nodes", "one-breakpoint", "nan-costs", "inf-costs", "zero-costs", "inf-forcing", "nan-forcing",
+             "huge-int-forcing", "zero-high", "inf-high", "oversized-top-spacing", "oversized-coarse-spacing",
+             "oversized-nodes", "oversized-breakpoints"],
     )
     def test_params_are_range_checked(self, name, params, match):
-        # reference_refine -1 gave a reference of 0.0 and 0 divided by zero; NaN costs gave cost=nan records
-        # and passed the budget check; infinite forcing failed only at the first cell's evaluation;
-        # reference_refine 100000 asked for a 4.58 GiB reference grid and failed with a MemoryError; only the top
-        # spacing was capped, so spacings (1e-6, 1/32, 1/128) and interior_nodes (4, 16, 10**8) loaded
+        # NaN costs gave cost=nan records and passed the budget check; infinite forcing failed only at the first
+        # cell's evaluation; the reference grid refines the top spacing 8 times, so a top m above 8192 would ask
+        # for more than its 65536 rows; only the top spacing was capped, so spacings (1e-6, 1/32, 1/128) and
+        # interior_nodes (4, 16, 10**8) loaded
         with pytest.raises(ValueError, match=match):
             make_model(name, **params)
 
