@@ -1,15 +1,16 @@
 """Budget-constrained sample sizes per level, and their integerization.
 
 One closed form from Lagrange stationarity: minimise sum m_l n_l^(-e)
-subject to gamma sum C_l n_l = T, solved by
+subject to sum C_l n_l = T, solved by
 
-  n_l = T (m_l / C_l)^p / (gamma sum C^(1-p) m^p),  p = 1 / (1 + e).
+  n_l = T (m_l / C_l)^p / (sum C^(1-p) m^p),  p = 1 / (1 + e).
 
 The variance-based rule (multilevel MC) takes m_l = V_l and e = 1, so
 n_l is proportional to sqrt(V_l / C_l); the norm-based rule (multilevel
 BQ) takes m_l = r_l, the per-level increment magnitudes in the
-RKHS/Sobolev norm, and e = tau/d, so p = d/(tau+d).  The overhead gamma
-applies to both; only the norm-based rule takes tau and d.
+RKHS/Sobolev norm, and e = tau/d, so p = d/(tau+d); only the norm-based
+rule takes tau and d.  Scaling every cost by a factor gives the plan at
+the budget divided by that factor.
 
 Real-valued solutions are integerized by flooring (never below one sample
 per level) and then greedily granting the increment with the best
@@ -84,33 +85,31 @@ def _objective(magnitudes, counts, exponent) -> float:
     return float(sum(v * n ** (-exponent) for v, n in zip(magnitudes, counts)))
 
 
-def integerize_allocation(real_counts, costs, budget, *, magnitudes, exponent, overhead=1.0):
+def integerize_allocation(real_counts, costs, budget, *, magnitudes, exponent):
     """Floor (minimum one) then greedily top up the best level per unit cost.
 
     A grant is the level maximising the objective decrease
     ``v_l (n^-e - (n+1)^-e)`` per unit cost; grants continue while the
-    overhead-scaled realized cost is strictly below the budget, so the
-    final grant may overshoot by one evaluation.  Deterministic: ties
-    break toward the lowest level.
+    realized cost is strictly below the budget, so the final grant may
+    overshoot by one evaluation.  Deterministic: ties break toward the
+    lowest level.
     """
     costs = np.asarray(costs, dtype=float)
     mags = np.asarray(magnitudes, dtype=float)
-    if overhead * float(costs.sum()) > budget + overhead * float(costs.max()):
-        raise AllocationError(
-            f"budget {budget} cannot afford one sample at every level (cost {costs.sum()})"
-        )
+    if costs.sum() > budget + costs.max():
+        raise AllocationError(f"budget {budget} cannot afford one sample at every level (cost {costs.sum()})")
     counts = np.maximum(np.floor(np.asarray(real_counts, dtype=float)).astype(int), 1)
-    cost = overhead * float(costs @ counts)
+    cost = float(costs @ counts)
     while cost < budget:
         gains = mags * (counts ** (-exponent) - (counts + 1.0) ** (-exponent)) / costs
         pick = int(np.argmax(gains))
         counts[pick] += 1
-        cost += overhead * costs[pick]
+        cost += costs[pick]
     return tuple(int(n) for n in counts)
 
 
-def _solve(magnitudes, costs, budget, exponent, overhead) -> AllocationPlan:
-    """The optimum of sum m_l n_l^(-e) at overhead-scaled cost T, integerized, after both rules' checks."""
+def _solve(magnitudes, costs, budget, exponent) -> AllocationPlan:
+    """The optimum of sum m_l n_l^(-e) at cost T, integerized, after both rules' checks."""
     m, c = np.asarray(magnitudes, dtype=float), np.asarray(costs, dtype=float)
     if len(m) == 0 or len(m) != len(c):
         raise AllocationError(f"magnitudes and costs must be equal-length and nonempty, got {len(m)} and {len(c)}")
@@ -118,11 +117,9 @@ def _solve(magnitudes, costs, budget, exponent, overhead) -> AllocationPlan:
         raise AllocationError("magnitudes and costs must be strictly positive and finite")
     if not (budget > 0 and math.isfinite(budget)):
         raise AllocationError(f"budget must be positive, got {budget}")
-    if not (overhead >= 1.0 and math.isfinite(overhead)):
-        raise AllocationError(f"overhead factor must be finite and >= 1, got {overhead}")
     p = 1.0 / (1.0 + exponent)
-    real = budget * (m / c) ** p / (overhead * float(np.sum(c ** (1.0 - p) * m**p)))
-    counts = integerize_allocation(real, c, budget, magnitudes=m, exponent=exponent, overhead=overhead)
+    real = budget * (m / c) ** p / float(np.sum(c ** (1.0 - p) * m**p))
+    counts = integerize_allocation(real, c, budget, magnitudes=m, exponent=exponent)
     return AllocationPlan(
         tuple(float(x) for x in real),
         counts,
@@ -132,18 +129,17 @@ def _solve(magnitudes, costs, budget, exponent, overhead) -> AllocationPlan:
     )
 
 
-def mlmc_allocation(variances, costs, budget, overhead=1.0) -> AllocationPlan:
-    """Variance-based counts n_l = T sqrt(V_l/C_l) / (gamma sum sqrt(V C)), the minimiser of sum V_l / n_l."""
-    return _solve(variances, costs, budget, 1.0, overhead)
+def mlmc_allocation(variances, costs, budget) -> AllocationPlan:
+    """Variance-based counts n_l = T sqrt(V_l/C_l) / sum sqrt(V C), the minimiser of sum V_l / n_l."""
+    return _solve(variances, costs, budget, 1.0)
 
 
-def mlbq_allocation(norms, costs, budget, tau, dim=1, overhead=1.0) -> AllocationPlan:
+def mlbq_allocation(norms, costs, budget, tau, dim=1) -> AllocationPlan:
     """Norm-based optimal counts under the smoothness-tau error bound.
 
     Requires a finite ``tau > dim / 2`` and ``dim >= 1``.  At the real
-    solution the overhead-scaled cost equals the budget exactly and the
-    stationarity ratio ``(tau/d) r_l n_l^(-tau/d-1) / (gamma C_l)`` is
-    level-independent.
+    solution the cost equals the budget exactly and the stationarity
+    ratio ``(tau/d) r_l n_l^(-tau/d-1) / C_l`` is level-independent.
     """
     if not math.isfinite(tau):
         raise AllocationError(f"tau must be finite, got {tau}")
@@ -151,4 +147,4 @@ def mlbq_allocation(norms, costs, budget, tau, dim=1, overhead=1.0) -> Allocatio
         raise AllocationError(f"dimension must be >= 1, got {dim}")
     if not tau > dim / 2.0:
         raise AllocationError(f"tau must exceed d/2 = {dim / 2}, got {tau}")
-    return _solve(norms, costs, budget, tau / dim, overhead)
+    return _solve(norms, costs, budget, tau / dim)

@@ -59,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_alloc.add_argument("--budget", type=_floats, required=True, help="budget(s) T, comma separated")
     p_alloc.add_argument("--tau", type=float, help="smoothness tau (with --norms only, and required there)")
     p_alloc.add_argument("--dim", type=int, help="input dimension d (with --norms only; default 1)")
-    p_alloc.add_argument("--gamma", type=float, default=1.0,
-                         help="cost overhead factor >= 1, applied by both rules (default 1)")
 
     for name, help_text in [
         ("estimate", "run the sweep at one replication and print its records"),
@@ -84,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_allocate(args) -> int:
     source, label = ("mlmc-formula", "variance-based") if args.norms is None else ("mlbq-formula", "norm-based")
-    flags = {"source": source, "variances": args.variances, "norms": args.norms, "tau": args.tau, "gamma": args.gamma}
+    flags = {"source": source, "variances": args.variances, "norms": args.norms, "tau": args.tau}
     alloc = _allocation({key: value for key, value in flags.items() if value is not None}, "allocation")
     if args.dim is not None and args.norms is None:  # the one flag with no config key (a sweep takes the model's)
         raise ConfigError("--dim applies to --norms only")
@@ -111,6 +109,9 @@ def _cmd_sweep(args) -> int:
     if out is None and not estimate:
         raise ConfigError("no output path: pass --out or set `output` in the config")
     records = run_experiment(replace(cfg, replications=1) if estimate else cfg, jobs=args.jobs)
+    if not records:  # the config gives every budget an estimator and a replication, so every cell failed
+        print("numerical failure: every cell of the sweep failed (each is logged above)", file=sys.stderr)
+        return 2
     if estimate:
         for r in records:
             var = "" if r.variance is None else f" variance={r.variance:.6g}"

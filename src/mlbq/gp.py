@@ -50,8 +50,11 @@ class SingularGramError(np.linalg.LinAlgError):
     """Cholesky kept failing; carries the final nugget that was tried."""
 
     def __init__(self, message, nugget):
-        super().__init__(message)
+        super().__init__(message, nugget)  # the constructor's arguments, which pickling calls it with
         self.nugget = nugget
+
+    def __str__(self):
+        return self.args[0]
 
 
 def cholesky(matrix):

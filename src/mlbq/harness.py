@@ -38,22 +38,21 @@ Config schema (``schema_version: 1``)::
 The other kernel policy and the formula allocation sources, with every key each reads::
 
     "kernel": {"family": "se", "lengthscale": 1.0, "policy": "fixed"}
-    "allocation": {"source": "mlmc-formula", "variances": [...], "gamma": 1.0}
-    "allocation": {"source": "mlbq-formula", "norms": [...], "tau": 1.0, "gamma": 1.0}
+    "allocation": {"source": "mlmc-formula", "variances": [...]}
+    "allocation": {"source": "mlbq-formula", "norms": [...], "tau": 1.0}
 
 A key its section, kernel family, kernel policy or allocation source does
 not read is a ConfigError; a top-level ``comment`` is allowed.  The kernel
 families are ``matern`` and ``se``; only ``matern`` reads ``smoothness``.
 ``lengthscale`` is taken under both policies, though the ``fitted`` search
 overwrites it; ``fixed`` reads no key of its own.  Under either policy
-every level is conditioned at its amplitude MLE.  ``gamma`` (a number
->= 1, default 1) scales every level's cost in the budget constraint of
-both formulas.  Per-level costs are the model's own
+every level is conditioned at its amplitude MLE.  A formula source
+needs every key shown for it.  Per-level costs are the model's own
 (``model.params.costs``).
 A table entry may also be a plain list applied to every estimator, and an
 estimator omitted from a budget's dict entry is not run at that budget.
 Single-level estimators (``mc``, ``bq``) take a one-element table entry,
-or ``floor(T / (gamma * C_L))`` under formula sources; they run as the
+or ``floor(T / C_L)`` under formula sources; they run as the
 one-level cases of ``mlmc`` and ``mlbq`` on the top level's evaluations.
 Nothing is coerced: kernel flags are JSON booleans; counts (each >= 1),
 ``replications`` and ``seed`` JSON integers; other numbers finite JSON
@@ -165,7 +164,6 @@ class AllocationSpec:
     variances: tuple[float, ...] | None = None
     norms: tuple[float, ...] | None = None
     tau: float | None = None
-    gamma: float = 1.0
 
     def plan(self, costs, budget: float, dim: int):
         """A formula source's plan at ``budget``: ``mlmc_allocation`` or ``mlbq_allocation``, by source; a ``tau``
@@ -175,9 +173,9 @@ class AllocationSpec:
         _require(len(values) == len(costs),  # one per level, as ``costs`` has
                  f"allocation {key} needs one entry per level, got {len(values)} for {len(costs)}")
         if key == "variances":
-            return mlmc_allocation(values, costs, budget, self.gamma)
+            return mlmc_allocation(values, costs, budget)
         _require(self.tau > dim / 2, f"allocation tau must exceed d/2 = {dim / 2}, got {self.tau}")
-        return mlbq_allocation(values, costs, budget, self.tau, dim, self.gamma)
+        return mlbq_allocation(values, costs, budget, self.tau, dim)
 
 
 @dataclass(frozen=True)
@@ -256,12 +254,11 @@ def _table(value, what):
 
 
 def _allocation(value, what):
-    """The allocation section through its source's key table; every key but ``gamma`` is required."""
+    """The allocation section through its source's key table; every key is required."""
     _require(isinstance(value, dict), "allocation must be an object")
     _require("costs" not in value, "allocation.costs is not read: set per-level costs in model.params.costs")
     keys = _ALLOCATION[_SOURCE(value.get("source"), "allocation source")]
-    required = [key for key in keys if key != "gamma"]
-    return AllocationSpec(**_section(value, dict(keys, source=_SOURCE), "allocation", required))
+    return AllocationSpec(**_section(value, dict(keys, source=_SOURCE), "allocation", keys))
 
 
 def _kernel(value, what):
@@ -289,11 +286,10 @@ _POLICY_KEYS = {
         lambda b: _is_numbers(b) and len(b) == 2 and 0 < b[0] < b[1], "[lo, hi] with 0 < lo < hi", _floats)},
 }
 _SOURCE = _one_of("table", "mlmc-formula", "mlbq-formula")
-_GAMMA = _rule(lambda value: _is_number(value) and value >= 1, "a finite number >= 1", float)
 _ALLOCATION = {
     "table": {"table": _table},
-    "mlmc-formula": {"variances": _positives, "gamma": _GAMMA},
-    "mlbq-formula": {"norms": _positives, "tau": _number, "gamma": _GAMMA},
+    "mlmc-formula": {"variances": _positives},
+    "mlbq-formula": {"norms": _positives, "tau": _number},
 }
 _TOP = {
     "comment": _string,
@@ -461,7 +457,7 @@ def _counts_for(cfg: ExperimentConfig, model, budget_index: int) -> dict[str, tu
             raise ConfigError(f"allocation table entry {budget_index} allocates no estimator")
         return out
     counts = alloc.plan(model.costs, budget, model.dim).counts
-    top = (max(int(budget / (alloc.gamma * model.costs[-1])), 1),)
+    top = (max(int(budget / model.costs[-1]), 1),)
     return {est.name: top if est.name in SINGLE_LEVEL else counts for est in cfg.estimators}
 
 

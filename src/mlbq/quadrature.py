@@ -40,8 +40,11 @@ class LevelFailure(RuntimeError):
     """A per-level computation failed; carries the level's list position."""
 
     def __init__(self, level, message):
-        super().__init__(f"level {level}: {message}")
+        super().__init__(level, message)  # the constructor's arguments, which pickling calls it with
         self.level = level
+
+    def __str__(self):
+        return f"level {self.level}: {self.args[1]}"
 
 
 def _each_level(fn, items) -> list:

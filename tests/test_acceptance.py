@@ -95,7 +95,7 @@ def test_criterion_1_allocation_reproduction(method, budget, expected, tolerance
     if method == "mlmc":
         plan = mlmc_allocation(POISSON_V, POISSON_C, budget)
     else:
-        plan = mlbq_allocation(POISSON_NORMS, POISSON_C, budget, tau=1.0, dim=1, overhead=1.0)
+        plan = mlbq_allocation(POISSON_NORMS, POISSON_C, budget, tau=1.0, dim=1)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     deviation = tuple(abs(g - e) for g, e in zip(plan.counts, expected))
@@ -207,11 +207,11 @@ def test_criterion_5f_fem_nodal_exactness():
 
 
 def test_criterion_5g_kkt_stationarity_of_allocations():
-    tau, dim, overhead = 1.0, 1, 1.0
-    plan = mlbq_allocation(POISSON_NORMS, POISSON_C, 1.503, tau=tau, dim=dim, overhead=overhead)
+    tau, dim = 1.0, 1
+    plan = mlbq_allocation(POISSON_NORMS, POISSON_C, 1.503, tau=tau, dim=dim)
     ratios = np.array(
         [
-            (tau / dim) * r * n ** (-tau / dim - 1.0) / (overhead * c)
+            (tau / dim) * r * n ** (-tau / dim - 1.0) / c
             for r, n, c in zip(POISSON_NORMS, plan.real_counts, POISSON_C)
         ]
     )

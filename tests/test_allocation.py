@@ -20,7 +20,7 @@ POISSON_C = (3.6e-3, 8.5e-3, 42.4e-3)
 
 
 class TestInputValidation:
-    # the checks on magnitudes, costs, budget and overhead are made for both rules; tau and dim are mlbq's own
+    # the checks on magnitudes, costs and budget are made for both rules; tau and dim are mlbq's own
     RULES = [mlmc_allocation, partial(mlbq_allocation, tau=1.0)]
 
     def test_rejects_nonpositive_entries(self):
@@ -37,11 +37,6 @@ class TestInputValidation:
             with pytest.raises(AllocationError, match="equal-length"):
                 rule((1.0, 2.0), (1.0,), 1.0)
 
-    def test_rejects_small_overhead(self):
-        for rule in self.RULES:
-            with pytest.raises(AllocationError, match="overhead factor"):
-                rule((1.0,), (1.0,), 1.0, overhead=0.5)
-
     def test_rejects_dimension_below_one(self):
         with pytest.raises(AllocationError, match="dimension must be >= 1"):
             mlbq_allocation((1.0, 0.1), (1.0, 2.0), 10.0, tau=1.0, dim=0)
@@ -52,18 +47,11 @@ class TestInputValidation:
             with pytest.raises(TypeError):
                 mlmc_allocation(POISSON_V, POISSON_C, 0.376, **keywords)
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("overhead", float("nan")), ("overhead", float("inf")), ("tau", float("nan")), ("tau", float("inf")),
-         ("tau", float("-inf"))],
-        ids=["nan-overhead", "inf-overhead", "nan-tau", "inf-tau", "minus-inf-tau"],
-    )
-    def test_rejects_non_finite_overhead_and_tau(self, field, value):
-        with pytest.raises(AllocationError, match=f"{field}.* must be finite"):
-            mlbq_allocation((1.0, 0.1), (1.0, 2.0), 10.0, **{"tau": 1.0, field: value})
-        if field == "overhead":
-            with pytest.raises(AllocationError, match=f"{field}.* must be finite"):
-                mlmc_allocation((1.0, 0.1), (1.0, 2.0), 10.0, overhead=value)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan-tau", "inf-tau", "minus-inf-tau"])
+    def test_rejects_non_finite_tau(self, value):
+        with pytest.raises(AllocationError, match="tau.* must be finite"):
+            mlbq_allocation((1.0, 0.1), (1.0, 2.0), 10.0, tau=value)
 
 
 class TestMlmcAllocation:
@@ -112,12 +100,10 @@ class TestMlbqAllocation:
     def test_single_level_exhausts_budget(self):
         plan = mlbq_allocation((5.0,), (2.0,), 10.0, tau=1.0, dim=1)
         assert plan.real_counts[0] == pytest.approx(5.0)
-        plan_gamma = mlbq_allocation((5.0,), (2.0,), 10.0, tau=1.0, dim=1, overhead=1.25)
-        assert plan_gamma.real_counts[0] == pytest.approx(4.0)
 
     def test_budget_identity(self):
-        plan = mlbq_allocation(POISSON_NORMS, POISSON_C, 0.376, tau=1.0, dim=1, overhead=1.1)
-        cost = 1.1 * sum(c * n for c, n in zip(POISSON_C, plan.real_counts))
+        plan = mlbq_allocation(POISSON_NORMS, POISSON_C, 0.376, tau=1.0, dim=1)
+        cost = sum(c * n for c, n in zip(POISSON_C, plan.real_counts))
         assert cost == pytest.approx(0.376, rel=1e-10)
 
     def test_kkt_stationarity(self):
@@ -154,11 +140,12 @@ class TestOverhead:
         ids=["mlmc", "mlbq"],
     )
     def test_overhead_two_is_half_the_budget(self, rule, inputs, budget):
-        # gamma scales every level's cost in the constraint; 2 is a power of two, so the scaling is exact
-        scaled = rule(costs=POISSON_C, budget=budget, overhead=2.0, **inputs)
+        # an overhead is a factor on every level's cost, which the caller applies as the budget divided by it;
+        # 2 is a power of two, so the integerization's costs and budget scale exactly
+        scaled = rule(costs=tuple(2.0 * c for c in POISSON_C), budget=budget, **inputs)
         halved = rule(costs=POISSON_C, budget=budget / 2, **inputs)
         assert scaled.counts == halved.counts
-        assert scaled.real_counts == halved.real_counts
+        assert scaled.real_counts == pytest.approx(halved.real_counts, rel=1e-12)
 
 
 class TestIntegerize:

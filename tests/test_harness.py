@@ -36,6 +36,7 @@ from mlbq.harness import (
     write_records_csv,
 )
 from mlbq.models import ModelError, OdeHierarchy, PoissonHierarchy, make_model
+from mlbq.quadrature import LevelFailure
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -170,6 +171,8 @@ class TestConfig:
             ({"kernel": {"family": "se", "smoothness": 0.5, "policy": "fitted"}},
              r"kernel has unknown keys \['smoothness'\]"),
             ({"allocation": dict(BASE_CONFIG["allocation"], gamma=2)}, r"allocation has unknown keys \['gamma'\]"),
+            ({"allocation": {"source": "mlmc-formula", "variances": POISSON_V, "gamma": 1}},
+             r"allocation has unknown keys \['gamma'\]"),
             ({"allocation": {"source": "mlmc-formula", "variances": POISSON_V, "norms": [1, 2, 3]}},
              r"allocation has unknown keys \['norms'\]"),
             ({"allocation": {"source": "mlmc-formula", "variances": POISSON_V, "tau": 2.0}},
@@ -184,8 +187,8 @@ class TestConfig:
         ids=["replicatons", "model.parms", "estimator.desing", "kernel.smoothnes", "allocation.gama", "sk-mlbq",
              "fitted-amplitude", "fitted-mle_amplitude", "fixed-amplitude", "fixed-mle_amplitude",
              "fixed-bool-amplitude", "fixed-string-mle_amplitude", "fixed-bounds", "fixed-per_dimension", "se-smoothness",
-             "table-gamma", "mlmc-formula-norms", "mlmc-formula-tau", "mlmc-formula-table", "mlbq-formula-variances",
-             "mlbq-formula-table"],
+             "table-gamma", "mlmc-formula-gamma", "mlmc-formula-norms", "mlmc-formula-tau", "mlmc-formula-table",
+             "mlbq-formula-variances", "mlbq-formula-table"],
     )
     def test_unknown_keys_fail_before_the_sweep(self, overrides, match, tmp_path, monkeypatch):
         # a misspelt key used to be ignored, so the sweep ran on the default it meant to replace; so was a key
@@ -214,9 +217,9 @@ class TestConfig:
              "two-variances", "four-norms", "tau-below-half-d"],
     )
     def test_out_of_range_allocation_fails_before_the_sweep(self, allocation, match, tmp_path, monkeypatch):
-        # a zero count failed mid-sweep naming no key; gamma 0 divided by zero, and gamma -3 ran mc on one sample;
-        # a magnitude <= 0 or a list unlike the model's levels failed in the allocation library's words, naming
-        # neither the key nor the value
+        # a zero count failed mid-sweep naming no key; gamma 0 divided by zero, and gamma -3 ran mc on one sample
+        # (gamma is no longer a key, so both are refused as an unknown one); a magnitude <= 0 or a list unlike the
+        # model's levels failed in the allocation library's words, naming neither the key nor the value
         raw = dict(copy.deepcopy(BASE_CONFIG), allocation=allocation)
         if allocation["source"] != "table":
             raw["estimators"] = [{"name": "mc", "design": "iid"}]
@@ -320,7 +323,7 @@ class TestConfig:
     def test_numbers_are_type_checked_not_coerced(self, path, value, tmp_path, monkeypatch):
         # counts and seeds are JSON integers, other numbers finite JSON numbers and output a string:
         # true would run as 1, 38.5 as 38, "123" as norms (1, 2, 3); Python's json reads NaN and Infinity, and
-        # gamma Infinity ran every estimator on one sample per level
+        # gamma Infinity ran every estimator on one sample per level (gamma is now an unknown key)
         raw = copy.deepcopy(BASE_CONFIG)
         *parents, last = path
         target = raw
@@ -359,12 +362,13 @@ class TestAllocationResolution:
         assert counts["mc"] == (int(0.376 / 42.4e-3),)
 
     def test_formula_overhead_halves_the_budget(self):
-        # gamma 2 doubles every level's cost, so both mlmc and mc run at the counts for half the budget
+        # doubling every level's cost runs both mlmc and mc at the counts for half the budget
         estimators = [{"name": "mlmc", "design": "iid"}, {"name": "mc", "design": "iid"}]
         allocation = {"source": "mlmc-formula", "variances": POISSON_V}
-        records = run_experiment(config(estimators=estimators, allocation=dict(allocation, gamma=2), replications=1))
-        halved = _counts_for(config(estimators=estimators, allocation=allocation, budgets=[0.188]),
-                             make_model("poisson"), 0)
+        poisson = make_model("poisson")
+        doubled = {"name": "poisson", "params": {"costs": [2.0 * c for c in poisson.costs]}}
+        records = run_experiment(config(model=doubled, estimators=estimators, allocation=allocation, replications=1))
+        halved = _counts_for(config(estimators=estimators, allocation=allocation, budgets=[0.376 / 2]), poisson, 0)
         assert {r.estimator: r.n_per_level for r in records} == halved
         assert halved["mc"] == (4,) and halved["mlmc"] != (68, 11, 1)
 
@@ -565,7 +569,8 @@ class TestRunExperiment:
 
     def test_fit_failure_names_its_level(self, monkeypatch, caplog):
         # the calibration config's one cell fits levels of 153, 60 and 10 points; a fit failure used to be
-        # reported without its level, where a data or posterior failure reads `level 2: ...`
+        # reported without its level, where a data or posterior failure reads `level 2: ...`; that one cell failing
+        # is every cell failing, so the command exits 2
         level_fit = harness.KernelPolicy.level_fit
 
         def singular_at_ten(policy, points, values, dim):
@@ -576,7 +581,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness.KernelPolicy, "level_fit", singular_at_ten)
         config_path = str(Path(__file__).resolve().parents[1] / "configs/poisson_calibration.json")
         with caplog.at_level("WARNING", logger="mlbq.harness"):
-            assert main(["estimate", "--config", config_path]) == 0
+            assert main(["estimate", "--config", config_path]) == 2
         assert [r.message for r in caplog.records if "failed" in r.message] == [
             "cell (T=1.503, rep=0, mlbq) failed: level 2: Gram matrix not positive definite even with nugget 0.0001"]
 
@@ -919,7 +924,6 @@ class TestRunExperiment:
                 "source": "mlbq-formula",
                 "norms": [62.5e-3, 22.5e-3, 3.125e-3],
                 "tau": 1.0,
-                "gamma": 1.0,
             },
             replications=1,
         )
@@ -1088,7 +1092,7 @@ class TestCli:
         assert "tau" in capsys.readouterr().err
 
     def test_allocate_variances_refuse_tau_and_dim(self, capsys):
-        # the variance-based rule reads neither; --gamma it does read
+        # the variance-based rule reads neither
         variances = ["allocate", "--variances", "1,0.1", "--costs", "1,4", "--budget", "10"]
         for flag, message in ((["--tau", "1"], "allocation has unknown keys ['tau']"),
                               (["--dim", "2"], "--dim applies to --norms only")):
@@ -1098,12 +1102,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags, section",
         [
-            (["--variances", "1,0.1", "--gamma", "0.5"], {"source": "mlmc-formula", "variances": [1.0, 0.1], "gamma": 0.5}),
             (["--norms", "1,0.1"], {"source": "mlbq-formula", "norms": [1.0, 0.1]}),
             (["--variances", "1,0.1", "--tau", "1"], {"source": "mlmc-formula", "variances": [1.0, 0.1], "tau": 1.0}),
             (["--norms", "1,0.1", "--tau", "inf"], {"source": "mlbq-formula", "norms": [1.0, 0.1], "tau": math.inf}),
         ],
-        ids=["gamma-below-one", "norms-without-tau", "variances-with-tau", "inf-tau"],
+        ids=["norms-without-tau", "variances-with-tau", "inf-tau"],
     )
     def test_allocate_reports_the_configs_message(self, flags, section, capsys):
         # the flags are read as the config's allocation section: each case used to have a wording of its own
@@ -1142,13 +1145,17 @@ class TestCli:
                    if "integer counts" in line]
         assert printed == [str(list(_counts_for(cfg, model, bi)["mlbq"])) for bi in range(len(budgets))]
 
-    def test_allocate_gamma_applies_to_both_rules(self, capsys):
+    def test_allocate_doubled_costs_are_half_the_budget(self, capsys):
+        # allocate takes no overhead flag: an overhead on every cost is the plan at the budget divided by it, with
+        # the same real counts, integer counts and objective, and a realized cost in the doubled units
         for rule in (["--variances", "1,0.1"], ["--norms", "1,0.1", "--tau", "1"]):
-            assert main(["allocate", *rule, "--costs", "1,4", "--budget", "20", "--gamma", "2"]) == 0
+            assert main(["allocate", *rule, "--costs", "2,8", "--budget", "10"]) == 0
             scaled = capsys.readouterr().out.splitlines()
-            assert main(["allocate", *rule, "--costs", "1,4", "--budget", "10"]) == 0
+            assert main(["allocate", *rule, "--costs", "1,4", "--budget", "5"]) == 0
             halved = capsys.readouterr().out.splitlines()
-            assert scaled[0].startswith("T=20 ") and scaled[1:] == halved[1:]
+            assert scaled[0].startswith("T=10 ") and halved[0].startswith("T=5 ")
+            assert scaled[3] == "  realized cost:  14" and halved[3] == "  realized cost:  7"
+            assert scaled[1:3] + scaled[4:] == halved[1:3] + halved[4:]
 
     @pytest.mark.parametrize("dim, tau", [(1, 0.4), (2, 0.8)])
     def test_allocate_checks_tau_against_half_the_dimension(self, dim, tau, capsys):
@@ -1164,13 +1171,9 @@ class TestCli:
     def test_allocate_rejects_nonpositive(self, capsys):
         assert main(["allocate", "--variances", "1,-0.1", "--costs", "1,4", "--budget", "10"]) == 1
 
-    def test_allocate_rejects_non_finite_gamma_and_tau(self, capsys):
-        # both used to exit 0, printing NaN real counts or real counts of 0
-        assert main(["allocate", "--variances", "1,0.1,0.01", "--costs", "1,2,4", "--budget", "100",
-                     "--gamma", "nan"]) == 1
-        assert "allocation gamma must be a finite number >= 1, got nan" in capsys.readouterr().err
-        assert main(["allocate", "--norms", "1,0.1,0.01", "--costs", "1,2,4", "--budget", "100",
-                     "--gamma", "inf", "--tau", "inf"]) == 1
+    def test_allocate_rejects_non_finite_tau(self, capsys):
+        # it used to exit 0, printing real counts of 0
+        assert main(["allocate", "--norms", "1,0.1,0.01", "--costs", "1,2,4", "--budget", "100", "--tau", "inf"]) == 1
         assert "allocation tau must be a finite number, got inf" in capsys.readouterr().err
 
     def test_experiment_and_calibrate(self, tmp_path, capsys):
@@ -1227,6 +1230,27 @@ class TestCli:
         assert capsys.readouterr().err.startswith("numerical failure" if code == 2 else "config error")
         assert not out.exists()
 
+    def test_sweep_in_which_every_cell_fails_exits_2(self, tmp_path, capsys):
+        # forcing 1e308 overflows every cell's evaluations; the command used to exit 0 and write a header-only CSV
+        raw = json.loads((Path(__file__).resolve().parents[1] / "configs/ode_budgets.json").read_text())
+        raw["model"]["params"]["forcing"], raw["replications"] = 1e308, 1
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "records.csv"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("numerical failure: every cell")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "error, attribute",
+        [(LevelFailure(2, "values must be finite"), "level"), (SingularGramError("not PD", 1e-4), "nugget")],
+        ids=["level-failure", "singular-gram"],
+    )
+    def test_numerical_errors_survive_pickling(self, error, attribute):
+        # both used to fail to unpickle, missing a constructor argument: a worker process could not return one
+        copy_ = pickle.loads(pickle.dumps(error))
+        assert type(copy_) is type(error) and str(copy_) == str(error)
+        assert getattr(copy_, attribute) == getattr(error, attribute)
+
     @pytest.mark.parametrize("command", ["estimate", "experiment"])
     def test_negative_seed_is_config_error(self, command, tmp_path, capsys):
         # --seed -1 used to exit 0: experiment wrote a header-only CSV after a warning for every cell, and
@@ -1254,8 +1278,16 @@ class TestCli:
     def test_missing_config_is_config_error(self):
         assert main(["experiment", "--config", "/nonexistent.json", "--out", "/tmp/x.csv"]) == 1
 
-    def test_bad_usage_is_config_error(self):
-        assert main(["allocate", "--costs", "1,2", "--budget", "1"]) == 1
+    @pytest.mark.parametrize(
+        "flags, message",
+        [([], "one of the arguments --variances --norms is required"),
+         (["--variances", "1,0.1", "--gamma", "2"], "unrecognized arguments: --gamma 2")],
+        ids=["no-magnitudes", "gamma"],
+    )
+    def test_bad_usage_is_config_error(self, flags, message, capsys):
+        # a cost overhead is the plan at the budget divided by it, so allocate takes no flag for one
+        assert main(["allocate", *flags, "--costs", "1,2", "--budget", "1"]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize(
         "text, match",
