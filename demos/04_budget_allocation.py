@@ -10,7 +10,7 @@ integerized by flooring and greedily granting the best
 objective-decrease-per-cost increment.
 """
 
-from mlbq import Kernel, kernel_sobolev_order, mlbq_allocation, mlmc_allocation
+from mlbq import mlbq_allocation, mlmc_allocation
 from mlbq.models import PoissonHierarchy
 
 # Published constants of the finite-element experiments: per-level
@@ -19,8 +19,9 @@ variances = (1.305e-3, 0.088e-3, 0.002e-3)
 norms = (62.5e-3, 22.5e-3, 3.125e-3)
 costs = (3.6e-3, 8.5e-3, 42.4e-3)
 
-# For a Matern kernel, tau comes from the smoothness: nu + d/2.
-tau = kernel_sobolev_order(Kernel.matern(0.5, 1.0))
+# For a Matern kernel, tau comes from the smoothness: nu + d/2, so
+# Matern-1/2 in one dimension gives 1/2 + 1/2.
+tau = 1.0
 print(f"smoothness order tau = {tau} (Matern 1/2 in one dimension)")
 print()
 print(f"{'T':>7} | {'variance-based n_l':>22} | {'norm-based n_l':>18}")

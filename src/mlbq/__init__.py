@@ -11,7 +11,6 @@ from .allocation import (
     AllocationError,
     AllocationPlan,
     integerize_allocation,
-    kernel_sobolev_order,
     mlbq_allocation,
     mlmc_allocation,
 )

@@ -26,15 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, Matern, SquaredExponential, BrownianMotion
-
 __all__ = [
     "AllocationPlan",
     "AllocationError",
     "mlmc_allocation",
     "mlbq_allocation",
     "integerize_allocation",
-    "kernel_sobolev_order",
 ]
 
 
@@ -58,27 +55,6 @@ class AllocationPlan:
     realized_cost: float
     objective: float
     objective_real: float
-
-
-def kernel_sobolev_order(kernel: Kernel) -> float:
-    """Smoothness tau for the norm-based allocation, derived per kernel family.
-
-    Matern factors give nu + d/2, with d the kernel's dimension; the
-    Brownian kernel's space is the order-1 Sobolev space on the line.
-    Squared-exponential kernels have no Sobolev-equivalent RKHS, so the
-    allocation theory does not apply and tau must be supplied explicitly.
-    """
-    fams = {type(f) for f in kernel.factors}
-    if fams == {Matern}:
-        nus = {f.nu for f in kernel.factors}
-        if len(nus) > 1:
-            raise AllocationError("mixed Matern smoothness across dimensions has no single tau")
-        return nus.pop() + kernel.dim / 2.0
-    if fams == {BrownianMotion}:
-        return 1.0
-    if SquaredExponential in fams:
-        raise AllocationError("squared-exponential kernels have no Sobolev order; supply tau explicitly")
-    raise AllocationError(f"no Sobolev order known for kernel factors {fams}")
 
 
 def _objective(magnitudes, counts, exponent) -> float:

@@ -20,6 +20,7 @@ from dataclasses import replace
 
 from .gp import SingularGramError
 from .harness import (
+    NOMINAL_LEVELS,
     ConfigError,
     _allocation,
     _positive,
@@ -72,8 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="coverage table from a records CSV")
     p_cal.add_argument("records", help="records CSV produced by `experiment`")
-    p_cal.add_argument("--levels", type=_floats, default=(0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99),
-                       help="nominal credible levels, comma separated")
+    p_cal.add_argument("--levels", type=_floats, default=NOMINAL_LEVELS, help="nominal credible levels, comma separated")
     p_cal.add_argument("--out", help="coverage CSV path (default: stdout table)")
 
     sub.add_parser("oracle", help="run derived-value oracles and print a provenance report")

@@ -13,8 +13,8 @@ rule holds within a task (a budget and a run of its replications): a
 grid or Halton cell ignores the seed, so each estimator computes it once
 per task; every other cell is computed in its own replication.  Under
 ``--jobs`` parallelism the workers receive the config, model, reference
-and sample sizes as they are, and records are collected in submission
-order, so the output matches the serial run.
+and sample sizes as they are, and records and failed cells come back in
+submission order and are logged here, so output and log match the serial run.
 
 Config schema (``schema_version: 1``)::
 
@@ -109,6 +109,7 @@ SCHEMA_VERSION = 1
 ESTIMATOR_NAMES = ("mc", "mlmc", "bq", "mlbq")
 BAYESIAN = {"bq", "mlbq"}
 SINGLE_LEVEL = {"mc", "bq"}
+NOMINAL_LEVELS = (0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)  # the credible levels calibrated by default
 
 
 class ConfigError(ValueError):
@@ -543,18 +544,18 @@ def _run_estimator(cfg, model, est: EstimatorSpec, levels):
 
 
 def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, counts_by_est, replications):
-    """One budget's records for ``replications``, in (replication, estimator) order.
+    """One budget's records and failed cells for ``replications``, both in (replication, estimator) order.
 
     A cell is keyed (estimator, group key) when its design ignores the seed (``SEEDLESS_DESIGNS``) and
     (estimator, group key, replication) otherwise; a key already computed in this task reuses its
     (estimate, variance), and a group's level data are built once per replication, when a cell first
-    needs them.  A cell fails, is logged and is left out only by a ``LevelFailure``: a group that cannot
-    be built keeps its failure for that replication, which fails each estimator sharing it; failures are
-    not kept across replications, so each reports its own.
+    needs them.  Only a ``LevelFailure`` fails a cell, which is returned as (budget, replication, name,
+    failure): a group that cannot be built keeps its failure for that replication, which fails each
+    estimator sharing it; failures are not kept across replications, so each reports its own.
     """
     budget = cfg.budgets[budget_index]
     groups = _groups(cfg, counts_by_est)
-    records, results = [], {}
+    records, failures, results = [], [], {}
     for rep in replications:
         data = {}
         for est, key, number in groups:
@@ -568,11 +569,11 @@ def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, count
                     results[cell] = _run_estimator(cfg, model, est, data[key])
             except LevelFailure as exc:
                 data.setdefault(key, exc)  # a group that failed to build fails each estimator sharing it
-                log.warning("cell (T=%s, rep=%s, %s) failed: %s", budget, rep, est.name, exc)
+                failures.append((budget, rep, est.name, exc))
                 continue
             records.append(ResultRecord.make(rep, est.name, budget, *results[cell], reference,
                                              _cell_cost(key[1], model.costs), key[1]))
-    return records
+    return records, failures
 
 
 def _pin_blas_threads():
@@ -602,12 +603,12 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
     measure before any cell runs, and handed to every (budget, replications)
     task as they are.  Within a task a grid or Halton cell is computed once
     per estimator and reused; reuse is exact, so how the replications are
-    split into tasks does not change the records.  With
-    ``jobs > 1`` the tasks run in worker processes and their records are
-    collected in submission order, which is (budget, replication, estimator)
-    order, so the parallel run produces byte-identical output to the serial
-    one; the pool starts at most one worker per task, and a sweep of one
-    task runs in this process whatever ``jobs`` is.  ``seed``, ``replications``
+    split into tasks does not change the records.  With ``jobs > 1`` the
+    tasks run in worker processes; their records and failed cells come back
+    in (budget, replication, estimator) order and the failures are logged
+    here, so the parallel run's output and log match the serial run's; the
+    pool starts at most one worker per task, and a sweep of one task runs in
+    this process whatever ``jobs`` is.  ``seed``, ``replications``
     and ``jobs`` (by the ``replications`` rule) pass their keys' checkers.
     The sweep and its workers run at one BLAS thread, because LAPACK's
     blocking follows the thread count and would move the records' low bits;
@@ -639,10 +640,14 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
         ]
         workers = min(jobs, len(tasks))
         if workers <= 1:
-            return [record for task in tasks for record in _run_cells(*task)]
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
-            futures = [pool.submit(_run_cells, *task) for task in tasks]
-            return [record for fut in futures for record in fut.result()]
+            results = [_run_cells(*task) for task in tasks]
+        else:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
+                results = [fut.result() for fut in [pool.submit(_run_cells, *task) for task in tasks]]
+        for _, failures in results:
+            for failure in failures:
+                log.warning("cell (T=%s, rep=%s, %s) failed: %s", *failure)
+        return [record for records, _ in results for record in records]
     finally:
         for set_threads, count in pinned:
             set_threads(count)
@@ -661,7 +666,7 @@ class CoverageRow:
     count: int
 
 
-def calibration_table(records, levels=(0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)) -> list[CoverageRow]:
+def calibration_table(records, levels=NOMINAL_LEVELS) -> list[CoverageRow]:
     """Empirical coverage of central credible intervals at nominal levels.
 
     A record is covered at level q when |estimate - reference| (stored as

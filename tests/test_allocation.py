@@ -6,11 +6,9 @@ import pytest
 from mlbq.allocation import (
     AllocationError,
     integerize_allocation,
-    kernel_sobolev_order,
     mlbq_allocation,
     mlmc_allocation,
 )
-from mlbq.kernels import Kernel
 
 from reference_oracles import lattice_best_allocation
 
@@ -180,16 +178,3 @@ class TestIntegerize:
             plan = mlbq_allocation(mags, costs, budget, tau=tau, dim=1)
             _, best = lattice_best_allocation(mags, costs, budget, tau, max_count=24)
             assert plan.objective <= 1.02 * best
-
-
-class TestSobolevOrder:
-    def test_matern_order(self):
-        assert kernel_sobolev_order(Kernel.matern(0.5, 1.0)) == 1.0
-        assert kernel_sobolev_order(Kernel.matern(2.5, 0.3, dim=2)) == 3.5
-
-    def test_brownian_order(self):
-        assert kernel_sobolev_order(Kernel.brownian()) == 1.0
-
-    def test_squared_exponential_refused(self):
-        with pytest.raises(AllocationError, match="tau explicitly"):
-            kernel_sobolev_order(Kernel.squared_exponential(1.0))

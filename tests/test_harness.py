@@ -5,6 +5,7 @@ import dataclasses
 import filecmp
 import io
 import json
+import logging.handlers
 import math
 import os
 import pickle
@@ -500,7 +501,8 @@ class TestBuildGroups:
                             lambda kind, *args, **kw: designs.append(kind) or generate(kind, *args, **kw))
         monkeypatch.setattr(OdeHierarchy, "evaluate",
                             lambda self, level, x: evaluated.append(len(x)) or evaluate(self, level, x))
-        assert harness._run_cells(cfg, model, reference, 0, counts, range(5)) == sum(one_rep_tasks, [])
+        records, failures = zip(*one_rep_tasks)
+        assert harness._run_cells(cfg, model, reference, 0, counts, range(5)) == (sum(records, []), sum(failures, []))
         assert designs.count("halton") == 3 and designs.count("iid") == 15
         halton, iid = (20 + 8) + (8 + 3) + 3, (12 + 5) + (5 + 2) + 2  # increments evaluate two levels
         assert sum(evaluated) == halton + 5 * iid
@@ -657,6 +659,21 @@ class TestRunExperiment:
         assert [r.message for r in caplog.records if "failed" in r.message] == [
             f"cell (T={budget}, rep=0, {name}) failed: level 0: overflow encountered in multiply"
             for budget, name in [(1.517, "mlbq"), (1.517, "mlmc"), (30.347, "mlmc")]]
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
+    def test_cell_failures_are_logged_by_the_caller(self, jobs):
+        # under --jobs each worker used to log its own failed cells, so a handler added by the caller saw none
+        raw = json.loads((Path(__file__).resolve().parents[1] / "configs/ode_budgets.json").read_text())
+        raw["model"]["params"]["forcing"], raw["replications"] = 1e308, 4
+        handler, logger = logging.handlers.BufferingHandler(capacity=100), logging.getLogger("mlbq.harness")
+        logger.addHandler(handler)
+        try:
+            assert run_experiment(config_from_dict(raw), jobs=jobs) == []
+        finally:
+            logger.removeHandler(handler)
+        assert [r.getMessage() for r in handler.buffer if "failed" in r.getMessage()] == [
+            f"cell (T={budget}, rep={rep}, {name}) failed: level 0: overflow encountered in multiply"
+            for budget, names in [(1.517, ("mlbq", "mlmc")), (30.347, ("mlmc",))] for rep in range(4) for name in names]
 
     def test_parallel_jobs_keep_byte_identical_output(self, tmp_path):
         # a repeated budget keeps its two entries apart under --jobs too
@@ -1071,6 +1088,21 @@ class TestCalibration:
         ]
         for row in calibration_table(records, levels=(0.5, 0.9)):
             assert abs(row.coverage - row.nominal_level) <= 2.5 * row.binomial_se
+
+    @pytest.mark.parametrize("caller", ["library", "cli"])
+    def test_default_levels_are_the_seven_nominal_levels(self, caller, tmp_path, capsys):
+        # `calibrate --levels` and calibration_table used to keep separate copies of this tuple
+        rng = np.random.default_rng(34)
+        records = [ResultRecord(i, "mlbq", 1.0, 0.0, 1.0, abs(rng.standard_normal()), 1.0, (1,)) for i in range(50)]
+        expected = calibration_table(records, levels=(0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99))
+        if caller == "library":
+            assert calibration_table(records) == expected
+        else:
+            write_records_csv(records, tmp_path / "records.csv")
+            assert main(["calibrate", str(tmp_path / "records.csv"), "--out", str(tmp_path / "coverage.csv")]) == 0
+            assert "wrote 7 coverage rows" in capsys.readouterr().out
+            harness.write_coverage_csv(expected, tmp_path / "expected.csv")
+            assert (tmp_path / "coverage.csv").read_text() == (tmp_path / "expected.csv").read_text()
 
 
 class TestCli:
