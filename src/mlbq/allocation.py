@@ -36,7 +36,7 @@ __all__ = [
 
 
 class AllocationError(ValueError):
-    """Invalid allocation inputs or an unaffordable budget."""
+    """Invalid allocation inputs, or a budget that cannot afford one sample per level or asks for 2**53 or more."""
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,8 @@ def _solve(magnitudes, costs, budget, exponent) -> AllocationPlan:
         raise AllocationError(f"budget must be positive, got {budget}")
     p = 1.0 / (1.0 + exponent)
     real = budget * (m / c) ** p / float(np.sum(c ** (1.0 - p) * m**p))
+    if not np.all(real < 2.0**53):  # the largest integer count a float holds exactly
+        raise AllocationError(f"budget {budget:g} asks for {real.max():g} samples at one level, beyond 2**53")
     counts = integerize_allocation(real, c, budget, magnitudes=m, exponent=exponent)
     return AllocationPlan(
         tuple(float(x) for x in real),

@@ -125,12 +125,11 @@ def _scaled(unit, kernel) -> GPFit:
     """The fit ``unit``, made at amplitude 1, at ``kernel``'s amplitude a: chol * sqrt(a), weights / a.
 
     ``unit`` is used up: its factor is rescaled in place (not at a == 1, where the product is exact).
+    The package's one zero-amplitude rule: at a == 0 (the amplitude MLE on all-zero data) the process is
+    zero a.s., so the fit is exact with zero weights, and nonzero observations are a SingularGramError.
     """
     a = kernel.amplitude
     if a == 0.0:
-        # Degenerate prior (arises from amplitude estimation on constant
-        # data): the process is zero a.s., so the fit is exact with
-        # zero weights -- but only if the observations really vanish.
         if np.any(unit.residual != 0.0):
             raise SingularGramError("zero-amplitude kernel cannot explain nonzero observations", unit.nugget)
         return replace(unit, kernel=kernel, chol=np.eye(unit.n), weights=np.zeros(unit.n))
@@ -152,8 +151,6 @@ def fit_gp(kernel: Kernel, points, y, nugget=NUGGET) -> GPFit:
     if nugget < 0:
         raise ValueError("nugget must be nonnegative")
     w, resid = as_data(points, y, kernel.dim)
-    if kernel.amplitude == 0.0:  # nothing to factor
-        return _scaled(GPFit(kernel, w, resid, None, None, nugget), kernel)
     # cho_solve checks the factor: a non-finite Gram matrix raises ValueError
     unit = kernel.with_amplitude(1.0)
     chol, used = _factor(lambda: gram(unit, w).T, nugget)

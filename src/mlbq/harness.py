@@ -579,12 +579,12 @@ def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, count
 def _pin_blas_threads():
     """Set each OpenBLAS build loaded here to one thread; return its (set call, old count)s, [] if none is found."""
     try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        with open("/proc/self/maps") as fh:  # address, perms, offset, device, inode, then a path that may hold spaces
+            paths = {line.split(maxsplit=5)[5].rstrip("\n") for line in fh if "openblas" in line.lower()}
     except OSError:
         return []
     pinned = []
-    for lib in map(ctypes.CDLL, paths):
+    for lib in map(ctypes.CDLL, sorted(path for path in paths if not path.endswith("(deleted)"))):
         for suffix in ("64_", ""):  # numpy's build (64-bit integers), scipy's build
             name = f"scipy_openblas_%s_num_threads{suffix}"
             if hasattr(lib, name % "set"):

@@ -403,13 +403,15 @@ def _closed_form(factor: Factor, marginal: Marginal):
 
 
 def kernel_mean(kernel: Kernel, measure: ProductMeasure, points):
-    """Pi[c(., x)] for each point; returns a scalar for a single point.
+    """Pi[c(., x)] for each point, which must lie on the measure's support; returns a scalar for a single point.
 
-    Each factor's closed form is its pair's row of ``_CLOSED_FORMS``.
+    Each factor's closed form is its pair's row of ``_CLOSED_FORMS``; a uniform row holds on [a, b] only.
     """
     if kernel.dim != measure.dim:
         raise ValueError(f"kernel dimension {kernel.dim} != measure dimension {measure.dim}")
     pts = as_points(points, kernel.dim)
+    if not measure.contains(pts):
+        raise ValueError("points fall outside the measure's support")
     out = np.full(pts.shape[0], kernel.amplitude)
     for j, (f, g, m) in enumerate(zip(kernel.factors, kernel.lengthscales, measure.marginals)):
         out = out * _closed_form(f, m)[0](g, m, pts[:, j])

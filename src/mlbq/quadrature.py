@@ -50,11 +50,13 @@ class LevelFailure(RuntimeError):
 def _each_level(fn, items) -> list:
     """``fn`` of each item in level order; a ValueError or FloatingPointError is a LevelFailure at its position.
 
-    It names the failing level of a sweep group's data build, of a level's fit and of a level's posterior."""
+    The one overflow rule: ``fn`` runs under ``np.errstate(over="raise")``, so an overflow fails its level under
+    any warnings filter.  It names the failing level of a group's data build, a fit, a posterior and an MC mean."""
     out = []
     for position, item in enumerate(items):
         try:
-            out.append(fn(item))
+            with np.errstate(over="raise"):
+                out.append(fn(item))
         except (ValueError, FloatingPointError) as exc:
             raise LevelFailure(position, str(exc)) from exc
     return out
@@ -124,10 +126,10 @@ def credible_z(level: float) -> float:
 
 
 def mlmc_estimate(levels) -> float:
-    """Multilevel Monte Carlo: sum of per-level increment means (plain MC on one level)."""
+    """Multilevel Monte Carlo: sum of per-level increment means, each by :func:`_each_level` (MC on one level)."""
     if len(levels) == 0:
         raise ValueError("mlmc_estimate needs at least one level")
-    return float(sum(level.values.mean() for level in levels))
+    return float(sum(_each_level(lambda level: level.values.mean(), levels)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +140,11 @@ def mlmc_estimate(levels) -> float:
 def bq_posterior(fit: GPFit, measure: ProductMeasure) -> GaussianPosterior:
     """Gaussian posterior on Pi[f] from a conditioned zero-mean GP.
 
-    mean = Pi[c(., W)] @ weights and
-    variance = Pi[Pi[c]] - Pi[c(., W)] K^-1 Pi[c(W, .)], with the same
-    (gram + nugget) system the fit used.  A variance below zero by less
-    than 1e-10 times max(amplitude, 1) is roundoff and reads 0.
+    mean = Pi[c(., W)] @ weights and variance = Pi[Pi[c]] - Pi[c(., W)] K^-1 Pi[c(W, .)], with the same
+    (gram + nugget) system the fit used.  A variance below zero by less than 1e-10 times max(amplitude, 1)
+    is roundoff and reads 0.  A design point off the measure's support is :func:`kernel_mean`'s ValueError.
     """
-    if not measure.contains(fit.points):
-        raise ValueError("points fall outside the measure's support")
-    embedding = np.atleast_1d(kernel_mean(fit.kernel, measure, fit.points))
+    embedding = kernel_mean(fit.kernel, measure, fit.points)
     post_mean = float(embedding @ fit.weights)
     half = solve_triangular(fit.chol, embedding, lower=True)
     var = initial_error(fit.kernel, measure) - float(half @ half)

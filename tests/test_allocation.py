@@ -52,6 +52,16 @@ class TestInputValidation:
             mlbq_allocation((1.0, 0.1), (1.0, 2.0), 10.0, tau=value)
 
 
+    @pytest.mark.parametrize("budget", [2.0**55, 1e20], ids=["2**55", "1e20"])
+    def test_refuses_a_count_beyond_2_53(self, budget):
+        # past 2**63 a count wrapped to 1 when cast to int, and the greedy top-up then granted samples one at a
+        # time up to the budget; past 2**53 a float count is no longer an exact integer
+        for rule in self.RULES:
+            with pytest.raises(AllocationError, match=r"asks for \S+ samples at one level, beyond 2\*\*53"):
+                rule((1.0, 1.0), (1.0, 1.0), budget)
+            assert rule((1.0, 1.0), (1.0, 1.0), 2.0**53).counts == (2**52, 2**52)
+
+
 class TestMlmcAllocation:
     def test_published_small_budget_row(self):
         # published sample sizes (67, 11, 1): reproduced within +-2 per level

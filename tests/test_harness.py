@@ -660,6 +660,21 @@ class TestRunExperiment:
             f"cell (T={budget}, rep=0, {name}) failed: level 0: overflow encountered in multiply"
             for budget, name in [(1.517, "mlbq"), (1.517, "mlmc"), (30.347, "mlmc")]]
 
+    @pytest.mark.parametrize("action", ["default", "ignore", "error"])
+    def test_ode_overflow_after_the_data_fails_its_cell_under_any_warnings_filter(self, action, caplog):
+        # at forcing 1e306 the evaluations are finite but a level's posterior or Monte Carlo mean overflows: the
+        # sweep used to write an mlmc estimate of -inf, which calibrate refused, and an error filter ended the sweep
+        raw = json.loads((Path(__file__).resolve().parents[1] / "configs/ode_budgets.json").read_text())
+        raw["model"]["params"] = {"forcing": 1e306}
+        cfg = dataclasses.replace(config_from_dict(raw), replications=1)
+        with warnings.catch_warnings(), caplog.at_level("WARNING", logger="mlbq.harness"):
+            warnings.simplefilter(action, RuntimeWarning)
+            records = run_experiment(cfg)
+        assert [(r.budget, r.estimator) for r in records] == [(1.517, "mlmc")] and math.isfinite(records[0].estimate)
+        assert [r.message for r in caplog.records if "failed" in r.message] == [
+            "cell (T=1.517, rep=0, mlbq) failed: level 0: overflow encountered in matmul",
+            "cell (T=30.347, rep=0, mlmc) failed: level 0: overflow encountered in reduce"]
+
     @pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
     def test_cell_failures_are_logged_by_the_caller(self, jobs):
         # under --jobs each worker used to log its own failed cells, so a handler added by the caller saw none
@@ -953,9 +968,9 @@ class TestRunExperiment:
 def _blas_thread_calls():
     """(set, get) thread-count calls of the loaded OpenBLAS builds, found as the library finds them."""
     with open("/proc/self/maps") as fh:
-        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        paths = {line.split(maxsplit=5)[5].rstrip("\n") for line in fh if "openblas" in line.lower()}
     calls = []
-    for lib in map(ctypes.CDLL, paths):
+    for lib in map(ctypes.CDLL, sorted(path for path in paths if not path.endswith("(deleted)"))):
         for suffix in ("64_", ""):
             if hasattr(lib, f"scipy_openblas_get_num_threads{suffix}"):
                 set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
@@ -1020,6 +1035,28 @@ class TestBlasThreads:
         finally:
             for (set_threads, _), count in zip(calls, before):
                 set_threads(count)
+
+    def test_a_library_path_with_a_space_is_pinned(self, monkeypatch, tmp_path):
+        # the path was a mapping's last field, so one with a space reached ctypes as its tail and raised OSError
+        with open("/proc/self/maps") as fh:
+            maps = fh.read()
+        numpy_lib = next((line.split(maxsplit=5)[5] for line in maps.splitlines()
+                          if "openblas" in line.lower() and "numpy" in line), None)
+        if numpy_lib is None:
+            pytest.skip("no OpenBLAS build is loaded from numpy's directory")
+        real = harness._pin_blas_threads()
+        for set_threads, count in real:
+            set_threads(count)
+        link = tmp_path / "my envs" / Path(numpy_lib).name
+        link.parent.mkdir()
+        link.symlink_to(numpy_lib)
+        gone = "7f0000000000-7f0000001000 r--p 00000000 00:00 0    /gone/libscipy_openblas.so (deleted)\n"
+        served = maps.replace(numpy_lib, str(link)) + gone
+        monkeypatch.setattr(harness, "open", lambda path, *args: io.StringIO(served), raising=False)
+        pinned = harness._pin_blas_threads()
+        for set_threads, count in pinned:
+            set_threads(count)
+        assert len(pinned) == len(real) > 0
 
     def test_unpinned_sweep_warns_once(self, monkeypatch, caplog):
         def no_proc(path, *args):
@@ -1195,6 +1232,12 @@ class TestCli:
         assert main(["allocate", "--norms", "1,0.1", "--costs", "1,4", "--budget", "10", "--tau", str(tau),
                      "--dim", str(dim)]) == 1
         assert capsys.readouterr().err == f"config error: allocation tau must exceed d/2 = {dim / 2}, got {tau}\n"
+
+    def test_allocate_refuses_a_count_beyond_2_53(self, capsys):
+        # the count wrapped to one sample past 2**63, and the greedy top-up then ran one sample at a time to 1e20
+        assert main(["allocate", "--variances", "1,1", "--costs", "1,1", "--budget", "1e20"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: budget 1e+20 asks for 5e+19 samples at one level, beyond 2**53\n"
 
     def test_allocate_rejects_dimension_below_one(self, capsys):
         assert main(["allocate", "--norms", "1,0.1", "--costs", "1,2", "--budget", "10", "--tau", "1", "--dim", "0"]) == 1

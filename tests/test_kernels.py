@@ -220,6 +220,13 @@ class TestKernelMean:
         with pytest.raises(NoClosedFormError, match=r"Matern\(nu=0.5\).*StandardNormal"):
             kernel_mean(Kernel.matern(0.5, 1.0), ProductMeasure.standard_normal(), 0.0)
 
+    @pytest.mark.parametrize("factor, x", [(Matern(0.5, 1.0), 1.5), (Matern(2.5, 0.5), -0.5)],
+                             ids=["m12@1.5", "m52@-0.5"])
+    def test_points_off_the_uniform_support_are_refused(self, factor, x):
+        # the uniform closed forms hold on [a, b] only: these gave 0.1281 and -0.0843, against 0.3834 and 0.1848
+        with pytest.raises(ValueError, match="points fall outside the measure's support"):
+            kernel_mean(Kernel((factor,)), U01, x)
+
     def test_brownian_has_no_closed_form(self):
         with pytest.raises(NoClosedFormError, match="BrownianMotion"):
             kernel_mean(Kernel.brownian(), U01, 0.5)

@@ -106,6 +106,11 @@ class TestMonteCarlo:
         levels = [LevelData([0.1, 0.9], [1.0, 3.0]), LevelData([0.5], [0.5])]
         assert mlmc_estimate(levels) == 2.5
 
+    def test_mlmc_level_overflow_is_a_level_failure(self):
+        # the sum inside this mean overflows: it used to warn and return inf, or raise a bare RuntimeWarning
+        with pytest.raises(LevelFailure, match="level 0: overflow"):
+            mlmc_estimate([LevelData([0.1, 0.9], [1e308, 1e308])])
+
     def test_mlmc_empty(self):
         with pytest.raises(ValueError):
             mlmc_estimate([])
