@@ -1,19 +1,18 @@
 """Zero-mean Gaussian process conditioning, profiled likelihood and hyperparameters.
 
-Everything works from one factor L = chol(C + nu I) of the unit-amplitude Gram
-matrix C, the nugget nu being relative to the amplitude: sigma L factors
-sigma^2 (C + nu I), so one factorisation gives the amplitude MLE, the
-profiled likelihood and the fit at any amplitude.  Each factorisation is LAPACK potrf
-on the lower triangle, made in place by the one nugget ladder ``_factor``, which
-refills its matrix when potrf fails.  A fit holds one n x n array: the Gram matrix,
-factored and rescaled in place.  Per level, the amplitude is chosen in closed
-form and the lengthscales by maximising the profiled marginal log-likelihood,
-tied or per dimension: the best point of a log-grid, refined by a compass
-search that only compares likelihood values.  The search sets up once per fit,
-factors its own work matrix in place, factors no point twice and matches the
-public profiled likelihood bit for bit.
-Data are read by ``kernels.as_data``, which checks them to be finite; a non-finite
-Gram matrix or likelihood raises.  Everything here is pure; ``GPFit`` is immutable.
+Everything works from one factor L = chol(C + nu I) of the unit-amplitude Gram matrix C, the nugget nu
+being relative to the amplitude: sigma L factors sigma^2 (C + nu I), so one factorisation gives the
+amplitude MLE, the profiled likelihood and the fit at any amplitude.  Each factorisation is LAPACK potrf
+on the lower triangle, made in place by the one nugget ladder ``_factor``, which refills its matrix when
+potrf fails.  A fit holds one n x n array: the Gram matrix, factored and rescaled in place.  Every solve
+against a factor is made here: the weights by potrs, and each |L^-1 v|^2 (the amplitude MLE, the
+likelihood, the BQ variance) by one trtrs forward solve in ``_quad_form``.  Per level, the amplitude is
+chosen in closed form and the lengthscales by maximising the profiled marginal log-likelihood, tied or per
+dimension: the best point of a log-grid, refined by a compass search that only compares likelihood
+values.  The search sets up once per fit, factors its own work matrix in place, factors no point twice
+and matches the public profiled likelihood bit for bit.  Data are read by ``kernels.as_data``, which
+checks them to be finite, and ``cholesky`` refuses a non-finite factor, so a non-finite Gram matrix is a
+ValueError.  Everything here is pure; ``GPFit`` is immutable.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .kernels import Kernel, as_data, gram
 
@@ -58,10 +56,15 @@ class SingularGramError(np.linalg.LinAlgError):
 
 
 def cholesky(matrix):
-    """Lower factor by potrf (the package's one call), in place if Fortran-order float64; ``LinAlgError`` if not PD."""
+    """Lower factor by potrf (the package's one call), in place if Fortran-order float64; ``LinAlgError`` if not PD.
+
+    potrf passes a NaN pivot, so a non-finite factor is a ValueError here, the package's one finiteness rule for
+    a factor.  The diagonal is enough: a non-finite entry in row i makes the pivot L[i, i] NaN or -inf."""
     chol, info = dpotrf(matrix, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise (np.linalg.LinAlgError if info > 0 else ValueError)(f"LAPACK potrf returned info {info}")
+    if not np.isfinite(chol.diagonal()).all():
+        raise ValueError("Cholesky factor is not finite: the Gram matrix is not finite")
     return chol
 
 
@@ -86,16 +89,21 @@ def _factor(fill, nugget):
                 raise SingularGramError(f"Gram matrix not positive definite even with nugget {failed:g}", failed) from None
 
 
+def _quad_form(chol, v) -> float:
+    """|L^-1 v|^2 = v' (L L')^-1 v, by one forward solve against the lower factor ``chol``."""
+    half = dtrtrs(chol, v, lower=1)[0]
+    return float(half @ half)
+
+
 def _profiled(unit, resid) -> float:
     """Profiled marginal log-likelihood from the unit factor (its log diagonal sums to half the log-determinant)."""
-    half = dtrtrs(unit, resid, lower=1)[0]
     n = resid.shape[0]
-    sigma2 = float(half @ half) / n
+    sigma2 = _quad_form(unit, resid) / n
     if sigma2 <= 0:
         return math.inf
     value = -0.5 * n * math.log(sigma2) - float(np.log(unit.diagonal()).sum()) - 0.5 * n * (1.0 + math.log(2 * math.pi))
     if not math.isfinite(value):
-        raise ValueError(f"profiled log-likelihood is {value}: the Gram matrix or its factor is not finite")
+        raise ValueError(f"profiled log-likelihood is {value}: |L^-1 r|^2 is not finite")
     return value
 
 
@@ -141,20 +149,18 @@ def _scaled(unit, kernel) -> GPFit:
 def fit_gp(kernel: Kernel, points, y, nugget=NUGGET) -> GPFit:
     """Condition a GP prior on observations.
 
-    ``nugget`` is relative jitter: ``nugget * amplitude`` is added to the
-    Gram diagonal.  On Cholesky failure the nugget is escalated by factors
-    of 10 up to 1e-4 before giving up with :class:`SingularGramError`.
-    The fit holds one n x n array: the unit Gram matrix's transpose (equal,
-    and Fortran-order), factored and then rescaled in place; a failed rung
-    drops it and builds it again.
+    ``nugget`` is relative jitter: ``nugget * amplitude`` is added to the Gram diagonal.  On Cholesky failure
+    the nugget is escalated by factors of 10 up to 1e-4 before giving up with :class:`SingularGramError`.  The
+    fit holds one n x n array: the unit Gram matrix's transpose (equal, and Fortran-order), factored and then
+    rescaled in place; a failed rung drops it and builds it again.  The weights come from potrs on that factor;
+    a non-finite Gram matrix is :func:`cholesky`'s ValueError.
     """
     if nugget < 0:
         raise ValueError("nugget must be nonnegative")
     w, resid = as_data(points, y, kernel.dim)
-    # cho_solve checks the factor: a non-finite Gram matrix raises ValueError
     unit = kernel.with_amplitude(1.0)
     chol, used = _factor(lambda: gram(unit, w).T, nugget)
-    return _scaled(GPFit(kernel, w, resid, chol, cho_solve((chol, True), resid), used), kernel)
+    return _scaled(GPFit(kernel, w, resid, chol, dpotrs(chol, resid, lower=1)[0], used), kernel)
 
 
 def mle_amplitude(kernel: Kernel, points, y, nugget=NUGGET) -> float:
@@ -265,8 +271,7 @@ def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=NUG
 def _profiled_fit(kernel, points, y, nugget=NUGGET) -> GPFit:
     """The GP at the amplitude MLE sigma*^2 = |L^-1 r|^2 / n: the fit at amplitude 1, rescaled."""
     unit = fit_gp(kernel.with_amplitude(1.0), points, y, nugget)
-    half = dtrtrs(unit.chol, unit.residual, lower=1)[0]
-    sigma = math.sqrt(max(float(half @ half), 0.0) / unit.n)
+    sigma = math.sqrt(_quad_form(unit.chol, unit.residual) / unit.n)
     return _scaled(unit, kernel.with_amplitude(sigma * sigma))
 
 

@@ -353,8 +353,9 @@ def _m52_gauss_mean(g, m, x):
     # guaranteed <= -2.5/g^2 there), so the exp cannot overflow.
     dm = np.where(xm < 0, 2.5 / g**2 - _SQRT5 * x / g, -np.inf)
     dp = np.where(xp < 0, 2.5 / g**2 + _SQRT5 * x / g, -np.inf)
-    tm = np.where(xm >= 0, erfcx(np.abs(xm)) * gauss, 2.0 * np.exp(dm) - erfcx(np.abs(xm)) * gauss)
-    tp = np.where(xp >= 0, erfcx(np.abs(xp)) * gauss, 2.0 * np.exp(dp) - erfcx(np.abs(xp)) * gauss)
+    em, ep = erfcx(np.abs(xm)) * gauss, erfcx(np.abs(xp)) * gauss
+    tm = np.where(xm >= 0, em, 2.0 * np.exp(dm) - em)
+    tp = np.where(xp >= 0, ep, 2.0 * np.exp(dp) - ep)
     out = (4 * _SQRT5 * g * (3 * g**2 - 5) * gauss + math.sqrt(2 * math.pi) * (pm * tm + pp * tp)) / (
         6 * g**4 * math.sqrt(2 * math.pi)
     )

@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
-from .gp import GPFit
+from .gp import GPFit, _quad_form
 from .kernels import ProductMeasure, as_data, initial_error, kernel_mean
 
 __all__ = [
@@ -50,8 +49,8 @@ class LevelFailure(RuntimeError):
 def _each_level(fn, items) -> list:
     """``fn`` of each item in level order; a ValueError or FloatingPointError is a LevelFailure at its position.
 
-    The one overflow rule: ``fn`` runs under ``np.errstate(over="raise")``, so an overflow fails its level under
-    any warnings filter.  It names the failing level of a group's data build, a fit, a posterior and an MC mean."""
+    The one overflow rule for a level step: ``fn`` runs under ``np.errstate(over="raise")``, so an overflow fails
+    its level under any warnings filter: a group's data build, a fit, a posterior or an MC mean."""
     out = []
     for position, item in enumerate(items):
         try:
@@ -60,6 +59,16 @@ def _each_level(fn, items) -> list:
         except (ValueError, FloatingPointError) as exc:
             raise LevelFailure(position, str(exc)) from exc
     return out
+
+
+def _total(values, what) -> float:
+    """Level values summed in level order; a running sum past the float range is a LevelFailure at that level."""
+    total = 0.0
+    for level, value in enumerate(values):
+        total += float(value)
+        if not math.isfinite(total):
+            raise LevelFailure(level, f"overflow in the sum of level {what}")
+    return total
 
 
 @dataclass(frozen=True)
@@ -126,10 +135,10 @@ def credible_z(level: float) -> float:
 
 
 def mlmc_estimate(levels) -> float:
-    """Multilevel Monte Carlo: sum of per-level increment means, each by :func:`_each_level` (MC on one level)."""
+    """Multilevel Monte Carlo: the :func:`_total` of per-level increment means, each by :func:`_each_level`."""
     if len(levels) == 0:
         raise ValueError("mlmc_estimate needs at least one level")
-    return float(sum(_each_level(lambda level: level.values.mean(), levels)))
+    return _total(_each_level(lambda level: level.values.mean(), levels), "means")
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +155,11 @@ def bq_posterior(fit: GPFit, measure: ProductMeasure) -> GaussianPosterior:
     """
     embedding = kernel_mean(fit.kernel, measure, fit.points)
     post_mean = float(embedding @ fit.weights)
-    half = solve_triangular(fit.chol, embedding, lower=True)
-    var = initial_error(fit.kernel, measure) - float(half @ half)
+    var = initial_error(fit.kernel, measure) - _quad_form(fit.chol, embedding)
     if -1e-10 * max(fit.kernel.amplitude, 1.0) < var < 0:
         var = 0.0
-    if var < 0:
-        raise FloatingPointError(f"BQ variance {var} below the clamp window")
+    if not var >= 0:  # a NaN too: a non-finite embedding makes a NaN or -inf variance
+        raise FloatingPointError(f"BQ variance {var} below the clamp window or not a number")
     return GaussianPosterior(post_mean, var, (post_mean,), (var,))
 
 
@@ -168,4 +176,4 @@ def mlbq_estimate(fits, measure: ProductMeasure) -> GaussianPosterior:
         raise ValueError("mlbq_estimate needs at least one level")
     posts = _each_level(lambda fit: bq_posterior(fit, measure), fits)
     level_means, level_vars = tuple(p.mean for p in posts), tuple(p.variance for p in posts)
-    return GaussianPosterior(float(sum(level_means)), float(sum(level_vars)), level_means, level_vars)
+    return GaussianPosterior(_total(level_means, "means"), _total(level_vars, "variances"), level_means, level_vars)

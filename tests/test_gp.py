@@ -829,6 +829,55 @@ class TestNonFinite:
             with pytest.raises(ValueError):
                 fit_gp(kernel, w, y)
 
+    W6 = np.linspace(0.1, 0.9, 6).reshape(-1, 1)
+    Y6 = np.sin(3 * W6[:, 0])
+
+    @staticmethod
+    def gram_with(monkeypatch, value, entry):
+        """``gp.gram`` with ``value`` written at ``entry`` and its mirror."""
+        real = gp.gram
+
+        def patched(kernel, points):
+            matrix = real(kernel, points)
+            matrix[entry] = matrix[entry[::-1]] = value
+            return matrix
+
+        monkeypatch.setattr(gp, "gram", patched)
+
+    @pytest.mark.parametrize("entry", [(3, 1), (5, 0), (2, 2), (5, 5)], ids=["off-diag", "corner", "diag", "last-diag"])
+    def test_nan_gram_entry_is_refused_by_the_factor_check(self, monkeypatch, entry):
+        # potrf passes a NaN pivot (NaN <= 0 is false), so the factor comes back non-finite: the refusal is the
+        # finiteness check on that factor, a plain ValueError, not the nugget ladder's SingularGramError
+        self.gram_with(monkeypatch, math.nan, entry)
+        for fit in (fit_gp, mle_amplitude):
+            with pytest.raises(ValueError) as refused:
+                fit(Kernel.matern(2.5, 0.3), self.W6, self.Y6)
+            assert not isinstance(refused.value, np.linalg.LinAlgError)
+
+    def test_inf_gram_entry_ends_in_the_nugget_ladder(self, monkeypatch):
+        # an inf below the diagonal makes the next pivot -inf at every rung
+        self.gram_with(monkeypatch, math.inf, (1, 0))
+        with pytest.raises(SingularGramError):
+            fit_gp(Kernel.matern(2.5, 0.3), self.W6, self.Y6)
+
+    @pytest.mark.parametrize("where", ["farthest", "coincident"])
+    def test_nan_correlation_fails_the_search_objective(self, monkeypatch, where):
+        corr_at = Matern.corr_at
+
+        def nan_at(self, dist, lengthscale, out=None):
+            hit = np.asarray(dist) == (np.max(dist) if where == "farthest" else 0.0)  # before ``out`` overwrites it
+            corr = corr_at(self, dist, lengthscale, out)
+            corr[hit] = math.nan
+            return corr
+
+        monkeypatch.setattr(Matern, "corr_at", nan_at)
+        kernel = Kernel.matern(2.5, 0.3)
+        w, resid = gp.as_data(self.W6, self.Y6, 1)
+        with pytest.raises(ValueError):
+            _objective(kernel, w, resid, gp.NUGGET)((math.log(0.3),))
+        with pytest.raises(ValueError):
+            fit_hyperparameters(kernel, self.W6, self.Y6, bounds=(0.05, 5.0))
+
     def test_vanishing_residual_gives_plus_infinity(self):
         assert profiled_log_marginal_likelihood(M12, [0.2, 0.7], [0.0, 0.0]) == math.inf
 

@@ -36,6 +36,7 @@ from mlbq.harness import (
     validate_budget_accounting,
     write_records_csv,
 )
+from mlbq.kernels import Matern
 from mlbq.models import ModelError, OdeHierarchy, PoissonHierarchy, make_model
 from mlbq.quadrature import LevelFailure
 
@@ -674,6 +675,24 @@ class TestRunExperiment:
         assert [r.message for r in caplog.records if "failed" in r.message] == [
             "cell (T=1.517, rep=0, mlbq) failed: level 0: overflow encountered in matmul",
             "cell (T=30.347, rep=0, mlmc) failed: level 0: overflow encountered in reduce"]
+
+    def test_nan_gram_entry_fails_its_cell_as_a_level_failure(self, monkeypatch, caplog):
+        # a NaN at the farthest pair of every Matern correlation: each level's lengthscale search refuses it, the
+        # grid mlbq cell fails at level 0 and the mlmc cell, which fits no GP, keeps its record
+        corr_at = Matern.corr_at
+
+        def nan_at_the_farthest(self, dist, lengthscale, out=None):
+            farthest = np.asarray(dist) == np.max(dist)  # before ``out`` overwrites the distances
+            corr = corr_at(self, dist, lengthscale, out)
+            corr[farthest] = np.nan
+            return corr
+
+        monkeypatch.setattr(Matern, "corr_at", nan_at_the_farthest)
+        with caplog.at_level("WARNING", logger="mlbq.harness"):
+            records = run_experiment(config(replications=1))
+        assert [r.estimator for r in records] == ["mlmc"]
+        failed = [r.message for r in caplog.records if "failed" in r.message]
+        assert len(failed) == 1 and failed[0].startswith("cell (T=0.376, rep=0, mlbq) failed: level 0: ")
 
     @pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
     def test_cell_failures_are_logged_by_the_caller(self, jobs):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mlbq import gp
+from mlbq import gp, quadrature
 from mlbq.designs import generate_design
 from mlbq.gp import fit_gp, fit_hyperparameters
 from mlbq.kernels import Kernel, ProductMeasure, as_points, gram, initial_error, kernel_mean
@@ -110,6 +110,14 @@ class TestMonteCarlo:
         # the sum inside this mean overflows: it used to warn and return inf, or raise a bare RuntimeWarning
         with pytest.raises(LevelFailure, match="level 0: overflow"):
             mlmc_estimate([LevelData([0.1, 0.9], [1e308, 1e308])])
+
+    def test_mlmc_total_overflow_is_a_level_failure(self):
+        # each level's mean is finite and the sum of the two is not: it used to raise a bare RuntimeWarning
+        # (overflow encountered in scalar add) under an error filter, and to return inf otherwise
+        levels = [LevelData([0.5], [1e308]), LevelData([0.5], [1e308]), LevelData([0.5], [-1e308])]
+        with pytest.raises(LevelFailure, match="level 1: overflow") as failure:
+            mlmc_estimate(levels)
+        assert failure.value.level == 1
 
     def test_mlmc_empty(self):
         with pytest.raises(ValueError):
@@ -283,6 +291,32 @@ class TestMlbq:
         fits = [fit_gp(M12, [0.5], [1.0]), fit_gp(M12, [2.5], [1.0])]
         with pytest.raises(LevelFailure, match="level 1: points fall outside") as failure:
             mlbq_estimate(fits, U01)
+        assert failure.value.level == 1
+
+    def test_total_overflow_is_a_level_failure(self):
+        # two levels with finite posterior means of 1.068e308 each: the sum used to come back as mean=inf
+        fit = fit_gp(Kernel.matern(2.5, 0.3), [0.5], [1.7e308])
+        assert math.isfinite(bq_posterior(fit, U01).mean)
+        with pytest.raises(LevelFailure, match="level 1: overflow") as failure:
+            mlbq_estimate([fit, fit, fit_gp(M12, [0.5], [1.0])], U01)
+        assert failure.value.level == 1
+
+    def test_nan_kernel_mean_is_a_level_failure(self, monkeypatch):
+        # a non-finite embedding never reaches a posterior: its NaN variance is refused, as the finiteness check of
+        # the solve used to refuse the embedding
+        real = quadrature.kernel_mean
+
+        def nan_at_the_second_point(kernel, measure, points):
+            embedding = real(kernel, measure, points)
+            embedding[1:2] = np.nan
+            return embedding
+
+        monkeypatch.setattr(quadrature, "kernel_mean", nan_at_the_second_point)
+        fit = fit_gp(M12, [0.2, 0.5, 0.9], [1.0, -0.3, 0.4])
+        with pytest.raises(FloatingPointError, match="BQ variance nan below the clamp window or not a number"):
+            bq_posterior(fit, U01)
+        with pytest.raises(LevelFailure, match="level 1: BQ variance nan") as failure:
+            mlbq_estimate([fit_gp(M12, [0.5], [1.0]), fit], U01)
         assert failure.value.level == 1
 
     def test_factors_nothing(self, monkeypatch):

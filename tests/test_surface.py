@@ -100,3 +100,23 @@ def test_cli_has_no_allocation_path_of_its_own():
     named = {getattr(node, attr) for node in ast.walk(tree) for attr in ("id", "attr", "name")
              if isinstance(getattr(node, attr, None), str)}
     assert not named & {"mlmc_allocation", "mlbq_allocation", "integerize_allocation"}
+
+
+
+def test_gp_owns_every_solve_against_a_factor():
+    # gp is the one module that factors and solves: a second importer of scipy.linalg would bring back a second
+    # solve rule, and scipy's checked wrappers would hide a finiteness check that gp.cholesky makes explicitly
+    importers, named = set(), set()
+    for path in sorted(Path(mlbq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                modules = []
+            if any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in modules):
+                importers.add(path.stem)
+            named |= {getattr(node, attr) for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
+    assert importers == {"gp"}
+    assert not named & {"cho_solve", "cho_factor", "solve_triangular"}
