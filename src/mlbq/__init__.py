@@ -24,7 +24,6 @@ from .gp import (
     profiled_log_marginal_likelihood,
 )
 from .kernels import (
-    BrownianMotion,
     Kernel,
     Matern,
     NoClosedFormError,

@@ -188,9 +188,8 @@ def profiled_log_marginal_likelihood(kernel: Kernel, points, y, nugget=NUGGET) -
 def _objective(kernel, w, resid, nugget):
     """The profiled LML as a memoised function of a tuple of per-axis log-lengthscales.
 
-    Works on the packed lower triangle potrf reads.  Each factor with a lengthscale keeps its
-    correlations at the last value its axis was evaluated at, so a point that moves one axis runs one
-    correlation pass; a factor without one (Brownian) keeps its values and ignores its entry.  An
+    Works on the packed lower triangle potrf reads.  Each axis keeps its correlations at the last
+    log-lengthscale it was evaluated at, so a point that moves one axis runs one correlation pass.  An
     evaluation multiplies the factors' correlations left to right, the order ``gram`` uses, and its fill
     scatters the product into the work matrix; ``_factor`` calls it again at each rung after potrf fails
     (the failed factor wrote over the triangle).
@@ -199,14 +198,13 @@ def _objective(kernel, w, resid, nugget):
     cols, rows = np.triu_indices(n)
     work, at = np.zeros((n, n), order="F"), cols * n + rows
     lower = work.ravel(order="F")  # a view of work
-    # per axis: [distances (None for a fixed factor), log-lengthscale of the correlations, correlations]
-    axes = [[np.abs(w[rows, j] - w[cols, j]), None, None] if hasattr(f, "lengthscale")
-            else [None, None, f.corr(w[rows, j], w[cols, j])] for j, f in enumerate(kernel.factors)]
+    # per axis: [distances, log-lengthscale of the correlations, correlations]
+    axes = [[np.abs(w[rows, j] - w[cols, j]), None, None] for j in range(kernel.dim)]
 
     @functools.cache
     def objective(log_gs):
         for f, axis, log_g in zip(kernel.factors, axes, log_gs):
-            if axis[0] is not None and axis[1] != log_g:
+            if axis[1] != log_g:
                 axis[2] = None  # dropped before the pass: one correlation array per axis
                 axis[1:] = log_g, f.corr_at(axis[0], math.exp(log_g))
         corr = functools.reduce(operator.mul, [axis[2] for axis in axes])
@@ -236,11 +234,10 @@ def _compass_max(value, x, step, top, tol):
 def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=NUGGET) -> Kernel:
     """The lengthscale search of :func:`fit_hyperparameters`; the amplitude is left as it is.
 
-    One objective and one search per call, over k coordinates: each axis with a lengthscale has its own under
-    ``per_dimension``, else all share one; an axis without a lengthscale (Brownian) keeps a constant entry.
-    The search starts at the best point of a log-grid, ``GRID_SIZE`` points when k is 1 and ``JOINT_GRID``
-    per axis otherwise, and refines it by :func:`_compass_max` from half the grid spacing (the grid answers
-    the polls at its own spacing).
+    One objective and one search per call, over k coordinates: each axis has its own under ``per_dimension``,
+    else all share one.  The search starts at the best point of a log-grid, ``GRID_SIZE`` points when k is 1
+    and ``JOINT_GRID`` per axis otherwise, and refines it by :func:`_compass_max` from half the grid spacing
+    (the grid answers the polls at its own spacing).
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi):
@@ -253,15 +250,13 @@ def _fit_lengthscales(kernel, points, y, bounds, per_dimension=False, nugget=NUG
     if np.max(np.abs(resid)) == 0.0:
         return kernel.with_lengthscales(math.sqrt(lo * hi))
     objective, log_lo, log_hi = _objective(kernel, w, resid, nugget), math.log(lo), math.log(hi)
-    searched = [j for j, f in enumerate(kernel.factors) if hasattr(f, "lengthscale")]
-    coordinate = {j: i if per_dimension else 0 for i, j in enumerate(searched)}
-    k = len(set(coordinate.values()))
+    k = kernel.dim if per_dimension else 1
     top = (GRID_SIZE if k == 1 else JOINT_GRID) - 1
     h = (log_hi - log_lo) / top
 
     def to_log(t):  # the log-lengthscales at grid units t, as np.linspace places the grid t = 0, ..., top
         logs = [log_hi if u == top else log_lo + h * u for u in t]
-        return tuple(logs[coordinate[j]] if j in coordinate else 0.0 for j in range(kernel.dim))
+        return tuple(logs * (kernel.dim // k))
 
     start = max(itertools.product(range(top + 1), repeat=k), key=lambda t: objective(to_log(t)))
     best = to_log(_compass_max(lambda t: objective(to_log(t)), start, 0.5, top, REL_TOL / h))
@@ -287,8 +282,8 @@ def fit_hyperparameters(
     """Fit lengthscale(s) and amplitude by profiled marginal likelihood; the GP conditioned at them.
 
     Without ``per_dimension`` all axes are tied to one lengthscale; with it,
-    each axis that has a lengthscale gets its own.  The search starts at the
-    best point of a log-grid over ``bounds`` (endpoints included), of
+    each axis gets its own.  The search starts at the best point of a
+    log-grid over ``bounds`` (endpoints included), of
     ``GRID_SIZE`` points for one searched coordinate and ``JOINT_GRID`` points
     per axis for more, and refines it by a compass search: it polls one step up
     and down each coordinate, clipped to ``bounds``, moves to the first poll

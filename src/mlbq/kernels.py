@@ -1,9 +1,10 @@
 """Covariance functions, Gram matrices and closed-form kernel integrals.
 
-Kernels are tensor products of one-dimensional factors (Matern with
-smoothness 1/2 or 5/2, squared exponential, Brownian motion) scaled by a
-single global amplitude ``sigma2``.  Integration measures are products of
-one-dimensional marginals (uniform on an interval, or standard normal).
+Kernels are tensor products of one-dimensional stationary factors, each
+with a lengthscale (Matern with smoothness 1/2 or 5/2, squared exponential),
+scaled by a single global amplitude ``sigma2``.  Integration measures are
+products of one-dimensional marginals (uniform on an interval, or standard
+normal).
 The kernel mean ``Pi[c(., x)]`` and the initial error ``Pi[Pi[c]]`` come from
 ``_CLOSED_FORMS``, the one table of (factor kind, marginal kind) pairs with closed
 forms (any other pair raises :class:`NoClosedFormError`); both factorise over
@@ -16,8 +17,7 @@ Conventions (shared with the rest of the package):
 * squared exponential: ``exp(-(x - y)^2 / gamma^2)`` (no factor 2),
 * Matern 1/2: ``exp(-|x - y| / gamma)``,
 * Matern 5/2: ``(1 + sqrt(5) r / gamma + 5 r^2 / (3 gamma^2))
-  * exp(-sqrt(5) r / gamma)``,
-* Brownian motion: ``min(x, y)`` on the nonnegative half line.
+  * exp(-sqrt(5) r / gamma)``.
 
 erf/erfc/erfcx are taken from ``scipy.special`` (Cephes/Boost rational
 approximations, absolute error below 1e-15, well inside the 1e-12 budget
@@ -37,7 +37,6 @@ from scipy.special import erf, erfcx
 __all__ = [
     "Matern",
     "SquaredExponential",
-    "BrownianMotion",
     "Kernel",
     "Uniform",
     "StandardNormal",
@@ -81,9 +80,6 @@ class Matern:
     def kind(self) -> str:
         return f"Matern(nu={self.nu})"
 
-    def corr(self, x, y, out=None):
-        return self.corr_at(np.abs(np.subtract(x, y, out=out), out=out), self.lengthscale, out)
-
     def corr_at(self, dist, lengthscale, out=None):
         """Correlation at distances ``dist`` under ``lengthscale`` (not validated), into ``out`` (may be ``dist``)."""
         if self.nu == 0.5:
@@ -109,34 +105,22 @@ class SquaredExponential:
         if not (self.lengthscale > 0 and math.isfinite(self.lengthscale)):
             raise ValueError(f"lengthscale must be positive and finite, got {self.lengthscale}")
 
-    def corr(self, x, y, out=None):
-        return self.corr_at(np.abs(np.subtract(x, y, out=out), out=out), self.lengthscale, out)
-
     def corr_at(self, dist, lengthscale, out=None):
-        """Correlation at distances ``dist`` under ``lengthscale`` (not validated), into ``out`` if given."""
+        """Correlation at distances ``dist`` under ``lengthscale`` (not validated), into ``out`` (may be ``dist``)."""
         s = np.asarray(np.divide(dist, lengthscale, out=out))
         return np.exp(np.negative(np.square(s, out=s), out=s), out=s)
 
 
-@dataclass(frozen=True)
-class BrownianMotion:
-    """Brownian motion factor min(x, y); no lengthscale, not stationary."""
-
-    kind = "BrownianMotion"
-
-    def corr(self, x, y, out=None):
-        return np.minimum(x, y, out=out)
-
-
-Factor = Matern | SquaredExponential | BrownianMotion
+Factor = Matern | SquaredExponential
 
 
 @dataclass(frozen=True)
 class Kernel:
     """Tensor-product covariance with a single global amplitude sigma2.
 
-    ``factors`` holds one factor per input dimension; the value of the
-    kernel at (x, y) is ``amplitude * prod_j factors[j].corr(x_j, y_j)``.
+    ``factors`` holds one factor per input dimension; the value of the kernel
+    at (x, y) is ``amplitude * prod_j factors[j].corr_at(|x_j - y_j|, gamma_j)``
+    for each factor's lengthscale ``gamma_j``.
     Instances are immutable and safe to share across threads.
     """
 
@@ -157,8 +141,8 @@ class Kernel:
 
     @property
     def lengthscales(self) -> tuple[float, ...]:
-        """Per-dimension lengthscales (nan for Brownian factors)."""
-        return tuple(getattr(f, "lengthscale", math.nan) for f in self.factors)
+        """Per-dimension lengthscales."""
+        return tuple(f.lengthscale for f in self.factors)
 
     # -- constructors -------------------------------------------------------
 
@@ -172,10 +156,6 @@ class Kernel:
         ls = _per_dim(lengthscale, dim)
         return cls(tuple(SquaredExponential(g) for g in ls), amplitude)
 
-    @classmethod
-    def brownian(cls, amplitude=1.0) -> "Kernel":
-        return cls((BrownianMotion(),), amplitude)
-
     # -- derived kernels -----------------------------------------------------
 
     def with_amplitude(self, amplitude: float) -> "Kernel":
@@ -183,8 +163,7 @@ class Kernel:
 
     def with_lengthscales(self, lengthscales) -> "Kernel":
         ls = _per_dim(lengthscales, self.dim)
-        new = (replace(f, lengthscale=g) if hasattr(f, "lengthscale") else f for f, g in zip(self.factors, ls))
-        return Kernel(tuple(new), self.amplitude)
+        return Kernel(tuple(replace(f, lengthscale=g) for f, g in zip(self.factors, ls)), self.amplitude)
 
 
 def _per_dim(value, dim) -> tuple[float, ...]:
@@ -294,8 +273,9 @@ _GRAM_BLOCK_ROWS = 64  # rows of one correlation block in gram; its buffer stays
 def gram(kernel: Kernel, points, points2=None) -> np.ndarray:
     """Gram (or cross-Gram) matrix c(W, W') with amplitude included, C-order.
 
-    Filled in place, the only full-size array: each factor's ``corr`` runs a block of rows at a time
-    in one reused buffer, with unchanged operations, so the square matrix is bitwise symmetric.
+    Filled in place, the only full-size array: per factor, a block of rows at a time, the distances
+    ``|x - y|`` are formed in one reused buffer and turned into correlations there by ``corr_at``, with
+    unchanged operations, so the square matrix is bitwise symmetric.
 
     Duplicated points are allowed; the resulting singular matrix is the
     caller's problem (GP fitting copes through its nugget ladder).
@@ -307,7 +287,9 @@ def gram(kernel: Kernel, points, points2=None) -> np.ndarray:
     for j, f in enumerate(kernel.factors):
         for start in range(0, w1.shape[0], _GRAM_BLOCK_ROWS):
             rows = out[start : start + _GRAM_BLOCK_ROWS]
-            rows *= f.corr(w1[start : start + rows.shape[0], j : j + 1], w2[None, :, j], buf[: rows.shape[0]])
+            dist = buf[: rows.shape[0]]
+            np.abs(np.subtract(w1[start : start + rows.shape[0], j : j + 1], w2[None, :, j], out=dist), out=dist)
+            rows *= f.corr_at(dist, f.lengthscale, dist)
     return out
 
 

@@ -279,7 +279,11 @@ class PoissonHierarchy(MultifidelityModel):
         return self.level_integral(self.levels - 1)
 
     def increment_norm(self, level: int) -> float:
-        """Brownian-RKHS norm of f_l - f_{l-1} (f_{-1} = 0)."""
+        """Brownian-RKHS norm of f_l - f_{l-1} (f_{-1} = 0).
+
+        At ``interior_nodes=(1, 4, 19)`` its squares are 0.0625, 0.0225 and 0.003125, the published
+        allocation norms; at the default meshes the unsquared norms are about 0.283, 0.060 and 0.0175.
+        """
         self._check_level(level)
         if level == 0:
             return brownian_rkhs_increment_norm(self._levels[0])

@@ -5,9 +5,9 @@ implementation it checks: adaptive quadrature for kernel means, nested
 or single quadrature for initial errors, and slope integration for the
 Brownian-motion RKHS norm.  ``oracle_report`` walks the closed-form
 table ``kernels._CLOSED_FORMS`` and checks every kernel mean and initial
-error in it against quadrature, at three lengthscales, then adds the two
-Brownian-motion checks.  Its (name, oracle value, implementation value,
-tolerance) rows back criterion 5a and the ``mlbq oracle`` report.
+error in it against quadrature, at three lengthscales, then adds the
+Brownian-motion RKHS norm check.  Its (name, oracle value, implementation
+value, tolerance) rows back criterion 5a and the ``mlbq oracle`` report.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ from scipy.integrate import quad
 
 from .kernels import (
     _CLOSED_FORMS,
-    BrownianMotion,
     Kernel,
     Matern,
     ProductMeasure,
     SquaredExponential,
     StandardNormal,
     Uniform,
-    gram,
     initial_error,
     kernel_mean,
 )
@@ -45,7 +43,7 @@ __all__ = [
 
 
 def factor_profile(factor):
-    """The 1-d correlation profile r -> corr(0, r) of a kernel factor."""
+    """The correlation (s, t) -> corr(s, t) of a kernel factor, written out from its formula."""
     if isinstance(factor, Matern) and factor.nu == 0.5:
         return lambda s, t: math.exp(-abs(s - t) / factor.lengthscale)
     if isinstance(factor, Matern):
@@ -53,8 +51,6 @@ def factor_profile(factor):
         return lambda s, t: (1 + c * abs(s - t) + (c * abs(s - t)) ** 2 / 3.0) * math.exp(-c * abs(s - t))
     if isinstance(factor, SquaredExponential):
         return lambda s, t: math.exp(-((s - t) / factor.lengthscale) ** 2)
-    if isinstance(factor, BrownianMotion):
-        return lambda s, t: min(s, t)
     raise ValueError(f"no profile for {factor}")
 
 
@@ -148,7 +144,7 @@ _LENGTHSCALES = (0.4, 1.0, 2.0)
 
 
 def oracle_report() -> list[OracleRow]:
-    """Every closed form against its quadrature oracle, then the two Brownian-motion checks.
+    """Every closed form against its quadrature oracle, then the Brownian-motion RKHS norm check.
 
     Each ``_CLOSED_FORMS`` row gives, at each of ``_LENGTHSCALES``, a kernel-mean row per point of its
     marginal and an initial-error row, all to 1e-10.  A table row with no case here raises ``ValueError``.
@@ -172,6 +168,4 @@ def oracle_report() -> list[OracleRow]:
     g = PiecewiseLinearFunction(bp, np.concatenate([[0.0], rng.standard_normal(10)]))
     norm = brownian_rkhs_increment_norm(g)
     rows.append(OracleRow("brownian_rkhs_norm vs slope integral", slope_integral_norm(g), norm, 1e-10))
-    gram_entry = float(gram(Kernel.brownian(), [0.3], [0.7])[0, 0])  # a 1x1 cross-Gram against the factor profile
-    rows.append(OracleRow("gram brownian (0.3, 0.7)", factor_profile(BrownianMotion())(0.3, 0.7), gram_entry, 0.0))
     return rows

@@ -55,6 +55,6 @@ def test_readme_command_line_runs(tmp_path):
     result = _run(["-c", script, json.dumps(commands)], tmp_path)
     assert result.returncode == 0, result.stderr
     assert f"exit codes {[0] * len(commands)}" in result.stdout, result.stderr
-    assert "62/62 oracle checks passed" in result.stdout
+    assert "61/61 oracle checks passed" in result.stdout
     assert len(read_records_csv(tmp_path / "records.csv")) == 600
     assert (tmp_path / "coverage.csv").exists()

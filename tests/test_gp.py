@@ -18,7 +18,7 @@ from mlbq.gp import (
     mle_amplitude,
     profiled_log_marginal_likelihood,
 )
-from mlbq.kernels import BrownianMotion, Kernel, Matern, ProductMeasure, SquaredExponential, gram
+from mlbq.kernels import Kernel, Matern, ProductMeasure, SquaredExponential, gram
 from mlbq.quadrature import bq_posterior
 
 from reference_oracles import lml_dense
@@ -342,7 +342,7 @@ OBJECTIVE_CASES = [
     (THREE, (0,)),
     (THREE, (1,)),
     (THREE, (2,)),
-    (Kernel((BrownianMotion(), Matern(0.5, 0.7))), (0, 1)),
+    (Kernel((Matern(2.5, 0.4), Matern(0.5, 0.7))), (0, 1)),
 ]
 
 
@@ -604,19 +604,22 @@ class TestCompassSearch:
             apart = np.max(np.abs(distinct[:, None] - distinct[None, :]), axis=2) + np.eye(len(distinct))
             assert apart.min() >= gp.REL_TOL
 
-    def test_an_axis_without_a_lengthscale_is_not_searched(self, monkeypatch):
-        # a Brownian axis keeps a constant entry, so the per-axis search of a Brownian x Matern-1/2 kernel is
-        # the tied one.  Polling the Brownian axis too made 105 factorisations here, against the tied 52.
+    def test_a_search_of_one_coordinate_is_the_tied_search(self, monkeypatch):
+        # on one axis the per-axis search has one coordinate: the same grid, polls and factorisations as the tied
         rng = np.random.default_rng(30)
-        w = rng.random((20, 2))
-        y = np.sin(3 * w[:, 0]) + np.cos(2 * w[:, 1]) + 0.05 * rng.standard_normal(20)
-        kernel = Kernel((BrownianMotion(), Matern(0.5, 1.0)))
+        w = rng.random((20, 1))
+        y = np.sin(3 * w[:, 0]) + 0.05 * rng.standard_normal(20)
         calls = _count_cholesky(monkeypatch)
         searches = []
         for per_dimension in (True, False):
             calls.clear()
-            searches.append((gp._fit_lengthscales(kernel, w, y, (0.01, 10.0), per_dimension), len(calls)))
+            searches.append((gp._fit_lengthscales(Kernel.matern(0.5, 1.0), w, y, (0.01, 10.0), per_dimension),
+                             len(calls)))
         assert searches[0] == searches[1]
+        # a tied search of two axes moves one coordinate, repeated on both
+        w2 = rng.random((20, 2))
+        tied = gp._fit_lengthscales(Kernel.matern(0.5, [1.0, 3.0], dim=2), w2, np.sin(3 * w2.sum(axis=1)), (0.01, 10.0))
+        assert tied.lengthscales[0] == tied.lengthscales[1]
 
     def test_factorisations_of_one_benchmark_replication(self, monkeypatch):
         # a cost guard: one replication of the fitted Matern-5/2 LHS config at the benchmark's seed offset 3.
@@ -724,7 +727,7 @@ class TestInPlaceFit:
         Kernel.squared_exponential([0.3, 0.8], dim=2),
         Kernel.matern(0.5, 0.6, dim=2),
         Kernel.matern(2.5, [0.5, 0.2], dim=2),
-        Kernel((BrownianMotion(), Matern(2.5, 0.7))),
+        Kernel((SquaredExponential(0.6), Matern(2.5, 0.7))),
     ]
 
     @pytest.mark.parametrize("amplitude", [1.0, 4.0])

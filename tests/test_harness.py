@@ -129,7 +129,7 @@ class TestConfig:
             {"lengthscale": -1.0, "policy": "fixed", "bounds": None},
             {"family": "squared-exponential"},
             {"per_dimension": "no"},  # a flag is a JSON boolean: bool("no") would read as true
-            {"family": "brownian", "smoothness": None},  # not a config family until it has closed forms
+            {"family": "brownian", "smoothness": None},  # an unknown family: the package has no Brownian factor
             {"model": "ode", "smoothness": 0.5},  # Matern-1/2 has none on the ODE model's N(0, 1) axis
         ],
     )

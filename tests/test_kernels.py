@@ -1,10 +1,11 @@
 import math
+import typing
 
 import numpy as np
 import pytest
 
 from mlbq.kernels import (
-    BrownianMotion,
+    Factor,
     Kernel,
     Matern,
     NoClosedFormError,
@@ -44,6 +45,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Kernel.matern(0.5, [1.0, 2.0, 3.0], dim=2)
 
+    def test_with_lengthscales_sets_every_factor(self):
+        # every factor has a lengthscale: each is replaced, its kind and the amplitude are kept
+        k = Kernel((Matern(2.5, 0.3), SquaredExponential(0.8)), amplitude=1.7)
+        assert k.with_lengthscales([1.5, 0.2]) == Kernel((Matern(2.5, 1.5), SquaredExponential(0.2)), amplitude=1.7)
+        assert k.with_lengthscales(0.4).lengthscales == (0.4, 0.4)
+        with pytest.raises(ValueError):
+            k.with_lengthscales([1.0, 2.0, 3.0])
+
 
 class TestKernelEval:
     """The kernel at single pairs of points, as 1x1 cross-Gram matrices."""
@@ -56,9 +65,6 @@ class TestKernelEval:
         k = Kernel.matern(0.5, 1.0)
         assert gram(k, [0.0], [1.0])[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-15)
 
-    def test_brownian_is_min(self):
-        assert gram(Kernel.brownian(), [0.3], [0.7])[0, 0] == 0.3
-
     def test_diagonal_equals_amplitude_for_stationary_factors(self):
         for k in (Kernel.matern(2.5, 0.3, amplitude=2.2), Kernel.squared_exponential(1.7, amplitude=0.4)):
             assert gram(k, [0.8], [0.8])[0, 0] == pytest.approx(k.amplitude, rel=1e-15)
@@ -69,7 +75,6 @@ class TestKernelEval:
             Kernel.matern(0.5, 0.7),
             Kernel.matern(2.5, 1.3),
             Kernel.squared_exponential(0.9),
-            Kernel.brownian(),
         ]
         for _ in range(250):
             x, y = rng.random(2)
@@ -130,8 +135,8 @@ class TestGram:
     @pytest.mark.parametrize(
         "kernel",
         [Kernel.squared_exponential(0.3, amplitude=2.5), Kernel.matern(0.5, 0.4, dim=2),
-         Kernel.matern(2.5, [0.2, 0.9], dim=2, amplitude=0.7), Kernel((BrownianMotion(), Matern(2.5, 0.5)))],
-        ids=["se", "m12", "m52", "brownian-m52"],
+         Kernel.matern(2.5, [0.2, 0.9], dim=2, amplitude=0.7), Kernel((SquaredExponential(0.5), Matern(2.5, 0.3)))],
+        ids=["se", "m12", "m52", "se-m52"],
     )
     @pytest.mark.parametrize("rows, cols", [(150, None), (150, 7), (3, 200), (64, 64), (1, None)])
     def test_blocked_build_equals_one_shot_product(self, kernel, rows, cols):
@@ -141,7 +146,7 @@ class TestGram:
         w2 = w1 if cols is None else rng.random((cols, kernel.dim))
         expected = np.full((len(w1), len(w2)), kernel.amplitude)
         for j, f in enumerate(kernel.factors):
-            expected *= f.corr(w1[:, j : j + 1], w2[None, :, j])
+            expected *= f.corr_at(np.abs(w1[:, j : j + 1] - w2[None, :, j]), f.lengthscale)
         got = gram(kernel, w1, None if cols is None else w2)
         assert np.array_equal(got, expected) and got.flags.c_contiguous
         if cols is None:
@@ -227,9 +232,10 @@ class TestKernelMean:
         with pytest.raises(ValueError, match="points fall outside the measure's support"):
             kernel_mean(Kernel((factor,)), U01, x)
 
-    def test_brownian_has_no_closed_form(self):
-        with pytest.raises(NoClosedFormError, match="BrownianMotion"):
-            kernel_mean(Kernel.brownian(), U01, 0.5)
+    def test_every_factor_class_has_a_closed_form(self):
+        # kernel_mean, initial_error and the lengthscale search take every factor: none may lack a table row
+        table_classes = {kind.split("(")[0] for kind, _ in _CLOSED_FORMS}
+        assert {cls.__name__ for cls in typing.get_args(Factor)} <= table_classes
 
     def test_amplitude_linearity(self):
         k = Kernel.matern(2.5, 0.8)
@@ -284,10 +290,10 @@ class TestInitialError:
 class TestOracleReport:
     """``oracle_report`` generates its closed-form rows from the table; criterion 5a asserts that they pass."""
 
-    def test_the_report_is_the_table_and_the_brownian_checks(self):
+    def test_the_report_is_the_table_and_the_norm_check(self):
         names = [row.name for row in oracle_report()]
-        assert len(names) == 12 * len(_CLOSED_FORMS) + 2
-        assert names[-2:] == ["brownian_rkhs_norm vs slope integral", "gram brownian (0.3, 0.7)"]
+        assert len(names) == 12 * len(_CLOSED_FORMS) + 1
+        assert names[-1] == "brownian_rkhs_norm vs slope integral"
         assert "kernel_mean SquaredExponential Uniform g=1.0 @-0.3" in names  # an interval end
 
     def test_a_table_row_without_an_oracle_case_raises(self, monkeypatch):
