@@ -126,7 +126,7 @@ def credible_z(level: float) -> float:
     """The central standard-normal quantile z, with P(|Z| <= z) = level; a level outside (0, 1) is a ValueError."""
     if not 0 < level < 1:
         raise ValueError(f"credible level must lie in (0, 1), got {level}")
-    return ndtri(0.5 * (1.0 + level))
+    return float(ndtri(0.5 * (1.0 + level)))
 
 
 # ---------------------------------------------------------------------------

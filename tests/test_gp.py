@@ -331,6 +331,7 @@ def _public(kernel, w, y, point, nugget=1e-10):
 
 
 THREE = Kernel((Matern(0.5, 0.3), SquaredExponential(0.8), Matern(2.5, 1.7)))
+J = gp.JOINT_GRID
 OBJECTIVE_CASES = [
     (Kernel.matern(0.5, 0.7), (0,)),
     (Kernel.matern(2.5, 0.7), (0,)),
@@ -344,6 +345,20 @@ OBJECTIVE_CASES = [
     (THREE, (2,)),
     (Kernel((Matern(2.5, 0.4), Matern(0.5, 0.7))), (0, 1)),
 ]
+
+
+class _Stopped(Exception):
+    pass
+
+
+def _stop(*args):
+    """A compass search that stops the fit at its first poll."""
+    raise _Stopped
+
+
+def _counted(method, calls):
+    """``method``, appending to ``calls`` at each call."""
+    return lambda *args, **kwargs: calls.append(1) or method(*args, **kwargs)
 
 
 class TestLengthscaleSearch:
@@ -465,6 +480,101 @@ class TestLengthscaleSearch:
             tracemalloc.stop()
         assert held < n * n * 8 / 4 and peak < 3 * n * n * 8
 
+    @pytest.mark.parametrize("kernel", [Kernel.matern(2.5, 0.7, dim=2), THREE], ids=["matern52-2d", "three-axes"])
+    def test_grid_values_through_the_table_equal_profiled_likelihood(self, kernel, monkeypatch):
+        # the search's own objective, which holds its fastest grid coordinate's correlations, at every
+        # joint-grid point in the order the search visits them, stopped at the first compass poll
+        rng = np.random.default_rng(22)
+        w = rng.random((17, kernel.dim))
+        y = np.cos(4 * w.sum(axis=1)) + 0.1 * rng.standard_normal(17)
+        visited, made = [], gp._objective
+
+        def recorded(*args):
+            objective = made(*args)
+            return lambda x: visited.append((x, objective(x))) or visited[-1][1]
+
+        monkeypatch.setattr(gp, "_objective", recorded)
+        monkeypatch.setattr(gp, "_compass_max", _stop)
+        with pytest.raises(_Stopped):
+            gp._fit_lengthscales(kernel, w, y, (0.01, 10.0), per_dimension=True)
+        grid = np.linspace(math.log(0.01), math.log(10.0), J).tolist()
+        assert [x for x, _ in visited] == list(itertools.product(grid, repeat=kernel.dim))
+        for x, value in visited:
+            assert value == _public(kernel, w, y, x)
+
+    @pytest.mark.parametrize(
+        "kernel, per_dimension, passes, without_table",
+        [
+            (Kernel.matern(2.5, 0.7, dim=2), True, 2 * J, J + J * J),
+            (THREE, True, J + J * J + J, J + J * J + J**3),
+            (Kernel.matern(2.5, 0.7, dim=2), False, 2 * gp.GRID_SIZE, 2 * gp.GRID_SIZE),
+            (THREE, False, 3 * gp.GRID_SIZE, 3 * gp.GRID_SIZE),
+        ],
+        ids=["matern52-2d", "three-axes", "matern52-2d-tied", "three-axes-tied"],
+    )
+    def test_correlation_passes_of_the_grid(self, kernel, per_dimension, passes, without_table, monkeypatch):
+        # correlation passes before the first compass poll, with the search's table and with an objective that
+        # ignores it: the fastest grid coordinate runs one pass per value, not one per grid point, and a tied
+        # grid, which moves every axis at each point, one per point and axis either way.  The table changes no
+        # factorisation and no fitted lengthscale.
+        rng = np.random.default_rng(31)
+        w = rng.random((25, kernel.dim))
+        y = np.sin(3 * w[:, 0]) + w[:, -1] ** 2
+        counted = []
+        for factor in (Matern, SquaredExponential):
+            monkeypatch.setattr(factor, "corr_at", _counted(factor.corr_at, counted))
+        calls, compass, at_poll = _count_cholesky(monkeypatch), gp._compass_max, []
+
+        def polled(*args):
+            at_poll.append((len(counted), len(calls)))
+            return compass(*args)
+
+        monkeypatch.setattr(gp, "_compass_max", polled)
+        made, searches = gp._objective, []
+        for objective in (made, lambda kernel, w, resid, nugget, table: made(kernel, w, resid, nugget)):
+            monkeypatch.setattr(gp, "_objective", objective)
+            counted.clear()
+            calls.clear()
+            at_poll.clear()
+            searches.append((gp._fit_lengthscales(kernel, w, y, (0.01, 10.0), per_dimension), len(calls), *at_poll))
+        grid_points = J**kernel.dim if per_dimension else gp.GRID_SIZE
+        assert searches[0][2] == (passes, grid_points) and searches[1][2] == (without_table, grid_points)
+        assert searches[0][:2] == searches[1][:2]
+
+    def test_grid_table_peak_memory(self, monkeypatch):
+        # n = 200, d = 2.  Beyond what its objective holds from the set-up (the work matrix, the packed index and
+        # the distances), one per-axis fit peaks below (JOINT_GRID + 3.5) n(n+1)/2 doubles: the table's arrays,
+        # a pass's temporaries and the product.  By the first compass poll the table is gone and each axis holds
+        # its one array.
+        import tracemalloc
+
+        n = 200
+        half = n * (n + 1) // 2 * 8
+        rng = np.random.default_rng(28)
+        w = rng.random((n, 2))
+        y = np.cos(4 * w.sum(axis=1))
+        made, compass, marks = gp._objective, gp._compass_max, {}
+
+        def objective(*args):
+            made_objective = made(*args)
+            marks["set_up"] = tracemalloc.get_traced_memory()[0]
+            return made_objective
+
+        def polled(*args):
+            marks["polled"] = tracemalloc.get_traced_memory()[0]
+            return compass(*args)
+
+        monkeypatch.setattr(gp, "_objective", objective)
+        monkeypatch.setattr(gp, "_compass_max", polled)
+        tracemalloc.start()
+        try:
+            gp._fit_lengthscales(Kernel.matern(2.5, 0.7, dim=2), w, y, (0.01, 10.0), per_dimension=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - marks["set_up"] < (J + 3.5) * half
+        assert marks["polled"] - marks["set_up"] < 2.5 * half
+
     def test_fitted_lengthscales_are_fixed_by_the_seed(self):
         # written by the joint-grid and compass search; the per-axis values are those of its first version.
         # Profiled LML, with golden section's in brackets: tied 5.57283767793 (5.57283772226),
@@ -537,7 +647,8 @@ class TestCompassSearch:
         # 24 x 24 joint log-grid, refined by Nelder-Mead from its 3 best cells and from the fit.  Tied: the
         # best point of a 256-point log-grid, refined by bounded scalar search between its neighbours.  The
         # reference evaluates the search's objective, which equals the public likelihood bit for bit
-        # (test_objective_equals_profiled_likelihood), because it is about 4x faster.
+        # (test_objective_equals_profiled_likelihood), because it is about 4x faster; the joint grid goes
+        # through its table, one correlation pass per grid value and axis (48, not 600).
         from scipy.optimize import minimize, minimize_scalar
 
         per_axis, tied = _sweep_fits(monkeypatch, ODE_MATERN_LHS, 20), _tied_fits(monkeypatch, 20)
@@ -545,10 +656,10 @@ class TestCompassSearch:
         assert len(tied) == 61 and not any(per_dim for *_, per_dim, _ in tied)
         gaps = {True: [], False: []}
         for kernel, w, y, bounds, per_dimension, fitted in per_axis + tied:
-            objective = _objective(kernel, w, y.copy(), gp.NUGGET)
             lo, hi = math.log(bounds[0]), math.log(bounds[1])
+            grid = np.linspace(lo, hi, 24).tolist()
+            objective = _objective(kernel, w, y.copy(), gp.NUGGET, dict.fromkeys(grid) if per_dimension else {})
             if per_dimension:
-                grid = np.linspace(lo, hi, 24).tolist()
                 cells = sorted(((objective(c), c) for c in itertools.product(grid, repeat=2)), reverse=True)
                 reference = cells[0][0]
                 for start in [c for _, c in cells[:3]] + [tuple(math.log(g) for g in fitted.lengthscales)]:

@@ -85,6 +85,13 @@ class TestGaussianPosterior:
         assert lo == pytest.approx(2.0 - 1.959963984540054 * 2.0, abs=1e-12)
         assert hi == pytest.approx(2.0 + 1.959963984540054 * 2.0, abs=1e-12)
 
+    def test_credible_quantile_and_interval_are_python_floats(self):
+        # ndtri returns np.float64, whose repr made the README quick start print np.float64(...)
+        z = quadrature.credible_z(0.95)
+        bounds = GaussianPosterior(2.0, 4.0, (2.0,), (4.0,)).credible_interval(0.95)
+        assert type(z) is float and z == 1.959963984540054
+        assert [type(b) for b in bounds] == [float, float]
+
     @pytest.mark.parametrize("level", [-0.2, 0.0, 1.0, 1.5])
     def test_credible_interval_rejects_levels_outside_zero_one(self, level):
         # -0.2 gave (1.127, 0.873), a lower bound above the upper one, and 1.5 gave NaN bounds
