@@ -4,11 +4,11 @@ Everything works from one factor L = chol(C + nu I) of the unit-amplitude Gram m
 being relative to the amplitude: sigma L factors sigma^2 (C + nu I), so one factorisation gives the
 amplitude MLE, the profiled likelihood and the fit at any amplitude.  Each factorisation is LAPACK potrf
 on the lower triangle, made in place by the one nugget ladder ``_factor``, which refills its matrix when
-potrf fails.  A fit holds one n x n array: the Gram matrix, factored and rescaled in place.  Every solve
-against a factor is made here: the weights by potrs, and each |L^-1 v|^2 (the amplitude MLE, the
-likelihood, the BQ variance) by one trtrs forward solve in ``_quad_form``.  Per level, the amplitude is
-chosen in closed form and the lengthscales by maximising the profiled marginal log-likelihood, tied or per
-dimension: the best point of a log-grid, refined by a compass search that only compares likelihood
+potrf fails.  A fit holds one n x n array and one block buffer: it builds only the Gram triangle potrf
+reads, factors it and rescales it in place.  Every solve against a factor is made here: the weights by
+potrs, and each |L^-1 v|^2 (the amplitude MLE, the likelihood, the BQ variance) by one trtrs forward solve
+in ``_quad_form``.  Per level, the amplitude is chosen in closed form and the lengthscales by maximising
+the profiled marginal log-likelihood, tied or per dimension: the best point of a log-grid, refined by a compass search that only compares likelihood
 values.  The search sets up once per fit, factors its own work matrix in place, factors no point twice
 and matches the public profiled likelihood bit for bit.  Each axis keeps one correlation array, at its last
 value, but a grid of k >= 2 coordinates holds its fastest one's at all ``JOINT_GRID`` values (n(n+1)/2
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .kernels import Kernel, as_data, gram
+from .kernels import Kernel, _gram, as_data
 
 __all__ = [
     "GPFit",
@@ -153,15 +153,16 @@ def fit_gp(kernel: Kernel, points, y, nugget=NUGGET) -> GPFit:
 
     ``nugget`` is relative jitter: ``nugget * amplitude`` is added to the Gram diagonal.  On Cholesky failure
     the nugget is escalated by factors of 10 up to 1e-4 before giving up with :class:`SingularGramError`.  The
-    fit holds one n x n array: the unit Gram matrix's transpose (equal, and Fortran-order), factored and then
-    rescaled in place; a failed rung drops it and builds it again.  The weights come from potrs on that factor;
-    a non-finite Gram matrix is :func:`cholesky`'s ValueError.
+    fit holds one n x n array: the unit Gram matrix's blocks on and right of the diagonal, whose Fortran-order
+    transpose is the lower triangle potrf reads (its clean step zeroes the rest), factored and then rescaled in
+    place; a failed rung drops it and builds it again.  The weights come from potrs on that factor; a
+    non-finite Gram entry is :func:`cholesky`'s ValueError.
     """
     if nugget < 0:
         raise ValueError("nugget must be nonnegative")
     w, resid = as_data(points, y, kernel.dim)
     unit = kernel.with_amplitude(1.0)
-    chol, used = _factor(lambda: gram(unit, w).T, nugget)
+    chol, used = _factor(lambda: _gram(unit, w, w, upper=True).T, nugget)
     return _scaled(GPFit(kernel, w, resid, chol, dpotrs(chol, resid, lower=1)[0], used), kernel)
 
 

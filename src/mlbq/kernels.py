@@ -10,7 +10,8 @@ The kernel mean ``Pi[c(., x)]`` and the initial error ``Pi[Pi[c]]`` come from
 forms (any other pair raises :class:`NoClosedFormError`); both factorise over
 dimensions because kernel and measure are products.  For a stationary factor under
 N(0, 1), X - Y ~ N(0, 2), so its initial error is its kernel mean at 0 with the
-lengthscale divided by sqrt(2).
+lengthscale divided by sqrt(2).  Gram matrices come from one block builder: the public ``gram`` fills the whole
+matrix, and a GP fit only the triangle its Cholesky factorisation reads.
 
 Conventions (shared with the rest of the package):
 
@@ -267,29 +268,37 @@ def as_data(points, values, dim: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-_GRAM_BLOCK_ROWS = 64  # rows of one correlation block in gram; its buffer stays in cache
+_GRAM_BLOCK_ROWS = 64  # rows of one correlation block; its buffer stays in cache
 
 
 def gram(kernel: Kernel, points, points2=None) -> np.ndarray:
-    """Gram (or cross-Gram) matrix c(W, W') with amplitude included, C-order.
-
-    Filled in place, the only full-size array: per factor, a block of rows at a time, the distances
-    ``|x - y|`` are formed in one reused buffer and turned into correlations there by ``corr_at``, with
-    unchanged operations, so the square matrix is bitwise symmetric.
+    """Gram (or cross-Gram) matrix c(W, W') with amplitude included, C-order, bitwise symmetric when square.
 
     Duplicated points are allowed; the resulting singular matrix is the
     caller's problem (GP fitting copes through its nugget ladder).
     """
     w1 = as_points(points, kernel.dim)
-    w2 = w1 if points2 is None else as_points(points2, kernel.dim)
-    out = np.full((w1.shape[0], w2.shape[0]), kernel.amplitude)
-    buf = np.empty((min(_GRAM_BLOCK_ROWS, w1.shape[0]), w2.shape[0]))
-    for j, f in enumerate(kernel.factors):
-        for start in range(0, w1.shape[0], _GRAM_BLOCK_ROWS):
-            rows = out[start : start + _GRAM_BLOCK_ROWS]
-            dist = buf[: rows.shape[0]]
-            np.abs(np.subtract(w1[start : start + rows.shape[0], j : j + 1], w2[None, :, j], out=dist), out=dist)
-            rows *= f.corr_at(dist, f.lengthscale, dist)
+    return _gram(kernel, w1, w1 if points2 is None else as_points(points2, kernel.dim))
+
+
+def _gram(kernel, w1, w2, upper=False):
+    """c(w1, w2) for checked point arrays, the package's one Gram builder.  With ``upper`` (and w2 is w1) it
+    fills only the blocks on and right of the diagonal, which hold the lower triangle of the Fortran-order
+    transpose that potrf reads, and leaves the rest unset.
+
+    A 64-row block at a time, each factor's distances ``|x - y|`` are formed in one contiguous buffer and
+    turned into correlations there by ``corr_at``; the first factor's, times the amplitude, are written into
+    the result and each later factor's multiply it, so every entry is the same product in the same order.
+    """
+    out = np.empty((w1.shape[0], w2.shape[0]))
+    buf = np.empty(min(_GRAM_BLOCK_ROWS, w1.shape[0]) * w2.shape[0])
+    for start in range(0, w1.shape[0], _GRAM_BLOCK_ROWS):
+        lo = start if upper else 0
+        rows = out[start : start + _GRAM_BLOCK_ROWS, lo:]
+        dist = buf[: rows.size].reshape(rows.shape)
+        for j, f in enumerate(kernel.factors):
+            np.abs(np.subtract(w1[start : start + len(rows), j : j + 1], w2[None, lo:, j], out=dist), out=dist)
+            np.multiply(f.corr_at(dist, f.lengthscale, dist), rows if j else kernel.amplitude, out=rows)
     return out
 
 

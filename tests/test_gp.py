@@ -908,6 +908,59 @@ class TestInPlaceFit:
         fit, peak = self._second_fit_peak(kernel, w, np.cos(4 * w.sum(axis=1)), 0.0)
         assert fit.nugget > 0.0 and peak < 2 * n * n * 8
 
+    @pytest.mark.parametrize("kernel", [PEAK_KERNELS[0], Kernel.matern(0.5, 0.5, dim=2, amplitude=4.0)], ids=["se", "m12"])
+    @pytest.mark.parametrize("nugget", [1e-10, 0.0], ids=["first-rung", "laddered"])
+    def test_fit_holds_its_matrix_and_one_block(self, kernel, nugget):
+        # n^2 doubles of matrix, 64 n of block buffer, O(n) of data and weights, and numpy's iterator buffers
+        # (two operands of getbufsize() elements) for the strided block arithmetic; these factors' correlations
+        # are made in place.  An index array over the packed triangle, n(n+1)/2 integers, would not fit.
+        n = 400
+        rng = np.random.default_rng(35)
+        w = rng.random((n, 2))
+        if nugget == 0.0:
+            w[n // 2 :] = w[: n // 2]
+        fit, peak = self._second_fit_peak(kernel, w, np.cos(4 * w.sum(axis=1)), nugget)
+        assert (fit.nugget > nugget) == (nugget == 0.0)
+        assert peak < (n * n + 64 * n + 16 * n + 2 * np.getbufsize()) * 8
+
+
+class TestTriangleFit:
+    """``fit_gp`` factors only the Gram triangle potrf reads; its fit is the full matrix's, bit for bit."""
+
+    @staticmethod
+    def full_matrix_fit(kernel, w, y, nugget):
+        """The fit from the full unit Gram matrix's transpose, through the same ladder, solve and rescale."""
+        from scipy.linalg.lapack import dpotrs
+
+        w, y = gp.as_data(w, y, kernel.dim)
+        unit = kernel.with_amplitude(1.0)
+        chol, used = gp._factor(lambda: gram(unit, w).T, nugget)
+        return gp._scaled(gp.GPFit(kernel, w, y, chol, dpotrs(chol, y, lower=1)[0], used), kernel)
+
+    def assert_same_fit(self, kernel, w, y, nugget):
+        fit, full = fit_gp(kernel, w, y, nugget), self.full_matrix_fit(kernel, w, y, nugget)
+        assert np.array_equal(fit.chol, full.chol) and np.array_equal(fit.weights, full.weights)
+        assert fit.nugget == full.nugget
+        return fit
+
+    def test_ode_halton_level_zero(self):
+        from mlbq.designs import generate_design
+        from mlbq.models import make_model
+
+        model = make_model("ode")
+        w = generate_design("halton", model.measure, 830).points
+        fit = self.assert_same_fit(Kernel.squared_exponential(1.0, dim=model.dim, amplitude=0.3), w,
+                                   model.evaluate(0, w), gp.NUGGET)
+        assert fit.n == 830
+
+    def test_duplicated_points_climb_the_ladder(self):
+        rng = np.random.default_rng(36)
+        w = rng.random((150, 2))
+        w[75:] = w[:75]
+        fit = self.assert_same_fit(Kernel.matern(2.5, [0.4, 0.7], dim=2, amplitude=2.0), w,
+                                   np.sin(3 * w.sum(axis=1)), 0.0)
+        assert fit.nugget > 0.0
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -948,15 +1001,15 @@ class TestNonFinite:
 
     @staticmethod
     def gram_with(monkeypatch, value, entry):
-        """``gp.gram`` with ``value`` written at ``entry`` and its mirror."""
-        real = gp.gram
+        """``gp._gram``, the builder ``fit_gp`` calls, with ``value`` written at ``entry`` and its mirror."""
+        real = gp._gram
 
-        def patched(kernel, points):
-            matrix = real(kernel, points)
+        def patched(kernel, w1, w2, upper=False):
+            matrix = real(kernel, w1, w2, upper)
             matrix[entry] = matrix[entry[::-1]] = value
             return matrix
 
-        monkeypatch.setattr(gp, "gram", patched)
+        monkeypatch.setattr(gp, "_gram", patched)
 
     @pytest.mark.parametrize("entry", [(3, 1), (5, 0), (2, 2), (5, 5)], ids=["off-diag", "corner", "diag", "last-diag"])
     def test_nan_gram_entry_is_refused_by_the_factor_check(self, monkeypatch, entry):

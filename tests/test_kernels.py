@@ -17,7 +17,7 @@ from mlbq.kernels import (
     initial_error,
     kernel_mean,
 )
-from mlbq.kernels import _CLOSED_FORMS
+from mlbq.kernels import _CLOSED_FORMS, _gram
 from mlbq.oracles import initial_error_quadrature, kernel_mean_quadrature, oracle_report
 
 U01 = ProductMeasure.uniform(0.0, 1.0)
@@ -138,9 +138,13 @@ class TestGram:
          Kernel.matern(2.5, [0.2, 0.9], dim=2, amplitude=0.7), Kernel((SquaredExponential(0.5), Matern(2.5, 0.3)))],
         ids=["se", "m12", "m52", "se-m52"],
     )
-    @pytest.mark.parametrize("rows, cols", [(150, None), (150, 7), (3, 200), (64, 64), (1, None)])
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [(150, None), (150, 7), (3, 200), (64, 64), (1, None), (63, None), (64, None), (65, None), (129, None)],
+    )
     def test_blocked_build_equals_one_shot_product(self, kernel, rows, cols):
-        # gram fills its result a block of rows at a time; every entry is the one-shot product's
+        # gram and fit_gp's triangle build a 64-row block at a time (65 rows leave a one-row last block);
+        # every entry they fill is the one-shot product's
         rng = np.random.default_rng(3)
         w1 = rng.random((rows, kernel.dim))
         w2 = w1 if cols is None else rng.random((cols, kernel.dim))
@@ -150,7 +154,10 @@ class TestGram:
         got = gram(kernel, w1, None if cols is None else w2)
         assert np.array_equal(got, expected) and got.flags.c_contiguous
         if cols is None:
-            assert np.array_equal(got, got.T)  # fit_gp factors the transpose as the Fortran-order matrix
+            assert np.array_equal(got, got.T)
+            # the triangle fit_gp factors: on and below the diagonal of the Fortran-order transpose potrf reads
+            lower = np.tril_indices(rows)
+            assert np.array_equal(_gram(kernel, w1, w1, upper=True).T[lower], expected.T[lower])
 
 
 class TestKernelMean:
