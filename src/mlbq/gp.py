@@ -8,13 +8,15 @@ potrf fails.  A fit holds one n x n array and one block buffer: it builds only t
 reads, factors it and rescales it in place.  Every solve against a factor is made here: the weights by
 potrs, and each |L^-1 v|^2 (the amplitude MLE, the likelihood, the BQ variance) by one trtrs forward solve
 in ``_quad_form``.  Per level, the amplitude is chosen in closed form and the lengthscales by maximising
-the profiled marginal log-likelihood, tied or per dimension: the best point of a log-grid, refined by a compass search that only compares likelihood
-values.  The search sets up once per fit, factors its own work matrix in place, factors no point twice
-and matches the public profiled likelihood bit for bit.  Each axis keeps one correlation array, at its last
-value, but a grid of k >= 2 coordinates holds its fastest one's at all ``JOINT_GRID`` values (n(n+1)/2
-doubles each) until its best point is known: 16 passes in 2-d, not 72.  Data are read by ``kernels.as_data``,
-which checks them to be finite, and ``cholesky`` refuses a non-finite factor, so a non-finite Gram matrix is
-a ValueError.  Everything here is pure; ``GPFit`` is immutable.
+the profiled marginal log-likelihood, tied or per dimension: the best point of a log-grid, refined by a
+compass search that only compares likelihood values.  The search sets up once per fit and keeps its
+triangles in LAPACK packed storage (n(n+1)/2 doubles each): at each rung it unpacks its product into a
+fresh matrix that it factors in place.  It factors no point twice and matches the public profiled
+likelihood bit for bit.  Each axis keeps one correlation array, at its last value, but a grid of k >= 2
+coordinates holds its fastest one's at all ``JOINT_GRID`` values until its best point is known: 16 passes
+in 2-d, not 72.  Data are read by ``kernels.as_data``, which checks them to be finite, and ``cholesky``
+refuses a non-finite factor, so a non-finite Gram matrix is a ValueError.  Everything here is pure;
+``GPFit`` is immutable.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtpttr, dtrtrs, dtrttp
 
 from .kernels import Kernel, _gram, as_data
 
@@ -74,9 +75,10 @@ def _factor(fill, nugget):
     """Cholesky of the lower triangle of ``fill() + current * I``, and the ``current`` it used.
 
     The package's one nugget ladder.  ``fill`` returns a fresh Fortran-order matrix, which is factored in
-    place.  ``current`` starts at ``nugget``; each potrf failure has written over the matrix, so it is
-    dropped, the next rung (10 times the failed one, at least 1e-11) refills, and past ``MAX_NUGGET``
-    the ladder raises :class:`SingularGramError`.
+    place: ``fit_gp``'s Gram triangle or the lengthscale search's unpacked product.  ``current`` starts at
+    ``nugget``; each potrf failure has written over the matrix, so it is dropped, the next rung (10 times
+    the failed one, at least 1e-11) refills, and past ``MAX_NUGGET`` the ladder raises
+    :class:`SingularGramError`.
     """
     current = nugget
     while True:
@@ -191,19 +193,19 @@ def profiled_log_marginal_likelihood(kernel: Kernel, points, y, nugget=NUGGET) -
 def _objective(kernel, w, resid, nugget, table=()):
     """The profiled LML as a memoised function of a tuple of per-axis log-lengthscales.
 
-    Works on the packed lower triangle potrf reads.  Each axis keeps its correlations at the last
-    log-lengthscale it was evaluated at, so a point that moves one axis runs one correlation pass.  The last
-    axis also reads ``table``, the caller's dict from log-lengthscales to correlations (None until computed),
-    one pass per key until the caller empties it.  An evaluation multiplies the factors' correlations left to
-    right, the order ``gram`` uses, and its fill scatters the product into the work matrix; ``_factor`` calls
-    it again at each rung after potrf fails (the failed factor wrote over the triangle).
+    Works on the lower triangle potrf reads, in LAPACK packed storage: each axis's distances |w_r - w_c| are
+    packed once by trttp.  Each axis keeps its correlations at the last log-lengthscale it was evaluated at,
+    so a point that moves one axis runs one correlation pass.  The last axis also reads ``table``, the
+    caller's dict from log-lengthscales to correlations (None until computed), one pass per key until the
+    caller empties it.  An evaluation multiplies the factors' correlations left to right, the order ``gram``
+    uses, into one packed product buffer (in 1-d the product is the axis's correlations), and its fill
+    unpacks that by tpttr into a fresh Fortran-order matrix; ``_factor`` calls it again at each rung after
+    potrf fails (the failed factor wrote over the matrix).  Between evaluations nothing n x n is held.
     """
     n = w.shape[0]
-    cols, rows = np.triu_indices(n)
-    work, at = np.zeros((n, n), order="F"), cols * n + rows
-    lower = work.ravel(order="F")  # a view of work
-    # per axis: [distances, log-lengthscale of the correlations, correlations]
-    axes = [[np.abs(w[rows, j] - w[cols, j]), None, None] for j in range(kernel.dim)]
+    # per axis: [packed distances, log-lengthscale of the correlations, correlations]
+    axes = [[dtrttp(np.abs(w[:, j, None] - w[:, j]), uplo="L")[0], None, None] for j in range(kernel.dim)]
+    product = np.empty_like(axes[0][0]) if kernel.dim > 1 else None
 
     @functools.cache
     def objective(log_gs):
@@ -216,13 +218,8 @@ def _objective(kernel, w, resid, nugget, table=()):
                     axis[1:] = log_g, table[log_g]
                 else:
                     axis[1:] = log_g, f.corr_at(axis[0], math.exp(log_g))
-        corr = functools.reduce(operator.mul, [axis[2] for axis in axes])
-
-        def fill():
-            lower[at] = corr
-            return work
-
-        return _profiled(_factor(fill, nugget)[0], resid)
+        corr = functools.reduce(functools.partial(np.multiply, out=product), [axis[2] for axis in axes])
+        return _profiled(_factor(lambda: dtpttr(n, corr, uplo="L")[0], nugget)[0], resid)
 
     return objective
 

@@ -44,8 +44,9 @@ The other kernel policy and the formula allocation sources, with every key each 
 A key its section, kernel family, kernel policy or allocation source does
 not read is a ConfigError; a top-level ``comment`` is allowed.  The kernel
 families are ``matern`` and ``se``; only ``matern`` reads ``smoothness``.
-``lengthscale`` is taken under both policies, though the ``fitted`` search
-overwrites it; ``fixed`` reads no key of its own.  Under either policy
+``lengthscale`` (default 1.0) is taken under both policies, though the
+``fitted`` search never reads its value, so the shipped fitted configs
+leave it out; ``fixed`` reads no key of its own.  Under either policy
 every level is conditioned at its amplitude MLE.  A formula source
 needs every key shown for it.  Per-level costs are the model's own
 (``model.params.costs``).

@@ -287,7 +287,7 @@ class TestNuggetLadder:
         upper = np.triu(np.random.default_rng(26).standard_normal((len(points), len(points))), 1)
         return lower + 1e6 * upper
 
-    @pytest.mark.parametrize("order", ["C", "F"])  # the search passes a Fortran-order work matrix
+    @pytest.mark.parametrize("order", ["C", "F"])  # the search's fill unpacks into a Fortran-order matrix
     @pytest.mark.parametrize(
         "points, amplitude, nugget",
         [([0.1, 0.35, 0.6, 0.9], 1.0, 0.0), ([0.1, 0.35, 0.6, 0.9], 2.5, 1e-10), ([0.5, 0.5, 0.9], 2.5, 0.0)],
@@ -389,9 +389,31 @@ class TestLengthscaleSearch:
         for log_g in np.linspace(math.log(0.01), math.log(10.0), 32):
             assert objective((log_g,)) == _public(kernel, w, y, (log_g,), nugget=0.0)
 
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 129])  # the Gram blocks are 64 rows
+    @pytest.mark.parametrize("factor", [lambda g: Matern(0.5, g), lambda g: Matern(2.5, g), SquaredExponential],
+                             ids=["m12", "m52", "se"])
+    @pytest.mark.parametrize("dim, per_axis", [(1, False), (2, False), (2, True), (3, False), (3, True)],
+                             ids=["1d", "2d-tied", "2d-per-axis", "3d-tied", "3d-per-axis"])
+    def test_search_factors_the_fit_matrix(self, n, factor, dim, per_axis, monkeypatch):
+        # the matrix an evaluation unpacks from its packed product is, on and below the diagonal, the one
+        # fit_gp builds from its Gram blocks at the same lengthscales, bit for bit
+        rng = np.random.default_rng(37)
+        w = rng.random((n, dim))
+        y = np.cos(4 * w.sum(axis=1))
+        kernel = Kernel(tuple(factor(1.0) for _ in range(dim)))
+        point = tuple(math.log(0.05 * 2.0**j if per_axis else 0.05) for j in range(dim))
+        factored, cholesky = [], gp.cholesky
+        monkeypatch.setattr(gp, "cholesky", lambda matrix: factored.append(matrix.copy()) or cholesky(matrix))
+        _objective(kernel, w, y.copy(), 1e-10)(point)
+        searched = factored[:]
+        factored.clear()
+        fit_gp(kernel.with_lengthscales([math.exp(v) for v in point]), w, y, 1e-10)
+        assert len(searched) == len(factored) >= 1
+        assert all(np.tril(a).tobytes() == np.tril(b).tobytes() for a, b in zip(searched, factored))
+
     def test_reused_work_matrix_keeps_every_value(self):
-        # an objective scatters into one work matrix and keeps each axis's last correlations;
-        # values must not depend on the call history, whether a point moves one axis or both
+        # an objective keeps each axis's last correlations and one packed product buffer, unpacked into a fresh
+        # matrix at each rung; values must not depend on the call history, whether a point moves one axis or both
         rng = np.random.default_rng(27)
         w = rng.random((19, 2))
         y = np.sin(3 * w[:, 0]) + w[:, 1] ** 2
@@ -401,7 +423,7 @@ class TestLengthscaleSearch:
         forward, backward = (_objective(kernel, w, y.copy(), 1e-10) for _ in range(2))
         assert [forward(p) for p in points] == public
         assert [backward(p) for p in reversed(points)] == public[::-1]
-        # two objectives interleaved, each with its own work matrix
+        # two objectives interleaved, each with its own packed arrays
         other = Kernel.squared_exponential([0.4, 0.9], dim=2)
         first, second = _objective(kernel, w, y.copy(), 1e-10), _objective(other, w, y.copy(), 1e-10)
         interleaved = [(first(p), second(p)) for p in points]
@@ -411,7 +433,8 @@ class TestLengthscaleSearch:
     def test_failed_in_place_factor_is_scattered_again(self, monkeypatch):
         # a near-duplicate pair: at nugget 0 the squared-exponential Gram matrix
         # factors at short lengthscales and fails potrf at long ones, where the
-        # in-place attempt has written part of a factor over the work matrix
+        # in-place attempt has written part of a factor over the unpacked matrix,
+        # so each rung unpacks the packed product again
         w = np.array([[0.2], [0.2 + 1e-9], [0.6], [0.9]])
         y = np.cos(3 * w[:, 0])
         kernel = Kernel.squared_exponential(1.0)
@@ -436,8 +459,8 @@ class TestLengthscaleSearch:
             assert value == profiled_log_marginal_likelihood(kernel.with_lengthscales(math.exp(g)), w, y, nugget=0.0)
 
     def test_evaluation_peak_memory(self):
-        # an evaluation that moves one axis holds that axis's correlation pass and the product
-        # (n^2/2 doubles each), about 1.5 n^2 doubles; the factor is made in the work matrix
+        # an evaluation that moves one axis holds that axis's correlation pass (n^2/2 doubles) and the
+        # unpacked n x n matrix, about 1.5 n^2 doubles; the factor is made in that matrix
         import tracemalloc
 
         n = 200
@@ -479,6 +502,30 @@ class TestLengthscaleSearch:
         finally:
             tracemalloc.stop()
         assert held < n * n * 8 / 4 and peak < 3 * n * n * 8
+
+    @pytest.mark.parametrize("kernel", [Kernel.matern(2.5, 0.7, dim=2), Kernel.matern(0.5, 0.7)],
+                             ids=["matern52-2d", "matern12-1d"])
+    def test_search_keeps_no_square_matrix(self, kernel):
+        # between evaluations an objective of k axes holds, in n(n+1)/2-double packed arrays, each axis's
+        # distances and correlations and, when k >= 2, one product buffer: 2k + 1 arrays at most, where one
+        # resident n x n matrix would add two
+        import tracemalloc
+
+        n = 200
+        half = n * (n + 1) // 2 * 8
+        rng = np.random.default_rng(28)
+        w = rng.random((n, kernel.dim))
+        rest = tuple(math.log(g) for g in kernel.lengthscales[1:])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            objective = _objective(kernel, w, np.cos(4 * w.sum(axis=1)), 1e-10)
+            for log_g in (-0.5, -0.3):  # two evaluations that move the first axis
+                objective((log_g, *rest))
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < (2 * kernel.dim + 1.5) * half
 
     @pytest.mark.parametrize("kernel", [Kernel.matern(2.5, 0.7, dim=2), THREE], ids=["matern52-2d", "three-axes"])
     def test_grid_values_through_the_table_equal_profiled_likelihood(self, kernel, monkeypatch):
@@ -542,9 +589,9 @@ class TestLengthscaleSearch:
         assert searches[0][:2] == searches[1][:2]
 
     def test_grid_table_peak_memory(self, monkeypatch):
-        # n = 200, d = 2.  Beyond what its objective holds from the set-up (the work matrix, the packed index and
-        # the distances), one per-axis fit peaks below (JOINT_GRID + 3.5) n(n+1)/2 doubles: the table's arrays,
-        # a pass's temporaries and the product.  By the first compass poll the table is gone and each axis holds
+        # n = 200, d = 2.  Beyond what its objective holds from the set-up (the packed distances and product
+        # buffer), one per-axis fit peaks below (JOINT_GRID + 3.5) n(n+1)/2 doubles: the table's arrays, a pass's
+        # temporaries and the unpacked matrix.  By the first compass poll the table is gone and each axis holds
         # its one array.
         import tracemalloc
 
