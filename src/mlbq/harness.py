@@ -50,8 +50,8 @@ leave it out; ``fixed`` reads no key of its own.  Under either policy
 every level is conditioned at its amplitude MLE.  A formula source
 needs every key shown for it.  Per-level costs are the model's own
 (``model.params.costs``).
-A table entry may also be a plain list applied to every estimator, and an
-estimator omitted from a budget's dict entry is not run at that budget.
+A table entry is a non-empty object of counts by estimator name; an
+estimator it leaves out is not run at that budget.
 Single-level estimators (``mc``, ``bq``) take a one-element table entry,
 or ``floor(T / C_L)`` under formula sources; they run as the
 one-level cases of ``mlmc`` and ``mlbq`` on the top level's evaluations.
@@ -246,13 +246,12 @@ _counts = _rule(lambda row: isinstance(row, list) and all(type(n) is int and n >
 
 
 def _table(value, what):
-    """Each budget's entry: one list of counts for every estimator, or a dict of them by estimator name."""
+    """Each budget's entry: a non-empty dict of counts by estimator name."""
     _require(isinstance(value, list), f"{what} must be a list of entries")
-    return tuple(
-        {name: _counts(row, f"{what}[{i}] {name!r}") for name, row in entry.items()}
-        if isinstance(entry, dict) else _counts(entry, f"{what}[{i}]")
-        for i, entry in enumerate(value)
-    )
+    for i, entry in enumerate(value):
+        _require(type(entry) is dict and entry, f"{what}[{i}] must be a non-empty object of counts, got {entry!r}")
+    return tuple({name: _counts(row, f"{what}[{i}] {name!r}") for name, row in entry.items()}
+                 for i, entry in enumerate(value))
 
 
 def _allocation(value, what):
@@ -325,7 +324,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if table is not None:
         _require(len(table) == len(cfg.budgets), "allocation.table needs one entry per budget")
         for i, entry in enumerate(table):
-            stray = set(entry) - set(names) if isinstance(entry, dict) else set()
+            stray = set(entry) - set(names)
             _require(not stray, f"allocation table entry {i} names unknown estimators {sorted(stray)}")
     return cfg
 
@@ -438,25 +437,15 @@ def read_records_csv(path) -> list[ResultRecord]:
 
 
 def _counts_for(cfg: ExperimentConfig, model, budget_index: int) -> dict[str, tuple[int, ...]]:
-    """Per-estimator sample sizes for one budget."""
+    """Per-estimator sample sizes for one budget; an estimator its table entry leaves out is not run there."""
     alloc = cfg.allocation
     budget = cfg.budgets[budget_index]
-    out = {}
     if alloc.source == "table":
         entry = alloc.table[budget_index]
-        for est in cfg.estimators:
-            counts = entry.get(est.name) if isinstance(entry, dict) else entry
-            if counts is None:
-                # estimator deliberately absent from this budget's entry
-                continue
-            expected = 1 if est.name in SINGLE_LEVEL else model.levels
-            if len(counts) != expected:
-                raise ConfigError(
-                    f"{est.name!r} needs {expected} counts at budget {budget}, got {len(counts)}"
-                )
-            out[est.name] = counts
-        if not out:
-            raise ConfigError(f"allocation table entry {budget_index} allocates no estimator")
+        out = {est.name: entry[est.name] for est in cfg.estimators if est.name in entry}
+        for name, counts in out.items():
+            expected = 1 if name in SINGLE_LEVEL else model.levels
+            _require(len(counts) == expected, f"{name!r} needs {expected} counts at budget {budget}, got {len(counts)}")
         return out
     counts = alloc.plan(model.costs, budget, model.dim).counts
     top = (max(int(budget / model.costs[-1]), 1),)

@@ -331,7 +331,6 @@ class OdeHierarchy(MultifidelityModel):
         self.spacings = tuple(float(h) for h in spacings)
         self.forcing = float(forcing)
         self.measure = ProductMeasure((Uniform(0.0, 1.0), StandardNormal()))
-        self._reference = None
 
     def _integral_factor(self, h: float, w1: np.ndarray) -> np.ndarray:
         """h * sum_i u_i for unit forcing, per coefficient value w1.
@@ -357,22 +356,20 @@ class OdeHierarchy(MultifidelityModel):
         return self.forcing * pts[:, 1] ** 2 * factor
 
     def reference_info(self) -> tuple[float, float]:
-        """(reference integral, error bound); computed on first use.
+        """(reference integral, error bound), computed on every call; a sweep asks for it once.
 
         The value is the 32-node Gauss-Legendre rule in w1 (E[w2^2] = 1);
         one pass covers its nodes and the 16-node rule's.  The bound adds the
         two rules' distance to m^2 eps |value| (m = 1 / h), sized for an
         elimination solve's roundoff; the closed form's is a few eps, far below.
         """
-        if self._reference is None:
-            h = self.spacings[-1] / REFERENCE_REFINE
-            (x16, w16), (x32, w32) = (np.polynomial.legendre.leggauss(n) for n in (16, 32))
-            factor = self._integral_factor(h, 0.5 * (np.concatenate([x16, x32]) + 1.0))
-            coarse = self.forcing * float(0.5 * w16 @ factor[:16])
-            value = self.forcing * float(0.5 * w32 @ factor[16:])
-            roundoff = (1.0 / h) ** 2 * np.finfo(float).eps * abs(value)
-            self._reference = (value, abs(value - coarse) + roundoff)
-        return self._reference
+        h = self.spacings[-1] / REFERENCE_REFINE
+        (x16, w16), (x32, w32) = (np.polynomial.legendre.leggauss(n) for n in (16, 32))
+        factor = self._integral_factor(h, 0.5 * (np.concatenate([x16, x32]) + 1.0))
+        coarse = self.forcing * float(0.5 * w16 @ factor[:16])
+        value = self.forcing * float(0.5 * w32 @ factor[16:])
+        roundoff = (1.0 / h) ** 2 * np.finfo(float).eps * abs(value)
+        return value, abs(value - coarse) + roundoff
 
     def reference_integral(self) -> float:
         return self.reference_info()[0]

@@ -1043,6 +1043,12 @@ class TestNonFinite:
             with pytest.raises(ValueError):
                 fit_gp(kernel, w, y)
 
+    def test_overflowing_profiled_likelihood_raises(self):
+        # finite data whose |L^-1 r|^2 overflows to inf: the profiled log-likelihood would read -inf
+        with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+            with pytest.raises(ValueError, match="profiled log-likelihood is -inf"):
+                profiled_log_marginal_likelihood(M12, [0.2, 0.7], [1e200, -1e200])
+
     W6 = np.linspace(0.1, 0.9, 6).reshape(-1, 1)
     Y6 = np.sin(3 * W6[:, 0])
 

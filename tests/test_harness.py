@@ -107,6 +107,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown estimators"):
             config(allocation={"source": "table", "table": [{"mlbq": [38, 15, 3], "bogus": [1, 1, 1]}]})
 
+    @pytest.mark.parametrize("entry", [[20, 8, 2], {}], ids=["list", "empty"])
+    def test_rejects_table_entry_that_is_not_a_nonempty_object(self, entry):
+        # a list entry used to load as those counts for every estimator, and an empty one failed only in the sweep
+        with pytest.raises(ConfigError, match=r"allocation table\[0\] must be a non-empty object of counts"):
+            config(allocation={"source": "table", "table": [entry]})
+
     def test_rejects_allocation_costs(self):
         # costs have one source, the model's declared vector
         alloc = dict(BASE_CONFIG["allocation"], costs=[1.0, 2.0, 4.0])
@@ -153,7 +159,7 @@ class TestConfig:
             ({"allocation": dict(BASE_CONFIG["allocation"], gama=3)}, r"allocation has unknown keys \['gama'\]"),
             ({"estimators": [{"name": "mlbq", "design": "grid"}, {"name": "sk-mlbq", "design": "grid"}],
               "kernel": {"family": "matern", "smoothness": 2.5, "policy": "fixed"},
-              "allocation": {"source": "table", "table": [[20, 9, 4]]}},
+              "allocation": {"source": "table", "table": [{"mlbq": [20, 9, 4], "sk-mlbq": [20, 9, 4]}]}},
              "estimator name .*'sk-mlbq'"),
             ({"kernel": dict(BASE_CONFIG["kernel"], amplitude=2.0)}, r"kernel has unknown keys \['amplitude'\]"),
             ({"kernel": dict(BASE_CONFIG["kernel"], mle_amplitude=True)},
@@ -338,7 +344,7 @@ class TestConfig:
         cfg = config(
             estimators=[{"name": "mlmc", "design": "iid"}],
             kernel={"smoothness": 1.5},
-            allocation={"source": "table", "table": [[67, 11, 1]]},
+            allocation={"source": "table", "table": [{"mlmc": [67, 11, 1]}]},
         )
         assert [r.estimator for r in run_experiment(cfg)] == ["mlmc"] * 3
 
@@ -400,7 +406,7 @@ class TestSharedData:
     def test_same_group_shares_identical_level_data(self, monkeypatch):
         cfg = config(
             estimators=[{"name": "mlbq", "design": "iid"}, {"name": "mlmc", "design": "iid"}],
-            allocation={"source": "table", "table": [[20, 8, 2]]},
+            allocation={"source": "table", "table": [{"mlbq": [20, 8, 2], "mlmc": [20, 8, 2]}]},
         )
         model = make_model("poisson")
         counts = _counts_for(cfg, model, 0)
@@ -808,7 +814,7 @@ class TestRunExperiment:
             model={"name": "ode", "params": {}},
             estimators=[{"name": "mlmc", "design": "iid"}],
             budgets=[0.05, 0.1],
-            allocation={"source": "table", "table": [[8, 4, 2], [16, 8, 2]]},
+            allocation={"source": "table", "table": [{"mlmc": [8, 4, 2]}, {"mlmc": [16, 8, 2]}]},
             replications=2,
         )
         assert len(run_experiment(cfg)) == 4
@@ -847,7 +853,7 @@ class TestRunExperiment:
             estimators=[{"name": "mlbq", "design": "halton"}],
             kernel={"family": "se", "lengthscale": 1.0, "policy": "fixed"},
             budgets=[0.1],
-            allocation={"source": "table", "table": [[20, 8, 3]]},
+            allocation={"source": "table", "table": [{"mlbq": [20, 8, 3]}]},
             replications=1,
         )
         model = make_model("ode")
@@ -925,7 +931,7 @@ class TestRunExperiment:
         cfg = config(
             model={"name": "poisson", "params": {"interior_nodes": [16], "costs": [0.01]}},
             estimators=[{"name": name, "design": "iid"} for name in ("mc", "mlmc", "bq", "mlbq")],
-            allocation={"source": "table", "table": [[20]]},
+            allocation={"source": "table", "table": [{name: [20] for name in ("mc", "mlmc", "bq", "mlbq")}]},
             replications=2,
             seed=5,
         )
@@ -943,7 +949,7 @@ class TestRunExperiment:
         cfg = config(
             estimators=[{"name": "mlbq", "design": "lhs"}],
             kernel={"family": "matern", "smoothness": 0.5, "lengthscale": 0.7, "policy": "fixed"},
-            allocation={"source": "table", "table": [[38, 15, 3]]},
+            allocation={"source": "table", "table": [{"mlbq": [38, 15, 3]}]},
             replications=2,
         )
         model = make_model("poisson")
@@ -1368,6 +1374,18 @@ class TestCli:
         assert main(["experiment", "--config", str(cfg_path), "--out", str(a), "--seed", "1"]) == 0
         assert main(["experiment", "--config", str(cfg_path), "--out", str(b), "--seed", "2"]) == 0
         assert not filecmp.cmp(a, b, shallow=False)
+
+    def test_experiment_without_output_path_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # neither --out nor a config ``output``: no sweep runs and no file is written
+        from mlbq import cli
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: pytest.fail("sweep started"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(BASE_CONFIG))
+        assert main(["experiment", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: no output path")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_missing_config_is_config_error(self):
         assert main(["experiment", "--config", "/nonexistent.json", "--out", "/tmp/x.csv"]) == 1

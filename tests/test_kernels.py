@@ -255,6 +255,11 @@ class TestKernelMean:
         assert np.array_equal(gram(scaled, w), 3.5 * gram(k, w))
 
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="kernel dimension 2 != measure dimension 1"):
+            kernel_mean(Kernel.matern(0.5, 1.0, dim=2), U01, [0.5, 0.5])
+
+
 class TestInitialError:
     def test_se_gauss_example(self):
         val = initial_error(Kernel.squared_exponential(2.0), ProductMeasure.standard_normal())
@@ -292,6 +297,11 @@ class TestInitialError:
                 Kernel((second,)), ProductMeasure.standard_normal()
             )
             assert initial_error(Kernel((first, second)), measure) == pytest.approx(expected, rel=1e-12)
+
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="kernel dimension 2 != measure dimension 1"):
+            initial_error(Kernel.matern(0.5, 1.0, dim=2), U01)
 
 
 class TestOracleReport:

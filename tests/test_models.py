@@ -142,13 +142,12 @@ class TestOde:
         doubled = OdeHierarchy(forcing=100.0).evaluate(0, [[0.4, 1.0]])[0]
         assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
-    def test_reference_is_cached_and_reports_error(self):
+    def test_reference_value_and_error_bound(self):
         model = OdeHierarchy()
         value, err = model.reference_info()
         # 16-node Gauss-Legendre value with banded LAPACK solves (perfbench/references.py)
         assert abs(value - (-3.417731512833)) <= 1e-9
         assert 0.0 < err < 1e-8
-        assert model.reference_info() is model.reference_info()
         again = OdeHierarchy()
         assert again.reference_info() == (value, err)
 

@@ -217,6 +217,14 @@ class TestBqPosterior:
                 hits += 1
         assert hits >= 95
 
+    def test_roundoff_negative_variance_reads_zero(self):
+        # SE gamma = 1 on a 12-point grid at zero nugget: Pi[Pi[c]] - Pi[c] K^-1 Pi[c] is -2.2e-16 in floating point
+        k = Kernel.squared_exponential(1.0)
+        fit = fit_gp(k, np.linspace(0, 1, 12), np.zeros(12), nugget=0.0)
+        raw = initial_error(k, U01) - gp._quad_form(fit.chol, kernel_mean(k, U01, fit.points))
+        assert -1e-10 < raw < 0.0
+        assert bq_posterior(fit, U01).variance == 0.0
+
     def test_support_violation(self):
         fit = fit_gp(M12, [1.4], [1.0])
         with pytest.raises(ValueError, match="support"):
