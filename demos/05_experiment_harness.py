@@ -9,7 +9,9 @@ and sample sizes (a data group) consume identical evaluations.  One reuse
 rule saves work: a grid or Halton cell ignores the seed, so it is
 computed once and reused in every replication; IID and Latin hypercube
 cells, like the ones here, are computed in each.  Reruns are
-byte-identical, also under worker-process parallelism.
+byte-identical, also under worker-process parallelism.  Each cell ends in
+one outcome: its record, or the level failure that failed it, and a
+Bayesian record comes with each level's posterior and fitted kernel.
 
 The same sweep is available from the shell:
 
@@ -19,7 +21,7 @@ The same sweep is available from the shell:
 
 import numpy as np
 
-from mlbq.harness import calibration_table, config_from_dict, run_experiment
+from mlbq.harness import calibration_table, config_from_dict, sweep_outcomes
 
 config = config_from_dict(
     {
@@ -48,8 +50,10 @@ config = config_from_dict(
     }
 )
 
-records = run_experiment(config)
-print(f"ran {len(records)} cells ({config.replications} replications x 2 budgets x 2 estimators)")
+outcomes = sweep_outcomes(config)
+records = [o.record for o in outcomes if o.failure is None]
+print(f"ran {len(outcomes)} cells ({config.replications} replications x 2 budgets x 2 estimators), "
+      f"{len(outcomes) - len(records)} failed")
 print()
 print(f"{'T':>7} {'estimator':>10} {'mean |error|':>14} {'mean cost':>10}")
 for budget in config.budgets:
@@ -57,6 +61,14 @@ for budget in config.budgets:
         rows = [r for r in records if r.budget == budget and r.estimator == name]
         print(f"{budget:>7} {name:>10} {np.mean([r.abs_error for r in rows]):>14.3e} "
               f"{np.mean([r.cost for r in rows]):>10.4f}")
+
+first = next(o for o in outcomes if o.estimator == "mlbq" and o.failure is None)
+print()
+print(f"== per-level posteriors of the mlbq cell at T={first.budget}, replication {first.replication} ==")
+print(f"{'level':>5} {'n':>4} {'mean':>11} {'std':>10} {'lengthscale':>12} {'amplitude':>10}")
+for level, lv in enumerate(first.levels):
+    print(f"{level:>5} {lv.n:>4} {lv.mean:>11.3e} {np.sqrt(lv.variance):>10.3e} "
+          f"{lv.lengthscales[0]:>12.4g} {lv.amplitude:>10.3e}")
 
 print()
 print("== credible-interval calibration of the GP-route records ==")

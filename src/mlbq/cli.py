@@ -9,7 +9,7 @@ Subcommands::
     mlbq calibrate   records CSV -> credible-interval coverage CSV
     mlbq oracle      run the derived-value oracles, print a provenance report
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure (a sweep: only when every cell fails).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .harness import (
     calibration_table,
     load_config,
     read_records_csv,
-    run_experiment,
+    sweep_outcomes,
     write_coverage_csv,
     write_records_csv,
 )
@@ -108,8 +108,10 @@ def _cmd_sweep(args) -> int:
     out = args.out if estimate else args.out or cfg.output
     if out is None and not estimate:
         raise ConfigError("no output path: pass --out or set `output` in the config")
-    records = run_experiment(replace(cfg, replications=1) if estimate else cfg, jobs=args.jobs)
-    if not records:  # the config gives every budget an estimator and a replication, so every cell failed
+    outcomes = sweep_outcomes(replace(cfg, replications=1) if estimate else cfg, jobs=args.jobs)
+    records = [o.record for o in outcomes if o.failure is None]
+    failed = len(outcomes) - len(records)
+    if failed == len(outcomes):
         print("numerical failure: every cell of the sweep failed (each is logged above)", file=sys.stderr)
         return 2
     if estimate:
@@ -121,7 +123,7 @@ def _cmd_sweep(args) -> int:
             )
     if out:
         write_records_csv(records, out)
-        print(f"wrote {len(records)} records to {out}")
+        print(f"wrote {len(records)} records to {out}; {failed} of {len(outcomes)} cells failed")
     return 0
 
 

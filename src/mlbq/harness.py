@@ -3,7 +3,7 @@
 A JSON config (schema below) names a testbed model, a set of estimators
 with their design kinds, a kernel policy, budgets and per-budget sample
 sizes (explicit table or allocation formula), a replication count and a
-master seed.  ``run_experiment`` builds the model, computes its reference
+master seed.  ``sweep_outcomes`` builds the model, computes its reference
 integral and resolves each budget's sample sizes once per sweep, then
 walks (budget, replication) cells: every estimator that shares a design
 kind and sample sizes (a group) within a cell consumes the identical
@@ -11,10 +11,11 @@ evaluations, and all randomness derives from the master seed through
 spawned child seeds, so reruns are byte-identical.  One reuse
 rule holds within a task (a budget and a run of its replications): a
 grid or Halton cell ignores the seed, so each estimator computes it once
-per task; every other cell is computed in its own replication.  Under
-``--jobs`` parallelism the workers receive the config, model, reference
-and sample sizes as they are, and records and failed cells come back in
-submission order and are logged here, so output and log match the serial run.
+per task; every other cell is computed in its own replication.  Each cell
+ends in one ``CellOutcome``: its record, with a Bayesian one's level
+posteriors, or its ``LevelFailure``.  Under ``--jobs`` the workers get the
+config, model, reference and sample sizes as they are; outcomes return in
+submission order and failures are logged here, as in the serial run.
 
 Config schema (``schema_version: 1``)::
 
@@ -94,9 +95,12 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "ResultRecord",
+    "LevelPosterior",
+    "CellOutcome",
     "CoverageRow",
     "load_config",
     "config_from_dict",
+    "sweep_outcomes",
     "run_experiment",
     "calibration_table",
     "write_records_csv",
@@ -371,6 +375,28 @@ class ResultRecord:
         )
 
 
+@dataclass(frozen=True)
+class LevelPosterior:
+    """One level of a Bayesian cell: its n, BQ posterior mean and variance, and its fit's kernel and nugget."""
+    n: int
+    mean: float
+    variance: float
+    lengthscales: tuple[float, ...]
+    amplitude: float
+    nugget: float
+
+
+@dataclass(frozen=True)
+class CellOutcome:
+    """One (budget, replication, estimator) cell: its record, with a Bayesian one's levels, or its failure."""
+    budget: float
+    replication: int
+    estimator: str
+    record: ResultRecord | None = None
+    failure: LevelFailure | None = None
+    levels: tuple[LevelPosterior, ...] = ()
+
+
 # The records CSV in column order: (column, how a record's value is written, how its text is parsed, the checker
 # of the parsed value, the config's own for that value).  An empty variance reads as None.
 _RECORD_COLUMNS = (
@@ -521,31 +547,32 @@ def _group_data(cfg, model, budget_index, replication, key, number):
 
 
 def _run_estimator(cfg, model, est: EstimatorSpec, levels):
-    """Return (estimate, variance or None) for one estimator on one cell.
+    """Return (estimate, variance or None, level posteriors) for one estimator on one cell.
 
-    A Bayesian estimator is ``mlbq`` on its levels, the other ``mlmc`` (``bq`` and ``mc`` on one level); a
-    level's fit failure is a ``LevelFailure`` at its position, as its posterior's is.
+    A Bayesian estimator is ``mlbq`` on its levels, the other ``mlmc`` (``bq`` and ``mc`` on one level), which
+    has no level posteriors; a level's fit failure is a ``LevelFailure`` at its position, as its posterior's is.
     """
     if est.name in BAYESIAN:
         fits = _each_level(lambda lv: cfg.kernel.level_fit(lv.points, lv.values, model.dim), levels)
         post = mlbq_estimate(fits, model.measure)
-        return post.mean, post.variance
-    return mlmc_estimate(levels), None
+        return post.mean, post.variance, tuple(
+            LevelPosterior(fit.n, float(mean), float(var), fit.kernel.lengthscales, fit.kernel.amplitude, fit.nugget)
+            for fit, mean, var in zip(fits, post.level_means, post.level_variances))
+    return mlmc_estimate(levels), None, ()
 
 
 def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, counts_by_est, replications):
-    """One budget's records and failed cells for ``replications``, both in (replication, estimator) order.
+    """One budget's ``CellOutcome`` per cell of ``replications``, in (replication, estimator) order.
 
     A cell is keyed (estimator, group key) when its design ignores the seed (``SEEDLESS_DESIGNS``) and
-    (estimator, group key, replication) otherwise; a key already computed in this task reuses its
-    (estimate, variance), and a group's level data are built once per replication, when a cell first
-    needs them.  Only a ``LevelFailure`` fails a cell, which is returned as (budget, replication, name,
-    failure): a group that cannot be built keeps its failure for that replication, which fails each
-    estimator sharing it; failures are not kept across replications, so each reports its own.
+    (estimator, group key, replication) otherwise; a key already computed in this task reuses its result,
+    and a group's level data are built once per replication, when a cell first needs them.  Only a
+    ``LevelFailure`` fails a cell: a group that cannot be built keeps its failure for that replication,
+    which fails each estimator sharing it; failures are not kept across replications, so each reports its own.
     """
     budget = cfg.budgets[budget_index]
     groups = _groups(cfg, counts_by_est)
-    records, failures, results = [], [], {}
+    outcomes, results = [], {}
     for rep in replications:
         data = {}
         for est, key, number in groups:
@@ -559,11 +586,12 @@ def _run_cells(cfg: ExperimentConfig, model, reference, budget_index: int, count
                     results[cell] = _run_estimator(cfg, model, est, data[key])
             except LevelFailure as exc:
                 data.setdefault(key, exc)  # a group that failed to build fails each estimator sharing it
-                failures.append((budget, rep, est.name, exc))
+                outcomes.append(CellOutcome(budget, rep, est.name, failure=exc))
                 continue
-            records.append(ResultRecord.make(rep, est.name, budget, *results[cell], reference,
-                                             _cell_cost(key[1], model.costs), key[1]))
-    return records, failures
+            estimate, variance, levels = results[cell]
+            outcomes.append(CellOutcome(budget, rep, est.name, levels=levels, record=ResultRecord.make(
+                rep, est.name, budget, estimate, variance, reference, _cell_cost(key[1], model.costs), key[1])))
+    return outcomes
 
 
 def _pin_blas_threads():
@@ -585,24 +613,19 @@ def _pin_blas_threads():
     return pinned
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
-    """Run the configured sweep; deterministic given the config.
+def sweep_outcomes(cfg: ExperimentConfig, jobs: int = 1) -> list[CellOutcome]:
+    """Run the configured sweep: one ``CellOutcome`` per attempted cell; deterministic given the config.
 
-    The model, its reference integral and each budget's sample sizes are
-    computed once here, each (estimator, count)'s design checked against the
-    measure before any cell runs, and handed to every (budget, replications)
-    task as they are.  Within a task a grid or Halton cell is computed once
-    per estimator and reused; reuse is exact, so how the replications are
-    split into tasks does not change the records.  With ``jobs > 1`` the
-    tasks run in worker processes; their records and failed cells come back
-    in (budget, replication, estimator) order and the failures are logged
-    here, so the parallel run's output and log match the serial run's; the
-    pool starts at most one worker per task, and a sweep of one task runs in
-    this process whatever ``jobs`` is.  ``seed``, ``replications``
-    and ``jobs`` (by the ``replications`` rule) pass their keys' checkers.
-    The sweep and its workers run at one BLAS thread, because LAPACK's
-    blocking follows the thread count and would move the records' low bits;
-    the old counts are restored after.
+    The model, its reference integral and each budget's sample sizes are computed once here, each
+    (estimator, count)'s design checked against the measure before any cell runs, and handed to every
+    (budget, replications) task as they are.  Within a task a grid or Halton cell is computed once per
+    estimator and reused; reuse is exact, so how the replications are split into tasks does not change
+    the outcomes.  With ``jobs > 1`` the tasks run in worker processes; the outcomes come back in (budget,
+    replication, estimator) order and failures are logged here, as in the serial run; the pool starts at
+    most one worker per task, and a sweep of one task runs in this process whatever ``jobs`` is.  ``seed``,
+    ``replications`` and ``jobs`` (by the ``replications`` rule) pass their keys' checkers.  The sweep
+    and its workers run at one BLAS thread, because LAPACK's blocking follows the thread count and would
+    move the records' low bits; the old counts are restored after.
     """
     _count(jobs, "jobs")
     _count(cfg.replications, "config replications")
@@ -634,13 +657,19 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
         else:
             with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
                 results = [fut.result() for fut in [pool.submit(_run_cells, *task) for task in tasks]]
-        for _, failures in results:
-            for failure in failures:
-                log.warning("cell (T=%s, rep=%s, %s) failed: %s", *failure)
-        return [record for records, _ in results for record in records]
+        outcomes = [outcome for task_outcomes in results for outcome in task_outcomes]
+        for o in outcomes:
+            if o.failure is not None:
+                log.warning("cell (T=%s, rep=%s, %s) failed: %s", o.budget, o.replication, o.estimator, o.failure)
+        return outcomes
     finally:
         for set_threads, count in pinned:
             set_threads(count)
+
+
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ResultRecord]:
+    """The records of ``sweep_outcomes(cfg, jobs)``, in its order; a failed cell has none and is logged there."""
+    return [o.record for o in sweep_outcomes(cfg, jobs) if o.failure is None]
 
 
 # ---------------------------------------------------------------------------

@@ -103,18 +103,15 @@ def brownian_rkhs_increment_norm(g: PiecewiseLinearFunction, h: PiecewiseLinearF
     A piecewise-linear function anchored at zero is a finite combination
     of kernel translates, p = sum_j alpha_j min(., t_j) with alpha_j the
     drop in slope after knot t_j; the squared norm is then the double sum
-    sum_ij alpha_i alpha_j min(t_i, t_j).  Both inputs must vanish at 0.
+    sum_ij alpha_i alpha_j min(t_i, t_j).  Both inputs must vanish at 0, their first breakpoint.
     Numerically identical to the integral of the squared slope of g - h.
     """
     if h is None:
         h = PiecewiseLinearFunction(g.breakpoints[[0, -1]], np.zeros(2))
-    if g(0.0) != 0.0 or h(0.0) != 0.0:
-        raise ValueError("Brownian-motion RKHS members must vanish at 0")
+    if any(p.breakpoints[0] != 0.0 or p.values[0] != 0.0 for p in (g, h)):
+        raise ValueError("Brownian-motion RKHS members must vanish at 0, their first breakpoint")
     knots = np.union1d(g.breakpoints, h.breakpoints)
     diff = g(knots) - h(knots)
-    if knots[0] != 0.0:
-        knots = np.concatenate([[0.0], knots])
-        diff = np.concatenate([[0.0], diff])
     slopes = np.diff(diff) / np.diff(knots)
     # alpha_j pairs with the knot at the *right* end of segment j; the
     # slope after the final knot is zero by convention.

@@ -38,7 +38,7 @@ from mlbq.harness import (
 )
 from mlbq.kernels import Matern
 from mlbq.models import ModelError, OdeHierarchy, PoissonHierarchy, make_model
-from mlbq.quadrature import LevelFailure
+from mlbq.quadrature import LevelFailure, _total
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -64,6 +64,18 @@ def group_data(cfg, model, counts, replication, budget_index=0):
     """Each allocated estimator's level data in ``replication``, from the sweep's group-data helper."""
     return {est.name: _group_data(cfg, model, budget_index, replication, key, number)
             for est, key, number in _groups(cfg, counts)}
+
+
+def singular_at_ten(monkeypatch):
+    """Make every 10-point level fit fail, as a Gram matrix that no nugget makes positive definite."""
+    level_fit = harness.KernelPolicy.level_fit
+
+    def fit(policy, points, values, dim):
+        if len(points) == 10:
+            raise SingularGramError("Gram matrix not positive definite even with nugget 0.0001", 1e-4)
+        return level_fit(policy, points, values, dim)
+
+    monkeypatch.setattr(harness.KernelPolicy, "level_fit", fit)
 
 
 def _fails_before_the_sweep(raw, tmp_path, monkeypatch, match=None):
@@ -508,8 +520,7 @@ class TestBuildGroups:
                             lambda kind, *args, **kw: designs.append(kind) or generate(kind, *args, **kw))
         monkeypatch.setattr(OdeHierarchy, "evaluate",
                             lambda self, level, x: evaluated.append(len(x)) or evaluate(self, level, x))
-        records, failures = zip(*one_rep_tasks)
-        assert harness._run_cells(cfg, model, reference, 0, counts, range(5)) == (sum(records, []), sum(failures, []))
+        assert harness._run_cells(cfg, model, reference, 0, counts, range(5)) == sum(one_rep_tasks, [])
         assert designs.count("halton") == 3 and designs.count("iid") == 15
         halton, iid = (20 + 8) + (8 + 3) + 3, (12 + 5) + (5 + 2) + 2  # increments evaluate two levels
         assert sum(evaluated) == halton + 5 * iid
@@ -555,11 +566,13 @@ class TestRunExperiment:
         cfg = config(replications=3)
         model = make_model("poisson")
         counts = _counts_for(cfg, model, 0)
-        for record in run_experiment(cfg):
+        for outcome in harness.sweep_outcomes(cfg):
+            record = outcome.record
             est = next(e for e in cfg.estimators if e.name == record.estimator)
             levels = group_data(cfg, model, counts, record.replication)[est.name]
-            estimate, variance = harness._run_estimator(cfg, model, est, levels)
+            estimate, variance, level_posteriors = harness._run_estimator(cfg, model, est, levels)
             assert (record.estimate, record.variance) == (estimate, variance)
+            assert outcome.levels == level_posteriors
 
     def test_failed_cell_reported_in_every_replication(self, monkeypatch, caplog):
         calls = self.count_estimator_calls(monkeypatch)
@@ -580,14 +593,7 @@ class TestRunExperiment:
         # the calibration config's one cell fits levels of 153, 60 and 10 points; a fit failure used to be
         # reported without its level, where a data or posterior failure reads `level 2: ...`; that one cell failing
         # is every cell failing, so the command exits 2
-        level_fit = harness.KernelPolicy.level_fit
-
-        def singular_at_ten(policy, points, values, dim):
-            if len(points) == 10:
-                raise SingularGramError("Gram matrix not positive definite even with nugget 0.0001", 1e-4)
-            return level_fit(policy, points, values, dim)
-
-        monkeypatch.setattr(harness.KernelPolicy, "level_fit", singular_at_ten)
+        singular_at_ten(monkeypatch)
         config_path = str(Path(__file__).resolve().parents[1] / "configs/poisson_calibration.json")
         with caplog.at_level("WARNING", logger="mlbq.harness"):
             assert main(["estimate", "--config", config_path]) == 2
@@ -990,6 +996,76 @@ class TestRunExperiment:
         assert all(r.n_per_level == (38, 15, 3) for r in records)
 
 
+GOLDEN_CONFIGS = ("configs/ode_budgets.json", "configs/poisson_budgets.json", "configs/poisson_calibration.json",
+                  "perfbench/ode_matern_lhs.json")
+
+
+def _comparable(outcome):
+    """An outcome with its failure, an exception that compares by identity, as its type and message."""
+    failure = outcome.failure
+    return dataclasses.replace(outcome, failure=None), failure and (type(failure), str(failure))
+
+
+class TestOutcomes:
+    @pytest.fixture(scope="class", params=GOLDEN_CONFIGS, ids=lambda path: Path(path).stem)
+    def sweep(self, request):
+        cfg = load_config(Path(__file__).resolve().parents[1] / request.param)
+        cfg = dataclasses.replace(cfg, replications=2)
+        return cfg, harness.sweep_outcomes(cfg)
+
+    def test_one_outcome_per_attempted_cell(self, sweep):
+        cfg, outcomes = sweep
+        counts = validate_budget_accounting(cfg, make_model(cfg.model_name, **cfg.model_params))
+        assert [(o.budget, o.replication, o.estimator) for o in outcomes] == [
+            (budget, rep, est.name) for budget, by_name in zip(cfg.budgets, counts)
+            for rep in range(cfg.replications) for est in cfg.estimators if est.name in by_name]
+        assert all((o.record is None) != (o.failure is None) for o in outcomes)
+
+    def test_records_are_run_experiments(self, sweep):
+        cfg, outcomes = sweep
+        assert [o.record for o in outcomes if o.record is not None] == run_experiment(cfg)
+
+    def test_level_posteriors_sum_to_the_record_bit_for_bit(self, sweep):
+        _, outcomes = sweep
+        for o in outcomes:
+            if o.record is not None and o.estimator in harness.BAYESIAN:
+                assert _total([lv.mean for lv in o.levels], "means") == o.record.estimate
+                assert _total([lv.variance for lv in o.levels], "variances") == o.record.variance
+                assert tuple(lv.n for lv in o.levels) == o.record.n_per_level
+            else:  # a Monte Carlo record or a failure
+                assert o.levels == ()
+
+    def test_parallel_outcomes_equal_serial_ones(self, sweep):
+        cfg, outcomes = sweep
+        assert list(map(_comparable, harness.sweep_outcomes(cfg, jobs=2))) == list(map(_comparable, outcomes))
+
+    def test_no_value_at_any_depth_is_a_numpy_object(self, sweep):
+        # a GPFit holds an n x n factor; an outcome keeps scalars and tuples only
+        def walk(value):
+            if dataclasses.is_dataclass(value):
+                for f in dataclasses.fields(value):
+                    walk(getattr(value, f.name))
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    walk(item)
+            elif isinstance(value, BaseException):
+                walk(value.args)
+            else:
+                assert not isinstance(value, (np.ndarray, np.generic)), value
+
+        walk(sweep[1])
+
+    def test_parallel_failures_equal_serial_ones(self):
+        # at forcing 1e306 the ODE data are finite but the T=1.517 mlbq and T=30.347 mlmc cells overflow
+        raw = json.loads((Path(__file__).resolve().parents[1] / "configs/ode_budgets.json").read_text())
+        raw["model"]["params"], raw["replications"] = {"forcing": 1e306}, 2
+        cfg = config_from_dict(raw)
+        outcomes = harness.sweep_outcomes(cfg)
+        assert [(o.budget, o.replication, o.estimator) for o in outcomes if o.failure is not None] == [
+            (budget, rep, name) for budget, name in [(1.517, "mlbq"), (30.347, "mlmc")] for rep in range(2)]
+        assert list(map(_comparable, harness.sweep_outcomes(cfg, jobs=2))) == list(map(_comparable, outcomes))
+
+
 def _blas_thread_calls():
     """(set, get) thread-count calls of the loaded OpenBLAS builds, found as the library finds them."""
     with open("/proc/self/maps") as fh:
@@ -1325,7 +1401,7 @@ class TestCli:
 
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "records.csv"
         cfg_path.write_text(json.dumps(BASE_CONFIG))
-        monkeypatch.setattr(cli, "run_experiment", failing)
+        monkeypatch.setattr(cli, "sweep_outcomes", failing)
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == code
         assert capsys.readouterr().err.startswith("numerical failure" if code == 2 else "config error")
         assert not out.exists()
@@ -1337,8 +1413,30 @@ class TestCli:
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "records.csv"
         cfg_path.write_text(json.dumps(raw))
         assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith("numerical failure: every cell")
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "numerical failure: every cell of the sweep failed (each is logged above)")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, cells", [("estimate", 6), ("experiment", 12)])
+    def test_sweep_in_which_some_cells_fail_exits_0(self, command, cells, tmp_path, monkeypatch, capsys, caplog):
+        # the grid mlbq cell at T = 1.503 fits a 10-point level, which fails in each replication: the command
+        # writes every other cell's record as an unfailed run does, and prints how many cells failed
+        raw = json.loads((Path(__file__).resolve().parents[1] / "configs/poisson_budgets.json").read_text())
+        raw["replications"] = 2
+        cfg_path, clean, out = tmp_path / "cfg.json", tmp_path / "clean.csv", tmp_path / "records.csv"
+        cfg_path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(cfg_path), "--out", str(clean)]) == 0
+        singular_at_ten(monkeypatch)
+        with caplog.at_level("WARNING", logger="mlbq.harness"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        failed = cells // 6
+        survivors = [r for r in read_records_csv(clean) if (r.budget, r.estimator) != (1.503, "mlbq")]
+        assert read_records_csv(out) == survivors and len(survivors) == cells - failed
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"wrote {cells - failed} records to {out}; {failed} of {cells} cells failed"
+        assert [r.message for r in caplog.records if "failed" in r.message] == [
+            f"cell (T=1.503, rep={rep}, mlbq) failed: level 2: Gram matrix not positive definite even with nugget 0.0001"
+            for rep in range(failed)]
 
     @pytest.mark.parametrize(
         "error, attribute",
@@ -1380,7 +1478,7 @@ class TestCli:
         from mlbq import cli
 
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: pytest.fail("sweep started"))
+        monkeypatch.setattr(cli, "sweep_outcomes", lambda *args, **kwargs: pytest.fail("sweep started"))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(BASE_CONFIG))
         assert main(["experiment", "--config", str(cfg_path)]) == 1

@@ -55,6 +55,12 @@ class TestBrownianNorm:
         g = PiecewiseLinearFunction([0.0, 1.0], [0.5, 1.0])
         with pytest.raises(ValueError, match="vanish"):
             brownian_rkhs_increment_norm(g)
+        # a first breakpoint after 0 used to pass, as np.interp clamps g(0) to the first value
+        late = PiecewiseLinearFunction([0.2, 1.0], [0.0, 1.0])
+        anchored = PiecewiseLinearFunction([0.0, 1.0], [0.0, 1.0])
+        for args in [(late,), (anchored, late)]:
+            with pytest.raises(ValueError, match="vanish"):
+                brownian_rkhs_increment_norm(*args)
 
 
 class TestPoisson:
