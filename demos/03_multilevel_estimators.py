@@ -33,8 +33,10 @@ for level, n in enumerate(counts):
 post = mlbq_estimate(fits, measure)
 print(f"  posterior mean {post.mean:.8f}  (|error| {abs(post.mean - reference):.2e})")
 print(f"  posterior std  {post.std:.2e}")
-print(f"  per-level means     {['%.2e' % m for m in post.level_means]}")
-print(f"  per-level variances {['%.2e' % v for v in post.level_variances]}")
+print(f"  {'level':>5} {'n':>4} {'mean':>11} {'std':>10} {'lengthscale':>12} {'nugget':>8}")
+for level, lv in enumerate(post.levels):
+    print(f"  {level:>5} {lv.n:>4} {lv.mean:>11.3e} {np.sqrt(lv.variance):>10.3e} "
+          f"{lv.lengthscales[0]:>12.4g} {lv.nugget:>8.0e}")
 
 print()
 print("== multilevel MC on matched IID data, 50 repetitions ==")

@@ -50,6 +50,7 @@ from .quadrature import (
     GaussianPosterior,
     LevelData,
     LevelFailure,
+    LevelPosterior,
     bq_posterior,
     mlbq_estimate,
     mlmc_estimate,

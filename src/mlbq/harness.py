@@ -13,9 +13,9 @@ rule holds within a task (a budget and a run of its replications): a
 grid or Halton cell ignores the seed, so each estimator computes it once
 per task; every other cell is computed in its own replication.  Each cell
 ends in one ``CellOutcome``: its record, with a Bayesian one's level
-posteriors, or its ``LevelFailure``.  Under ``--jobs`` the workers get the
-config, model, reference and sample sizes as they are; outcomes return in
-submission order and failures are logged here, as in the serial run.
+posteriors (``quadrature.LevelPosterior``), or its ``LevelFailure``.  Under
+``--jobs`` the workers get the config, model, reference and sample sizes as
+they are; outcomes return in submission order, and failures are logged here as in the serial run.
 
 Config schema (``schema_version: 1``)::
 
@@ -89,13 +89,12 @@ from .designs import DESIGN_KINDS, SEEDLESS_DESIGNS, check_design, generate_desi
 from .gp import GPFit, _fit_lengthscales, _profiled_fit
 from .kernels import Kernel, initial_error
 from .models import MODEL_NAMES, _finite, make_model
-from .quadrature import LevelData, LevelFailure, _each_level, credible_z, mlbq_estimate, mlmc_estimate
+from .quadrature import LevelData, LevelFailure, LevelPosterior, _each_level, credible_z, mlbq_estimate, mlmc_estimate
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "ResultRecord",
-    "LevelPosterior",
     "CellOutcome",
     "CoverageRow",
     "load_config",
@@ -376,19 +375,8 @@ class ResultRecord:
 
 
 @dataclass(frozen=True)
-class LevelPosterior:
-    """One level of a Bayesian cell: its n, BQ posterior mean and variance, and its fit's kernel and nugget."""
-    n: int
-    mean: float
-    variance: float
-    lengthscales: tuple[float, ...]
-    amplitude: float
-    nugget: float
-
-
-@dataclass(frozen=True)
 class CellOutcome:
-    """One (budget, replication, estimator) cell: its record, with a Bayesian one's levels, or its failure."""
+    """One (budget, replication, estimator) cell: its record and, if Bayesian, its posterior levels, or its failure."""
     budget: float
     replication: int
     estimator: str
@@ -549,15 +537,13 @@ def _group_data(cfg, model, budget_index, replication, key, number):
 def _run_estimator(cfg, model, est: EstimatorSpec, levels):
     """Return (estimate, variance or None, level posteriors) for one estimator on one cell.
 
-    A Bayesian estimator is ``mlbq`` on its levels, the other ``mlmc`` (``bq`` and ``mc`` on one level), which
-    has no level posteriors; a level's fit failure is a ``LevelFailure`` at its position, as its posterior's is.
+    A Bayesian estimator is ``mlbq`` on its levels, with its posterior's ``levels``, the other ``mlmc`` (``bq`` and
+    ``mc`` on one level), with none; a level's fit or posterior failure is a ``LevelFailure`` at its position.
     """
     if est.name in BAYESIAN:
         fits = _each_level(lambda lv: cfg.kernel.level_fit(lv.points, lv.values, model.dim), levels)
         post = mlbq_estimate(fits, model.measure)
-        return post.mean, post.variance, tuple(
-            LevelPosterior(fit.n, float(mean), float(var), fit.kernel.lengthscales, fit.kernel.amplitude, fit.nugget)
-            for fit, mean, var in zip(fits, post.level_means, post.level_variances))
+        return post.mean, post.variance, post.levels
     return mlmc_estimate(levels), None, ()
 
 

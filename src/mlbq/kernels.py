@@ -82,7 +82,10 @@ class Matern:
         return f"Matern(nu={self.nu})"
 
     def corr_at(self, dist, lengthscale, out=None):
-        """Correlation at distances ``dist`` under ``lengthscale`` (not validated), into ``out`` (may be ``dist``)."""
+        """Correlation at distances ``dist`` under ``lengthscale`` (not validated), into ``out`` (may be ``dist``).
+
+        nu = 5/2 peaks at three input-size arrays, two beside ``out``: its order, s^2/3 + (1 + s), holds all three.
+        """
         if self.nu == 0.5:
             s = np.asarray(np.divide(dist, lengthscale, out=out))
             return np.exp(np.negative(s, out=s), out=s)

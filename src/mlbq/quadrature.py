@@ -9,8 +9,8 @@ cases of MLMC and MLBQ.  The Bayesian estimators return a
 :class:`GaussianPosterior` on ``Pi[f]``.
 
 Each level has its own independent GP prior, so the multilevel posterior is
-the sum of the single-level BQ posteriors, and its per-level means and
-variances are those posteriors exactly.  All functions are pure.
+the sum of the single-level BQ posteriors, each a :class:`LevelPosterior`
+made by :func:`bq_posterior` from its fit.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .kernels import ProductMeasure, as_data, initial_error, kernel_mean
 
 __all__ = [
     "LevelData",
+    "LevelPosterior",
     "GaussianPosterior",
     "credible_z",
     "LevelFailure",
@@ -96,17 +97,24 @@ class LevelData:
 
 
 @dataclass(frozen=True)
-class GaussianPosterior:
-    """Gaussian posterior on Pi[f] with per-level diagnostics.
+class LevelPosterior:
+    """One level's BQ posterior mean and variance with its fit's n, kernel and nugget: the home of a per-level field."""
 
-    The mean (variance) is the exact sum of ``level_means``
-    (``level_variances``), each level's BQ posterior mean (variance).
-    """
+    n: int
+    mean: float
+    variance: float
+    lengthscales: tuple[float, ...]
+    amplitude: float
+    nugget: float
+
+
+@dataclass(frozen=True)
+class GaussianPosterior:
+    """Gaussian posterior on Pi[f]: its mean (variance) is the :func:`_total` of its ``levels``' means (variances)."""
 
     mean: float
     variance: float
-    level_means: tuple[float, ...]
-    level_variances: tuple[float, ...]
+    levels: tuple[LevelPosterior, ...]
 
     def __post_init__(self):
         if self.variance < 0:
@@ -147,7 +155,7 @@ def mlmc_estimate(levels) -> float:
 
 
 def bq_posterior(fit: GPFit, measure: ProductMeasure) -> GaussianPosterior:
-    """Gaussian posterior on Pi[f] from a conditioned zero-mean GP.
+    """Gaussian posterior on Pi[f] from a conditioned zero-mean GP, with its one :class:`LevelPosterior`.
 
     mean = Pi[c(., W)] @ weights and variance = Pi[Pi[c]] - Pi[c(., W)] K^-1 Pi[c(W, .)], with the same
     (gram + nugget) system the fit used.  A variance below zero by less than 1e-10 times max(amplitude, 1)
@@ -160,7 +168,8 @@ def bq_posterior(fit: GPFit, measure: ProductMeasure) -> GaussianPosterior:
         var = 0.0
     if not var >= 0:  # a NaN too: a non-finite embedding makes a NaN or -inf variance
         raise FloatingPointError(f"BQ variance {var} below the clamp window or not a number")
-    return GaussianPosterior(post_mean, var, (post_mean,), (var,))
+    level = LevelPosterior(fit.n, post_mean, var, fit.kernel.lengthscales, fit.kernel.amplitude, fit.nugget)
+    return GaussianPosterior(post_mean, var, (level,))
 
 
 def mlbq_estimate(fits, measure: ProductMeasure) -> GaussianPosterior:
@@ -169,11 +178,11 @@ def mlbq_estimate(fits, measure: ProductMeasure) -> GaussianPosterior:
     ``fits`` holds one :class:`GPFit` per level, in level order 0..L, each
     conditioned on that level's increments (fit the hyperparameters and
     condition beforehand).  The sum of :func:`bq_posterior` over the fits,
-    which is also how it is computed; on one fit it is single-level BQ.  A
-    level's failure is raised as :class:`LevelFailure` carrying its position.
+    which is also how it is computed, with their ``levels`` in level order;
+    on one fit it is single-level BQ.  A failure is a :class:`LevelFailure`.
     """
     if len(fits) == 0:
         raise ValueError("mlbq_estimate needs at least one level")
-    posts = _each_level(lambda fit: bq_posterior(fit, measure), fits)
-    level_means, level_vars = tuple(p.mean for p in posts), tuple(p.variance for p in posts)
-    return GaussianPosterior(_total(level_means, "means"), _total(level_vars, "variances"), level_means, level_vars)
+    levels = tuple(_each_level(lambda fit: bq_posterior(fit, measure).levels[0], fits))
+    return GaussianPosterior(_total([lv.mean for lv in levels], "means"),
+                             _total([lv.variance for lv in levels], "variances"), levels)

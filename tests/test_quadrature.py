@@ -77,10 +77,10 @@ def test_a_non_finite_point_is_refused_wherever_it_enters(read):
 class TestGaussianPosterior:
     def test_rejects_negative_variance(self):
         with pytest.raises(ValueError):
-            GaussianPosterior(0.0, -1.0, (0.0,), (-1.0,))
+            GaussianPosterior(0.0, -1.0, ())
 
     def test_credible_interval_is_central(self):
-        post = GaussianPosterior(2.0, 4.0, (2.0,), (4.0,))
+        post = GaussianPosterior(2.0, 4.0, ())
         lo, hi = post.credible_interval(0.95)
         assert lo == pytest.approx(2.0 - 1.959963984540054 * 2.0, abs=1e-12)
         assert hi == pytest.approx(2.0 + 1.959963984540054 * 2.0, abs=1e-12)
@@ -88,14 +88,14 @@ class TestGaussianPosterior:
     def test_credible_quantile_and_interval_are_python_floats(self):
         # ndtri returns np.float64, whose repr made the README quick start print np.float64(...)
         z = quadrature.credible_z(0.95)
-        bounds = GaussianPosterior(2.0, 4.0, (2.0,), (4.0,)).credible_interval(0.95)
+        bounds = GaussianPosterior(2.0, 4.0, ()).credible_interval(0.95)
         assert type(z) is float and z == 1.959963984540054
         assert [type(b) for b in bounds] == [float, float]
 
     @pytest.mark.parametrize("level", [-0.2, 0.0, 1.0, 1.5])
     def test_credible_interval_rejects_levels_outside_zero_one(self, level):
         # -0.2 gave (1.127, 0.873), a lower bound above the upper one, and 1.5 gave NaN bounds
-        post = GaussianPosterior(1.0, 0.25, (1.0,), (0.25,))
+        post = GaussianPosterior(1.0, 0.25, ())
         with pytest.raises(ValueError, match=r"credible level must lie in \(0, 1\)"):
             post.credible_interval(level)
 
@@ -231,6 +231,28 @@ class TestBqPosterior:
             bq_posterior(fit, U01)
 
 
+class TestLevelPosterior:
+    """Each level's posterior carries the n, kernel and nugget of the fit that produced it (ROADMAP aim 3)."""
+
+    DUPLICATES = ([0.5, 0.5, 0.9], [1.0, 1.0, 2.0])  # singular at nugget 0: the ladder escalates
+
+    def test_bq_posterior_level_carries_its_fit(self):
+        fit = fit_gp(Kernel.matern(0.5, 0.7, amplitude=2.5), *self.DUPLICATES, nugget=0.0)
+        assert fit.nugget > 0.0  # the level must carry the nugget the ladder reached, not the one asked for
+        post = bq_posterior(fit, U01)
+        assert post.levels == (quadrature.LevelPosterior(
+            fit.n, post.mean, post.variance, fit.kernel.lengthscales, fit.kernel.amplitude, fit.nugget),)
+
+    def test_mlbq_levels_carry_each_fit_in_level_order(self):
+        fits = [fit_gp(Kernel.matern(0.5, 0.7, amplitude=2.5), *self.DUPLICATES, nugget=0.0),
+                fit_gp(Kernel.squared_exponential(0.3, amplitude=0.2), [0.1, 0.4, 0.6, 0.8], [0.1, -0.2, 0.05, 0.0])]
+        assert fits[0].nugget != fits[1].nugget
+        post = mlbq_estimate(fits, U01)
+        assert [(lv.n, lv.lengthscales, lv.amplitude, lv.nugget) for lv in post.levels] == [
+            (fit.n, fit.kernel.lengthscales, fit.kernel.amplitude, fit.nugget) for fit in fits]
+        assert post.levels == tuple(bq_posterior(fit, U01).levels[0] for fit in fits)
+
+
 class TestMlbq:
     def test_single_level_reduces_to_bq_bit_for_bit(self):
         fit = fit_gp(M12, [0.2, 0.5, 0.9], [1.0, -0.3, 0.4])
@@ -255,8 +277,8 @@ class TestMlbq:
         single = mlbq_estimate(conditioned([l0], [M12], nugget=0.0), U01)
         double = mlbq_estimate(conditioned([l0, l1], [M12, M12], nugget=0.0), U01)
         assert double.mean == single.mean
-        assert double.level_means[1] == 0.0
-        assert double.level_variances[1] > 0.0
+        assert double.levels[1].mean == 0.0
+        assert double.levels[1].variance > 0.0
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(24)
@@ -274,8 +296,8 @@ class TestMlbq:
         multi = mlbq_estimate(conditioned(levels, kernels), U01)
         assert multi.mean == pytest.approx(mean_sum, rel=1e-12)
         assert multi.variance == pytest.approx(var_sum, rel=1e-12)
-        assert sum(multi.level_means) == multi.mean
-        assert sum(multi.level_variances) == multi.variance
+        assert quadrature._total([lv.mean for lv in multi.levels], "means") == multi.mean
+        assert quadrature._total([lv.variance for lv in multi.levels], "variances") == multi.variance
 
     def test_poisson_testbed_grid_accuracy(self):
         # grid sizes from the largest-budget experiment row; the threshold

@@ -120,3 +120,16 @@ def test_gp_owns_every_solve_against_a_factor():
             named |= {getattr(node, attr) for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
     assert importers == {"gp"}
     assert not named & {"cho_solve", "cho_factor", "solve_triangular"}
+
+
+def test_quadrature_owns_the_level_posterior():
+    # bq_posterior makes each level's result from the fit it reads; a second definition or a constructor call
+    # elsewhere (the sweep used to rebuild one per level from its fits) would bring back a second per-level type
+    homes = set()
+    for path in sorted(Path(mlbq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name == "LevelPosterior":
+                homes.add((path.stem, "defines"))
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "LevelPosterior":
+                homes.add((path.stem, "constructs"))
+    assert homes == {("quadrature", "defines"), ("quadrature", "constructs")}
