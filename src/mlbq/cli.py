@@ -7,7 +7,7 @@ Subcommands::
                      write the records CSV only with --out
     mlbq experiment  full sweep from a config -> records CSV
     mlbq calibrate   records CSV -> credible-interval coverage CSV
-    mlbq oracle      run the derived-value oracles, print a provenance report
+    mlbq claims      print the claims ledger as JSON: each number behind a claim, its bar and whether it holds
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure (a sweep: only when every cell fails).
 """
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--levels", type=_floats, default=NOMINAL_LEVELS, help="nominal credible levels, comma separated")
     p_cal.add_argument("--out", help="coverage CSV path (default: stdout table)")
 
-    sub.add_parser("oracle", help="run derived-value oracles and print a provenance report")
+    sub.add_parser("claims", help="print the claims ledger (CLAIMS.json) as JSON")
     return parser
 
 
@@ -140,21 +140,11 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_oracle() -> int:
-    from .oracles import oracle_report
+def _cmd_claims() -> int:
+    from .claims import ledger, ledger_json  # imports scipy.integrate, which `import mlbq.cli` keeps out
 
-    rows = oracle_report()
-    failures, width = 0, max(len(row.name) for row in rows)
-    print(f"{'check':<{width}} {'oracle':>14} {'implementation':>16} {'|diff|':>10} {'tol':>8}  status")
-    for row in rows:
-        status = "PASS" if row.passed else "FAIL"
-        failures += 0 if row.passed else 1
-        print(
-            f"{row.name:<{width}} {row.oracle_value:>14.8g} {row.implementation_value:>16.8g} "
-            f"{row.difference:>10.2e} {row.tolerance:>8.1e}  {status}"
-        )
-    print(f"{len(rows) - failures}/{len(rows)} oracle checks passed")
-    return 0 if failures == 0 else 2
+    print(ledger_json(ledger()))
+    return 0
 
 
 def main(argv=None) -> int:
@@ -167,7 +157,7 @@ def main(argv=None) -> int:
             return _cmd_sweep(args)
         if args.command == "calibrate":
             return _cmd_calibrate(args)
-        return _cmd_oracle()
+        return _cmd_claims()
     except NUMERICAL_ERRORS as exc:  # first: SingularGramError is a ValueError too
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

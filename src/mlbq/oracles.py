@@ -3,42 +3,26 @@
 Each function here computes a quantity by a route independent of the
 implementation it checks: adaptive quadrature for kernel means, nested
 or single quadrature for initial errors, and slope integration for the
-Brownian-motion RKHS norm.  ``oracle_report`` walks the closed-form
-table ``kernels._CLOSED_FORMS`` and checks every kernel mean and initial
-error in it against quadrature, at three lengthscales, then adds the
-Brownian-motion RKHS norm check.  Its (name, oracle value, implementation
-value, tolerance) rows back criterion 5a and the ``mlbq oracle`` report.
+Brownian-motion RKHS norm.  ``claims.criterion_5a`` holds every row of
+the closed-form table ``kernels._CLOSED_FORMS`` and the Brownian RKHS
+norm to these.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
 
-from .kernels import (
-    _CLOSED_FORMS,
-    Kernel,
-    Matern,
-    ProductMeasure,
-    SquaredExponential,
-    StandardNormal,
-    Uniform,
-    initial_error,
-    kernel_mean,
-)
-from .models import PiecewiseLinearFunction, brownian_rkhs_increment_norm
+from .kernels import Matern, SquaredExponential, StandardNormal, Uniform
+from .models import PiecewiseLinearFunction
 
 __all__ = [
     "factor_profile",
     "kernel_mean_quadrature",
     "initial_error_quadrature",
     "slope_integral_norm",
-    "OracleRow",
-    "oracle_report",
 ]
 
 
@@ -111,61 +95,3 @@ def slope_integral_norm(g: PiecewiseLinearFunction, h: PiecewiseLinearFunction |
     slopes = np.diff(diff) / np.diff(knots)
     return float(math.sqrt(np.sum(slopes**2 * np.diff(knots))))
 
-
-# ---------------------------------------------------------------------------
-# the provenance report behind the `oracle` subcommand
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OracleRow:
-    name: str
-    oracle_value: float
-    implementation_value: float
-    tolerance: float
-
-    @property
-    def difference(self) -> float:
-        return abs(self.oracle_value - self.implementation_value)
-
-    @property
-    def passed(self) -> bool:
-        return self.difference <= self.tolerance
-
-
-# Each closed-form factor kind by lengthscale, and each marginal kind with the points its kernel means are
-# checked at, an interval end among them.  ``oracle_report`` checks every ``_CLOSED_FORMS`` row through these.
-_FACTORS = {f(1.0).kind: f for f in (partial(Matern, 0.5), partial(Matern, 2.5), SquaredExponential)}
-_MARGINALS = {
-    "Uniform": (Uniform(-0.3, 1.4), (-0.3, 0.35, 1.3)),
-    "StandardNormal": (StandardNormal(), (-2.5, 0.0, 1.1)),
-}
-_LENGTHSCALES = (0.4, 1.0, 2.0)
-
-
-def oracle_report() -> list[OracleRow]:
-    """Every closed form against its quadrature oracle, then the Brownian-motion RKHS norm check.
-
-    Each ``_CLOSED_FORMS`` row gives, at each of ``_LENGTHSCALES``, a kernel-mean row per point of its
-    marginal and an initial-error row, all to 1e-10.  A table row with no case here raises ``ValueError``.
-    """
-    rows = []
-    for kind, marginal_kind in _CLOSED_FORMS:
-        if kind not in _FACTORS or marginal_kind not in _MARGINALS:
-            raise ValueError(f"closed form ({kind}, {marginal_kind}) has no oracle case")
-        marginal, points = _MARGINALS[marginal_kind]
-        for g in _LENGTHSCALES:
-            factor = _FACTORS[kind](g)
-            kernel, measure, case = Kernel((factor,)), ProductMeasure((marginal,)), f"{kind} {marginal_kind} g={g}"
-            for x, impl in zip(points, kernel_mean(kernel, measure, points)):
-                oracle = kernel_mean_quadrature(factor, marginal, x)
-                rows.append(OracleRow(f"kernel_mean {case} @{x}", oracle, impl, 1e-10))
-            oracle, impl = initial_error_quadrature(factor, marginal), initial_error(kernel, measure)
-            rows.append(OracleRow(f"initial_error {case}", oracle, impl, 1e-10))
-
-    rng = np.random.default_rng(11)
-    bp = np.concatenate([[0.0], np.sort(rng.random(9)), [1.0]])
-    g = PiecewiseLinearFunction(bp, np.concatenate([[0.0], rng.standard_normal(10)]))
-    norm = brownian_rkhs_increment_norm(g)
-    rows.append(OracleRow("brownian_rkhs_norm vs slope integral", slope_integral_norm(g), norm, 1e-10))
-    return rows

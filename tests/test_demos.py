@@ -49,12 +49,12 @@ def test_readme_command_line_runs(tmp_path):
     assert block, "README has no bash block under 'Command line'"
     lines = [line.strip() for line in block.group(1).replace("\\\n", " ").splitlines()]
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("mlbq ")]
-    assert [c[0] for c in commands] == ["allocate", "allocate", "estimate", "experiment", "calibrate", "oracle"]
+    assert [c[0] for c in commands] == ["allocate", "allocate", "estimate", "experiment", "calibrate", "claims"]
     shutil.copytree(ROOT / "configs", tmp_path / "configs")
     script = "import json, sys; from mlbq.cli import main; print('exit codes', [main(c) for c in json.loads(sys.argv[1])])"
     result = _run(["-c", script, json.dumps(commands)], tmp_path)
     assert result.returncode == 0, result.stderr
     assert f"exit codes {[0] * len(commands)}" in result.stdout, result.stderr
-    assert "61/61 oracle checks passed" in result.stdout
+    assert (ROOT / "CLAIMS.json").read_text() in result.stdout  # the ledger of a fresh process's own sweeps
     assert len(read_records_csv(tmp_path / "records.csv")) == 600
     assert (tmp_path / "coverage.csv").exists()

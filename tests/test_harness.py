@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlbq import harness
+from mlbq import claims, harness
 from mlbq.cli import main
 from mlbq.gp import SingularGramError
 from mlbq.harness import (
@@ -1245,10 +1245,11 @@ class TestCalibration:
 
 class TestCli:
     def test_import_loads_no_slow_scipy_subpackage(self):
-        # scipy.optimize, scipy.integrate and scipy.stats would each add 0.2-0.6 s to every process's start-up
+        # scipy.optimize, scipy.integrate and scipy.stats would each add 0.2-0.6 s to every process's start-up;
+        # mlbq.claims imports scipy.integrate, so only `mlbq claims` may import it
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        slow = ("scipy.optimize", "scipy.integrate", "scipy.stats")
+        slow = ("scipy.optimize", "scipy.integrate", "scipy.stats", "mlbq.claims")
         script = f"import sys, mlbq.cli; print(sorted(m for m in sys.modules if m.startswith({slow})))"
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
                               check=True)
@@ -1405,6 +1406,16 @@ class TestCli:
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == code
         assert capsys.readouterr().err.startswith("numerical failure" if code == 2 else "config error")
         assert not out.exists()
+
+    def test_claims_prints_the_committed_ledger(self, monkeypatch, capsys, shipped_records):
+        # the session's acceptance sweeps stand in for the ledger's own; a failing row is data, so the exit code is 0
+        monkeypatch.setattr(claims, "_records", shipped_records.__getitem__)
+        assert main(["claims"]) == 0
+        assert capsys.readouterr().out == (Path(__file__).resolve().parents[1] / "CLAIMS.json").read_text()
+
+    def test_oracle_is_an_unknown_command(self, capsys):
+        assert main(["oracle"]) == 1
+        assert "invalid choice: 'oracle'" in capsys.readouterr().err
 
     def test_sweep_in_which_every_cell_fails_exits_2(self, tmp_path, capsys):
         # forcing 1e308 overflows every cell's evaluations; the command used to exit 0 and write a header-only CSV

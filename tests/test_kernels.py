@@ -18,9 +18,15 @@ from mlbq.kernels import (
     kernel_mean,
 )
 from mlbq.kernels import _CLOSED_FORMS, _gram
-from mlbq.oracles import initial_error_quadrature, kernel_mean_quadrature, oracle_report
+from mlbq.claims import criterion_5a
+from mlbq.oracles import initial_error_quadrature, kernel_mean_quadrature
 
 U01 = ProductMeasure.uniform(0.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def closed_form_rows():
+    return criterion_5a()
 
 
 class TestConstruction:
@@ -220,13 +226,13 @@ class TestKernelMean:
 
     @pytest.mark.parametrize("gamma", [0.4, 1.0, 2.0])
     @pytest.mark.parametrize("pair", sorted(_CLOSED_FORMS), ids="-".join)
-    def test_every_table_row_matches_its_oracle(self, pair, gamma):
-        # the report's generated rows for this table row: three kernel means and the initial error
+    def test_every_table_row_matches_its_oracle(self, closed_form_rows, pair, gamma):
+        # the ledger's criterion 5a rows for this table row: three kernel means and the initial error
         case = f"{pair[0]} {pair[1]} g={gamma}"
-        prefixes = (f"kernel_mean {case} @", f"initial_error {case}")
-        rows = [row for row in oracle_report() if row.name.startswith(prefixes)]
-        assert len(rows) == 4 and {row.tolerance for row in rows} == {1e-10}
-        assert all(row.passed for row in rows), [(row.name, row.difference) for row in rows]
+        prefixes = (f"criterion 5a kernel_mean {case} @", f"criterion 5a initial_error {case}")
+        rows = [row for row in closed_form_rows if row.name.startswith(prefixes)]
+        assert len(rows) == 4 and {row.bar for row in rows} == {1e-10}
+        assert all(row.holds for row in rows), [(row.name, row.value) for row in rows]
 
     def test_matern12_gauss_has_no_closed_form(self):
         with pytest.raises(NoClosedFormError, match=r"Matern\(nu=0.5\).*StandardNormal"):
@@ -304,20 +310,20 @@ class TestInitialError:
             initial_error(Kernel.matern(0.5, 1.0, dim=2), U01)
 
 
-class TestOracleReport:
-    """``oracle_report`` generates its closed-form rows from the table; criterion 5a asserts that they pass."""
+class TestClosedFormClaims:
+    """``claims.criterion_5a`` generates its closed-form rows from the table; criterion 5a asserts that they hold."""
 
-    def test_the_report_is_the_table_and_the_norm_check(self):
-        names = [row.name for row in oracle_report()]
+    def test_the_report_is_the_table_and_the_norm_check(self, closed_form_rows):
+        names = [row.name for row in closed_form_rows]
         assert len(names) == 12 * len(_CLOSED_FORMS) + 1
-        assert names[-1] == "brownian_rkhs_norm vs slope integral"
-        assert "kernel_mean SquaredExponential Uniform g=1.0 @-0.3" in names  # an interval end
+        assert names[-1] == "criterion 5a brownian_rkhs_norm vs slope integral"
+        assert "criterion 5a kernel_mean SquaredExponential Uniform g=1.0 @-0.3" in names  # an interval end
 
     def test_a_table_row_without_an_oracle_case_raises(self, monkeypatch):
         se_uniform = _CLOSED_FORMS["SquaredExponential", "Uniform"]
         monkeypatch.setitem(_CLOSED_FORMS, ("Matern(nu=1.5)", "Uniform"), se_uniform)
         with pytest.raises(ValueError, match=r"\(Matern\(nu=1.5\), Uniform\)"):
-            oracle_report()
+            criterion_5a()
 
 
 class TestProductMeasure:
