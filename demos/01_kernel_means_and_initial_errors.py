@@ -20,7 +20,7 @@ from mlbq import (
     initial_error,
     kernel_mean,
 )
-from mlbq.oracles import initial_error_quadrature, kernel_mean_quadrature
+from mlbq.claims import initial_error_quadrature, kernel_mean_quadrature
 
 u01 = ProductMeasure.uniform(0.0, 1.0)
 gauss = ProductMeasure.standard_normal()

@@ -28,7 +28,7 @@ from mlbq.harness import ResultRecord, calibration_table
 from mlbq.kernels import Kernel, ProductMeasure
 from mlbq.models import POISSON_EXACT_INTEGRAL, PiecewiseLinearFunction, PoissonHierarchy, brownian_rkhs_increment_norm
 from mlbq.models import poisson_exact_solution
-from mlbq.oracles import slope_integral_norm
+from mlbq.claims import slope_integral_norm
 from mlbq.quadrature import LevelData, bq_posterior, mlbq_estimate
 
 from reference_oracles import lattice_best_allocation
@@ -144,12 +144,12 @@ def test_criterion_5f_fem_nodal_exactness():
 
 
 def test_criterion_5g_kkt_stationarity_of_allocations():
-    tau, dim = 1.0, 1
-    plan = mlbq_allocation(claims.POISSON_NORMS, claims.POISSON_COSTS, 1.503, tau=tau, dim=dim)
+    tau, dim, costs = 1.0, 1, PoissonHierarchy().costs
+    plan = mlbq_allocation(claims.POISSON_NORMS, costs, 1.503, tau=tau, dim=dim)
     ratios = np.array(
         [
             (tau / dim) * r * n ** (-tau / dim - 1.0) / c
-            for r, n, c in zip(claims.POISSON_NORMS, plan.real_counts, claims.POISSON_COSTS)
+            for r, n, c in zip(claims.POISSON_NORMS, plan.real_counts, costs)
         ]
     )
     assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-8

@@ -18,8 +18,7 @@ from mlbq.kernels import (
     kernel_mean,
 )
 from mlbq.kernels import _CLOSED_FORMS, _gram
-from mlbq.claims import criterion_5a
-from mlbq.oracles import initial_error_quadrature, kernel_mean_quadrature
+from mlbq.claims import criterion_5a, initial_error_quadrature, kernel_mean_quadrature
 
 U01 = ProductMeasure.uniform(0.0, 1.0)
 
@@ -87,19 +86,31 @@ class TestKernelEval:
             for k in kernels:
                 assert gram(k, [x], [y])[0, 0] == gram(k, [y], [x])[0, 0]
 
-    def test_matern52_corr_at_is_the_formula_bit_for_bit(self):
+    @staticmethod
+    def _assert_corr_at_is(factor, formula):
         # corr_at works in place; it must keep the formula's operation order and leave dist unwritten
         rng = np.random.default_rng(1)
-        factor = Matern(2.5, 1.0)
         for dist in (0.0, 0.37, 1e200, np.abs(rng.standard_normal(1001)) * 30, rng.random((9, 13))):
             before = np.copy(dist)
             for lengthscale in (0.05, 0.7, 10.0):
-                s = math.sqrt(5.0) * (dist / lengthscale)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    expected = (1.0 + s + s * s / 3.0) * np.exp(-s)
+                    expected = formula(dist / lengthscale)
                     got = factor.corr_at(dist, lengthscale)
                 assert np.array_equal(got, expected, equal_nan=True) and np.shape(got) == np.shape(expected)
             assert np.array_equal(dist, before)
+
+    def test_matern52_corr_at_is_the_formula_bit_for_bit(self):
+        def matern52(d):
+            s = math.sqrt(5.0) * d
+            return (1.0 + s + s * s / 3.0) * np.exp(-s)
+
+        self._assert_corr_at_is(Matern(2.5, 1.0), matern52)
+
+    def test_matern12_and_squared_exponential_corr_at_are_their_formulas_bit_for_bit(self):
+        # the only written-out copies of these two correlations outside kernels, now that criterion 5a's
+        # quadrature references integrate corr_at itself
+        self._assert_corr_at_is(Matern(0.5, 1.0), lambda d: np.exp(-d))
+        self._assert_corr_at_is(SquaredExponential(1.0), lambda d: np.exp(-(d * d)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):

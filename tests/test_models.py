@@ -18,7 +18,7 @@ from mlbq.models import (
     make_model,
     poisson_exact_solution,
 )
-from mlbq.oracles import slope_integral_norm
+from mlbq.claims import slope_integral_norm
 
 
 class TestPiecewiseLinear:
