@@ -3,7 +3,7 @@
 A ``ClaimRow`` gives the abstract sentence or published table it backs, its value against its bar, and the distinct
 sweep cells behind it: 1 for a design that ignores the seed (``designs.SEEDLESS_DESIGNS``), else one per record, and
 None for a value no sweep makes.  ``mlbq claims`` prints ``ledger_json(ledger())``, committed as ``CLAIMS.json``.
-The sweeps and inputs are read from the checkout's ``configs/``.  Criterion 5a holds each closed form to its own
+The sweeps and inputs are read from the package's ``configs/``.  Criterion 5a holds each closed form to its own
 reference, computed by another route: adaptive quadrature of the factor's ``corr_at`` (the correlation each Gram
 matrix is built from) for kernel means and initial errors, and slope integration for the Brownian RKHS norm.
 """
@@ -11,7 +11,7 @@ matrix is built from) for kernel means and initial errors, and slope integration
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .kernels import _CLOSED_FORMS, Kernel, Matern, ProductMeasure, SquaredExpon
 from .kernels import initial_error, kernel_mean
 from .models import PiecewiseLinearFunction, PoissonHierarchy, brownian_rkhs_increment_norm
 
-CONFIGS = Path(__file__).resolve().parents[2] / "configs"
+CONFIGS = Path(__file__).resolve().parent / "configs"  # in a checkout, a link to the repository's configs/
 SMOOTH = ("abstract: our approach can lead to significant improvements in accuracy when the integrand is expensive "
           "and smooth, and when the dimensionality is small or moderate")
 
@@ -49,21 +49,27 @@ class ClaimRow:
     cells: int | None = None
 
 
+@cache
+def _config(name):
+    """``configs/<name>.json``, read once per process."""
+    return load_config(CONFIGS / f"{name}.json")
+
+
 def _records(name):
     """The records of ``configs/<name>.json``'s full sweep: the one place the ledger runs a sweep."""
-    return run_experiment(load_config(CONFIGS / f"{name}.json"))
+    return run_experiment(_config(name))
 
 
 def _mean_error(name, records, estimator, budget=None):
     """The mean |error| of one estimator's records (at ``budget``) in config ``name``, and the cells behind it."""
     errors = [r.abs_error for r in records if r.estimator == estimator and budget in (None, r.budget)]
-    (design,) = [e.design for e in load_config(CONFIGS / f"{name}.json").estimators if e.name == estimator]
+    (design,) = [e.design for e in _config(name).estimators if e.name == estimator]
     return float(np.mean(errors)), 1 if design in SEEDLESS_DESIGNS else len(errors)
 
 
 def criterion_1() -> list[ClaimRow]:
     """The closed-form allocations at the paper's Poisson inputs, each level within 2 (MLMC) or 1 (MLBQ)."""
-    rows, cfg, costs = [], load_config(CONFIGS / "poisson_budgets.json"), PoissonHierarchy().costs
+    rows, cfg, costs = [], _config("poisson_budgets"), PoissonHierarchy().costs
     for rule, tolerance in (("mlmc", 2), ("mlbq", 1)):
         for budget, published in zip(cfg.budgets, (entry[rule] for entry in cfg.allocation.table)):
             plan = (mlmc_allocation(POISSON_VARIANCES, costs, budget) if rule == "mlmc"
@@ -77,7 +83,7 @@ def criterion_1() -> list[ClaimRow]:
 def criterion_2(records) -> list[ClaimRow]:
     """Poisson: MLMC's mean |error| on IID points over MLBQ's on grids, at each budget, held to 5."""
     rows = []
-    for budget in load_config(CONFIGS / "poisson_budgets.json").budgets:
+    for budget in _config("poisson_budgets").budgets:
         (mlbq, cells), (mlmc, _) = (_mean_error("poisson_budgets", records, e, budget) for e in ("mlbq", "mlmc"))
         backs = f"{SMOOTH} (Poisson: grid MLBQ against IID MLMC, mean |error| ratio)"
         rows.append(ClaimRow(f"criterion 2 T={budget}", backs, mlmc / mlbq, 5.0, mlmc / mlbq >= 5.0, cells))
@@ -86,7 +92,7 @@ def criterion_2(records) -> list[ClaimRow]:
 
 def criterion_3(records) -> ClaimRow:
     """ODE: MLBQ's mean |error| at the config's first budget, held to MLMC's at its last (the 20x budget)."""
-    first, *_, last = load_config(CONFIGS / "ode_budgets.json").budgets
+    first, *_, last = _config("ode_budgets").budgets
     (mlbq, cells), (mlmc, _) = (_mean_error("ode_budgets", records, *c) for c in (("mlbq", first), ("mlmc", last)))
     backs = f"{SMOOTH} (ODE: Halton MLBQ at T = {first} against IID MLMC at T = {last}, mean |error|)"
     return ClaimRow("criterion 3", backs, mlbq, mlmc, mlbq <= mlmc, cells)
@@ -116,22 +122,14 @@ def initial_error_quadrature(factor, marginal, epsabs=1e-11) -> float:
     """Quadrature of one initial-error factor Pi[Pi[c]].
 
     Nested quadrature of the factor's own ``corr_at`` over a uniform marginal, the inner rule told of the
-    correlation's kink at t = s (a 2-d rule blind to it is off by 3e-8 for
-    Matern-1/2 at gamma = 0.4).  Under N(0, 1), X - Y ~
-    N(0, 2), so a stationary factor needs one 1-d integral of its correlation
-    against the N(0, 2) density, folded onto the half line at the kink.
+    correlation's kink at t = s (a 2-d rule blind to it is off by 3e-8 for Matern-1/2 at gamma = 0.4).  Under
+    N(0, 1), X - Y ~ N(0, 2), so a stationary factor needs one 1-d integral of its correlation against the N(0, 2)
+    density, folded onto the half line at the kink.
     """
     corr = lambda s, t: factor.corr_at(abs(s - t), factor.lengthscale)
     if isinstance(marginal, StandardNormal):
-        val, _ = quad(
-            lambda z: corr(0.0, z) * math.exp(-0.25 * z * z) / math.sqrt(math.pi),
-            0.0,
-            np.inf,
-            epsabs=epsabs,
-            epsrel=1e-13,
-            limit=400,
-        )
-        return val
+        return quad(lambda z: corr(0.0, z) * math.exp(-0.25 * z * z) / math.sqrt(math.pi), 0.0, np.inf,
+                    epsabs=epsabs, epsrel=1e-13, limit=400)[0]
     a, b = marginal.a, marginal.b
 
     def inner(s):

@@ -1,13 +1,11 @@
 """The shipped configs' full sweeps, run once per session: the acceptance criteria and the claims ledger read them."""
 
 import time
-from pathlib import Path
 
 import pytest
 
+from mlbq.claims import CONFIGS
 from mlbq.harness import load_config, run_experiment
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _timed_sweep(name):

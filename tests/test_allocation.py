@@ -9,12 +9,12 @@ from mlbq.allocation import (
     mlbq_allocation,
     mlmc_allocation,
 )
+from mlbq.claims import POISSON_NORMS, POISSON_VARIANCES as POISSON_V
+from mlbq.models import PoissonHierarchy
 
 from reference_oracles import lattice_best_allocation
 
-POISSON_V = (1.305e-3, 0.088e-3, 0.002e-3)
-POISSON_NORMS = (62.5e-3, 22.5e-3, 3.125e-3)
-POISSON_C = (3.6e-3, 8.5e-3, 42.4e-3)
+POISSON_C = PoissonHierarchy().costs
 
 
 class TestInputValidation:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlbq import gp
+from mlbq import claims, gp
 from mlbq.gp import (
     SingularGramError,
     _objective,
@@ -639,8 +639,7 @@ class TestLengthscaleSearch:
         assert one_d.amplitude == 1.1147572266753187
 
 
-ROOT = Path(__file__).resolve().parents[1]
-ODE_MATERN_LHS = ROOT / "perfbench" / "ode_matern_lhs.json"
+ODE_MATERN_LHS = Path(__file__).resolve().parents[1] / "perfbench" / "ode_matern_lhs.json"
 
 
 def _sweep_fits(monkeypatch, path, replications):
@@ -667,7 +666,7 @@ def _tied_fits(monkeypatch, replications):
     w, y = _seeded_data()
     kernel, bounds = Kernel.squared_exponential(1.0, dim=2), (0.01, 10.0)
     shared = (kernel, w, y, bounds, False, gp._fit_lengthscales(kernel, w, y, bounds))
-    return _sweep_fits(monkeypatch, ROOT / "configs" / "poisson_calibration.json", replications) + [shared]
+    return _sweep_fits(monkeypatch, claims.CONFIGS / "poisson_calibration.json", replications) + [shared]
 
 
 def _record_points(monkeypatch):

@@ -10,6 +10,7 @@ import math
 import os
 import pickle
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -50,8 +51,8 @@ BASE_CONFIG = {
     "replications": 3,
     "seed": 99,
 }
-POISSON_V = [1.305e-3, 0.088e-3, 0.002e-3]  # the published per-level variances and norms
-POISSON_NORMS = [62.5e-3, 22.5e-3, 3.125e-3]
+POISSON_V = list(claims.POISSON_VARIANCES)  # the published per-level variances and norms, as JSON lists
+POISSON_NORMS = list(claims.POISSON_NORMS)
 
 
 def config(**overrides):
@@ -220,17 +221,17 @@ class TestConfig:
         [
             ({"source": "table", "table": [{"mlbq": [38, 0, 3], "mlmc": [67, 11, 1]}]}, r"table\[0\] 'mlbq'"),
             ({"source": "table", "table": [{"mlbq": [38, 15, 3], "mlmc": [67, 11, -5]}]}, r"table\[0\] 'mlmc'"),
-            ({"source": "mlmc-formula", "variances": [1.305e-3, 0.088e-3, 0.002e-3], "gamma": 0}, "gamma"),
-            ({"source": "mlmc-formula", "variances": [1.305e-3, 0.088e-3, 0.002e-3], "gamma": -3}, "gamma"),
+            ({"source": "mlmc-formula", "variances": POISSON_V, "gamma": 0}, "gamma"),
+            ({"source": "mlmc-formula", "variances": POISSON_V, "gamma": -3}, "gamma"),
             ({"source": "mlmc-formula", "variances": [1, -0.1, 0.01]},
              r"allocation variances must be a list of finite numbers > 0, got \[1, -0.1, 0.01\]"),
-            ({"source": "mlbq-formula", "norms": [62.5e-3, 0, 3.125e-3], "tau": 1.0},
+            ({"source": "mlbq-formula", "norms": [POISSON_NORMS[0], 0, POISSON_NORMS[2]], "tau": 1.0},
              r"allocation norms must be a list of finite numbers > 0, got \[0.0625, 0, 0.003125\]"),
-            ({"source": "mlmc-formula", "variances": [1.305e-3, 0.088e-3]},
+            ({"source": "mlmc-formula", "variances": POISSON_V[:2]},
              "allocation variances needs one entry per level, got 2 for 3"),
-            ({"source": "mlbq-formula", "norms": [62.5e-3, 22.5e-3, 3.125e-3, 1e-3], "tau": 1.0},
+            ({"source": "mlbq-formula", "norms": [*POISSON_NORMS, 1e-3], "tau": 1.0},
              "allocation norms needs one entry per level, got 4 for 3"),
-            ({"source": "mlbq-formula", "norms": [62.5e-3, 22.5e-3, 3.125e-3], "tau": 0.4},
+            ({"source": "mlbq-formula", "norms": POISSON_NORMS, "tau": 0.4},
              r"allocation tau must exceed d/2 = 0.5, got 0.4"),
         ],
         ids=["zero-count", "negative-count", "zero-gamma", "negative-gamma", "negative-variance", "zero-norm",
@@ -322,16 +323,16 @@ class TestConfig:
             (("budgets", 0), True),
             (("kernel", "smoothness"), "0.5"),
             (("kernel", "lengthscale"), "1.0"),
-            (("allocation",), {"source": "mlmc-formula", "variances": [1.305e-3, "0.088e-3", 0.002e-3]}),
+            (("allocation",), {"source": "mlmc-formula", "variances": [POISSON_V[0], str(POISSON_V[1]), POISSON_V[2]]}),
             (("allocation",), {"source": "mlbq-formula", "norms": "123", "tau": 1.0}),
-            (("allocation",), {"source": "mlbq-formula", "norms": [62.5e-3, 22.5e-3, 3.125e-3], "tau": "1"}),
-            (("allocation",), {"source": "mlbq-formula", "norms": [62.5e-3, 22.5e-3, 3.125e-3], "tau": 1.0,
+            (("allocation",), {"source": "mlbq-formula", "norms": POISSON_NORMS, "tau": "1"}),
+            (("allocation",), {"source": "mlbq-formula", "norms": POISSON_NORMS, "tau": 1.0,
                                "gamma": True}),
             (("output",), 5),
             (("schema_version",), True),
             (("budgets", 0), math.inf),
-            (("allocation",), {"source": "mlmc-formula", "variances": [math.nan, 0.088e-3, 0.002e-3]}),
-            (("allocation",), {"source": "mlmc-formula", "variances": [math.inf, 0.088e-3, 0.002e-3]}),
+            (("allocation",), {"source": "mlmc-formula", "variances": [math.nan, *POISSON_V[1:]]}),
+            (("allocation",), {"source": "mlmc-formula", "variances": [math.inf, *POISSON_V[1:]]}),
             (("allocation",), {"source": "mlbq-formula", "norms": POISSON_NORMS, "tau": math.nan}),
             (("allocation",), {"source": "mlbq-formula", "norms": POISSON_NORMS, "tau": math.inf}),
             (("allocation",), {"source": "mlmc-formula", "variances": POISSON_V, "gamma": math.inf}),
@@ -372,7 +373,7 @@ class TestAllocationResolution:
             estimators=[{"name": "mlmc", "design": "iid"}, {"name": "mc", "design": "iid"}],
             allocation={
                 "source": "mlmc-formula",
-                "variances": [1.305e-3, 0.088e-3, 0.002e-3],
+                "variances": POISSON_V,
             },
         )
         model = make_model("poisson")
@@ -835,7 +836,7 @@ class TestRunExperiment:
             return original(cfg, model, budget_index)
 
         monkeypatch.setattr(harness, "_counts_for", counted)
-        raw = {"source": "mlmc-formula", "variances": [1.305e-3, 0.088e-3, 0.002e-3]}
+        raw = {"source": "mlmc-formula", "variances": POISSON_V}
         per_run = []
         for reps in (1, 5):
             calls.clear()
@@ -985,7 +986,7 @@ class TestRunExperiment:
             estimators=[{"name": "mlbq", "design": "grid"}, {"name": "mlmc", "design": "iid"}],
             allocation={
                 "source": "mlbq-formula",
-                "norms": [62.5e-3, 22.5e-3, 3.125e-3],
+                "norms": POISSON_NORMS,
                 "tau": 1.0,
             },
             replications=1,
@@ -1254,6 +1255,22 @@ class TestCli:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
                               check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_the_ledger_reads_the_configs_shipped_in_the_package(self, tmp_path):
+        # an install copies the package, links followed, to a directory outside the tree: the ledger must find
+        # the shipped configs in that copy, with no checkout beside it
+        root, site = Path(__file__).resolve().parents[1], tmp_path / "site-packages"
+        shutil.copytree(root / "src" / "mlbq", site / "mlbq", ignore=shutil.ignore_patterns("__pycache__"))
+        names = ("poisson_budgets", "ode_budgets", "poisson_calibration")
+        script = ("import json, sys; from mlbq import claims; from mlbq.harness import load_config; "
+                  "print(json.dumps([claims.__file__, *(repr(load_config(claims.CONFIGS / f'{n}.json')) "
+                  "for n in sys.argv[1:])]))")
+        done = subprocess.run([sys.executable, "-c", script, *names], env=dict(os.environ, PYTHONPATH=str(site)),
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        module, *loaded = json.loads(done.stdout)
+        assert Path(module).is_relative_to(site)
+        assert loaded == [repr(load_config(root / "configs" / f"{name}.json")) for name in names]
 
     def test_allocate_exit_codes(self, capsys):
         assert main(["allocate", "--variances", "1,0.1", "--costs", "1,4", "--budget", "10"]) == 0

@@ -18,7 +18,7 @@ from mlbq.models import (
     make_model,
     poisson_exact_solution,
 )
-from mlbq.claims import slope_integral_norm
+from mlbq.claims import POISSON_NORMS, slope_integral_norm
 
 
 class TestPiecewiseLinear:
@@ -101,9 +101,9 @@ class TestPoisson:
         # used by the budget-allocation experiments exactly
         model = PoissonHierarchy(interior_nodes=(1, 4, 19))
         squared = [model.increment_norm(level) ** 2 for level in range(3)]
-        assert squared[0] == pytest.approx(62.5e-3, rel=1e-12)
-        assert squared[1] == pytest.approx(22.5e-3, rel=1e-12)
-        assert squared[2] == pytest.approx(3.125e-3, rel=1e-12)
+        assert squared[0] == pytest.approx(POISSON_NORMS[0], rel=1e-12)
+        assert squared[1] == pytest.approx(POISSON_NORMS[1], rel=1e-12)
+        assert squared[2] == pytest.approx(POISSON_NORMS[2], rel=1e-12)
 
     def test_determinism(self):
         model = PoissonHierarchy()
